@@ -65,11 +65,8 @@ def run_vote(n_producers: int, seed: int = 0):
     return statistics.mean(t for t, _ in consumer.releases)
 
 
-def test_ablation_voting_cost(benchmark):
-    def sweep():
-        return [(n, run_vote(n)) for n in PRODUCER_COUNTS]
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_ablation_voting_cost():
+    rows = [(n, run_vote(n)) for n in PRODUCER_COUNTS]
     print()
     print("Ablation — partition release latency vs producers per partition")
     print(f"{'producers':>10} {'mean release (s)':>18}")

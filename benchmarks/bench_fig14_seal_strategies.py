@@ -24,10 +24,8 @@ def release_times(result):
     return [r.time for r in records]
 
 
-def test_fig14_seal_strategy_detail(benchmark):
-    workload, results = benchmark.pedantic(
-        run_strategies, args=(10, STRATEGIES), rounds=1, iterations=1
-    )
+def test_fig14_seal_strategy_detail():
+    workload, results = run_strategies(10, STRATEGIES)
     print()
     print("Figure 14 — seal-based strategies, 10 ad servers")
     print_series(results, workload, bucket=0.5)

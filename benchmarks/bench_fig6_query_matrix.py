@@ -91,8 +91,8 @@ def run_matrix():
     return rows
 
 
-def test_fig6_query_matrix(benchmark):
-    rows = benchmark.pedantic(run_matrix, rounds=3, iterations=1)
+def test_fig6_query_matrix():
+    rows = run_matrix()
     print()
     print("Figure 6 — reporting queries: coordination requirements")
     print(f"{'query':<10} {'seal':<10} {'sink label':<14} strategy")
@@ -108,16 +108,12 @@ def test_fig6_query_matrix(benchmark):
     assert verdicts[("CAMPAIGN", "-")][1] == "order"
 
 
-def test_wordcount_derivations(benchmark):
+def test_wordcount_derivations():
     """Section VI-A: word-count label derivations, sealed and unsealed."""
     from repro.apps.wordcount import wordcount_dataflow
 
-    def derive():
-        unsealed = analyze(wordcount_dataflow(sealed=False))
-        sealed = analyze(wordcount_dataflow(sealed=True))
-        return unsealed, sealed
-
-    unsealed, sealed = benchmark.pedantic(derive, rounds=3, iterations=1)
+    unsealed = analyze(wordcount_dataflow(sealed=False))
+    sealed = analyze(wordcount_dataflow(sealed=True))
     print()
     print("Section VI-A — Storm word count derivations")
     print(f"  unsealed sink label: {unsealed.label_of('Commit->sink')} (paper: Run)")

@@ -30,34 +30,22 @@ insertion wins a same-boundary race — and programs like the classic
 running first so a self-replacement is not lost.  The regression test
 ``test_simultaneous_deferred_insert_and_delete`` pins this down.
 
-**Evaluation engines.**  Two engines implement the identical semantics:
-
-``incremental`` (the default)
-    Semi-naive evaluation: every rule keeps a materialized output and a
-    :class:`~repro.bloom.ast.DeltaContext` of per-operator hash indexes,
-    and only re-fires when one of the collections it scans actually
-    changed (a dependency graph over cached per-rule scan sets).  Firing
-    cost is proportional to the *change*, not to total state — the
-    difference between per-tick work of O(|delta|) and the naive
-    engine's O(|database|) rebuild, which is what dominated paper-scale
-    (``--full``) workloads.
-
-``naive``
-    The textbook engine: every fixpoint iteration snapshots every
-    collection and re-evaluates every rule of the stratum from scratch.
-    Retained as the executable reference semantics; the differential
-    tests in ``tests/bloom/test_engine_equivalence.py`` assert both
-    engines produce identical fixpoints on randomized programs, and
-    ``benchmarks/bench_fixpoint_scaling.py`` measures the gap.
-
-Select the engine per runtime (``BloomRuntime(module, engine="naive")``)
-or process-wide with ``REPRO_BLOOM_ENGINE``.
+**Evaluation.**  The fixpoint is semi-naive: every rule keeps a
+materialized output and a :class:`~repro.bloom.ast.DeltaContext` of
+per-operator hash indexes, and only re-fires when one of the collections
+it scans actually changed (a dependency graph over cached per-rule scan
+sets).  Firing cost is proportional to the *change*, not to total state —
+per-tick work of O(|delta|) instead of the textbook O(|database|) rebuild
+that dominated paper-scale (``--full``) workloads.  The textbook engine
+(snapshot every collection, re-evaluate every rule, every iteration) is
+the executable reference semantics; it lives test-only in
+``tests/reference/naive_engine.py`` and
+``tests/bloom/test_engine_equivalence.py`` holds this runtime to identical
+fixpoints, tick for tick, on randomized programs.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import os
 from collections.abc import Callable, Iterable
 
 from repro.bloom.ast import DeltaContext
@@ -66,32 +54,33 @@ from repro.bloom.module import BloomModule
 from repro.bloom.rules import Rule
 from repro.errors import BloomError
 
-__all__ = ["BloomRuntime", "ENGINES", "DEFAULT_ENGINE"]
+__all__ = ["BloomRuntime"]
 
 ChannelSend = Callable[[str, str, tuple], None]
 
-DEFAULT_ENGINE = "incremental"
-ENGINE_ENV_VAR = "REPRO_BLOOM_ENGINE"
 
+class _RuleState:
+    """One rule, its cached metadata, and the runtime's mutable view of it.
 
-@dataclasses.dataclass(frozen=True)
-class RuleInfo:
-    """Per-rule metadata computed once at runtime construction.
-
-    ``scans`` and ``negated`` used to be recomputed per rule *per
-    fixpoint iteration* inside stratification; they are now cached here
-    and shared by the stratifier, the incremental engine's
-    dependency-driven scheduler, and the quiescence checks.
+    ``scans`` and ``negated`` are computed once at runtime construction
+    and shared by the stratifier, the dependency-driven scheduler, and
+    the quiescence checks.  ``out`` is the rule's materialized output —
+    kept exactly equal to ``rule.rhs.eval(current storage)`` by delta
+    propagation — and ``last_clock`` is the change-clock value up to
+    which this rule has consumed its inputs' deltas.
     """
 
-    rule: Rule
-    scans: frozenset[str]
-    negated: frozenset[str]
-    decl: CollectionDecl
+    __slots__ = ("rule", "lhs", "scans", "negated", "decl", "ctx", "out", "last_clock")
 
-    @property
-    def lhs(self) -> str:
-        return self.rule.lhs
+    def __init__(self, rule: Rule, decl: CollectionDecl) -> None:
+        self.rule = rule
+        self.lhs = rule.lhs
+        self.scans: frozenset[str] = rule.rhs.scans()
+        self.negated = _negated_scans(rule.rhs)
+        self.decl = decl
+        self.ctx: DeltaContext | None = None
+        self.out: set[tuple] = set()
+        self.last_clock = -1
 
 
 class BloomRuntime:
@@ -99,9 +88,30 @@ class BloomRuntime:
 
     ``on_channel_send(channel, address, row)`` is invoked for every tuple
     an async rule inserts into a channel; the cluster layer routes it over
-    the simulated network.  ``engine`` picks the evaluation engine (see
-    the module docstring); it defaults to ``$REPRO_BLOOM_ENGINE`` or
-    ``"incremental"``.
+    the simulated network.
+
+    :meth:`tick` is *exactly* equivalent to textbook stratified-naive
+    evaluation (``tests/reference/naive_engine.py``) — the whole per-tick
+    storage trajectory matches, iteration for iteration — via three
+    observations:
+
+    * a rule whose scanned collections did not change since its last
+      firing re-produces its previous output, so skipping it (persistent
+      target) or re-asserting its cached materialized output (a target
+      that lost rows at the boundary) is a no-op rewrite of the naive
+      iteration;
+    * when inputs did change, the delta path of
+      :meth:`repro.bloom.ast.Node.eval_delta` yields the exact net change
+      of the rule's output, so merging it reproduces ``target |=
+      eval(env)`` without rescanning;
+    * waves are iteration-aligned: every rule fired in a wave sees the
+      same start-of-wave contents (additions are staged and applied at
+      the wave boundary), mirroring the naive per-iteration snapshot.
+
+    Change tracking is a per-collection version clock plus a per-tick
+    delta log; both the log and every rule's :class:`DeltaContext` hold
+    their indexes across ticks, which is what makes a quiet tick cost
+    O(changed rows) instead of O(database).
     """
 
     def __init__(
@@ -109,7 +119,6 @@ class BloomRuntime:
         module: BloomModule,
         *,
         on_channel_send: ChannelSend | None = None,
-        engine: str | None = None,
     ) -> None:
         self.module = module
         self.on_channel_send = on_channel_send
@@ -118,28 +127,16 @@ class BloomRuntime:
         }
         self._pending_inserts: dict[str, set[tuple]] = {}
         self._pending_deletes: dict[str, set[tuple]] = {}
-        self.rule_infos: tuple[RuleInfo, ...] = tuple(
-            RuleInfo(
-                rule,
-                rule.rhs.scans(),
-                _negated_scans(rule.rhs),
-                module.declaration(rule.lhs),
-            )
-            for rule in module.program
-        )
-        self._strata = _stratify(module, self.rule_infos)
+        rules = [
+            _RuleState(rule, module.declaration(rule.lhs)) for rule in module.program
+        ]
+        self._strata = _stratify(module, rules)
         self._end_rules = tuple(
-            info for info in self.rule_infos if not info.rule.instantaneous
+            state for state in rules if not state.rule.instantaneous
         )
-        engine = engine or os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE
-        try:
-            engine_cls = ENGINES[engine]
-        except KeyError:
-            raise BloomError(
-                f"unknown Bloom engine {engine!r}; have {sorted(ENGINES)}"
-            ) from None
-        self.engine = engine
-        self._engine = engine_cls(self)
+        self._clock = 0
+        self._versions: dict[str, int] = {}
+        self._log: dict[str, list[tuple[int, frozenset, frozenset]]] = {}
         self.tick_count = 0
         self.ticks_skipped = 0
 
@@ -218,16 +215,142 @@ class BloomRuntime:
     # ------------------------------------------------------------------
     def tick(self) -> dict[str, frozenset[tuple]]:
         """Run one timestep; returns the contents of output interfaces."""
-        outputs = self._engine.tick()
+        storage = self.storage
+
+        # 1. boundary: clear transients, apply deletes then inserts.
+        self._clock += 1
+        deltas, shrunk = self._apply_boundary()
+        for name, (added, removed) in deltas.items():
+            self._record(name, added, removed)
+
+        # 2. instantaneous strata to fixpoint, wave-aligned.
+        for stratum in self._strata:
+            # rules whose target lost rows at the boundary must re-assert
+            # their cached output (naive evaluation re-derives it on the
+            # stratum's first iteration)
+            reassert = {
+                id(state)
+                for state in stratum
+                if state.lhs in shrunk and state.out
+            }
+            while True:
+                wave = [
+                    state
+                    for state in stratum
+                    if id(state) in reassert or self._eligible(state)
+                ]
+                if not wave:
+                    break
+                staging: dict[str, set[tuple]] = {}
+                for state in wave:
+                    produced = self._fire(state)
+                    if id(state) in reassert:
+                        reassert.discard(id(state))
+                        produced = state.out
+                    if not produced:
+                        continue
+                    target = storage[state.lhs]
+                    fresh = staging.get(state.lhs)
+                    check_arity = state.decl.check_arity
+                    for row in produced:
+                        if row not in target:
+                            if fresh is None:
+                                fresh = staging.setdefault(state.lhs, set())
+                            fresh.add(check_arity(row))
+                # wave boundary: publish this wave's additions at once,
+                # exactly like naive evaluation's per-iteration snapshot
+                self._clock += 1
+                for name, rows in staging.items():
+                    if rows:
+                        storage[name] |= rows
+                        self._record(name, frozenset(rows), frozenset())
+
+        # 3. end of step: deferred / deletion / async rules evaluate
+        # against the fixpoint and emit their full materialized output
+        # every tick (pending queues were drained; async re-sends).
+        for state in self._end_rules:
+            if self._eligible(state):
+                self._fire(state)
+            rule = state.rule
+            if rule.deferred:
+                pending = self._pending_inserts.setdefault(rule.lhs, set())
+                check_arity = state.decl.check_arity
+                pending.update(check_arity(row) for row in state.out)
+            elif rule.deletion:
+                pending = self._pending_deletes.setdefault(rule.lhs, set())
+                pending.update(tuple(row) for row in state.out)
+            elif rule.asynchronous:
+                # unconditionally, matching the naive reference: the
+                # transport/kind checks raise even for an empty output
+                self._send_async(rule.lhs, state.out)
+
+        # the per-tick delta log is fully consumed: every dependent rule
+        # fired above (versions persist for cross-tick eligibility)
+        self._log.clear()
         self.tick_count += 1
-        return outputs
+        return self._collect_outputs()
+
+    # -- change tracking ------------------------------------------------
+    def _record(self, name: str, added: frozenset, removed: frozenset) -> None:
+        self._log.setdefault(name, []).append((self._clock, added, removed))
+        self._versions[name] = self._clock
+
+    def _eligible(self, state: _RuleState) -> bool:
+        if state.last_clock < 0:
+            return True  # never fired: must materialize
+        last = state.last_clock
+        versions = self._versions
+        return any(versions.get(name, 0) > last for name in state.scans)
+
+    def _gather(self, state: _RuleState) -> dict[str, tuple[frozenset, frozenset]]:
+        """Net per-collection change since the rule's last firing."""
+        base: dict[str, tuple[frozenset, frozenset]] = {}
+        since = state.last_clock
+        for name in state.scans:
+            entries = self._log.get(name)
+            if not entries or entries[-1][0] <= since:
+                continue
+            added: frozenset = frozenset()
+            removed: frozenset = frozenset()
+            for clock, entry_added, entry_removed in entries:
+                if clock <= since:
+                    continue
+                added, removed = (
+                    (added - entry_removed) | (entry_added - removed),
+                    (removed - entry_added) | (entry_removed - added),
+                )
+            if added or removed:
+                base[name] = (added, removed)
+        return base
+
+    def _fire(self, state: _RuleState) -> frozenset:
+        """Bring the rule's materialized output up to date.
+
+        Returns the rows newly added to the output.  The first firing
+        materializes the whole rule body (every AST node initializes its
+        index from live storage); later firings consume only deltas.
+        """
+        first = state.last_clock < 0
+        base = {} if first else self._gather(state)
+        state.last_clock = self._clock
+        if not first and not base:
+            return frozenset()
+        if state.ctx is None:
+            state.ctx = DeltaContext(self.storage)
+        state.ctx.begin(base)
+        added, removed = state.rule.rhs.eval_delta(state.ctx)
+        if removed:
+            state.out -= removed
+        if added:
+            state.out |= added
+        return added
 
     def _apply_boundary(self) -> tuple[dict[str, tuple[frozenset, frozenset]], set[str]]:
         """Start of step: clear transients, apply deletes then inserts.
 
         Returns the net per-collection ``(added, removed)`` deltas plus
-        the set of collections that lost rows (the incremental engine
-        must re-assert rule outputs into those).  Deletes apply before
+        the set of collections that lost rows (:meth:`tick` must re-assert
+        rule outputs into those).  Deletes apply before
         inserts — see the module docstring on simultaneous ``<+``/``<-``.
         """
         deltas: dict[str, tuple[frozenset, frozenset]] = {}
@@ -275,8 +398,9 @@ class BloomRuntime:
                 f"no transport is attached"
             )
         address_index = decl.columns.index(decl.address_column)
-        # engine-independent send order: set iteration order depends on
-        # construction history, which differs between engines
+        # a send order independent of how the set was built: iteration
+        # order depends on construction history, which the naive
+        # reference (tests/reference) does not share
         for row in sorted(rows, key=repr):
             self.on_channel_send(channel, row[address_index], row)
 
@@ -307,262 +431,11 @@ class BloomRuntime:
     def strata(self) -> tuple[tuple[Rule, ...], ...]:
         """The stratified instantaneous program (for tests/inspection)."""
         return tuple(
-            tuple(info.rule for info in stratum) for stratum in self._strata
+            tuple(state.rule for state in stratum) for stratum in self._strata
         )
 
     def __repr__(self) -> str:
-        return (
-            f"BloomRuntime({self.module.name!r}, engine={self.engine!r}, "
-            f"ticks={self.tick_count})"
-        )
-
-
-class _NaiveEngine:
-    """Textbook stratified-naive evaluation (the reference semantics).
-
-    Every fixpoint iteration rebuilds a full frozenset snapshot of every
-    collection and re-evaluates every rule in the stratum from scratch;
-    per-tick cost grows with total state.  Kept as the executable
-    specification the incremental engine is differentially tested
-    against, and as the baseline of ``bench_fixpoint_scaling``.
-    """
-
-    def __init__(self, runtime: BloomRuntime) -> None:
-        self.runtime = runtime
-
-    def tick(self) -> dict[str, frozenset[tuple]]:
-        rt = self.runtime
-        rt._apply_boundary()
-
-        # instantaneous rules to fixpoint, one stratum at a time, so
-        # nonmonotonic operators see only the final contents of lower
-        # strata.
-        for stratum in rt._strata:
-            changed = True
-            while changed:
-                changed = False
-                env = {
-                    name: frozenset(rows) for name, rows in rt.storage.items()
-                }
-                for info in stratum:
-                    produced = info.rule.rhs.eval(env)
-                    target = rt.storage[info.lhs]
-                    before = len(target)
-                    for row in produced:
-                        target.add(info.decl.check_arity(row))
-                    if len(target) != before:
-                        changed = True
-
-        # end of step: deferred / deletion / async rules.
-        env = {name: frozenset(rows) for name, rows in rt.storage.items()}
-        for info in rt._end_rules:
-            rule = info.rule
-            produced = rule.rhs.eval(env)
-            if rule.deferred:
-                pending = rt._pending_inserts.setdefault(rule.lhs, set())
-                pending.update(info.decl.check_arity(row) for row in produced)
-            elif rule.deletion:
-                pending = rt._pending_deletes.setdefault(rule.lhs, set())
-                pending.update(tuple(row) for row in produced)
-            elif rule.asynchronous:
-                rt._send_async(rule.lhs, produced)
-
-        return rt._collect_outputs()
-
-
-class _RuleState:
-    """The incremental engine's mutable view of one rule.
-
-    ``out`` is the rule's materialized output — kept exactly equal to
-    ``rule.rhs.eval(current storage)`` by delta propagation — and
-    ``last_clock`` is the change-clock value up to which this rule has
-    consumed its inputs' deltas.
-    """
-
-    __slots__ = ("info", "ctx", "out", "last_clock")
-
-    def __init__(self, info: RuleInfo) -> None:
-        self.info = info
-        self.ctx: DeltaContext | None = None
-        self.out: set[tuple] = set()
-        self.last_clock = -1
-
-
-class _IncrementalEngine:
-    """Semi-naive incremental fixpoint with dependency-driven scheduling.
-
-    The engine is *exactly* equivalent to :class:`_NaiveEngine` — the
-    whole per-tick storage trajectory matches, iteration for iteration —
-    via three observations:
-
-    * a rule whose scanned collections did not change since its last
-      firing re-produces its previous output, so skipping it (persistent
-      target) or re-asserting its cached materialized output (a target
-      that lost rows at the boundary) is a no-op rewrite of the naive
-      iteration;
-    * when inputs did change, the delta path of
-      :meth:`repro.bloom.ast.Node.eval_delta` yields the exact net change
-      of the rule's output, so merging it reproduces ``target |=
-      eval(env)`` without rescanning;
-    * waves are iteration-aligned: every rule fired in a wave sees the
-      same start-of-wave contents (additions are staged and applied at
-      the wave boundary), mirroring the naive engine's per-iteration
-      snapshot.
-
-    Change tracking is a per-collection version clock plus a per-tick
-    delta log; both the log and every rule's :class:`DeltaContext` hold
-    their indexes across ticks, which is what makes a quiet tick cost
-    O(changed rows) instead of O(database).
-    """
-
-    def __init__(self, runtime: BloomRuntime) -> None:
-        self.runtime = runtime
-        self._clock = 0
-        self._versions: dict[str, int] = {}
-        self._log: dict[str, list[tuple[int, frozenset, frozenset]]] = {}
-        states = {id(info): _RuleState(info) for info in runtime.rule_infos}
-        self._strata = [
-            [states[id(info)] for info in stratum] for stratum in runtime._strata
-        ]
-        self._end_rules = [states[id(info)] for info in runtime._end_rules]
-
-    # -- change tracking ------------------------------------------------
-    def _record(self, name: str, added: frozenset, removed: frozenset) -> None:
-        self._log.setdefault(name, []).append((self._clock, added, removed))
-        self._versions[name] = self._clock
-
-    def _eligible(self, state: _RuleState) -> bool:
-        if state.last_clock < 0:
-            return True  # never fired: must materialize
-        last = state.last_clock
-        versions = self._versions
-        return any(versions.get(name, 0) > last for name in state.info.scans)
-
-    def _gather(self, state: _RuleState) -> dict[str, tuple[frozenset, frozenset]]:
-        """Net per-collection change since the rule's last firing."""
-        base: dict[str, tuple[frozenset, frozenset]] = {}
-        since = state.last_clock
-        for name in state.info.scans:
-            entries = self._log.get(name)
-            if not entries or entries[-1][0] <= since:
-                continue
-            added: frozenset = frozenset()
-            removed: frozenset = frozenset()
-            for clock, entry_added, entry_removed in entries:
-                if clock <= since:
-                    continue
-                added, removed = (
-                    (added - entry_removed) | (entry_added - removed),
-                    (removed - entry_added) | (entry_removed - added),
-                )
-            if added or removed:
-                base[name] = (added, removed)
-        return base
-
-    def _fire(self, state: _RuleState) -> frozenset:
-        """Bring the rule's materialized output up to date.
-
-        Returns the rows newly added to the output.  The first firing
-        materializes the whole rule body (every AST node initializes its
-        index from live storage); later firings consume only deltas.
-        """
-        first = state.last_clock < 0
-        base = {} if first else self._gather(state)
-        state.last_clock = self._clock
-        if not first and not base:
-            return frozenset()
-        if state.ctx is None:
-            state.ctx = DeltaContext(self.runtime.storage)
-        state.ctx.begin(base)
-        added, removed = state.info.rule.rhs.eval_delta(state.ctx)
-        if removed:
-            state.out -= removed
-        if added:
-            state.out |= added
-        return added
-
-    # -- the timestep ---------------------------------------------------
-    def tick(self) -> dict[str, frozenset[tuple]]:
-        rt = self.runtime
-        storage = rt.storage
-
-        # 1. boundary: clear transients, apply deletes then inserts.
-        self._clock += 1
-        deltas, shrunk = rt._apply_boundary()
-        for name, (added, removed) in deltas.items():
-            self._record(name, added, removed)
-
-        # 2. instantaneous strata to fixpoint, wave-aligned.
-        for stratum in self._strata:
-            # rules whose target lost rows at the boundary must re-assert
-            # their cached output (the naive engine re-derives it on the
-            # stratum's first iteration)
-            reassert = {
-                id(state)
-                for state in stratum
-                if state.info.lhs in shrunk and state.out
-            }
-            while True:
-                wave = [
-                    state
-                    for state in stratum
-                    if id(state) in reassert or self._eligible(state)
-                ]
-                if not wave:
-                    break
-                staging: dict[str, set[tuple]] = {}
-                for state in wave:
-                    produced = self._fire(state)
-                    if id(state) in reassert:
-                        reassert.discard(id(state))
-                        produced = state.out
-                    if not produced:
-                        continue
-                    target = storage[state.info.lhs]
-                    fresh = staging.get(state.info.lhs)
-                    check_arity = state.info.decl.check_arity
-                    for row in produced:
-                        if row not in target:
-                            if fresh is None:
-                                fresh = staging.setdefault(state.info.lhs, set())
-                            fresh.add(check_arity(row))
-                # wave boundary: publish this wave's additions at once,
-                # exactly like the naive engine's per-iteration snapshot
-                self._clock += 1
-                for name, rows in staging.items():
-                    if rows:
-                        storage[name] |= rows
-                        self._record(name, frozenset(rows), frozenset())
-
-        # 3. end of step: deferred / deletion / async rules evaluate
-        # against the fixpoint and emit their full materialized output
-        # every tick (pending queues were drained; async re-sends).
-        for state in self._end_rules:
-            if self._eligible(state):
-                self._fire(state)
-            rule = state.info.rule
-            if rule.deferred:
-                pending = rt._pending_inserts.setdefault(rule.lhs, set())
-                check_arity = state.info.decl.check_arity
-                pending.update(check_arity(row) for row in state.out)
-            elif rule.deletion:
-                pending = rt._pending_deletes.setdefault(rule.lhs, set())
-                pending.update(tuple(row) for row in state.out)
-            elif rule.asynchronous:
-                # unconditionally, matching the naive engine: the
-                # transport/kind checks raise even for an empty output
-                rt._send_async(rule.lhs, state.out)
-
-        # the per-tick delta log is fully consumed: every dependent rule
-        # fired above (versions persist for cross-tick eligibility)
-        self._log.clear()
-        return rt._collect_outputs()
-
-
-ENGINES: dict[str, type] = {
-    "incremental": _IncrementalEngine,
-    "naive": _NaiveEngine,
-}
+        return f"BloomRuntime({self.module.name!r}, ticks={self.tick_count})"
 
 
 def _negated_scans(node) -> frozenset[str]:
@@ -596,36 +469,34 @@ def _negated_scans(node) -> frozenset[str]:
 
 
 def _stratify(
-    module: BloomModule, infos: Iterable[RuleInfo]
-) -> list[list[RuleInfo]]:
+    module: BloomModule, rules: Iterable[_RuleState]
+) -> list[list[_RuleState]]:
     """Group instantaneous rules into evaluation strata.
 
     ``stratum(lhs) >= stratum(src)`` for positive dependencies and
     ``stratum(lhs) > stratum(src)`` for aggregated/negated ones.  The
     computation iterates to a fixpoint; exceeding the collection count
-    means recursion through negation — unstratifiable.  Per-rule scan
-    and negation sets come precomputed on :class:`RuleInfo` (they used
-    to be recomputed for every rule on every iteration of this loop).
+    means recursion through negation — unstratifiable.
     """
-    instantaneous = [info for info in infos if info.rule.instantaneous]
+    instantaneous = [state for state in rules if state.rule.instantaneous]
     stratum: dict[str, int] = {d.name: 0 for d in module.declarations}
     limit = len(stratum) + 1
     changed = True
     while changed:
         changed = False
-        for info in instantaneous:
-            for scanned in info.scans:
-                required = stratum[scanned] + (1 if scanned in info.negated else 0)
-                if stratum[info.lhs] < required:
-                    stratum[info.lhs] = required
-                    if stratum[info.lhs] > limit:
+        for state in instantaneous:
+            for scanned in state.scans:
+                required = stratum[scanned] + (1 if scanned in state.negated else 0)
+                if stratum[state.lhs] < required:
+                    stratum[state.lhs] = required
+                    if stratum[state.lhs] > limit:
                         raise BloomError(
                             f"module {module.name} is unstratifiable: "
                             f"recursion through aggregation/negation at "
-                            f"{info.lhs!r}"
+                            f"{state.lhs!r}"
                         )
                     changed = True
-    buckets: dict[int, list[RuleInfo]] = {}
-    for info in instantaneous:
-        buckets.setdefault(stratum[info.lhs], []).append(info)
+    buckets: dict[int, list[_RuleState]] = {}
+    for state in instantaneous:
+        buckets.setdefault(stratum[state.lhs], []).append(state)
     return [buckets[level] for level in sorted(buckets)]

@@ -38,6 +38,7 @@ from repro.chaos.envelope import cell_status
 from repro.chaos.harnesses import audit_apps, harness_for
 from repro.chaos.oracle import ObservedLabel, classify_runs
 from repro.chaos.schedule import FaultSchedule, schedule_from_dict
+from repro.errors import BlazesError
 
 __all__ = [
     "DEFAULT_SEEDS",
@@ -214,9 +215,12 @@ def audit_campaign(
     """Run the full audit sweep and return its :class:`BenchReport`.
 
     ``schedules`` optionally restricts every app to the named subset of
-    its default schedules (unknown names are skipped per app).  Each
-    scenario's metrics carry the predicted and observed labels, their
-    severities, the soundness verdict, and the oracle's evidence lines.
+    its default schedules.  A name some swept app has is skipped for the
+    apps that lack it; a name *no* swept app has is an error, as is a
+    sweep that selects no cells at all — an audit of nothing must not
+    read as "sound".  Each scenario's metrics carry the predicted and
+    observed labels, their severities, the soundness verdict, and the
+    oracle's evidence lines.
     ``jobs > 1`` executes the (independent, deterministic) cells on the
     process-wide warm worker pool; a :class:`~repro.exec.cache.CellCache`
     serves already-computed cells by content address.  Results are
@@ -238,9 +242,19 @@ def audit_campaign(
         cache = None
     if apps is None:
         apps = audit_apps()
+    harnesses = [harness_for(app, smoke=smoke) for app in apps]
+    if schedules is not None:
+        known = {
+            schedule.name for harness in harnesses for schedule in harness.schedules
+        }
+        unknown = sorted(set(schedules) - known)
+        if unknown:
+            raise BlazesError(
+                f"unknown schedule(s) {', '.join(unknown)}; "
+                f"the swept apps have: {', '.join(sorted(known))}"
+            )
     scenarios: list[Scenario] = []
-    for app in apps:
-        harness = harness_for(app, smoke=smoke)
+    for app, harness in zip(apps, harnesses):
         swept = [
             schedule
             for schedule in harness.schedules
@@ -274,6 +288,8 @@ def audit_campaign(
                 if ambiguous:
                     params["schedule_spec"] = schedule.to_dict()
                 scenarios.append(Scenario(cell_name, params))
+    if not scenarios:
+        raise BlazesError("the audit selected no cells: nothing to give a verdict on")
 
     from repro.exec.engine import evaluate
 

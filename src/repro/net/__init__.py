@@ -8,7 +8,7 @@ contract).  This package slots a *real* runtime in behind that contract:
 * :mod:`repro.net.context` — backend selection (`socket_backend()`
   scopes a run onto sockets) and the transport configuration;
 * :mod:`repro.net.frames` — the wire format: length-prefixed frames of
-  tagged JSON (msgpack when available);
+  tagged JSON;
 * :mod:`repro.net.transport` — the asyncio TCP transport: per-peer
   connections and the ``reliable_kinds`` session layer (acks, reconnect,
   redelivery across peer restarts);

@@ -48,7 +48,6 @@ class NetConfig:
     """
 
     host: str = "127.0.0.1"
-    codec: str = "json"
     # wall seconds per virtual time unit
     time_scale: float = 3.0
     # wall seconds: quiescence polling and crash-watcher cadence
@@ -73,7 +72,6 @@ class NetConfig:
         fields: dict = {}
         for key, name, cast in (
             ("host", "BLAZES_NET_HOST", str),
-            ("codec", "BLAZES_NET_CODEC", str),
             ("time_scale", "BLAZES_NET_TIME_SCALE", float),
             ("poll_interval", "BLAZES_NET_POLL_INTERVAL", float),
             ("timeout", "BLAZES_NET_TIMEOUT", float),

@@ -1,16 +1,14 @@
-"""The wire format: length-prefixed frames of tagged JSON (or msgpack).
+"""The wire format: length-prefixed frames of tagged JSON.
 
 A frame is one message (or one control record) between two nodes:
 
-    4-byte big-endian length | codec-encoded body
+    4-byte big-endian length | JSON-encoded body
 
-The body is JSON by default — msgpack when the library is installed and
-``NetConfig.codec = "msgpack"`` asks for it (never required: the repro
-must run on a bare Python toolchain).  Neither codec speaks the payload
-vocabulary the apps actually send — tuples, sets, frozensets, Storm
-tuples, dicts with tuple keys — so values pass through a tagging layer
-first: containers JSON cannot represent round-trip as ``{"!": tag, ...}``
-objects, and anything unknown falls back to pickle (base64-wrapped).
+JSON does not speak the payload vocabulary the apps actually send —
+tuples, sets, frozensets, Storm tuples, dicts with tuple keys — so values
+pass through a tagging layer first: containers JSON cannot represent
+round-trip as ``{"!": tag, ...}`` objects, and anything unknown falls back
+to pickle (base64-wrapped).
 Round-tripping is exact for everything the registered apps put on the
 wire; the simulator and socket backends therefore deliver equal payload
 *values* (the simulator delivers the same object, the transport an equal
@@ -28,8 +26,8 @@ from typing import Any
 from repro.errors import SimulationError
 
 __all__ = [
+    "CODEC",
     "MAX_FRAME",
-    "available_codecs",
     "decode_value",
     "encode_value",
     "make_codec",
@@ -40,6 +38,9 @@ __all__ = [
 # Far above any app frame; a corrupt length prefix fails fast instead of
 # waiting on a gigabyte read.
 MAX_FRAME = 1 << 26
+
+# The one body codec; named in every socket run's transport summary.
+CODEC = "json"
 
 _TAG = "!"
 
@@ -123,43 +124,16 @@ def decode_value(value: Any) -> Any:
     raise SimulationError(f"unknown frame tag {tag!r}")
 
 
-def available_codecs() -> tuple[str, ...]:
-    """The codecs this interpreter can actually use."""
-    try:
-        import msgpack  # noqa: F401
-
-        return ("json", "msgpack")
-    except ImportError:
-        return ("json",)
-
-
 def make_codec(name: str):
-    """``(dumps, loads)`` for one codec name; gated on availability.
-
-    msgpack is optional by design — the container bakes in only the
-    Python toolchain — so asking for it without the library is a clear
-    error, not an import crash at first send.
-    """
-    if name == "json":
-        return (
-            lambda obj: json.dumps(
-                obj, separators=(",", ":"), ensure_ascii=False
-            ).encode("utf-8"),
-            lambda data: json.loads(data.decode("utf-8")),
-        )
-    if name == "msgpack":
-        try:
-            import msgpack
-        except ImportError:
-            raise SimulationError(
-                "codec 'msgpack' requested but msgpack is not installed; "
-                "use codec='json' (the default)"
-            ) from None
-        return (
-            lambda obj: msgpack.packb(obj, use_bin_type=True),
-            lambda data: msgpack.unpackb(data, raw=False),
-        )
-    raise SimulationError(f"unknown codec {name!r}; have json, msgpack")
+    """``(dumps, loads)`` of the frame-body codec (``"json"`` is the only one)."""
+    if name != CODEC:
+        raise SimulationError(f"unknown codec {name!r}; have {CODEC}")
+    return (
+        lambda obj: json.dumps(
+            obj, separators=(",", ":"), ensure_ascii=False
+        ).encode("utf-8"),
+        lambda data: json.loads(data.decode("utf-8")),
+    )
 
 
 def pack_frame(frame: dict, dumps) -> bytes:

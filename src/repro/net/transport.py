@@ -49,7 +49,7 @@ class TcpTransport:
     def __init__(self, network: "SocketNetwork", config: NetConfig) -> None:
         self.network = network
         self.config = config
-        self.dumps, self.loads = frames.make_codec(config.codec)
+        self.dumps, self.loads = frames.make_codec(frames.CODEC)
         self.endpoints: dict[str, Endpoint] = {}
         self.links: dict[tuple[str, str], Link] = {}
         # node -> bound port; survives pause/resume so a restarted node
@@ -111,7 +111,7 @@ class TcpTransport:
     def summary(self) -> dict:
         """The transport block of a socket run's metrics."""
         return {
-            "codec": self.config.codec,
+            "codec": frames.CODEC,
             "host": self.config.host,
             "nodes": len(self.endpoints),
             "links": len(self.links),

@@ -6,11 +6,11 @@ it): all randomness flows through the simulator's seeded
 :class:`random.Random`, and events scheduled at the same instant fire in
 schedule order, so a run is a pure function of its seed and workload.
 
-This kernel replaces the seed scheduler (retained verbatim as
-:mod:`repro.sim.events_ref`, selectable with ``REPRO_SIM_KERNEL=ref``)
-with three structural changes, none of which may alter observable
-behavior — the differential suite holds both kernels to byte-identical
-traces:
+This is the only kernel in ``src/``.  It differs from the seed scheduler
+(kept test-only under ``tests/reference/``) by three structural changes,
+none of which may alter observable behavior — the differential suite in
+``tests/sim/`` swaps the reference in for :class:`Simulator` and holds
+both to byte-identical traces:
 
 * **pooled, slotted event records** — an event is a plain 4-slot list
   ``[time, seq, fn, args]``, recycled through a free pool once fired.
@@ -31,8 +31,7 @@ Cancellation is a handle-side concern: :meth:`Simulator.schedule` returns
 an :class:`EventHandle` whose ``cancel`` kills the record in place (the
 heap lazily discards it), while the fire-and-forget :meth:`Simulator.post`
 skips handle allocation entirely.  :attr:`Simulator.pending` counts live
-events only — cancelled records awaiting lazy removal are not pending
-(the seed kernel's miscount is fixed in both kernels).
+events only — cancelled records awaiting lazy removal are not pending.
 
 Profiling (:mod:`repro.sim.profile`) attaches via
 :attr:`Simulator.profiler`; when detached the hot loop pays one ``None``
@@ -41,7 +40,6 @@ check per event.
 
 from __future__ import annotations
 
-import os
 import random
 from collections.abc import Callable
 from heapq import heappop, heappush
@@ -52,8 +50,6 @@ __all__ = [
     "EventHandle",
     "Simulator",
     "Waker",
-    "KERNELS",
-    "kernel_name",
     "make_simulator",
 ]
 
@@ -271,7 +267,7 @@ class Simulator:
         checks and clock assignment are paid per instant, not per event.
         Events a batch schedules *at the current instant* join the same
         batch (they carry higher seqs, so they fire after the records
-        already queued, exactly as the reference kernel orders them).
+        already queued, exactly as the seed scheduler orders them).
         """
         queue = self._queue
         fired = 0
@@ -324,34 +320,14 @@ class Simulator:
         return f"Simulator(now={self.now:.6f}, pending={self.pending})"
 
 
-# ----------------------------------------------------------------------
-# kernel selection
-# ----------------------------------------------------------------------
-KERNELS = ("fast", "ref")
-
-
-def kernel_name() -> str:
-    """The kernel ``REPRO_SIM_KERNEL`` selects (``fast`` by default)."""
-    name = os.environ.get("REPRO_SIM_KERNEL", "fast")
-    if name not in KERNELS:
-        raise SimulationError(
-            f"unknown REPRO_SIM_KERNEL {name!r}; have {KERNELS}"
-        )
-    return name
-
-
 def make_simulator(seed: int = 0):
-    """Build a simulator on the kernel ``REPRO_SIM_KERNEL`` selects.
+    """Build the simulator a cluster runs on.
 
     Every cluster substrate (:class:`~repro.bloom.cluster.BloomCluster`,
     :class:`~repro.storm.executor.StormCluster`) builds its simulator
-    here, so one environment variable flips a whole run — app, chaos
-    schedule, benchmarks — onto the reference kernel.  The differential
-    suite is exactly that flip plus a byte-compare of the traces.
-
-    A scoped socket backend (``repro.net.context.socket_backend``) takes
-    precedence over kernel selection: inside the ``with`` block this
-    funnel returns the wall-clock
+    here: the discrete-event :class:`Simulator`, unless a socket backend
+    is scoped (``repro.net.context.socket_backend``) — inside that
+    ``with`` block this funnel returns the wall-clock
     :class:`~repro.net.services.NetSimulator` instead, and the whole run
     lands on real TCP transport behind the same channel contract.
     """
@@ -362,10 +338,6 @@ def make_simulator(seed: int = 0):
         from repro.net.services import NetSimulator
 
         sim = NetSimulator(seed=seed, config=net_config)
-    elif kernel_name() == "ref":
-        from repro.sim import events_ref
-
-        sim = events_ref.Simulator(seed=seed)
     else:
         sim = Simulator(seed=seed)
     # Attach the active telemetry hub (repro.obs), when one is scoped —

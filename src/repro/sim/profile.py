@@ -1,6 +1,6 @@
 """Kernel profiling: events/sec, per-kind histograms, heap watermarks.
 
-A :class:`SimProfiler` attaches to a simulator (either kernel) through
+A :class:`SimProfiler` attaches to a simulator through
 :attr:`Simulator.profiler` and observes the event loop from inside:
 
 * every fired event increments a per-callable histogram (keyed by the

@@ -1,11 +1,12 @@
-"""Differential tests: the incremental engine against the naive reference.
+"""Differential tests: the incremental runtime against the naive reference.
 
-The semi-naive engine of :mod:`repro.bloom.runtime` claims *exact*
-equivalence with the retained naive engine — same fixpoints, same stratum
-assignments, same output-interface contents, tick for tick, including the
-accumulation artifacts of nonmonotonic rule bodies (intermediate
-aggregates that land in persistent targets) and the boundary semantics of
-``<+``/``<-``.  These tests check the claim two ways:
+The semi-naive :class:`repro.bloom.runtime.BloomRuntime` claims *exact*
+equivalence with the naive engine retained in ``tests/reference`` — same
+fixpoints, same stratum assignments, same output-interface contents, tick
+for tick, including the accumulation artifacts of nonmonotonic rule
+bodies (intermediate aggregates that land in persistent targets) and the
+boundary semantics of ``<+``/``<-``.  These tests check the claim two
+ways:
 
 * seeded-random *programs*: a generator builds random rule sets over
   every operator (scan/project/calc/select/join/antijoin/groupby/union/
@@ -23,13 +24,13 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bloom.module import BloomModule
 from repro.bloom.runtime import BloomRuntime
 from repro.errors import BloomError
+from tests.reference import NaiveBloomRuntime
 
 VALUES = range(4)
 
@@ -164,8 +165,8 @@ def _schedule(seed: int, ticks: int = 5) -> list[list[tuple[str, list[tuple]]]]:
 
 
 def _run_differential(module: BloomModule, plan) -> None:
-    incremental = BloomRuntime(module, engine="incremental")
-    naive = BloomRuntime(module, engine="naive")
+    incremental = BloomRuntime(module)
+    naive = NaiveBloomRuntime(module)
     assert incremental.strata() == naive.strata()
     for step in plan:
         for collection, rows in step:
@@ -193,7 +194,7 @@ def test_randomized_programs_and_schedules_are_engine_equivalent():
     for seed in range(120):
         module = RandomModule(seed)
         try:
-            BloomRuntime(module, engine="naive")
+            NaiveBloomRuntime(module)
         except BloomError:
             continue  # unstratifiable draw (recursion through negation)
         _run_differential(module, _schedule(seed))
@@ -260,16 +261,3 @@ def test_adversarial_module_equivalent_under_random_schedules(steps):
     module = AdversarialModule()
     plan = [[("edge", rows)] if rows else [] for rows in steps]
     _run_differential(module, plan)
-
-
-@pytest.mark.parametrize("engine", ["incremental", "naive"])
-def test_engine_selection_is_explicit(engine):
-    module = AdversarialModule()
-    runtime = BloomRuntime(module, engine=engine)
-    assert runtime.engine == engine
-    assert engine in repr(runtime)
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(BloomError):
-        BloomRuntime(AdversarialModule(), engine="turbo")

@@ -7,6 +7,12 @@ import pytest
 from repro.bloom.module import BloomModule
 from repro.bloom.runtime import BloomRuntime
 from repro.errors import BloomError
+from tests.reference import NaiveBloomRuntime
+
+# semantics pinned on the production runtime and on the naive reference
+both_engines = pytest.mark.parametrize(
+    "runtime_cls", [BloomRuntime, NaiveBloomRuntime], ids=["incremental", "naive"]
+)
 
 
 class PathModule(BloomModule):
@@ -160,15 +166,15 @@ class ReplaceModule(BloomModule):
         ]
 
 
-@pytest.mark.parametrize("engine", ["incremental", "naive"])
-def test_simultaneous_deferred_insert_and_delete(engine):
+@both_engines
+def test_simultaneous_deferred_insert_and_delete(runtime_cls):
     """Bud's boundary order: deletes apply before inserts, insert wins.
 
     A tuple that is both ``<+``-inserted and ``<-``-deleted at the same
     timestep boundary survives (the delete removes the old copy, the
     insert puts it back) — the semantics the module docstring documents.
     """
-    runtime = BloomRuntime(ReplaceModule(), engine=engine)
+    runtime = runtime_cls(ReplaceModule())
     runtime.insert("inp", [(1,)])
     runtime.tick()
     assert runtime.read("t") == frozenset()      # nothing pending yet
@@ -178,15 +184,15 @@ def test_simultaneous_deferred_insert_and_delete(engine):
     assert runtime.read("t") == {(1,)}           # and keeps surviving
 
     # direct pending-queue race, without rules: same outcome
-    direct = BloomRuntime(PathModule(), engine=engine)
+    direct = runtime_cls(PathModule())
     direct.insert("edge", [(7, 8)])
     direct._pending_deletes.setdefault("edge", set()).add((7, 8))
     direct.tick()
     assert direct.read("edge") == {(7, 8)}
 
 
-@pytest.mark.parametrize("engine", ["incremental", "naive"])
-def test_deferred_delete_of_still_derivable_row_is_restored(engine):
+@both_engines
+def test_deferred_delete_of_still_derivable_row_is_restored(runtime_cls):
     """A ``<-`` of a row an instantaneous rule still derives is undone
     by the next tick's fixpoint (the naive engine re-asserts every rule;
     the incremental engine must match)."""
@@ -206,7 +212,7 @@ def test_deferred_delete_of_still_derivable_row_is_restored(engine):
                 self.rule("dst", "<-", self.scan("kill")),  # deleted anyway
             ]
 
-    runtime = BloomRuntime(Underiveable(), engine=engine)
+    runtime = runtime_cls(Underiveable())
     runtime.insert("inp", [(3,)])
     runtime.tick()
     assert runtime.read("dst") == {(3,)}
@@ -227,10 +233,10 @@ class TableSink(BloomModule):
         return [self.rule("t", "<=", self.scan("inp"))]
 
 
-@pytest.mark.parametrize("engine", ["incremental", "naive"])
-def test_noop_tick_skipping(engine):
+@both_engines
+def test_noop_tick_skipping(runtime_cls):
     """Duplicate table inserts are consumed without running a tick."""
-    runtime = BloomRuntime(TableSink(), engine=engine)
+    runtime = runtime_cls(TableSink())
     runtime.insert("inp", [(1,)])
     assert not runtime.tick_is_noop  # transient input pending
     runtime.tick()

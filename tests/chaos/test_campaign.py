@@ -20,7 +20,7 @@ from repro.chaos import (
     render_matrix,
 )
 from repro.chaos.oracle import ObservedLabel
-from repro.errors import SimulationError
+from repro.errors import BlazesError, SimulationError
 
 SEEDS = (7, 11)
 
@@ -190,6 +190,27 @@ def test_schedule_subset_restricts_the_sweep():
     )
     assert {r.params["schedule"] for r in report} == {"baseline"}
     assert len(report) == 3  # one per strategy
+
+
+def test_schedule_name_no_swept_app_has_is_an_error():
+    """A typo must not sweep zero cells and read as "sound"."""
+    with pytest.raises(BlazesError, match="reorder-burts.*baseline.*reorder-burst"):
+        audit_campaign(
+            ("kvs",), smoke=True, seeds=(7,), schedules=("baseline", "reorder-burts")
+        )
+
+
+def test_schedule_name_some_swept_app_has_is_skipped_for_the_rest():
+    """kvs has no dup-burst schedule; wordcount does."""
+    report = audit_campaign(
+        ("kvs", "wordcount"), smoke=True, seeds=(7,), schedules=("dup-burst",)
+    )
+    assert {r.params["app"] for r in report} == {"wordcount"}
+
+
+def test_audit_of_no_cells_is_an_error():
+    with pytest.raises(BlazesError, match="no cells"):
+        audit_campaign((), smoke=True, seeds=(7,))
 
 
 def test_render_audit_summarizes():

@@ -1,4 +1,4 @@
-"""Unit tests for the wire format: tagged values, codecs, framing."""
+"""Unit tests for the wire format: tagged values, the JSON codec, framing."""
 
 from __future__ import annotations
 
@@ -51,17 +51,6 @@ def test_storm_tuple_roundtrip():
     assert isinstance(out, StormTuple)
     assert out.values == ("word", 3)
     assert out.batch == 7
-
-
-def test_json_codec_is_default_and_available():
-    assert "json" in frames.available_codecs()
-
-
-def test_msgpack_codec_is_gated():
-    if "msgpack" in frames.available_codecs():
-        pytest.skip("msgpack installed in this environment")
-    with pytest.raises(SimulationError, match="msgpack"):
-        frames.make_codec("msgpack")
 
 
 def test_unknown_codec_rejected():

@@ -5,9 +5,10 @@ scheduled action allocates an :class:`EventHandle`, the heap orders handles
 by ``(time, seq)`` through Python-level ``__lt__`` calls, and callers pass
 zero-argument closures.  It is deliberately simple and deliberately slow.
 
-The production kernel lives in :mod:`repro.sim.events`; selecting
-``REPRO_SIM_KERNEL=ref`` routes every simulator built through
-:func:`repro.sim.events.make_simulator` onto this one instead.  The
+The production kernel lives in :mod:`repro.sim.events`; this one is
+test-only.  :func:`tests.reference.reference_kernel` swaps it in for
+``repro.sim.events.Simulator``, so every simulator built through
+:func:`repro.sim.events.make_simulator` lands here instead.  The
 differential suite (``tests/sim/test_kernel_equivalence.py``) runs every
 registered app under both kernels and requires byte-identical traces, so
 any observable divergence in the fast kernel fails loudly against this

@@ -1,12 +1,13 @@
 """Differential golden-trace suite: fast kernel vs the seed scheduler.
 
 The fast kernel (``repro.sim.events``) claims to be a pure representation
-change over the seed scheduler (``repro.sim.events_ref``): pooled records
-instead of handle objects, batch-pop instead of per-event bookkeeping,
-wakers instead of guard flags.  These tests are the proof obligation —
-every registered app, under every strategy, across several seeds, must
-produce **identical** traces, virtual times, event counts, committed
-state, and oracle verdicts under both ``REPRO_SIM_KERNEL`` values.
+change over the seed scheduler (``tests/reference/events_ref.py``): pooled
+records instead of handle objects, batch-pop instead of per-event
+bookkeeping, wakers instead of guard flags.  These tests are the proof
+obligation — every registered app, under every strategy, across several
+seeds, must produce **identical** traces, virtual times, event counts,
+committed state, and oracle verdicts whether ``make_simulator`` builds the
+production kernel or has the reference swapped in from here.
 
 Any observable divergence means the fast kernel changed scheduling
 semantics (event order, RNG draw sequence, or bound handling) and fails
@@ -15,9 +16,8 @@ here before it can silently perturb a figure or an audit cell.
 
 from __future__ import annotations
 
-import os
 import random
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import pytest
 
@@ -32,24 +32,15 @@ from repro.chaos.schedule import (
     Reorder,
     baseline,
 )
-from repro.sim import KERNELS
+from tests.reference import reference_kernel
 
 SEEDS = (1, 2, 3)
+KERNELS = {"fast": nullcontext, "ref": reference_kernel}
 
 
-@contextmanager
 def kernel(name: str):
-    """Select a sim kernel for the enclosed block via the environment."""
-    assert name in KERNELS
-    previous = os.environ.get("REPRO_SIM_KERNEL")
-    os.environ["REPRO_SIM_KERNEL"] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SIM_KERNEL", None)
-        else:
-            os.environ["REPRO_SIM_KERNEL"] = previous
+    """Run the enclosed block on the named kernel."""
+    return KERNELS[name]()
 
 
 def _fingerprint(cluster, metrics=None) -> dict:
@@ -81,6 +72,7 @@ def test_app_runs_identically_on_both_kernels(app_name, strategy, seed):
     for name in KERNELS:
         with kernel(name):
             outcome = get_app(app_name).run(strategy, seed=seed, smoke=True)
+        assert outcome.cluster.sim.kernel == name  # the swap took effect
         prints[name] = _fingerprint(outcome.cluster, outcome.metrics)
     assert prints["fast"]["trace"] == prints["ref"]["trace"]
     assert prints["fast"] == prints["ref"]
@@ -206,6 +198,10 @@ def test_framed_adnet_runs_identically(strategy):
             node: result.committed_state(node) for node in result.report_nodes
         }
     assert prints["fast"] == prints["ref"]
+    # framed cells complete: every click lands and the replicas agree
+    metrics = prints["fast"]["metrics"]
+    assert metrics["processed"] == workload.total_entries
+    assert metrics["agree"]
 
 
 def test_baseline_schedule_is_equivalence_smoke():

@@ -1,8 +1,8 @@
 """Property-based kernel invariants, held on BOTH kernels.
 
 Each property is parametrized over the fast and reference simulator
-classes directly (no environment variable), so hypothesis shrinks
-counterexamples against whichever kernel broke the invariant:
+classes directly, so hypothesis shrinks counterexamples against whichever
+kernel broke the invariant:
 
 * virtual time is monotone under any schedule of events;
 * events at one timestamp fire in schedule order, even when scheduled
@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import events, events_ref
+from repro.sim import events
+from tests.reference import events_ref
 
 KERNEL_CLASSES = (events.Simulator, events_ref.Simulator)
 KERNEL_IDS = tuple(cls.kernel for cls in KERNEL_CLASSES)

@@ -4,14 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import (
-    LatencyModel,
-    Network,
-    Process,
-    SimProfiler,
-    Simulator,
-    events_ref,
-)
+from repro.sim import LatencyModel, Network, Process, SimProfiler, Simulator
+from tests.reference import events_ref
 
 
 class Echo(Process):

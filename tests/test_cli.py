@@ -238,6 +238,20 @@ def test_audit_matrix_rejects_apps_flag(capsys):
     assert "--matrix" in capsys.readouterr().err
 
 
+def test_audit_misspelt_schedule_is_not_vacuously_sound(capsys):
+    assert main([
+        "audit", "--smoke", "--schedules", "reorder-burts", "--no-report", "--json",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no {"cells": 0, "sound": true} payload
+    assert "reorder-burts" in captured.err and "reorder-burst" in captured.err
+
+
+def test_audit_of_zero_cells_never_exits_zero(capsys):
+    assert main(["audit", "--smoke", "--apps", ",", "--no-report"]) == 1
+    assert "no cells" in capsys.readouterr().err
+
+
 def test_audit_json_reports_summary(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     assert main([

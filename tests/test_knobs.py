@@ -1,0 +1,55 @@
+"""The environment knobs ``src/repro`` reads are a closed, pinned set.
+
+Every read goes through a literal variable name somewhere in the source,
+so a token scan of the text finds them all without following
+``os.environ``.  A new knob — or a retired selector creeping back — fails
+here and has to be argued for; so does ``src/`` importing the test-only
+reference implementations of ``tests/reference``.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+KNOBS = {
+    "BLAZES_JOBS",
+    "BLAZES_BACKEND",
+    "BLAZES_POOL_START",
+    "BLAZES_CACHE_DIR",
+    "BLAZES_NET_HOST",
+    "BLAZES_NET_TIME_SCALE",
+    "BLAZES_NET_POLL_INTERVAL",
+    "BLAZES_NET_TIMEOUT",
+    "REPRO_BENCH_DIR",
+    "REPRO_REGEN_DIGESTS",
+}
+
+
+def _sources() -> list[Path]:
+    sources = sorted(SRC.rglob("*.py"))
+    assert sources, f"no sources under {SRC}"
+    return sources
+
+
+def test_environment_knobs_are_exactly_the_pinned_set():
+    found: dict[str, str] = {}
+    for path in _sources():
+        for token in re.findall(r"\b(?:BLAZES|REPRO)_[A-Z_]+", path.read_text()):
+            if not token.endswith("_"):  # "BLAZES_NET_*" names the family
+                found.setdefault(token, str(path.relative_to(SRC)))
+    extra = {token: found[token] for token in found.keys() - KNOBS}
+    assert not extra, f"unpinned environment knobs (first seen in): {extra}"
+    assert not KNOBS - found.keys(), f"pinned but gone: {KNOBS - found.keys()}"
+
+
+def test_src_never_imports_the_tests_package():
+    pattern = re.compile(r"^\s*(?:from|import)\s+tests\b", re.MULTILINE)
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in _sources()
+        if pattern.search(path.read_text())
+    ]
+    assert not offenders, f"src/ imports tests/: {offenders}"
