@@ -11,17 +11,23 @@ of Section X.
 
 from __future__ import annotations
 
-import statistics
-
 from benchmarks._adreport import print_series, run_strategies
 
 STRATEGIES = ("uncoordinated", "independent-seal", "seal")
 
 
-def release_times(result):
+def releases(result):
+    """``(time, records released)`` per tick of the first replica: the
+    processed-probe writes one trace record per tick, weighted by how many
+    click records became visible in it."""
     node = result.report_nodes[0]
     records = result.cluster.trace.select(event=f"processed:{node}")
-    return [r.time for r in records]
+    return [(r.time, r.data) for r in records]
+
+
+def mean_release_time(result):
+    released = releases(result)
+    return sum(t * n for t, n in released) / sum(n for _t, n in released)
 
 
 def test_fig14_seal_strategy_detail():
@@ -31,8 +37,8 @@ def test_fig14_seal_strategy_detail():
     print_series(results, workload, bucket=0.5)
 
     # Independent seals release earlier on average (lower latency)...
-    independent = statistics.mean(release_times(results["independent-seal"]))
-    grouped = statistics.mean(release_times(results["seal"]))
+    independent = mean_release_time(results["independent-seal"])
+    grouped = mean_release_time(results["seal"])
     print(f"mean release time: independent={independent:.2f}s grouped={grouped:.2f}s")
     assert independent < grouped
 
@@ -40,9 +46,9 @@ def test_fig14_seal_strategy_detail():
     # measure burstiness as the mean records released per distinct
     # release instant.
     def burstiness(result):
-        times = release_times(result)
-        distinct = len({round(t, 4) for t in times})
-        return len(times) / max(1, distinct)
+        released = releases(result)
+        distinct = len({round(t, 4) for t, _n in released})
+        return sum(n for _t, n in released) / max(1, distinct)
 
     independent_burst = burstiness(results["independent-seal"])
     grouped_burst = burstiness(results["seal"])

@@ -11,8 +11,9 @@ from that single declaration:
   cross-checked against any declared labels;
 * ``app.analyze()`` / ``app.plan()`` — the label analysis and the
   synthesized coordination plan for a chosen strategy;
-* ``app.run(strategy)`` — execution on the matching simulator backend,
-  with the strategy's sealing/ordering wiring installed by the runner;
+* ``app.run(strategy)`` — execution on the matching simulator backend;
+  the runner receives the resolved :class:`StrategySpec` and installs
+  what it declares (:meth:`StrategySpec.installed`);
 * ``app.audit()`` — the fault-injection campaign of
   :mod:`repro.chaos.campaign`, fed by the app's audit profile.
 
@@ -53,7 +54,7 @@ class StrategySpec:
     streams through the coordination service's sequencer (paper Section
     V-B2).  On the analysis side it changes what the app *predicts*:
     ``app.plan`` returns the :func:`repro.core.strategy.ordered_plan`
-    (an installed :class:`~repro.core.strategy.OrderedStrategy` per
+    (an :class:`~repro.core.strategy.OrderStrategy` on ``order_topic`` per
     order-sensitive component) and ``app.predicted_label`` caps the raw
     sink label at ``Async`` via
     :func:`repro.core.strategy.label_under_ordering` — deterministic
@@ -70,6 +71,34 @@ class StrategySpec:
     run_params: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     description: str = ""
     order_topic: str = ""
+
+    def installed(self, component: str, streams: Mapping[str, str]):
+        """The strategy object this deployment installs at ``component``.
+
+        ``streams`` maps the component's declared input streams to their
+        runtime names.  The result is what a Bloom runner hands to both
+        halves of :mod:`repro.bloom.rewrite`: the sequencer on
+        ``order_topic`` when ``ordered``, the seal protocol on the streams
+        ``seals`` punctuates, otherwise nothing.  It is the app's plan
+        entry for the component wherever the analysis asks for
+        coordination; a deployment may also impose its regime on a
+        confluent component (the THRESH row of the Figure 6 matrix),
+        where the plan needs nothing.
+        """
+        from repro.core.strategy import NoCoordination, OrderStrategy, SealStrategy
+
+        if self.ordered:
+            return OrderStrategy(
+                component, tuple(streams.values()), topic=self.order_topic
+            )
+        sealed = tuple(
+            (runtime, frozenset(self.seals[stream]))
+            for stream, runtime in streams.items()
+            if self.seals.get(stream)
+        )
+        if sealed:
+            return SealStrategy(component, sealed, ())
+        return NoCoordination(component)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -538,6 +567,7 @@ class BlazesApp:
         :class:`repro.net.services.SocketTimeout` is raised.
         """
         import contextlib
+        import time
 
         from repro.net.context import (
             NetConfig,
@@ -564,23 +594,15 @@ class BlazesApp:
                 )
             else:
                 note_backend("sim")
-            if telemetry is None:
-                metrics, result, cluster = self._runner(
-                    spec.name, seed=seed, **params
-                )
-                metrics = dict(metrics)
-            else:
-                import time as _time
-
+            started = time.perf_counter()
+            if telemetry is not None:
+                stack.enter_context(telemetry.activate())
+            metrics, result, cluster = self._runner(spec, seed=seed, **params)
+            elapsed = time.perf_counter() - started
+            metrics = dict(metrics)
+            if telemetry is not None:
                 from repro.obs.coordcost import coordcost_report
 
-                started = _time.perf_counter()
-                with telemetry.activate():
-                    metrics, result, cluster = self._runner(
-                        spec.name, seed=seed, **params
-                    )
-                elapsed = _time.perf_counter() - started
-                metrics = dict(metrics)
                 network = getattr(cluster, "network", None)
                 sent = network.sent if network is not None else None
                 metrics["coordcost"] = coordcost_report(

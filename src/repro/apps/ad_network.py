@@ -27,21 +27,31 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
-from repro.api import BlazesApp, register
-from repro.apps.queries import CLICK_SCHEMA, ORDER_TOPIC, CacheTier, make_report_module
+from repro.api import StrategySpec, register
+from repro.apps.queries import (
+    CLICK_SCHEMA,
+    ORDER_TOPIC,
+    CacheTier,
+    default_query_kwargs,
+    figure4_app,
+    make_report_module,
+    report_observe,
+    report_roles,
+)
+from repro.apps.source import PlannedSource
 from repro.chaos.envelope import order_only_envelope
 from repro.bloom.cluster import INSERT_MSG, ZK_KINDS, BloomCluster, BloomNode
-from repro.bloom.rewrite import OrderedInputAdapter, SealedInputAdapter
+from repro.bloom.rewrite import SealedInputAdapter, apply_strategy
 from repro.coord.assignment import ReplicaAssignment
 from repro.coord.sealing import DATA as SEAL_DATA
 from repro.coord.sealing import FRAME as SEAL_FRAME
 from repro.coord.sealing import PUNCT as SEAL_PUNCT
-from repro.coord.sealing import SealedStreamProducer
-from repro.coord.zookeeper import ZkClient, install_zookeeper
+from repro.coord.zookeeper import install_zookeeper, recorded_order
+from repro.core.strategy import NoCoordination, SealStrategy
 from repro.errors import SimulationError
-from repro.sim.network import LatencyModel, Process
+from repro.sim.network import LatencyModel
 
 __all__ = [
     "APP",
@@ -55,7 +65,10 @@ __all__ = [
 
 STRATEGIES = ("uncoordinated", "ordered", "seal", "independent-seal")
 
-CLICK_STREAM = "click"
+# The Report component's declared input streams under their runtime
+# names, and the collection the sealable one feeds.
+REPORT_INPUTS = {"c": "click", "q_fwd": "request"}
+CLICK_STREAMS = {"click": "click"}
 
 # Click columns a seal strategy may punctuate on (column index into
 # CLICK_SCHEMA); the paper's Figure 6 pairs WINDOW with ``window`` and
@@ -139,8 +152,10 @@ def ad_network_dataflow(query: str, *, seal: list[str] | None = None):
     return flow
 
 
-class AdServer(Process):
-    """Generates click-log entries in bursts and dispatches them.
+def _plan_clicks(
+    name: str, workload: AdWorkload, campaigns: list[int], seed: int, interleave: bool
+) -> list[tuple]:
+    """Lay out one ad server's click records.
 
     ``interleave`` models the data placement the paper discusses in
     Section X ("coordination locality"): when a campaign is mastered at
@@ -151,201 +166,26 @@ class AdServer(Process):
     interleave arbitrarily, so most campaigns can only be sealed near the
     end of the stream.
     """
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        workload: AdWorkload,
-        campaigns: list[int],
-        strategy: str,
-        report_nodes: list[str],
-        seed: int,
-        interleave: bool = False,
-        assignment: ReplicaAssignment | None = None,
-        seal_column: int = 0,
-    ) -> None:
-        super().__init__(name)
-        self.workload = workload
-        self.strategy = strategy
-        self.report_nodes = report_nodes
-        self.seal_column = seal_column
-        self.zk = ZkClient(self) if strategy == "ordered" else None
-        # This process hosts one protocol-level producer per replica task
-        # of its component, per reporting node; the replica a partition's
-        # records flow through is fixed by the shared assignment, so the
-        # seal registry's producer sets match what actually gets sealed.
-        self.assignment = assignment or ReplicaAssignment(
-            {name: 1}, collapse_single=True
+    if not campaigns:
+        # emitting nothing would silently break workload.total_entries
+        raise SimulationError(
+            f"ad server {name} produces no campaigns; "
+            f"an independent-seal placement needs campaigns >= ad_servers"
         )
-        self._producers: dict[tuple[str, str], SealedStreamProducer] = {}
-        if strategy in ("seal", "independent-seal"):
-            frame_size = workload.batch_size if workload.frames else 1
-            self._producers = {
-                (node, task): SealedStreamProducer(
-                    self, CLICK_STREAM, producer_id=task, frame_size=frame_size
-                )
-                for node in report_nodes
-                for task in self.assignment.tasks_of(name)
-            }
-        self._entries = self._plan_entries(campaigns, seed, interleave)
-        self._last_index = {
-            row[seal_column]: position
-            for position, row in enumerate(self._entries)
-        }
-        self._cursor = 0
-        self.sent = 0
-
-    @property
-    def planned_entries(self) -> tuple[tuple, ...]:
-        """Every click row this server will emit (chaos ground truth)."""
-        return tuple(self._entries)
-
-    @property
-    def seal_partitions(self) -> frozenset:
-        """Every seal-partition value this server's entries touch."""
-        return frozenset(row[self.seal_column] for row in self._entries)
-
-    def _plan_entries(
-        self, campaigns: list[int], seed: int, interleave: bool
-    ) -> list[tuple]:
-        """Lay out the server's click records."""
-        if not campaigns:
-            # emitting nothing would silently break workload.total_entries
-            raise SimulationError(
-                f"ad server {self.name} produces no campaigns; "
-                f"an independent-seal placement needs campaigns >= ad_servers"
-            )
-        rng = random.Random(f"adserver:{self.name}:{seed}")
-        per_campaign = self.workload.entries_per_server // len(campaigns)
-        extra = self.workload.entries_per_server - per_campaign * len(campaigns)
-        entries: list[tuple] = []
-        for index, campaign in enumerate(campaigns):
-            count = per_campaign + (1 if index < extra else 0)
-            for _ in range(count):
-                ad = f"ad{campaign}-{rng.randrange(self.workload.ads_per_campaign)}"
-                window = rng.randrange(4)
-                uid = f"{self.name}-{len(entries)}"
-                entries.append((f"c{campaign}", window, ad, uid))
-        if interleave:
-            rng.shuffle(entries)
-        return entries
-
-    def on_start(self) -> None:
-        self.after(0.0, self._burst)
-
-    def _burst(self) -> None:
-        end = min(self._cursor + self.workload.batch_size, len(self._entries))
-        batch = self._entries[self._cursor:end]
-        boundary_partitions = self._partition_boundaries(self._cursor, end)
-        if self.workload.frames and self.strategy == "uncoordinated" and batch:
-            # frame-level delivery: the whole burst rides one insert
-            # message per reporting node instead of one per click
-            rows = list(batch)
-            for node in self.report_nodes:
-                self.send(node, INSERT_MSG, ("click", rows))
-        else:
-            for row in batch:
-                self._dispatch(row)
-        self.sent += len(batch)
-        self._cursor = end
-        for partition in boundary_partitions:
-            self._seal_partition(partition)
-        if self.workload.frames:
-            # ship partial trailing frames so progress tracks bursts, not
-            # whenever the next seal happens to flush the channel
-            for (node, _task), producer in self._producers.items():
-                producer.flush(node)
-        if self._cursor < len(self._entries):
-            self.after(self.workload.sleep, self._burst)
-        elif self._producers:
-            # punctuate anything still open (defensive; boundaries cover it)
-            for (node, _task), producer in self._producers.items():
-                producer.seal_all(node)
-
-    def _partition_boundaries(self, start: int, end: int) -> list:
-        """Seal partitions whose final record lies within [start, end)."""
-        done = []
-        for position in range(start, end):
-            partition = self._entries[position][self.seal_column]
-            if self._last_index[partition] == position:
-                done.append(partition)
-        return done
-
-    def _dispatch(self, row: tuple) -> None:
-        if self.strategy == "uncoordinated":
-            for node in self.report_nodes:
-                self.send(node, INSERT_MSG, ("click", [row]))
-        elif self.strategy == "ordered":
-            assert self.zk is not None
-            self.zk.submit(ORDER_TOPIC, ("click", row))
-        else:  # seal strategies
-            partition = row[self.seal_column]
-            task = self.assignment.task_for(self.name, partition)
-            for node in self.report_nodes:
-                self._producers[(node, task)].send_record(node, partition, row)
-
-    def _seal_partition(self, partition) -> None:
-        if not self._producers:
-            return
-        task = self.assignment.task_for(self.name, partition)
-        for node in self.report_nodes:
-            producer = self._producers[(node, task)]
-            if partition not in producer.sealed_partitions:
-                producer.seal(node, partition)
-
-    def recv(self, msg) -> None:
-        if self.zk is not None and self.zk.handle(msg):
-            return
-        raise SimulationError(f"ad server {self.name} got {msg.kind}")
-
-
-class Analyst(Process):
-    """Poses requests about ads to every reporting replica."""
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        workload: AdWorkload,
-        strategy: str,
-        report_nodes: list[str],
-        horizon: float,
-        seed: int,
-    ) -> None:
-        super().__init__(name)
-        self.workload = workload
-        self.strategy = strategy
-        self.report_nodes = report_nodes
-        self.horizon = horizon
-        self.zk = ZkClient(self) if strategy == "ordered" else None
-        rng = random.Random(f"analyst:{seed}")
-        self.planned_requests: tuple[tuple, ...] = tuple(
-            (
-                f"q{index}",
-                f"ad{rng.randrange(workload.campaigns)}"
-                f"-{rng.randrange(workload.ads_per_campaign)}",
-            )
-            for index in range(workload.requests)
-        )
-
-    def on_start(self) -> None:
-        spacing = self.horizon / max(1, self.workload.requests)
-        for index, row in enumerate(self.planned_requests):
-            self.after(spacing * (index + 1), lambda r=row: self._ask(r))
-
-    def _ask(self, row: tuple) -> None:
-        if self.strategy == "ordered":
-            assert self.zk is not None
-            self.zk.submit(ORDER_TOPIC, ("request", row))
-        else:
-            for node in self.report_nodes:
-                self.send(node, INSERT_MSG, ("request", [row]))
-
-    def recv(self, msg) -> None:
-        if self.zk is not None and self.zk.handle(msg):
-            return
-        raise SimulationError(f"analyst got {msg.kind}")
+    rng = random.Random(f"adserver:{name}:{seed}")
+    per_campaign = workload.entries_per_server // len(campaigns)
+    extra = workload.entries_per_server - per_campaign * len(campaigns)
+    entries: list[tuple] = []
+    for index, campaign in enumerate(campaigns):
+        count = per_campaign + (1 if index < extra else 0)
+        for _ in range(count):
+            ad = f"ad{campaign}-{rng.randrange(workload.ads_per_campaign)}"
+            window = rng.randrange(4)
+            uid = f"{name}-{len(entries)}"
+            entries.append((f"c{campaign}", window, ad, uid))
+    if interleave:
+        rng.shuffle(entries)
+    return entries
 
 
 @dataclasses.dataclass
@@ -382,22 +222,23 @@ class AdNetworkResult:
         sets = [self.responses(node) for node in self.report_nodes]
         return all(s == sets[0] for s in sets[1:])
 
+    def summary(self) -> dict:
+        """The JSON-able headline metrics of the run."""
+        return {
+            "processed": self.processed_count(),
+            "total_entries": self.workload.total_entries,
+            "completion_time": self.completion_time,
+            "replicas_agree": self.replicas_agree,
+        }
+
     # ------------------------------------------------------------------
     # chaos-audit hooks: quiescent state, ground truth, decision log
     # ------------------------------------------------------------------
     def sequencer_order(self) -> tuple:
-        """The recorded sequencer order (empty unless strategy=ordered).
-
-        Read back from the run trace's ``zk.order:<topic>`` records — the
-        decision log the order-conditioned oracle conditions cross-run
-        comparisons on.
-        """
-        return tuple(
-            value
-            for _seq, value in self.cluster.trace.data_series(
-                f"zk.order:{ORDER_TOPIC}"
-            )
-        )
+        """The recorded sequencer order (empty unless the run was ordered):
+        the decision log the order-conditioned oracle conditions cross-run
+        comparisons on."""
+        return recorded_order(self.cluster.trace, ORDER_TOPIC)
 
     def committed_state(self, node: str) -> frozenset[tuple]:
         """A replica's durable state at quiescence, tagged by table."""
@@ -411,15 +252,14 @@ class AdNetworkResult:
         """What every replica *should* have committed: all planned input."""
         rows: set[tuple] = set()
         for process in self.cluster.network.processes:
-            if isinstance(process, AdServer):
-                rows.update(("click", *row) for row in process.planned_entries)
-            elif isinstance(process, Analyst):
-                rows.update(("request", *row) for row in process.planned_requests)
+            if isinstance(process, PlannedSource):
+                rows.update(("click", *row) for row in process.rows)
+                rows.update(("request", *row) for row in process.asks)
         return frozenset(rows)
 
 
 def run_ad_network(
-    strategy: str,
+    strategy: "str | StrategySpec",
     *,
     workload: AdWorkload | None = None,
     seed: int = 0,
@@ -427,19 +267,23 @@ def run_ad_network(
     query: str = "CAMPAIGN",
     query_kwargs: dict | None = None,
     zk_write_service: float = 0.003,
-    seal_key: str = "campaign",
+    seal_key: str | None = None,
     reliable_sessions: bool = False,
     max_events: int | None = None,
     chaos: "Callable[[BloomCluster], None] | None" = None,
 ) -> AdNetworkResult:
     """Execute the ad-tracking network under one coordination regime.
 
-    ``seed`` controls network nondeterminism (delivery interleavings);
-    ``workload_seed`` (defaulting to ``seed``) controls the generated
-    click log, so two runs can share a workload while exploring different
-    delivery orders.  ``seal_key`` chooses the click column the seal
-    strategies punctuate on (``campaign`` / ``window`` / ``id`` — the
-    per-query keys of Figure 6).  ``reliable_sessions`` models every app
+    ``strategy`` is a :class:`~repro.api.StrategySpec` (what
+    ``BlazesApp.run`` passes) or the name of one of the ``adnet`` app's;
+    the coordination it declares is installed through
+    :mod:`repro.bloom.rewrite`.  ``seed`` controls network nondeterminism
+    (delivery interleavings); ``workload_seed`` (defaulting to ``seed``)
+    controls the generated click log, so two runs can share a workload
+    while exploring different delivery orders.  ``seal_key`` chooses the
+    click column a sealing strategy punctuates on (``campaign`` /
+    ``window`` / ``id`` — the per-query keys of Figure 6; by default the
+    key the strategy declares).  ``reliable_sessions`` models every app
     session as TCP-backed: click/request/seal traffic is exempt from loss
     and duplication, retried across partitions, and re-delivered after a
     crashed peer restarts — the fault envelope of the query-matrix audit,
@@ -447,27 +291,36 @@ def run_ad_network(
     ``chaos`` receives the built, not-yet-running cluster so
     ``repro.chaos`` schedules can arm fault injection.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; have {STRATEGIES}")
+    if isinstance(strategy, str):
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}; have {STRATEGIES}")
+        strategy = APP.strategy_spec(strategy)
+    sealed_on = strategy.seals.get("c")
+    if seal_key is None:
+        seal_key = sealed_on[0] if sealed_on else "campaign"
+    elif sealed_on:
+        strategy = dataclasses.replace(strategy, seals={"c": [seal_key]})
     if seal_key not in SEAL_COLUMNS:
         raise ValueError(
             f"unknown seal_key {seal_key!r}; have {sorted(SEAL_COLUMNS)}"
         )
+    installed = strategy.installed("Report", REPORT_INPUTS)
     workload = workload or AdWorkload()
-    if strategy == "independent-seal" and workload.campaigns < workload.ad_servers:
-        # campaign c is mastered at server c % ad_servers, so fewer
-        # campaigns than servers would leave idle servers and a workload
-        # whose total_entries overstates the offered load
+    # app semantics, not delivery: the independent-seal deployment masters
+    # each campaign at one server (campaign c at server c % ad_servers)
+    independent = strategy.name == "independent-seal"
+    if independent and workload.campaigns < workload.ad_servers:
+        # fewer campaigns than servers would leave idle servers and a
+        # workload whose total_entries overstates the offered load
         raise SimulationError(
             f"independent-seal needs campaigns >= ad_servers "
             f"(got {workload.campaigns} < {workload.ad_servers})"
         )
-    if strategy == "independent-seal" and seal_key != "campaign":
+    if independent and seal_key != "campaign":
         # the independent placement masters *campaigns* at single servers;
         # sealing a different column would cross ownership boundaries
         raise SimulationError("independent-seal requires seal_key='campaign'")
     workload_seed = seed if workload_seed is None else workload_seed
-    seal_column = SEAL_COLUMNS[seal_key]
     reliable_kinds = ZK_KINDS + (
         (SEAL_DATA, SEAL_FRAME, SEAL_PUNCT, INSERT_MSG) if reliable_sessions else ()
     )
@@ -481,22 +334,13 @@ def run_ad_network(
     report_nodes = [f"report{i}" for i in range(workload.report_replicas)]
     server_names = [f"adserver{i}" for i in range(workload.ad_servers)]
 
-    needs_zk = strategy in ("ordered", "seal", "independent-seal")
+    # the sequencer and the seal registry are both the coordination service
     zk = (
-        install_zookeeper(
+        None
+        if isinstance(installed, NoCoordination)
+        else install_zookeeper(
             cluster.network, write_service=zk_write_service, trace=cluster.trace
         )
-        if needs_zk
-        else None
-    )
-
-    campaign_producers = _campaign_assignment(strategy, workload, server_names)
-    # Expand component-level producer sets to task-level sets using the
-    # actual replica layout — with one replica per server this degenerates
-    # to the bare server names the paper's description assumes.
-    replicas = ReplicaAssignment(
-        {name: workload.producer_replicas for name in server_names},
-        collapse_single=True,
     )
 
     # Reporting replicas with their delivery policy.
@@ -505,47 +349,52 @@ def run_ad_network(
         module = make_report_module(query, **(query_kwargs or {}))
         node = cluster.add_node(name, module)
         _attach_processed_probe(cluster, node)
-        if strategy == "ordered":
-            adapters.append(OrderedInputAdapter(node, ORDER_TOPIC))
-            assert zk is not None
-            zk.subscribe(ORDER_TOPIC, name)
-        elif strategy in ("seal", "independent-seal"):
-            adapters.append(
-                SealedInputAdapter(
-                    node,
-                    CLICK_STREAM,
-                    "click",
-                    use_zk_registry=True,
-                )
-            )
+        adapters.append(
+            apply_strategy(node, installed, zk=zk, stream_collections=CLICK_STREAMS)
+        )
 
-    # Ad servers.
-    horizon = (workload.entries_per_server / workload.batch_size) * workload.sleep
-    servers: list[AdServer] = []
+    # Ad servers generate click-log entries in bursts.  Each hosts
+    # ``producer_replicas`` protocol-level producer tasks; the replica a
+    # partition's records flow through is fixed by the shared assignment,
+    # so the seal registry's producer sets match what actually gets sealed
+    # (with one replica per server the task names degenerate to the bare
+    # server names the paper's description assumes).
+    replicas = ReplicaAssignment(
+        {name: workload.producer_replicas for name in server_names},
+        collapse_single=True,
+    )
+    seal_column = SEAL_COLUMNS[seal_key]
+    servers: list[PlannedSource] = []
     for index, name in enumerate(server_names):
         campaigns = [
             c
             for c in range(workload.campaigns)
-            if name in campaign_producers[f"c{c}"]
+            if not independent or index == c % len(server_names)
         ]
-        server = AdServer(
+        server = PlannedSource(
             name,
-            workload=workload,
-            campaigns=campaigns,
-            strategy=strategy,
-            report_nodes=report_nodes,
-            seed=workload_seed + index,
-            # the independent-seal placement masters campaigns at single
-            # servers (contiguous emission); every other placement spreads
-            # ads by serving locality, interleaving campaigns in time
-            interleave=strategy != "independent-seal",
+            installed,
+            report_nodes,
+            collection="click",
+            # mastered campaigns are emitted contiguously; every other
+            # placement spreads ads by serving locality, interleaving
+            # campaigns in time
+            rows=_plan_clicks(
+                name, workload, campaigns, workload_seed + index, not independent
+            ),
+            partition_of=lambda row: row[seal_column],
+            batch_size=workload.batch_size,
+            sleep=workload.sleep,
+            stream_collections=CLICK_STREAMS,
+            # frame-level delivery: a burst rides one message per
+            # destination instead of one per click
+            frame_size=workload.batch_size if workload.frames else 1,
             assignment=replicas,
-            seal_column=seal_column,
         )
         cluster.network.register(server)
         servers.append(server)
 
-    if zk is not None and strategy in ("seal", "independent-seal"):
+    if isinstance(installed, SealStrategy):
         # The seal registry reflects the *actual* producers: the task-level
         # set of every server whose planned entries touch a partition (a
         # server that never emits a partition must not be waited on).
@@ -558,53 +407,43 @@ def run_ad_network(
         for partition, producers in producer_sets.items():
             zk.preload_znode(f"producers/{partition!r}", sorted(producers))
 
-    analyst = Analyst(
-        "analyst",
-        workload=workload,
-        strategy=strategy,
-        report_nodes=report_nodes,
-        horizon=horizon,
-        seed=workload_seed,
+    # The analyst poses requests about ads to every reporting replica.
+    rng = random.Random(f"analyst:{workload_seed}")
+    horizon = workload.entries_per_server / workload.batch_size * workload.sleep
+    cluster.network.register(
+        PlannedSource(
+            "analyst",
+            installed,
+            report_nodes,
+            ask_collection="request",
+            asks=[
+                (
+                    f"q{index}",
+                    f"ad{rng.randrange(workload.campaigns)}"
+                    f"-{rng.randrange(workload.ads_per_campaign)}",
+                )
+                for index in range(workload.requests)
+            ],
+            ask_spacing=horizon / max(1, workload.requests),
+        )
     )
-    cluster.network.register(analyst)
 
     if chaos is not None:
         chaos(cluster)
     cluster.run(max_events=max_events)
 
-    registry_lookups = sum(
-        getattr(adapter, "manager", None).registry_lookups
-        if hasattr(adapter, "manager")
-        else 0
-        for adapter in adapters
-    )
-    completion = _completion_time(cluster, report_nodes, workload)
     return AdNetworkResult(
-        strategy=strategy,
+        strategy=strategy.name,
         workload=workload,
         cluster=cluster,
         report_nodes=report_nodes,
-        completion_time=completion,
-        registry_lookups=registry_lookups,
+        completion_time=_completion_time(cluster, report_nodes, workload),
+        registry_lookups=sum(
+            adapter.manager.registry_lookups
+            for adapter in adapters
+            if isinstance(adapter, SealedInputAdapter)
+        ),
     )
-
-
-def _campaign_assignment(
-    strategy: str, workload: AdWorkload, server_names: list[str]
-) -> dict[str, frozenset[str]]:
-    """Which ad servers produce each campaign.
-
-    ``independent-seal`` masters each campaign at one server; every other
-    strategy spreads all campaigns across all servers.
-    """
-    assignment: dict[str, frozenset[str]] = {}
-    for campaign in range(workload.campaigns):
-        if strategy == "independent-seal":
-            owner = server_names[campaign % len(server_names)]
-            assignment[f"c{campaign}"] = frozenset({owner})
-        else:
-            assignment[f"c{campaign}"] = frozenset(server_names)
-    return assignment
 
 
 def _attach_processed_probe(cluster: BloomCluster, node: BloomNode) -> None:
@@ -643,15 +482,9 @@ def _completion_time(
 # ----------------------------------------------------------------------
 # the registered app (repro.api)
 # ----------------------------------------------------------------------
-def _run_app(strategy: str, *, seed: int = 0, **kwargs):
+def _run_app(strategy: StrategySpec, *, seed: int = 0, **kwargs):
     result = run_ad_network(strategy, seed=seed, **kwargs)
-    summary = {
-        "processed": result.processed_count(),
-        "total_entries": result.workload.total_entries,
-        "completion_time": result.completion_time,
-        "replicas_agree": result.replicas_agree,
-        "registry_lookups": result.registry_lookups,
-    }
+    summary = {**result.summary(), "registry_lookups": result.registry_lookups}
     return summary, result, result.cluster
 
 
@@ -678,56 +511,20 @@ def _audit_schedules(_smoke: bool):
 
 def _audit_run_params(smoke: bool) -> dict:
     workload = _audit_workload(smoke)
-    clicks_per_ad = workload.total_entries / (
-        workload.campaigns * workload.ads_per_campaign
-    )
-    # scale the query threshold so per-ad click counts *cross* it mid-run;
-    # below the crossing the "poor performers" predicate is effectively
-    # monotone and even uncoordinated replicas agree (the THRESH argument)
-    threshold = max(2, int(clicks_per_ad * 0.75))
-    return {"workload": workload, "query_kwargs": {"threshold": threshold}}
-
-
-def _audit_roles(cluster: BloomCluster) -> dict[str, list[str]]:
-    names = sorted(process.name for process in cluster.network.processes)
     return {
-        "worker": [n for n in names if n.startswith("report")],
-        "source": [n for n in names if n.startswith("adserver")],
-        "client": [n for n in names if n == "analyst"],
+        "workload": workload,
+        "query_kwargs": default_query_kwargs("CAMPAIGN", workload),
     }
 
 
-def _audit_observe(outcome, _params: dict):
-    from repro.chaos.oracle import RunObservation
-
-    result: AdNetworkResult = outcome.result
-    return RunObservation(
-        seed=outcome.seed,
-        committed={
-            node: result.committed_state(node) for node in result.report_nodes
-        },
-        emitted={node: result.responses(node) for node in result.report_nodes},
-        truth=result.ground_truth_state(),
-        order=result.sequencer_order() or None,
-    )
-
-
 APP = register(
-    BlazesApp(
+    figure4_app(
         "adnet",
-        backend="bloom",
+        "CAMPAIGN",
         description="Bloom ad-tracking network, CAMPAIGN query (Figure 4)",
         runner=_run_app,
         smoke_defaults={"workload": _audit_workload(True)},
     )
-    .component("Report", lambda: make_report_module("CAMPAIGN"), rep=True)
-    .component("Cache", CacheTier)
-    .stream("c", to="Report.click")
-    .stream("q", to="Cache.request")
-    .stream("q_fwd", frm="Cache.request", to="Report.request")
-    .stream("r", frm="Report.response", to="Cache.response")
-    .stream("gossip", frm="Cache.response", to="Cache.response")
-    .stream("answers", frm="Cache.response")
     .strategy(
         "seal",
         coordinated=True,
@@ -756,8 +553,8 @@ APP = register(
         horizon=0.4,
         schedules=_audit_schedules,
         run_params=_audit_run_params,
-        roles=_audit_roles,
-        observe=_audit_observe,
+        roles=report_roles,
+        observe=report_observe,
         workload_seed=7,
         envelope=order_only_envelope(),
     )

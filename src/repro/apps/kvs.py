@@ -20,19 +20,19 @@ import dataclasses
 import random
 from collections.abc import Callable
 
-from repro.api import BlazesApp, annotate, register
+from repro.api import BlazesApp, StrategySpec, annotate, register
+from repro.apps.source import PlannedSource
 from repro.bloom.cluster import INSERT_MSG, ZK_KINDS, BloomCluster, BloomNode
 from repro.chaos.envelope import FaultEnvelope
 from repro.bloom.module import BloomModule
-from repro.bloom.rewrite import OrderedInputAdapter, SealedInputAdapter
+from repro.bloom.rewrite import SealedInputAdapter, apply_strategy
 from repro.coord.sealing import DATA as SEAL_DATA
 from repro.coord.sealing import PUNCT as SEAL_PUNCT
-from repro.coord.sealing import SealedStreamProducer
-from repro.coord.zookeeper import ZkClient, install_zookeeper
+from repro.coord.zookeeper import install_zookeeper, recorded_order
 from repro.core.annotations import CW
 from repro.core.graph import Dataflow
-from repro.errors import SimulationError
-from repro.sim.network import LatencyModel, Process
+from repro.core.strategy import OrderStrategy
+from repro.sim.network import LatencyModel
 
 __all__ = [
     "APP",
@@ -42,7 +42,6 @@ __all__ = [
     "SnapshotCache",
     "kvs_dataflow",
     "KvsWorkload",
-    "KvsClient",
     "SealedKvsAdapter",
     "KvsResult",
     "run_kvs",
@@ -50,9 +49,12 @@ __all__ = [
 
 KVS_STRATEGIES = ("uncoordinated", "sealed", "ordered")
 
-PUT_STREAM = "kvs.puts"
 KVS_ORDER_TOPIC = "kvs.inputs"
 CLIENT = "client"
+# The Store component's declared input streams under their runtime
+# names, and the collection the sealable one feeds.
+STORE_INPUTS = {"puts": "kvs.puts", "gets": "kvs.gets"}
+PUT_STREAMS = {"kvs.puts": "put"}
 
 
 # The @annotate declarations are programmer *claims*; the white-box
@@ -200,115 +202,48 @@ def _value_for(key_index: int, ts: int) -> str:
     return f"v{key_index}.{ts}"
 
 
-class KvsClient(Process):
-    """Drives the workload: interleaved puts in bursts, gets on timers.
+def _kvs_client(
+    strategy, store_nodes: list[str], workload: KvsWorkload, seed: int
+) -> PlannedSource:
+    """The workload driver: interleaved puts in bursts, gets on timers.
 
-    ``uncoordinated`` broadcasts every operation straight to each store
-    replica (fire-and-forget datagrams).  ``sealed`` ships puts through
-    one :class:`~repro.coord.sealing.SealedStreamProducer` per store,
-    partitioned by ``key``, punctuating a key when its last write is sent
-    — the per-key seal the analysis says discharges the store's gate.
-    Gets are broadcast; under ``sealed`` the consumer-side adapter holds
-    them until their key's partition is complete.  ``ordered`` submits
-    both puts and gets to the Zookeeper sequencer, so every store replica
-    applies one total order (state-machine replication) — consistent, but
-    the answers reflect the sequencer's arbitrary interleaving rather
-    than the final LWW winners.
+    Uncoordinated, every operation is broadcast straight to each store
+    replica (fire-and-forget datagrams).  Under a seal strategy puts ride
+    a punctuated stream per store, partitioned by ``key``, and a key is
+    punctuated when its last write is sent — the per-key seal the
+    analysis says discharges the store's gate; gets are still broadcast,
+    and the consumer-side adapter holds them until their key's partition
+    is complete.  Under an order strategy both puts and gets go through
+    the Zookeeper sequencer, so every store replica applies one total
+    order (state-machine replication) — consistent, but the answers
+    reflect the sequencer's arbitrary interleaving rather than the final
+    LWW winners.
     """
-
-    def __init__(
-        self,
-        *,
-        workload: KvsWorkload,
-        strategy: str,
-        store_nodes: list[str],
-        seed: int,
-    ) -> None:
-        super().__init__(CLIENT)
-        self.workload = workload
-        self.strategy = strategy
-        self.store_nodes = store_nodes
-        self.zk = ZkClient(self) if strategy == "ordered" else None
-        rng = random.Random(f"kvs:{seed}")
-        self._writes = self._plan_writes(rng)
-        self._last_index = {
-            row[0]: position for position, row in enumerate(self._writes)
-        }
-        self.planned_gets: tuple[tuple, ...] = tuple(
+    rng = random.Random(f"kvs:{seed}")
+    # per-key write sequences interleaved into one client order
+    writes = [
+        (f"k{key}", _value_for(key, ts), ts)
+        for key in range(workload.keys)
+        for ts in range(workload.writes_per_key)
+    ]
+    rng.shuffle(writes)
+    return PlannedSource(
+        CLIENT,
+        strategy,
+        store_nodes,
+        collection="put",
+        rows=writes,
+        partition_of=lambda row: row[0],
+        batch_size=workload.batch_size,
+        sleep=workload.sleep,
+        ask_collection="get",
+        asks=[
             (f"g{index}", f"k{rng.randrange(workload.keys)}")
             for index in range(workload.gets)
-        )
-        self._producers: dict[str, SealedStreamProducer] = {}
-        if strategy == "sealed":
-            self._producers = {
-                node: SealedStreamProducer(self, PUT_STREAM)
-                for node in store_nodes
-            }
-        self._cursor = 0
-
-    def _plan_writes(self, rng: random.Random) -> list[tuple]:
-        """Interleave per-key write sequences into one client order."""
-        writes = [
-            (f"k{key}", _value_for(key, ts), ts)
-            for key in range(self.workload.keys)
-            for ts in range(self.workload.writes_per_key)
-        ]
-        rng.shuffle(writes)
-        return writes
-
-    @property
-    def planned_writes(self) -> tuple[tuple, ...]:
-        return tuple(self._writes)
-
-    def on_start(self) -> None:
-        self.after(0.0, self._burst)
-        spacing = self.workload.horizon * 1.2 / max(1, len(self.planned_gets))
-        for index, row in enumerate(self.planned_gets):
-            self.after(spacing * (index + 1), lambda r=row: self._ask(r))
-
-    def _burst(self) -> None:
-        end = min(self._cursor + self.workload.batch_size, len(self._writes))
-        batch = self._writes[self._cursor:end]
-        for row in batch:
-            self._dispatch(row)
-        sealed_keys = [
-            row[0]
-            for position, row in enumerate(batch, start=self._cursor)
-            if self._last_index[row[0]] == position
-        ]
-        self._cursor = end
-        for key in sealed_keys:
-            self._seal_key(key)
-        if self._cursor < len(self._writes):
-            self.after(self.workload.sleep, self._burst)
-
-    def _dispatch(self, row: tuple) -> None:
-        if self.strategy == "sealed":
-            for node in self.store_nodes:
-                self._producers[node].send_record(node, row[0], row)
-        elif self.strategy == "ordered":
-            assert self.zk is not None
-            self.zk.submit(KVS_ORDER_TOPIC, ("put", row))
-        else:
-            for node in self.store_nodes:
-                self.send(node, INSERT_MSG, ("put", [row]))
-
-    def _seal_key(self, key: str) -> None:
-        for node, producer in self._producers.items():
-            producer.seal(node, key)
-
-    def _ask(self, row: tuple) -> None:
-        if self.strategy == "ordered":
-            assert self.zk is not None
-            self.zk.submit(KVS_ORDER_TOPIC, ("get", row))
-            return
-        for node in self.store_nodes:
-            self.send(node, INSERT_MSG, ("get", [row]))
-
-    def recv(self, msg) -> None:
-        if self.zk is not None and self.zk.handle(msg):
-            return
-        raise SimulationError(f"kvs client got unexpected {msg.kind}")
+        ],
+        ask_spacing=workload.horizon * 1.2 / max(1, workload.gets),
+        stream_collections=PUT_STREAMS,
+    )
 
 
 class SealedKvsAdapter(SealedInputAdapter):
@@ -323,13 +258,8 @@ class SealedKvsAdapter(SealedInputAdapter):
     same timestep, so released gets observe the complete key.
     """
 
-    def __init__(self, node: BloomNode) -> None:
-        super().__init__(
-            node,
-            PUT_STREAM,
-            "put",
-            producers_for=lambda partition: frozenset({CLIENT}),
-        )
+    def __init__(self, node: BloomNode, stream: str, collection: str, **kwargs) -> None:
+        super().__init__(node, stream, collection, **kwargs)
         self._deferred_gets: dict[str, list[tuple]] = {}
         node.add_plugin(self._gate_gets)
 
@@ -396,23 +326,16 @@ class KvsResult:
         LWW winner of its key (what the sealed deployment commits)."""
         winners = self.workload.winners()
         client = self.cluster.network.process(CLIENT)
-        assert isinstance(client, KvsClient)
-        return frozenset(
-            (reqid, key, winners[key]) for reqid, key in client.planned_gets
-        )
+        assert isinstance(client, PlannedSource)
+        return frozenset((reqid, key, winners[key]) for reqid, key in client.asks)
 
     def sequencer_order(self) -> tuple:
-        """The recorded sequencer order (empty unless strategy=ordered)."""
-        return tuple(
-            value
-            for _seq, value in self.cluster.trace.data_series(
-                f"zk.order:{KVS_ORDER_TOPIC}"
-            )
-        )
+        """The recorded sequencer order (empty unless the run was ordered)."""
+        return recorded_order(self.cluster.trace, KVS_ORDER_TOPIC)
 
 
 def run_kvs(
-    strategy: str,
+    strategy: "str | StrategySpec",
     *,
     workload: KvsWorkload | None = None,
     seed: int = 0,
@@ -423,16 +346,23 @@ def run_kvs(
 ) -> KvsResult:
     """Execute the two-tier KVS under one coordination regime.
 
-    ``seed`` drives network nondeterminism, ``workload_seed`` (defaulting
-    to ``seed``) the planned writes/gets.  All client sessions (the seal
-    stream *and* plain inserts) ride reliable, TCP-like channels: a link
-    partition delays traffic rather than destroying it, so any divergence
-    the run exhibits is attributable to delivery *order* — exactly the
-    nondeterminism the labels reason about.  ``chaos`` receives the built
-    cluster before it runs.
+    ``strategy`` is a :class:`~repro.api.StrategySpec` (what
+    ``BlazesApp.run`` passes) or the name of one of the ``kvs`` app's;
+    the coordination it declares is installed through
+    :mod:`repro.bloom.rewrite`.  ``seed`` drives network nondeterminism,
+    ``workload_seed`` (defaulting to ``seed``) the planned writes/gets.
+    All client sessions (the seal stream *and* plain inserts) ride
+    reliable, TCP-like channels: a link partition delays traffic rather
+    than destroying it, so any divergence the run exhibits is
+    attributable to delivery *order* — exactly the nondeterminism the
+    labels reason about.  ``chaos`` receives the built cluster before it
+    runs.
     """
-    if strategy not in KVS_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; have {KVS_STRATEGIES}")
+    if isinstance(strategy, str):
+        if strategy not in KVS_STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}; have {KVS_STRATEGIES}")
+        strategy = APP.strategy_spec(strategy)
+    installed = strategy.installed("Store", STORE_INPUTS)
     workload = workload or KvsWorkload()
     workload_seed = seed if workload_seed is None else workload_seed
     cluster = BloomCluster(
@@ -440,11 +370,13 @@ def run_kvs(
         latency=LatencyModel(base=0.002, jitter=0.004),
         reliable_kinds=ZK_KINDS + (SEAL_DATA, SEAL_PUNCT, INSERT_MSG),
     )
+    # only the sequencer needs the service: the single client is every
+    # key's whole producer set, so sealing looks nothing up
     zk = (
         install_zookeeper(
             cluster.network, write_service=zk_write_service, trace=cluster.trace
         )
-        if strategy == "ordered"
+        if isinstance(installed, OrderStrategy)
         else None
     )
     store_nodes = [f"store{i}" for i in range(workload.store_replicas)]
@@ -452,25 +384,23 @@ def run_kvs(
     for store_name, cache_name in zip(store_nodes, cache_nodes):
         store = cluster.add_node(store_name, LwwKvs())
         cluster.add_node(cache_name, SnapshotCache())
-        if strategy == "sealed":
-            SealedKvsAdapter(store)
-        elif strategy == "ordered":
-            OrderedInputAdapter(store, KVS_ORDER_TOPIC)
-            assert zk is not None
-            zk.subscribe(KVS_ORDER_TOPIC, store_name)
+        apply_strategy(
+            store,
+            installed,
+            zk=zk,
+            stream_collections=PUT_STREAMS,
+            producers_for=lambda partition: frozenset({CLIENT}),
+            sealed_adapter=SealedKvsAdapter,
+        )
         _attach_response_forwarder(store, cache_name)
-    client = KvsClient(
-        workload=workload,
-        strategy=strategy,
-        store_nodes=store_nodes,
-        seed=workload_seed,
+    cluster.network.register(
+        _kvs_client(installed, store_nodes, workload, workload_seed)
     )
-    cluster.network.register(client)
     if chaos is not None:
         chaos(cluster)
     cluster.run(max_events=max_events)
     return KvsResult(
-        strategy=strategy,
+        strategy=strategy.name,
         workload=workload,
         cluster=cluster,
         store_nodes=store_nodes,
@@ -495,7 +425,7 @@ def _attach_response_forwarder(store: BloomNode, cache_name: str) -> None:
 # ----------------------------------------------------------------------
 # the registered app (repro.api)
 # ----------------------------------------------------------------------
-def _run_app(strategy: str, *, seed: int = 0, **kwargs):
+def _run_app(strategy: StrategySpec, *, seed: int = 0, **kwargs):
     result = run_kvs(strategy, seed=seed, **kwargs)
     summary = {
         "total_writes": result.workload.total_writes,

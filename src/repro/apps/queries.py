@@ -215,13 +215,26 @@ QUERY_MATRIX_APPS = {
 # `blazes audit --matrix` strategy columns, shared with chaos.campaign.
 MATRIX_STRATEGIES = ("uncoordinated", "sealed", "ordered")
 
-# The registry's "sealed" strategy runs the ad-network "seal" regime.
-_RUNTIME_STRATEGY = {"sealed": "seal"}
+
+def figure4_app(name: str, query: str, **app_kwargs) -> BlazesApp:
+    """A Bloom app declaring the Figure 4 dataflow around one query's
+    Report module; the caller adds strategies and the audit profile."""
+    return (
+        BlazesApp(name, backend="bloom", **app_kwargs)
+        .component("Report", lambda: make_report_module(query), rep=True)
+        .component("Cache", CacheTier)
+        .stream("c", to="Report.click")
+        .stream("q", to="Cache.request")
+        .stream("q_fwd", frm="Cache.request", to="Report.request")
+        .stream("r", frm="Report.response", to="Cache.response")
+        .stream("gossip", frm="Cache.response", to="Cache.response")
+        .stream("answers", frm="Cache.response")
+    )
 
 
 def _query_runner(query: str):
     def runner(
-        strategy: str,
+        strategy,
         *,
         seed: int = 0,
         workload=None,
@@ -233,23 +246,16 @@ def _query_runner(query: str):
         if workload is None:
             workload = _matrix_workload(query, False)
         if query_kwargs is None:
-            query_kwargs = _default_query_kwargs(query, workload)
+            query_kwargs = default_query_kwargs(query, workload)
         result = run_ad_network(
-            _RUNTIME_STRATEGY.get(strategy, strategy),
+            strategy,
             seed=seed,
             query=query,
             workload=workload,
             query_kwargs=query_kwargs,
             **kwargs,
         )
-        summary = {
-            "query": query,
-            "processed": result.processed_count(),
-            "total_entries": result.workload.total_entries,
-            "completion_time": result.completion_time,
-            "replicas_agree": result.replicas_agree,
-        }
-        return summary, result, result.cluster
+        return {"query": query, **result.summary()}, result, result.cluster
 
     return runner
 
@@ -277,7 +283,8 @@ def _matrix_workload(query: str, smoke: bool):
     )
 
 
-def _default_query_kwargs(query: str, workload) -> dict:
+def default_query_kwargs(query: str, workload) -> dict:
+    """Report-module kwargs that make ``query`` interesting on ``workload``."""
     per_ad = workload.total_entries / (
         workload.campaigns * workload.ads_per_campaign
     )
@@ -294,7 +301,7 @@ def _matrix_run_params(query: str):
         workload = _matrix_workload(query, smoke)
         return {
             "workload": workload,
-            "query_kwargs": _default_query_kwargs(query, workload),
+            "query_kwargs": default_query_kwargs(query, workload),
         }
 
     return run_params
@@ -317,7 +324,8 @@ def _matrix_schedules(_smoke: bool):
     return (baseline(), reorder_burst(), dup_burst(), crash_restart("worker"))
 
 
-def _matrix_roles(cluster) -> dict[str, list[str]]:
+def report_roles(cluster) -> dict[str, list[str]]:
+    """Audit roles of an ad-network deployment, by process name."""
     names = sorted(process.name for process in cluster.network.processes)
     return {
         "worker": [n for n in names if n.startswith("report")],
@@ -326,7 +334,8 @@ def _matrix_roles(cluster) -> dict[str, list[str]]:
     }
 
 
-def _matrix_observe(outcome, _params: dict):
+def report_observe(outcome, _params: dict):
+    """The oracle's view of one ad-network run (an ``AdNetworkResult``)."""
     from repro.chaos.oracle import RunObservation
 
     result = outcome.result
@@ -343,22 +352,14 @@ def _matrix_observe(outcome, _params: dict):
 
 def _build_query_app(name: str, query: str) -> BlazesApp:
     seal_attr = QUERY_SEAL_KEYS[query]
-    app = (
-        BlazesApp(
+    return (
+        figure4_app(
             name,
-            backend="bloom",
+            query,
             description=f"Figure 6 {query} query on the ad network",
             runner=_query_runner(query),
             defaults={"reliable_sessions": True},
         )
-        .component("Report", lambda q=query: make_report_module(q), rep=True)
-        .component("Cache", CacheTier)
-        .stream("c", to="Report.click")
-        .stream("q", to="Cache.request")
-        .stream("q_fwd", frm="Cache.request", to="Report.request")
-        .stream("r", frm="Report.response", to="Cache.response")
-        .stream("gossip", frm="Cache.response", to="Cache.response")
-        .stream("answers", frm="Cache.response")
         .strategy(
             "uncoordinated",
             # THRESH is the query that is *correct* uncoordinated —
@@ -370,7 +371,6 @@ def _build_query_app(name: str, query: str) -> BlazesApp:
             "sealed",
             coordinated=True,
             seals={"c": [seal_attr]},
-            run_params={"seal_key": seal_attr},
             default=query != "THRESH",
             description=f"clickstream sealed per {seal_attr}, producers vote",
         )
@@ -385,13 +385,12 @@ def _build_query_app(name: str, query: str) -> BlazesApp:
             horizon=0.3,
             schedules=_matrix_schedules,
             run_params=_matrix_run_params(query),
-            roles=_matrix_roles,
-            observe=_matrix_observe,
+            roles=report_roles,
+            observe=report_observe,
             workload_seed=7,
             envelope=reliable_sessions_envelope(),
         )
     )
-    return app
 
 
 for _name, _query in QUERY_MATRIX_APPS.items():

@@ -46,7 +46,7 @@ class ScenarioResult:
     """The metrics one scenario produced, plus its wall/CPU cost.
 
     ``cpu_seconds`` is the process CPU time of the measurement (``None``
-    for legacy two-tuple outcomes); alongside ``wall_seconds`` it makes
+    when only wall time was measured); alongside ``wall_seconds`` it makes
     scheduler noise visible in ``BENCH_*.json`` records.
     """
 

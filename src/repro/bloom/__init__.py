@@ -33,9 +33,9 @@ from repro.bloom.collections import CollectionDecl, CollectionKind
 from repro.bloom.module import BloomModule
 from repro.bloom.rewrite import (
     OrderedInputAdapter,
-    OrderedInputPublisher,
     SealedInputAdapter,
     apply_strategy,
+    strategy_producer,
 )
 from repro.bloom.rules import MERGE_OPS, Rule
 from repro.bloom.runtime import BloomRuntime
@@ -66,9 +66,9 @@ __all__ = [
     "CollectionKind",
     "BloomModule",
     "OrderedInputAdapter",
-    "OrderedInputPublisher",
     "SealedInputAdapter",
     "apply_strategy",
+    "strategy_producer",
     "MERGE_OPS",
     "Rule",
     "BloomRuntime",

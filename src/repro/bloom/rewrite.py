@@ -1,55 +1,46 @@
-"""Program rewriting: install synthesized coordination on Bloom nodes.
+"""Program rewriting: install a coordination strategy on a Bloom deployment.
 
 The paper's "white box" pipeline ends with an automatic rewrite: programs
 whose analysis demands coordination are augmented so their inputs arrive
-through the chosen mechanism.  Here the rewrite is an *input delivery
-policy* attached to a running :class:`~repro.bloom.cluster.BloomNode`:
+through the chosen mechanism.  Here the rewrite is one installer with two
+halves, both built from the same strategy object — an entry of a
+:class:`~repro.core.strategy.CoordinationPlan`, or the entry a deployment
+declares (:meth:`repro.api.StrategySpec.installed`):
 
-* :class:`OrderedInputAdapter` — inputs flow through the Zookeeper
-  sequencer; every replica applies them in the same total order;
-* :class:`SealedInputAdapter` — inputs buffer per partition and apply only
-  when the partition's complete contents are known (the seal protocol);
-* :func:`apply_strategy` — maps a strategy object produced by
-  :func:`repro.core.strategy.choose_strategies` onto the adapters.
+* the consumer half, :func:`apply_strategy`, attaches an *input delivery
+  policy* to a :class:`~repro.bloom.cluster.BloomNode`:
+  :class:`OrderedInputAdapter` (inputs flow through the Zookeeper
+  sequencer; every replica applies them in the same total order) or
+  :class:`SealedInputAdapter` (inputs buffer per partition and apply only
+  when the partition's complete contents are known);
+* the producer half, :func:`strategy_producer`, is how a source process
+  ships rows to those nodes — broadcast, sealed or sequenced, decided
+  once when the producer is built.
 
-Producers use the matching :class:`OrderedInputPublisher` /
-:class:`~repro.coord.sealing.SealedStreamProducer` on their side.
+The registered Bloom apps wire themselves through these two calls; no
+app switches on a strategy name to pick a delivery mechanism.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Mapping, Sequence
 
-from repro.bloom.cluster import BloomNode
+from repro.bloom.cluster import INSERT_MSG, BloomNode
+from repro.coord.assignment import ReplicaAssignment
 from repro.coord.ordering import OrderedConsumer
-from repro.coord.sealing import SealManager
-from repro.coord.zookeeper import ZkClient
+from repro.coord.sealing import SealedStreamProducer, SealManager
+from repro.coord.zookeeper import ZkClient, ZookeeperService
 from repro.core.strategy import NoCoordination, OrderStrategy, SealStrategy
 from repro.errors import BloomError
-from repro.sim.network import Process
+from repro.sim.network import Message, Process
 
 __all__ = [
     "OrderedInputAdapter",
-    "OrderedInputPublisher",
     "SealedInputAdapter",
     "apply_strategy",
+    "strategy_producer",
 ]
-
-
-class OrderedInputPublisher:
-    """Producer-side ordering: submit inputs to the sequencer topic."""
-
-    def __init__(self, process: Process, topic: str, service: str = "zookeeper"):
-        self.zk = ZkClient(process, service)
-        self.topic = topic
-
-    def publish(self, collection: str, row: tuple) -> None:
-        """Submit one tuple for totally ordered delivery."""
-        self.zk.submit(self.topic, (collection, tuple(row)))
-
-    def handle(self, msg) -> bool:
-        return self.zk.handle(msg)
 
 
 class OrderedInputAdapter:
@@ -107,7 +98,8 @@ class SealedInputAdapter:
     :class:`~repro.coord.sealing.SealedStreamProducer` with the same
     name); complete partitions are inserted into ``collection`` in one
     timestep, which is what makes the nonmonotonic component deterministic
-    without global coordination.
+    without global coordination.  A partition's producer set comes from
+    ``producers_for`` or, without it, from one znode read per partition.
     """
 
     def __init__(
@@ -117,22 +109,17 @@ class SealedInputAdapter:
         collection: str,
         *,
         producers_for: Callable[[object], frozenset[str]] | None = None,
-        use_zk_registry: bool = False,
-        registry_prefix: str = "producers",
     ) -> None:
         self.node = node
         self.collection = collection
-        zk_client = ZkClient(node) if use_zk_registry else None
-        self._zk_client = zk_client
+        self._zk_client = ZkClient(node) if producers_for is None else None
         self.manager = SealManager(
             stream,
             self._release,
             producers_for=producers_for,
-            zk_client=zk_client,
-            registry_prefix=registry_prefix,
+            zk_client=self._zk_client,
         )
         node.add_plugin(self._handle)
-        self.released_partitions = 0
 
     def _handle(self, msg) -> bool:
         if self._zk_client is not None and self._zk_client.handle(msg):
@@ -141,28 +128,37 @@ class SealedInputAdapter:
 
     def _release(self, partition, records: list) -> None:
         self.node.insert(self.collection, [tuple(r) for r in records])
-        self.released_partitions += 1
+
+
+def _order_topic(strategy: OrderStrategy) -> str:
+    return strategy.topic or f"{strategy.component}.inputs"
 
 
 def apply_strategy(
     node: BloomNode,
     strategy,
     *,
-    topic: str | None = None,
-    stream_collections: dict[str, str] | None = None,
+    zk: ZookeeperService | None = None,
+    stream_collections: Mapping[str, str] | None = None,
     producers_for: Callable[[object], frozenset[str]] | None = None,
-    use_zk_registry: bool = False,
+    sealed_adapter: type[SealedInputAdapter] = SealedInputAdapter,
 ):
-    """Install the coordination a strategy object calls for on one node.
+    """The consumer half: install a strategy's delivery policy on one node.
 
-    Returns the adapter (or ``None`` for :class:`NoCoordination`).  For a
+    Returns the adapter (or ``None`` for :class:`NoCoordination`).  An
+    :class:`OrderStrategy` subscribes the node to its sequencer topic on
+    ``zk``, the deployment's coordination service.  For a
     :class:`SealStrategy`, ``stream_collections`` maps sealed stream names
-    to the runtime collections their records target.
+    to the runtime collections their records target; ``producers_for``
+    is the adapters' static producer-set lookup.
     """
     if isinstance(strategy, NoCoordination):
         return None
     if isinstance(strategy, OrderStrategy):
-        return OrderedInputAdapter(node, topic or f"{strategy.component}.inputs")
+        topic = _order_topic(strategy)
+        if zk is not None:
+            zk.subscribe(topic, node.name)
+        return OrderedInputAdapter(node, topic)
     if isinstance(strategy, SealStrategy):
         stream_collections = stream_collections or {}
         adapters = []
@@ -173,13 +169,151 @@ def apply_strategy(
                     f"no collection mapping for sealed stream {stream!r}"
                 )
             adapters.append(
-                SealedInputAdapter(
-                    node,
-                    stream,
-                    collection,
-                    producers_for=producers_for,
-                    use_zk_registry=use_zk_registry,
-                )
+                sealed_adapter(node, stream, collection, producers_for=producers_for)
             )
         return adapters if len(adapters) != 1 else adapters[0]
     raise BloomError(f"unknown strategy {strategy!r}")
+
+
+class _BroadcastProducer:
+    """No coordination: every row goes straight to every destination.
+
+    ``frame_size`` > 1 buffers rows and ships them as one insert message
+    per destination per frame (and per :meth:`flush`).
+    """
+
+    def __init__(
+        self, process: Process, destinations: Sequence[str], frame_size: int = 1
+    ) -> None:
+        self.process = process
+        self.destinations = tuple(destinations)
+        self.frame_size = frame_size
+        self._frames: dict[str, list[tuple]] = {}
+
+    def emit(self, collection: str, row: tuple, partition=None) -> None:
+        """Ship one row of ``collection`` (in seal partition ``partition``)."""
+        if self.frame_size > 1:
+            frame = self._frames.setdefault(collection, [])
+            frame.append(row)
+            if len(frame) >= self.frame_size:
+                self.flush()
+            return
+        for dst in self.destinations:
+            self.process.send(dst, INSERT_MSG, (collection, [row]))
+
+    def seal(self, partition) -> None:
+        """Promise no more rows for ``partition`` (sealed delivery only)."""
+
+    def flush(self) -> None:
+        """Ship every partial frame."""
+        for collection, rows in self._frames.items():
+            if rows:
+                self._frames[collection] = []
+                for dst in self.destinations:
+                    self.process.send(dst, INSERT_MSG, (collection, rows))
+
+    def handle(self, msg: Message) -> bool:
+        """Route a coordination-service reply; True when it was one."""
+        return False
+
+
+class _SequencedProducer(_BroadcastProducer):
+    """Every row is submitted to the sequencer topic the consumers ride."""
+
+    def __init__(self, process: Process, topic: str) -> None:
+        super().__init__(process, ())
+        self.topic = topic
+        self._zk = ZkClient(process)
+
+    def emit(self, collection: str, row: tuple, partition=None) -> None:
+        self._zk.submit(self.topic, (collection, row))
+
+    def handle(self, msg: Message) -> bool:
+        return self._zk.handle(msg)
+
+
+class _SealedProducer(_BroadcastProducer):
+    """Rows of the sealed collections ride punctuated channels, one
+    protocol-level producer per task replica of the process
+    (``assignment``); every other collection is broadcast."""
+
+    def __init__(
+        self,
+        process: Process,
+        destinations: Sequence[str],
+        sealed: Mapping[str, str],
+        frame_size: int,
+        assignment: ReplicaAssignment | None,
+    ) -> None:
+        super().__init__(process, destinations, frame_size)
+        self.assignment = assignment or ReplicaAssignment(
+            {process.name: 1}, collapse_single=True
+        )
+        self._channels = {
+            collection: {
+                task: SealedStreamProducer(
+                    process, stream, producer_id=task, frame_size=frame_size
+                )
+                for task in self.assignment.tasks_of(process.name)
+            }
+            for collection, stream in sealed.items()
+        }
+
+    def emit(self, collection: str, row: tuple, partition=None) -> None:
+        channels = self._channels.get(collection)
+        if channels is None:
+            super().emit(collection, row)
+            return
+        channel = channels[self.assignment.task_for(self.process.name, partition)]
+        for dst in self.destinations:
+            channel.send_record(dst, partition, row)
+
+    def seal(self, partition) -> None:
+        task = self.assignment.task_for(self.process.name, partition)
+        for channels in self._channels.values():
+            for dst in self.destinations:
+                channels[task].seal(dst, partition)
+
+    def flush(self) -> None:
+        super().flush()
+        for channels in self._channels.values():
+            for dst in self.destinations:
+                for channel in channels.values():
+                    channel.flush(dst)
+
+
+def strategy_producer(
+    process: Process,
+    strategy,
+    destinations: Sequence[str],
+    *,
+    stream_collections: Mapping[str, str] | None = None,
+    frame_size: int = 1,
+    assignment: ReplicaAssignment | None = None,
+):
+    """The producer half: how ``process`` ships rows under a strategy.
+
+    The returned object has ``emit(collection, row, partition)``,
+    ``seal(partition)``, ``flush()`` and ``handle(msg)``; which of
+    broadcast, sealed or sequenced delivery they perform is fixed here.
+    ``stream_collections`` names the streams this process produces that a
+    :class:`SealStrategy` may cover (stream -> collection, the mapping
+    :func:`apply_strategy` takes); a process producing none of the sealed
+    streams broadcasts.
+    """
+    if isinstance(strategy, OrderStrategy):
+        return _SequencedProducer(process, _order_topic(strategy))
+    if isinstance(strategy, SealStrategy):
+        produced = stream_collections or {}
+        sealed = {
+            produced[stream]: stream
+            for stream, _key in strategy.partitions
+            if stream in produced
+        }
+        if sealed:
+            return _SealedProducer(
+                process, destinations, sealed, frame_size, assignment
+            )
+    elif not isinstance(strategy, NoCoordination):
+        raise BloomError(f"unknown strategy {strategy!r}")
+    return _BroadcastProducer(process, destinations, frame_size)

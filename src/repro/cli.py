@@ -91,10 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     apps_cmd = sub.add_parser("apps", help="list the registered applications")
+    apps_cmd.set_defaults(func=_cmd_apps)
     apps_cmd.add_argument("--json", action="store_true", help="JSON output")
 
     target_help = "a registered app name or a path to a Blazes YAML spec"
     analyze_cmd = sub.add_parser("analyze", help="analyze an app or spec file")
+    analyze_cmd.set_defaults(func=_cmd_analyze)
     analyze_cmd.add_argument("target", help=target_help)
     analyze_cmd.add_argument(
         "--strategy", default=None, help="strategy variant (registered apps)"
@@ -107,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     plan_cmd = sub.add_parser("plan", help="print the coordination plan")
+    plan_cmd.set_defaults(func=_cmd_plan)
     plan_cmd.add_argument("target", help=target_help)
     plan_cmd.add_argument("--strategy", default=None)
     plan_cmd.add_argument(
@@ -116,10 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     lint_cmd = sub.add_parser(
         "lint", help="check the Section X design patterns"
     )
+    lint_cmd.set_defaults(func=_cmd_lint)
     lint_cmd.add_argument("target", help=target_help)
     lint_cmd.add_argument("--strategy", default=None)
 
     run_cmd = sub.add_parser("run", help="execute a registered app")
+    run_cmd.set_defaults(func=_cmd_run)
     run_cmd.add_argument("app", help="a registered app name (see `blazes apps`)")
     run_cmd.add_argument(
         "--strategy", default=None, help="deployment strategy (app default otherwise)"
@@ -169,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats_cmd = sub.add_parser(
         "stats", help="per-strategy coordination-cost breakdown"
     )
+    stats_cmd.set_defaults(func=_cmd_stats)
     stats_cmd.add_argument(
         "app",
         nargs="?",
@@ -194,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd = sub.add_parser(
         "trace", help="causal span timelines for one run"
     )
+    trace_cmd.set_defaults(func=_cmd_trace)
     trace_cmd.add_argument("app", help="a registered app name (see `blazes apps`)")
     trace_cmd.add_argument(
         "--strategy", default=None, help="deployment strategy (app default otherwise)"
@@ -216,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit_cmd = sub.add_parser(
         "audit", help="fault-injection audit of the label analysis"
     )
+    audit_cmd.set_defaults(func=_cmd_audit)
     audit_cmd.add_argument(
         "--smoke", action="store_true", help="CI-sized workloads and seeds"
     )
@@ -302,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         "frontier",
         help="bisect fault intensity to each guarantee's breaking point",
     )
+    frontier_cmd.set_defaults(func=_cmd_frontier)
     frontier_cmd.add_argument(
         "--smoke", action="store_true", help="CI-sized workloads and seeds"
     )
@@ -342,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd = sub.add_parser(
         "cache", help="inspect or clear the evaluation engine's cell cache"
     )
+    cache_cmd.set_defaults(func=_cmd_cache)
     cache_cmd.add_argument(
         "action", choices=("stats", "clear"), help="what to do with the cache"
     )
@@ -355,38 +365,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "apps":
-            return _cmd_apps(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "plan":
-            return _cmd_plan(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "frontier":
-            return _cmd_frontier(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
+        return args.func(args)
     except BlazesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
-def _resolve_analysis(target: str, strategy: str | None):
-    """An analysis for a registered app name or a YAML spec path."""
+def _resolve(target: str, strategy: str | None):
+    """``(analysis, plan)`` for a registered app name or a YAML spec path.
+
+    A registered app resolves its own plan: an ``ordered`` strategy
+    imposes the sequencer rather than synthesizing a fallback.
+    """
     from repro.api import app_names, get_app
 
     if target in app_names():
-        return get_app(target).analyze(strategy)
+        app = get_app(target)
+        return app.analyze(strategy), app.plan(strategy)
     if strategy is not None:
         raise BlazesError(
             f"--strategy applies to registered apps only; {target!r} is not "
@@ -397,8 +392,8 @@ def _resolve_analysis(target: str, strategy: str | None):
             f"{target!r} is neither a registered app ({list(app_names())}) "
             f"nor a spec file"
         )
-    dataflow, fds = load_spec(target)
-    return analyze(dataflow, fds)
+    result = analyze(*load_spec(target))
+    return result, choose_strategies(result)
 
 
 def _cmd_apps(args) -> int:
@@ -433,7 +428,7 @@ def _cmd_apps(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    result = _resolve_analysis(args.target, args.strategy)
+    result, _plan = _resolve(args.target, args.strategy)
     if args.json:
         payload = report_to_dict(result, derivations=args.derivations)
         print(json.dumps(payload, indent=2))
@@ -446,14 +441,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from repro.api import app_names, get_app
-
-    if args.target in app_names():
-        # the app resolves its own plan: an `ordered` strategy imposes
-        # the sequencer rather than synthesizing a fallback
-        plan = get_app(args.target).plan(args.strategy)
-    else:
-        plan = choose_strategies(_resolve_analysis(args.target, args.strategy))
+    _result, plan = _resolve(args.target, args.strategy)
     if args.json:
         print(json.dumps(plan_to_dict(plan), indent=2))
     else:
@@ -464,8 +452,7 @@ def _cmd_plan(args) -> int:
 def _cmd_lint(args) -> int:
     from repro.core.patterns import lint_dataflow
 
-    result = _resolve_analysis(args.target, args.strategy)
-    findings = lint_dataflow(result)
+    findings = lint_dataflow(*_resolve(args.target, args.strategy))
     if not findings:
         print("no design-pattern findings")
         return 0

@@ -32,7 +32,14 @@ from repro.sim.network import Message, Network, Process
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import Trace
 
-__all__ = ["ZK_KINDS", "ZookeeperService", "ZkStats", "ZkClient", "install_zookeeper"]
+__all__ = [
+    "ZK_KINDS",
+    "ZookeeperService",
+    "ZkStats",
+    "ZkClient",
+    "install_zookeeper",
+    "recorded_order",
+]
 
 SUBMIT = "zk.submit"
 DELIVER = "zk.deliver"
@@ -255,3 +262,10 @@ def install_zookeeper(
     )
     network.register(service)
     return service
+
+
+def recorded_order(trace: "Trace", topic: str) -> tuple:
+    """The order the sequencer committed on ``topic``, read back from the
+    ``zk.order:<topic>`` records of a run's trace (empty when nothing was
+    sequenced)."""
+    return tuple(value for _seq, value in trace.data_series(f"zk.order:{topic}"))

@@ -46,7 +46,6 @@ from repro.core.spec import build_dataflow, dump_spec, load_spec, loads_spec
 from repro.core.strategy import (
     CoordinationPlan,
     NoCoordination,
-    OrderedStrategy,
     OrderStrategy,
     SealStrategy,
     choose_strategies,
@@ -107,7 +106,6 @@ __all__ = [
     "CoordinationPlan",
     "NoCoordination",
     "OrderStrategy",
-    "OrderedStrategy",
     "SealStrategy",
     "choose_strategies",
     "label_under_ordering",

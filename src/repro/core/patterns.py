@@ -25,7 +25,12 @@ import dataclasses
 from repro.core.analysis import AnalysisResult
 from repro.core.graph import Component
 from repro.core.labels import LabelKind
-from repro.core.strategy import CoordinationPlan, SealStrategy, choose_strategies
+from repro.core.strategy import (
+    CoordinationPlan,
+    OrderStrategy,
+    SealStrategy,
+    choose_strategies,
+)
 
 __all__ = ["Finding", "lint_dataflow"]
 
@@ -95,7 +100,7 @@ def lint_dataflow(
         if (
             component.rep
             and not _is_confluent(component)
-            and plan.strategy_for(component.name).kind == "order"
+            and isinstance(plan.strategy_for(component.name), OrderStrategy)
         ):
             findings.append(
                 Finding(
@@ -129,7 +134,7 @@ def lint_dataflow(
 
         # 4. ordering applied where the analysis found no anomaly
         strategy = plan.strategy_for(component.name)
-        if strategy.kind == "order" and _is_confluent(component):
+        if isinstance(strategy, OrderStrategy) and _is_confluent(component):
             findings.append(
                 Finding(
                     REDUNDANT_ORDERING,

@@ -17,7 +17,6 @@ from repro.core.derivation import render_output
 from repro.core.labels import LabelKind
 from repro.core.strategy import (
     CoordinationPlan,
-    OrderedStrategy,
     OrderStrategy,
     SealStrategy,
     choose_strategies,
@@ -106,10 +105,10 @@ def plan_to_dict(plan: CoordinationPlan) -> dict[str, Any]:
             entry["gates"] = [sorted(gate) for gate in strategy.gates]
         elif isinstance(strategy, OrderStrategy):
             entry["streams"] = list(strategy.streams)
-            entry["reason"] = strategy.reason
-        elif isinstance(strategy, OrderedStrategy):
-            entry["streams"] = list(strategy.streams)
-            entry["topic"] = strategy.topic
+            if strategy.reason:
+                entry["reason"] = strategy.reason
+            else:
+                entry["topic"] = strategy.topic
         strategies.append(entry)
     return {
         "coordinated_components": list(plan.coordinated_components),

@@ -12,11 +12,13 @@ component that can produce consistency anomalies, between:
   with streams sealed on a compatible key.
 * an :class:`OrderStrategy` — a total order over the component's inputs,
   established by a sequencing service (the paper uses Zookeeper); always
-  applicable, but globally coordinated and therefore expensive.
+  applicable, but globally coordinated and therefore expensive.  The
+  same class describes a deployment that *imposes* the sequencer up
+  front (:func:`ordered_plan`); there is no second order type.
 
-The resulting :class:`CoordinationPlan` is consumed by the runtimes
-(:mod:`repro.storm` and :mod:`repro.bloom`) to install the corresponding
-delivery mechanisms, and can be rendered for human review.
+The entries of the resulting :class:`CoordinationPlan` are what
+:mod:`repro.bloom.rewrite` installs — on the consuming nodes and in the
+producing processes — and the plan can be rendered for human review.
 
 See ``docs/architecture.md`` for the full paper-section-to-module map.
 """
@@ -33,7 +35,6 @@ from repro.core.labels import Async, Label, LabelKind
 __all__ = [
     "SealStrategy",
     "OrderStrategy",
-    "OrderedStrategy",
     "NoCoordination",
     "CoordinationPlan",
     "choose_strategies",
@@ -68,47 +69,36 @@ class SealStrategy:
 class OrderStrategy:
     """Total-order delivery of a component's input streams.
 
-    ``streams`` lists the input streams that must be routed through the
-    ordering service; ``reason`` explains why sealing was not applicable.
+    ``streams`` lists the input streams routed through the ordering
+    service.  The analyzer recommends it as the fallback when sealing
+    does not apply, and ``reason`` says why; a deployment that imposes
+    the sequencer up front (:func:`ordered_plan`, the paper's
+    always-applicable Section V-B2 strategy) has no such verdict to
+    report and names the sequencer ``topic`` its inputs ride instead.
+    Whether the mechanism is *installed* is the deployment's decision
+    (``StrategySpec.ordered``), not a second type.
     """
 
     component: str
     streams: tuple[str, ...]
-    reason: str
-
-    kind = "order"
-
-    def describe(self) -> str:
-        return (
-            f"ordered delivery at {self.component} for streams "
-            f"{', '.join(self.streams)} ({self.reason})"
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class OrderedStrategy:
-    """Total-order delivery *imposed* by the deployment.
-
-    :class:`OrderStrategy` is the analyzer's fallback recommendation —
-    "sealing does not apply here, use the ordering service".
-    ``OrderedStrategy`` is the installed mechanism: the deployment routes
-    the component's inputs through the sequencer up front (the paper's
-    always-applicable Section V-B2 strategy), whether or not sealing
-    would also have worked.  ``topic`` names the sequencer topic the
-    inputs ride.
-    """
-
-    component: str
-    streams: tuple[str, ...]
+    reason: str = ""
     topic: str = ""
 
-    kind = "ordered"
+    @property
+    def kind(self) -> str:
+        return "order" if self.reason else "ordered"
 
     def describe(self) -> str:
+        streams = ", ".join(self.streams)
+        if self.reason:
+            return (
+                f"ordered delivery at {self.component} for streams "
+                f"{streams} ({self.reason})"
+            )
         topic = f" on topic {self.topic!r}" if self.topic else ""
         return (
             f"sequencer-ordered delivery installed at {self.component} for "
-            f"streams {', '.join(self.streams)}{topic}"
+            f"streams {streams}{topic}"
         )
 
 
@@ -124,7 +114,7 @@ class NoCoordination:
         return f"no coordination required at {self.component}"
 
 
-Strategy = SealStrategy | OrderStrategy | OrderedStrategy | NoCoordination
+Strategy = SealStrategy | OrderStrategy | NoCoordination
 
 
 @dataclasses.dataclass
@@ -138,15 +128,13 @@ class CoordinationPlan:
         return tuple(
             name
             for name, strategy in self.strategies.items()
-            if strategy.kind != "none"
+            if not isinstance(strategy, NoCoordination)
         )
 
     @property
     def uses_global_order(self) -> bool:
         """True when any component relies on the ordering service."""
-        return any(
-            s.kind in ("order", "ordered") for s in self.strategies.values()
-        )
+        return any(isinstance(s, OrderStrategy) for s in self.strategies.values())
 
     def strategy_for(self, component: str) -> Strategy:
         return self.strategies.get(component, NoCoordination(component))
@@ -229,7 +217,7 @@ def ordered_plan(result: AnalysisResult, *, topic: str = "") -> CoordinationPlan
     """The plan of a deployment that imposes ordering up front.
 
     Every component with at least one order-sensitive path gets an
-    :class:`OrderedStrategy` over its input streams; confluent components
+    :class:`OrderStrategy` over its input streams; confluent components
     need nothing.  This is the paper's always-applicable strategy: unlike
     :func:`choose_strategies` it never needs a compatible seal key, at
     the price of funneling the streams through the sequencer's global
@@ -242,7 +230,7 @@ def ordered_plan(result: AnalysisResult, *, topic: str = "") -> CoordinationPlan
             strategies[component.name] = NoCoordination(component.name)
             continue
         streams = tuple(sorted({s.name for s in dataflow.streams_into(component.name)}))
-        strategies[component.name] = OrderedStrategy(component.name, streams, topic)
+        strategies[component.name] = OrderStrategy(component.name, streams, topic=topic)
     return CoordinationPlan(strategies)
 
 

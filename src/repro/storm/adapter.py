@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.annotations import CR, parse_annotation
+from repro.core.annotations import parse_annotation
 from repro.core.graph import Dataflow
 from repro.errors import StormError
 from repro.storm.topology import Topology
@@ -100,8 +100,3 @@ def _sole_interface(dataflow: Dataflow, component_name: str, side: str) -> str:
 
 def _input_interface(dataflow: Dataflow, component_name: str) -> str:
     return _sole_interface(dataflow, component_name, "input")
-
-
-def default_annotation() -> object:
-    """The conservative annotation for unannotated paths (``CR``)."""
-    return CR()

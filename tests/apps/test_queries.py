@@ -125,16 +125,18 @@ class TestRegisteredQueryApps:
 
         for name, query in QUERY_MATRIX_APPS.items():
             spec = get_app(name).strategy_spec("sealed")
+            # stated once: the runner reads the seal key off the spec
             assert spec.seals == {"c": [QUERY_SEAL_KEYS[query]]}
-            assert spec.run_params["seal_key"] == QUERY_SEAL_KEYS[query]
+            assert "seal_key" not in spec.run_params
 
     def test_ordered_plan_installs_the_sequencer_at_report(self):
         from repro.api import get_app
-        from repro.core.strategy import OrderedStrategy
+        from repro.core.strategy import OrderStrategy
 
         plan = get_app("q-poor").plan("ordered")
         strategy = plan.strategy_for("Report")
-        assert isinstance(strategy, OrderedStrategy)
+        assert isinstance(strategy, OrderStrategy)
+        assert strategy.kind == "ordered"
         assert strategy.topic == "report.inputs"
         assert plan.uses_global_order
 
@@ -142,6 +144,9 @@ class TestRegisteredQueryApps:
         from repro.api import get_app
 
         outcome = get_app("q-window").run("sealed", seed=3)
-        assert outcome.result.strategy == "seal"
+        # the spec itself carries the regime: one registry lookup per
+        # window partition per replica means the seal protocol ran
+        assert outcome.result.strategy == "sealed"
+        assert outcome.result.registry_lookups == 4 * 2
         assert outcome.metrics["processed"] == outcome.metrics["total_entries"]
         assert outcome.metrics["replicas_agree"]

@@ -6,13 +6,16 @@ import pytest
 
 from repro.bloom.cluster import INSERT_MSG, BloomCluster
 from repro.bloom.module import BloomModule
+from repro.apps.source import PlannedSource
 from repro.bloom.rewrite import (
     OrderedInputAdapter,
-    OrderedInputPublisher,
     SealedInputAdapter,
+    apply_strategy,
+    strategy_producer,
 )
-from repro.coord.sealing import SealedStreamProducer
-from repro.coord.zookeeper import install_zookeeper
+from repro.coord.sealing import DATA, FRAME, PUNCT, SealedStreamProducer
+from repro.coord.zookeeper import SUBMIT, install_zookeeper
+from repro.core.strategy import NoCoordination, OrderStrategy, SealStrategy
 from repro.errors import BloomError
 from repro.sim.network import Process
 
@@ -102,22 +105,20 @@ def test_ordered_adapter_applies_identical_sequences():
     cluster = BloomCluster(seed=5)
     zk = install_zookeeper(cluster.network)
     nodes = [cluster.add_node(f"r{i}", Accumulator()) for i in range(3)]
-    adapters = []
-    for node in nodes:
-        adapters.append(OrderedInputAdapter(node, "ops"))
-        zk.subscribe("ops", node.name)
+    strategy = OrderStrategy("Acc", ("inp",), topic="ops")
+    adapters = [apply_strategy(node, strategy, zk=zk) for node in nodes]
 
     class Producer(Process):
         def __init__(self, name):
             super().__init__(name)
-            self.pub = OrderedInputPublisher(self, "ops")
+            self.pub = strategy_producer(self, strategy, [n.name for n in nodes])
 
         def recv(self, msg):
             self.pub.handle(msg)
 
         def on_start(self):
             for i in range(10):
-                self.pub.publish("inp", (f"{self.name}-{i}",))
+                self.pub.emit("inp", (f"{self.name}-{i}",))
 
     for p in range(2):
         cluster.network.register(Producer(f"p{p}"))
@@ -154,10 +155,10 @@ def test_sealed_adapter_buffers_until_punctuated():
     assert node.read("store") == {("a",)}
 
 
-def test_apply_strategy_dispatch():
-    from repro.core.strategy import NoCoordination, OrderStrategy, SealStrategy
-    from repro.bloom.rewrite import apply_strategy
+SEAL_ON_K = SealStrategy("n", (("s", frozenset({"k"})),), (frozenset({"k"}),))
 
+
+def test_apply_strategy_dispatch():
     cluster = BloomCluster(seed=0)
     node = cluster.add_node("n", Accumulator())
     assert apply_strategy(node, NoCoordination("n")) is None
@@ -165,16 +166,177 @@ def test_apply_strategy_dispatch():
     assert isinstance(adapter, OrderedInputAdapter)
     seal = apply_strategy(
         node,
-        SealStrategy("n", (("s", frozenset({"k"})),), (frozenset({"k"}),)),
+        SEAL_ON_K,
         stream_collections={"s": "inp"},
         producers_for=lambda partition: frozenset({"p0"}),
     )
     assert isinstance(seal, SealedInputAdapter)
     with pytest.raises(BloomError):
-        apply_strategy(
-            node,
-            SealStrategy("n", (("s", frozenset({"k"})),), (frozenset({"k"}),)),
+        apply_strategy(node, SEAL_ON_K)
+    with pytest.raises(BloomError):
+        apply_strategy(node, "ordered")
+
+
+def _bloom_app_strategies():
+    from repro.api import iter_apps
+
+    return [
+        (app.name, strategy)
+        for app in iter_apps()
+        if app.backend == "bloom"
+        for strategy in app.strategies
+    ]
+
+
+@pytest.mark.parametrize("app_name,strategy_name", _bloom_app_strategies())
+def test_installer_accepts_every_plan_entry(app_name, strategy_name):
+    """Both halves take whatever a registered app's plan contains, and the
+    entry the deployment installs agrees with the plan's wherever the
+    analysis asks for coordination at all."""
+    from repro.api import get_app
+
+    app = get_app(app_name)
+    spec = app.strategy_spec(strategy_name)
+    flow = app.dataflow(strategy_name)
+    expected = {
+        NoCoordination: type(None),
+        OrderStrategy: OrderedInputAdapter,
+        SealStrategy: SealedInputAdapter,
+    }
+    cluster = BloomCluster(seed=0)
+    zk = install_zookeeper(cluster.network)
+    for component, entry in app.plan(strategy_name).strategies.items():
+        node = cluster.add_node(f"{component}-node", Accumulator())
+        inputs = {s.name: "inp" for s in flow.streams_into(component)}
+        adapter = apply_strategy(node, entry, zk=zk, stream_collections=inputs)
+        assert isinstance(adapter, expected[type(entry)])
+        producer = strategy_producer(
+            node, entry, [node.name], stream_collections=inputs
         )
+        producer.emit("inp", ("v",), "p")
+        installed = spec.installed(component, {name: name for name in inputs})
+        if spec.coordinated and not isinstance(entry, NoCoordination):
+            assert type(installed) is type(entry)
+            if isinstance(entry, OrderStrategy):
+                assert installed.topic == entry.topic
+            else:
+                assert installed.partitions == entry.partitions
+        elif not spec.coordinated:
+            assert isinstance(installed, NoCoordination)
+
+
+class RecordingSource(PlannedSource):
+    """Captures what the producer half puts on the wire."""
+
+    def __init__(self, strategy, **kwargs):
+        self.wire: list[tuple] = []
+        super().__init__(
+            "src",
+            strategy,
+            ["r0", "r1"],
+            collection="inp",
+            rows=[("a", 1), ("b", 2), ("a", 3), ("b", 4), ("c", 5)],
+            partition_of=lambda row: row[0],
+            batch_size=2,
+            sleep=0.01,
+            ask_collection="ask",
+            asks=[("q",)],
+            ask_spacing=1.0,
+            stream_collections={"s": "inp"},
+            **kwargs,
+        )
+
+    def send(self, dst, kind, payload):
+        self.wire.append((dst, kind, payload))
+
+
+def _wire_of(strategy, **kwargs) -> list[tuple]:
+    cluster = BloomCluster(seed=0)
+    source = RecordingSource(strategy, **kwargs)
+    cluster.network.register(source)
+    cluster.run()
+    return source.wire
+
+
+def _to_both(kind, *payloads):
+    return [(dst, kind, p) for p in payloads for dst in ("r0", "r1")]
+
+
+class TestProducerHalf:
+    """The exact (dst, kind, payload) sequence of a small planned stream:
+    bursts of two, a partition sealed with its last record, the ask last."""
+
+    def test_broadcast(self):
+        rows = [("a", 1), ("b", 2), ("a", 3), ("b", 4), ("c", 5)]
+        assert _wire_of(NoCoordination("n")) == _to_both(
+            INSERT_MSG, *[("inp", [row]) for row in rows], ("ask", [("q",)])
+        )
+
+    def test_broadcast_frames_ship_one_insert_per_burst(self):
+        assert _wire_of(NoCoordination("n"), frame_size=2) == _to_both(
+            INSERT_MSG,
+            ("inp", [("a", 1), ("b", 2)]),
+            ("inp", [("a", 3), ("b", 4)]),
+            ("inp", [("c", 5)]),  # the partial trailing frame is flushed
+            ("ask", [("q",)]),
+        )
+
+    def test_sequenced(self):
+        rows = [("a", 1), ("b", 2), ("a", 3), ("b", 4), ("c", 5)]
+        strategy = OrderStrategy("n", ("inp", "ask"), topic="ops")
+        assert _wire_of(strategy) == [
+            ("zookeeper", SUBMIT, ("ops", ("inp", row))) for row in rows
+        ] + [("zookeeper", SUBMIT, ("ops", ("ask", ("q",))))]
+
+    def test_sealed_punctuates_at_the_last_record(self):
+        def data(seq, row):
+            return ("s", seq, row[0], row, "src")
+
+        def punct(seq, partition):
+            return ("s", seq, partition, "src")
+
+        assert _wire_of(SEAL_ON_K) == (
+            _to_both(DATA, data(0, ("a", 1)), data(1, ("b", 2)))
+            # second burst: "a" and "b" end here, in stream order
+            + _to_both(DATA, data(2, ("a", 3)), data(3, ("b", 4)))
+            + _to_both(PUNCT, punct(4, "a"), punct(5, "b"))
+            + _to_both(DATA, data(6, ("c", 5)))
+            + _to_both(PUNCT, punct(7, "c"))
+            # the unsealed collection is broadcast
+            + _to_both(INSERT_MSG, ("ask", [("q",)]))
+        )
+
+    def test_sealed_frames_flush_before_the_punctuation(self):
+        def frame(seq, *rows):
+            return ("s", seq, tuple((row[0], row) for row in rows), "src")
+
+        wire = _wire_of(SEAL_ON_K, frame_size=3)
+        assert wire[:2] == _to_both(FRAME, frame(0, ("a", 1), ("b", 2)))
+        per_dst = [(kind, payload) for dst, kind, payload in wire if dst == "r0"]
+        assert per_dst == [
+            (FRAME, frame(0, ("a", 1), ("b", 2))),
+            (FRAME, frame(1, ("a", 3), ("b", 4))),
+            (PUNCT, ("s", 2, "a", "src")),
+            (PUNCT, ("s", 3, "b", "src")),
+            (FRAME, frame(4, ("c", 5))),
+            (PUNCT, ("s", 5, "c", "src")),
+            (INSERT_MSG, ("ask", [("q",)])),
+        ]
+
+    def test_a_process_producing_no_sealed_stream_broadcasts(self):
+        class Quiet(Process):
+            def send(self, dst, kind, payload):
+                sent.append((dst, kind, payload))
+
+        sent: list[tuple] = []
+        producer = strategy_producer(Quiet("q"), SEAL_ON_K, ["r0"])
+        producer.emit("inp", ("a", 1), "a")
+        producer.seal("a")
+        assert sent == [("r0", INSERT_MSG, ("inp", [("a", 1)]))]
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(BloomError):
+            strategy_producer(Process("p"), "sealed", ["r0"])
 
 
 class SinkModule(BloomModule):

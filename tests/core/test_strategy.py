@@ -13,7 +13,6 @@ from repro.core import (
     FDSet,
     Inst,
     NoCoordination,
-    OrderedStrategy,
     OrderStrategy,
     Run,
     Seal,
@@ -127,7 +126,8 @@ class TestOrderedPlan:
         result = analyze(one_component_flow(OW("k"), seal=["k"]))
         plan = ordered_plan(result, topic="t.inputs")
         strategy = plan.strategy_for("C")
-        assert isinstance(strategy, OrderedStrategy)
+        assert isinstance(strategy, OrderStrategy)
+        assert strategy.kind == "ordered" and not strategy.reason
         assert strategy.streams == ("in",)
         assert strategy.topic == "t.inputs"
         assert "sequencer-ordered delivery installed at C" in strategy.describe()

@@ -97,6 +97,24 @@ streams:
     assert "replicated-nonconfluent" in capsys.readouterr().out
 
 
+def test_lint_checks_the_apps_own_plan(capsys, monkeypatch):
+    """An imposed-ordering plan keeps the replicated-nonconfluent finding,
+    and `lint` asks the app for that plan instead of re-synthesizing one."""
+    from repro.core import patterns
+
+    plans = []
+    real = patterns.lint_dataflow
+    monkeypatch.setattr(
+        patterns,
+        "lint_dataflow",
+        lambda result, plan=None, **kw: plans.append(plan) or real(result, plan, **kw),
+    )
+    assert main(["lint", "adnet", "--strategy", "ordered"]) == 3
+    assert "[replicated-nonconfluent] Report" in capsys.readouterr().out
+    assert plans[0].strategy_for("Report").topic == "report.inputs"
+    assert main(["lint", "adnet", "--strategy", "seal"]) == 0
+
+
 def test_apps_subcommand_lists_registry(capsys):
     assert main(["apps"]) == 0
     out = capsys.readouterr().out

@@ -53,3 +53,17 @@ def test_src_never_imports_the_tests_package():
         if pattern.search(path.read_text())
     ]
     assert not offenders, f"src/ imports tests/: {offenders}"
+
+
+def test_bloom_apps_wire_coordination_only_through_the_installer():
+    """How a record travels under a strategy is ``repro.bloom.rewrite``'s
+    decision: the app modules build no coordination client, producer or
+    adapter themselves and talk to no sequencer."""
+    forbidden = re.compile(
+        r"ZkClient\(|SealedStreamProducer\(|OrderedInputAdapter\("
+        r"|zk\.subscribe\(|\.submit\("
+    )
+    for name in ("ad_network.py", "kvs.py"):
+        text = (SRC / "repro" / "apps" / name).read_text()
+        assert not forbidden.findall(text), (name, forbidden.findall(text))
+        assert "apply_strategy(" in text
