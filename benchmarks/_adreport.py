@@ -1,9 +1,10 @@
-"""Shared harness for the Figures 12-14 ad-reporting experiments.
+"""Shared harness of the figure scripts: the command-line entry every
+``bench_*.py`` uses, and the Figures 12-14 ad-reporting experiments.
 
-Figures 12 and 13 run through :mod:`repro.bench` (scenario sweep over
-delivery strategies, one ``BENCH_fig12/13.json`` each); Figure 14 still
-uses the raw :func:`run_strategies` helper because it inspects per-record
-release times rather than summary metrics.
+Figures 12 and 13 run through :func:`repro.exec.evaluate` (scenario
+sweep over delivery strategies, one ``BENCH_fig12/13.json`` each);
+Figure 14 uses the raw :func:`run_strategies` helper because it inspects
+per-record release times rather than summary metrics.
 
 Workloads come in three *tiers*: ``smoke`` (CI-sized), ``default`` (the
 shape of the paper's experiment, trimmed for quick regeneration), and
@@ -15,13 +16,18 @@ clobber each other).
 
 from __future__ import annotations
 
+import argparse
 import functools
+from collections.abc import Callable, Sequence
 
 from repro.api import get_app
 from repro.apps.ad_network import AdWorkload
-from repro.bench import BenchReport, JsonReporter, Scenario, run_bench
+from repro.bench import BenchReport, JsonReporter, Scenario
+from repro.exec import CellCache, bench_cache_fields, evaluate, resolve_jobs
 
 SERIES_BUCKET = 0.25
+STRATEGIES = ("uncoordinated", "ordered", "independent-seal", "seal")
+SEED = 7
 
 
 def workload_for(servers: int) -> AdWorkload:
@@ -80,42 +86,59 @@ TIERS = {
 }
 
 
-def tier_from_flags(argv: list[str]) -> str:
-    """Map the ``--smoke`` / ``--full`` CLI flags onto a tier name."""
-    if "--full" in argv:
-        return "full"
-    if "--smoke" in argv:
-        return "smoke"
-    return "default"
-
-
-def jobs_from_flags(argv: list[str]) -> int:
-    """The ``--jobs N`` flag every figure script accepts, defaulting to
-    ``$BLAZES_JOBS`` (else serial)."""
-    from repro.exec import resolve_jobs
-
-    if "--jobs" in argv:
-        index = argv.index("--jobs")
-        try:
-            return resolve_jobs(int(argv[index + 1]))
-        except (IndexError, ValueError):
-            raise SystemExit("--jobs expects an integer worker count")
-    return resolve_jobs()
-
-
-def cache_from_flags(argv: list[str]):
-    """The figure scripts' cell cache: on by default, ``--no-cache`` off."""
-    from repro.exec import CellCache
-
-    return None if "--no-cache" in argv else CellCache()
-
-
 def report_name(figure: str, tier: str) -> str:
     """``fig12`` / ``fig12-smoke`` / ``fig12-full``."""
     return figure if tier == "default" else f"{figure}-{tier}"
 
 
-def run_strategies(servers: int, strategies, seed: int = 7):
+def figure_main(
+    argv: Sequence[str] | None,
+    run: Callable[..., BenchReport],
+    render: Callable[[BenchReport, str], None],
+    *,
+    description: str,
+    tiers: Sequence[str] = ("smoke", "full"),
+) -> BenchReport:
+    """The command line of every figure script::
+
+        python -m benchmarks.bench_figNN [--smoke|--full] [--jobs N] [--no-cache]
+
+    ``run(tier, jobs=..., cache=...)`` produces the report (``--jobs``
+    defaults to ``$BLAZES_JOBS``, else serial; the cell cache is on
+    unless ``--no-cache``) and ``render(report, tier)`` prints the
+    figure.  ``tiers`` are the non-default tiers the script has; any
+    other flag — a ``--smok`` typo included, hence no abbreviations — is
+    a usage error (exit 2), never a silent default-tier run.
+    """
+    parser = argparse.ArgumentParser(description=description, allow_abbrev=False)
+    tier = parser.add_mutually_exclusive_group()
+    for name in tiers:
+        tier.add_argument(
+            f"--{name}", dest="tier", action="store_const", const=name,
+            help=f"run the {name} tier (writes BENCH_<figure>-{name}.json)",
+        )
+    parser.set_defaults(tier="default")
+    parser.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="worker processes (default: $BLAZES_JOBS, else serial)",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="compute every cell instead of reading .blazes-cache/",
+    )
+    args = parser.parse_args(argv)
+    report = run(
+        args.tier,
+        jobs=resolve_jobs(args.jobs),
+        cache=None if args.no_cache else CellCache(),
+    )
+    render(report, args.tier)
+    print()
+    print(f"wrote {JsonReporter().path_for(report.name)}")
+    return report
+
+
+def run_strategies(servers: int, strategies, seed: int = SEED):
     workload = workload_for(servers)
     results = {}
     for strategy in strategies:
@@ -126,68 +149,42 @@ def run_strategies(servers: int, strategies, seed: int = 7):
 
 
 # ----------------------------------------------------------------------
-# repro.bench integration (Figures 12 and 13)
+# Figures 12 and 13: one strategy sweep per cluster size
 # ----------------------------------------------------------------------
-def measure_strategy(
-    servers: int, strategy: str, tier: str = "default", seed: int = 7
-) -> dict:
-    """One (cluster size, strategy) point as a JSON-able metric mapping.
-
-    Cached so the fig13 scaling comparison can reuse fig12's 5-server
-    points without re-simulating them.  This wrapper normalizes defaults
-    into a full positional key, so every call arity shares one cache slot.
-    """
-    return _measure_strategy_cached(servers, strategy, tier, seed)
-
-
-@functools.lru_cache(maxsize=None)
-def _measure_strategy_cached(
-    servers: int, strategy: str, tier: str, seed: int
-) -> dict:
+def _measure_cell(*, servers: int, strategy: str, tier: str) -> dict:
+    """One (cluster size, strategy) point as a JSON-able metric mapping;
+    module-level so the worker pool can pickle it."""
     from repro.obs.telemetry import Telemetry
 
-    workload = TIERS[tier](servers)
     # telemetry attached so every fig12/fig13 point embeds its coordcost
     # block — the measured price of the strategy next to its latency
     outcome = get_app("adnet").run(
-        strategy, workload=workload, seed=seed, workload_seed=seed,
+        strategy, workload=TIERS[tier](servers), seed=SEED, workload_seed=SEED,
         telemetry=Telemetry(),
     )
-    result = outcome.result
     return {
         **outcome.metrics,
-        # immutable: this dict is served from the cache to several tests,
-        # and run_bench's dict(metrics) copy is shallow
-        "series": tuple(result.processed_series(bucket=SERIES_BUCKET)),
+        "series": outcome.result.processed_series(bucket=SERIES_BUCKET),
     }
 
 
-def _measure_cell(*, servers: int, strategy: str, tier: str) -> dict:
-    """One sweep cell; module-level so the worker pool can pickle it."""
-    return measure_strategy(servers, strategy, tier)
-
-
+@functools.cache
 def run_adreport_bench(
-    name: str,
-    servers: int,
-    strategies,
-    *,
-    tier: str = "default",
-    jobs: int = 1,
-    cache=None,
+    figure: str, servers: int, tier: str = "default", jobs: int = 1, cache=None
 ) -> BenchReport:
     """Sweep the delivery strategies at one cluster size; write the JSON.
 
+    Memoized on the full positional key, so the figure's assertions and
+    the fig13-vs-fig12 scaling comparison share one sweep per session.
     ``jobs > 1`` runs the cells on the warm worker pool; ``cache`` serves
     previously computed cells by content address (bench name + params).
     """
-    from repro.exec import bench_cache_fields
-
+    name = report_name(figure, tier)
     scenarios = [
         Scenario(strategy, {"servers": servers, "strategy": strategy, "tier": tier})
-        for strategy in strategies
+        for strategy in STRATEGIES
     ]
-    return run_bench(
+    return evaluate(
         name,
         scenarios,
         _measure_cell,

@@ -14,9 +14,9 @@ channel, so this sweep uses a larger spout batch than the throughput
 sweep; the headline metric is ``messages_sent`` — frame size >= 16 must
 cut simulated message events by >= 5x at identical committed output.
 
-Run it through the ``repro.bench`` harness::
+Run it as a script (``--jobs N`` and ``--no-cache`` are shared: ``benchmarks/README.md``)::
 
-    PYTHONPATH=src python benchmarks/bench_fig11_wordcount_throughput.py [--smoke|--full]
+    PYTHONPATH=src python -m benchmarks.bench_fig11_wordcount_throughput [--smoke|--full]
 
 which writes ``BENCH_fig11.json`` (to ``$REPRO_BENCH_DIR`` or the cwd),
 or with pytest for the paper-shape assertions::
@@ -27,16 +27,11 @@ or with pytest for the paper-shape assertions::
 from __future__ import annotations
 
 import functools
-import sys
 
-from benchmarks._adreport import (
-    cache_from_flags,
-    jobs_from_flags,
-    report_name,
-    tier_from_flags,
-)
+from benchmarks._adreport import figure_main, report_name
 from repro.api import get_app
-from repro.bench import BenchReport, JsonReporter, run_bench, sweep
+from repro.bench import BenchReport, JsonReporter, sweep
+from repro.exec import bench_cache_fields, evaluate
 
 CLUSTER_SIZES = (5, 10, 15, 20)
 BATCHES_PER_SPOUT = 4
@@ -151,25 +146,17 @@ def _measure_batching(*, frame_size: int, scale: int, tier: str) -> dict:
     }
 
 
+@functools.cache
 def run_fig11(tier: str = "default", *, jobs: int = 1, cache=None) -> BenchReport:
     """The figure sweep at one tier; writes ``BENCH_fig11*.json``.
 
     Smoke/full runs write ``BENCH_fig11-smoke.json`` /
     ``BENCH_fig11-full.json`` so they never clobber the default-tier
-    record in the same directory.  Defaults are normalized into the
-    cached call so every call arity shares one sweep; engine runs
-    (``jobs > 1`` or a cell cache) bypass the in-process memo.
+    record in the same directory.  Memoized so the assertions below
+    share one sweep per session.
     """
-    if jobs == 1 and cache is None:
-        return _run_fig11_cached(tier)
-    return _run_fig11(tier, jobs=jobs, cache=cache)
-
-
-def _run_fig11(tier: str, *, jobs: int = 1, cache=None) -> BenchReport:
-    from repro.exec import bench_cache_fields
-
     name = report_name("fig11", tier)
-    return run_bench(
+    return evaluate(
         name,
         scenarios(tier),
         measure,
@@ -178,11 +165,6 @@ def _run_fig11(tier: str, *, jobs: int = 1, cache=None) -> BenchReport:
         cache=cache,
         cache_fields=bench_cache_fields(name),
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _run_fig11_cached(tier: str) -> BenchReport:
-    return _run_fig11(tier)
 
 
 def print_report(report: BenchReport) -> None:
@@ -236,14 +218,12 @@ def test_fig11_batched_delivery_cuts_message_events():
 
 
 def main(argv: list[str] | None = None) -> None:
-    argv = argv if argv is not None else sys.argv[1:]
-    tier = tier_from_flags(argv)
-    report = run_fig11(
-        tier=tier, jobs=jobs_from_flags(argv), cache=cache_from_flags(argv)
+    figure_main(
+        argv,
+        run_fig11,
+        lambda report, tier: print_report(report),
+        description="Figure 11: Storm word-count throughput vs cluster size",
     )
-    print_report(report)
-    print()
-    print(f"wrote {JsonReporter().path_for(report.name)}")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ campaign), and seal (all producers per campaign).  The paper's shape:
 ordering is far slower; both seal variants closely track the
 uncoordinated baseline.
 
-Run through the ``repro.bench`` harness::
+Run it as a script (``--jobs N`` and ``--no-cache`` are shared: ``benchmarks/README.md``)::
 
     PYTHONPATH=src python -m benchmarks.bench_fig12_adreport_5servers [--smoke|--full]
 
@@ -17,45 +17,20 @@ and writes ``BENCH_fig12-full.json``.
 
 from __future__ import annotations
 
-import functools
-import sys
+from benchmarks._adreport import figure_main, print_report_series, run_adreport_bench
 
-from benchmarks._adreport import (
-    cache_from_flags,
-    jobs_from_flags,
-    print_report_series,
-    report_name,
-    run_adreport_bench,
-    tier_from_flags,
-)
-from repro.bench import JsonReporter
-
-STRATEGIES = ("uncoordinated", "ordered", "independent-seal", "seal")
 SERVERS = 5
+TITLE = "Figure 12 — processed log records over time, 5 ad servers"
 
 
 def run_fig12(tier: str = "default", *, jobs: int = 1, cache=None):
-    # engine runs (pool or cache) bypass the in-process memo: the cell
-    # cache already dedupes, and reports differ by their engine block
-    if jobs == 1 and cache is None:
-        return _run_fig12_cached(tier)
-    return run_adreport_bench(
-        report_name("fig12", tier), SERVERS, STRATEGIES, tier=tier,
-        jobs=jobs, cache=cache,
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _run_fig12_cached(tier: str):
-    return run_adreport_bench(
-        report_name("fig12", tier), SERVERS, STRATEGIES, tier=tier
-    )
+    return run_adreport_bench("fig12", SERVERS, tier, jobs, cache)
 
 
 def test_fig12_adreport_5_servers():
     report = run_fig12()
     print()
-    print("Figure 12 — processed log records over time, 5 ad servers")
+    print(TITLE)
     print_report_series(report, bucket=0.5)
 
     base = report.row("uncoordinated")["completion_time"]
@@ -68,16 +43,13 @@ def test_fig12_adreport_5_servers():
     assert report.row("seal")["replicas_agree"]
 
 
-def main(argv: list[str] | None = None) -> None:
-    argv = argv if argv is not None else sys.argv[1:]
-    tier = tier_from_flags(argv)
-    report = run_fig12(
-        tier=tier, jobs=jobs_from_flags(argv), cache=cache_from_flags(argv)
-    )
-    print(f"Figure 12 — processed log records over time, 5 ad servers [{tier}]")
+def _render(report, tier: str) -> None:
+    print(f"{TITLE} [{tier}]")
     print_report_series(report, bucket=0.5)
-    print()
-    print(f"wrote {JsonReporter().path_for(report.name)}")
+
+
+def main(argv: list[str] | None = None) -> None:
+    figure_main(argv, run_fig12, _render, description=TITLE)
 
 
 if __name__ == "__main__":

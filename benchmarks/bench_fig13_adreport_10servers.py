@@ -6,7 +6,7 @@ substantially — the sequencer's serialized quorum writes are the
 bottleneck, and doubling offered load compounds queueing delay
 (the paper reports a ~3x increase).
 
-Run through the ``repro.bench`` harness::
+Run it as a script (``--jobs N`` and ``--no-cache`` are shared: ``benchmarks/README.md``)::
 
     PYTHONPATH=src python -m benchmarks.bench_fig13_adreport_10servers [--smoke|--full]
 
@@ -16,44 +16,21 @@ which writes ``BENCH_fig13.json`` (to ``$REPRO_BENCH_DIR`` or the cwd);
 
 from __future__ import annotations
 
-import functools
-import sys
+from benchmarks._adreport import figure_main, print_report_series, run_adreport_bench
+from benchmarks.bench_fig12_adreport_5servers import run_fig12
 
-from benchmarks._adreport import (
-    cache_from_flags,
-    jobs_from_flags,
-    measure_strategy,
-    print_report_series,
-    report_name,
-    run_adreport_bench,
-    tier_from_flags,
-)
-from repro.bench import JsonReporter
-
-STRATEGIES = ("uncoordinated", "ordered", "independent-seal", "seal")
 SERVERS = 10
+TITLE = "Figure 13 — processed log records over time, 10 ad servers"
 
 
 def run_fig13(tier: str = "default", *, jobs: int = 1, cache=None):
-    if jobs == 1 and cache is None:
-        return _run_fig13_cached(tier)
-    return run_adreport_bench(
-        report_name("fig13", tier), SERVERS, STRATEGIES, tier=tier,
-        jobs=jobs, cache=cache,
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _run_fig13_cached(tier: str):
-    return run_adreport_bench(
-        report_name("fig13", tier), SERVERS, STRATEGIES, tier=tier
-    )
+    return run_adreport_bench("fig13", SERVERS, tier, jobs, cache)
 
 
 def test_fig13_adreport_10_servers():
     report = run_fig13()
     print()
-    print("Figure 13 — processed log records over time, 10 ad servers")
+    print(TITLE)
     print_report_series(report, bucket=1.0)
 
     base = report.row("uncoordinated")["completion_time"]
@@ -66,18 +43,19 @@ def test_fig13_adreport_10_servers():
 def test_fig13_scaling_vs_fig12():
     """The scaling comparison the paper calls out explicitly.
 
-    ``measure_strategy`` is cached, so the 10-server points are shared
-    with :func:`test_fig13_adreport_10_servers` and the 5-server points
-    with the fig12 sweep when both run in one session.
+    Both sweeps are memoized per session, so the 10-server points are
+    shared with :func:`test_fig13_adreport_10_servers` and the 5-server
+    points with the fig12 assertions when both files run together.
     """
-    unc_growth = (
-        measure_strategy(10, "uncoordinated")["completion_time"]
-        / measure_strategy(5, "uncoordinated")["completion_time"]
-    )
-    ord_growth = (
-        measure_strategy(10, "ordered")["completion_time"]
-        / measure_strategy(5, "ordered")["completion_time"]
-    )
+    five, ten = run_fig12(), run_fig13()
+
+    def growth(strategy: str) -> float:
+        return (
+            ten.row(strategy)["completion_time"]
+            / five.row(strategy)["completion_time"]
+        )
+
+    unc_growth, ord_growth = growth("uncoordinated"), growth("ordered")
     print()
     print("Scaling 5 -> 10 ad servers (completion-time growth)")
     print(f"  uncoordinated: {unc_growth:.2f}x   (paper: little effect)")
@@ -86,16 +64,13 @@ def test_fig13_scaling_vs_fig12():
     assert ord_growth > 1.6
 
 
-def main(argv: list[str] | None = None) -> None:
-    argv = argv if argv is not None else sys.argv[1:]
-    tier = tier_from_flags(argv)
-    report = run_fig13(
-        tier=tier, jobs=jobs_from_flags(argv), cache=cache_from_flags(argv)
-    )
-    print(f"Figure 13 — processed log records over time, 10 ad servers [{tier}]")
+def _render(report, tier: str) -> None:
+    print(f"{TITLE} [{tier}]")
     print_report_series(report, bucket=1.0)
-    print()
-    print(f"wrote {JsonReporter().path_for(report.name)}")
+
+
+def main(argv: list[str] | None = None) -> None:
+    figure_main(argv, run_fig13, _render, description=TITLE)
 
 
 if __name__ == "__main__":

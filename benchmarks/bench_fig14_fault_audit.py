@@ -17,11 +17,11 @@ then asserts the two halves of the Blazes claim:
   ``Run`` (cross-run commit divergence) and the replicated KVS exhibits
   permanent ``Diverge`` (paper Section III-B).
 
-Run it through the ``repro.bench`` harness::
+Run it as a script (``--jobs N`` and ``--no-cache`` are shared: ``benchmarks/README.md``)::
 
-    PYTHONPATH=src python benchmarks/bench_fig14_fault_audit.py
+    PYTHONPATH=src python -m benchmarks.bench_fig14_fault_audit [--smoke]
 
-which writes ``BENCH_fig14-audit.json`` (to ``$REPRO_BENCH_DIR`` or the
+which writes ``BENCH_fig14-audit[-smoke].json`` (to ``$REPRO_BENCH_DIR`` or the
 cwd), or with pytest for the assertions::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_fig14_fault_audit.py -s
@@ -30,8 +30,8 @@ cwd), or with pytest for the assertions::
 from __future__ import annotations
 
 import functools
-import sys
 
+from benchmarks._adreport import figure_main, report_name
 from repro.bench import BenchReport, JsonReporter
 from repro.chaos import (
     audit_campaign,
@@ -39,39 +39,25 @@ from repro.chaos import (
     demonstrated_anomalies,
     render_audit,
 )
-from repro.chaos.campaign import DEFAULT_SEEDS as SEEDS
-from repro.chaos.campaign import DEFAULT_SMOKE_SEEDS as SMOKE_SEEDS
 
 
-def run_audit(smoke: bool = False, *, jobs: int = 1, cache=None) -> BenchReport:
+@functools.cache
+def run_audit(tier: str = "default", *, jobs: int = 1, cache=None) -> BenchReport:
     """The full campaign; writes ``BENCH_fig14-audit[-smoke].json``.
 
     Smoke runs use CI-sized workloads and two seeds, and write a
     ``-smoke`` file so they never clobber a full-scale record.
     ``jobs > 1`` fans the cells out over the warm worker pool; ``cache``
-    serves already-computed cells (engine runs bypass the in-process
-    memo — the cell cache already dedupes).
+    serves already-computed cells.  Memoized so the assertions below
+    share one campaign per session.
     """
-    if jobs == 1 and cache is None:
-        return _run_audit_cached(smoke)
-    return _run_audit(smoke, jobs=jobs, cache=cache)
-
-
-def _run_audit(smoke: bool, *, jobs: int = 1, cache=None) -> BenchReport:
-    name = "fig14-audit-smoke" if smoke else "fig14-audit"
     return audit_campaign(
-        smoke=smoke,
-        seeds=SMOKE_SEEDS if smoke else SEEDS,
-        name=name,
+        smoke=tier == "smoke",
+        name=report_name("fig14-audit", tier),
         reporter=JsonReporter(),
         jobs=jobs,
         cache=cache,
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _run_audit_cached(smoke: bool) -> BenchReport:
-    return _run_audit(smoke)
 
 
 def test_fig14_audit_is_sound():
@@ -139,16 +125,13 @@ def test_fig14_coordcost_orders_strategies():
 
 
 def main(argv: list[str] | None = None) -> None:
-    from benchmarks._adreport import cache_from_flags, jobs_from_flags
-
-    argv = argv if argv is not None else sys.argv[1:]
-    smoke = "--smoke" in argv
-    report = run_audit(
-        smoke=smoke, jobs=jobs_from_flags(argv), cache=cache_from_flags(argv)
+    report = figure_main(
+        argv,
+        run_audit,
+        lambda report, tier: print(render_audit(report, evidence=tier != "smoke")),
+        description="Figure 14 companion: the with/without-coordination fault audit",
+        tiers=("smoke",),
     )
-    print(render_audit(report, evidence=not smoke))
-    print()
-    print(f"wrote {JsonReporter().path_for(report.name)}")
     if not campaign_is_sound(report):
         raise SystemExit(4)
 

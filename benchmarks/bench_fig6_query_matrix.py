@@ -16,7 +16,7 @@ Two halves, one figure:
   Zookeeper sequencer (the ordered cells judged conditional on each
   run's recorded sequencer order).
 
-Run it through the ``repro.bench`` harness::
+Run it as a script (``--jobs N`` and ``--no-cache`` are shared: ``benchmarks/README.md``)::
 
     PYTHONPATH=src python -m benchmarks.bench_fig6_query_matrix [--smoke]
 
@@ -29,8 +29,8 @@ or the cwd), or with pytest for the assertions::
 from __future__ import annotations
 
 import functools
-import sys
 
+from benchmarks._adreport import figure_main
 from repro.apps.queries import QUERY_NAMES, make_report_module
 from repro.bench import BenchReport, JsonReporter
 from repro.bloom.analysis import analyze_module, attach_component
@@ -125,25 +125,19 @@ def test_wordcount_derivations():
 # ----------------------------------------------------------------------
 # the empirical matrix (fault audit over the registered query apps)
 # ----------------------------------------------------------------------
+@functools.cache
 def run_matrix_audit(
-    smoke: bool = False, *, jobs: int = 1, cache=None
+    tier: str = "default", *, jobs: int = 1, cache=None
 ) -> BenchReport:
     """The audit sweep; writes ``BENCH_fig6-matrix[-smoke].json``.
 
     ``jobs > 1`` fans the cells out over the warm worker pool; ``cache``
-    serves already-computed cells (engine runs bypass the in-process
-    memo — the cell cache already dedupes).
+    serves already-computed cells.  Memoized so the assertions below
+    share one sweep per session.
     """
-    if jobs == 1 and cache is None:
-        return _run_matrix_audit_cached(smoke)
     return matrix_campaign(
-        smoke=smoke, reporter=JsonReporter(), jobs=jobs, cache=cache
+        smoke=tier == "smoke", reporter=JsonReporter(), jobs=jobs, cache=cache
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _run_matrix_audit_cached(smoke: bool) -> BenchReport:
-    return matrix_campaign(smoke=smoke, reporter=JsonReporter())
 
 
 def test_fig6_matrix_audit_is_sound_and_expected():
@@ -193,19 +187,22 @@ def test_fig6_ordered_cells_judged_on_recorded_order():
     assert len(set(orders)) == len(orders)
 
 
-def main(argv: list[str] | None = None) -> None:
-    from benchmarks._adreport import cache_from_flags, jobs_from_flags
-
-    argv = argv if argv is not None else sys.argv[1:]
-    smoke = "--smoke" in argv
-    report = run_matrix_audit(
-        smoke=smoke, jobs=jobs_from_flags(argv), cache=cache_from_flags(argv)
-    )
+def _render(report: BenchReport, tier: str) -> None:
     print(render_matrix(report))
     print()
     print(render_audit(report))
     tight, total = campaign_tightness(report)
-    print(f"\ntightness {tight}/{total}; wrote {JsonReporter().path_for(report.name)}")
+    print(f"\ntightness {tight}/{total}")
+
+
+def main(argv: list[str] | None = None) -> None:
+    report = figure_main(
+        argv,
+        run_matrix_audit,
+        _render,
+        description="Figure 6: the query coordination matrix, audited under faults",
+        tiers=("smoke",),
+    )
     if not (campaign_is_sound(report) and matrix_is_expected(report)):
         raise SystemExit(4)
 

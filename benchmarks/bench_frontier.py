@@ -18,9 +18,9 @@ is bisected over [0, 1] through the warm-pool evaluation engine:
   apps at the floor — the anomaly needs no injected faults at all),
   mapping the empirical edge the labels warn about.
 
-Run it through the ``repro.bench`` harness::
+Run it as a script (``--jobs N`` and ``--no-cache`` are shared: ``benchmarks/README.md``)::
 
-    PYTHONPATH=src python benchmarks/bench_frontier.py [--smoke]
+    PYTHONPATH=src python -m benchmarks.bench_frontier [--smoke]
 
 which writes ``BENCH_frontier[-smoke].json`` (to ``$REPRO_BENCH_DIR`` or
 the cwd), or with pytest for the assertions::
@@ -31,44 +31,33 @@ the cwd), or with pytest for the assertions::
 from __future__ import annotations
 
 import functools
-import sys
 
+from benchmarks._adreport import figure_main
 from repro.bench import BenchReport, JsonReporter
 from repro.chaos.search import frontier_campaign, render_frontier
 
 
+@functools.cache
 def run_frontier(
-    smoke: bool = False, *, steps: int = 5, jobs: int = 1, cache=None
+    tier: str = "default", *, steps: int = 5, jobs: int = 1, cache=None
 ) -> BenchReport:
-    """The frontier sweep; writes ``BENCH_frontier[-smoke].json``."""
-    if jobs == 1 and cache is None:
-        return _run_frontier_cached(smoke, steps)
-    return _run_frontier(smoke, steps, jobs=jobs, cache=cache)
+    """The frontier sweep; writes ``BENCH_frontier[-smoke].json``.
 
-
-def _run_frontier(
-    smoke: bool, steps: int, *, jobs: int = 1, cache=None
-) -> BenchReport:
-    name = "frontier-smoke" if smoke else "frontier"
+    Memoized so the assertions below share one sweep per session.
+    """
     return frontier_campaign(
-        smoke=smoke,
+        smoke=tier == "smoke",
         steps=steps,
         jobs=jobs,
         cache=cache,
-        name=name,
         reporter=JsonReporter(),
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _run_frontier_cached(smoke: bool, steps: int) -> BenchReport:
-    return _run_frontier(smoke, steps)
 
 
 def test_frontier_covers_every_audit_pair():
     from repro.chaos import audit_apps, harness_for
 
-    report = run_frontier(smoke=True, steps=3)
+    report = run_frontier("smoke", steps=3)
     print()
     print(render_frontier(report))
     expected = {
@@ -84,7 +73,7 @@ def test_frontier_covers_every_audit_pair():
 
 
 def test_coordinated_strategies_hold_through_full_intensity():
-    report = run_frontier(smoke=True, steps=3)
+    report = run_frontier("smoke", steps=3)
     for result in report:
         if result["coordinated"]:
             assert result["holds"], (result.name, result["observed_full"])
@@ -92,7 +81,7 @@ def test_coordinated_strategies_hold_through_full_intensity():
 
 
 def test_predicted_anomalies_have_a_measured_frontier():
-    report = run_frontier(smoke=True, steps=3)
+    report = run_frontier("smoke", steps=3)
     degraded = [r for r in report if not r["holds"]]
     assert degraded, "no pair ever degraded: the frontier is vacuous"
     for result in degraded:
@@ -107,16 +96,13 @@ def test_predicted_anomalies_have_a_measured_frontier():
 
 
 def main(argv: list[str] | None = None) -> None:
-    from benchmarks._adreport import cache_from_flags, jobs_from_flags
-
-    argv = argv if argv is not None else sys.argv[1:]
-    smoke = "--smoke" in argv
-    report = run_frontier(
-        smoke=smoke, jobs=jobs_from_flags(argv), cache=cache_from_flags(argv)
+    figure_main(
+        argv,
+        run_frontier,
+        lambda report, tier: print(render_frontier(report)),
+        description="Severity frontiers: the fault intensity each guarantee absorbs",
+        tiers=("smoke",),
     )
-    print(render_frontier(report))
-    print()
-    print(f"wrote {JsonReporter().path_for(report.name)}")
 
 
 if __name__ == "__main__":

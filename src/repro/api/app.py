@@ -561,9 +561,8 @@ class BlazesApp:
 
         ``backend`` picks the execution backend: ``"sim"`` (the
         discrete-event kernel, the default) or ``"socket"`` (the real TCP
-        transport of :mod:`repro.net`); ``None`` defers to
-        ``$BLAZES_BACKEND``.  ``timeout`` bounds a socket run in wall
-        seconds — on expiry the services tear down cleanly and
+        transport of :mod:`repro.net`).  ``timeout`` bounds a socket run
+        in wall seconds — on expiry the services tear down cleanly and
         :class:`repro.net.services.SocketTimeout` is raised.
         """
         import contextlib
@@ -642,16 +641,10 @@ class BlazesApp:
         timeout: float | None = None,
     ):
         """Run this app's fault-injection campaign (:mod:`repro.chaos`)."""
-        from repro.chaos.campaign import (
-            DEFAULT_SEEDS,
-            DEFAULT_SMOKE_SEEDS,
-            audit_campaign,
-        )
+        from repro.chaos.campaign import audit_campaign
 
         if self.audit_spec is None:
             raise ApiError(f"app {self.name!r} has no audit profile")
-        if seeds is None:
-            seeds = DEFAULT_SMOKE_SEEDS if smoke else DEFAULT_SEEDS
         return audit_campaign(
             (self.name,),
             smoke=smoke,

@@ -1,10 +1,11 @@
-"""Benchmark harness: scenario sweeps, timing, and JSON reporting.
+"""Benchmark vocabulary: scenario sweeps, reports, timing, JSON records.
 
-The measurement skeleton shared by every ``benchmarks/bench_*.py`` figure
-script (see ``benchmarks/README.md``): declare a :func:`sweep` of
-:class:`Scenario` parameter points, hand :func:`run_bench` a function
-mapping params to metrics, and get back a queryable :class:`BenchReport`
-that a :class:`JsonReporter` persists as ``BENCH_<name>.json``.
+What every sweep is written in (see ``benchmarks/README.md``): declare a
+:func:`sweep` of :class:`Scenario` parameter points, hand
+:func:`repro.exec.evaluate` a function mapping params to metrics, and get
+back a queryable :class:`BenchReport` that a :class:`JsonReporter`
+persists as ``BENCH_<name>.json``.  This package runs nothing itself and
+imports nothing from :mod:`repro.exec`, which builds on it.
 """
 
 from repro.bench.report import JsonReporter, default_output_dir
@@ -13,21 +14,17 @@ from repro.bench.runner import (
     Scenario,
     ScenarioResult,
     assemble_report,
-    run_bench,
     sweep,
 )
-from repro.bench.timing import Stopwatch, timed, timed_detail
+from repro.bench.timing import timed_detail
 
 __all__ = [
     "BenchReport",
     "JsonReporter",
     "Scenario",
-    "assemble_report",
     "ScenarioResult",
-    "Stopwatch",
+    "assemble_report",
     "default_output_dir",
-    "run_bench",
     "sweep",
-    "timed",
     "timed_detail",
 ]

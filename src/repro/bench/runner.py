@@ -1,21 +1,20 @@
-"""Scenario runner: the shared skeleton of every ``benchmarks/bench_*.py``.
+"""Scenarios and reports: the shared vocabulary of every sweep.
 
 A benchmark is a list of :class:`Scenario` parameter points plus one
-measurement function; :func:`run_bench` executes each point, times it, and
-collects the returned metric mappings into a :class:`BenchReport` that can
-be queried by parameter (for assertions), rendered as a table (for the
-console), and written as ``BENCH_<name>.json`` (for the record).  The
-figure scripts stay tiny: declare the sweep, map params to a run, assert
-on the report.
+measurement function; :func:`repro.exec.evaluate` — the only loop over
+cells — executes each point, times it, and collects the returned metric
+mappings into a :class:`BenchReport` that can be queried by parameter
+(for assertions), rendered as a table (for the console), and written as
+``BENCH_<name>.json`` (for the record).  The figure scripts stay tiny:
+declare the sweep, map params to a run, assert on the report.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from typing import Any
 
-from repro.bench.timing import timed_detail
 from repro.errors import BenchError
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "ScenarioResult",
     "BenchReport",
     "assemble_report",
-    "run_bench",
     "sweep",
 ]
 
@@ -80,7 +78,7 @@ class BenchReport:
         self.name = name
         self.results = list(results)
         # The evaluation engine's accounting block (jobs, cache hits,
-        # pool utilization); None for plain serial runs.
+        # pool utilization); None for a report assembled by hand.
         self.engine: dict[str, Any] | None = None
 
     def __iter__(self):
@@ -161,105 +159,34 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _validated_result(
-    bench_name: str,
-    scenario: Scenario,
-    metrics: Any,
-    wall: float,
-    verbose: bool,
-    *,
-    cpu: float | None = None,
-) -> ScenarioResult:
-    if not isinstance(metrics, Mapping):
-        raise BenchError(
-            f"bench {bench_name!r} scenario {scenario.name!r}: measurement "
-            f"returned {type(metrics).__name__}, expected a metric mapping"
-        )
-    result = ScenarioResult(
-        scenario.name, dict(scenario.params), dict(metrics), wall, cpu
-    )
-    if verbose:
-        print(f"[{bench_name}] {scenario.name}: {result.metrics} ({wall:.2f}s)")
-    return result
-
-
 def assemble_report(
     name: str,
     scenarios: Iterable[Scenario],
     outcomes: Iterable[tuple[Any, ...]],
-    *,
-    reporter: "Any | None" = None,
-    verbose: bool = False,
 ) -> BenchReport:
-    """Collect externally produced outcomes into a report.
+    """Collect measured outcomes into a report, one per scenario.
 
     Each outcome is ``(metrics, wall_seconds)`` or ``(metrics,
-    wall_seconds, cpu_seconds)``.  The out-of-band counterpart to
-    :func:`run_bench` for callers that run the measurements themselves
-    (e.g. on a process pool): same validation, same verbose rendering,
-    same reporter protocol, so a parallel run produces a report
-    indistinguishable from a serial one.
+    wall_seconds, cpu_seconds)``.  Every report is built here — by
+    :func:`repro.exec.evaluate` for the cells it computed or served from
+    the cache, and by callers that fold several evaluations into one row
+    (the severity frontier) — so the metric-mapping check exists once.
     """
-    results = [
-        _validated_result(
-            name,
-            scenario,
-            outcome[0],
-            outcome[1],
-            verbose,
-            cpu=outcome[2] if len(outcome) > 2 else None,
-        )
-        for scenario, outcome in zip(scenarios, outcomes)
-    ]
-    report = BenchReport(name, results)
-    if reporter is not None:
-        reporter.write(report)
-    return report
-
-
-def run_bench(
-    name: str,
-    scenarios: Iterable[Scenario],
-    fn: Callable[..., Mapping[str, Any]],
-    *,
-    reporter: "Any | None" = None,
-    verbose: bool = False,
-    jobs: int = 1,
-    cache: "Any | None" = None,
-    cache_fields: "Callable[[Scenario], Mapping[str, Any]] | None" = None,
-    modules: Iterable[str] = (),
-) -> BenchReport:
-    """Execute every scenario and collect a :class:`BenchReport`.
-
-    ``fn`` is called as ``fn(**scenario.params)`` and must return a
-    JSON-serializable metric mapping.  Pass a
-    :class:`repro.bench.report.JsonReporter` as ``reporter`` to also write
-    ``BENCH_<name>.json``.  ``jobs > 1`` or a
-    :class:`~repro.exec.cache.CellCache` routes the run through the
-    evaluation engine (warm worker pool + content-addressed cache); ``fn``
-    must then be module-level (picklable).
-    """
-    if jobs > 1 or cache is not None:
-        from repro.exec.engine import evaluate
-
-        return evaluate(
-            name,
-            scenarios,
-            fn,
-            jobs=jobs,
-            cache=cache,
-            cache_fields=cache_fields,
-            modules=tuple(modules),
-            reporter=reporter,
-            verbose=verbose,
-        )
-    results: list[ScenarioResult] = []
-    for scenario in scenarios:
-        metrics, wall, cpu = timed_detail(fn, **scenario.params)
+    results = []
+    for scenario, outcome in zip(scenarios, outcomes):
+        metrics = outcome[0]
+        if not isinstance(metrics, Mapping):
+            raise BenchError(
+                f"bench {name!r} scenario {scenario.name!r}: measurement "
+                f"returned {type(metrics).__name__}, expected a metric mapping"
+            )
         results.append(
-            _validated_result(name, scenario, metrics, wall, verbose, cpu=cpu)
+            ScenarioResult(
+                scenario.name,
+                dict(scenario.params),
+                dict(metrics),
+                outcome[1],
+                outcome[2] if len(outcome) > 2 else None,
+            )
         )
-    report = BenchReport(name, results)
-    if reporter is not None:
-        reporter.write(report)
-    return report
+    return BenchReport(name, results)

@@ -1,4 +1,4 @@
-"""Wall-clock timing helpers for the benchmark harness.
+"""Wall-clock timing for the benchmark harness.
 
 Simulated (virtual) time lives inside :mod:`repro.sim`; this module
 measures real wall-clock cost of running a scenario, which is what the
@@ -12,33 +12,7 @@ import time
 from collections.abc import Callable
 from typing import Any
 
-__all__ = ["Stopwatch", "timed", "timed_detail"]
-
-
-class Stopwatch:
-    """A context-manager stopwatch over ``time.perf_counter``."""
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self.seconds: float = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self._start is not None
-        self.seconds = time.perf_counter() - self._start
-
-    def __repr__(self) -> str:
-        return f"Stopwatch({self.seconds:.6f}s)"
-
-
-def timed(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> tuple[Any, float]:
-    """Call ``fn`` and return ``(result, wall_seconds)``."""
-    with Stopwatch() as watch:
-        result = fn(*args, **kwargs)
-    return result, watch.seconds
+__all__ = ["timed_detail"]
 
 
 def timed_detail(

@@ -35,20 +35,26 @@ from collections.abc import Sequence
 
 from repro.bench import BenchReport, Scenario
 from repro.chaos.envelope import cell_status
-from repro.chaos.harnesses import audit_apps, harness_for
+from repro.chaos.harnesses import AppHarness, audit_apps, harness_for
 from repro.chaos.oracle import ObservedLabel, classify_runs
 from repro.chaos.schedule import FaultSchedule, schedule_from_dict
 from repro.errors import BlazesError
+
+# repro.exec is imported where it is used: every app module imports this
+# package for its envelope, and a plain ``blazes run`` should not pay for
+# multiprocessing and concurrent.futures (~30 ms) it never touches
 
 __all__ = [
     "DEFAULT_SEEDS",
     "DEFAULT_SMOKE_SEEDS",
     "audit_campaign",
+    "audit_cell",
     "campaign_is_sound",
     "campaign_tightness",
     "cell_status_of",
     "default_schedules",
     "demonstrated_anomalies",
+    "evaluate_cells",
     "matrix_apps",
     "matrix_campaign",
     "matrix_is_expected",
@@ -57,6 +63,7 @@ __all__ = [
     "render_audit",
     "render_matrix",
     "schedule_cell_name",
+    "sweep_defaults",
 ]
 
 DEFAULT_SEEDS = (7, 11, 13)
@@ -68,9 +75,37 @@ DEFAULT_SMOKE_SEEDS = (7, 11)
 _CONSISTENT_SEVERITY = ObservedLabel.ASYNC.severity
 
 
+def sweep_defaults(
+    base: str,
+    smoke: bool,
+    seeds: Sequence[int] | None = None,
+    name: str | None = None,
+) -> tuple[tuple[int, ...], str]:
+    """A sweep's ``(seeds, report name)`` at one tier.
+
+    Smoke sweeps default to two seeds and a ``<base>-smoke`` record, so
+    they never clobber a full-scale one; explicit values pass through.
+    """
+    if not seeds:
+        seeds = DEFAULT_SMOKE_SEEDS if smoke else DEFAULT_SEEDS
+    if name is None:
+        name = f"{base}-smoke" if smoke else base
+    return tuple(seeds), name
+
+
 def default_schedules(app: str, *, smoke: bool = False) -> tuple[FaultSchedule, ...]:
     """The fault schedules an app's campaign sweeps by default."""
     return harness_for(app, smoke=smoke).schedules
+
+
+def _cell_schedule(
+    harness: AppHarness, schedule: str, schedule_spec: dict | None
+) -> FaultSchedule:
+    """The schedule a cell's params denote: the inline spec when the cell
+    carries one, else the app's default schedule of that name."""
+    if schedule_spec is not None:
+        return schedule_from_dict(schedule_spec)
+    return harness.schedule_named(schedule)
 
 
 def _cell_metrics(
@@ -104,10 +139,7 @@ def _cell_metrics(
     from repro.obs.coordcost import aggregate_coordcost
 
     harness = harness_for(app, smoke=smoke, backend=backend, timeout=timeout)
-    if schedule_spec is not None:
-        sched = schedule_from_dict(schedule_spec)
-    else:
-        sched = harness.schedule_named(schedule)
+    sched = _cell_schedule(harness, schedule, schedule_spec)
     # envelope check in normalized time, before horizon scaling — the
     # convention the envelope's crash-restart deadline is declared in
     violations = (
@@ -166,10 +198,7 @@ def _cell_cache_fields(scenario: Scenario) -> dict:
 
     params = scenario.params
     harness = harness_for(params["app"], smoke=params["smoke"])
-    if params.get("schedule_spec") is not None:
-        sched = schedule_from_dict(params["schedule_spec"])
-    else:
-        sched = harness.schedule_named(params["schedule"])
+    sched = _cell_schedule(harness, params["schedule"], params.get("schedule_spec"))
     run_params = dict(harness.profile.run_params(params["smoke"]))
     run_params["workload_seed"] = harness.profile.workload_seed
     return {
@@ -198,15 +227,71 @@ def schedule_cell_name(app: str, strategy: str, schedule: FaultSchedule) -> str:
     return f"{app}/{strategy}/{schedule.name}#{schedule_digest(schedule)[:8]}"
 
 
+def audit_cell(
+    harness: AppHarness,
+    strategy: str,
+    schedule: FaultSchedule,
+    *,
+    seeds: Sequence[int],
+    inline: bool,
+    backend: str = "sim",
+    timeout: float | None = None,
+) -> Scenario:
+    """The one constructor of an audit cell: what :func:`_cell_metrics`
+    runs and :func:`_cell_cache_fields` addresses.
+
+    ``inline`` cells carry their schedule by value and go by a
+    digest-suffixed name — searched, shrunk and composite schedules, or
+    a default schedule whose name another one shares; the rest name one
+    of the app's default schedules.
+    """
+    app = harness.name
+    params = {
+        "app": app,
+        "strategy": strategy,
+        "schedule": schedule.name,
+        "smoke": harness.smoke,
+        "seeds": list(seeds),
+        "app_module": harness.app.origin_module,
+        "backend": backend,
+        "timeout": timeout,
+    }
+    if not inline:
+        return Scenario(f"{app}/{strategy}/{schedule.name}", params)
+    params["schedule_spec"] = schedule.to_dict()
+    return Scenario(schedule_cell_name(app, strategy, schedule), params)
+
+
+def evaluate_cells(
+    name: str,
+    cells: Sequence[Scenario],
+    *,
+    jobs: int = 1,
+    cache=None,
+    reporter=None,
+) -> BenchReport:
+    """Evaluate :func:`audit_cell` scenarios through the engine."""
+    from repro.exec.engine import evaluate
+
+    return evaluate(
+        name,
+        cells,
+        _cell_metrics,
+        jobs=jobs,
+        cache=cache,
+        cache_fields=_cell_cache_fields,
+        reporter=reporter,
+    )
+
+
 def audit_campaign(
     apps: Sequence[str] | None = None,
     *,
     smoke: bool = False,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
+    seeds: Sequence[int] | None = None,
     schedules: Sequence[str] | None = None,
-    name: str = "audit",
+    name: str | None = None,
     reporter=None,
-    verbose: bool = False,
     jobs: int = 1,
     cache=None,
     backend: str | None = None,
@@ -226,7 +311,9 @@ def audit_campaign(
     serves already-computed cells by content address.  Results are
     identical to a serial uncached run, merged back in scenario order.
     ``apps`` defaults to every registered app carrying an audit profile
-    (:func:`repro.chaos.harnesses.audit_apps`).
+    (:func:`repro.chaos.harnesses.audit_apps`); ``seeds`` and ``name``
+    default per tier (:func:`sweep_defaults`: ``audit`` /
+    ``audit-smoke``, with ``-socket`` appended on the socket backend).
 
     ``backend="socket"`` executes every cell on the real TCP transport
     (:mod:`repro.net`) instead of the discrete-event kernel.  Socket
@@ -237,9 +324,12 @@ def audit_campaign(
     from repro.net.context import NetConfig, note_backend, resolve_backend
 
     exec_backend = resolve_backend(backend)
+    seeds, default_name = sweep_defaults("audit", smoke, seeds)
     if exec_backend == "socket":
         note_backend("socket", NetConfig.from_env(timeout=timeout))
         cache = None
+        default_name += "-socket"
+    name = name or default_name
     if apps is None:
         apps = audit_apps()
     harnesses = [harness_for(app, smoke=smoke) for app in apps]
@@ -254,7 +344,7 @@ def audit_campaign(
                 f"the swept apps have: {', '.join(sorted(known))}"
             )
     scenarios: list[Scenario] = []
-    for app, harness in zip(apps, harnesses):
+    for harness in harnesses:
         swept = [
             schedule
             for schedule in harness.schedules
@@ -267,49 +357,23 @@ def audit_campaign(
         counts: dict[str, int] = {}
         for schedule in swept:
             counts[schedule.name] = counts.get(schedule.name, 0) + 1
-        for strategy in harness.strategies:
-            for schedule in swept:
-                ambiguous = counts[schedule.name] > 1
-                cell_name = (
-                    schedule_cell_name(app, strategy, schedule)
-                    if ambiguous
-                    else f"{app}/{strategy}/{schedule.name}"
-                )
-                params = {
-                    "app": app,
-                    "strategy": strategy,
-                    "schedule": schedule.name,
-                    "smoke": smoke,
-                    "seeds": list(seeds),
-                    "app_module": harness.app.origin_module,
-                    "backend": exec_backend,
-                    "timeout": timeout,
-                }
-                if ambiguous:
-                    params["schedule_spec"] = schedule.to_dict()
-                scenarios.append(Scenario(cell_name, params))
+        scenarios.extend(
+            audit_cell(
+                harness,
+                strategy,
+                schedule,
+                seeds=seeds,
+                inline=counts[schedule.name] > 1,
+                backend=exec_backend,
+                timeout=timeout,
+            )
+            for strategy in harness.strategies
+            for schedule in swept
+        )
     if not scenarios:
         raise BlazesError("the audit selected no cells: nothing to give a verdict on")
-
-    from repro.exec.engine import evaluate
-
-    modules = sorted(
-        {
-            scenario.params["app_module"]
-            for scenario in scenarios
-            if scenario.params["app_module"]
-        }
-    )
-    return evaluate(
-        name,
-        scenarios,
-        _cell_metrics,
-        jobs=jobs,
-        cache=cache,
-        cache_fields=_cell_cache_fields,
-        modules=modules,
-        reporter=reporter,
-        verbose=verbose,
+    return evaluate_cells(
+        name, scenarios, jobs=jobs, cache=cache, reporter=reporter
     )
 
 
@@ -374,7 +438,6 @@ def matrix_campaign(
     cache=None,
     name: str | None = None,
     reporter=None,
-    verbose: bool = False,
 ) -> BenchReport:
     """Sweep every Figure 6 query app through the fault audit.
 
@@ -383,17 +446,13 @@ def matrix_campaign(
     report is an ordinary audit report; :func:`matrix_summary` folds it
     into the paper's per-query coordination-requirement matrix.
     """
-    if seeds is None:
-        seeds = DEFAULT_SMOKE_SEEDS if smoke else DEFAULT_SEEDS
-    if name is None:
-        name = "fig6-matrix-smoke" if smoke else "fig6-matrix"
+    seeds, name = sweep_defaults("fig6-matrix", smoke, seeds, name)
     return audit_campaign(
         matrix_apps(),
         smoke=smoke,
         seeds=seeds,
         name=name,
         reporter=reporter,
-        verbose=verbose,
         jobs=jobs,
         cache=cache,
     )

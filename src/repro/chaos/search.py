@@ -21,7 +21,7 @@ property-based-testing tradition:
   beyond Async, emitted as ``BENCH_frontier.json`` via :mod:`repro.bench`.
 
 Every schedule evaluation is an ordinary audit cell
-(:func:`repro.chaos.campaign._cell_metrics`): same oracle, same seeds,
+(:func:`repro.chaos.campaign.audit_cell`): same oracle, same seeds,
 same cache key schema — a searched schedule that matches a library one
 byte-for-byte shares its cache entry.
 """
@@ -32,14 +32,12 @@ import dataclasses
 import random
 from collections.abc import Callable, Sequence
 
-from repro.bench import BenchReport, Scenario
+from repro.bench import BenchReport, Scenario, assemble_report
 from repro.chaos.campaign import (
-    DEFAULT_SEEDS,
-    DEFAULT_SMOKE_SEEDS,
     _CONSISTENT_SEVERITY,
-    _cell_cache_fields,
-    _cell_metrics,
-    schedule_cell_name,
+    audit_cell,
+    evaluate_cells,
+    sweep_defaults,
 )
 from repro.chaos.envelope import FAULT_KINDS
 from repro.chaos.harnesses import audit_apps, harness_for
@@ -88,8 +86,8 @@ class CellProbe:
     def __init__(
         self,
         *,
-        smoke: bool = False,
-        seeds: Sequence[int] = DEFAULT_SEEDS,
+        smoke: bool,
+        seeds: Sequence[int],
         jobs: int = 1,
         cache=None,
         label: str = "search",
@@ -114,23 +112,6 @@ class CellProbe:
             self._harnesses[app] = harness_for(app, smoke=self.smoke)
         return self._harnesses[app]
 
-    def _scenario(self, app: str, strategy: str, schedule: FaultSchedule):
-        harness = self.harness(app)
-        return Scenario(
-            schedule_cell_name(app, strategy, schedule),
-            {
-                "app": app,
-                "strategy": strategy,
-                "schedule": schedule.name,
-                "smoke": self.smoke,
-                "seeds": list(self.seeds),
-                "app_module": harness.app.origin_module,
-                "backend": "sim",
-                "timeout": None,
-                "schedule_spec": schedule.to_dict(),
-            },
-        )
-
     def results(
         self,
         cells: Sequence[tuple[str, str, FaultSchedule]],
@@ -143,27 +124,20 @@ class CellProbe:
         Cells with identical content (same digest-suffixed name) are
         evaluated once and fanned back out.
         """
-        from repro.exec.engine import evaluate
-
-        scenarios = [self._scenario(*cell) for cell in cells]
+        scenarios = [
+            audit_cell(
+                self.harness(app), strategy, schedule, seeds=self.seeds, inline=True
+            )
+            for app, strategy, schedule in cells
+        ]
         unique: dict[str, Scenario] = {}
         for scenario in scenarios:
             unique.setdefault(scenario.name, scenario)
-        modules = sorted(
-            {
-                scenario.params["app_module"]
-                for scenario in unique.values()
-                if scenario.params["app_module"]
-            }
-        )
-        report = evaluate(
+        report = evaluate_cells(
             self.label,
             list(unique.values()),
-            _cell_metrics,
             jobs=self.jobs,
             cache=self.cache,
-            cache_fields=_cell_cache_fields,
-            modules=modules,
             reporter=reporter,
         )
         self.batches += 1
@@ -445,11 +419,9 @@ def search_campaign(
     (including the searched-cell cache hit rate).  ``reporter`` writes
     the candidate sweep as an ordinary ``BENCH_*.json``.
     """
-    if seeds is None:
-        seeds = DEFAULT_SMOKE_SEEDS if smoke else DEFAULT_SEEDS
+    seeds, label = sweep_defaults("search", smoke, seeds)
     if apps is None:
         apps = audit_apps()
-    label = "search-smoke" if smoke else "search"
     probe = CellProbe(
         smoke=smoke, seeds=seeds, jobs=jobs, cache=cache, label=label
     )
@@ -624,7 +596,7 @@ def frontier_campaign(
     steps: int = 5,
     jobs: int = 1,
     cache=None,
-    name: str = "frontier",
+    name: str | None = None,
     reporter=None,
 ) -> BenchReport:
     """Map, per app x strategy, the intensity where the guarantee breaks.
@@ -642,10 +614,7 @@ def frontier_campaign(
     together, and the endpoint cells are shared with (cached from) any
     ordinary audit of the same apps.
     """
-    from repro.bench.runner import assemble_report
-
-    if seeds is None:
-        seeds = DEFAULT_SMOKE_SEEDS if smoke else DEFAULT_SEEDS
+    seeds, name = sweep_defaults("frontier", smoke, seeds, name)
     if apps is None:
         apps = audit_apps()
     probe = CellProbe(

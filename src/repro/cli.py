@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("sim", "socket"),
         default=None,
         help="execution backend: the discrete-event simulator (default) "
-        "or real TCP transport ($BLAZES_BACKEND overrides the default)",
+        "or real TCP transport",
     )
     run_cmd.add_argument(
         "--timeout",
@@ -673,7 +673,6 @@ def _cmd_audit(args) -> int:
         render_audit,
         render_matrix,
     )
-    from repro.chaos.campaign import DEFAULT_SEEDS, DEFAULT_SMOKE_SEEDS
     from repro.core.report import audit_to_dict
     from repro.exec import CellCache, resolve_jobs
     from repro.obs.render import engine_line
@@ -697,10 +696,6 @@ def _cmd_audit(args) -> int:
     schedules = None
     if args.schedules:
         schedules = tuple(name for name in args.schedules.split(",") if name)
-    if args.seeds:
-        seeds = tuple(args.seeds)
-    else:
-        seeds = DEFAULT_SMOKE_SEEDS if args.smoke else DEFAULT_SEEDS
     reporter = None if args.no_report else JsonReporter()
     jobs = resolve_jobs(args.jobs)
     cache = None if args.no_cache else CellCache()
@@ -714,7 +709,7 @@ def _cmd_audit(args) -> int:
         payload = search_campaign(
             apps,
             smoke=args.smoke,
-            seeds=seeds,
+            seeds=args.seeds,
             candidates=args.candidates,
             budget=args.budget,
             seed=args.search_seed,
@@ -730,28 +725,22 @@ def _cmd_audit(args) -> int:
                 print(f"\nwrote {reporter.path_for(payload['search'])}")
         return 0 if search_is_sound(payload) else 4
     if args.matrix:
-        name = "fig6-matrix-smoke" if args.smoke else "fig6-matrix"
         report = matrix_campaign(
             smoke=args.smoke,
-            seeds=seeds,
-            name=name,
+            seeds=args.seeds,
             reporter=reporter,
             jobs=jobs,
             cache=cache,
         )
         ok = campaign_is_sound(report) and matrix_is_expected(report)
     else:
-        name = "audit-smoke" if args.smoke else "audit"
-        if args.backend == "socket":
-            name = f"{name}-socket"
         from repro.net.services import SocketTimeout
 
         try:
             report = audit_campaign(
                 apps,
                 smoke=args.smoke,
-                seeds=seeds,
-                name=name,
+                seeds=args.seeds,
                 reporter=reporter,
                 jobs=jobs,
                 cache=cache,
@@ -779,13 +768,12 @@ def _cmd_audit(args) -> int:
             print()
             print(engine_line(report.engine))
         if reporter is not None:
-            print(f"\nwrote {reporter.path_for(name)}")
+            print(f"\nwrote {reporter.path_for(report.name)}")
     return 0 if ok else 4
 
 
 def _cmd_frontier(args) -> int:
     from repro.bench import JsonReporter
-    from repro.chaos.campaign import DEFAULT_SEEDS, DEFAULT_SMOKE_SEEDS
     from repro.chaos.search import frontier_campaign, render_frontier
     from repro.exec import CellCache, resolve_jobs
     from repro.obs.render import engine_line
@@ -793,20 +781,14 @@ def _cmd_frontier(args) -> int:
     apps = None
     if args.apps:
         apps = tuple(name for name in args.apps.split(",") if name)
-    if args.seeds:
-        seeds = tuple(args.seeds)
-    else:
-        seeds = DEFAULT_SMOKE_SEEDS if args.smoke else DEFAULT_SEEDS
-    name = "frontier-smoke" if args.smoke else "frontier"
     reporter = None if args.no_report else JsonReporter()
     report = frontier_campaign(
         apps,
         smoke=args.smoke,
-        seeds=seeds,
+        seeds=args.seeds,
         steps=args.steps,
         jobs=resolve_jobs(args.jobs),
         cache=None if args.no_cache else CellCache(),
-        name=name,
         reporter=reporter,
     )
     if args.json:
@@ -818,7 +800,7 @@ def _cmd_frontier(args) -> int:
             print()
             print(engine_line(report.engine))
         if reporter is not None:
-            print(f"\nwrote {reporter.path_for(name)}")
+            print(f"\nwrote {reporter.path_for(report.name)}")
     return 0
 
 

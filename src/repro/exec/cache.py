@@ -5,8 +5,10 @@ parameters, so a finished cell's metric mapping can be stored once and
 served on every identical rerun.  Entries are addressed purely by
 content: the cache key is a sha256 over the canonical JSON of
 
-* the cache schema version (:data:`CACHE_SCHEMA_VERSION`) and the
-  library version — bumping either orphans every old entry;
+* the cache schema version (:data:`CACHE_SCHEMA_VERSION`) and a digest
+  of the ``repro`` package source (:func:`source_digest`) — a schema
+  bump or an edit to any source file orphans every old entry, so a
+  cell computed by different code is never served;
 * the caller-supplied key fields — for an audit cell that is the app,
   strategy, *compiled* fault-schedule digest, horizon, seeds, and a
   digest of the runner kwargs; for a generic bench cell the bench name
@@ -25,6 +27,8 @@ persist next to the objects in ``stats.json`` for ``blazes stats
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
 import os
 import shutil
@@ -44,6 +48,7 @@ __all__ = [
     "read_engine_stats",
     "record_engine_stats",
     "schedule_digest",
+    "source_digest",
 ]
 
 # v2: audit-cell metrics gained the envelope status fields
@@ -56,6 +61,22 @@ STATS_FILE = "stats.json"
 def default_cache_dir() -> Path:
     """Where cached cells live: ``$BLAZES_CACHE_DIR`` or ``.blazes-cache``."""
     return Path(os.environ.get(CACHE_DIR_ENV, ".blazes-cache"))
+
+
+@functools.cache
+def source_digest(root: Path = Path(__file__).resolve().parents[1]) -> str:
+    """The sha256 of every ``*.py`` under ``root`` (the ``repro`` package).
+
+    Paths and contents both enter, in sorted order; computed once per
+    process, since the code a process runs does not change under it.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def kwargs_digest(kwargs: Mapping[str, Any]) -> str:
@@ -108,12 +129,10 @@ class CellCache:
     # ------------------------------------------------------------------
     def key(self, fields: Mapping[str, Any]) -> str:
         """The content address of one cell."""
-        from repro import __version__
-
         return content_digest(
             {
                 "cache_schema": CACHE_SCHEMA_VERSION,
-                "library": __version__,
+                "source": source_digest(),
                 **fields,
             }
         )

@@ -14,9 +14,8 @@ plus the module-level measurement function and
    :class:`~repro.bench.BenchReport`, indistinguishable from a serial
    uncached run, and
 4. attaches an ``engine`` accounting block (cells, hits, misses, pool
-   utilization, per-worker throughput) to the report, mirrors it into
-   the active :class:`~repro.obs.telemetry.Telemetry` hub, and folds it
-   into the cache directory's cumulative ``stats.json`` for
+   utilization, per-worker throughput) to the report and folds it into
+   the cache directory's cumulative ``stats.json`` for
    ``blazes stats --engine``.
 
 ``resolve_jobs`` maps the CLI convention onto a worker count: an
@@ -27,9 +26,11 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
+from repro.bench.runner import BenchReport, assemble_report
+from repro.bench.timing import timed_detail
 from repro.errors import ExecError
 from repro.exec.cache import CellCache, record_engine_stats
 from repro.exec.pool import shared_pool
@@ -70,12 +71,6 @@ def bench_cache_fields(bench: str) -> Callable[[Any], dict[str, Any]]:
     return fields
 
 
-def _compute_serial(fn, params_list):
-    from repro.bench.timing import timed_detail
-
-    return [timed_detail(fn, **params) for params in params_list]
-
-
 def evaluate(
     name: str,
     scenarios: Iterable[Any],
@@ -84,15 +79,15 @@ def evaluate(
     jobs: int = 1,
     cache: CellCache | None = None,
     cache_fields: Callable[[Any], Mapping[str, Any]] | None = None,
-    modules: Sequence[str] = (),
     reporter: Any | None = None,
-    verbose: bool = False,
-):
+) -> BenchReport:
     """Evaluate every scenario through the cache and the warm pool.
 
-    ``fn`` must be a module-level (picklable) callable taking the
-    scenario's params as keyword arguments and returning a metric
-    mapping, exactly as :func:`repro.bench.run_bench` expects.
+    ``fn`` takes the scenario's params as keyword arguments and returns
+    a JSON-serializable metric mapping (anything else raises
+    :class:`~repro.errors.BenchError`); with ``jobs > 1`` it must be
+    module-level (picklable).  Pass a :class:`~repro.bench.JsonReporter`
+    as ``reporter`` to also write ``BENCH_<name>.json``.
     ``cache_fields`` maps a scenario to the key fields that make its
     result content-addressable; without it (or without ``cache``) every
     cell is computed.  Cached metrics round-trip through JSON, so tuples
@@ -102,8 +97,6 @@ def evaluate(
     Returns the assembled :class:`~repro.bench.BenchReport` with the
     engine accounting block attached as ``report.engine``.
     """
-    from repro.bench.runner import assemble_report
-
     jobs = resolve_jobs(jobs)
     scenarios = list(scenarios)
     start = time.perf_counter()
@@ -134,10 +127,10 @@ def evaluate(
         params_list = [dict(scenarios[index].params) for index in pending]
         if jobs > 1:
             pool = shared_pool(jobs)
-            computed = pool.run(fn, params_list, modules=tuple(modules))
+            computed = pool.run(fn, params_list)
             pool_stats = pool.last
         else:
-            computed = _compute_serial(fn, params_list)
+            computed = [timed_detail(fn, **params) for params in params_list]
         for index, outcome in zip(pending, computed):
             outcomes[index] = outcome
             if cache is not None and keys[index] is not None:
@@ -162,32 +155,11 @@ def evaluate(
         "pool": pool_stats.to_dict() if pool_stats is not None else None,
         "cache": cache.stats() if cache is not None else None,
     }
-    _note_telemetry(engine)
     if cache is not None:
         record_engine_stats(engine, cache.directory)
 
-    report = assemble_report(
-        name, scenarios, outcomes, reporter=reporter, verbose=verbose
-    )
+    report = assemble_report(name, scenarios, outcomes)
     report.engine = engine
+    if reporter is not None:
+        reporter.write(report)
     return report
-
-
-def _note_telemetry(engine: Mapping[str, Any]) -> None:
-    """Mirror one engine run into the active telemetry hub, if any."""
-    from repro.obs import telemetry
-
-    hub = telemetry.current()
-    if hub is None:
-        return
-    hub.count("engine.cells", "computed", by=engine["computed"])
-    hub.count("engine.cells", "cached", by=engine["cache_hits"])
-    if engine["cache_enabled"]:
-        hub.count("engine.cache", "hit", by=engine["cache_hits"])
-        hub.count("engine.cache", "miss", by=engine["cache_misses"])
-    pool = engine.get("pool")
-    if pool:
-        hub.gauge("engine.pool.utilization", pool["utilization"])
-        hub.observe("engine.pool.wall_seconds", pool["wall_seconds"])
-        for pid, worker in pool["workers"].items():
-            hub.gauge(f"engine.worker.{pid}.events_per_second", worker["events_per_second"])

@@ -18,10 +18,10 @@ keeps ONE pool per process:
 * every dispatch records :class:`PoolStats` (utilization, per-worker
   busy time and events/sec), surfaced through ``blazes stats --engine``.
 
-The start method defaults to ``fork`` where available (workers inherit
-the warm parent image outright) and ``spawn`` elsewhere, overridable via
-``BLAZES_POOL_START``; cells are self-contained and re-seed their own
-simulated clusters, so results are identical under either method.
+The start method is ``fork`` where available (workers inherit the warm
+parent image outright) and ``spawn`` elsewhere; cells are self-contained
+and re-seed their own simulated clusters, so results are identical under
+either method.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any
 
+from repro.bench.timing import timed_detail
 from repro.errors import ExecError
 
 __all__ = ["PRELOAD", "PoolStats", "WorkerPool", "shared_pool", "shutdown_shared_pool"]
@@ -44,13 +45,8 @@ __all__ = ["PRELOAD", "PoolStats", "WorkerPool", "shared_pool", "shutdown_shared
 # registries the campaign and the benchmarks resolve apps through.
 PRELOAD = ("repro", "repro.apps", "repro.chaos.campaign")
 
-START_METHOD_ENV = "BLAZES_POOL_START"
-
 
 def _start_method() -> str:
-    method = os.environ.get(START_METHOD_ENV)
-    if method:
-        return method
     return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
@@ -60,23 +56,17 @@ def _warm_worker(modules: Sequence[str]) -> None:
         importlib.import_module(name)
 
 
-def _run_chunk(fn, tasks, modules):
+def _run_chunk(fn, tasks):
     """Worker side: one chunk of ``(index, params)`` tasks.
 
     Returns ``(index, metrics, wall, cpu, pid, events)`` per task;
     ``events`` is the cell's simulated-event count when its metric
     mapping carries one (feeds the per-worker events/sec telemetry).
     """
-    for name in modules:
-        importlib.import_module(name)
     pid = os.getpid()
     rows = []
     for index, params in tasks:
-        wall_start = time.perf_counter()
-        cpu_start = time.process_time()
-        metrics = fn(**params)
-        wall = time.perf_counter() - wall_start
-        cpu = time.process_time() - cpu_start
+        metrics, wall, cpu = timed_detail(fn, **params)
         events = metrics.get("events") if isinstance(metrics, Mapping) else None
         rows.append((index, metrics, wall, cpu, pid, events))
     return rows
@@ -165,7 +155,7 @@ class WorkerPool:
     alive across calls; :attr:`spawned` counts executor (re)creations so
     tests can assert warm reuse.  ``fn`` must be a module-level
     (picklable) callable taking keyword arguments and returning a metric
-    mapping, exactly like a :func:`repro.bench.run_bench` measurement.
+    mapping, exactly like a :func:`repro.exec.evaluate` measurement.
     """
 
     def __init__(
@@ -226,15 +216,12 @@ class WorkerPool:
         fn: Callable[..., Mapping[str, Any]],
         param_list: Sequence[Mapping[str, Any]],
         *,
-        modules: Sequence[str] = (),
         chunksize: int | None = None,
     ) -> list[tuple[Any, float, float]]:
         """Evaluate ``fn(**params)`` for every mapping, in input order.
 
         Returns ``(metrics, wall_seconds, cpu_seconds)`` per task.
-        ``modules`` are extra imports each chunk performs before running
-        (e.g. the module that registers a non-builtin app).  Worker
-        exceptions propagate to the caller, as they would serially.
+        Worker exceptions propagate to the caller, as they would serially.
         """
         tasks = list(enumerate(param_list))
         stats = PoolStats(jobs=self.jobs, dispatches=1)
@@ -248,10 +235,7 @@ class WorkerPool:
         chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
         start = time.perf_counter()
         rows: list[tuple[Any, float, float] | None] = [None] * len(tasks)
-        futures = [
-            executor.submit(_run_chunk, fn, chunk, tuple(modules))
-            for chunk in chunks
-        ]
+        futures = [executor.submit(_run_chunk, fn, chunk) for chunk in chunks]
         for future in as_completed(futures):
             for index, metrics, wall, cpu, pid, events in future.result():
                 rows[index] = (metrics, wall, cpu)

@@ -73,8 +73,6 @@ class NetConfig:
         for key, name, cast in (
             ("host", "BLAZES_NET_HOST", str),
             ("time_scale", "BLAZES_NET_TIME_SCALE", float),
-            ("poll_interval", "BLAZES_NET_POLL_INTERVAL", float),
-            ("timeout", "BLAZES_NET_TIMEOUT", float),
         ):
             if name in env:
                 fields[key] = cast(env[name])
@@ -109,8 +107,8 @@ def active_config() -> NetConfig | None:
 
 
 def resolve_backend(backend: str | None) -> str:
-    """Normalize a backend name (``None`` defers to ``$BLAZES_BACKEND``)."""
-    name = backend or os.environ.get("BLAZES_BACKEND") or "sim"
+    """Normalize a backend name (``None`` is the simulator)."""
+    name = backend or "sim"
     if name not in BACKENDS:
         raise SimulationError(f"unknown backend {name!r}; have {BACKENDS}")
     return name

@@ -1,4 +1,5 @@
-"""The repro.bench harness: sweeps, reports, and JSON output."""
+"""The repro.bench vocabulary as ``evaluate`` drives it: sweeps, reports,
+and JSON output."""
 
 from __future__ import annotations
 
@@ -11,13 +12,11 @@ from repro.bench import (
     JsonReporter,
     Scenario,
     ScenarioResult,
-    Stopwatch,
-    run_bench,
     sweep,
-    timed,
     timed_detail,
 )
 from repro.errors import BenchError
+from repro.exec import evaluate
 
 
 def toy_measure(*, x: int, y: int = 1) -> dict:
@@ -30,9 +29,9 @@ def test_sweep_builds_cartesian_product_with_formatted_names():
     assert scenarios[2].params == {"frame": 16, "workers": 2}
 
 
-def test_run_bench_collects_metrics_and_wall_time():
+def test_evaluate_collects_metrics_and_wall_time():
     scenarios = sweep("x{x}", {"x": (2, 3)})
-    report = run_bench("toy", scenarios, toy_measure)
+    report = evaluate("toy", scenarios, toy_measure)
     assert len(report) == 2
     row = report.row("x3")
     assert row["product"] == 3 and row.params == {"x": 3}
@@ -40,7 +39,7 @@ def test_run_bench_collects_metrics_and_wall_time():
 
 
 def test_report_select_one_and_column():
-    report = run_bench("toy", sweep("x{x}-y{y}", {"x": (1, 2), "y": (5,)}), toy_measure)
+    report = evaluate("toy", sweep("x{x}-y{y}", {"x": (1, 2), "y": (5,)}), toy_measure)
     assert len(report.select(y=5)) == 2
     assert report.one(x=2)["product"] == 10
     assert report.column("product", y=5) == [5, 10]
@@ -50,13 +49,13 @@ def test_report_select_one_and_column():
         report.row("nope")
 
 
-def test_run_bench_rejects_non_mapping_measurements():
+def test_evaluate_rejects_non_mapping_measurements():
     with pytest.raises(BenchError):
-        run_bench("bad", [Scenario("s", {})], lambda: 42)
+        evaluate("bad", [Scenario("s", {})], lambda: 42)
 
 
 def test_table_renders_all_metrics_aligned():
-    report = run_bench("toy", sweep("x{x}", {"x": (7,)}), toy_measure)
+    report = evaluate("toy", sweep("x{x}", {"x": (7,)}), toy_measure)
     table = report.table()
     lines = table.splitlines()
     assert "scenario" in lines[0] and "product" in lines[0]
@@ -65,7 +64,7 @@ def test_table_renders_all_metrics_aligned():
 
 def test_json_reporter_writes_bench_file(tmp_path):
     reporter = JsonReporter(tmp_path)
-    report = run_bench(
+    report = evaluate(
         "figX", sweep("x{x}", {"x": (1, 2)}), toy_measure, reporter=reporter
     )
     path = tmp_path / "BENCH_figX.json"
@@ -75,13 +74,15 @@ def test_json_reporter_writes_bench_file(tmp_path):
     assert len(payload["scenarios"]) == 2
     assert payload["scenarios"][0]["metrics"]["product"] == 1
     assert "created" in payload and "environment" in payload
+    # the record carries the engine accounting of the run that wrote it
+    assert payload["engine"]["cells"] == payload["engine"]["computed"] == 2
     assert isinstance(report, BenchReport)
 
 
 def test_json_reporter_honors_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "out"))
     reporter = JsonReporter()
-    run_bench("figY", [Scenario("only", {})], lambda: {"ok": True}, reporter=reporter)
+    evaluate("figY", [Scenario("only", {})], lambda: {"ok": True}, reporter=reporter)
     assert (tmp_path / "out" / "BENCH_figY.json").exists()
 
 
@@ -90,22 +91,14 @@ def test_scenario_result_is_json_round_trippable():
     assert json.loads(json.dumps(result.metrics)) == {"m": 2.5}
 
 
-def test_stopwatch_and_timed():
-    with Stopwatch() as watch:
-        sum(range(1000))
-    assert watch.seconds >= 0.0
-    value, seconds = timed(lambda a: a + 1, 41)
-    assert value == 42 and seconds >= 0.0
-
-
 def test_timed_detail_measures_wall_and_cpu():
     value, wall, cpu = timed_detail(lambda a: sum(range(a)), 10_000)
     assert value == sum(range(10_000))
     assert wall >= 0.0 and cpu >= 0.0
 
 
-def test_run_bench_records_cpu_seconds_per_scenario():
-    report = run_bench("toy", sweep("x{x}", {"x": (2,)}), toy_measure)
+def test_evaluate_records_cpu_seconds_per_scenario():
+    report = evaluate("toy", sweep("x{x}", {"x": (2,)}), toy_measure)
     row = report.row("x2")
     assert row.cpu_seconds is not None and row.cpu_seconds >= 0.0
     # ...and the JSON payload carries it alongside wall_seconds
@@ -118,6 +111,16 @@ def test_bench_json_environment_records_cpu_count(tmp_path):
     import os
 
     reporter = JsonReporter(tmp_path)
-    run_bench("figZ", [Scenario("only", {})], lambda: {"ok": True}, reporter=reporter)
+    evaluate("figZ", [Scenario("only", {})], lambda: {"ok": True}, reporter=reporter)
     payload = json.loads(reporter.path_for("figZ").read_text())
     assert payload["environment"]["cpu_count"] == os.cpu_count()
+
+
+def test_figure_scripts_reject_unknown_flags(capsys):
+    """A typo must not silently run the (much larger) default tier."""
+    from benchmarks.bench_fig12_adreport_5servers import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--smok"])
+    assert exit_info.value.code == 2
+    assert "--smok" in capsys.readouterr().err

@@ -24,6 +24,36 @@ def test_key_is_stable_and_field_sensitive(tmp_path):
         assert cache.key({**FIELDS, field: changed}) != key, field
 
 
+def test_key_tracks_the_package_source(tmp_path, monkeypatch):
+    """Editing any source file orphans every entry; nothing else does."""
+    from repro.exec import cache as cache_module
+
+    cache = CellCache(tmp_path)
+    monkeypatch.setattr(cache_module, "source_digest", lambda: "digest-a")
+    key = cache.key(FIELDS)
+    assert cache.key(FIELDS) == key
+    monkeypatch.setattr(cache_module, "source_digest", lambda: "digest-b")
+    assert cache.key(FIELDS) != key
+
+
+def test_source_digest_covers_paths_and_contents(tmp_path):
+    from repro.exec.cache import source_digest
+
+    def tree(name: str, files: dict[str, str]):
+        root = tmp_path / name
+        for relative, text in files.items():
+            (root / relative).parent.mkdir(parents=True, exist_ok=True)
+            (root / relative).write_text(text)
+        return root
+
+    base = {"a.py": "x = 1\n", "sub/b.py": "y = 2\n"}
+    digest = source_digest(tree("base", base))
+    assert source_digest(tree("same", {**base, "notes.txt": "ignored"})) == digest
+    assert source_digest(tree("edited", {**base, "sub/b.py": "y = 3\n"})) != digest
+    assert source_digest(tree("moved", {"a.py": "x = 1\n", "b.py": "y = 2\n"})) != digest
+    assert len(source_digest()) == 64  # the installed package, hashed once
+
+
 def test_put_get_roundtrip_counts_hits_and_misses(tmp_path):
     cache = CellCache(tmp_path)
     key = cache.key(FIELDS)

@@ -115,20 +115,6 @@ def test_engine_run_updates_cumulative_stats(tmp_path):
     assert totals["cache_hits"] == len(SCENARIOS)
 
 
-def test_engine_mirrors_into_telemetry(tmp_path):
-    from repro.obs.telemetry import Telemetry
-
-    cache = CellCache(tmp_path)
-    hub = Telemetry()
-    with hub.activate():
-        evaluate(
-            "toy", SCENARIOS, cell, cache=cache, cache_fields=bench_cache_fields("toy")
-        )
-    snapshot = hub.snapshot()
-    assert snapshot["counters"]["engine.cells"]["computed"] == len(SCENARIOS)
-    assert snapshot["counters"]["engine.cache"]["miss"] == len(SCENARIOS)
-
-
 def test_audit_cell_cache_fields_track_seeds_and_schedules():
     from repro.bench import Scenario
     from repro.chaos.campaign import _cell_cache_fields

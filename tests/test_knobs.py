@@ -4,7 +4,8 @@ Every read goes through a literal variable name somewhere in the source,
 so a token scan of the text finds them all without following
 ``os.environ``.  A new knob — or a retired selector creeping back — fails
 here and has to be argued for; so does ``src/`` importing the test-only
-reference implementations of ``tests/reference``.
+reference implementations of ``tests/reference``, and so does a second
+loop over cells next to :func:`repro.exec.evaluate`.
 """
 
 from __future__ import annotations
@@ -12,17 +13,14 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 KNOBS = {
     "BLAZES_JOBS",
-    "BLAZES_BACKEND",
-    "BLAZES_POOL_START",
     "BLAZES_CACHE_DIR",
     "BLAZES_NET_HOST",
     "BLAZES_NET_TIME_SCALE",
-    "BLAZES_NET_POLL_INTERVAL",
-    "BLAZES_NET_TIMEOUT",
     "REPRO_BENCH_DIR",
     "REPRO_REGEN_DIGESTS",
 }
@@ -53,6 +51,33 @@ def test_src_never_imports_the_tests_package():
         if pattern.search(path.read_text())
     ]
     assert not offenders, f"src/ imports tests/: {offenders}"
+
+
+def test_bench_vocabulary_never_imports_the_engine():
+    """``bench <- exec <- chaos/cli/benchmarks``: no cycle."""
+    pattern = re.compile(r"^\s*(?:from|import)\s+repro\.exec\b", re.MULTILINE)
+    offenders = [
+        path.name
+        for path in sorted((SRC / "repro" / "bench").glob("*.py"))
+        if pattern.search(path.read_text())
+    ]
+    assert not offenders, f"repro.bench imports repro.exec: {offenders}"
+
+
+def test_evaluate_is_the_only_loop_over_cells():
+    """No second sweep runner, no ``verbose`` thread, and no figure script
+    switching between a private memo and the engine."""
+    scripts = sorted((ROOT / "benchmarks").glob("*.py"))
+    assert scripts, "no figure scripts found"
+    for path in _sources() + scripts:
+        text = path.read_text()
+        for retired in ("run_bench", "Stopwatch", "def timed(", "verbose"):
+            assert retired not in text, (path.name, retired)
+    for path in scripts:
+        text = path.read_text()
+        assert "cache is None" not in text, path.name
+        memos = re.findall(r"functools\.(?:lru_)?cache\b", text)
+        assert len(memos) <= 1, (path.name, memos)
 
 
 def test_bloom_apps_wire_coordination_only_through_the_installer():
