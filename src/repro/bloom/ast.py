@@ -8,30 +8,34 @@ antijoin, no aggregation), and attribute *lineage* — which output columns
 are identity copies of which input columns — feeds the injective
 functional-dependency chase that decides seal compatibility.
 
-Every node knows its output ``schema`` (a tuple of column names), can
-``eval`` itself against an environment mapping collection names to tuple
-sets, and reports ``lineage()``: for each output column, the set of
+Every node knows its output ``schema`` (a tuple of column names) and
+reports ``lineage()``: for each output column, the set of
 ``(collection, column)`` pairs it copies untransformed (empty for computed
 columns).
 
-Nodes also support a *delta-aware* evaluation path for the semi-naive
-incremental engine (:mod:`repro.bloom.runtime`): ``eval_delta`` consumes
-the net ``(added, removed)`` change of each scanned collection and
-returns the exact net change of the node's own output, maintaining
-per-key hash indexes (joins, antijoins), support counts (projections,
-unions), and per-group materializations (aggregations) inside a
-:class:`DeltaContext` instead of rescanning full ``frozenset`` snapshots.
-The AST itself stays immutable — one module can be evaluated by several
-runtimes at once — so every piece of mutable state lives in the context.
-Predicates (``Select``) and computed columns (``Calc``) must be pure
-functions of their row for the delta path to be exact; the naive path
-already assumes this (it re-invokes them every fixpoint iteration).
+Evaluation is *compiled*, not interpreted: :func:`compile_rule` turns a
+rule body into a pipeline of closures, one per operator, for the
+incremental engine (:mod:`repro.bloom.runtime`).  ``step(base)`` consumes
+the net ``(added, removed)`` change of each scanned collection and returns
+the exact net change of the body's output.  Column positions and key
+getters are resolved once, at compile time; per-key hash indexes (joins,
+antijoins), support counts (projections, unions) and per-group
+materializations (aggregations) live in the closures' cells, so the AST
+itself stays immutable — one module can be evaluated by several runtimes
+at once, each holding its own compiled pipelines.  Predicates (``Select``)
+and computed columns (``Calc``) must be pure functions of their row for
+the delta path to be exact; the naive reference
+(``tests/reference/naive_engine.py``, which also holds the from-scratch
+``naive_eval`` of every operator) already assumes this: it re-invokes them
+every fixpoint iteration.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Set as AbstractSet
+from operator import itemgetter
 
 from repro.errors import BloomError
 
@@ -48,80 +52,141 @@ __all__ = [
     "Const",
     "AGGREGATES",
     "Delta",
-    "DeltaContext",
-    "EMPTY_DELTA",
+    "Step",
+    "NO_ROWS",
+    "NO_CHANGE",
+    "compile_rule",
 ]
 
-Env = Mapping[str, frozenset[tuple]]
 LineageMap = dict[str, frozenset[tuple[str, str]]]
 
 # The net change of a tuple set: (added, removed), disjoint by invariant.
-Delta = tuple[frozenset, frozenset]
+# Neither half is ever mutated once handed on: operators pass their
+# children's sets through and the runtime publishes them to other rules.
+Delta = tuple[AbstractSet[tuple], AbstractSet[tuple]]
 
-EMPTY_DELTA: Delta = (frozenset(), frozenset())
+# One compiled operator: base-collection deltas in, own output delta out.
+Step = Callable[[Mapping[str, Delta]], Delta]
+
+NO_ROWS: frozenset = frozenset()
+NO_CHANGE: Delta = (NO_ROWS, NO_ROWS)
 
 
-class DeltaContext:
-    """Mutable state for one rule body's incremental evaluation.
+def compile_rule(root: "Node") -> Step:
+    """Compile a rule body into its incremental pipeline ``step(base)``.
 
-    AST nodes are immutable and may be shared between runtimes (the
-    differential tests drive one module through two engines at once), so
-    everything an incremental evaluation mutates — join/antijoin hash
-    indexes, projection/union support counts, group materializations —
-    lives here, keyed by node identity.  The context belongs to one rule
-    of one runtime; its node states are created lazily on the rule's
-    first firing and updated in place on every later firing.
+    ``base`` maps each scanned collection to its net ``(added, removed)``
+    change since the previous call, and ``step`` returns the exact net
+    change of the body's output: ``added`` is disjoint from the output as
+    of the previous call and ``removed`` is a subset of it — the invariant
+    every operator maintains and relies on from its children.  The first
+    call materializes: the caller passes every scanned collection's whole
+    contents as ``added``, and the whole output comes back as added, which
+    makes a rule's first firing and its refirings the same code path.
 
-    Protocol: the engine stores the net per-collection change since the
-    rule last observed the environment in ``base``, bumps ``round``, and
-    calls ``root.eval_delta(ctx)``.  A node with no state yet
-    materializes from ``env`` (the live current contents) and reports its
-    entire output as added, which makes a rule's first firing and its
-    incremental refirings the same code path.  Per-round memoization
-    keeps shared sub-DAGs within one body consistent (the same node
-    object must not consume its input delta twice).
+    All mutable state lives in the returned closures, so one AST serves any
+    number of pipelines.  A node object that occurs more than once in the
+    body is compiled once and answers once per round (it must not consume
+    its input delta twice); a round is identified by the ``base`` object,
+    so every call must pass a new mapping.  A pipeline never mutates a set
+    it was handed and copies the rows it keeps, so the caller may pass
+    (and go on mutating) its live sets.
     """
+    uses: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        uses[id(node)] = uses.get(id(node), 0) + 1
+        if uses[id(node)] == 1:
+            stack.extend(node.children)
+    built: dict[int, Step] = {}
 
-    def __init__(self, env: Mapping[str, "set[tuple] | frozenset[tuple]"]):
-        self.env = env
-        self.base: Mapping[str, Delta] = {}
-        self.round = 0
-        self._state: dict[int, dict] = {}
-        self._memo: dict[int, tuple[int, Delta]] = {}
+    def build(node: Node) -> Step:
+        step = built.get(id(node))
+        if step is None:
+            step = node._compile(build)
+            if uses[id(node)] > 1:
+                step = _once_per_round(step)
+            built[id(node)] = step
+        return step
 
-    def begin(self, base: Mapping[str, Delta]) -> None:
-        """Open one evaluation round over the given base-collection deltas."""
-        self.base = base
-        self.round += 1
-
-    def state(self, node: "Node") -> dict:
-        """The (lazily created) mutable state of one node."""
-        st = self._state.get(id(node))
-        if st is None:
-            st = self._state[id(node)] = {}
-        return st
+    return build(root)
 
 
-def _index_add(index: dict, rows, key_cols: list[int]) -> None:
+def _once_per_round(step: Step) -> Step:
+    """Memoize a shared node's delta for the round named by ``base``."""
+    seen = result = None
+
+    def shared(base):
+        nonlocal seen, result
+        if seen is not base:
+            result = step(base)
+            seen = base
+        return result
+
+    return shared
+
+
+def _recount(support: dict, arrived, departed, added: set, removed: set) -> None:
+    """Move rows in and out of a support-counted set (projection, union).
+
+    ``support`` maps a row to the number of sources holding it: a row
+    enters ``added`` when its count leaves zero and ``removed`` when it
+    returns there.
+    """
+    for row in arrived:
+        count = support.get(row, 0)
+        support[row] = count + 1
+        if not count:
+            added.add(row)
+    for row in departed:
+        count = support[row] - 1
+        if count:
+            support[row] = count
+        else:
+            del support[row]
+            removed.add(row)
+
+
+def _net(added: set, removed: set) -> Delta:
+    """Cancel rows whose support flipped both ways within one round."""
+    both = added & removed
+    if both:
+        added -= both
+        removed -= both
+    return added, removed
+
+
+def _columns(indexes: list[int]) -> Callable[[tuple], tuple]:
+    """``row -> tuple`` of the given column positions."""
+    if len(indexes) > 1:
+        return itemgetter(*indexes)
+    if not indexes:
+        return lambda row: ()
+    (only,) = indexes
+    return lambda row: (row[only],)
+
+
+def _index_add(index: dict, rows, key: Callable) -> None:
     """Insert rows into a per-key hash index (key -> set of rows)."""
     for row in rows:
-        key = tuple(row[i] for i in key_cols)
-        bucket = index.get(key)
+        k = key(row)
+        bucket = index.get(k)
         if bucket is None:
-            bucket = index[key] = set()
+            bucket = index[k] = set()
         bucket.add(row)
 
 
-def _index_discard(index: dict, rows, key_cols: list[int]) -> None:
+def _index_discard(index: dict, rows, key: Callable) -> None:
     """Remove rows from a per-key hash index, dropping empty buckets."""
     for row in rows:
-        key = tuple(row[i] for i in key_cols)
-        bucket = index.get(key)
+        k = key(row)
+        bucket = index.get(k)
         if bucket is None:
             continue
         bucket.discard(row)
         if not bucket:
-            del index[key]
+            del index[k]
 
 
 class Node:
@@ -129,31 +194,8 @@ class Node:
 
     schema: tuple[str, ...] = ()
 
-    def eval(self, env: Env) -> frozenset[tuple]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def eval_delta(self, ctx: DeltaContext) -> Delta:
-        """Incrementally (re)evaluate against the context's base deltas.
-
-        Returns the exact net ``(added, removed)`` change of this node's
-        output since the previous round; on a node's first round the
-        whole output counts as added.  The invariant every operator
-        maintains (and relies on from its children): ``added`` is
-        disjoint from the pre-round output and ``removed`` is a subset of
-        it.
-        """
-        memo = ctx._memo.get(id(self))
-        if memo is not None and memo[0] == ctx.round:
-            return memo[1]
-        added, removed = self._eval_delta(ctx)
-        if added and removed:
-            # a row that transiently flipped both ways is no net change
-            added, removed = added - removed, removed - added
-        delta = (frozenset(added), frozenset(removed))
-        ctx._memo[id(self)] = (ctx.round, delta)
-        return delta
-
-    def _eval_delta(self, ctx: DeltaContext):  # pragma: no cover - interface
+    def _compile(self, build: Callable[["Node"], Step]) -> Step:  # pragma: no cover
+        """This operator's closure; ``build(child)`` compiles an input."""
         raise NotImplementedError
 
     def lineage(self) -> LineageMap:  # pragma: no cover - interface
@@ -230,15 +272,13 @@ class Scan(Node):
     def __post_init__(self) -> None:
         self.schema = tuple(self.schema)
 
-    def eval(self, env: Env) -> frozenset[tuple]:
-        return env.get(self.collection, frozenset())
+    def _compile(self, build) -> Step:
+        collection = self.collection
 
-    def _eval_delta(self, ctx: DeltaContext):
-        st = ctx.state(self)
-        if not st:
-            st["live"] = True
-            return set(ctx.env.get(self.collection, ())), frozenset()
-        return ctx.base.get(self.collection, EMPTY_DELTA)
+        def scan(base):
+            return base.get(collection, NO_CHANGE)
+
+        return scan
 
     def lineage(self) -> LineageMap:
         return {
@@ -275,39 +315,23 @@ class Project(Node):
     def children(self) -> tuple[Node, ...]:
         return (self.child,)
 
-    def eval(self, env: Env) -> frozenset[tuple]:
-        indexes = [self.child._index(src) for src, _ in self._pairs]
-        return frozenset(
-            tuple(row[i] for i in indexes) for row in self.child.eval(env)
-        )
+    def _compile(self, build) -> Step:
+        child = build(self.child)
+        pick = _columns([self.child._index(src) for src, _ in self._pairs])
+        support: dict[tuple, int] = {}  # out row -> #source rows
 
-    def _eval_delta(self, ctx: DeltaContext):
-        child_added, child_removed = self.child.eval_delta(ctx)
-        if not child_added and not child_removed:
-            return EMPTY_DELTA
-        st = ctx.state(self)
-        support = st.setdefault("support", {})  # out row -> #source rows
-        indexes = st.get("cols")
-        if indexes is None:
-            indexes = st["cols"] = [
-                self.child._index(src) for src, _ in self._pairs
-            ]
-        added, removed = set(), set()
-        for row in child_added:
-            out = tuple(row[i] for i in indexes)
-            count = support.get(out, 0)
-            support[out] = count + 1
-            if count == 0:
-                added.add(out)
-        for row in child_removed:
-            out = tuple(row[i] for i in indexes)
-            count = support[out] - 1
-            if count:
-                support[out] = count
-            else:
-                del support[out]
-                removed.add(out)
-        return added, removed
+        def project(base):
+            child_added, child_removed = child(base)
+            if not child_added and not child_removed:
+                return NO_CHANGE
+            added, removed = set(), set()
+            _recount(
+                support, map(pick, child_added), map(pick, child_removed),
+                added, removed,
+            )
+            return _net(added, removed)
+
+        return project
 
     def lineage(self) -> LineageMap:
         child_lineage = self.child.lineage()
@@ -339,30 +363,24 @@ class Calc(Node):
     def children(self) -> tuple[Node, ...]:
         return (self.child,)
 
-    def eval(self, env: Env) -> frozenset[tuple]:
-        indexes = [self.child._index(d) for d in self.deps]
-        return frozenset(
-            row + (self.fn(*(row[i] for i in indexes)),)
-            for row in self.child.eval(env)
-        )
+    def _compile(self, build) -> Step:
+        child = build(self.child)
+        fn = self.fn
+        deps = _columns([self.child._index(d) for d in self.deps])
 
-    def _eval_delta(self, ctx: DeltaContext):
-        child_added, child_removed = self.child.eval_delta(ctx)
-        if not child_added and not child_removed:
-            return EMPTY_DELTA
-        indexes = [self.child._index(d) for d in self.deps]
-        # row -> output is injective (columns are appended), so deltas map
-        # one-to-one; ``fn`` must be pure for the removal recomputation
-        return (
-            {
-                row + (self.fn(*(row[i] for i in indexes)),)
-                for row in child_added
-            },
-            {
-                row + (self.fn(*(row[i] for i in indexes)),)
-                for row in child_removed
-            },
-        )
+        def calc(base):
+            child_added, child_removed = child(base)
+            if not child_added and not child_removed:
+                return NO_CHANGE
+            # row -> output is injective (columns are appended), so deltas
+            # map one-to-one; ``fn`` must be pure for the removal
+            # recomputation
+            return (
+                {row + (fn(*deps(row)),) for row in child_added},
+                {row + (fn(*deps(row)),) for row in child_removed},
+            )
+
+        return calc
 
     def lineage(self) -> LineageMap:
         lineage = dict(self.child.lineage())
@@ -390,23 +408,21 @@ class Select(Node):
     def children(self) -> tuple[Node, ...]:
         return (self.child,)
 
-    def eval(self, env: Env) -> frozenset[tuple]:
+    def _compile(self, build) -> Step:
+        child = build(self.child)
+        predicate = self.predicate
         schema = self.child.schema
-        out = []
-        for row in self.child.eval(env):
-            if self.predicate(dict(zip(schema, row))):
-                out.append(row)
-        return frozenset(out)
 
-    def _eval_delta(self, ctx: DeltaContext):
-        child_added, child_removed = self.child.eval_delta(ctx)
-        if not child_added and not child_removed:
-            return EMPTY_DELTA
-        schema = self.child.schema
-        return (
-            {r for r in child_added if self.predicate(dict(zip(schema, r)))},
-            {r for r in child_removed if self.predicate(dict(zip(schema, r)))},
-        )
+        def select(base):
+            child_added, child_removed = child(base)
+            if not child_added and not child_removed:
+                return NO_CHANGE
+            return (
+                {r for r in child_added if predicate(dict(zip(schema, r)))},
+                {r for r in child_removed if predicate(dict(zip(schema, r)))},
+            )
+
+        return select
 
     def lineage(self) -> LineageMap:
         return self.child.lineage()
@@ -444,66 +460,50 @@ class Join(Node):
     def children(self) -> tuple[Node, ...]:
         return (self.left, self.right)
 
-    def eval(self, env: Env) -> frozenset[tuple]:
-        lidx = [self.left._index(l) for l, _ in self.on]
-        ridx = [self.right._index(r) for _, r in self.on]
-        keep_idx = [self.right._index(c) for c in self._right_keep]
-        index: dict[tuple, list[tuple]] = {}
-        for row in self.right.eval(env):
-            index.setdefault(tuple(row[i] for i in ridx), []).append(row)
-        out = []
-        for lrow in self.left.eval(env):
-            key = tuple(lrow[i] for i in lidx)
-            for rrow in index.get(key, ()):
-                out.append(lrow + tuple(rrow[i] for i in keep_idx))
-        return frozenset(out)
+    def _compile(self, build) -> Step:
+        left, right = build(self.left), build(self.right)
+        lkey = itemgetter(*(self.left._index(l) for l, _ in self.on))
+        rkey = itemgetter(*(self.right._index(r) for _, r in self.on))
+        keep = _columns([self.right._index(c) for c in self._right_keep])
+        left_index: dict = {}   # key -> set of left rows
+        right_index: dict = {}  # key -> set of right rows
 
-    def _eval_delta(self, ctx: DeltaContext):
-        left_added, left_removed = self.left.eval_delta(ctx)
-        right_added, right_removed = self.right.eval_delta(ctx)
-        if not (left_added or left_removed or right_added or right_removed):
-            return EMPTY_DELTA
-        st = ctx.state(self)
-        cols = st.get("cols")
-        if cols is None:
-            cols = st["cols"] = (
-                [self.left._index(l) for l, _ in self.on],
-                [self.right._index(r) for _, r in self.on],
-                [self.right._index(c) for c in self._right_keep],
-            )
-        lidx, ridx, keep_idx = cols
-        left_index = st.setdefault("left", {})    # key -> set of left rows
-        right_index = st.setdefault("right", {})  # key -> set of right rows
+        def join(base):
+            left_added, left_removed = left(base)
+            right_added, right_removed = right(base)
+            if not (left_added or left_removed or right_added or right_removed):
+                return NO_CHANGE
+            added, removed = set(), set()
+            # removals: dL- against the pre-round right, then dR- against
+            # the already-shrunk left, so pairs with both sides gone count
+            # once
+            if left_removed:
+                for lrow in left_removed:
+                    for rrow in right_index.get(lkey(lrow), ()):
+                        removed.add(lrow + keep(rrow))
+                _index_discard(left_index, left_removed, lkey)
+            if right_removed:
+                for rrow in right_removed:
+                    kept = keep(rrow)
+                    for lrow in left_index.get(rkey(rrow), ()):
+                        removed.add(lrow + kept)
+                _index_discard(right_index, right_removed, rkey)
+            # additions: dL+ against the post-round right, dR+ against the
+            # post-round left (the dL+ x dR+ overlap dedupes in the set)
+            if right_added:
+                _index_add(right_index, right_added, rkey)
+            if left_added:
+                for lrow in left_added:
+                    for rrow in right_index.get(lkey(lrow), ()):
+                        added.add(lrow + keep(rrow))
+                _index_add(left_index, left_added, lkey)
+            for rrow in right_added:
+                kept = keep(rrow)
+                for lrow in left_index.get(rkey(rrow), ()):
+                    added.add(lrow + kept)
+            return added, removed
 
-        def out(lrow, rrow):
-            return lrow + tuple(rrow[i] for i in keep_idx)
-
-        added, removed = set(), set()
-        # removals: dL- against the pre-round right, then dR- against the
-        # already-shrunk left, so pairs with both sides gone count once
-        for lrow in left_removed:
-            key = tuple(lrow[i] for i in lidx)
-            for rrow in right_index.get(key, ()):
-                removed.add(out(lrow, rrow))
-        _index_discard(left_index, left_removed, lidx)
-        for rrow in right_removed:
-            key = tuple(rrow[i] for i in ridx)
-            for lrow in left_index.get(key, ()):
-                removed.add(out(lrow, rrow))
-        _index_discard(right_index, right_removed, ridx)
-        # additions: dL+ against the post-round right, dR+ against the
-        # post-round left (the dL+ x dR+ overlap dedupes in the set)
-        _index_add(right_index, right_added, ridx)
-        for lrow in left_added:
-            key = tuple(lrow[i] for i in lidx)
-            for rrow in right_index.get(key, ()):
-                added.add(out(lrow, rrow))
-        _index_add(left_index, left_added, lidx)
-        for rrow in right_added:
-            key = tuple(rrow[i] for i in ridx)
-            for lrow in left_index.get(key, ()):
-                added.add(out(lrow, rrow))
-        return added, removed
+        return join
 
     def lineage(self) -> LineageMap:
         lineage = dict(self.left.lineage())
@@ -540,96 +540,61 @@ class AntiJoin(Node):
         """Left-side columns of the antijoin condition (the gate)."""
         return tuple(l for l, _ in self.on)
 
-    def eval(self, env: Env) -> frozenset[tuple]:
-        lidx = [self.left._index(l) for l, _ in self.on]
-        ridx = [self.right._index(r) for _, r in self.on]
-        present = {
-            tuple(row[i] for i in ridx) for row in self.right.eval(env)
-        }
-        return frozenset(
-            row
-            for row in self.left.eval(env)
-            if tuple(row[i] for i in lidx) not in present
-        )
+    def _compile(self, build) -> Step:
+        left, right = build(self.left), build(self.right)
+        lkey = itemgetter(*(self.left._index(l) for l, _ in self.on))
+        rkey = itemgetter(*(self.right._index(r) for _, r in self.on))
+        left_index: dict = {}  # key -> set of left rows
+        blocked: dict = {}     # key -> set of right rows matching it
 
-    def _eval_delta(self, ctx: DeltaContext):
-        left_added, left_removed = self.left.eval_delta(ctx)
-        right_added, right_removed = self.right.eval_delta(ctx)
-        if not (left_added or left_removed or right_added or right_removed):
-            return EMPTY_DELTA
-        st = ctx.state(self)
-        cols = st.get("cols")
-        if cols is None:
-            cols = st["cols"] = (
-                [self.left._index(l) for l, _ in self.on],
-                [self.right._index(r) for _, r in self.on],
-            )
-        lidx, ridx = cols
-        left_index = st.setdefault("left", {})     # key -> set of left rows
-        blocked = st.setdefault("blocked", {})     # key -> right rows matching
+        def antijoin(base):
+            left_added, left_removed = left(base)
+            right_added, right_removed = right(base)
+            if not (left_added or left_removed or right_added or right_removed):
+                return NO_CHANGE
+            added, removed = set(), set()
+            # 1. left removals: in the output iff unblocked before this round
+            if left_removed:
+                for lrow in left_removed:
+                    if lkey(lrow) not in blocked:
+                        removed.add(lrow)
+                _index_discard(left_index, left_removed, lkey)
+            # 2. right net update; keys that flip blocked status move every
+            # surviving left row of that key in or out of the output
+            if right_added or right_removed:
+                affected = {
+                    key: key in blocked
+                    for rows in (right_removed, right_added)
+                    for key in map(rkey, rows)
+                }
+                _index_discard(blocked, right_removed, rkey)
+                _index_add(blocked, right_added, rkey)
+                for key, was_blocked in affected.items():
+                    now_blocked = key in blocked
+                    if was_blocked and not now_blocked:
+                        added |= left_index.get(key, NO_ROWS)
+                    elif now_blocked and not was_blocked:
+                        removed |= left_index.get(key, NO_ROWS)
+            # 3. left additions: in the output iff unblocked after this round
+            if left_added:
+                _index_add(left_index, left_added, lkey)
+                for lrow in left_added:
+                    if lkey(lrow) not in blocked:
+                        added.add(lrow)
+            return added, removed
 
-        added, removed = set(), set()
-        # 1. left removals: in the output iff unblocked before this round
-        for lrow in left_removed:
-            if tuple(lrow[i] for i in lidx) not in blocked:
-                removed.add(lrow)
-        _index_discard(left_index, left_removed, lidx)
-        # 2. right net update; keys that flip blocked status move every
-        # surviving left row of that key in or out of the output
-        affected: dict[tuple, bool] = {}
-        for rrow in right_removed:
-            key = tuple(rrow[i] for i in ridx)
-            if key not in affected:
-                affected[key] = key in blocked
-        for rrow in right_added:
-            key = tuple(rrow[i] for i in ridx)
-            if key not in affected:
-                affected[key] = key in blocked
-        _index_discard(blocked, right_removed, ridx)
-        _index_add(blocked, right_added, ridx)
-        for key, was_blocked in affected.items():
-            now_blocked = key in blocked
-            if was_blocked and not now_blocked:
-                added |= left_index.get(key, set())
-            elif now_blocked and not was_blocked:
-                removed |= left_index.get(key, set())
-        # 3. left additions: in the output iff unblocked after this round
-        _index_add(left_index, left_added, lidx)
-        for lrow in left_added:
-            if tuple(lrow[i] for i in lidx) not in blocked:
-                added.add(lrow)
-        return added, removed
+        return antijoin
 
     def lineage(self) -> LineageMap:
         return self.left.lineage()
 
 
-def _agg_count(values: list) -> int:
-    return len(values)
-
-
-def _agg_sum(values: list):
-    return sum(values)
-
-
-def _agg_min(values: list):
-    return min(values)
-
-
-def _agg_max(values: list):
-    return max(values)
-
-
-def _agg_accum(values: list) -> frozenset:
-    return frozenset(values)
-
-
 AGGREGATES: dict[str, Callable[[list], object]] = {
-    "count": _agg_count,
-    "sum": _agg_sum,
-    "min": _agg_min,
-    "max": _agg_max,
-    "accum": _agg_accum,
+    "count": len,
+    "sum": sum,
+    "min": min,
+    "max": max,
+    "accum": frozenset,
 }
 
 
@@ -678,88 +643,68 @@ class GroupBy(Node):
     def children(self) -> tuple[Node, ...]:
         return (self.child,)
 
-    def eval(self, env: Env) -> frozenset[tuple]:
-        key_idx = [self.child._index(k) for k in self.keys]
-        groups: dict[tuple, list[tuple]] = {}
-        for row in self.child.eval(env):
-            groups.setdefault(tuple(row[i] for i in key_idx), []).append(row)
-        out = []
-        for key, rows in groups.items():
-            agg_values = []
-            for _out, agg_name, col in self.aggs:
-                if col is None:
-                    values = rows
-                else:
-                    idx = self.child._index(col)
-                    values = [row[idx] for row in rows]
-                agg_values.append(AGGREGATES[agg_name](values))
-            out.append(key + tuple(agg_values))
-        return frozenset(out)
+    def _compile(self, build) -> Step:
+        child = build(self.child)
+        key_of = _columns([self.child._index(k) for k in self.keys])
+        agg_fns = [
+            (AGGREGATES[agg_name], None if col is None else self.child._index(col))
+            for _out, agg_name, col in self.aggs
+        ]
+        # ``count`` is the one aggregate with an O(1) streaming form: the
+        # bucket is a set, so the count IS len(bucket) — exact under
+        # duplicates and retractions alike.  Other aggregates (notably
+        # float ``sum``) stay on the re-aggregate path: an incremental
+        # accumulator would drift from the naive engine's recompute.
+        count_only = all(agg_name == "count" for _out, agg_name, _col in self.aggs)
+        width = len(agg_fns)
+        groups: dict[tuple, set] = {}     # key -> set of child rows
+        out_rows: dict[tuple, tuple] = {}  # key -> current output row
 
-    def _eval_delta(self, ctx: DeltaContext):
-        child_added, child_removed = self.child.eval_delta(ctx)
-        if not child_added and not child_removed:
-            return EMPTY_DELTA
-        st = ctx.state(self)
-        cols = st.get("cols")
-        if cols is None:
-            cols = st["cols"] = (
-                [self.child._index(k) for k in self.keys],
-                [
-                    (AGGREGATES[agg_name],
-                     None if col is None else self.child._index(col))
-                    for _out, agg_name, col in self.aggs
-                ],
-                # ``count`` is the one aggregate with an O(1) streaming
-                # form: the bucket is a set, so the count IS len(bucket)
-                # — exact under duplicates and retractions alike.  Other
-                # aggregates (notably float ``sum``) stay on the
-                # re-aggregate path: an incremental accumulator would
-                # drift from the naive engine's recompute.
-                all(agg_name == "count" for _out, agg_name, _col in self.aggs),
-            )
-        key_idx, agg_fns, count_only = cols
-        groups = st.setdefault("groups", {})   # key -> set of child rows
-        out_rows = st.setdefault("out", {})    # key -> current output row
-        # only rows of *touched* groups are re-aggregated; untouched
-        # groups keep their materialized output row
-        touched = set()
-        for row in child_added:
-            key = tuple(row[i] for i in key_idx)
-            groups.setdefault(key, set()).add(row)
-            touched.add(key)
-        for row in child_removed:
-            key = tuple(row[i] for i in key_idx)
-            bucket = groups.get(key)
-            if bucket is not None:
-                bucket.discard(row)
-            touched.add(key)
-        added, removed = set(), set()
-        for key in touched:
-            rows = groups.get(key)
-            old = out_rows.get(key)
-            if rows:
-                if count_only:
-                    new = key + (len(rows),) * len(agg_fns)
+        def group_by(base):
+            child_added, child_removed = child(base)
+            if not child_added and not child_removed:
+                return NO_CHANGE
+            # only rows of *touched* groups are re-aggregated; untouched
+            # groups keep their materialized output row
+            touched = set()
+            for row in child_added:
+                key = key_of(row)
+                bucket = groups.get(key)
+                if bucket is None:
+                    bucket = groups[key] = set()
+                bucket.add(row)
+                touched.add(key)
+            for row in child_removed:
+                key = key_of(row)
+                bucket = groups.get(key)
+                if bucket is not None:
+                    bucket.discard(row)
+                touched.add(key)
+            added, removed = set(), set()
+            for key in touched:
+                rows = groups.get(key)
+                old = out_rows.get(key)
+                if rows:
+                    if count_only:
+                        new = key + (len(rows),) * width
+                    else:
+                        new = key + tuple(
+                            fn(list(rows) if col is None else [row[col] for row in rows])
+                            for fn, col in agg_fns
+                        )
                 else:
-                    values = []
-                    for fn, col in agg_fns:
-                        if col is None:
-                            values.append(fn(list(rows)))
-                        else:
-                            values.append(fn([row[col] for row in rows]))
-                    new = key + tuple(values)
-            else:
-                new = None
-                groups.pop(key, None)
-            if new != old:
-                if old is not None:
-                    removed.add(old)
-                    del out_rows[key]
-                if new is not None:
-                    added.add(new)
-                    out_rows[key] = new
-        return added, removed
+                    new = None
+                    groups.pop(key, None)
+                if new != old:
+                    if old is not None:
+                        removed.add(old)
+                        del out_rows[key]
+                    if new is not None:
+                        added.add(new)
+                        out_rows[key] = new
+            return added, removed
+
+        return group_by
 
     def lineage(self) -> LineageMap:
         child_lineage = self.child.lineage()
@@ -788,33 +733,17 @@ class Union(Node):
     def children(self) -> tuple[Node, ...]:
         return tuple(self.parts)
 
-    def eval(self, env: Env) -> frozenset[tuple]:
-        out: set[tuple] = set()
-        for part in self.parts:
-            out |= part.eval(env)
-        return frozenset(out)
+    def _compile(self, build) -> Step:
+        parts = [build(part) for part in self.parts]
+        support: dict[tuple, int] = {}  # row -> #branches holding it
 
-    def _eval_delta(self, ctx: DeltaContext):
-        st = ctx.state(self)
-        support = st.setdefault("support", {})  # row -> #branches holding it
-        added, removed = set(), set()
-        for part in self.parts:
-            part_added, part_removed = part.eval_delta(ctx)
-            for row in part_added:
-                count = support.get(row, 0)
-                support[row] = count + 1
-                if count == 0:
-                    added.add(row)
-            for row in part_removed:
-                count = support[row] - 1
-                if count:
-                    support[row] = count
-                else:
-                    del support[row]
-                    removed.add(row)
-        if not added and not removed:
-            return EMPTY_DELTA
-        return added, removed
+        def union(base):
+            added, removed = set(), set()
+            for part in parts:
+                _recount(support, *part(base), added, removed)
+            return _net(added, removed)
+
+        return union
 
     def lineage(self) -> LineageMap:
         # A column keeps identity lineage only if every branch agrees.
@@ -842,15 +771,15 @@ class Const(Node):
                     f"const row {row} does not match schema {self.schema}"
                 )
 
-    def eval(self, env: Env) -> frozenset[tuple]:
-        return self.rows
+    def _compile(self, build) -> Step:
+        fresh = (self.rows, NO_ROWS)
 
-    def _eval_delta(self, ctx: DeltaContext):
-        st = ctx.state(self)
-        if not st:
-            st["live"] = True
-            return self.rows, frozenset()
-        return EMPTY_DELTA
+        def const(base):
+            nonlocal fresh
+            delta, fresh = fresh, NO_CHANGE
+            return delta
+
+        return const
 
     def lineage(self) -> LineageMap:
         return {col: frozenset() for col in self.schema}

@@ -57,9 +57,20 @@ class BloomModule:
     def __init__(self, name: str | None = None) -> None:
         self.name = name or type(self).__name__
         self._decls: dict[str, CollectionDecl] = {}
+        self._frozen = False
         self.setup()
         self._rules: tuple[Rule, ...] = tuple(self.rules())
         self._validate()
+        # the declarations are final from here on: runtimes size their
+        # storage from these tuples and read them on every tick
+        self._frozen = True
+        self.declarations: tuple[CollectionDecl, ...] = tuple(self._decls.values())
+        self.inputs = tuple(
+            d for d in self.declarations if d.kind is CollectionKind.INPUT
+        )
+        self.outputs = tuple(
+            d for d in self.declarations if d.kind is CollectionKind.OUTPUT
+        )
 
     # ------------------------------------------------------------------
     # overridable
@@ -74,6 +85,11 @@ class BloomModule:
     # collection declaration helpers
     # ------------------------------------------------------------------
     def _declare(self, name: str, kind: CollectionKind, schema) -> CollectionDecl:
+        if self._frozen:
+            raise BloomError(
+                f"module {self.name}: collection {name!r} declared after "
+                f"construction; declare collections in setup()"
+            )
         if name in self._decls:
             raise BloomError(f"module {self.name}: duplicate collection {name!r}")
         decl = CollectionDecl(name, kind, tuple(schema))
@@ -104,10 +120,6 @@ class BloomModule:
     # access
     # ------------------------------------------------------------------
     @property
-    def declarations(self) -> tuple[CollectionDecl, ...]:
-        return tuple(self._decls.values())
-
-    @property
     def program(self) -> tuple[Rule, ...]:
         return self._rules
 
@@ -116,18 +128,6 @@ class BloomModule:
             return self._decls[name]
         except KeyError:
             raise BloomError(f"module {self.name}: unknown collection {name!r}") from None
-
-    @property
-    def inputs(self) -> tuple[CollectionDecl, ...]:
-        return tuple(
-            d for d in self._decls.values() if d.kind is CollectionKind.INPUT
-        )
-
-    @property
-    def outputs(self) -> tuple[CollectionDecl, ...]:
-        return tuple(
-            d for d in self._decls.values() if d.kind is CollectionKind.OUTPUT
-        )
 
     # ------------------------------------------------------------------
     # rule DSL

@@ -30,15 +30,17 @@ insertion wins a same-boundary race — and programs like the classic
 running first so a self-replacement is not lost.  The regression test
 ``test_simultaneous_deferred_insert_and_delete`` pins this down.
 
-**Evaluation.**  The fixpoint is semi-naive: every rule keeps a
-materialized output and a :class:`~repro.bloom.ast.DeltaContext` of
-per-operator hash indexes, and only re-fires when one of the collections
-it scans actually changed (a dependency graph over cached per-rule scan
-sets).  Firing cost is proportional to the *change*, not to total state —
-per-tick work of O(|delta|) instead of the textbook O(|database|) rebuild
-that dominated paper-scale (``--full``) workloads.  The textbook engine
-(snapshot every collection, re-evaluate every rule, every iteration) is
-the executable reference semantics; it lives test-only in
+**Evaluation.**  The fixpoint is semi-naive and event-driven.  Every rule
+keeps a materialized output and a pipeline compiled once from its body
+(:func:`repro.bloom.ast.compile_rule`: per-operator hash indexes held in
+closures); a map from each collection to the rules that scan it, built at
+construction, hands every published change to exactly those rules, so a
+wave is "the dirty rules of this stratum" and nothing is polled.  Firing
+cost is proportional to the *change*, not to total state — O(|delta|) per
+tick instead of the textbook O(|database|) rebuild that dominated
+paper-scale (``--full``) workloads.  The textbook engine (snapshot every
+collection, re-evaluate every rule, every iteration) is the executable
+reference semantics; it lives test-only in
 ``tests/reference/naive_engine.py`` and
 ``tests/bloom/test_engine_equivalence.py`` holds this runtime to identical
 fixpoints, tick for tick, on randomized programs.
@@ -48,7 +50,15 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from repro.bloom.ast import DeltaContext
+from repro.bloom.ast import (
+    NO_ROWS,
+    AntiJoin,
+    Delta,
+    GroupBy,
+    Scan,
+    Step,
+    compile_rule,
+)
 from repro.bloom.collections import CollectionDecl, CollectionKind
 from repro.bloom.module import BloomModule
 from repro.bloom.rules import Rule
@@ -63,14 +73,21 @@ class _RuleState:
     """One rule, its cached metadata, and the runtime's mutable view of it.
 
     ``scans`` and ``negated`` are computed once at runtime construction
-    and shared by the stratifier, the dependency-driven scheduler, and
-    the quiescence checks.  ``out`` is the rule's materialized output —
-    kept exactly equal to ``rule.rhs.eval(current storage)`` by delta
-    propagation — and ``last_clock`` is the change-clock value up to
-    which this rule has consumed its inputs' deltas.
+    and shared by the stratifier and the change routing.  ``step`` is the
+    body's compiled pipeline, built on the first firing (its cost shows in
+    the first tick, where lazily built indexes always showed); ``out`` is
+    the rule's materialized output — kept exactly equal to the body
+    evaluated from scratch over current storage (``naive_eval`` in
+    ``tests/reference``) by delta propagation.  ``inbox`` is the net change
+    of each scanned collection published since the rule last fired;
+    ``dirty`` says the rule must fire: it never has, its inbox filled, or
+    it must ``reassert`` its output into a target that lost rows.
     """
 
-    __slots__ = ("rule", "lhs", "scans", "negated", "decl", "ctx", "out", "last_clock")
+    __slots__ = (
+        "rule", "lhs", "scans", "negated", "decl",
+        "step", "out", "inbox", "dirty", "reassert",
+    )
 
     def __init__(self, rule: Rule, decl: CollectionDecl) -> None:
         self.rule = rule
@@ -78,9 +95,11 @@ class _RuleState:
         self.scans: frozenset[str] = rule.rhs.scans()
         self.negated = _negated_scans(rule.rhs)
         self.decl = decl
-        self.ctx: DeltaContext | None = None
+        self.step: Step | None = None
         self.out: set[tuple] = set()
-        self.last_clock = -1
+        self.inbox: dict[str, Delta] = {}
+        self.dirty = True
+        self.reassert = False
 
 
 class BloomRuntime:
@@ -100,18 +119,22 @@ class BloomRuntime:
       target) or re-asserting its cached materialized output (a target
       that lost rows at the boundary) is a no-op rewrite of the naive
       iteration;
-    * when inputs did change, the delta path of
-      :meth:`repro.bloom.ast.Node.eval_delta` yields the exact net change
+    * when inputs did change, the rule's compiled pipeline
+      (:func:`repro.bloom.ast.compile_rule`) yields the exact net change
       of the rule's output, so merging it reproduces ``target |=
       eval(env)`` without rescanning;
     * waves are iteration-aligned: every rule fired in a wave sees the
       same start-of-wave contents (additions are staged and applied at
       the wave boundary), mirroring the naive per-iteration snapshot.
 
-    Change tracking is a per-collection version clock plus a per-tick
-    delta log; both the log and every rule's :class:`DeltaContext` hold
-    their indexes across ticks, which is what makes a quiet tick cost
-    O(changed rows) instead of O(database).
+    Change tracking is push, not poll: every published change lands in
+    the inbox of each rule that scans the collection and marks it dirty,
+    and both the inboxes and the pipelines' indexes persist across ticks,
+    which is what makes a quiet tick cost O(changed rows) instead of
+    O(database).  One aliasing rule keeps publishing copy-free: a set
+    that has been published (handed to ``_record``) is never mutated
+    afterwards, and a storage set — which *is* mutated in place — is
+    never the same object as a published one.
     """
 
     def __init__(
@@ -125,6 +148,10 @@ class BloomRuntime:
         self.storage: dict[str, set[tuple]] = {
             decl.name: set() for decl in module.declarations
         }
+        self._collections = tuple(
+            (decl.name, decl.transient) for decl in module.declarations
+        )
+        self._output_names = tuple(decl.name for decl in module.outputs)
         self._pending_inserts: dict[str, set[tuple]] = {}
         self._pending_deletes: dict[str, set[tuple]] = {}
         rules = [
@@ -134,9 +161,16 @@ class BloomRuntime:
         self._end_rules = tuple(
             state for state in rules if not state.rule.instantaneous
         )
-        self._clock = 0
-        self._versions: dict[str, int] = {}
-        self._log: dict[str, list[tuple[int, frozenset, frozenset]]] = {}
+        # change routing, fixed for the runtime's life: the rules that scan
+        # each collection, and the instantaneous rules that derive it
+        self._readers = {
+            name: tuple(state for state in rules if name in state.scans)
+            for name in self.storage
+        }
+        self._writers = {
+            name: tuple(s for s in rules if s.lhs == name and s.rule.instantaneous)
+            for name in self.storage
+        }
         self.tick_count = 0
         self.ticks_skipped = 0
 
@@ -187,12 +221,12 @@ class BloomRuntime:
             return False
         if any(self._pending_deletes.values()):
             return False
-        for decl in self.module.declarations:
-            pending = self._pending_inserts.get(decl.name)
-            if decl.transient:
-                if pending or self.storage[decl.name]:
+        for name, transient in self._collections:
+            pending = self._pending_inserts.get(name)
+            if transient:
+                if pending or self.storage[name]:
                     return False
-            elif pending and not pending <= self.storage[decl.name]:
+            elif pending and not pending <= self.storage[name]:
                 return False
         return True
 
@@ -218,58 +252,51 @@ class BloomRuntime:
         storage = self.storage
 
         # 1. boundary: clear transients, apply deletes then inserts.
-        self._clock += 1
-        deltas, shrunk = self._apply_boundary()
-        for name, (added, removed) in deltas.items():
+        for name, (added, removed) in self._apply_boundary().items():
             self._record(name, added, removed)
+            if removed:
+                # rules whose target lost rows must re-assert their cached
+                # output (naive evaluation re-derives it on the stratum's
+                # first iteration)
+                for state in self._writers[name]:
+                    if state.out:
+                        state.reassert = state.dirty = True
 
         # 2. instantaneous strata to fixpoint, wave-aligned.
         for stratum in self._strata:
-            # rules whose target lost rows at the boundary must re-assert
-            # their cached output (naive evaluation re-derives it on the
-            # stratum's first iteration)
-            reassert = {
-                id(state)
-                for state in stratum
-                if state.lhs in shrunk and state.out
-            }
-            while True:
-                wave = [
-                    state
-                    for state in stratum
-                    if id(state) in reassert or self._eligible(state)
-                ]
-                if not wave:
-                    break
+            wave = [state for state in stratum if state.dirty]
+            while wave:
                 staging: dict[str, set[tuple]] = {}
                 for state in wave:
                     produced = self._fire(state)
-                    if id(state) in reassert:
-                        reassert.discard(id(state))
+                    if state.reassert:
+                        state.reassert = False
                         produced = state.out
                     if not produced:
                         continue
-                    target = storage[state.lhs]
-                    fresh = staging.get(state.lhs)
+                    lhs = state.lhs
+                    target = storage[lhs]
+                    fresh = staging.get(lhs)
                     check_arity = state.decl.check_arity
                     for row in produced:
                         if row not in target:
                             if fresh is None:
-                                fresh = staging.setdefault(state.lhs, set())
+                                fresh = staging[lhs] = set()
                             fresh.add(check_arity(row))
+                if not staging:
+                    break  # nothing published: no rule here went dirty
                 # wave boundary: publish this wave's additions at once,
                 # exactly like naive evaluation's per-iteration snapshot
-                self._clock += 1
                 for name, rows in staging.items():
-                    if rows:
-                        storage[name] |= rows
-                        self._record(name, frozenset(rows), frozenset())
+                    storage[name] |= rows
+                    self._record(name, rows, NO_ROWS)
+                wave = [state for state in stratum if state.dirty]
 
         # 3. end of step: deferred / deletion / async rules evaluate
         # against the fixpoint and emit their full materialized output
         # every tick (pending queues were drained; async re-sends).
         for state in self._end_rules:
-            if self._eligible(state):
+            if state.dirty:
                 self._fire(state)
             rule = state.rule
             if rule.deferred:
@@ -284,106 +311,95 @@ class BloomRuntime:
                 # transport/kind checks raise even for an empty output
                 self._send_async(rule.lhs, state.out)
 
-        # the per-tick delta log is fully consumed: every dependent rule
-        # fired above (versions persist for cross-tick eligibility)
-        self._log.clear()
         self.tick_count += 1
         return self._collect_outputs()
 
     # -- change tracking ------------------------------------------------
-    def _record(self, name: str, added: frozenset, removed: frozenset) -> None:
-        self._log.setdefault(name, []).append((self._clock, added, removed))
-        self._versions[name] = self._clock
+    def _record(self, name: str, added, removed) -> None:
+        """Publish one change to the rules that scan the collection.
 
-    def _eligible(self, state: _RuleState) -> bool:
-        if state.last_clock < 0:
-            return True  # never fired: must materialize
-        last = state.last_clock
-        versions = self._versions
-        return any(versions.get(name, 0) > last for name in state.scans)
-
-    def _gather(self, state: _RuleState) -> dict[str, tuple[frozenset, frozenset]]:
-        """Net per-collection change since the rule's last firing."""
-        base: dict[str, tuple[frozenset, frozenset]] = {}
-        since = state.last_clock
-        for name in state.scans:
-            entries = self._log.get(name)
-            if not entries or entries[-1][0] <= since:
+        A lone change is handed on as-is; a second one for the same
+        collection before the rule fires folds into the net change.
+        """
+        for state in self._readers[name]:
+            state.dirty = True
+            inbox = state.inbox
+            earlier = inbox.get(name)
+            if earlier is None:
+                inbox[name] = (added, removed)
                 continue
-            added: frozenset = frozenset()
-            removed: frozenset = frozenset()
-            for clock, entry_added, entry_removed in entries:
-                if clock <= since:
-                    continue
-                added, removed = (
-                    (added - entry_removed) | (entry_added - removed),
-                    (removed - entry_added) | (entry_removed - added),
-                )
-            if added or removed:
-                base[name] = (added, removed)
-        return base
+            was_added, was_removed = earlier
+            net_added = (was_added - removed) | (added - was_removed)
+            net_removed = (was_removed - added) | (removed - was_added)
+            if net_added or net_removed:
+                inbox[name] = (net_added, net_removed)
+            else:
+                del inbox[name]
 
-    def _fire(self, state: _RuleState) -> frozenset:
+    def _fire(self, state: _RuleState) -> Iterable[tuple]:
         """Bring the rule's materialized output up to date.
 
         Returns the rows newly added to the output.  The first firing
-        materializes the whole rule body (every AST node initializes its
-        index from live storage); later firings consume only deltas.
+        compiles the body and materializes it (every scanned collection's
+        live contents count as added, so each operator builds its index);
+        later firings consume only the inbox.
         """
-        first = state.last_clock < 0
-        base = {} if first else self._gather(state)
-        state.last_clock = self._clock
-        if not first and not base:
-            return frozenset()
-        if state.ctx is None:
-            state.ctx = DeltaContext(self.storage)
-        state.ctx.begin(base)
-        added, removed = state.rule.rhs.eval_delta(state.ctx)
+        state.dirty = False
+        base, state.inbox = state.inbox, {}
+        step = state.step
+        if step is None:
+            step = state.step = compile_rule(state.rule.rhs)
+            storage = self.storage
+            base = {name: (storage[name], NO_ROWS) for name in state.scans}
+        elif not base:
+            return NO_ROWS
+        added, removed = step(base)
         if removed:
             state.out -= removed
         if added:
             state.out |= added
         return added
 
-    def _apply_boundary(self) -> tuple[dict[str, tuple[frozenset, frozenset]], set[str]]:
+    def _apply_boundary(self) -> dict[str, Delta]:
         """Start of step: clear transients, apply deletes then inserts.
 
-        Returns the net per-collection ``(added, removed)`` deltas plus
-        the set of collections that lost rows (:meth:`tick` must re-assert
-        rule outputs into those).  Deletes apply before
-        inserts — see the module docstring on simultaneous ``<+``/``<-``.
+        Returns the net per-collection ``(added, removed)`` deltas, built
+        from sets nothing mutates afterwards (see the aliasing rule in the
+        class docstring).  Deletes apply before inserts — see the module
+        docstring on simultaneous ``<+``/``<-``.
         """
-        deltas: dict[str, tuple[frozenset, frozenset]] = {}
-        shrunk: set[str] = set()
-        for decl in self.module.declarations:
-            name = decl.name
-            current = self.storage[name]
-            if decl.transient:
-                pending = self._pending_inserts.get(name)
-                if not current and not pending:
+        deltas: dict[str, Delta] = {}
+        storage = self.storage
+        all_inserts, self._pending_inserts = self._pending_inserts, {}
+        all_deletes, self._pending_deletes = self._pending_deletes, {}
+        for name, transient in self._collections:
+            current = storage[name]
+            inserts = all_inserts.get(name)
+            if transient:
+                if not inserts:
+                    if current:  # retire the old set: it is the removal
+                        storage[name] = set()
+                        deltas[name] = (NO_ROWS, current)
                     continue
-                new_rows = set(pending) if pending else set()
-                added = frozenset(new_rows - current)
-                removed = frozenset(current - new_rows)
-                self.storage[name] = new_rows
+                if not current:
+                    storage[name] = set(inserts)
+                    deltas[name] = (inserts, NO_ROWS)
+                    continue
+                added, removed = inserts - current, current - inserts
+                storage[name] = inserts
             else:
-                deletes = self._pending_deletes.get(name, ())
-                inserts = self._pending_inserts.get(name, ())
+                deletes = all_deletes.get(name)
                 if not deletes and not inserts:
                     continue
-                removed = frozenset(
-                    row for row in deletes if row in current and row not in inserts
-                )
-                added = frozenset(row for row in inserts if row not in current)
+                added = inserts - current if inserts else NO_ROWS
+                removed = deletes & current if deletes else NO_ROWS
+                if removed and inserts:
+                    removed = removed - inserts
                 current -= removed
                 current |= added
             if added or removed:
                 deltas[name] = (added, removed)
-            if removed:
-                shrunk.add(name)
-        self._pending_inserts = {}
-        self._pending_deletes = {}
-        return deltas, shrunk
+        return deltas
 
     def _send_async(self, channel: str, rows: Iterable[tuple]) -> None:
         decl = self.module.declaration(channel)
@@ -405,10 +421,8 @@ class BloomRuntime:
             self.on_channel_send(channel, row[address_index], row)
 
     def _collect_outputs(self) -> dict[str, frozenset[tuple]]:
-        return {
-            decl.name: frozenset(self.storage[decl.name])
-            for decl in self.module.outputs
-        }
+        storage = self.storage
+        return {name: frozenset(storage[name]) for name in self._output_names}
 
     # ------------------------------------------------------------------
     # inspection
@@ -445,8 +459,6 @@ def _negated_scans(node) -> frozenset[str]:
     an antijoin, must be complete before the operator runs: they induce
     stratum boundaries.
     """
-    from repro.bloom.ast import AntiJoin, GroupBy, Scan
-
     negated: set[str] = set()
 
     def walk(current, under_negation: bool) -> None:

@@ -123,6 +123,26 @@ class TestModuleValidation:
         with pytest.raises(BloomError):
             Unknown()
 
+    def test_declaring_after_construction_is_a_typed_error(self):
+        """A late ``table()`` used to add a collection no runtime had
+        storage for and surface ticks later as a bare ``KeyError``."""
+
+        class Late(BloomModule):
+            def setup(self):
+                self.input_interface("i", ["a"])
+                self.table("t", ["a"])
+
+            def rules(self):
+                return [self.rule("t", "<=", self.scan("i"))]
+
+        module = Late()
+        frozen = module.declarations
+        with pytest.raises(BloomError, match="after construction"):
+            module.table("late", ["a"])
+        assert module.declarations is frozen  # one tuple, not one per read
+        assert [d.name for d in frozen] == ["i", "t"]
+        assert [d.name for d in module.inputs] == ["i"] and module.outputs == ()
+
 
 class TestStratification:
     def test_unstratifiable_program_rejected(self):

@@ -263,3 +263,97 @@ def test_noop_tick_never_skipped_with_end_of_step_rules():
     runtime = BloomRuntime(DeferredModule())
     assert not runtime.tick_is_noop  # <+ / <- rules emit every tick
     assert not runtime.skip_noop_tick()
+
+
+class CountingReport(BloomModule):
+    """The CAMPAIGN report's shape (scan -> group-by -> select -> project
+    -> join) with a predicate and a computed column that count their calls."""
+
+    def __init__(self):
+        self.predicate_calls = 0
+        self.calc_calls = 0
+        super().__init__()
+
+    def setup(self):
+        self.input_interface("click", ["campaign", "id", "uid"])
+        self.input_interface("request", ["reqid", "id"])
+        self.output_interface("response", ["reqid", "id", "score"])
+        self.table("clicks", ["campaign", "id", "uid"])
+        self.table("requests", ["reqid", "id"])
+
+    def _poor(self, row):
+        self.predicate_calls += 1
+        return row["cnt"] < 1000
+
+    def _score(self, cnt):
+        self.calc_calls += 1
+        return cnt // 100
+
+    def rules(self):
+        counts = self.group_by(
+            self.scan("clicks"), ["campaign", "id"], [("cnt", "count", None)]
+        )
+        poor = self.select(counts, self._poor, refs=["cnt"])
+        answers = self.calc(poor, "score", self._score, ["cnt"]).project("id", "score")
+        return [
+            self.rule("clicks", "<=", self.scan("click")),
+            self.rule("requests", "<=", self.scan("request")),
+            self.rule(
+                "response",
+                "<=",
+                self.join(self.scan("requests"), answers, on=[("id", "id")]),
+            ),
+        ]
+
+
+def test_work_is_proportional_to_the_delta_as_counts(monkeypatch):
+    """The incremental property, pinned without a timing: over 5 000
+    logged clicks, one more click re-examines one group, and a tick that
+    changes nothing a rule scans runs no rule body at all."""
+    from repro.bloom import runtime as runtime_module
+    from repro.bloom.ast import compile_rule
+
+    bodies_run = []
+
+    def counting_compile(root):
+        step = compile_rule(root)
+
+        def counted(base):
+            bodies_run.append(root)
+            return step(base)
+
+        return counted
+
+    monkeypatch.setattr(runtime_module, "compile_rule", counting_compile)
+    module = CountingReport()
+    runtime = BloomRuntime(module)
+
+    def counts_of(tick_input):
+        module.predicate_calls = module.calc_calls = 0
+        del bodies_run[:]
+        for collection, rows in tick_input:
+            runtime.insert(collection, rows)
+        runtime.tick()
+        return module.predicate_calls, module.calc_calls, len(bodies_run)
+
+    # 20 groups of 250 clicks, two per ad: every rule materializes once
+    clicks = [(f"c{n % 20}", f"ad{n % 10}", f"u{n}") for n in range(5000)]
+    requests = [(f"q{ad}", f"ad{ad}") for ad in range(10)]
+    assert counts_of([("request", requests), ("click", clicks)]) == (20, 20, 3)
+    loaded = runtime.read("response")
+    assert loaded == {(f"q{ad}", f"ad{ad}", 2) for ad in range(10)}
+
+    # draining the two input interfaces is a change their rules scan
+    assert counts_of([]) == (0, 0, 2)
+    # one more click: the old and the new row of its one group, each
+    # through the predicate and the computed column once; the request
+    # rule does not run
+    assert counts_of([("click", [("c3", "ad3", "new")])]) == (2, 2, 2)
+    assert counts_of([]) == (0, 0, 1)  # the click interface drains...
+    # ...and then a tick changes nothing any rule scans: no body runs,
+    # though the transient response is cleared and re-asserted from cache
+    assert counts_of([]) == (0, 0, 0)
+    assert runtime.read("response") == loaded
+    # a new request runs the join, never the aggregate side
+    assert counts_of([("request", [("q-new", "ad3")])]) == (0, 0, 2)
+    assert runtime.read("response") == loaded | {("q-new", "ad3", 2)}

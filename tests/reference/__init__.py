@@ -1,7 +1,7 @@
 """Test-only reference implementations: the differential oracles.
 
 ``events_ref`` is the seed discrete-event scheduler and ``naive_engine``
-the textbook Bloom fixpoint.  Neither is reachable from ``src/``; the
+the textbook Bloom fixpoint with its from-scratch operator evaluation.  Neither is reachable from ``src/``; the
 differential suites put them in place of the production code from the
 outside (``tests/test_knobs.py`` fails if ``src/`` ever imports them).
 """
@@ -12,9 +12,9 @@ from unittest import mock
 
 from repro.sim import events
 from tests.reference import events_ref
-from tests.reference.naive_engine import NaiveBloomRuntime
+from tests.reference.naive_engine import NaiveBloomRuntime, naive_eval
 
-__all__ = ["NaiveBloomRuntime", "events_ref", "reference_kernel"]
+__all__ = ["NaiveBloomRuntime", "events_ref", "naive_eval", "reference_kernel"]
 
 
 def reference_kernel():

@@ -6,13 +6,107 @@ and ``src/`` carries no engine switch.  It shares the boundary,
 async-send and output-collection code with the production runtime and
 ignores its delta bookkeeping.  Keep the loop frozen (``rt`` is the
 runtime itself): it is what ``BloomRuntime.tick`` must stay equal to.
+
+:func:`naive_eval` is the other half of the reference: every operator of
+:mod:`repro.bloom.ast` evaluated from scratch against full snapshots.
+``src/`` only ever runs the compiled incremental pipelines
+(:func:`repro.bloom.ast.compile_rule`); this is what they must agree with.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
+from repro.bloom.ast import (
+    AGGREGATES,
+    AntiJoin,
+    Calc,
+    Const,
+    GroupBy,
+    Join,
+    Node,
+    Project,
+    Scan,
+    Select,
+    Union,
+)
 from repro.bloom.runtime import BloomRuntime
 
-__all__ = ["NaiveBloomRuntime"]
+__all__ = ["NaiveBloomRuntime", "naive_eval"]
+
+Env = Mapping[str, frozenset[tuple]]
+
+
+def naive_eval(node: Node, env: Env) -> frozenset[tuple]:
+    """The node's full output over ``env`` (collection name -> tuple set)."""
+    if isinstance(node, Scan):
+        return env.get(node.collection, frozenset())
+    if isinstance(node, Const):
+        return node.rows
+    if isinstance(node, Union):
+        out: set[tuple] = set()
+        for part in node.parts:
+            out |= naive_eval(part, env)
+        return frozenset(out)
+    if isinstance(node, Project):
+        indexes = [node.child._index(src) for src, _ in node._pairs]
+        return frozenset(
+            tuple(row[i] for i in indexes) for row in naive_eval(node.child, env)
+        )
+    if isinstance(node, Calc):
+        indexes = [node.child._index(d) for d in node.deps]
+        return frozenset(
+            row + (node.fn(*(row[i] for i in indexes)),)
+            for row in naive_eval(node.child, env)
+        )
+    if isinstance(node, Select):
+        schema = node.child.schema
+        return frozenset(
+            row
+            for row in naive_eval(node.child, env)
+            if node.predicate(dict(zip(schema, row)))
+        )
+    if isinstance(node, Join):
+        lidx = [node.left._index(l) for l, _ in node.on]
+        ridx = [node.right._index(r) for _, r in node.on]
+        keep_idx = [node.right._index(c) for c in node._right_keep]
+        index: dict[tuple, list[tuple]] = {}
+        for row in naive_eval(node.right, env):
+            index.setdefault(tuple(row[i] for i in ridx), []).append(row)
+        return frozenset(
+            lrow + tuple(rrow[i] for i in keep_idx)
+            for lrow in naive_eval(node.left, env)
+            for rrow in index.get(tuple(lrow[i] for i in lidx), ())
+        )
+    if isinstance(node, AntiJoin):
+        lidx = [node.left._index(l) for l, _ in node.on]
+        ridx = [node.right._index(r) for _, r in node.on]
+        present = {
+            tuple(row[i] for i in ridx) for row in naive_eval(node.right, env)
+        }
+        return frozenset(
+            row
+            for row in naive_eval(node.left, env)
+            if tuple(row[i] for i in lidx) not in present
+        )
+    if isinstance(node, GroupBy):
+        key_idx = [node.child._index(k) for k in node.keys]
+        groups: dict[tuple, list[tuple]] = {}
+        for row in naive_eval(node.child, env):
+            groups.setdefault(tuple(row[i] for i in key_idx), []).append(row)
+        rows_out = []
+        for key, rows in groups.items():
+            agg_values = []
+            for _out, agg_name, col in node.aggs:
+                if col is None:
+                    values = rows
+                else:
+                    idx = node.child._index(col)
+                    values = [row[idx] for row in rows]
+                agg_values.append(AGGREGATES[agg_name](values))
+            rows_out.append(key + tuple(agg_values))
+        return frozenset(rows_out)
+    raise TypeError(f"no naive evaluation for {type(node).__name__}")
 
 
 class NaiveBloomRuntime(BloomRuntime):
@@ -40,7 +134,7 @@ class NaiveBloomRuntime(BloomRuntime):
                     name: frozenset(rows) for name, rows in rt.storage.items()
                 }
                 for info in stratum:
-                    produced = info.rule.rhs.eval(env)
+                    produced = naive_eval(info.rule.rhs, env)
                     target = rt.storage[info.lhs]
                     before = len(target)
                     for row in produced:
@@ -52,7 +146,7 @@ class NaiveBloomRuntime(BloomRuntime):
         env = {name: frozenset(rows) for name, rows in rt.storage.items()}
         for info in rt._end_rules:
             rule = info.rule
-            produced = rule.rhs.eval(env)
+            produced = naive_eval(rule.rhs, env)
             if rule.deferred:
                 pending = rt._pending_inserts.setdefault(rule.lhs, set())
                 pending.update(info.decl.check_arity(row) for row in produced)

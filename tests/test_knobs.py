@@ -4,8 +4,9 @@ Every read goes through a literal variable name somewhere in the source,
 so a token scan of the text finds them all without following
 ``os.environ``.  A new knob — or a retired selector creeping back — fails
 here and has to be argued for; so does ``src/`` importing the test-only
-reference implementations of ``tests/reference``, and so does a second
-loop over cells next to :func:`repro.exec.evaluate`.
+reference implementations of ``tests/reference``, so does a second
+loop over cells next to :func:`repro.exec.evaluate`, and so does a second
+Bloom evaluation path or an engine switch under ``src/repro/bloom``.
 """
 
 from __future__ import annotations
@@ -92,3 +93,24 @@ def test_bloom_apps_wire_coordination_only_through_the_installer():
         text = (SRC / "repro" / "apps" / name).read_text()
         assert not forbidden.findall(text), (name, forbidden.findall(text))
         assert "apply_strategy(" in text
+
+
+def test_bloom_has_one_evaluation_path_and_no_engine_switch():
+    """The interpreted delta path and the polled scheduler were replaced,
+    not kept beside the compiled pipelines; the only second implementation
+    is ``tests/reference/naive_engine.py``, and nothing selects an engine."""
+    import inspect
+
+    from repro.bloom.cluster import BloomNode
+    from repro.bloom.runtime import BloomRuntime
+
+    for path in sorted((SRC / "repro" / "bloom").glob("*.py")):
+        text = path.read_text()
+        for retired in ("eval_delta", "DeltaContext", "_versions", "def eval("):
+            assert retired not in text, (path.name, retired)
+    assert list(inspect.signature(BloomRuntime.__init__).parameters) == [
+        "self", "module", "on_channel_send",
+    ]
+    assert list(inspect.signature(BloomNode.__init__).parameters) == [
+        "self", "name", "module", "tick_delay", "trace",
+    ]
