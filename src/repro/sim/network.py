@@ -8,13 +8,23 @@ sent back-to-back may arrive in either order — exactly the nondeterminism
 Blazes reasons about.  Everything is driven by the simulator's seeded RNG,
 so one seed yields one delivery order and different seeds explore different
 interleavings.
+
+What a fault *means* is decided only in :mod:`repro.sim.faultpolicy`.  The
+hop here may skip a policy call behind a guard, but only when the call's
+result **and** its RNG draw count are already determined: ``send`` asks
+``send_copies`` only while a loss or duplication probability is positive
+(otherwise: one copy, no draw), and ``_deliver`` asks ``delivery_action``
+only while some link is blocked or the destination is unknown or crashed
+(otherwise: deliver).  ``tests/reference/network_ref.py`` keeps the
+unguarded hop, and the differential suite holds the two to identical
+deliveries, counters and RNG state.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections.abc import Callable, Iterable
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import SimulationError
 from repro.sim import faultpolicy
@@ -23,9 +33,12 @@ from repro.sim.events import Simulator
 __all__ = ["Message", "LatencyModel", "Process", "Network", "make_network"]
 
 
-@dataclasses.dataclass(frozen=True)
-class Message:
-    """One message in flight: opaque payload plus addressing metadata."""
+class Message(NamedTuple):
+    """One message in flight: opaque payload plus addressing metadata.
+
+    Immutable and tuple-backed: one is built per hop, so it carries no
+    ``__dict__`` and costs one allocation.
+    """
 
     src: str
     dst: str
@@ -196,24 +209,28 @@ class Network:
         if dst not in self._processes:
             raise SimulationError(f"message to unknown process {dst!r}")
         self.sent += 1
-        telemetry = self.sim.telemetry
+        sim = self.sim
+        telemetry = sim.telemetry
         if telemetry is not None:
             telemetry.note_send(kind, payload)
-        copies = faultpolicy.send_copies(
-            self.sim.rng,
-            reliable=kind in self.reliable_kinds,
-            drop_prob=self.drop_prob,
-            dup_prob=self.dup_prob,
-        )
-        if copies == 0:
-            self.dropped += 1
-        elif copies == 2:
-            self.duplicated += 1
+        copies = 1
+        # guard: with neither probability positive the policy answers 1
+        # and draws nothing, whatever the kind
+        if self.drop_prob > 0 or self.dup_prob > 0:
+            copies = faultpolicy.send_copies(
+                sim.rng,
+                reliable=kind in self.reliable_kinds,
+                drop_prob=self.drop_prob,
+                dup_prob=self.dup_prob,
+            )
+            if copies == 0:
+                self.dropped += 1
+            elif copies == 2:
+                self.duplicated += 1
         for _ in range(copies):
             self._uid += 1
-            msg = Message(src, dst, kind, payload, self.sim.now, self._uid)
-            delay = self.latency.sample(self.sim.rng)
-            self.sim.post(delay, self._deliver, msg)
+            msg = Message(src, dst, kind, payload, sim.now, self._uid)
+            sim.post(self.latency.sample(sim.rng), self._deliver, msg)
 
     def _deliver(self, msg: Message, attempt: int = 0) -> None:
         # Partition and crash semantics are the shared backend policy
@@ -222,19 +239,22 @@ class Network:
         # crashed destination drops deliveries unless retry_crashed
         # re-establishes the reliable session on restart.
         process = self._processes.get(msg.dst)
-        action = faultpolicy.delivery_action(
-            reliable=msg.kind in self.reliable_kinds,
-            link_blocked=(msg.src, msg.dst) in self._blocked_links,
-            dst_known=process is not None,
-            dst_crashed=process is not None and process.crashed,
-            retry_crashed=self.retry_crashed,
-        )
-        if action is faultpolicy.RETRY:
-            self._retry(msg, attempt)
-            return
-        if action is faultpolicy.DROP:
-            self.dropped += 1
-            return
+        # guard: no link blocked anywhere and a known, live destination
+        # leave the policy one answer, DELIVER (it draws nothing either way)
+        if self._blocked_links or process is None or process.crashed:
+            action = faultpolicy.delivery_action(
+                reliable=msg.kind in self.reliable_kinds,
+                link_blocked=(msg.src, msg.dst) in self._blocked_links,
+                dst_known=process is not None,
+                dst_crashed=process is not None and process.crashed,
+                retry_crashed=self.retry_crashed,
+            )
+            if action is faultpolicy.RETRY:
+                self._retry(msg, attempt)
+                return
+            if action is faultpolicy.DROP:
+                self.dropped += 1
+                return
         self.delivered += 1
         profiler = self.sim.profiler
         if profiler is not None:

@@ -6,7 +6,9 @@ up in virtual time exactly as they would on a cluster.  The engine provides
 the Storm guarantees the paper's evaluation relies on:
 
 * **channel FIFO** — frames between a task pair are sequence-numbered and
-  reassembled in order, so batch punctuations cannot overtake data;
+  reassembled in order, so batch punctuations cannot overtake data (the
+  state is two integer tables per task and a held-frames table that is
+  non-empty only while a gap is open — see :class:`_TaskBase`);
 * **batched delivery** — tuples between a task pair coalesce into frames
   of up to ``frame_size`` items carried by a single simulated message.
   Punctuations ride in-frame (flushing the channel), so FIFO, batch
@@ -22,22 +24,28 @@ the Storm guarantees the paper's evaluation relies on:
   enabled, the terminal bolt's ``finish_batch`` is deferred until the
   commit coordinator grants the batch in a global serial order, which is
   Storm's "transactional topology" semantics.
+
+What is fixed once the cluster is wired is resolved then, not per tuple:
+a router's grouping modes, consumer tasks and key column positions
+(:class:`_Router`), and the punctuation sets a batch completes on
+(:meth:`StormCluster.expected_punct_tasks`).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from functools import partial
 from typing import Any
 
 from repro.coord.assignment import ReplicaAssignment, stable_hash
-from repro.coord.ordering import OrderedInbox
 from repro.coord.zookeeper import ZK_KINDS
 from repro.errors import StormError
 from repro.sim.network import LatencyModel, Message, Process, make_network
 from repro.sim.events import make_simulator
 from repro.sim.trace import Trace
-from repro.storm.topology import Grouping, Topology
-from repro.storm.tuples import StormTuple
+from repro.storm.topology import Topology
+from repro.storm.tuples import Fields, StormTuple
 
 __all__ = ["StormCluster", "ClusterConfig", "stable_hash"]
 
@@ -46,32 +54,50 @@ ACK = "st.ack"
 
 
 class _Router:
-    """Routes emitted tuples from one task to downstream tasks."""
+    """Routes emitted tuples from one task to downstream tasks.
 
-    def __init__(self, task: "_TaskBase", cluster: "StormCluster", component: str):
+    Everything a route needs that is fixed once the cluster is wired —
+    each consuming edge's grouping mode, its consumer's replica tasks and
+    the column positions of a fields grouping's key — is resolved here, so
+    a fields grouping on an undeclared field is a construction-time error.
+    """
+
+    def __init__(
+        self,
+        task: "_TaskBase",
+        cluster: "StormCluster",
+        component: str,
+        output_fields: Fields,
+    ):
         self.task = task
         self.cluster = cluster
-        self.targets: list[tuple[Grouping, str, list[str], Any]] = []
+        self.targets: list[tuple[str, str, list[str], Any]] = []
         for consumer, grouping in cluster.topology.consumers_of(component):
-            task_names = cluster.task_names(consumer)
-            fields = cluster.topology.declaration(component).factory().output_fields
-            self.targets.append((grouping, consumer, task_names, fields))
+            project = (
+                output_fields.projector(grouping.fields)
+                if grouping.mode == "fields"
+                else None
+            )
+            self.targets.append(
+                (grouping.mode, consumer, cluster.task_names(consumer), project)
+            )
         self._shuffle_counters = [0] * len(self.targets)
 
     def route(self, batch: int, attempt: int, values: tuple) -> None:
-        for index, (grouping, consumer, task_names, fields) in enumerate(self.targets):
-            if grouping.mode == "shuffle":
+        send_chan = self.task.send_chan
+        item = ("tuple", values)
+        for index, (mode, consumer, task_names, project) in enumerate(self.targets):
+            if mode == "shuffle":
                 position = self._shuffle_counters[index] % len(task_names)
                 self._shuffle_counters[index] += 1
                 dst = task_names[position]
-            elif grouping.mode == "fields":
+            elif mode == "fields":
                 # the one shared routing formula: seal producer sets are
                 # derived from the same assignment, so they must agree
-                key = fields.project(values, grouping.fields)
-                dst = self.cluster.assignment.task_for(consumer, key)
+                dst = self.cluster.assignment.task_for(consumer, project(values))
             else:  # global
                 dst = task_names[0]
-            self.task.send_chan(dst, batch, attempt, ("tuple", values))
+            send_chan(dst, batch, attempt, item)
 
     def broadcast_punct(self, batch: int, attempt: int) -> None:
         # flush=True: the punctuation closes the channel's open frame, so
@@ -82,7 +108,7 @@ class _Router:
             # under every strategy: a delivery-plane decision, not a
             # coordination message
             telemetry.note_decision("punctuation", topic=self.task.component)
-        for _grouping, _consumer, task_names, _fields in self.targets:
+        for _mode, _consumer, task_names, _project in self.targets:
             for name in task_names:
                 self.task.send_chan(name, batch, attempt, ("punct",), flush=True)
 
@@ -108,6 +134,18 @@ class _TaskBase(Process):
     records it covers), and a batch attempt always ends in a punctuation
     broadcast to every downstream task — which is what guarantees no data
     is left stranded in a partial frame.
+
+    Channel state is integers: ``_chan_seq`` holds the next sequence
+    number to send and ``_recv_seq`` the next one expected, and a channel
+    appears in ``_held`` (``seq -> frame``) only while a gap is open.  A
+    run opens a channel per (task pair, batch attempt) and sends two or
+    three frames down it, so an object per channel would cost more than
+    the frames it orders and, living to the end of the run, would be what
+    the cyclic collector keeps re-traversing.  The reassembly rule —
+    release the contiguous prefix, apply a duplicate once — is the one
+    :mod:`repro.coord.ordering` applies, with an inbox object per channel,
+    to sealing and the sequencer: a handful of long-lived channels
+    carrying thousands of messages each, the opposite traffic.
     """
 
     def __init__(self, name: str, cluster: "StormCluster") -> None:
@@ -116,7 +154,8 @@ class _TaskBase(Process):
         self.frame_size = cluster.config.frame_size
         self._chan_seq: dict[tuple[str, int, int], int] = {}
         self._out_frames: dict[tuple[str, int, int], list[tuple]] = {}
-        self._inboxes: dict[tuple[str, int, int], OrderedInbox] = {}
+        self._recv_seq: dict[tuple[str, int, int], int] = {}
+        self._held: dict[tuple[str, int, int], dict[int, tuple]] = {}
         self.frames_sent = 0
         self.items_sent = 0
 
@@ -124,42 +163,51 @@ class _TaskBase(Process):
         self, dst: str, batch: int, attempt: int, item: tuple, *, flush: bool = False
     ) -> None:
         key = (dst, batch, attempt)
-        frame = self._out_frames.setdefault(key, [])
+        frame = self._out_frames.get(key)
+        if frame is None:
+            if flush or self.frame_size == 1:
+                self._send_frame(key, (item,))
+            else:
+                self._out_frames[key] = [item]
+            return
         frame.append(item)
         if flush or len(frame) >= self.frame_size:
-            self._flush_chan(key)
+            del self._out_frames[key]
+            self._send_frame(key, tuple(frame))
 
-    def _flush_chan(self, key: tuple[str, int, int]) -> None:
-        frame = self._out_frames.pop(key, None)
-        if not frame:
-            return
+    def _send_frame(self, key: tuple[str, int, int], frame: tuple) -> None:
         dst, batch, attempt = key
         seq = self._chan_seq.get(key, 0)
         self._chan_seq[key] = seq + 1
-        # counted at flush, not buffer time: items a replay discards from
-        # _out_frames were never carried by any frame
+        # counted when sent, not when buffered: items a replay discards
+        # from _out_frames were never carried by any frame
         self.frames_sent += 1
         self.items_sent += len(frame)
-        self.send(dst, CHAN, (self.name, batch, attempt, seq, tuple(frame)))
+        self.send(dst, CHAN, (self.name, batch, attempt, seq, frame))
 
     def handle_chan(self, msg: Message) -> None:
         src, batch, attempt, seq, frame = msg.payload
         key = (src, batch, attempt)
-        inbox = self._inboxes.get(key)
-        if inbox is None:
-            inbox = OrderedInbox(
-                lambda fr, s=src, b=batch, a=attempt: self._on_frame(s, b, a, fr)
-            )
-            self._inboxes[key] = inbox
-        inbox.offer(seq, frame)
-
-    def _on_frame(self, src: str, batch: int, attempt: int, frame: tuple) -> None:
-        for item in frame:
-            self.on_item(src, batch, attempt, item)
+        expected = self._recv_seq.get(key, 0)
+        if seq != expected:
+            # ahead of a gap: hold it (once); behind: a duplicate
+            if seq > expected:
+                self._held.setdefault(key, {}).setdefault(seq, frame)
+            return
+        held = self._held.get(key)
+        on_item = self.on_item
+        while frame is not None:
+            seq += 1
+            self._recv_seq[key] = seq
+            for item in frame:
+                on_item(src, batch, attempt, item)
+            frame = held.pop(seq, None) if held else None
+        if held is not None and not held:  # the gap closed
+            del self._held[key]
 
     def drop_stale_channels(self, batch: int, before_attempt: int) -> None:
         """Discard channel state of superseded attempts of a batch."""
-        for table in (self._inboxes, self._out_frames, self._chan_seq):
+        for table in (self._recv_seq, self._held, self._out_frames, self._chan_seq):
             stale = [
                 key
                 for key in table
@@ -180,7 +228,7 @@ class _SpoutTask(_TaskBase):
         self.component = component
         self.index = index
         self.spout = cluster.topology.declaration(component).factory()
-        self.router = _Router(self, cluster, component)
+        self.router = _Router(self, cluster, component, self.spout.output_fields)
         self.exhausted = False
         self.next_local = 0
         self.pending: dict[int, set[str]] = {}  # batch -> ackers outstanding
@@ -286,7 +334,7 @@ class _BoltTask(_TaskBase):
         self.component = component
         self.index = index
         self.bolt = cluster.topology.declaration(component).factory()
-        self.router = _Router(self, cluster, component)
+        self.router = _Router(self, cluster, component, self.bolt.output_fields)
         self.exec_time = cluster.config.exec_times.get(
             component, cluster.config.default_exec_time
         )
@@ -310,13 +358,10 @@ class _BoltTask(_TaskBase):
     def recv(self, msg: Message) -> None:
         if msg.kind == CHAN:
             self.handle_chan(msg)
-        elif self.transactional and self.cluster.transactional_hook(self, msg):
-            return
-        else:
-            if msg.kind != CHAN:
-                raise StormError(
-                    f"bolt task {self.name} got unexpected message {msg.kind}"
-                )
+        elif not (self.transactional and self.cluster.transactional_hook(self, msg)):
+            raise StormError(
+                f"bolt task {self.name} got unexpected message {msg.kind}"
+            )
 
     def on_item(self, src: str, batch: int, attempt: int, item: tuple) -> None:
         # quiescence fast path: an item of a superseded attempt can never
@@ -345,9 +390,8 @@ class _BoltTask(_TaskBase):
             if kind == "tuple":
                 values = item[1]
                 self.processed_tuples += 1
-                tup = StormTuple(values, batch)
                 self.bolt.execute(
-                    tup, lambda out, b=batch, a=attempt: self.router.route(b, a, out)
+                    StormTuple(values, batch), partial(self.router.route, batch, attempt)
                 )
             elif kind == "punct":
                 self._on_punct(src, batch, attempt)
@@ -507,6 +551,10 @@ class StormCluster:
         self._exhausted_spouts = 0
         self.batches_acked: list[tuple[int, float]] = []
         self._terminal = self._find_terminal()
+        self._spout_period = math.lcm(
+            *(len(self.task_names(spout)) for spout in topology.spouts)
+        )
+        self._expected_puncts: dict[tuple[str, int], frozenset[str]] = {}
         self._build_tasks()
         self.coordinator = None
         if self.config.transactional:
@@ -547,15 +595,21 @@ class StormCluster:
         batch, but a *spout* batch is emitted (and punctuated) only by its
         owning spout task.
         """
-        names: set[str] = set()
-        for grouping in self.topology.declaration(component).groupings:
-            source = grouping.source
-            tasks = self.task_names(source)
-            if self.topology.declaration(source).is_spout:
-                names.add(tasks[batch % len(tasks)])
-            else:
-                names.update(tasks)
-        return frozenset(names)
+        # the answer depends on the batch only through which task of each
+        # spout owns it, so it repeats with the lcm of the spouts' widths
+        key = (component, batch % self._spout_period)
+        expected = self._expected_puncts.get(key)
+        if expected is None:
+            names: set[str] = set()
+            for grouping in self.topology.declaration(component).groupings:
+                source = grouping.source
+                tasks = self.task_names(source)
+                if self.topology.declaration(source).is_spout:
+                    names.add(tasks[batch % len(tasks)])
+                else:
+                    names.update(tasks)
+            expected = self._expected_puncts[key] = frozenset(names)
+        return expected
 
     def _build_tasks(self) -> None:
         for component in self.topology.spouts:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
+from operator import itemgetter
 from typing import Any
 
 from repro.errors import StormError
@@ -24,9 +26,20 @@ class Fields:
         except ValueError:
             raise StormError(f"unknown field {name!r} (have {self.names})") from None
 
+    def projector(self, names: tuple[str, ...]) -> Callable[[tuple], tuple]:
+        """Resolve ``names`` to positions now; the result projects a value tuple.
+
+        An unknown name raises :class:`StormError` here, not per tuple.
+        """
+        positions = [self.index_of(n) for n in names]
+        if len(positions) == 1:  # a lone itemgetter index yields a scalar
+            (position,) = positions
+            return lambda values: (values[position],)
+        return itemgetter(*positions) if positions else lambda values: ()
+
     def project(self, values: tuple, names: tuple[str, ...]) -> tuple:
         """Extract the named fields from a value tuple."""
-        return tuple(values[self.index_of(n)] for n in names)
+        return self.projector(names)(values)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -38,7 +51,7 @@ class Fields:
         return f"Fields{self.names}"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class StormTuple:
     """One data tuple flowing through a topology.
 

@@ -1,9 +1,11 @@
 """Test-only reference implementations: the differential oracles.
 
-``events_ref`` is the seed discrete-event scheduler and ``naive_engine``
-the textbook Bloom fixpoint with its from-scratch operator evaluation.  Neither is reachable from ``src/``; the
-differential suites put them in place of the production code from the
-outside (``tests/test_knobs.py`` fails if ``src/`` ever imports them).
+``events_ref`` is the seed discrete-event scheduler, ``naive_engine``
+the textbook Bloom fixpoint with its from-scratch operator evaluation,
+and ``network_ref`` the network hop that asks the fault policy about
+every message.  None is reachable from ``src/``; the differential suites
+put them in place of the production code from the outside
+(``tests/test_knobs.py`` fails if ``src/`` ever imports them).
 """
 
 from __future__ import annotations
@@ -13,8 +15,15 @@ from unittest import mock
 from repro.sim import events
 from tests.reference import events_ref
 from tests.reference.naive_engine import NaiveBloomRuntime, naive_eval
+from tests.reference.network_ref import ReferenceNetwork
 
-__all__ = ["NaiveBloomRuntime", "events_ref", "naive_eval", "reference_kernel"]
+__all__ = [
+    "NaiveBloomRuntime",
+    "ReferenceNetwork",
+    "events_ref",
+    "naive_eval",
+    "reference_kernel",
+]
 
 
 def reference_kernel():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import StormError
-from repro.storm import Bolt, Fields, Spout, TopologyBuilder
+from repro.storm import Bolt, Fields, Spout, StormCluster, TopologyBuilder
 
 
 class DummySpout(Spout):
@@ -86,3 +86,44 @@ def test_fields_schema_projection():
         fields.index_of("z")
     with pytest.raises(StormError):
         Fields("a", "a")
+
+
+def test_projector_resolves_positions_once_and_always_yields_a_tuple():
+    fields = Fields("a", "b", "c")
+    assert fields.projector(("c", "a"))((1, 2, 3)) == (3, 1)
+    assert fields.projector(("b",))((1, 2, 3)) == (2,)  # a routing key, not a scalar
+    with pytest.raises(StormError, match="unknown field 'z'"):
+        fields.projector(("a", "z"))
+
+
+def test_fields_grouping_on_undeclared_field_fails_when_the_cluster_is_built():
+    """Not from inside the event loop at the first routed tuple — or never,
+    if that edge happens to carry none (DummySpout emits nothing)."""
+    builder = TopologyBuilder()
+    builder.set_spout("src", DummySpout)
+    builder.set_bolt("a", DummyBolt).shuffle_grouping("src")
+    builder.set_bolt("b", DummyBolt).fields_grouping("a", "yy")
+    topology = builder.build()  # validate() checks components, not fields
+    with pytest.raises(StormError, match=r"unknown field 'yy' \(have \('y',\)\)"):
+        StormCluster(topology)
+
+
+def test_each_task_builds_its_component_exactly_once():
+    """The router reads ``output_fields`` off the instance the task built;
+    it does not run the user's factory a second time per consumer."""
+    built: list[str] = []
+
+    class CountedSpout(DummySpout):
+        def __init__(self):
+            built.append("src")
+
+    class CountedBolt(DummyBolt):
+        def __init__(self):
+            built.append("bolt")
+
+    builder = TopologyBuilder()
+    builder.set_spout("src", CountedSpout, parallelism=2)
+    builder.set_bolt("a", CountedBolt, parallelism=2).shuffle_grouping("src")
+    builder.set_bolt("b", CountedBolt, parallelism=3).fields_grouping("a", "y")
+    StormCluster(builder.build())
+    assert sorted(built) == ["bolt"] * 5 + ["src"] * 2

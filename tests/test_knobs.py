@@ -5,8 +5,10 @@ so a token scan of the text finds them all without following
 ``os.environ``.  A new knob — or a retired selector creeping back — fails
 here and has to be argued for; so does ``src/`` importing the test-only
 reference implementations of ``tests/reference``, so does a second
-loop over cells next to :func:`repro.exec.evaluate`, and so does a second
-Bloom evaluation path or an engine switch under ``src/repro/bloom``.
+loop over cells next to :func:`repro.exec.evaluate`, so does a second
+Bloom evaluation path or an engine switch under ``src/repro/bloom``, and
+so does a new constructor parameter or a second ``Network`` class on the
+message hop.
 """
 
 from __future__ import annotations
@@ -114,3 +116,45 @@ def test_bloom_has_one_evaluation_path_and_no_engine_switch():
     assert list(inspect.signature(BloomNode.__init__).parameters) == [
         "self", "name", "module", "tick_delay", "trace",
     ]
+
+
+def test_the_message_hop_has_no_knob_and_no_fork():
+    """The hop was rewired in place: the four constructors on it take what
+    they took before, the executor keeps channel state in its own integer
+    tables, and the delivery guard is one site for both backends because
+    the socket network — still the only ``Network`` subclass under
+    ``src/`` — overrides ``send`` and inherits ``_deliver``."""
+    import inspect
+
+    from repro.net.services import SocketNetwork
+    from repro.sim.events import Simulator
+    from repro.sim.network import Network
+    from repro.storm.executor import ClusterConfig, StormCluster
+
+    def parameters(cls) -> list[str]:
+        return list(inspect.signature(cls.__init__).parameters)
+
+    assert parameters(Network) == [
+        "self", "sim", "latency", "drop_prob", "dup_prob", "reliable_kinds",
+        "retry_crashed", "retry_limit",
+    ]
+    assert parameters(Simulator) == ["self", "seed"]
+    assert parameters(ClusterConfig) == [
+        "self", "seed", "latency", "drop_prob", "dup_prob", "default_exec_time",
+        "exec_times", "punct_time", "emit_time", "max_pending", "replay_timeout",
+        "transactional", "commit_time", "zk_write_service", "frame_size",
+        "parallelism",
+    ]
+    assert parameters(StormCluster) == ["self", "topology", "config"]
+
+    executor = (SRC / "repro" / "storm" / "executor.py").read_text()
+    assert "OrderedInbox" not in executor
+
+    subclasses = [
+        (str(path.relative_to(SRC)), name)
+        for path in _sources()
+        for name in re.findall(r"^class (\w+)\([^)]*\bNetwork\b", path.read_text(), re.M)
+    ]
+    assert subclasses == [("repro/net/services.py", "SocketNetwork")]
+    assert "send" in vars(SocketNetwork) and "_deliver" not in vars(SocketNetwork)
+    assert "self.latency.sample(" in inspect.getsource(SocketNetwork.send)
