@@ -21,12 +21,20 @@ A component counts as *replicated* for reconciliation when it carries the
 ``Rep`` annotation or consumes a replicated stream: replicas of a stream
 feed distinct physical consumers, so nondeterminism in its contents
 manifests across those consumers' state (this is what makes the cache
-diverge in the paper's POOR case study).
+diverge in the paper's POOR case study).  A *stream* is replicated when it
+carries ``Rep`` or its own producer does — also when that producer sits in
+a collapsed cycle: the cycle's members share one reconciliation, but each
+stream leaving it takes the flag of the member that emits it.
+
+The pass is linear in components + streams + paths: every adjacency
+question is a lookup in the graph's index (:mod:`repro.core.graph`), asked
+a bounded number of times per interface.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from collections.abc import Iterable
 
 from repro.core.annotations import PathAnnotation
@@ -44,7 +52,7 @@ _OUT = "out"
 _Node = tuple[str, str, str]  # (direction, component, interface)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class OutputAnalysis:
     """Analysis record for one output interface of one component."""
 
@@ -123,12 +131,13 @@ class AnalysisResult:
 
     def components_needing_coordination(self) -> tuple[str, ...]:
         """Components with tainted state or unprotected ``NDRead`` gates."""
-        names: list[str] = []
-        for (component, _iface), record in self.outputs.items():
-            if record.tainted or record.unprotected_gates:
-                if component not in names:
-                    names.append(component)
-        return tuple(names)
+        return tuple(
+            dict.fromkeys(
+                component
+                for (component, _iface), record in self.outputs.items()
+                if record.tainted or record.unprotected_gates
+            )
+        )
 
 
 def analyze(dataflow: Dataflow, fds: FDSet | None = None) -> AnalysisResult:
@@ -287,10 +296,10 @@ def _condensation_order(
             if a != b and b not in successors[a]:
                 successors[a].add(b)
                 indegree[b] += 1
-    ready = sorted(i for i, deg in indegree.items() if deg == 0)
+    ready = deque(sorted(i for i, deg in indegree.items() if deg == 0))
     order: list[int] = []
     while ready:
-        current = ready.pop(0)
+        current = ready.popleft()
         order.append(current)
         for nxt in sorted(successors[current]):
             indegree[nxt] -= 1
@@ -450,9 +459,12 @@ def _process_cycle(
             collapsed=True,
         )
         outputs[(comp_name, out_iface)] = record
+        # as in _process_output: a stream leaving the cycle is replicated iff
+        # its own producer is, whatever the other members are
+        producer_rep = dataflow.component(comp_name).rep
         for stream in dataflow.streams_from(comp_name, out_iface):
             stream_labels[stream.name] = result.merged
-            stream_rep[stream.name] = stream.rep or component.rep
+            stream_rep[stream.name] = stream.rep or producer_rep
 
 
 def _collapsed_annotation(dataflow: Dataflow, scc: frozenset[_Node]) -> PathAnnotation:

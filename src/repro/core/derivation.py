@@ -45,20 +45,29 @@ def render_chain(result: AnalysisResult, sink_stream: str) -> str:
     if sink.src is None:
         return f"{sink.name} is an external input: {result.label_of(sink.name)}"
 
-    visited: list[tuple[str, str]] = []
-
-    def visit(component: str, out_iface: str) -> None:
-        key = (component, out_iface)
-        if key in visited:
-            return
-        comp = dataflow.component(component)
-        for path in comp.paths_into(out_iface):
+    def upstream(component: str, out_iface: str):
+        for path in dataflow.component(component).paths_into(out_iface):
             for stream in dataflow.streams_into(component, path.from_iface):
                 if stream.src is not None:
-                    visit(stream.src[0], stream.src[1])
-        visited.append(key)
+                    yield stream.src
 
-    visit(sink.src[0], sink.src[1])
+    # iterative post-order over output interfaces, marked on entry: a cycle
+    # (or a chain deeper than the recursion limit) ends the walk like any
+    # other revisit
+    visited: list[tuple[str, str]] = []
+    entered = {sink.src}
+    stack = [(sink.src, upstream(*sink.src))]
+    while stack:
+        key, pending = stack[-1]
+        for producer in pending:
+            if producer not in entered:
+                entered.add(producer)
+                stack.append((producer, upstream(*producer)))
+                break
+        else:
+            stack.pop()
+            visited.append(key)
+
     blocks = [render_output(result.output(c, i)) for c, i in visited]
     blocks.append(f"sink {sink.name} => {result.label_of(sink.name)}")
     return "\n\n".join(blocks)

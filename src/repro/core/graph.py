@@ -11,6 +11,13 @@ and a stream whose destination is ``None`` is an external egress (a sink).
 The graph is purely logical: multiplicity of physical instances is captured
 by the ``rep`` (replication) annotation, not by duplicating nodes
 (paper Section II distinguishes logical dataflows from physical ones).
+
+The graph keeps its adjacency: :meth:`Dataflow.add_stream`, the only place
+a stream enters a graph, files it under its destination and its source,
+each by component and by ``(component, interface)``, in declaration order.
+:meth:`Dataflow.streams_into` / :meth:`Dataflow.streams_from` are lookups,
+so everything that walks the graph (analysis, strategy synthesis, lints,
+derivation rendering) is linear in components + streams + paths.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from repro.errors import DataflowError
 __all__ = ["Path", "Component", "Stream", "Dataflow"]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Path:
     """An annotated input-to-output path through one component."""
 
@@ -44,6 +51,8 @@ class Component:
     annotation): its instances receive the same input streams and its
     output streams are replicated streams.
     """
+
+    __slots__ = ("name", "rep", "_paths")
 
     def __init__(self, name: str, *, rep: bool = False) -> None:
         if not name:
@@ -73,20 +82,12 @@ class Component:
     @property
     def input_interfaces(self) -> tuple[str, ...]:
         """Input interface names, in declaration order."""
-        seen: list[str] = []
-        for path in self._paths:
-            if path.from_iface not in seen:
-                seen.append(path.from_iface)
-        return tuple(seen)
+        return tuple(dict.fromkeys(path.from_iface for path in self._paths))
 
     @property
     def output_interfaces(self) -> tuple[str, ...]:
         """Output interface names, in declaration order."""
-        seen: list[str] = []
-        for path in self._paths:
-            if path.to_iface not in seen:
-                seen.append(path.to_iface)
-        return tuple(seen)
+        return tuple(dict.fromkeys(path.to_iface for path in self._paths))
 
     def paths_into(self, out_iface: str) -> tuple[Path, ...]:
         """All paths that terminate at ``out_iface``."""
@@ -101,12 +102,13 @@ class Component:
         return f"Component({self.name}{rep}, paths={len(self._paths)})"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Stream:
     """A named stream connecting interfaces (or the outside world).
 
     ``src`` / ``dst`` are ``(component_name, interface_name)`` pairs or
-    ``None`` for external endpoints.  ``seal_key`` records a ``Seal[key]``
+    ``None`` for external endpoints, fixed once the stream is declared (the
+    graph's adjacency is keyed on them).  ``seal_key`` records a ``Seal[key]``
     stream annotation; ``rep`` a ``Rep`` annotation; ``label`` optionally
     overrides the default ``Async`` label of an *external* input stream.
     """
@@ -140,6 +142,22 @@ class Stream:
         return f"{self.name}: {src} -> {dst}{suffix}"
 
 
+def _endpoint(name: str, side: str, value: object) -> tuple[str, str] | None:
+    """``value`` as a ``(component, interface)`` pair of strings, or ``None``."""
+    if value is None:
+        return None
+    if (
+        isinstance(value, (tuple, list))
+        and len(value) == 2
+        and all(isinstance(part, str) for part in value)
+    ):
+        return tuple(value)
+    raise DataflowError(
+        f"stream {name!r}: {side} must be a (component, interface) pair of "
+        f"strings or None, got {value!r}"
+    )
+
+
 class Dataflow:
     """A named logical dataflow: components plus the streams wiring them."""
 
@@ -147,6 +165,11 @@ class Dataflow:
         self.name = name
         self._components: dict[str, Component] = {}
         self._streams: dict[str, Stream] = {}
+        # adjacency, one dict per direction: the streams touching a component
+        # (keyed by its name) and one of its interfaces (keyed by the
+        # endpoint pair), appended by add_stream in declaration order
+        self._into: dict[str | tuple[str, str], list[Stream]] = {}
+        self._from: dict[str | tuple[str, str], list[Stream]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -179,6 +202,7 @@ class Dataflow:
             raise DataflowError(f"duplicate stream {name!r}")
         if src is None and dst is None:
             raise DataflowError(f"stream {name!r} must touch at least one component")
+        src, dst = _endpoint(name, "src", src), _endpoint(name, "dst", dst)
         if seal is not None and label is not None:
             # a seal *is* the stream's label (Seal[key]); carrying both is
             # contradictory, and the spec format cannot express it
@@ -200,6 +224,16 @@ class Dataflow:
                 raise DataflowError(f"stream {name!r}: a seal key must be non-empty")
         stream = Stream(name, src, dst, seal_key=seal_key, rep=rep, label=label)
         self._streams[name] = stream
+        for index, endpoint in ((self._from, src), (self._into, dst)):
+            if endpoint is None:
+                continue
+            for key in (endpoint[0], endpoint):
+                if key in index:
+                    index[key].append(stream)
+                else:
+                    # most keys hold one stream, and a literal is allocated
+                    # for exactly one (an append to [] reserves four slots)
+                    index[key] = [stream]
         return stream
 
     # ------------------------------------------------------------------
@@ -229,23 +263,13 @@ class Dataflow:
 
     def streams_into(self, component: str, in_iface: str | None = None) -> tuple[Stream, ...]:
         """Streams whose destination is ``component`` (and optionally iface)."""
-        return tuple(
-            s
-            for s in self._streams.values()
-            if s.dst is not None
-            and s.dst[0] == component
-            and (in_iface is None or s.dst[1] == in_iface)
-        )
+        key = component if in_iface is None else (component, in_iface)
+        return tuple(self._into.get(key, ()))
 
     def streams_from(self, component: str, out_iface: str | None = None) -> tuple[Stream, ...]:
         """Streams whose source is ``component`` (and optionally iface)."""
-        return tuple(
-            s
-            for s in self._streams.values()
-            if s.src is not None
-            and s.src[0] == component
-            and (out_iface is None or s.src[1] == out_iface)
-        )
+        key = component if out_iface is None else (component, out_iface)
+        return tuple(self._from.get(key, ()))
 
     @property
     def external_inputs(self) -> tuple[Stream, ...]:
@@ -312,29 +336,26 @@ class Dataflow:
         at least one path, and that every input interface is fed by at
         least one stream (otherwise the analysis could not label it).
         """
+        exposed: dict[str, dict[str, frozenset[str]]] = {"output": {}, "input": {}}
         for component in self._components.values():
             if not component.paths:
                 raise DataflowError(f"component {component.name!r} declares no paths")
+            exposed["output"][component.name] = frozenset(component.output_interfaces)
+            exposed["input"][component.name] = frozenset(component.input_interfaces)
         for stream in self._streams.values():
-            if stream.src is not None:
-                comp_name, iface = stream.src
-                component = self.component(comp_name)
-                if iface not in component.output_interfaces:
+            for side, endpoint in (("output", stream.src), ("input", stream.dst)):
+                if endpoint is None:
+                    continue
+                comp_name, iface = endpoint
+                self.component(comp_name)  # unknown component: DataflowError
+                if iface not in exposed[side][comp_name]:
                     raise DataflowError(
-                        f"stream {stream.name!r}: {comp_name!r} has no output "
-                        f"interface {iface!r}"
-                    )
-            if stream.dst is not None:
-                comp_name, iface = stream.dst
-                component = self.component(comp_name)
-                if iface not in component.input_interfaces:
-                    raise DataflowError(
-                        f"stream {stream.name!r}: {comp_name!r} has no input "
+                        f"stream {stream.name!r}: {comp_name!r} has no {side} "
                         f"interface {iface!r}"
                     )
         for component in self._components.values():
             for in_iface in component.input_interfaces:
-                if not self.streams_into(component.name, in_iface):
+                if (component.name, in_iface) not in self._into:
                     raise DataflowError(
                         f"input interface {component.name}.{in_iface} is not fed "
                         f"by any stream"

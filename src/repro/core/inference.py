@@ -42,7 +42,7 @@ RULE_TAINT_SEAL = "4"
 RULE_SEAL_CONSUMED = "s"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class DerivationStep:
     """One application of an inference rule on one path.
 

@@ -34,7 +34,7 @@ from repro.core.labels import (
 __all__ = ["ReconciliationResult", "is_protected", "reconcile"]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ReconciliationResult:
     """Outcome of reconciling one output interface.
 

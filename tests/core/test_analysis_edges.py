@@ -152,3 +152,37 @@ def test_unknown_stream_label_lookup_raises():
         result.label_of("ghost")
     with pytest.raises(AnalysisError):
         result.output("C", "ghost")
+
+
+@pytest.mark.parametrize("first", ["A", "Z"])  # sorts before / after "B"
+@pytest.mark.parametrize("first_rep", [False, True])
+@pytest.mark.parametrize("second_rep", [False, True])
+def test_stream_leaving_a_cycle_is_replicated_iff_its_producer_is(
+    first, first_rep, second_rep
+):
+    """The label downstream of a collapsed cycle must not depend on which
+    member's name sorts last: each leaving stream takes its own producer's
+    ``rep``, so an order-sensitive consumer diverges exactly downstream of
+    the replicated member."""
+    flow = Dataflow("mixed-rep-gossip")
+    a = flow.add_component(first, rep=first_rep)
+    a.add_path("in", "out", CW())
+    a.add_path("peer", "out", CW())
+    b = flow.add_component("B", rep=second_rep)
+    b.add_path("in", "out", CW())
+    flow.add_stream("src", dst=(first, "in"))
+    flow.add_stream("ab", src=(first, "out"), dst=("B", "in"))
+    flow.add_stream("ba", src=("B", "out"), dst=(first, "peer"))
+    for producer in (first, "B"):
+        consumer = flow.add_component(f"after-{producer}")
+        consumer.add_path("in", "out", OW("k"))
+        flow.add_stream(f"leaves-{producer}", src=(producer, "out"), dst=(consumer.name, "in"))
+        flow.add_stream(f"sink-{producer}", src=(consumer.name, "out"))
+    result = analyze(flow)
+    assert result.cycles == (frozenset({first, "B"}),)
+    for producer, rep in ((first, first_rep), ("B", second_rep)):
+        assert result.stream_rep[f"leaves-{producer}"] is rep
+        expected = LabelKind.DIVERGE if rep else LabelKind.RUN
+        assert result.label_of(f"sink-{producer}").kind is expected
+    assert result.stream_rep["ab"] is first_rep
+    assert result.stream_rep["ba"] is second_rep

@@ -1,0 +1,179 @@
+"""Whole-dataflow properties: the adjacency index, renaming, rendering.
+
+One strategy draws small dataflows as *recipes* — plain data, so the same
+graph can be declared in a different order or under different names —
+covering self-edges, multi-member cycles, several streams into one
+interface, external inputs, sinks and random ``rep`` / ``seal``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import re
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core import Dataflow, analyze, render_chain
+from tests.core.test_properties import annotations, attr_sets
+
+Endpoint = tuple[str, str] | None
+
+
+@dataclasses.dataclass(frozen=True)
+class Recipe:
+    """A valid dataflow as data: every input interface is fed."""
+
+    components: tuple[tuple[str, bool], ...]  # (name, rep)
+    paths: tuple[tuple[str, str, str, object], ...]  # (component, from, to, annotation)
+    streams: tuple[tuple[str, Endpoint, Endpoint, bool, frozenset | None], ...]
+
+    def build(self, order=None, rename=lambda name: name) -> Dataflow:
+        """Declare the graph, optionally in ``order`` (indices into
+        ``paths + streams``) and under a renaming of components/streams."""
+        ops = [("path", p) for p in self.paths] + [("stream", s) for s in self.streams]
+        reps = dict(self.components)
+        flow = Dataflow("drawn")
+        declared = {}
+
+        def end(endpoint: Endpoint) -> Endpoint:
+            return None if endpoint is None else (rename(endpoint[0]), endpoint[1])
+
+        for index in order if order is not None else range(len(ops)):
+            kind, op = ops[index]
+            if kind == "path":
+                name, from_iface, to_iface, annotation = op
+                if name not in declared:
+                    declared[name] = flow.add_component(rename(name), rep=reps[name])
+                declared[name].add_path(from_iface, to_iface, annotation)
+            else:
+                name, src, dst, rep, seal = op
+                flow.add_stream(rename(name), src=end(src), dst=end(dst), rep=rep, seal=seal)
+        return flow
+
+
+@st.composite
+def recipes(draw) -> Recipe:
+    names = [f"c{i}" for i in range(draw(st.integers(1, 8)))]
+    components = tuple((name, draw(st.booleans())) for name in names)
+    paths = []
+    for name in names:
+        pairs = draw(
+            st.lists(
+                st.tuples(st.sampled_from(["i0", "i1", "i2"]), st.sampled_from(["o0", "o1"])),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+        paths += [(name, i, o, draw(annotations)) for i, o in pairs]
+    inputs = sorted({(c, i) for c, i, _, _ in paths})
+    outputs = sorted({(c, o) for c, _, o, _ in paths})
+    # one feeder per input interface keeps the graph valid; the extras add
+    # fan-in on an interface, sinks and more cycles
+    wiring = [(draw(st.none() | st.sampled_from(outputs)), dst) for dst in inputs]
+    for _ in range(draw(st.integers(0, 6))):
+        src = draw(st.none() | st.sampled_from(outputs))
+        dst = draw(st.sampled_from(inputs) if src is None else st.none() | st.sampled_from(inputs))
+        wiring.append((src, dst))
+    streams = tuple(
+        (f"s{n}", src, dst, draw(st.booleans()), draw(st.none() | attr_sets))
+        for n, (src, dst) in enumerate(wiring)
+    )
+    return Recipe(components, tuple(paths), streams)
+
+
+def _check_index_is_the_scan(flow: Dataflow) -> None:
+    components = [c.name for c in flow.components] + ["ghost"]
+    for component in components:
+        assert flow.streams_into(component) == tuple(
+            s for s in flow.streams if s.dst is not None and s.dst[0] == component
+        )
+        assert flow.streams_from(component) == tuple(
+            s for s in flow.streams if s.src is not None and s.src[0] == component
+        )
+        for iface in ("i0", "i1", "i2", "o0", "o1", "ghost"):
+            assert flow.streams_into(component, iface) == tuple(
+                s for s in flow.streams if s.dst == (component, iface)
+            )
+            assert flow.streams_from(component, iface) == tuple(
+                s for s in flow.streams if s.src == (component, iface)
+            )
+
+
+@given(st.data())
+def test_the_index_is_the_scan_under_any_declaration_order(data):
+    recipe = data.draw(recipes())
+    count = len(recipe.paths) + len(recipe.streams)
+    order = data.draw(st.permutations(range(count)))
+    cut = data.draw(st.integers(0, count))
+    # a query half-way must not freeze what a later declaration adds
+    _check_index_is_the_scan(recipe.build(order[:cut]))
+    flow = recipe.build(order)
+    _check_index_is_the_scan(flow)
+    flow.validate()
+
+
+# pools whose sort order differs from the drawn names' in every position
+_COMPONENT_POOL = ["zeta", "Alpha", "mid", "beta", "Zulu", "b", "a10", "a9"]
+
+
+@given(st.data())
+def test_analysis_is_invariant_under_renaming(data):
+    recipe = data.draw(recipes())
+    new_components = data.draw(st.permutations(_COMPONENT_POOL))
+    new_streams = data.draw(st.permutations([f"t{n:02d}" for n in range(len(recipe.streams))]))
+    mapping = {name: new_components[i] for i, (name, _) in enumerate(recipe.components)}
+    mapping.update({s[0]: new_streams[i] for i, s in enumerate(recipe.streams)})
+
+    base = analyze(recipe.build())
+    renamed = analyze(recipe.build(rename=mapping.__getitem__))
+
+    assert {mapping[s]: label for s, label in base.stream_labels.items()} == renamed.stream_labels
+    assert {mapping[s]: rep for s, rep in base.stream_rep.items()} == renamed.stream_rep
+    assert {(mapping[c], i): record.tainted for (c, i), record in base.outputs.items()} == {
+        key: record.tainted for key, record in renamed.outputs.items()
+    }
+    assert {frozenset(mapping[c] for c in cycle) for cycle in base.cycles} == set(renamed.cycles)
+    assert len(base.cycles) == len(renamed.cycles)
+
+
+def _upstream_outputs(flow: Dataflow, stream_name: str) -> set[tuple[str, str]]:
+    """Every output interface a record can cross on its way to the stream,
+    from the definition (scans, no adjacency queries)."""
+    found: set[tuple[str, str]] = set()
+    frontier = [flow.stream(stream_name).src]
+    while frontier:
+        component, out_iface = key = frontier.pop()
+        if key in found:
+            continue
+        found.add(key)
+        feeding = {p.from_iface for p in flow.component(component).paths if p.to_iface == out_iface}
+        frontier += [
+            s.src
+            for s in flow.streams
+            if s.src is not None and s.dst is not None
+            and s.dst[0] == component and s.dst[1] in feeding
+        ]
+    return found
+
+
+@given(recipes())
+def test_render_chain_terminates_and_lists_each_upstream_output_once(recipe):
+    flow = recipe.build()
+    result = analyze(flow)
+    for stream in flow.streams:
+        text = render_chain(result, stream.name)
+        if stream.src is None:
+            assert "external input" in text
+            continue
+        blocks = text.split("\n\n")
+        assert blocks[-1].startswith(f"sink {stream.name} => ")
+        heads = [
+            re.fullmatch(r"(\w+)\.(\w+)(?: \(cycle collapsed\))? => .*", block.splitlines()[-1])
+            for block in blocks[:-1]
+        ]
+        listed = [(m.group(1), m.group(2)) for m in heads]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == _upstream_outputs(flow, stream.name)
+        assert listed[-1] == stream.src

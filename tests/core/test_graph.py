@@ -111,3 +111,21 @@ def test_empty_seal_rejected():
     flow.add_component("A").add_path("in", "out", CR())
     with pytest.raises(DataflowError):
         flow.add_stream("src", dst=("A", "in"), seal=[])
+
+
+@pytest.mark.parametrize("endpoint", [("C",), ("C", "in", "x"), "C.in", "Ci", ("C", 1), 7])
+@pytest.mark.parametrize("side", ["src", "dst"])
+def test_malformed_endpoint_is_a_typed_error_at_declaration(side, endpoint):
+    flow = Dataflow()
+    flow.add_component("C").add_path("in", "in", CR())
+    with pytest.raises(DataflowError, match=f"{side} must be a"):
+        flow.add_stream("bad", **{side: endpoint})
+    assert flow.streams == ()  # nothing half-registered
+
+
+def test_list_endpoint_is_normalised_to_a_tuple():
+    flow = small_flow()
+    stream = flow.add_stream("extra", src=["A", "out"], dst=["B", "in"])
+    assert stream.src == ("A", "out") and stream.dst == ("B", "in")
+    assert stream in flow.streams_into("B", "in") and stream in flow.streams_from("A")
+    flow.validate()

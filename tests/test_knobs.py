@@ -158,3 +158,31 @@ def test_the_message_hop_has_no_knob_and_no_fork():
     assert subclasses == [("repro/net/services.py", "SocketNetwork")]
     assert "send" in vars(SocketNetwork) and "_deliver" not in vars(SocketNetwork)
     assert "self.latency.sample(" in inspect.getsource(SocketNetwork.send)
+
+
+def test_the_graph_index_has_no_knob_and_no_fork():
+    """The adjacency replaced the scans in place: the graph and the analysis
+    take what they took before, each query has one implementation, and it
+    is a lookup — it never walks the stream table."""
+    import inspect
+
+    from repro.core import analyze
+    from repro.core.graph import Dataflow
+
+    def parameters(function) -> list[str]:
+        return list(inspect.signature(function).parameters)
+
+    assert parameters(Dataflow.__init__) == ["self", "name"]
+    assert parameters(Dataflow.add_stream) == [
+        "self", "name", "src", "dst", "seal", "rep", "label",
+    ]
+    assert parameters(Dataflow.streams_into) == ["self", "component", "in_iface"]
+    assert parameters(Dataflow.streams_from) == ["self", "component", "out_iface"]
+    assert parameters(analyze) == ["dataflow", "fds"]
+
+    graph = (SRC / "repro" / "core" / "graph.py").read_text()
+    for query in (Dataflow.streams_into, Dataflow.streams_from):
+        assert "_streams" not in inspect.getsource(query)
+        assert graph.count(f"def {query.__name__}(") == 1
+    for path in sorted((SRC / "repro" / "core").glob("*.py")):
+        assert not re.findall(r"lru_cache|functools\.cache", path.read_text()), path.name
