@@ -123,3 +123,22 @@ class TestExecution:
         app = BlazesApp("tmp", backend="bloom")
         with pytest.raises(BlazesError, match="no audit profile"):
             app.harness()
+
+    def test_audit_sweeps_only_this_app(self):
+        report = get_app("wordcount").audit(
+            smoke=True, seeds=(7,), schedules=("baseline", "dup-burst")
+        )
+        assert report.name == "audit-wordcount"
+        assert [result.name for result in report] == [
+            "wordcount/sealed/baseline",
+            "wordcount/sealed/dup-burst",
+            "wordcount/eager/baseline",
+            "wordcount/eager/dup-burst",
+        ]
+        assert all(result["sound"] for result in report)
+        assert {result.params["seeds"][0] for result in report} == {7}
+
+    def test_audit_requires_an_audit_profile(self):
+        app = BlazesApp("tmp", backend="bloom")
+        with pytest.raises(ApiError, match="no audit profile"):
+            app.audit()

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.api import app_names
 from repro.cli import build_parser, main
 
 SPEC = """
@@ -130,6 +131,18 @@ def test_apps_subcommand_json(capsys):
     assert by_name["wordcount"]["backend"] == "storm"
     assert "eager" in by_name["wordcount"]["strategies"]
     assert by_name["kvs"]["auditable"] is True
+
+
+@pytest.mark.parametrize(
+    "verb", [("run", "--smoke", "--json"), ("analyze", "--json"), ("plan", "--json")],
+    ids=lambda verb: verb[0],
+)
+@pytest.mark.parametrize("app", app_names())
+def test_every_registry_report_parses(app, verb, capsys):
+    """What CI archives per registered app is JSON on every verb."""
+    code = main([verb[0], app, *verb[1:]])
+    assert code in ((0, 2) if verb[0] == "analyze" else (0,))
+    assert json.loads(capsys.readouterr().out)
 
 
 def test_analyze_registered_app(capsys):
@@ -323,17 +336,30 @@ def test_run_profile_json_embeds_blocks(capsys):
 
 
 def test_run_rundir_writes_and_validates(tmp_path, capsys):
+    """One run directory per coordination strategy validates, and they
+    order as the paper's trade-off does: no coordination traffic without
+    coordination, some under sealing, more under ordering."""
     from repro.obs.rundir import validate_rundir
 
-    rundir = tmp_path / "run"
-    assert main([
-        "run", "kvs", "--strategy", "ordered", "--smoke", "--rundir", str(rundir),
-    ]) == 0
-    assert str(rundir) in capsys.readouterr().err
-    info = validate_rundir(rundir)
-    assert info["meta"]["app"] == "kvs"
-    assert info["coordcost"]["coordination_share"] > 0
-    assert info["rows"]["spans.jsonl"] > 0
+    shares = {}
+    for app, strategy, extra in (
+        ("wordcount", "eager", ["--profile"]),
+        ("adnet", "seal", []),
+        ("kvs", "ordered", []),
+    ):
+        rundir = tmp_path / f"{app}-{strategy}"
+        assert main([
+            "run", app, "--strategy", strategy, "--smoke", "--rundir", str(rundir),
+            *extra,
+        ]) == 0
+        assert str(rundir) in capsys.readouterr().err
+        info = validate_rundir(rundir)
+        assert (info["meta"]["app"], info["meta"]["strategy"]) == (app, strategy)
+        assert info["rows"]["trace.jsonl"] > 0
+        assert info["rows"]["spans.jsonl"] > 0
+        shares[strategy] = info["coordcost"]["coordination_share"]
+    assert shares["eager"] == 0.0, shares
+    assert 0.0 < shares["seal"] < shares["ordered"], shares
 
 
 def test_stats_subcommand_covers_every_strategy(capsys):
