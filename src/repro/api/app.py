@@ -574,6 +574,7 @@ class BlazesApp:
             resolve_backend,
             socket_backend,
         )
+        from repro.net.services import SocketTimeout
 
         if self._runner is None:
             raise ApiError(f"app {self.name!r} declares no runner")
@@ -586,6 +587,13 @@ class BlazesApp:
             params.update(self._smoke_defaults)
         params.update(spec.run_params)
         params.update(kwargs)
+
+        def outcome(metrics, result=None, cluster=None) -> RunOutcome:
+            return RunOutcome(
+                self.name, spec.name, seed, self.backend, metrics, result, cluster,
+                telemetry, exec_backend,
+            )
+
         with contextlib.ExitStack() as stack:
             if exec_backend == "socket":
                 stack.enter_context(
@@ -596,7 +604,21 @@ class BlazesApp:
             started = time.perf_counter()
             if telemetry is not None:
                 stack.enter_context(telemetry.activate())
-            metrics, result, cluster = self._runner(spec, seed=seed, **params)
+            try:
+                metrics, result, cluster = self._runner(spec, seed=seed, **params)
+            except SocketTimeout as exc:
+                # what the torn-down run can still attest to: its identity
+                # and how far it got before the budget hit
+                exc.outcome = outcome(
+                    {
+                        "timed_out": True,
+                        "timeout": exc.timeout,
+                        "virtual_time": exc.virtual_time,
+                        "events_fired": exc.fired,
+                        "events_pending": exc.pending,
+                    }
+                )
+                raise
             elapsed = time.perf_counter() - started
             metrics = dict(metrics)
             if telemetry is not None:
@@ -616,17 +638,7 @@ class BlazesApp:
             )
             if summary is not None:
                 metrics["transport"] = summary()
-        return RunOutcome(
-            app=self.name,
-            strategy=spec.name,
-            seed=seed,
-            backend=self.backend,
-            metrics=metrics,
-            result=result,
-            cluster=cluster,
-            telemetry=telemetry,
-            transport=exec_backend,
-        )
+        return outcome(metrics, result, cluster)
 
     def audit(
         self,

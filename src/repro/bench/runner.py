@@ -21,6 +21,7 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "BenchReport",
+    "aligned",
     "assemble_report",
     "sweep",
 ]
@@ -140,11 +141,16 @@ class BenchReport:
                 + [_fmt(result.metrics.get(metric)) for metric in names]
                 + [f"{result.wall_seconds:.2f}"]
             )
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        return "\n".join(
-            "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-            for row in rows
-        )
+        return "\n".join(aligned(rows, str.rjust))
+
+
+def aligned(rows: list[list[str]], pad=str.ljust) -> list[str]:
+    """``rows`` of cells as text lines, each column padded to its widest cell."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return [
+        "  ".join(pad(cell, width) for cell, width in zip(row, widths)).rstrip()
+        for row in rows
+    ]
 
 
 def _fmt(value: Any) -> str:

@@ -57,12 +57,6 @@ class StatementAnnotation:
     stateful: bool
     gate: frozenset[str] | None  # None = confluent; empty -> unknown (*)
 
-    @property
-    def label(self) -> str:
-        order = "C" if self.confluent else "O"
-        state = "W" if self.stateful else "R"
-        return order + state
-
 
 @dataclasses.dataclass(frozen=True)
 class PathReport:

@@ -37,10 +37,6 @@ class Catalog:
                 sources = rhs_lineage.get(rhs_col, frozenset())
                 self._writers.setdefault((rule.lhs, lhs_col), set()).update(sources)
 
-    def direct_sources(self, collection: str, column: str) -> frozenset[Attr]:
-        """Immediate identity sources of one attribute."""
-        return frozenset(self._writers.get((collection, column), ()))
-
     def trace_to_inputs(self, collection: str, column: str) -> frozenset[Attr]:
         """Chase identity lineage back to input-interface attributes.
 

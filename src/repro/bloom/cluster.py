@@ -24,11 +24,9 @@ from repro.errors import BloomError
 from repro.sim.events import make_simulator
 from repro.sim.network import LatencyModel, Message, Process, make_network
 from repro.sim.trace import Trace
+from repro.wire import BLOOM_CHAN as CHANNEL_MSG, BLOOM_INSERT as INSERT_MSG
 
 __all__ = ["BloomNode", "BloomCluster", "CHANNEL_MSG", "INSERT_MSG", "ZK_KINDS"]
-
-CHANNEL_MSG = "bloom.chan"
-INSERT_MSG = "bloom.insert"
 
 
 class BloomNode(Process):

@@ -36,6 +36,7 @@ Figure 8 and Section VII.
 
 from repro.chaos.campaign import (
     audit_campaign,
+    audit_to_dict,
     campaign_is_sound,
     campaign_tightness,
     cell_status_of,
@@ -113,6 +114,7 @@ __all__ = [
     "ShrinkOutcome",
     "audit_apps",
     "audit_campaign",
+    "audit_to_dict",
     "baseline",
     "campaign_is_sound",
     "campaign_tightness",

@@ -34,6 +34,7 @@ import importlib
 from collections.abc import Sequence
 
 from repro.bench import BenchReport, Scenario
+from repro.bench.runner import aligned
 from repro.chaos.envelope import cell_status
 from repro.chaos.harnesses import AppHarness, audit_apps, harness_for
 from repro.chaos.oracle import ObservedLabel, classify_runs
@@ -49,6 +50,7 @@ __all__ = [
     "DEFAULT_SMOKE_SEEDS",
     "audit_campaign",
     "audit_cell",
+    "audit_to_dict",
     "campaign_is_sound",
     "campaign_tightness",
     "cell_status_of",
@@ -59,6 +61,7 @@ __all__ = [
     "matrix_campaign",
     "matrix_is_expected",
     "matrix_summary",
+    "matrix_to_dict",
     "out_of_envelope_cells",
     "render_audit",
     "render_matrix",
@@ -122,9 +125,9 @@ def _cell_metrics(
 ) -> dict:
     """Run one campaign cell (app x strategy x schedule, all seeds).
 
-    Module-level (rather than a closure) so a process pool can pickle it:
-    cells share no state beyond their parameters.  ``app_module`` is the
-    module whose import registers the app — a fresh pool worker only
+    Module-level (rather than a closure) so a process pool can ship it by
+    name: cells share no state beyond their parameters.  ``app_module`` is
+    the module whose import registers the app — a fresh pool worker only
     auto-imports the built-in catalog, so apps registered elsewhere ship
     their defining module by name.
 
@@ -420,6 +423,54 @@ def campaign_tightness(report: BenchReport) -> tuple[int, int]:
     return tight, len(report)
 
 
+def audit_to_dict(report: BenchReport) -> dict:
+    """Serialize an audit campaign report as a JSON-able mapping.
+
+    The payload ``blazes audit --json`` prints: every cell's
+    predicted/observed labels, soundness, and *tightness* (observed ==
+    predicted, not merely <=), the campaign-level summary, and the
+    engine's accounting when the report carries it.
+    """
+    tight, total = campaign_tightness(report)
+    outside = out_of_envelope_cells(report)
+    payload = {
+        "campaign": report.name,
+        "cells": [
+            {
+                "name": result.name,
+                "params": dict(result.params),
+                "predicted": result["predicted"],
+                "observed": result["observed"],
+                "sound": result["sound"],
+                # three-way status: out-of-envelope cells are neither
+                # sound nor unsound — the app never claimed their faults
+                "status": cell_status_of(result),
+                "envelope_violations": list(
+                    result.metrics.get("envelope_violations", ())
+                ),
+                "tight": result["tight"],
+                "coordinated": result["coordinated"],
+                "evidence": list(result["evidence"]),
+            }
+            for result in report
+        ],
+        "summary": {
+            "cells": len(report),
+            "sound": campaign_is_sound(report),
+            "unsound_cells": sum(
+                1 for result in report if cell_status_of(result) == "unsound"
+            ),
+            "out_of_envelope": len(outside),
+            "tight_cells": tight,
+            "tightness": (tight / total) if total else 1.0,
+            "anomalies": demonstrated_anomalies(report),
+        },
+    }
+    if report.engine is not None:
+        payload["engine"] = report.engine
+    return payload
+
+
 # ----------------------------------------------------------------------
 # the Figure 6 query matrix
 # ----------------------------------------------------------------------
@@ -523,6 +574,14 @@ def matrix_is_expected(report: BenchReport) -> bool:
     return True
 
 
+def matrix_to_dict(report: BenchReport) -> dict:
+    """:func:`audit_to_dict` plus the Figure 6 verdict in its summary
+    (what ``blazes audit --matrix --json`` prints)."""
+    payload = audit_to_dict(report)
+    payload["summary"]["matrix_expected"] = matrix_is_expected(report)
+    return payload
+
+
 def render_matrix(report: BenchReport) -> str:
     """The Figure 6 grid: worst observed label per (query, strategy)."""
     from repro.apps.queries import MATRIX_STRATEGIES, QUERY_NAMES
@@ -534,8 +593,7 @@ def render_matrix(report: BenchReport) -> str:
         "Figure 6 — observed coordination requirements "
         "(worst over schedules x seeds; * = anomaly beyond Async)"
     ]
-    header = ["query"] + list(MATRIX_STRATEGIES)
-    rows = [header]
+    rows = [["query", *MATRIX_STRATEGIES]]
     for query in QUERY_NAMES:
         row = [query]
         for strategy in MATRIX_STRATEGIES:
@@ -546,11 +604,7 @@ def render_matrix(report: BenchReport) -> str:
             marker = "" if cell["consistent"] else " *"
             row.append(f"{cell['observed']}{marker}")
         rows.append(row)
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines.extend(
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    )
+    lines.extend(aligned(rows))
     verdict = (
         "matrix matches Figure 6: THRESH sound uncoordinated; the "
         "non-confluent queries need (and suffice with) sealing or ordering"

@@ -82,8 +82,26 @@ def _check_prob(fault, attr: str) -> None:
         )
 
 
+class _Window:
+    """The window ``[at, at + duration)`` every fault occupies.
+
+    Field-less on purpose: each fault declares ``at`` and ``duration``
+    among its own fields, so field order — and with it ``asdict`` key
+    order, ``schedule_digest`` and every cache key — stays the fault's.
+    """
+
+    def rescaled(self, factor: float, offset: float):
+        return dataclasses.replace(
+            self, at=self.at * factor + offset, duration=self.duration * factor
+        )
+
+    @property
+    def end(self) -> float:
+        return self.at + self.duration
+
+
 @dataclasses.dataclass(frozen=True)
-class Crash:
+class Crash(_Window):
     """Crash one process at ``at``, recover ``duration`` later."""
 
     role: str
@@ -97,21 +115,12 @@ class Crash:
     def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
         injector.crash_for(resolve(self.role, self.index), self.at, self.duration)
 
-    def rescaled(self, factor: float, offset: float) -> "Crash":
-        return dataclasses.replace(
-            self, at=self.at * factor + offset, duration=self.duration * factor
-        )
-
     def with_intensity(self, lam: float) -> "Crash":
         return dataclasses.replace(self, duration=self.duration * lam)
 
-    @property
-    def end(self) -> float:
-        return self.at + self.duration
-
 
 @dataclasses.dataclass(frozen=True)
-class Loss:
+class Loss(_Window):
     """Elevated message-loss probability during a window."""
 
     at: float
@@ -125,21 +134,12 @@ class Loss:
     def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
         injector.loss_window(self.at, self.duration, self.drop_prob)
 
-    def rescaled(self, factor: float, offset: float) -> "Loss":
-        return dataclasses.replace(
-            self, at=self.at * factor + offset, duration=self.duration * factor
-        )
-
     def with_intensity(self, lam: float) -> "Loss":
         return dataclasses.replace(self, drop_prob=self.drop_prob * lam)
 
-    @property
-    def end(self) -> float:
-        return self.at + self.duration
-
 
 @dataclasses.dataclass(frozen=True)
-class Duplicate:
+class Duplicate(_Window):
     """Elevated message-duplication probability during a window."""
 
     at: float
@@ -153,21 +153,12 @@ class Duplicate:
     def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
         injector.duplicate_window(self.at, self.duration, self.dup_prob)
 
-    def rescaled(self, factor: float, offset: float) -> "Duplicate":
-        return dataclasses.replace(
-            self, at=self.at * factor + offset, duration=self.duration * factor
-        )
-
     def with_intensity(self, lam: float) -> "Duplicate":
         return dataclasses.replace(self, dup_prob=self.dup_prob * lam)
 
-    @property
-    def end(self) -> float:
-        return self.at + self.duration
-
 
 @dataclasses.dataclass(frozen=True)
-class Partition:
+class Partition(_Window):
     """Sever the link between two role-addressed processes for a window."""
 
     src_role: str
@@ -190,21 +181,12 @@ class Partition:
             symmetric=self.symmetric,
         )
 
-    def rescaled(self, factor: float, offset: float) -> "Partition":
-        return dataclasses.replace(
-            self, at=self.at * factor + offset, duration=self.duration * factor
-        )
-
     def with_intensity(self, lam: float) -> "Partition":
         return dataclasses.replace(self, duration=self.duration * lam)
 
-    @property
-    def end(self) -> float:
-        return self.at + self.duration
-
 
 @dataclasses.dataclass(frozen=True)
-class Reorder:
+class Reorder(_Window):
     """Inflate latency jitter by ``factor`` during a window (reorder burst)."""
 
     at: float
@@ -221,19 +203,10 @@ class Reorder:
     def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
         injector.reorder_window(self.at, self.duration, self.factor)
 
-    def rescaled(self, factor: float, offset: float) -> "Reorder":
-        return dataclasses.replace(
-            self, at=self.at * factor + offset, duration=self.duration * factor
-        )
-
     def with_intensity(self, lam: float) -> "Reorder":
         # interpolate toward the neutral jitter multiplier 1, not 0: a
         # factor of 1 leaves latency untouched, so lam=0 is a no-op
         return dataclasses.replace(self, factor=1.0 + (self.factor - 1.0) * lam)
-
-    @property
-    def end(self) -> float:
-        return self.at + self.duration
 
 
 Fault = Crash | Loss | Duplicate | Partition | Reorder
@@ -371,11 +344,6 @@ class FaultSchedule:
     def to_dict(self) -> dict:
         """The JSON-able view of this schedule (see :func:`schedule_to_dict`)."""
         return schedule_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSchedule":
-        """Rebuild a schedule from :meth:`to_dict` output."""
-        return schedule_from_dict(data)
 
 
 def schedule_to_dict(schedule: FaultSchedule) -> dict:

@@ -33,6 +33,7 @@ import random
 from collections.abc import Callable, Sequence
 
 from repro.bench import BenchReport, Scenario, assemble_report
+from repro.bench.runner import aligned
 from repro.chaos.campaign import (
     _CONSISTENT_SEVERITY,
     audit_cell,
@@ -147,12 +148,6 @@ class CellProbe:
         self.totals["wall_seconds"] += engine.get("wall_seconds", 0.0)
         by_name = {result.name: result for result in report}
         return [by_name[scenario.name] for scenario in scenarios]
-
-    def metrics_for(
-        self, app: str, strategy: str, schedule: FaultSchedule
-    ) -> dict:
-        """One cell's metric mapping (single-cell batch)."""
-        return self.results([(app, strategy, schedule)])[0].metrics
 
     def summary(self) -> dict:
         """The accumulated engine accounting, plus the cache hit rate."""
@@ -400,7 +395,6 @@ def search_campaign(
     *,
     smoke: bool = False,
     seeds: Sequence[int] | None = None,
-    strategies: Sequence[str] | None = None,
     candidates: int = 4,
     budget: int = 64,
     seed: int = 0,
@@ -429,11 +423,6 @@ def search_campaign(
     cells: list[tuple[str, str, FaultSchedule]] = []
     for app in apps:
         harness = probe.harness(app)
-        swept = (
-            harness.strategies
-            if strategies is None
-            else [s for s in harness.strategies if s in strategies]
-        )
         generated = composite_schedules(
             candidates,
             seed=seed,
@@ -442,7 +431,7 @@ def search_campaign(
         )
         cells.extend(
             (app, strategy, schedule)
-            for strategy in swept
+            for strategy in harness.strategies
             for schedule in generated
         )
 
@@ -484,10 +473,7 @@ def search_campaign(
         )
         # explicit final verification (a cache hit): the CI gate asserts
         # every minimized schedule still reproduces its verdict
-        verified = (
-            probe.metrics_for(app, strategy, outcome.schedule)["observed"]
-            == target
-        )
+        verified = reproduces_many([outcome.schedule])[0]
         findings.append(
             {
                 "cell": result.name,
@@ -596,7 +582,6 @@ def frontier_campaign(
     steps: int = 5,
     jobs: int = 1,
     cache=None,
-    name: str | None = None,
     reporter=None,
 ) -> BenchReport:
     """Map, per app x strategy, the intensity where the guarantee breaks.
@@ -614,7 +599,7 @@ def frontier_campaign(
     together, and the endpoint cells are shared with (cached from) any
     ordinary audit of the same apps.
     """
-    seeds, name = sweep_defaults("frontier", smoke, seeds, name)
+    seeds, name = sweep_defaults("frontier", smoke, seeds)
     if apps is None:
         apps = audit_apps()
     probe = CellProbe(
@@ -735,8 +720,7 @@ def render_frontier(report: BenchReport) -> str:
         "severity frontier — smallest schedule intensity (0..1) observed "
         "to push a cell beyond Async"
     ]
-    header = ["cell", "predicted", "observed@1.0", "frontier"]
-    rows = [header]
+    rows = [["cell", "predicted", "observed@1.0", "frontier"]]
     for result in report:
         frontier = result["frontier"]
         rows.append(
@@ -747,11 +731,7 @@ def render_frontier(report: BenchReport) -> str:
                 "holds" if frontier is None else f"{frontier:g}",
             ]
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines.extend(
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    )
+    lines.extend(aligned(rows))
     holding = sum(1 for result in report if result["holds"])
     lines.append(
         f"{holding}/{len(report)} cells hold their guarantee through the "

@@ -1,61 +1,49 @@
 """The ``blazes`` command-line interface.
 
 Every subcommand resolves applications through the :mod:`repro.api`
-registry — the same catalog the benchmarks and the audit campaign use:
+registry — the same catalog the benchmarks and the audit campaign use
+(``blazes VERB --help`` lists a verb's flags; README.md walks through them):
 
-``blazes apps [--json]``
+``apps``
     List the registered applications, backends, and strategies.
-``blazes analyze TARGET [--strategy S] [--derivations] [--json]``
-    Run the label analysis on a registered app (or a YAML spec file,
-    the legacy grey-box path) and print the report.
-``blazes plan TARGET [--strategy S] [--json]``
-    Print only the synthesized coordination plan.
-``blazes lint TARGET [--strategy S]``
-    Check the Section X design patterns.
-``blazes run APP [--strategy S] [--seed N] [--smoke] [--json] [--set k=v]
-[--profile] [--rundir DIR]``
-    Execute a registered app on its simulator backend under one
-    coordination strategy.  ``--profile`` attaches a
-    :class:`~repro.sim.profile.SimProfiler` and prints its snapshot;
+``analyze TARGET`` / ``plan TARGET`` / ``lint TARGET``
+    Run the label analysis on a registered app (or a YAML spec file, the
+    legacy grey-box path) and print the report, only the synthesized
+    coordination plan, or the Section X design-pattern findings.
+``run APP``
+    Execute a registered app under one coordination strategy.
+    ``--profile`` attaches a :class:`~repro.sim.profile.SimProfiler`;
     ``--rundir DIR`` archives the run as a machine-readable directory
-    (``meta.json``, ``metrics.json``, ``coordcost.json``,
-    ``trace.jsonl``, ``spans.jsonl`` — see :mod:`repro.obs.rundir`).
-``blazes stats APP [--strategy S] [--seed N] [--smoke] [--json]``
-    Run the app under each strategy with telemetry attached and print
-    the per-strategy coordination-cost breakdown (messages by plane,
-    coordination share, decisions, simulated-time overhead).
-    ``blazes stats --engine`` instead prints the evaluation engine's
-    cumulative counters (cells, cache hits, pool utilization,
-    per-worker throughput) from the cache directory's ``stats.json``.
-``blazes trace APP [--strategy S] [--id LINEAGE] [--limit N] [--json]``
-    Run the app with causal span tracing and print the busiest lineage
-    ids, or — with ``--id`` — one lineage's causal timeline (the frames,
-    votes, replays, and sequencer decisions behind it).
-``blazes audit [--smoke] [--jobs N] [--no-cache] [--apps LIST] ...``
-    Run the fault-injection audit campaign: every (app, strategy, fault
-    schedule) cell is executed for several seeds and the observed anomaly
-    is checked against the label the analysis predicted.  ``--jobs N``
-    (or ``BLAZES_JOBS``) fans the independent cells out over the warm
-    worker pool; previously computed cells are served from the
-    content-addressed ``.blazes-cache/`` unless ``--no-cache``.
-    ``--matrix`` restricts the sweep to the Figure 6 query apps, renders
-    the observed per-query coordination-requirement matrix, and
-    additionally exits nonzero when the matrix deviates from the paper's
-    expectation.  ``--search`` instead *generates* seeded composite fault
-    schedules inside each app's declared envelope, evaluates them as
-    ordinary audit cells, and delta-debugs every cell observed beyond
-    ``Async`` down to a 1-minimal counterexample schedule
-    (:mod:`repro.chaos.search`).
-``blazes frontier [--smoke] [--steps N] [--jobs N] [--apps LIST] ...``
-    Map the severity frontier: per (app, strategy), bisect the intensity
-    of the app's composed fault envelope to the smallest intensity whose
-    observed anomaly exceeds ``Async``, and write ``BENCH_frontier.json``.
-``blazes cache stats|clear [--json]``
+    (:mod:`repro.obs.rundir`); ``--backend socket`` runs it over real TCP.
+``stats APP`` / ``trace APP``
+    Run the app with telemetry attached and print the per-strategy
+    coordination-cost breakdown, or — with causal span tracing — the
+    busiest lineage ids or one lineage's timeline (``--id``).
+    ``stats --engine`` prints the evaluation engine's cumulative counters.
+``audit``
+    The fault-injection campaign: every (app, strategy, fault schedule)
+    cell runs for several seeds and the observed anomaly is checked
+    against the predicted label; exits 4 on an unsound cell.  Cells fan
+    out over the warm pool (``--jobs``, ``BLAZES_JOBS``) and are served
+    from the content-addressed ``.blazes-cache/`` unless ``--no-cache``.
+    ``--matrix`` sweeps the Figure 6 query apps and also checks the
+    matrix against the paper's; ``--search`` instead generates composite
+    schedules inside each app's envelope and delta-debugs every anomalous
+    cell to a 1-minimal counterexample (:mod:`repro.chaos.search`).
+``frontier``
+    Per (app, strategy), bisect the intensity of the app's composed fault
+    envelope to the smallest one whose observed anomaly exceeds ``Async``.
+``cache stats|clear``
     Inspect or empty the evaluation engine's cell cache.
 
-``--json`` prints the machine-readable report
-(:func:`repro.core.report.report_to_dict`), so CI and the audit can diff
-predictions without scraping text.
+``--json`` prints the machine-readable form of whatever the verb prints,
+so CI and the audit can diff predictions without scraping text.
+
+This module parses and dispatches, nothing else: every flag is declared
+once (:data:`_FLAGS`), the run verbs share :func:`_run_app`, the four
+sweeps share :func:`_cmd_sweep`, and what a verb prints is rendered
+beside what it ran (:mod:`repro.core.report`, :mod:`repro.obs.render`,
+:mod:`repro.chaos.campaign`, :mod:`repro.chaos.search`).
 """
 
 from __future__ import annotations
@@ -82,6 +70,84 @@ from repro.errors import BlazesError
 __all__ = ["main", "build_parser"]
 
 
+# Every flag is declared here, once: its name and the ``add_argument``
+# keywords all of its verbs share.  A verb lists the flags it takes, in
+# ``--help`` order, and words a flag's help itself where wordings differ.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "target": dict(help="a registered app name or a path to a Blazes YAML spec"),
+    "app": dict(help="a registered app name (see `blazes apps`)"),
+    "action": dict(choices=("stats", "clear"), help="what to do with the cache"),
+    "--json": dict(action="store_true"),
+    "--strategy": dict(default=None),
+    "--derivations": dict(action="store_true", help="include derivation trees"),
+    "--seed": dict(type=int, default=0),
+    "--smoke": dict(action="store_true"),
+    "--set": dict(
+        dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+        help="extra runner keyword (JSON value, e.g. --set workers=8)",
+    ),
+    "--profile": dict(
+        action="store_true", help="attach the sim profiler and print its snapshot"
+    ),
+    "--rundir": dict(
+        default=None, metavar="DIR",
+        help="archive the run as a machine-readable run directory",
+    ),
+    "--backend": dict(choices=("sim", "socket"), default=None),
+    "--timeout": dict(type=float, default=None, metavar="SECS"),
+    "--engine": dict(
+        action="store_true",
+        help="print the evaluation engine's cumulative counters instead",
+    ),
+    "--id": dict(
+        dest="lineage", default=None, metavar="LINEAGE",
+        help="print one lineage's causal timeline (e.g. batch:3, part:c0)",
+    ),
+    "--limit": dict(type=int, default=20, help="lineages (or events) to print"),
+    "--matrix": dict(
+        action="store_true",
+        help="sweep the Figure 6 query matrix (q-* apps x uncoordinated/"
+        "sealed/ordered) and check it against the paper's expectation",
+    ),
+    "--apps": dict(
+        default=None, help="comma-separated subset of the registered audit apps"
+    ),
+    "--seeds": dict(
+        type=int, nargs="+", default=None, help="network seeds per campaign cell"
+    ),
+    "--jobs": dict(type=int, default=None),
+    "--no-cache": dict(
+        action="store_true",
+        help="compute every cell; do not read or write .blazes-cache/",
+    ),
+    "--evidence": dict(action="store_true", help="print oracle evidence lines"),
+    "--no-report": dict(action="store_true"),
+    "--schedules": dict(
+        default=None, help="comma-separated subset of each app's fault schedules"
+    ),
+    "--search": dict(
+        action="store_true",
+        help="generate composite fault schedules inside each app's "
+        "envelope and shrink anomalous cells to minimal counterexamples",
+    ),
+    "--candidates": dict(
+        type=int, default=4, help="composite schedules generated per app (--search)"
+    ),
+    "--budget": dict(
+        type=int, default=64,
+        help="shrink trials allowed per anomalous cell (--search)",
+    ),
+    "--search-seed": dict(
+        type=int, default=0, metavar="N",
+        help="seed of the composite-schedule generator (--search)",
+    ),
+    "--steps": dict(
+        type=int, default=5,
+        help="bisection rounds after the two intensity endpoints",
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blazes",
@@ -90,273 +156,87 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    apps_cmd = sub.add_parser("apps", help="list the registered applications")
-    apps_cmd.set_defaults(func=_cmd_apps)
-    apps_cmd.add_argument("--json", action="store_true", help="JSON output")
+    def verb(name: str, func, summary: str, *flags) -> None:
+        """One subcommand.  Each of ``flags`` names a :data:`_FLAGS` entry, or
+        pairs the name with this verb's own help line (or own keywords)."""
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(func=func)
+        for flag in flags:
+            flag, own = flag if isinstance(flag, tuple) else (flag, {})
+            if isinstance(own, str):
+                own = {"help": own}
+            command.add_argument(flag, **{**_FLAGS[flag], **own})
 
-    target_help = "a registered app name or a path to a Blazes YAML spec"
-    analyze_cmd = sub.add_parser("analyze", help="analyze an app or spec file")
-    analyze_cmd.set_defaults(func=_cmd_analyze)
-    analyze_cmd.add_argument("target", help=target_help)
-    analyze_cmd.add_argument(
-        "--strategy", default=None, help="strategy variant (registered apps)"
-    )
-    analyze_cmd.add_argument(
-        "--derivations", action="store_true", help="include derivation trees"
-    )
-    analyze_cmd.add_argument(
-        "--json", action="store_true", help="machine-readable report"
-    )
+    def jobs(cells: str):
+        return "--jobs", (
+            f"run {cells} cells on the warm worker pool of this size "
+            "(default: $BLAZES_JOBS or serial)"
+        )
 
-    plan_cmd = sub.add_parser("plan", help="print the coordination plan")
-    plan_cmd.set_defaults(func=_cmd_plan)
-    plan_cmd.add_argument("target", help=target_help)
-    plan_cmd.add_argument("--strategy", default=None)
-    plan_cmd.add_argument(
-        "--json", action="store_true", help="machine-readable plan"
+    strategy = ("--strategy", "deployment strategy (app default otherwise)")
+    smoke_run = ("--smoke", "CI-sized workload defaults")
+    smoke_sweep = ("--smoke", "CI-sized workloads and seeds")
+    verb(
+        "apps", _cmd_apps, "list the registered applications",
+        ("--json", "JSON output"),
     )
-
-    lint_cmd = sub.add_parser(
-        "lint", help="check the Section X design patterns"
+    verb(
+        "analyze", _cmd_analyze, "analyze an app or spec file",
+        "target", ("--strategy", "strategy variant (registered apps)"),
+        "--derivations", ("--json", "machine-readable report"),
     )
-    lint_cmd.set_defaults(func=_cmd_lint)
-    lint_cmd.add_argument("target", help=target_help)
-    lint_cmd.add_argument("--strategy", default=None)
-
-    run_cmd = sub.add_parser("run", help="execute a registered app")
-    run_cmd.set_defaults(func=_cmd_run)
-    run_cmd.add_argument("app", help="a registered app name (see `blazes apps`)")
-    run_cmd.add_argument(
-        "--strategy", default=None, help="deployment strategy (app default otherwise)"
+    verb(
+        "plan", _cmd_plan, "print the coordination plan",
+        "target", "--strategy", ("--json", "machine-readable plan"),
     )
-    run_cmd.add_argument("--seed", type=int, default=0)
-    run_cmd.add_argument(
-        "--smoke", action="store_true", help="CI-sized workload defaults"
+    verb(
+        "lint", _cmd_lint, "check the Section X design patterns",
+        "target", "--strategy",
     )
-    run_cmd.add_argument(
-        "--json", action="store_true", help="print the outcome as JSON"
+    verb(
+        "run", _cmd_run, "execute a registered app",
+        "app", strategy, "--seed", smoke_run,
+        ("--json", "print the outcome as JSON"), "--set", "--profile", "--rundir",
+        ("--backend", "execution backend: the discrete-event simulator "
+         "(default) or real TCP transport"),
+        ("--timeout", "wall-clock budget for a socket run; on expiry the "
+         "services tear down cleanly and the exit code is 5"),
     )
-    run_cmd.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="extra runner keyword (JSON value, e.g. --set workers=8)",
-    )
-    run_cmd.add_argument(
-        "--profile",
-        action="store_true",
-        help="attach the sim profiler and print its snapshot",
-    )
-    run_cmd.add_argument(
-        "--rundir",
-        default=None,
-        metavar="DIR",
-        help="archive the run as a machine-readable run directory",
-    )
-    run_cmd.add_argument(
-        "--backend",
-        choices=("sim", "socket"),
-        default=None,
-        help="execution backend: the discrete-event simulator (default) "
-        "or real TCP transport",
-    )
-    run_cmd.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="wall-clock budget for a socket run; on expiry the services "
-        "tear down cleanly and the exit code is 5",
-    )
-
-    stats_cmd = sub.add_parser(
-        "stats", help="per-strategy coordination-cost breakdown"
-    )
-    stats_cmd.set_defaults(func=_cmd_stats)
-    stats_cmd.add_argument(
-        "app",
-        nargs="?",
-        default=None,
+    optional_app = dict(
+        nargs="?", default=None,
         help="a registered app name (see `blazes apps`); omit with --engine",
     )
-    stats_cmd.add_argument(
-        "--strategy", default=None, help="one strategy only (all otherwise)"
+    verb(
+        "stats", _cmd_stats, "per-strategy coordination-cost breakdown",
+        ("app", optional_app), ("--strategy", "one strategy only (all otherwise)"),
+        "--seed", smoke_run, "--engine",
+        ("--json", "machine-readable coordcost blocks"),
     )
-    stats_cmd.add_argument("--seed", type=int, default=0)
-    stats_cmd.add_argument(
-        "--smoke", action="store_true", help="CI-sized workload defaults"
+    verb(
+        "trace", _cmd_trace, "causal span timelines for one run",
+        "app", strategy, "--seed", smoke_run, "--id", "--limit",
+        ("--json", "machine-readable span events"),
     )
-    stats_cmd.add_argument(
-        "--engine",
-        action="store_true",
-        help="print the evaluation engine's cumulative counters instead",
+    verb(
+        "audit", _cmd_sweep, "fault-injection audit of the label analysis",
+        smoke_sweep, "--matrix", "--apps", "--seeds", jobs("campaign"), "--no-cache",
+        "--evidence", ("--json", "machine-readable audit report"),
+        ("--no-report", "skip writing BENCH_*.json"), "--schedules",
+        ("--backend", "execution backend for every campaign cell (socket "
+         "cells run on real TCP and bypass the cell cache)"),
+        ("--timeout", "wall-clock budget per socket run; expiry exits with code 5"),
+        "--search", "--candidates", "--budget", "--search-seed",
     )
-    stats_cmd.add_argument(
-        "--json", action="store_true", help="machine-readable coordcost blocks"
+    verb(
+        "frontier", _cmd_sweep,
+        "bisect fault intensity to each guarantee's breaking point",
+        smoke_sweep, "--apps", "--seeds", "--steps", jobs("frontier"), "--no-cache",
+        ("--json", "machine-readable frontier report"),
+        ("--no-report", "skip writing BENCH_frontier.json"),
     )
-
-    trace_cmd = sub.add_parser(
-        "trace", help="causal span timelines for one run"
-    )
-    trace_cmd.set_defaults(func=_cmd_trace)
-    trace_cmd.add_argument("app", help="a registered app name (see `blazes apps`)")
-    trace_cmd.add_argument(
-        "--strategy", default=None, help="deployment strategy (app default otherwise)"
-    )
-    trace_cmd.add_argument("--seed", type=int, default=0)
-    trace_cmd.add_argument(
-        "--smoke", action="store_true", help="CI-sized workload defaults"
-    )
-    trace_cmd.add_argument(
-        "--id", dest="lineage", default=None, metavar="LINEAGE",
-        help="print one lineage's causal timeline (e.g. batch:3, part:c0)",
-    )
-    trace_cmd.add_argument(
-        "--limit", type=int, default=20, help="lineages (or events) to print"
-    )
-    trace_cmd.add_argument(
-        "--json", action="store_true", help="machine-readable span events"
-    )
-
-    audit_cmd = sub.add_parser(
-        "audit", help="fault-injection audit of the label analysis"
-    )
-    audit_cmd.set_defaults(func=_cmd_audit)
-    audit_cmd.add_argument(
-        "--smoke", action="store_true", help="CI-sized workloads and seeds"
-    )
-    audit_cmd.add_argument(
-        "--matrix",
-        action="store_true",
-        help="sweep the Figure 6 query matrix (q-* apps x uncoordinated/"
-        "sealed/ordered) and check it against the paper's expectation",
-    )
-    audit_cmd.add_argument(
-        "--apps",
-        default=None,
-        help="comma-separated subset of the registered audit apps",
-    )
-    audit_cmd.add_argument(
-        "--seeds", type=int, nargs="+", default=None,
-        help="network seeds per campaign cell",
-    )
-    audit_cmd.add_argument(
-        "--jobs", type=int, default=None,
-        help="run campaign cells on the warm worker pool of this size "
-        "(default: $BLAZES_JOBS or serial)",
-    )
-    audit_cmd.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="compute every cell; do not read or write .blazes-cache/",
-    )
-    audit_cmd.add_argument(
-        "--evidence", action="store_true", help="print oracle evidence lines"
-    )
-    audit_cmd.add_argument(
-        "--json", action="store_true", help="machine-readable audit report"
-    )
-    audit_cmd.add_argument(
-        "--no-report", action="store_true", help="skip writing BENCH_*.json"
-    )
-    audit_cmd.add_argument(
-        "--schedules",
-        default=None,
-        help="comma-separated subset of each app's fault schedules",
-    )
-    audit_cmd.add_argument(
-        "--backend",
-        choices=("sim", "socket"),
-        default=None,
-        help="execution backend for every campaign cell (socket cells "
-        "run on real TCP and bypass the cell cache)",
-    )
-    audit_cmd.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="wall-clock budget per socket run; expiry exits with code 5",
-    )
-    audit_cmd.add_argument(
-        "--search",
-        action="store_true",
-        help="generate composite fault schedules inside each app's "
-        "envelope and shrink anomalous cells to minimal counterexamples",
-    )
-    audit_cmd.add_argument(
-        "--candidates",
-        type=int,
-        default=4,
-        help="composite schedules generated per app (--search)",
-    )
-    audit_cmd.add_argument(
-        "--budget",
-        type=int,
-        default=64,
-        help="shrink trials allowed per anomalous cell (--search)",
-    )
-    audit_cmd.add_argument(
-        "--search-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed of the composite-schedule generator (--search)",
-    )
-
-    frontier_cmd = sub.add_parser(
-        "frontier",
-        help="bisect fault intensity to each guarantee's breaking point",
-    )
-    frontier_cmd.set_defaults(func=_cmd_frontier)
-    frontier_cmd.add_argument(
-        "--smoke", action="store_true", help="CI-sized workloads and seeds"
-    )
-    frontier_cmd.add_argument(
-        "--apps",
-        default=None,
-        help="comma-separated subset of the registered audit apps",
-    )
-    frontier_cmd.add_argument(
-        "--seeds", type=int, nargs="+", default=None,
-        help="network seeds per campaign cell",
-    )
-    frontier_cmd.add_argument(
-        "--steps",
-        type=int,
-        default=5,
-        help="bisection rounds after the two intensity endpoints",
-    )
-    frontier_cmd.add_argument(
-        "--jobs", type=int, default=None,
-        help="run frontier cells on the warm worker pool of this size "
-        "(default: $BLAZES_JOBS or serial)",
-    )
-    frontier_cmd.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="compute every cell; do not read or write .blazes-cache/",
-    )
-    frontier_cmd.add_argument(
-        "--json", action="store_true", help="machine-readable frontier report"
-    )
-    frontier_cmd.add_argument(
-        "--no-report",
-        action="store_true",
-        help="skip writing BENCH_frontier.json",
-    )
-
-    cache_cmd = sub.add_parser(
-        "cache", help="inspect or clear the evaluation engine's cell cache"
-    )
-    cache_cmd.set_defaults(func=_cmd_cache)
-    cache_cmd.add_argument(
-        "action", choices=("stats", "clear"), help="what to do with the cache"
-    )
-    cache_cmd.add_argument(
-        "--json", action="store_true", help="machine-readable cache stats"
+    verb(
+        "cache", _cmd_cache, "inspect or clear the evaluation engine's cell cache",
+        "action", ("--json", "machine-readable cache stats"),
     )
     return parser
 
@@ -435,8 +315,7 @@ def _cmd_analyze(args) -> int:
     else:
         print(render_report(result, derivations=False))
         if args.derivations:
-            print()
-            print(render_all(result))
+            print(f"\n{render_all(result)}")
     return 0 if result.is_consistent else 2
 
 
@@ -461,23 +340,16 @@ def _cmd_lint(args) -> int:
     return 3
 
 
-_RESERVED_RUN_KEYS = {
-    "seed": "--seed",
-    "smoke": "--smoke",
-    "strategy": "--strategy",
-}
-
-
 def _parse_overrides(pairs: list[str]) -> dict[str, Any]:
     overrides: dict[str, Any] = {}
     for pair in pairs:
         if "=" not in pair:
             raise BlazesError(f"--set expects KEY=VALUE, got {pair!r}")
         key, text = pair.split("=", 1)
-        if key in _RESERVED_RUN_KEYS:
+        if key in ("seed", "smoke", "strategy"):
             raise BlazesError(
                 f"--set {key}=... collides with the dedicated "
-                f"{_RESERVED_RUN_KEYS[key]} flag; use that instead"
+                f"--{key} flag; use that instead"
             )
         try:
             overrides[key] = json.loads(text)
@@ -486,62 +358,40 @@ def _parse_overrides(pairs: list[str]) -> dict[str, Any]:
     return overrides
 
 
-def _cmd_run(args) -> int:
+def _run_app(args, strategy, hub, **runner):
+    """One run of ``args.app`` under the telemetry ``hub`` — what ``run``,
+    ``stats`` and ``trace`` share.  With a hub, the outcome carries it
+    (``outcome.telemetry``) and its ``coordcost`` metrics block."""
     from repro.api import get_app
-    from repro.net.services import SocketTimeout
 
-    app = get_app(args.app)
+    return get_app(args.app).run(
+        strategy, seed=args.seed, smoke=args.smoke, telemetry=hub, **runner
+    )
+
+
+def _cmd_run(args) -> int:
+    from repro.net.services import SocketTimeout
+    from repro.obs.render import render_outcome
+    from repro.obs.rundir import write_rundir
+
     overrides = _parse_overrides(args.overrides)
-    telemetry = None
+    hub = None
     if args.profile or args.rundir:
         from repro.obs.telemetry import Telemetry
         from repro.sim.profile import SimProfiler
 
-        telemetry = Telemetry(
-            spans=bool(args.rundir),
-            profiler=SimProfiler() if args.profile else None,
+        hub = Telemetry(
+            spans=bool(args.rundir), profiler=SimProfiler() if args.profile else None
         )
     try:
-        outcome = app.run(
-            args.strategy,
-            seed=args.seed,
-            smoke=args.smoke,
-            telemetry=telemetry,
-            backend=args.backend,
-            timeout=args.timeout,
-            **overrides,
+        outcome = _run_app(
+            args, args.strategy, hub,
+            backend=args.backend, timeout=args.timeout, **overrides,
         )
     except SocketTimeout as exc:
         print(f"error: {exc}", file=sys.stderr)
         if args.rundir:
-            from types import SimpleNamespace
-
-            from repro.obs.rundir import write_rundir
-
-            # archive what the torn-down run can still attest to: the
-            # timed_out marker plus how far it got before the budget hit
-            partial = SimpleNamespace(
-                app=app.name,
-                strategy=args.strategy or app.default_strategy,
-                seed=args.seed,
-                backend=app.backend,
-                transport="socket",
-                metrics={
-                    "timed_out": True,
-                    "timeout": exc.timeout,
-                    "virtual_time": exc.virtual_time,
-                    "events_fired": exc.fired,
-                    "events_pending": exc.pending,
-                },
-                result=None,
-                cluster=None,
-            )
-            path = write_rundir(
-                args.rundir,
-                partial,
-                telemetry=telemetry,
-                extra_meta={"timed_out": True},
-            )
+            path = write_rundir(args.rundir, exc)
             print(f"wrote partial run directory {path}", file=sys.stderr)
         return 5
     except TypeError as exc:
@@ -552,51 +402,23 @@ def _cmd_run(args) -> int:
         if match and match.group(1) in overrides:
             raise BlazesError(f"bad --set override: {exc}") from exc
         raise
-    rundir_path = None
-    if args.rundir:
-        from repro.obs.rundir import write_rundir
-
-        rundir_path = write_rundir(args.rundir, outcome, telemetry=telemetry)
+    rundir = write_rundir(args.rundir, outcome) if args.rundir else None
     if args.json:
-        payload = outcome.to_dict()
-        print(json.dumps(payload, indent=2, default=repr))
+        print(json.dumps(outcome.to_dict(), indent=2, default=repr))
     else:
-        print(
-            f"app={outcome.app} backend={outcome.backend} "
-            f"strategy={outcome.strategy} seed={outcome.seed}"
-        )
-        width = max((len(name) for name in outcome.metrics), default=0)
-        for name, value in outcome.metrics.items():
-            if isinstance(value, dict):
-                continue  # coordcost / profile blocks render below
-            if isinstance(value, float):
-                print(f"  {name:<{width}} : {value:,.4f}")
-            else:
-                print(f"  {name:<{width}} : {value}")
-        if telemetry is not None:
-            from repro.obs.coordcost import coordcost_report
-            from repro.obs.render import coordcost_line, render_profile
-
-            block = outcome.metrics.get("coordcost")
-            if not isinstance(block, dict):
-                block = coordcost_report(telemetry).to_dict()
-            print(coordcost_line(block))
-            if args.profile and "profile" in outcome.metrics:
-                print(render_profile(outcome.metrics["profile"]))
-    if rundir_path is not None:
-        print(f"wrote run directory {rundir_path}", file=sys.stderr)
+        print(render_outcome(outcome))
+    if rundir is not None:
+        print(f"wrote run directory {rundir}", file=sys.stderr)
     return 0
 
 
 def _cmd_stats(args) -> int:
     from repro.api import get_app
-    from repro.obs.coordcost import coordcost_report
-    from repro.obs.render import render_stats
+    from repro.obs.render import render_engine, render_stats
     from repro.obs.telemetry import Telemetry
 
     if args.engine:
         from repro.exec import read_engine_stats
-        from repro.obs.render import render_engine
 
         stats = read_engine_stats()
         if args.json:
@@ -607,76 +429,50 @@ def _cmd_stats(args) -> int:
     if args.app is None:
         raise BlazesError("blazes stats needs an app name (or --engine)")
     app = get_app(args.app)
-    if args.strategy is not None:
-        if args.strategy not in app.strategies:
-            raise BlazesError(
-                f"unknown strategy {args.strategy!r} for app {app.name!r}; "
-                f"expected one of {list(app.strategies)}"
-            )
+    if args.strategy is None:
+        strategies = tuple(app.strategies)
+    elif args.strategy in app.strategies:
         strategies = (args.strategy,)
     else:
-        strategies = tuple(app.strategies)
-    rows = []
-    for strategy in strategies:
-        hub = Telemetry()
-        outcome = app.run(
-            strategy, seed=args.seed, smoke=args.smoke, telemetry=hub
+        raise BlazesError(
+            f"unknown strategy {args.strategy!r} for app {app.name!r}; "
+            f"expected one of {list(app.strategies)}"
         )
-        report = outcome.metrics.get("coordcost")
-        if not isinstance(report, dict):
-            report = coordcost_report(hub).to_dict()
-        rows.append((strategy, report))
+    rows = [
+        (strategy, _run_app(args, strategy, Telemetry()).metrics["coordcost"])
+        for strategy in strategies
+    ]
     if args.json:
-        print(json.dumps(
-            {
-                "app": app.name,
-                "seed": args.seed,
-                "coordcost": {strategy: report for strategy, report in rows},
-            },
-            indent=2,
-        ))
-        return 0
-    print(render_stats(app.name, rows))
+        payload = {"app": app.name, "seed": args.seed, "coordcost": dict(rows)}
+        print(json.dumps(payload, indent=2))
+    else:
+        print(render_stats(app.name, rows))
     return 0
 
 
 def _cmd_trace(args) -> int:
-    from repro.api import get_app
     from repro.obs.render import render_lineages, render_timeline
     from repro.obs.telemetry import Telemetry
 
-    app = get_app(args.app)
-    hub = Telemetry(spans=True)
-    app.run(args.strategy, seed=args.seed, smoke=args.smoke, telemetry=hub)
-    spans = hub.spans
-    assert spans is not None
+    spans = _run_app(args, args.strategy, Telemetry(spans=True)).telemetry.spans
     if args.json:
         rows = spans.to_rows()
         if args.lineage is not None:
             rows = [row for row in rows if row.get("lineage") == args.lineage]
         print(json.dumps(rows, indent=2))
-        return 0
-    if args.lineage is not None:
+    elif args.lineage is not None:
         print(render_timeline(spans, args.lineage, limit=args.limit))
     else:
         print(render_lineages(spans, limit=args.limit))
     return 0
 
 
-def _cmd_audit(args) -> int:
-    from repro.bench import JsonReporter
-    from repro.chaos import (
-        audit_campaign,
-        campaign_is_sound,
-        matrix_campaign,
-        matrix_is_expected,
-        render_audit,
-        render_matrix,
-    )
-    from repro.core.report import audit_to_dict
-    from repro.exec import CellCache, resolve_jobs
-    from repro.obs.render import engine_line
+def _names(text: str | None) -> tuple[str, ...] | None:
+    """A comma-separated flag value as a tuple; ``None`` when not given."""
+    return tuple(name for name in text.split(",") if name) if text else None
 
+
+def _reject_mixed_sweeps(args) -> None:
     if args.matrix and args.apps:
         raise BlazesError("--matrix chooses its own apps; drop --apps")
     if args.matrix and args.backend == "socket":
@@ -690,118 +486,86 @@ def _cmd_audit(args) -> int:
         )
     if args.search and args.schedules:
         raise BlazesError("--search generates its schedules; drop --schedules")
-    apps = None
-    if args.apps:
-        apps = tuple(name for name in args.apps.split(",") if name)
-    schedules = None
-    if args.schedules:
-        schedules = tuple(name for name in args.schedules.split(",") if name)
-    reporter = None if args.no_report else JsonReporter()
-    jobs = resolve_jobs(args.jobs)
-    cache = None if args.no_cache else CellCache()
+
+
+def _sweep_of(args):
+    """``(campaign, its own options, serialiser, renderer, verdict)`` of the
+    sweep ``args`` selects; each piece is defined beside its campaign."""
+    from repro.bench import BenchReport
+    from repro.chaos import campaign, search
+
+    options: dict[str, Any] = {"apps": _names(args.apps)}
+    if args.command == "frontier":
+        options["steps"] = args.steps
+        return (
+            search.frontier_campaign, options,
+            BenchReport.to_dict, search.render_frontier, lambda report: True,
+        )
+    _reject_mixed_sweeps(args)
     if args.search:
-        from repro.chaos.search import (
-            render_search,
-            search_campaign,
-            search_is_sound,
+        options.update(
+            candidates=args.candidates, budget=args.budget, seed=args.search_seed
+        )
+        return (
+            search.search_campaign, options,
+            dict, search.render_search, search.search_is_sound,
         )
 
-        payload = search_campaign(
-            apps,
-            smoke=args.smoke,
-            seeds=args.seeds,
-            candidates=args.candidates,
-            budget=args.budget,
-            seed=args.search_seed,
-            jobs=jobs,
-            cache=cache,
-            reporter=reporter,
-        )
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            print(render_search(payload))
-            if reporter is not None:
-                print(f"\nwrote {reporter.path_for(payload['search'])}")
-        return 0 if search_is_sound(payload) else 4
+    def render(report) -> str:
+        text = campaign.render_audit(report, evidence=args.evidence)
+        return f"{campaign.render_matrix(report)}\n\n{text}" if args.matrix else text
+
     if args.matrix:
-        report = matrix_campaign(
-            smoke=args.smoke,
-            seeds=args.seeds,
-            reporter=reporter,
-            jobs=jobs,
-            cache=cache,
+        # an expected matrix has every cell sound: that is the whole verdict
+        return (
+            campaign.matrix_campaign, {},
+            campaign.matrix_to_dict, render, campaign.matrix_is_expected,
         )
-        ok = campaign_is_sound(report) and matrix_is_expected(report)
-    else:
-        from repro.net.services import SocketTimeout
-
-        try:
-            report = audit_campaign(
-                apps,
-                smoke=args.smoke,
-                seeds=args.seeds,
-                reporter=reporter,
-                jobs=jobs,
-                cache=cache,
-                schedules=schedules,
-                backend=args.backend,
-                timeout=args.timeout,
-            )
-        except SocketTimeout as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 5
-        ok = campaign_is_sound(report)
-    if args.json:
-        payload = audit_to_dict(report)
-        if args.matrix:
-            payload["summary"]["matrix_expected"] = matrix_is_expected(report)
-        if report.engine is not None:
-            payload["engine"] = report.engine
-        print(json.dumps(payload, indent=2))
-    else:
-        if args.matrix:
-            print(render_matrix(report))
-            print()
-        print(render_audit(report, evidence=args.evidence))
-        if report.engine is not None:
-            print()
-            print(engine_line(report.engine))
-        if reporter is not None:
-            print(f"\nwrote {reporter.path_for(report.name)}")
-    return 0 if ok else 4
+    options.update(
+        schedules=_names(args.schedules), backend=args.backend, timeout=args.timeout
+    )
+    return (
+        campaign.audit_campaign, options,
+        campaign.audit_to_dict, render, campaign.campaign_is_sound,
+    )
 
 
-def _cmd_frontier(args) -> int:
+def _cmd_sweep(args) -> int:
+    """``audit``, ``audit --matrix``, ``audit --search`` and ``frontier``: one
+    engine set-up, one emission and one exit code for the four sweeps."""
     from repro.bench import JsonReporter
-    from repro.chaos.search import frontier_campaign, render_frontier
     from repro.exec import CellCache, resolve_jobs
+    from repro.net.services import SocketTimeout
     from repro.obs.render import engine_line
 
-    apps = None
-    if args.apps:
-        apps = tuple(name for name in args.apps.split(",") if name)
+    campaign, options, to_dict, render, is_ok = _sweep_of(args)
     reporter = None if args.no_report else JsonReporter()
-    report = frontier_campaign(
-        apps,
-        smoke=args.smoke,
-        seeds=args.seeds,
-        steps=args.steps,
-        jobs=resolve_jobs(args.jobs),
-        cache=None if args.no_cache else CellCache(),
-        reporter=reporter,
-    )
+    try:
+        result = campaign(
+            smoke=args.smoke,
+            seeds=args.seeds,
+            reporter=reporter,
+            jobs=resolve_jobs(args.jobs),
+            cache=None if args.no_cache else CellCache(),
+            **options,
+        )
+    except SocketTimeout as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     if args.json:
-        payload = report.to_dict()
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(to_dict(result), indent=2))
     else:
-        print(render_frontier(report))
-        if report.engine is not None:
-            print()
-            print(engine_line(report.engine))
+        print(render(result))
+        if isinstance(result, dict):
+            # a search payload: its renderer already accounts for the engine
+            name, engine = result["search"], None
+        else:
+            name, engine = result.name, result.engine
+        if engine is not None:
+            print(f"\n{engine_line(engine)}")
         if reporter is not None:
-            print(f"\nwrote {reporter.path_for(report.name)}")
-    return 0
+            print(f"\nwrote {reporter.path_for(name)}")
+    return 0 if is_ok(result) else 4
 
 
 def _cmd_cache(args) -> int:

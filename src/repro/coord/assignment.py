@@ -67,10 +67,6 @@ class ReplicaAssignment:
             for component, count in self._replicas.items()
         }
 
-    @property
-    def components(self) -> tuple[str, ...]:
-        return tuple(self._replicas)
-
     def replica_count(self, component: str) -> int:
         try:
             return self._replicas[component]

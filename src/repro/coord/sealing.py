@@ -32,12 +32,9 @@ from repro.coord.ordering import OrderedInbox
 from repro.coord.zookeeper import ZkClient
 from repro.errors import SimulationError
 from repro.obs.telemetry import current as _telemetry
+from repro.wire import SEAL_DATA as DATA, SEAL_FRAME as FRAME, SEAL_PUNCT as PUNCT
 
 __all__ = ["SealedStreamProducer", "SealManager", "DATA", "PUNCT", "FRAME"]
-
-DATA = "seal.data"
-PUNCT = "seal.punct"
-FRAME = "seal.frame"
 
 _SEAL_MARK = object()
 _FRAME_MARK = object()

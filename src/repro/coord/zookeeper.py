@@ -28,6 +28,15 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import SimulationError
 from repro.sim.network import Message, Network, Process
+from repro.wire import (
+    ZK_DELIVER as DELIVER,
+    ZK_GET as GET,
+    ZK_GET_REPLY as GET_REPLY,
+    ZK_KINDS,
+    ZK_SET as SET,
+    ZK_SET_REPLY as SET_REPLY,
+    ZK_SUBMIT as SUBMIT,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import Trace
@@ -41,17 +50,6 @@ __all__ = [
     "recorded_order",
 ]
 
-SUBMIT = "zk.submit"
-DELIVER = "zk.deliver"
-SET = "zk.set"
-GET = "zk.get"
-GET_REPLY = "zk.get_reply"
-SET_REPLY = "zk.set_reply"
-
-# Every message kind of the protocol: Zookeeper sessions are TCP-backed
-# in real deployments, so networks list these as reliable kinds.
-ZK_KINDS = (SUBMIT, DELIVER, SET, GET, GET_REPLY, SET_REPLY)
-
 
 @dataclasses.dataclass
 class ZkStats:
@@ -61,10 +59,6 @@ class ZkStats:
     deliveries: int = 0
     reads: int = 0
     writes: int = 0
-
-    @property
-    def total_ops(self) -> int:
-        return self.submits + self.reads + self.writes
 
 
 class ZookeeperService(Process):

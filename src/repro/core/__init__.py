@@ -41,7 +41,7 @@ from repro.core.labels import (
 )
 from repro.core.patterns import Finding, lint_dataflow
 from repro.core.reconciliation import ReconciliationResult, is_protected, reconcile
-from repro.core.report import audit_to_dict, plan_to_dict, render_report, report_to_dict
+from repro.core.report import plan_to_dict, render_report, report_to_dict
 from repro.core.spec import build_dataflow, dump_spec, load_spec, loads_spec
 from repro.core.strategy import (
     CoordinationPlan,
@@ -95,7 +95,6 @@ __all__ = [
     "ReconciliationResult",
     "is_protected",
     "reconcile",
-    "audit_to_dict",
     "plan_to_dict",
     "render_report",
     "report_to_dict",

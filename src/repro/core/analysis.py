@@ -69,11 +69,6 @@ class OutputAnalysis:
         return self.reconciliation.merged
 
     @property
-    def labels(self) -> frozenset[Label]:
-        """The full label set prior to the merge."""
-        return self.reconciliation.all_labels
-
-    @property
     def tainted(self) -> bool:
         return self.reconciliation.tainted
 

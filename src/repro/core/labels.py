@@ -100,11 +100,6 @@ class Label:
         """True for labels the analysis never reports on output streams."""
         return self.kind in _INTERNAL
 
-    @property
-    def is_sealed(self) -> bool:
-        """True when this label is a ``Seal`` punctuation guarantee."""
-        return self.kind is LabelKind.SEAL
-
     def __str__(self) -> str:
         if self.key is not None:
             return f"{self.kind.value}[{','.join(sorted(self.key))}]"

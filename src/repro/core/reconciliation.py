@@ -49,10 +49,6 @@ class ReconciliationResult:
     notes: tuple[str, ...]
 
     @property
-    def all_labels(self) -> frozenset[Label]:
-        return self.labels | self.added
-
-    @property
     def tainted(self) -> bool:
         """True when component state may be corrupted by input orders."""
         return any(l.kind is LabelKind.TAINT for l in self.labels)

@@ -5,7 +5,8 @@ derivations, and the synthesized coordination plan into the text report the
 ``blazes analyze`` CLI prints.  :func:`report_to_dict` serializes the same
 content as a JSON-able mapping — the shared format behind
 ``blazes analyze --json`` / ``blazes plan --json``, so CI and the audit
-can diff predictions without scraping text.
+can diff predictions without scraping text (the audit campaign's own
+serializer, ``audit_to_dict``, sits beside the campaign, not here).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.core.strategy import (
     choose_strategies,
 )
 
-__all__ = ["audit_to_dict", "plan_to_dict", "render_report", "report_to_dict"]
+__all__ = ["plan_to_dict", "render_report", "report_to_dict"]
 
 _ANOMALY_GLOSS = {
     LabelKind.ASYNC: "deterministic contents; nondeterministic order",
@@ -165,56 +166,3 @@ def report_to_dict(
             for (component, iface), record in result.outputs.items()
         }
     return payload
-
-
-def audit_to_dict(report) -> dict[str, Any]:
-    """Serialize an audit/matrix campaign report as a JSON-able mapping.
-
-    ``report`` is the :class:`repro.bench.BenchReport` an audit campaign
-    produces; the payload carries every cell's predicted/observed labels,
-    soundness, and *tightness* (observed == predicted, not merely <=),
-    plus the campaign-level summary ``blazes audit --json`` prints.
-    """
-    from repro.chaos.campaign import (
-        campaign_is_sound,
-        campaign_tightness,
-        cell_status_of,
-        demonstrated_anomalies,
-        out_of_envelope_cells,
-    )
-
-    tight, total = campaign_tightness(report)
-    outside = out_of_envelope_cells(report)
-    return {
-        "campaign": report.name,
-        "cells": [
-            {
-                "name": result.name,
-                "params": dict(result.params),
-                "predicted": result["predicted"],
-                "observed": result["observed"],
-                "sound": result["sound"],
-                # three-way status: out-of-envelope cells are neither
-                # sound nor unsound — the app never claimed their faults
-                "status": cell_status_of(result),
-                "envelope_violations": list(
-                    result.metrics.get("envelope_violations", ())
-                ),
-                "tight": result["tight"],
-                "coordinated": result["coordinated"],
-                "evidence": list(result["evidence"]),
-            }
-            for result in report
-        ],
-        "summary": {
-            "cells": len(report),
-            "sound": campaign_is_sound(report),
-            "unsound_cells": sum(
-                1 for result in report if cell_status_of(result) == "unsound"
-            ),
-            "out_of_envelope": len(outside),
-            "tight_cells": tight,
-            "tightness": (tight / total) if total else 1.0,
-            "anomalies": demonstrated_anomalies(report),
-        },
-    }

@@ -30,11 +30,6 @@ class AnalysisError(BlazesError):
     that was not validated before analysis."""
 
 
-class SynthesisError(BlazesError):
-    """No coordination strategy can be synthesized for a component that
-    requires one."""
-
-
 class SimulationError(BlazesError):
     """The discrete-event simulator was driven into an invalid state."""
 

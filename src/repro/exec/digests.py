@@ -54,7 +54,7 @@ def outcome_digest(outcome) -> str:
 
 
 def _digest_cell(*, app: str, strategy: str, seed: int, smoke: bool = True) -> dict:
-    """One digest cell, module-level so the pool can pickle it."""
+    """One digest cell, module-level so the pool can ship it by name."""
     from repro.api.registry import get_app
 
     outcome = get_app(app).run(strategy, seed=seed, smoke=smoke)

@@ -191,11 +191,6 @@ class WorkerPool:
             self.spawned += 1
         return self._executor
 
-    def warm(self) -> "WorkerPool":
-        """Spawn the workers now (off any caller's measurement clock)."""
-        self._ensure()
-        return self
-
     def resize(self, jobs: int) -> None:
         """Change the worker count; respawns on next dispatch."""
         if jobs < 1:

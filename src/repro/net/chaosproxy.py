@@ -13,10 +13,11 @@ maps virtual time onto the wall clock.
 
 What is genuinely transport-level lives here:
 
-* the send/delivery **decisions** — shared policy functions from
+* the send-side **decision** — the shared policy function of
   :mod:`repro.sim.faultpolicy`, evaluated against the live (window-
   mutated) network parameters with the run's seeded RNG, exactly as the
-  simulated network evaluates them;
+  simulated network evaluates it (the delivery-side one is
+  ``Network._deliver``'s, which the socket network inherits);
 * the **crash watcher** — a task polling ``process.crashed`` flags and
   actuating them for real: a crashed node's endpoint is paused (server
   closed, connections aborted), a recovered node's endpoint rebinds its
@@ -35,7 +36,6 @@ from repro.sim import faultpolicy
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.services import SocketNetwork
     from repro.net.transport import TcpTransport
-    from repro.sim.network import Message
 
 __all__ = ["ChaosProxy"]
 
@@ -49,7 +49,7 @@ class ChaosProxy:
         self._crashed_seen: dict[str, bool] = {}
 
     # ------------------------------------------------------------------
-    # policy decisions (shared with the simulated backend)
+    # policy decision (shared with the simulated backend)
     # ------------------------------------------------------------------
     def send_copies(self, kind: str) -> int:
         """Send-side loss/duplication decision for one message."""
@@ -59,18 +59,6 @@ class ChaosProxy:
             reliable=kind in network.reliable_kinds,
             drop_prob=network.drop_prob,
             dup_prob=network.dup_prob,
-        )
-
-    def delivery_action(self, msg: "Message") -> str:
-        """Delivery-side verdict against blocked links and crashed nodes."""
-        network = self.network
-        process = network._processes.get(msg.dst)
-        return faultpolicy.delivery_action(
-            reliable=msg.kind in network.reliable_kinds,
-            link_blocked=network.link_blocked(msg.src, msg.dst),
-            dst_known=process is not None,
-            dst_crashed=process is not None and process.crashed,
-            retry_crashed=network.retry_crashed,
         )
 
     # ------------------------------------------------------------------

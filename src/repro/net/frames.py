@@ -7,8 +7,10 @@ A frame is one message (or one control record) between two nodes:
 JSON does not speak the payload vocabulary the apps actually send —
 tuples, sets, frozensets, Storm tuples, dicts with tuple keys — so values
 pass through a tagging layer first: containers JSON cannot represent
-round-trip as ``{"!": tag, ...}`` objects, and anything unknown falls back
-to pickle (base64-wrapped).
+round-trip as ``{"!": tag, ...}`` objects.  The vocabulary is closed both
+ways: the sender refuses a value outside it (a ``SimulationError`` naming
+the type) and the receiver rejects any tag it does not know — bytes read
+off a socket are parsed as data, never deserialized into objects.
 Round-tripping is exact for everything the registered apps put on the
 wire; the simulator and socket backends therefore deliver equal payload
 *values* (the simulator delivers the same object, the transport an equal
@@ -46,12 +48,10 @@ _TAG = "!"
 
 
 def _storm_tuple():
-    try:
-        from repro.storm.tuples import StormTuple
+    # on first use: a Bloom-only socket run never loads the storm package
+    from repro.storm.tuples import StormTuple
 
-        return StormTuple
-    except Exception:  # pragma: no cover - storm is always importable here
-        return None
+    return StormTuple
 
 
 def encode_value(value: Any) -> Any:
@@ -77,16 +77,17 @@ def encode_value(value: Any) -> Any:
                 for key, item in value.items()
             ],
         }
-    storm = _storm_tuple()
-    if storm is not None and isinstance(value, storm):
+    if isinstance(value, _storm_tuple()):
         return {
             _TAG: "st",
             "v": [encode_value(item) for item in value.values],
             "b": value.batch,
         }
-    import pickle
-
-    return {_TAG: "pk", "v": base64.b64encode(pickle.dumps(value)).decode("ascii")}
+    raise SimulationError(
+        f"cannot put a {type(value).__qualname__} on the wire: the frame "
+        f"codec carries JSON scalars, tuples, lists, sets, bytes, dicts and "
+        f"Storm tuples only"
+    )
 
 
 def decode_value(value: Any) -> Any:
@@ -111,16 +112,9 @@ def decode_value(value: Any) -> Any:
             decode_value(key): decode_value(item) for key, item in value["v"]
         }
     if tag == "st":
-        storm = _storm_tuple()
-        if storm is None:  # pragma: no cover - storm is always importable
-            raise SimulationError("StormTuple frame without the storm backend")
-        return storm(
+        return _storm_tuple()(
             tuple(decode_value(item) for item in value["v"]), value["b"]
         )
-    if tag == "pk":
-        import pickle
-
-        return pickle.loads(base64.b64decode(value["v"]))
     raise SimulationError(f"unknown frame tag {tag!r}")
 
 

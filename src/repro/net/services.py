@@ -71,6 +71,7 @@ class SocketTimeout(SimulationError):
         self.virtual_time = virtual_time
         self.fired = fired
         self.pending = pending
+        self.outcome = None  # the partial RunOutcome; BlazesApp.run attaches it
 
 
 class _NetTimer:
@@ -239,9 +240,6 @@ class NetSimulator:
     def waker(self, delay: float, fn: Callable[[], None]) -> Waker:
         """A coalesced wakeup timer (the kernel-shared :class:`Waker`)."""
         return Waker(self, delay, fn)
-
-    def step(self) -> bool:  # pragma: no cover - interface parity
-        raise SimulationError("the socket backend has no single-step mode")
 
     # ------------------------------------------------------------------
     # network construction (the make_network funnel)

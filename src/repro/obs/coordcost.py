@@ -28,11 +28,9 @@ leader's busy time per operation), yielding a per-run
 :class:`CoordCostReport` that benchmarks and audit cells embed in their
 ``BENCH_*.json``.
 
-The message-kind strings are deliberately *literal* here rather than
-imported from the storm/coord/bloom modules: the classifier must work
-for any backend speaking the same wire vocabulary, and
-``tests/obs/test_coordcost.py`` pins the literals against the canonical
-constants so they cannot drift.
+The message kinds come from :mod:`repro.wire`, the import-free leaf the
+storm/coord/bloom modules take them from too: the classifier works for
+any backend speaking the same wire vocabulary and depends on none.
 """
 
 from __future__ import annotations
@@ -40,6 +38,20 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Iterable
 from typing import Any
+
+from repro.wire import (
+    SEAL_DATA,
+    SEAL_FRAME,
+    SEAL_PUNCT,
+    ST_ACK,
+    TXN_PREFIX,
+    ZK_DELIVER,
+    ZK_GET,
+    ZK_GET_REPLY,
+    ZK_SET,
+    ZK_SET_REPLY,
+    ZK_SUBMIT,
+)
 
 __all__ = [
     "CoordCostReport",
@@ -56,23 +68,8 @@ PLANE_COORDINATION = "coordination"
 PLANE_DELIVERY = "delivery"
 PLANES = (PLANE_DATA, PLANE_COORDINATION, PLANE_DELIVERY)
 
-# Wire vocabulary (pinned against the canonical constants by tests/obs).
-_SEAL_DATA = "seal.data"
-_SEAL_PUNCT = "seal.punct"
-_SEAL_FRAME = "seal.frame"
-_ZK_SUBMIT = "zk.submit"
-_ZK_DELIVER = "zk.deliver"
-_ZK_SET = "zk.set"
-_ZK_GET = "zk.get"
-_ZK_GET_REPLY = "zk.get_reply"
-_ZK_SET_REPLY = "zk.set_reply"
-_TXN_PREFIX = "txn."
-_ST_CHAN = "st.chan"
-_ST_ACK = "st.ack"
-_BLOOM_CHAN = "bloom.chan"
-_BLOOM_INSERT = "bloom.insert"
 
-_ZK_ZNODE_KINDS = frozenset({_ZK_SET, _ZK_GET, _ZK_GET_REPLY, _ZK_SET_REPLY})
+_ZK_ZNODE_KINDS = frozenset({ZK_SET, ZK_GET, ZK_GET_REPLY, ZK_SET_REPLY})
 
 
 def classify_message(kind: str, payload: Any) -> tuple[str, str]:
@@ -83,22 +80,22 @@ def classify_message(kind: str, payload: Any) -> tuple[str, str]:
     for plain data traffic, whose per-kind counts suffice.
     """
     try:
-        if kind == _SEAL_PUNCT:
+        if kind == SEAL_PUNCT:
             return PLANE_COORDINATION, f"seal:{payload[0]}"
-        if kind == _ZK_SUBMIT or kind == _ZK_DELIVER:
+        if kind == ZK_SUBMIT or kind == ZK_DELIVER:
             return PLANE_COORDINATION, f"order:{payload[0]}"
         if kind in _ZK_ZNODE_KINDS:
             return PLANE_COORDINATION, "znode"
-        if kind.startswith(_TXN_PREFIX):
+        if kind.startswith(TXN_PREFIX):
             return PLANE_COORDINATION, "txn"
-        if kind == _ST_ACK:
+        if kind == ST_ACK:
             return PLANE_DELIVERY, ""
-        if kind == _SEAL_DATA or kind == _SEAL_FRAME:
+        if kind == SEAL_DATA or kind == SEAL_FRAME:
             return PLANE_DATA, f"seal:{payload[0]}"
     except (TypeError, IndexError, KeyError):
         # a malformed payload never breaks accounting; fall through to
         # the kind-only classification
-        if kind == _SEAL_PUNCT or kind in _ZK_ZNODE_KINDS:
+        if kind == SEAL_PUNCT or kind in _ZK_ZNODE_KINDS:
             return PLANE_COORDINATION, ""
     return PLANE_DATA, ""
 

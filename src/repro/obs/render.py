@@ -1,15 +1,15 @@
 """Text renderers for the observability CLI verbs.
 
-``blazes stats`` prints the per-strategy coordination-cost table;
-``blazes trace`` the lineage summary and per-id causal timelines;
-``blazes run --profile`` the profiler snapshot.
+``blazes run`` prints one outcome (with the coordcost line and the
+profiler snapshot of an instrumented run); ``blazes stats`` the
+per-strategy coordination-cost table; ``blazes trace`` the lineage
+summary and per-id causal timelines.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.obs.coordcost import PLANE_COORDINATION
 from repro.obs.spans import SpanTracker, format_slice
 
 __all__ = [
@@ -17,6 +17,7 @@ __all__ = [
     "engine_line",
     "render_engine",
     "render_lineages",
+    "render_outcome",
     "render_profile",
     "render_stats",
     "render_timeline",
@@ -32,6 +33,28 @@ def coordcost_line(report: dict[str, Any]) -> str:
         f"{report.get('coordination_decisions', 0)} decisions, "
         f"{report.get('sim_time_overhead', 0.0):.4f}s sim-time overhead"
     )
+
+
+def render_outcome(outcome) -> str:
+    """The ``blazes run`` text: identity, scalar metrics, then the blocks
+    an instrumented run's metrics carry (``coordcost``, ``profile``)."""
+    lines = [
+        f"app={outcome.app} backend={outcome.backend} "
+        f"strategy={outcome.strategy} seed={outcome.seed}"
+    ]
+    width = max((len(name) for name in outcome.metrics), default=0)
+    for name, value in outcome.metrics.items():
+        if isinstance(value, dict):
+            continue  # coordcost / profile blocks render below
+        if isinstance(value, float):
+            lines.append(f"  {name:<{width}} : {value:,.4f}")
+        else:
+            lines.append(f"  {name:<{width}} : {value}")
+    if "coordcost" in outcome.metrics:
+        lines.append(coordcost_line(outcome.metrics["coordcost"]))
+    if "profile" in outcome.metrics:
+        lines.append(render_profile(outcome.metrics["profile"]))
+    return "\n".join(lines)
 
 
 def engine_line(engine: dict[str, Any]) -> str:
@@ -157,11 +180,3 @@ def render_timeline(spans: SpanTracker, lineage: str, *, limit: int = 50) -> str
         known = ", ".join(sorted(spans.lineages())[:10]) or "none"
         return f"no span events for {lineage!r} (known lineages: {known})"
     return "\n".join([f"timeline {lineage}:"] + rendered)
-
-
-def plane_share(report: dict[str, Any], plane: str = PLANE_COORDINATION) -> float:
-    """One plane's fraction of the report's sent messages."""
-    total = report.get("messages_sent", 0)
-    if not total:
-        return 0.0
-    return report.get("planes", {}).get(plane, 0) / total

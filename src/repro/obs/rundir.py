@@ -31,6 +31,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
+from repro import __version__
 from repro.errors import ObsError
 
 __all__ = ["RUNDIR_SCHEMA_VERSION", "validate_rundir", "write_rundir"]
@@ -68,17 +69,17 @@ def _sanitize(value: Any) -> Any:
     return repr(value)
 
 
-def write_rundir(
-    directory: str | Path, outcome, telemetry=None, *, extra_meta=None
-) -> Path:
+def write_rundir(directory: str | Path, outcome, telemetry=None) -> Path:
     """Archive one :class:`~repro.api.RunOutcome` as a run directory.
 
     ``telemetry`` defaults to the hub the outcome was run with
     (``outcome.telemetry``); its coordcost block lands in
     ``coordcost.json`` and its span tracker (when tracing) in
-    ``spans.jsonl``.  ``extra_meta`` entries are merged into
-    ``meta.json`` — e.g. the ``timed_out`` marker of a socket run whose
-    wall-clock budget expired before quiescence.
+    ``spans.jsonl``.  Handed the
+    :class:`~repro.net.services.SocketTimeout` of a socket run torn down
+    at its wall-clock budget instead, it archives the partial outcome the
+    exception carries — how far the run got — and marks ``meta.json``
+    ``timed_out``.
 
     Collision-safe under concurrent writers: the artifacts are built in a
     private temporary directory and published with one atomic rename, so
@@ -89,12 +90,15 @@ def write_rundir(
     """
     from repro.obs.coordcost import coordcost_report
 
+    timed_out = isinstance(outcome, Exception)
+    if timed_out:
+        outcome = outcome.outcome
     target = Path(directory)
     target.parent.mkdir(parents=True, exist_ok=True)
     path = Path(
         tempfile.mkdtemp(dir=target.parent, prefix=f".{target.name or 'run'}.")
     )
-    hub = telemetry if telemetry is not None else getattr(outcome, "telemetry", None)
+    hub = telemetry if telemetry is not None else outcome.telemetry
     cluster = outcome.cluster
     sim = getattr(cluster, "sim", None)
 
@@ -104,20 +108,15 @@ def write_rundir(
         "strategy": outcome.strategy,
         "seed": outcome.seed,
         "backend": outcome.backend,
-        "transport": getattr(outcome, "transport", "sim"),
+        "transport": outcome.transport,
         "kernel": getattr(sim, "kernel", None),
         "events_fired": getattr(sim, "fired", None),
         "virtual_time": getattr(sim, "now", None),
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "version": __version__,
     }
-    if extra_meta:
-        meta.update(extra_meta)
-    try:
-        from repro import __version__
-
-        meta["version"] = __version__
-    except Exception:  # pragma: no cover - version is cosmetic
-        meta["version"] = None
+    if timed_out:
+        meta["timed_out"] = True
     (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     metrics = _sanitize(dict(outcome.metrics))
@@ -125,11 +124,10 @@ def write_rundir(
         json.dumps(metrics, indent=2, sort_keys=True) + "\n"
     )
 
-    coordcost = outcome.metrics.get("coordcost") if outcome.metrics else None
+    coordcost = outcome.metrics.get("coordcost")
     if coordcost is None and hub is not None:
-        network = getattr(cluster, "network", None)
-        sent = network.sent if network is not None else None
-        coordcost = coordcost_report(hub, messages_sent=sent).to_dict()
+        # a timed-out partial run: no outcome block, only what the hub saw
+        coordcost = coordcost_report(hub).to_dict()
     (path / "coordcost.json").write_text(
         json.dumps(_sanitize(coordcost or {}), indent=2, sort_keys=True) + "\n"
     )

@@ -29,18 +29,22 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any
 
+from repro.wire import (
+    BLOOM_CHAN,
+    BLOOM_INSERT,
+    SEAL_DATA,
+    SEAL_FRAME,
+    SEAL_PUNCT,
+    ST_ACK,
+    ST_CHAN,
+    TXN_PREFIX,
+    ZK_DELIVER,
+    ZK_PREFIX,
+    ZK_SUBMIT,
+)
+
 __all__ = ["SpanTracker", "divergence_explain"]
 
-# Wire vocabulary (pinned against the canonical constants by tests/obs).
-_ST_CHAN = "st.chan"
-_ST_ACK = "st.ack"
-_SEAL_DATA = "seal.data"
-_SEAL_PUNCT = "seal.punct"
-_SEAL_FRAME = "seal.frame"
-_ZK_SUBMIT = "zk.submit"
-_ZK_DELIVER = "zk.deliver"
-_BLOOM_CHAN = "bloom.chan"
-_BLOOM_INSERT = "bloom.insert"
 
 _MAX_EVENTS = 250_000  # hard cap; beyond it events are counted, not kept
 _MAX_SLICE_ROWS = 2  # disputed rows explained per verdict
@@ -74,7 +78,7 @@ class SpanTracker:
     def note_delivery(self, msg: Any, time: float) -> None:
         """Derive span events from one delivered message's payload."""
         kind, payload, node = msg.kind, msg.payload, msg.dst
-        if kind == _ST_CHAN:
+        if kind == ST_CHAN:
             src, batch, attempt, seq, frame = payload
             items = 0
             punct = False
@@ -93,16 +97,16 @@ class SpanTracker:
                 f"{src}->{node} attempt={attempt} seq={seq} items={items}"
                 + (" +punct" if punct and items else ""),
             )
-        elif kind == _ST_ACK:
+        elif kind == ST_ACK:
             self.note_event(time, f"batch:{payload}", "ack", node, f"from={msg.src}")
-        elif kind == _SEAL_DATA:
+        elif kind == SEAL_DATA:
             _stream, seq, partition, record, producer = payload
             lineage = _part(partition)
             self._index(record, lineage)
             self.note_event(
                 time, lineage, "seal-data", node, f"producer={producer} seq={seq}"
             )
-        elif kind == _SEAL_FRAME:
+        elif kind == SEAL_FRAME:
             _stream, seq, items, producer = payload
             per_part: Counter = Counter()
             for partition, record in items:
@@ -117,33 +121,33 @@ class SpanTracker:
                     node,
                     f"producer={producer} seq={seq} records={count}",
                 )
-        elif kind == _SEAL_PUNCT:
+        elif kind == SEAL_PUNCT:
             _stream, seq, partition, producer = payload
             self.note_event(
                 time, _part(partition), "seal-vote", node, f"producer={producer}"
             )
-        elif kind == _ZK_SUBMIT:
+        elif kind == ZK_SUBMIT:
             topic, value = payload
             self._index(value, f"topic:{topic}")
             self.note_event(time, f"topic:{topic}", "submit", node, f"from={msg.src}")
-        elif kind == _ZK_DELIVER:
+        elif kind == ZK_DELIVER:
             topic, seq, value = payload
             self._index(value, f"topic:{topic}")
             self.note_event(time, f"topic:{topic}", "deliver", node, f"seq={seq}")
-        elif kind == _BLOOM_CHAN:
+        elif kind == BLOOM_CHAN:
             channel, row = payload
             self._index(row, f"chan:{channel}")
             self.note_event(time, f"chan:{channel}", "row", node, f"from={msg.src}")
-        elif kind == _BLOOM_INSERT:
+        elif kind == BLOOM_INSERT:
             collection, rows = payload
             for row in rows:
                 self._index(row, f"chan:{collection}")
             self.note_event(
                 time, f"chan:{collection}", "insert", node, f"rows={len(rows)}"
             )
-        elif kind.startswith("zk."):
-            self.note_event(time, "znode", kind.removeprefix("zk."), node)
-        elif kind.startswith("txn."):
+        elif kind.startswith(ZK_PREFIX):
+            self.note_event(time, "znode", kind.removeprefix(ZK_PREFIX), node)
+        elif kind.startswith(TXN_PREFIX):
             self.note_event(time, f"batch:{payload}", kind, node)
         else:
             self.note_event(time, f"kind:{kind}", "message", node)

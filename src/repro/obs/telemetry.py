@@ -1,7 +1,7 @@
 """The telemetry hub: one interface the whole runtime reports through.
 
-A :class:`Telemetry` hub carries labeled counters, gauges, and summary
-histograms, plus the structured notes the simulated runtime emits
+A :class:`Telemetry` hub carries labeled counters plus the structured
+notes the simulated runtime emits
 (message sends, deliveries, coordination decisions).  Hubs are **opt-in
 and context-scoped**: :meth:`Telemetry.activate` (used by
 ``BlazesApp.run(telemetry=...)``) pushes the hub onto a module-level
@@ -50,39 +50,6 @@ def activate(hub: "Telemetry"):
         _ACTIVE.pop()
 
 
-class Summary:
-    """A histogram-lite: count, total, min, max of observed values."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min if self.min is not None else 0.0,
-            "max": self.max if self.max is not None else 0.0,
-        }
-
-
 class Telemetry:
     """One run's telemetry: instruments plus the runtime's structured notes.
 
@@ -94,8 +61,6 @@ class Telemetry:
 
     def __init__(self, *, spans: bool = False, profiler: Any = None) -> None:
         self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, float] = {}
-        self.summaries: dict[str, Summary] = {}
         self.spans: SpanTracker | None = SpanTracker() if spans else None
         self.profiler = profiler
         # Simulated-time serialization cost accumulated by coordination
@@ -119,17 +84,6 @@ class Telemetry:
     def total(self, name: str) -> int:
         """Sum over all labels of one counter."""
         return sum(self.counter(name).values())
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set a gauge to its latest value."""
-        self.gauges[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into the summary histogram ``name``."""
-        summary = self.summaries.get(name)
-        if summary is None:
-            summary = self.summaries[name] = Summary()
-        summary.add(value)
 
     # ------------------------------------------------------------------
     # structured runtime notes
@@ -181,11 +135,6 @@ class Telemetry:
         return {
             "counters": {
                 name: dict(counter) for name, counter in sorted(self.counters.items())
-            },
-            "gauges": dict(sorted(self.gauges.items())),
-            "summaries": {
-                name: summary.to_dict()
-                for name, summary in sorted(self.summaries.items())
             },
             "sim_time_overhead": self.sim_time_overhead,
         }

@@ -230,29 +230,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next event; returns False when the queue is empty."""
-        queue = self._queue
-        while queue:
-            rec = heappop(queue)
-            fn = rec[_FN]
-            if fn is None:
-                self._recycle(rec)
-                continue
-            time = rec[_TIME]
-            if time < self.now:
-                raise SimulationError("event queue went back in time")
-            args = rec[_ARGS]
-            self._recycle(rec)
-            self.now = time
-            self._fired += 1
-            self._live -= 1
-            if self._profiler is not None:
-                self._profiler._note_fire(fn, len(queue))
-            fn(*args)
-            return True
-        return False
-
     def run(
         self, *, until: float | None = None, max_events: int | None = None
     ) -> float:

@@ -46,11 +46,9 @@ from repro.sim.events import make_simulator
 from repro.sim.trace import Trace
 from repro.storm.topology import Topology
 from repro.storm.tuples import Fields, StormTuple
+from repro.wire import ST_ACK as ACK, ST_CHAN as CHAN, TXN_KINDS
 
 __all__ = ["StormCluster", "ClusterConfig", "stable_hash"]
-
-CHAN = "st.chan"
-ACK = "st.ack"
 
 
 class _Router:
@@ -526,7 +524,7 @@ class StormCluster:
         self.sim = make_simulator(seed=self.config.seed)
         # Control-plane traffic (Zookeeper sessions, commit coordination)
         # rides TCP-backed sessions in real deployments: exempt from loss.
-        reliable = ZK_KINDS + ("txn.ready", "txn.committed", "txn.reack")
+        reliable = ZK_KINDS + TXN_KINDS
         self.network = make_network(
             self.sim,
             latency=self.config.latency,
@@ -630,10 +628,6 @@ class StormCluster:
     def acker_tasks(self) -> list[str]:
         """Terminal-bolt tasks: the processes that acknowledge batches."""
         return self.task_names(self._terminal)
-
-    @property
-    def terminal_component(self) -> str:
-        return self._terminal
 
     def batch_owner(self, batch: int) -> str:
         """The spout task that emitted (and can replay) a batch."""

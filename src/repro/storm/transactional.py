@@ -26,15 +26,18 @@ from typing import TYPE_CHECKING
 from repro.coord import zookeeper as zk
 from repro.errors import StormError
 from repro.sim.network import Message, Process
+from repro.wire import (
+    ST_ACK,
+    TXN_COMMITTED as COMMITTED,
+    TXN_READY as READY,
+    TXN_REACK as REACK,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storm.executor import StormCluster, _BoltTask
 
 __all__ = ["CommitCoordinator", "install_transactional"]
 
-READY = "txn.ready"
-COMMITTED = "txn.committed"
-REACK = "txn.reack"
 COMMITS_TOPIC = "txn.commits"
 
 
@@ -131,7 +134,7 @@ class CommitCoordinator(Process):
         if msg.kind == REACK:
             batch = msg.payload
             owner = self.cluster.batch_owner(batch)
-            task.send(owner, "st.ack", batch)
+            task.send(owner, ST_ACK, batch)
             return True
         return False
 

@@ -137,7 +137,7 @@ class TestTightness:
         assert f"tightness: {tight}/{total} cells" in text
 
     def test_audit_to_dict_serializes_tightness(self):
-        from repro.core.report import audit_to_dict
+        from repro.chaos import audit_to_dict
 
         payload = audit_to_dict(smoke_report())
         tight, total = campaign_tightness(smoke_report())
@@ -276,7 +276,7 @@ class TestEnvelopeStatus:
             cell_status_of,
             out_of_envelope_cells,
         )
-        from repro.core.report import audit_to_dict
+        from repro.chaos import audit_to_dict
 
         def cell(name, *, sound, violations):
             return ScenarioResult(

@@ -1,9 +1,10 @@
 """Verdict, plan, lint and explain are linear — pinned as a count.
 
-A ``sys.settrace`` line counter restricted to ``repro/core`` repeats
-exactly from run to run, so the growth of executed lines for 4x the
-components is a fact about the code, not about the host.  The shapes are
-the perf ledger's (``benchmarks/`` is not imported) plus the wide hub.
+A ``sys.settrace`` line counter (``tools/unexecuted.py``'s tracer)
+restricted to ``repro/core`` repeats exactly from run to run, so the
+growth of executed lines for 4x the components is a fact about the code,
+not about the host.  The shapes are the perf ledger's (``benchmarks/`` is
+not imported) plus the wide hub.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.core import (
     ordered_plan,
     render_chain,
 )
+from tools.unexecuted import line_tracer
 
 CORE = str(Path(repro.core.__file__).parent)
 
@@ -97,16 +99,12 @@ def core_lines(call, *args) -> int:
     """Line events executed in files under ``repro/core`` while ``call`` runs."""
     lines = 0
 
-    def count(frame, event, arg):
+    def count(code, lineno) -> None:
         nonlocal lines
-        lines += event == "line"
-        return count
-
-    def on_call(frame, event, arg):
-        return count if frame.f_code.co_filename.startswith(CORE) else None
+        lines += 1
 
     previous = sys.gettrace()
-    sys.settrace(on_call)
+    sys.settrace(line_tracer(CORE, count))
     try:
         call(*args)
     finally:

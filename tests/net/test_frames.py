@@ -63,6 +63,24 @@ def test_unknown_tag_rejected():
         frames.decode_value({"!": "zz", "v": []})
 
 
+def test_value_outside_the_vocabulary_is_refused_at_the_sender():
+    class Opaque:
+        pass
+
+    with pytest.raises(SimulationError, match="cannot put a .*Opaque on the wire"):
+        frames.encode_value(("nested", [Opaque()]))
+
+
+def test_serialized_object_frames_are_rejected_like_any_unknown_tag():
+    """What a peer sends is parsed as data, never deserialized: the tag an
+    earlier codec used for arbitrary objects is not in the vocabulary."""
+    import base64
+
+    hostile = {"!": "pk", "v": base64.b64encode(b"cos\nsystem\n(S'true'\ntR.").decode()}
+    with pytest.raises(SimulationError, match="unknown frame tag 'pk'"):
+        frames.decode_value({"!": "tu", "v": [1, hostile]})
+
+
 def test_frame_roundtrip_over_stream():
     dumps, loads = frames.make_codec("json")
     frame = {"src": "a", "dst": "b", "kind": "k", "payload": [1, 2]}

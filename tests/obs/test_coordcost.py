@@ -18,29 +18,6 @@ from repro.obs.coordcost import (
 from repro.obs.telemetry import Telemetry
 
 
-def test_kind_literals_match_the_canonical_constants():
-    """The classifier's literal wire vocabulary must never drift."""
-    from repro.bloom.cluster import CHANNEL_MSG, INSERT_MSG
-    from repro.coord import zookeeper as zk
-    from repro.coord.sealing import DATA, FRAME, PUNCT
-    from repro.obs import coordcost as cc
-    from repro.storm.executor import ACK, CHAN
-    from repro.storm.transactional import COMMITTED, READY, REACK
-
-    assert cc._SEAL_DATA == DATA
-    assert cc._SEAL_PUNCT == PUNCT
-    assert cc._SEAL_FRAME == FRAME
-    assert cc._ZK_SUBMIT == zk.SUBMIT
-    assert cc._ZK_DELIVER == zk.DELIVER
-    assert cc._ZK_ZNODE_KINDS == {zk.SET, zk.GET, zk.GET_REPLY, zk.SET_REPLY}
-    assert cc._ST_CHAN == CHAN
-    assert cc._ST_ACK == ACK
-    assert cc._BLOOM_CHAN == CHANNEL_MSG
-    assert cc._BLOOM_INSERT == INSERT_MSG
-    for kind in (READY, COMMITTED, REACK):
-        assert kind.startswith(cc._TXN_PREFIX)
-
-
 @pytest.mark.parametrize(
     ("kind", "payload", "plane", "topic"),
     [

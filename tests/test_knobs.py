@@ -8,7 +8,8 @@ reference implementations of ``tests/reference``, so does a second
 loop over cells next to :func:`repro.exec.evaluate`, so does a second
 Bloom evaluation path or an engine switch under ``src/repro/bloom``, and
 so does a new constructor parameter or a second ``Network`` class on the
-message hop.
+message hop, so does ``repro.core`` importing the chaos layer built on it,
+and so does a CLI flag declared in two places.
 """
 
 from __future__ import annotations
@@ -186,3 +187,66 @@ def test_the_graph_index_has_no_knob_and_no_fork():
         assert graph.count(f"def {query.__name__}(") == 1
     for path in sorted((SRC / "repro" / "core").glob("*.py")):
         assert not re.findall(r"lru_cache|functools\.cache", path.read_text()), path.name
+
+
+def test_core_never_imports_the_chaos_layer():
+    """``core <- chaos``: the analysis is a leaf the audit builds on, so a
+    campaign's serialiser sits beside the campaign, not in ``core/report``."""
+    pattern = re.compile(r"^\s*(?:from|import)\s+repro\.chaos\b", re.MULTILINE)
+    offenders = [
+        path.name
+        for path in sorted((SRC / "repro" / "core").glob("*.py"))
+        if pattern.search(path.read_text())
+    ]
+    assert not offenders, f"repro.core imports repro.chaos: {offenders}"
+
+
+def test_every_cli_flag_is_declared_once():
+    """Each option string is declared once in ``cli.py`` — one key of its
+    flag table or one direct ``add_argument`` call; verbs only *name* the
+    flags they share — and the parser offers exactly the declared ones."""
+    import argparse
+    import ast
+    from collections import Counter
+
+    from repro.cli import build_parser
+
+    def options(nodes) -> list[str]:
+        return [
+            node.value
+            for node in nodes
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and re.fullmatch(r"--[a-z][a-z-]*", node.value)
+        ]
+
+    declared: Counter = Counter()
+    for node in ast.walk(ast.parse((SRC / "repro" / "cli.py").read_text())):
+        if isinstance(node, ast.Dict):  # a table entry: flag -> keywords
+            declared.update(
+                options(
+                    key
+                    for key, value in zip(node.keys, node.values)
+                    if isinstance(value, (ast.Dict, ast.Call))
+                )
+            )
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "add_argument":
+                declared.update(options(node.args))
+    twice = {flag: count for flag, count in declared.items() if count != 1}
+    assert declared and not twice, twice
+
+    parser = build_parser()
+    (verbs,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    offered = {
+        option
+        for command in [parser, *verbs.choices.values()]
+        for action in command._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert offered == set(declared), offered ^ set(declared)
