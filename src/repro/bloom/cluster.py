@@ -48,6 +48,7 @@ class BloomNode(Process):
         self.outputs_log: dict[str, set[tuple]] = {
             decl.name: set() for decl in module.outputs
         }
+        self._last_outputs: dict[str, frozenset[tuple]] = {}
         self._wake = None
         self._plugins: list[Callable[[Message], bool]] = []
         self.on_tick: Callable[[dict[str, frozenset[tuple]]], None] | None = None
@@ -108,12 +109,15 @@ class BloomNode(Process):
         outputs = self.runtime.tick()
         if telemetry is not None:
             telemetry.count("bloom.ticks", self.name)
+        last, self._last_outputs = self._last_outputs, outputs
         for name, rows in outputs.items():
+            if rows is last.get(name):
+                continue  # the very set already logged: nothing is fresh
             fresh = rows - self.outputs_log[name]
             if fresh and self.trace is not None:
                 for row in sorted(fresh):
                     self.trace.record(self.now, self.name, f"output:{name}", row)
-            self.outputs_log[name] |= rows
+            self.outputs_log[name] |= fresh
         if self.on_tick is not None:
             self.on_tick(outputs)
         if self.runtime.has_pending_input:

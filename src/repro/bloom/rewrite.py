@@ -84,7 +84,7 @@ class OrderedInputAdapter:
         self.applied += 1
         # the tick for this value fires at tick_delay; release the next
         # one strictly after it so no two sequenced values share a step
-        self.node.after(self.node.tick_delay * 1.5, self._release_next)
+        self.node.sim.post(self.node.tick_delay * 1.5, self._release_next)
 
     def _release_next(self) -> None:
         self._draining = False

@@ -15,35 +15,45 @@ timestep:
    rules are evaluated against the fixpoint; deferred merges apply at the
    start of the next step, and async tuples are handed to the transport.
 
-Tables persist across steps; scratches, channels, and interfaces are
-emptied when a new step begins.  The fixpoint terminates because ``<=``
-only ever adds tuples within a step.  Programs with recursion through
+Tables persist across steps; scratches, channels and interfaces hold one
+step's rows only.  The fixpoint terminates because ``<=`` only ever adds
+tuples within a step.  Programs with recursion through
 negation/aggregation are rejected as unstratifiable.
 
-**Simultaneous deferred insert and delete.**  At a timestep boundary the
-pending ``<-`` deletions are applied *before* the pending ``<+``
-insertions.  A tuple that was both deferred-inserted and deferred-deleted
-at the same boundary therefore survives: the delete removes (at most) the
-old copy and the insert puts the tuple back.  This is Bud's behavior —
-insertion wins a same-boundary race — and programs like the classic
-"replace a row" idiom (``t <- old_row; t <+ new_row``) rely on delete
-running first so a self-replacement is not lost.  The regression test
-``test_simultaneous_deferred_insert_and_delete`` pins this down.
+**Simultaneous deferred insert and delete.**  At a boundary the pending
+``<-`` deletions apply *before* the pending ``<+`` insertions, so a tuple
+both deferred-inserted and deferred-deleted survives.  This is Bud's
+behavior — insertion wins a same-boundary race — and the "replace a row"
+idiom (``t <- old_row; t <+ new_row``) relies on it;
+``test_simultaneous_deferred_insert_and_delete`` pins it.
 
 **Evaluation.**  The fixpoint is semi-naive and event-driven.  Every rule
 keeps a materialized output and a pipeline compiled once from its body
 (:func:`repro.bloom.ast.compile_rule`: per-operator hash indexes held in
 closures); a map from each collection to the rules that scan it, built at
 construction, hands every published change to exactly those rules, so a
-wave is "the dirty rules of this stratum" and nothing is polled.  Firing
-cost is proportional to the *change*, not to total state — O(|delta|) per
-tick instead of the textbook O(|database|) rebuild that dominated
-paper-scale (``--full``) workloads.  The textbook engine (snapshot every
-collection, re-evaluate every rule, every iteration) is the executable
-reference semantics; it lives test-only in
-``tests/reference/naive_engine.py`` and
-``tests/bloom/test_engine_equivalence.py`` holds this runtime to identical
-fixpoints, tick for tick, on randomized programs.
+wave is "the dirty rules of this stratum" and nothing is polled.  A tick
+costs O(|delta|) — what arrived, what the rules derive from it, and the
+re-assertion of those rule-written transients that are not standing sinks
+— never O(|database|), and nothing at all for an unchanged output.  The
+textbook engine (snapshot every collection, re-evaluate every rule, every
+iteration) is the reference semantics: it lives test-only in
+``tests/reference/naive_engine.py``, boundary and output collection
+included, and ``tests/bloom/test_engine_equivalence.py`` holds this runtime
+to identical fixpoints, tick for tick, on randomized programs.
+
+**Standing sinks.**  An output interface that no rule scans and only ``<=``
+rules derive ends every step holding the union of its writers' materialized
+outputs, so clearing it at the boundary and re-asserting it rebuilds what
+is already there.  The boundary skips such a sink and a writer's firing
+applies its own ``(added, removed)`` delta to it: a retracted row stays
+while another writer still derives it, and one retracted after its
+stratum's first wave lingers until the next boundary (the textbook target
+had already accumulated it this step).  Three kinds of transient are *not*
+standing and keep clear-and-re-assert, which they need: one a rule scans
+(its readers must see rows go and come back), one a ``<+`` rule defers into
+(its rows arrive through the boundary), and one that takes external input
+(scratches, channels, input interfaces).
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 
 from repro.bloom.ast import (
+    NO_CHANGE,
     NO_ROWS,
     AntiJoin,
     Delta,
@@ -81,15 +92,19 @@ class _RuleState:
     ``tests/reference``) by delta propagation.  ``inbox`` is the net change
     of each scanned collection published since the rule last fired;
     ``dirty`` says the rule must fire: it never has, its inbox filled, or
-    it must ``reassert`` its output into a target that lost rows.
+    it must ``reassert`` its output into a target that lost rows
+    (``standing``: the target is a standing sink, which never does).  The
+    body's width is checked here, once, and not per derived row.
     """
 
     __slots__ = (
         "rule", "lhs", "scans", "negated", "decl",
-        "step", "out", "inbox", "dirty", "reassert",
+        "step", "out", "inbox", "dirty", "reassert", "standing",
     )
 
     def __init__(self, rule: Rule, decl: CollectionDecl) -> None:
+        if len(rule.rhs.schema) != len(decl.schema):
+            raise BloomError(f"rule {rule} derives {rule.rhs.schema}, not {decl.columns}")
         self.rule = rule
         self.lhs = rule.lhs
         self.scans: frozenset[str] = rule.rhs.scans()
@@ -111,7 +126,7 @@ class BloomRuntime:
 
     :meth:`tick` is *exactly* equivalent to textbook stratified-naive
     evaluation (``tests/reference/naive_engine.py``) — the whole per-tick
-    storage trajectory matches, iteration for iteration — via three
+    storage trajectory matches, iteration for iteration — via four
     observations:
 
     * a rule whose scanned collections did not change since its last
@@ -125,16 +140,17 @@ class BloomRuntime:
       eval(env)`` without rescanning;
     * waves are iteration-aligned: every rule fired in a wave sees the
       same start-of-wave contents (additions are staged and applied at
-      the wave boundary), mirroring the naive per-iteration snapshot.
+      the wave boundary), mirroring the naive per-iteration snapshot;
+    * a standing sink (module docstring) is never read, so applying its
+      writers' net changes in place ends every step on the contents the
+      naive clear-and-re-derive computes.
 
     Change tracking is push, not poll: every published change lands in
     the inbox of each rule that scans the collection and marks it dirty,
-    and both the inboxes and the pipelines' indexes persist across ticks,
-    which is what makes a quiet tick cost O(changed rows) instead of
-    O(database).  One aliasing rule keeps publishing copy-free: a set
-    that has been published (handed to ``_record``) is never mutated
-    afterwards, and a storage set — which *is* mutated in place — is
-    never the same object as a published one.
+    and both the inboxes and the pipelines' indexes persist across ticks.
+    One aliasing rule keeps publishing copy-free: a set that has been
+    published (handed to ``_record``) is never mutated afterwards, and a
+    storage set — which *is* mutated in place — is never a published one.
     """
 
     def __init__(
@@ -171,6 +187,22 @@ class BloomRuntime:
             name: tuple(s for s in rules if s.lhs == name and s.rule.instantaneous)
             for name in self.storage
         }
+        # standing sinks (module docstring): the boundary leaves them alone
+        # and their writers apply deltas to them in place
+        deferred_into = {state.lhs for state in self._end_rules}
+        standing = {
+            name for name in self._output_names
+            if not self._readers[name] and name not in deferred_into
+        }
+        for state in rules:
+            state.standing = state.rule.instantaneous and state.lhs in standing
+        self._boundary = tuple(c for c in self._collections if c[0] not in standing)
+        self._lingering: dict[str, set[tuple]] = {}
+        # tick()'s result; ``_stale`` names the snapshots to retake (always
+        # the outputs that are not standing: they are re-derived every tick)
+        self._outputs = dict.fromkeys(self._output_names, NO_ROWS)
+        self._volatile = frozenset(self._output_names) - standing
+        self._stale = set(self._volatile)
         self.tick_count = 0
         self.ticks_skipped = 0
 
@@ -196,9 +228,10 @@ class BloomRuntime:
     @property
     def has_pending_input(self) -> bool:
         """True when queued inserts/deletes will affect the next step."""
-        return any(self._pending_inserts.values()) or any(
-            self._pending_deletes.values()
-        )
+        inserts, deletes = self._pending_inserts, self._pending_deletes
+        if inserts or deletes:  # after a tick both are usually drained dicts
+            return any(inserts.values()) or any(deletes.values())
+        return False
 
     # ------------------------------------------------------------------
     # quiescence
@@ -248,7 +281,8 @@ class BloomRuntime:
     # evaluation
     # ------------------------------------------------------------------
     def tick(self) -> dict[str, frozenset[tuple]]:
-        """Run one timestep; returns the contents of output interfaces."""
+        """Run one timestep; returns the contents of output interfaces
+        (the *same* frozenset object for an output that did not change)."""
         storage = self.storage
 
         # 1. boundary: clear transients, apply deletes then inserts.
@@ -265,24 +299,22 @@ class BloomRuntime:
         # 2. instantaneous strata to fixpoint, wave-aligned.
         for stratum in self._strata:
             wave = [state for state in stratum if state.dirty]
+            first_wave = True
             while wave:
-                staging: dict[str, set[tuple]] = {}
+                staging = {}  # target -> rows this wave adds to it
                 for state in wave:
-                    produced = self._fire(state)
+                    added, removed = self._fire(state)
+                    if state.standing:
+                        if added or removed:
+                            self._update_sink(state, added, removed, first_wave)
+                        continue
                     if state.reassert:
                         state.reassert = False
-                        produced = state.out
-                    if not produced:
-                        continue
+                        added = state.out
                     lhs = state.lhs
-                    target = storage[lhs]
-                    fresh = staging.get(lhs)
-                    check_arity = state.decl.check_arity
-                    for row in produced:
-                        if row not in target:
-                            if fresh is None:
-                                fresh = staging[lhs] = set()
-                            fresh.add(check_arity(row))
+                    fresh = added - storage[lhs]
+                    if fresh:
+                        staging[lhs] = staging[lhs] | fresh if lhs in staging else fresh
                 if not staging:
                     break  # nothing published: no rule here went dirty
                 # wave boundary: publish this wave's additions at once,
@@ -291,6 +323,7 @@ class BloomRuntime:
                     storage[name] |= rows
                     self._record(name, rows, NO_ROWS)
                 wave = [state for state in stratum if state.dirty]
+                first_wave = False
 
         # 3. end of step: deferred / deletion / async rules evaluate
         # against the fixpoint and emit their full materialized output
@@ -300,19 +333,20 @@ class BloomRuntime:
                 self._fire(state)
             rule = state.rule
             if rule.deferred:
-                pending = self._pending_inserts.setdefault(rule.lhs, set())
-                check_arity = state.decl.check_arity
-                pending.update(check_arity(row) for row in state.out)
+                self._pending_inserts.setdefault(rule.lhs, set()).update(state.out)
             elif rule.deletion:
-                pending = self._pending_deletes.setdefault(rule.lhs, set())
-                pending.update(tuple(row) for row in state.out)
+                self._pending_deletes.setdefault(rule.lhs, set()).update(state.out)
             elif rule.asynchronous:
                 # unconditionally, matching the naive reference: the
                 # transport/kind checks raise even for an empty output
                 self._send_async(rule.lhs, state.out)
 
         self.tick_count += 1
-        return self._collect_outputs()
+        if self._stale:
+            fresh = {name: frozenset(storage[name]) for name in self._stale}
+            self._outputs = self._outputs | fresh
+            self._stale = set(self._volatile)
+        return self._outputs
 
     # -- change tracking ------------------------------------------------
     def _record(self, name: str, added, removed) -> None:
@@ -336,12 +370,12 @@ class BloomRuntime:
             else:
                 del inbox[name]
 
-    def _fire(self, state: _RuleState) -> Iterable[tuple]:
+    def _fire(self, state: _RuleState) -> Delta:
         """Bring the rule's materialized output up to date.
 
-        Returns the rows newly added to the output.  The first firing
-        compiles the body and materializes it (every scanned collection's
-        live contents count as added, so each operator builds its index);
+        Returns the net change of the output.  The first firing compiles
+        the body and materializes it (every scanned collection's live
+        contents count as added, so each operator builds its index);
         later firings consume only the inbox.
         """
         state.dirty = False
@@ -352,13 +386,27 @@ class BloomRuntime:
             storage = self.storage
             base = {name: (storage[name], NO_ROWS) for name in state.scans}
         elif not base:
-            return NO_ROWS
-        added, removed = step(base)
-        if removed:
-            state.out -= removed
-        if added:
-            state.out |= added
-        return added
+            return NO_CHANGE
+        delta = added, removed = step(base)
+        state.out -= removed
+        state.out |= added
+        return delta
+
+    def _update_sink(self, state: _RuleState, added, removed, first_wave) -> None:
+        """Apply one writer's output delta to its standing sink; a row
+        retracted after the first wave lingers (module docstring)."""
+        name = state.lhs
+        if removed and first_wave:
+            self.storage[name] -= self._underived(name, removed)
+        elif removed:
+            self._lingering.setdefault(name, set()).update(removed)
+        self.storage[name] |= added
+        self._stale.add(name)
+
+    def _underived(self, name: str, rows) -> set[tuple]:
+        """The ``rows`` no writer of ``name`` currently derives."""
+        outs = [state.out for state in self._writers[name]]
+        return {row for row in rows if not any(row in out for out in outs)}
 
     def _apply_boundary(self) -> dict[str, Delta]:
         """Start of step: clear transients, apply deletes then inserts.
@@ -370,9 +418,13 @@ class BloomRuntime:
         """
         deltas: dict[str, Delta] = {}
         storage = self.storage
+        for name, rows in self._lingering.items():  # retire last step's
+            storage[name] -= self._underived(name, rows)
+            self._stale.add(name)
+        self._lingering.clear()
         all_inserts, self._pending_inserts = self._pending_inserts, {}
         all_deletes, self._pending_deletes = self._pending_deletes, {}
-        for name, transient in self._collections:
+        for name, transient in self._boundary:
             current = storage[name]
             inserts = all_inserts.get(name)
             if transient:
@@ -419,10 +471,6 @@ class BloomRuntime:
         # reference (tests/reference) does not share
         for row in sorted(rows, key=repr):
             self.on_channel_send(channel, row[address_index], row)
-
-    def _collect_outputs(self) -> dict[str, frozenset[tuple]]:
-        storage = self.storage
-        return {name: frozenset(storage[name]) for name in self._output_names}
 
     # ------------------------------------------------------------------
     # inspection

@@ -38,18 +38,23 @@ class OrderedInbox:
 
     def offer(self, seq: int, value: Any) -> int:
         """Accept one delivery; returns how many values were released."""
-        if seq < self._next_seq or seq in self._pending:
+        pending = self._pending
+        if seq < self._next_seq or seq in pending:
             self.duplicates += 1
             return 0
-        self._pending[seq] = value
+        if seq != self._next_seq:
+            pending[seq] = value
+            return 0
+        # in order: release it, then whatever it was holding back
         released = 0
-        while self._next_seq in self._pending:
-            value = self._pending.pop(self._next_seq)
+        while True:
             self._next_seq += 1
             self.applied += 1
             released += 1
             self.handler(value)
-        return released
+            if self._next_seq not in pending:
+                return released
+            value = pending.pop(self._next_seq)
 
     @property
     def next_seq(self) -> int:

@@ -138,7 +138,7 @@ class ZookeeperService(Process):
         self._busy = True
         kind, msg = self._queue.popleft()
         service = self.read_service if kind == GET else self.write_service
-        self.after(service, lambda: self._complete(kind, msg))
+        self.sim.post(service, self._complete, kind, msg)
 
     def _complete(self, kind: str, msg: Message) -> None:
         telemetry = self.sim.telemetry
@@ -171,9 +171,10 @@ class ZookeeperService(Process):
             self._log.setdefault(topic, []).append(value)
             if self.trace is not None:
                 self.trace.record(self.now, self.name, f"zk.order:{topic}", (seq, value))
+            delivery = (topic, seq, value)
             for subscriber in self._subscribers.get(topic, ()):
                 self.stats.deliveries += 1
-                self.send(subscriber, DELIVER, (topic, seq, value))
+                self.send(subscriber, DELIVER, delivery)
         elif kind == SET:
             path, value = msg.payload
             self.stats.writes += 1

@@ -14,6 +14,7 @@ from repro.bloom.ast import (
     Scan,
     Select,
     Union,
+    compile_rule,
 )
 from repro.errors import BloomError
 from tests.reference import naive_eval
@@ -158,3 +159,38 @@ class TestLineage:
     def test_scans_collects_all_collections(self):
         node = Join(R, AntiJoin(S, Scan("t", ("c",)), on=[("c", "c")]), on=[("b", "b")])
         assert node.scans() == {"r", "s", "t"}
+
+
+class TestSelectRefsContract:
+    """``refs`` is what the compiled predicate gets to see."""
+
+    ROWS = {(1, 2), (3, 4)}
+
+    def run(self, node):
+        return compile_rule(node)({"r": (self.ROWS, frozenset())})
+
+    def test_declared_refs_are_the_only_columns_the_predicate_sees(self):
+        seen = []
+        node = Select(R, lambda row: seen.append(dict(row)) or row["b"] > 2, ("b",))
+        assert self.run(node) == ({(3, 4)}, set())
+        assert sorted(seen, key=repr) == [{"b": 2}, {"b": 4}]
+
+    def test_reading_an_undeclared_column_names_it_the_refs_and_the_schema(self):
+        node = Select(R, lambda row: row["a"] > 1, ("b",))
+        with pytest.raises(BloomError) as caught:
+            self.run(node)
+        message = str(caught.value)
+        assert "'a'" in message and "('b',)" in message and "('a', 'b')" in message
+
+    def test_empty_refs_hand_the_predicate_the_full_row(self):
+        seen = []
+        node = Select(R, lambda row: seen.append(dict(row)) or row["a"] > 1)
+        assert self.run(node) == ({(3, 4)}, set())
+        assert sorted(seen, key=repr) == [{"a": 1, "b": 2}, {"a": 3, "b": 4}]
+
+    def test_a_key_error_of_the_predicates_own_is_not_rewritten(self):
+        lookup = {}
+        for refs in ((), ("a",)):
+            node = Select(R, lambda row: lookup[row["a"]], refs)
+            with pytest.raises(KeyError):
+                self.run(node)

@@ -70,6 +70,7 @@ class RandomModule(BloomModule):
         self.table("t2", ["a", "b"])
         self.scratch("s0", ["a", "b"])
         self.output_interface("out0", ["a", "b"])
+        self.output_interface("out1", ["a", "b"])
 
     # -- random tree construction --------------------------------------
     def _leaf(self, rng: random.Random):
@@ -139,7 +140,12 @@ class RandomModule(BloomModule):
             roll = rng.random()
             if roll < 0.7:
                 op = "<="
-                lhs = rng.choice(["t0", "t1", "t2", "s0", "out0"])
+                # outputs drawn often enough that most programs have one
+                # with several writers: retraction from a shared standing
+                # sink is reached by design, not by luck
+                lhs = rng.choice(
+                    ["t0", "t1", "t2", "s0", "out0", "out0", "out0", "out1"]
+                )
             elif roll < 0.85:
                 op = "<+"
                 lhs = rng.choice(["t0", "t1", "t2"])
@@ -147,6 +153,16 @@ class RandomModule(BloomModule):
                 op = "<-"
                 lhs = rng.choice(["t0", "t1", "t2"])
             built.append(self.rule(lhs, op, self._tree(rng, rng.randrange(1, 4))))
+        if rng.random() < 0.3:
+            # an output writer that retracts in the middle of a step: a
+            # hinted extremum over a table its own stratum may still grow
+            extremum = self.group_by(
+                self.scan(rng.choice(["t0", "t1", "t2"])),
+                ["a"],
+                [("b", rng.choice(["min", "max"]), "b")],
+                monotone=True,
+            )
+            built.append(self.rule("out1", "<=", extremum))
         return built
 
 
@@ -194,7 +210,7 @@ def _run_differential(module: BloomModule, plan) -> None:
 
 def test_randomized_programs_and_schedules_are_engine_equivalent():
     """The satellite acceptance: identical fixpoints, strata, outputs."""
-    checked = 0
+    checked = shared_sinks = 0
     for seed in range(120):
         module = RandomModule(seed)
         try:
@@ -203,8 +219,11 @@ def test_randomized_programs_and_schedules_are_engine_equivalent():
             continue  # unstratifiable draw (recursion through negation)
         _run_differential(module, _schedule(seed))
         checked += 1
+        writers = [rule.lhs for rule in module.program if rule.instantaneous]
+        shared_sinks += any(writers.count(out) > 1 for out in ("out0", "out1"))
     # the generator must actually exercise the space, not skip it
     assert checked >= 40, f"only {checked} stratifiable programs generated"
+    assert shared_sinks >= 20, f"only {shared_sinks} programs share an output"
 
 
 class AdversarialModule(BloomModule):

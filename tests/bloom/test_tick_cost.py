@@ -1,0 +1,52 @@
+"""A quiet timestep costs its delta — pinned as a count, not a time.
+
+``tools/unexecuted.py``'s ``sys.settrace`` line counter, restricted to
+``src/repro/bloom``, repeats exactly from run to run, so "a one-click tick
+executes the same number of lines whether the node's ``response`` output
+holds 12 standing answers or 100" is a fact about the code and not about
+the host.  Before standing sinks the count grew with ``|response|``: every
+tick cleared the output, re-asserted the writer's whole materialized
+output row by row and diffed it against the node's log.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import repro.bloom
+from repro.apps.queries import make_report_module
+from repro.bloom.cluster import BloomCluster
+from tools.unexecuted import count_lines
+
+BLOOM = str(Path(repro.bloom.__file__).parent)
+TICKS = 200
+
+
+def bloom_lines(standing: int) -> int:
+    """Lines executed under ``repro/bloom`` by ``TICKS`` one-click ticks of
+    a node whose CAMPAIGN ``response`` holds ``standing`` answers."""
+    cluster = BloomCluster(seed=0)
+    # a threshold no count reaches: every requested ad stays an answer
+    node = cluster.add_node("report", make_report_module("CAMPAIGN", threshold=10**6))
+    node.insert("request", [(f"q{i}", f"ad{i}") for i in range(standing)])
+    node.insert("click", [("c0", 0, f"ad{i}", f"first-{i}") for i in range(standing)])
+    cluster.run()
+    assert len(node.read("response")) == standing
+    ticks_before = node.runtime.tick_count
+
+    def one_click_ticks() -> None:
+        for i in range(TICKS):
+            node.insert("click", [("c0", 0, f"ad{i % 12}", f"u{i}")])
+            cluster.run()
+
+    lines = count_lines(BLOOM, one_click_ticks)
+    assert node.runtime.tick_count == ticks_before + TICKS
+    assert len(node.output_history("response")) == standing
+    return lines
+
+
+def test_a_one_click_tick_executes_the_same_lines_at_12_and_100_standing_answers():
+    few, many = bloom_lines(12), bloom_lines(100)
+    assert few > 50 * TICKS, "the counter saw no ticks"
+    assert few == many, (few / TICKS, many / TICKS)
+    assert bloom_lines(12) == few  # a count, not a timing

@@ -28,7 +28,7 @@ from repro.core import (
     ordered_plan,
     render_chain,
 )
-from tools.unexecuted import line_tracer
+from tools.unexecuted import count_lines
 
 CORE = str(Path(repro.core.__file__).parent)
 
@@ -97,19 +97,7 @@ def verdict_to_explanation(flow: Dataflow) -> str:
 
 def core_lines(call, *args) -> int:
     """Line events executed in files under ``repro/core`` while ``call`` runs."""
-    lines = 0
-
-    def count(code, lineno) -> None:
-        nonlocal lines
-        lines += 1
-
-    previous = sys.gettrace()
-    sys.settrace(line_tracer(CORE, count))
-    try:
-        call(*args)
-    finally:
-        sys.settrace(previous)
-    return lines
+    return count_lines(CORE, call, *args)
 
 
 @pytest.mark.parametrize("shape", [chain, fan, cycles, hub])

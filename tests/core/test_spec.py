@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+import yaml
 
 from repro.core import analyze, dump_spec, loads_spec
 from repro.core.annotations import AnnotationKind
@@ -134,3 +135,36 @@ def test_dump_round_trips():
     assert refds.injectively_determines({"company"}, {"symbol"})
     result = analyze(reparsed, refds)
     assert str(result.label_of("db")) == "Async"
+
+
+def test_the_c_loader_and_the_python_loader_parse_every_dumped_spec_alike():
+    """``loads_spec`` prefers libyaml's loader; the documents it yields
+    must be the pure-Python loader's, for every spec ``dump_spec`` writes."""
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    from repro.api import app_names, get_app
+    from repro.core import CW, OW, Dataflow
+    from repro.core import spec as spec_module
+
+    assert spec_module._LOADER is yaml.CSafeLoader
+    texts = [
+        get_app(name).spec(strategy)
+        for name in app_names()
+        for strategy in get_app(name).strategies
+    ]
+    chain = Dataflow("chain-800")
+    for i in range(800):
+        gated = OW("k", f"g{i}") if i % 3 == 0 else CW()
+        chain.add_component(f"c{i}", rep=i % 7 == 0).add_path("in", "out", gated)
+    chain.add_stream("src", dst=("c0", "in"), seal=["k"])
+    for i in range(799):
+        chain.add_stream(f"s{i}", src=(f"c{i}", "out"), dst=(f"c{i+1}", "in"))
+    chain.add_stream("sink", src=("c799", "out"))
+    texts.append(dump_spec(chain))
+    assert len(texts) > 10
+    for text in texts:
+        c_doc = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert c_doc == yaml.load(text, Loader=yaml.SafeLoader)
+        assert isinstance(c_doc, dict) and c_doc["components"]
+    reparsed, _ = loads_spec(texts[-1])
+    assert len(reparsed.components) == 800 and len(reparsed.streams) == 801

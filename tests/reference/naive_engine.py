@@ -2,10 +2,14 @@
 
 A :class:`BloomRuntime` subclass that overrides :meth:`tick` with the
 textbook loop, so the differential tests substitute it from the outside
-and ``src/`` carries no engine switch.  It shares the boundary,
-async-send and output-collection code with the production runtime and
-ignores its delta bookkeeping.  Keep the loop frozen (``rt`` is the
-runtime itself): it is what ``BloomRuntime.tick`` must stay equal to.
+and ``src/`` carries no engine switch.  A timestep here is entirely its
+own — boundary, fixpoint, end-of-step rules and output collection — so
+the differential suite compares two implementations and never one with
+itself; what it inherits is the part that is not a timestep (storage
+layout, the external ``insert`` / ``deliver`` queues, stratification,
+the async-send transport check, ``read``).  Keep the loop frozen (``rt``
+is the runtime itself): it is what ``BloomRuntime.tick`` must stay equal
+to.
 
 :func:`naive_eval` is the other half of the reference: every operator of
 :mod:`repro.bloom.ast` evaluated from scratch against full snapshots.
@@ -121,7 +125,16 @@ class NaiveBloomRuntime(BloomRuntime):
 
     def tick(self) -> dict[str, frozenset[tuple]]:
         rt = self
-        rt._apply_boundary()
+        # boundary: every transient collection empties; pending deletes
+        # apply before pending inserts (insertion wins a same-step race)
+        inserts, rt._pending_inserts = rt._pending_inserts, {}
+        deletes, rt._pending_deletes = rt._pending_deletes, {}
+        for decl in rt.module.declarations:
+            if decl.transient:
+                rt.storage[decl.name] = set()
+            else:
+                rt.storage[decl.name] -= deletes.get(decl.name, set())
+            rt.storage[decl.name] |= inserts.get(decl.name, set())
 
         # instantaneous rules to fixpoint, one stratum at a time, so
         # nonmonotonic operators see only the final contents of lower
@@ -157,4 +170,7 @@ class NaiveBloomRuntime(BloomRuntime):
                 rt._send_async(rule.lhs, produced)
 
         rt.tick_count += 1
-        return rt._collect_outputs()
+        return {
+            decl.name: frozenset(rt.storage[decl.name])
+            for decl in rt.module.outputs
+        }

@@ -9,7 +9,8 @@ loop over cells next to :func:`repro.exec.evaluate`, so does a second
 Bloom evaluation path or an engine switch under ``src/repro/bloom``, and
 so does a new constructor parameter or a second ``Network`` class on the
 message hop, so does ``repro.core`` importing the chaos layer built on it,
-and so does a CLI flag declared in two places.
+so does a CLI flag declared in two places, and so does a per-row arity
+check (or a switch) creeping back into the Bloom timestep.
 """
 
 from __future__ import annotations
@@ -117,6 +118,26 @@ def test_bloom_has_one_evaluation_path_and_no_engine_switch():
     assert list(inspect.signature(BloomNode.__init__).parameters) == [
         "self", "name", "module", "tick_delay", "trace",
     ]
+
+
+def test_the_timestep_checks_arity_only_on_external_input():
+    """Rows a rule derives were proved the right width when the rule's
+    state was built; only what arrives from outside — ``insert`` and
+    ``deliver`` — is checked row by row.  And the standing-sink path has
+    no switch: nothing under ``repro/bloom`` reads the environment."""
+    import ast
+
+    source = (SRC / "repro" / "bloom" / "runtime.py").read_text()
+    callers = sorted(
+        function.name
+        for function in ast.walk(ast.parse(source))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "check_arity"
+    )
+    assert callers == ["deliver", "insert"]
+    for path in sorted((SRC / "repro" / "bloom").glob("*.py")):
+        assert "environ" not in path.read_text(), path.name
 
 
 def test_the_message_hop_has_no_knob_and_no_fork():
