@@ -12,13 +12,14 @@ contract).  This package slots a *real* runtime in behind that contract:
 * :mod:`repro.net.transport` — the asyncio TCP transport: per-peer
   connections and the ``reliable_kinds`` session layer (acks, reconnect,
   redelivery across peer restarts);
-* :mod:`repro.net.services` — nodes as asyncio services with mailbox
-  loops, the :class:`~repro.net.services.ServiceCluster` lifecycle,
-  wall-clock quiescence detection, and the Simulator-compatible
-  :class:`~repro.net.services.NetSimulator`;
-* :mod:`repro.net.chaosproxy` — wall-clock fault actuation at the
-  transport layer, driven by the *same* fault-schedule DSL and the same
-  shared policy (:mod:`repro.sim.faultpolicy`) as the simulator.
+* :mod:`repro.net.services` — the runtime:
+  :class:`~repro.net.services.NetSimulator`, the discrete-event kernel
+  paced by the wall clock (one pump; a run ends on event state — an
+  empty heap and an idle transport — and crashes are actuated between
+  callbacks), and :class:`~repro.net.services.SocketNetwork`, the
+  ``Network`` subclass that puts messages on the wire.  Faults come from
+  the *same* fault-schedule DSL, injector and shared policy
+  (:mod:`repro.sim.faultpolicy`) as the simulator.
 
 The load-bearing invariant: for every registered app x strategy, the
 committed state and the oracle/soundness verdict must not depend on

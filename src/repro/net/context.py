@@ -50,10 +50,6 @@ class NetConfig:
     host: str = "127.0.0.1"
     # wall seconds per virtual time unit
     time_scale: float = 3.0
-    # wall seconds: quiescence polling and crash-watcher cadence
-    poll_interval: float = 0.01
-    # consecutive quiet polls before the run is declared quiescent
-    quiet_checks: int = 2
     # wall seconds between reliable-session retransmit sweeps
     retransmit_interval: float = 0.2
     # wall seconds between dial attempts at an unreachable peer
@@ -75,7 +71,12 @@ class NetConfig:
             ("time_scale", "BLAZES_NET_TIME_SCALE", float),
         ):
             if name in env:
-                fields[key] = cast(env[name])
+                try:
+                    fields[key] = cast(env[name])
+                except ValueError as exc:
+                    raise SimulationError(
+                        f"{name}={env[name]!r} is not a number"
+                    ) from exc
         fields.update(
             {key: value for key, value in overrides.items() if value is not None}
         )

@@ -1,33 +1,35 @@
-"""Nodes as asyncio services + the Simulator-compatible socket runtime.
+"""The Simulator-compatible socket runtime.
 
-Three layers make a socket run look exactly like a simulated one to the
+Two classes make a socket run look exactly like a simulated one to the
 apps:
 
-* :class:`NetSimulator` — implements the :class:`repro.sim.events.Simulator`
-  interface (``now``/``rng``/``schedule``/``post``/``waker``/``run``) on
-  the wall clock: a virtual timer becomes an asyncio ``call_at`` at
-  ``epoch + when * time_scale``, and ``now`` is read back off the running
-  loop.  Determinism of *decisions* survives (every random draw still
-  flows through the seeded ``rng``); determinism of *interleavings* does
-  not — which is the point of running on a real transport.
+* :class:`NetSimulator` — the discrete-event kernel
+  (:class:`repro.sim.events.Simulator`) with a wall clock in it.  It
+  inherits the heap, the event records, ``schedule``/``post``/``waker``
+  and the counters, and overrides only what the wall clock changes:
+  ``now`` is read off the running loop, and ``run`` is one pump
+  coroutine that fires a record once ``epoch + time * time_scale`` has
+  passed instead of jumping the clock to it.  Determinism of *decisions*
+  survives (every random draw still flows through the seeded ``rng``);
+  determinism of *interleavings* does not — which is the point of
+  running on a real transport.
 * :class:`SocketNetwork` — the :class:`repro.sim.network.Network`
-  contract over TCP.  ``send`` encodes a frame and hands it to the
-  transport; the receiving endpoint feeds it to the destination node's
-  mailbox; the mailbox loop schedules delivery at the frame's sampled
-  latency on the *virtual* clock.  Delivery-time policy (partitions,
-  crashes, retries) is the inherited ``Network._deliver`` — the very
-  code the simulator runs, consulting the same
-  :mod:`repro.sim.faultpolicy` decisions.
-* :class:`ServiceCluster` — lifecycle: brings the topology up (one
-  :class:`~repro.net.transport.Endpoint` per node, one
-  :class:`NodeService` mailbox task per node, the chaos watcher), runs
-  the workload to **wall-clock quiescence** — the socket backend's
-  replacement for the simulator's empty-heap condition: no armed virtual
-  timers, no frames in flight, no queued mailbox work, sustained for
-  ``quiet_checks`` consecutive polls — then tears everything down.
+  contract over TCP.  ``send`` draws the loss/duplication decision from
+  the shared :mod:`repro.sim.faultpolicy`, encodes a frame and hands it
+  to the transport; the receiving endpoint hands it to ``ingest``,
+  which schedules delivery at the frame's sampled latency on the
+  *virtual* clock.  Delivery-time policy (partitions, crashes, retries)
+  is the inherited ``Network._deliver`` — the very code the simulator
+  runs, consulting the same policy module.
+
+A run ends on **event state**, the simulator's empty-heap condition
+extended over the wire: nothing on the heap is due and the transport
+holds no queued, unacked or in-flight frame.  Crashes are actuated the
+same way — the pump compares ``process.crashed`` flags after every
+callback and pauses or rebinds the node's endpoint on a transition.
 
 A wall-clock budget (``NetConfig.timeout``) bounds the whole run: on
-expiry the cluster tears down cleanly and :class:`SocketTimeout` is
+expiry the transport tears down cleanly and :class:`SocketTimeout` is
 raised, carrying enough state for a partial run directory.
 """
 
@@ -35,25 +37,19 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import random
+import math
 from collections.abc import Callable
 from typing import Any
 
 from repro.errors import SimulationError
 from repro.net import frames
-from repro.net.chaosproxy import ChaosProxy
 from repro.net.context import NetConfig
 from repro.net.transport import TcpTransport
-from repro.sim.events import Waker
+from repro.sim import faultpolicy
+from repro.sim.events import _TIME, EventHandle, Simulator
 from repro.sim.network import Message, Network
 
-__all__ = [
-    "NetSimulator",
-    "NodeService",
-    "ServiceCluster",
-    "SocketNetwork",
-    "SocketTimeout",
-]
+__all__ = ["NetSimulator", "SocketNetwork", "SocketTimeout"]
 
 
 class SocketTimeout(SimulationError):
@@ -74,52 +70,15 @@ class SocketTimeout(SimulationError):
         self.outcome = None  # the partial RunOutcome; BlazesApp.run attaches it
 
 
-class _NetTimer:
-    """One virtual timer: the socket backend's event record.
-
-    Compatible with the handle surface of
-    :class:`repro.sim.events.EventHandle` (``time``/``cancel``), so
-    chaos-injector code holding handles works unchanged.
-    """
-
-    __slots__ = ("sim", "time", "fn", "args", "handle", "armed", "done", "cancelled")
-
-    def __init__(self, sim: "NetSimulator", time: float, fn, args) -> None:
-        self.sim = sim
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.handle = None
-        self.armed = False
-        self.done = False
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the timer from firing (no-op if it already fired)."""
-        if self.done or self.cancelled:
-            return
-        self.cancelled = True
-        if self.handle is not None:
-            self.handle.cancel()
-            self.handle = None
-        self.sim._drop(self)
-
-    def __repr__(self) -> str:
-        state = (
-            "cancelled" if self.cancelled else "fired" if self.done else "pending"
-        )
-        return f"_NetTimer(t={self.time:.6f}, {state})"
-
-
-class NetSimulator:
-    """The Simulator interface on the wall clock.
+class NetSimulator(Simulator):
+    """The discrete-event kernel, paced by the wall clock.
 
     Virtual time maps onto wall time as ``wall = epoch + virtual *
     time_scale``; ``now`` inverts that against the running loop, and is
     frozen at 0.0 before :meth:`run` and at the final time after.  Timers
-    scheduled before the run (workloads, chaos schedules) are buffered
-    and armed when the loop starts — the same "schedule then run" shape
-    the discrete-event kernel has.
+    scheduled before the run (workloads, chaos schedules) wait on the
+    inherited heap until the pump starts — the same "schedule then run"
+    shape the kernel has.
 
     One instance supports one :meth:`run`: a socket topology's dedup and
     session state cannot be resumed meaningfully, and no cluster
@@ -129,117 +88,53 @@ class NetSimulator:
     kernel = "socket"
 
     def __init__(self, seed: int = 0, config: NetConfig | None = None) -> None:
-        self.seed = seed
-        self.rng = random.Random(seed)
+        self._loop: asyncio.AbstractEventLoop | None = None  # set while running
+        super().__init__(seed)
         self.config = config or NetConfig()
-        self.telemetry = None
         self.network: SocketNetwork | None = None
-        self._profiler = None
-        self._timers: set[_NetTimer] = set()
-        self._live = 0
-        self._armed = 0
-        self._fired = 0
-        self._now = 0.0
-        self._running = False
-        self._ran = False
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._epoch = 0.0
+        self._ran = False
+        self._wake: asyncio.Event | None = None
         self._error: BaseException | None = None
 
     # ------------------------------------------------------------------
-    # Simulator interface: clock and counters
+    # what the wall clock changes: the clock, the clamps, the wakeup
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        if not self._running:
+        if self._loop is None:
             return self._now
         return (self._loop.time() - self._epoch) / self.config.time_scale
 
-    @property
-    def pending(self) -> int:
-        """Number of live timers (cancelled ones excluded)."""
-        return self._live
+    @now.setter
+    def now(self, value: float) -> None:
+        self._now = value
 
-    @property
-    def fired(self) -> int:
-        """Number of timers executed so far."""
-        return self._fired
-
-    @property
-    def profiler(self):
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-
-    # ------------------------------------------------------------------
-    # Simulator interface: scheduling
-    # ------------------------------------------------------------------
-    def _push(self, time: float, fn: Callable, args: tuple) -> _NetTimer:
-        timer = _NetTimer(self, time, fn, args)
-        self._timers.add(timer)
-        self._live += 1
-        if self._running:
-            self._arm(timer)
-        return timer
-
-    def _arm(self, timer: _NetTimer) -> None:
-        wall = self._epoch + timer.time * self.config.time_scale
-        timer.armed = True
-        self._armed += 1
-        timer.handle = self._loop.call_at(wall, self._fire, timer)
-
-    def _drop(self, timer: _NetTimer) -> None:
-        self._timers.discard(timer)
-        self._live -= 1
-        if timer.armed:
-            timer.armed = False
-            self._armed -= 1
-
-    def _fire(self, timer: _NetTimer) -> None:
-        if timer.cancelled or timer.done or not self._running:
-            return
-        timer.done = True
-        self._timers.discard(timer)
-        self._live -= 1
-        self._armed -= 1
-        self._fired += 1
-        if self._profiler is not None:
-            self._profiler._note_fire(timer.fn, self._armed)
-        try:
-            timer.fn(*timer.args)
-        except BaseException as exc:  # noqa: BLE001 - surfaces after teardown
-            self._record_error(exc)
-
-    def _record_error(self, exc: BaseException) -> None:
-        """Capture the first callback failure; the run loop aborts on it."""
-        if self._error is None:
-            self._error = exc
-
-    def schedule(self, delay: float, action: Callable[[], None]) -> _NetTimer:
-        """Schedule ``action`` to fire ``delay`` virtual units from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._push(self.now + delay, action, ())
-
-    def schedule_at(self, time: float, action: Callable[[], None]) -> _NetTimer:
-        """Schedule ``action`` at absolute virtual time ``time``."""
+    def schedule_at(self, time: float, action: Callable[[], None]) -> EventHandle:
+        """Schedule ``action`` at absolute virtual time ``time``; a
+        deadline the wall clock has already passed fires at once."""
         return self.schedule(max(0.0, time - self.now), action)
 
-    def post(self, delay: float, fn: Callable, *args) -> None:
-        """Fire-and-forget: schedule ``fn(*args)`` with no handle kept."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._push(self.now + delay, fn, args)
-
     def post_at(self, time: float, fn: Callable, *args) -> None:
-        """Fire-and-forget scheduling at an absolute virtual time."""
+        """Fire-and-forget :meth:`schedule_at`."""
         self.post(max(0.0, time - self.now), fn, *args)
 
-    def waker(self, delay: float, fn: Callable[[], None]) -> Waker:
-        """A coalesced wakeup timer (the kernel-shared :class:`Waker`)."""
-        return Waker(self, delay, fn)
+    def _push(self, time: float, fn: Callable, args: tuple) -> list:
+        rec = super()._push(time, fn, args)
+        self.poke()  # the new record may be due before the pump's deadline
+        return rec
+
+    def poke(self) -> None:
+        """Have the pump look again: the heap or the transport changed."""
+        if self._wake is not None:
+            self._wake.set()
+
+    def fail(self, exc: BaseException) -> None:
+        """Record a failure outside the pump (a transport task's); the
+        first one aborts the run and is re-raised from :meth:`run`."""
+        if self._error is None:
+            self._error = exc
+        self.poke()
 
     # ------------------------------------------------------------------
     # network construction (the make_network funnel)
@@ -256,10 +151,10 @@ class NetSimulator:
     def run(
         self, *, until: float | None = None, max_events: int | None = None
     ) -> float:
-        """Bring the services up, run to quiescence, tear down.
+        """Bring the transport up, run to quiescence, tear down.
 
         Mirrors the discrete-event ``run``: ``until`` bounds virtual
-        time, ``max_events`` bounds fired timers, and the return value is
+        time, ``max_events`` bounds fired events, and the return value is
         the final virtual time.  Additionally ``NetConfig.timeout``
         bounds *wall* time; expiry raises :class:`SocketTimeout` after a
         clean teardown.
@@ -282,85 +177,99 @@ class NetSimulator:
         return self._now
 
     async def _main(self, until: float | None, max_events: int | None) -> str:
+        network = self.network
+        transport = (
+            None if network is None else TcpTransport(network, self.config)
+        )
+        self._wake = asyncio.Event()
         self._loop = asyncio.get_running_loop()
         self._epoch = self._loop.time()
-        self._running = True
-        network = self.network
-        cluster = ServiceCluster(self, network) if network is not None else None
         status = "error"
         try:
-            if cluster is not None:
-                await cluster.start()
-            # pre-run state goes live in its scheduling order: buffered
-            # sends first, then on_start hooks (which send live), then
-            # the buffered timers (workloads, chaos schedules)
-            if network is not None:
-                network._flush_outbox()
-                network._run_start_hooks()
-            for timer in list(self._timers):
-                if not timer.armed:
-                    self._arm(timer)
-            status = await self._wait(until, max_events, cluster)
+            if transport is not None:
+                await transport.start()
+                network._go_live(transport)
+            status = await self._pump(until, max_events, transport)
         finally:
-            self._finish(status, until)
-            if cluster is not None:
-                await cluster.stop()
+            now = self.now
+            self._loop = self._wake = None
+            # a bounded run that is done ends *at* the bound, as the DES does
+            if until is not None and (status == "done" or now > until):
+                now = until
+            self._now = now
+            if transport is not None:
+                await transport.stop()
         return status
 
-    async def _wait(
+    async def _pump(
         self,
         until: float | None,
         max_events: int | None,
-        cluster: "ServiceCluster | None",
+        transport: TcpTransport | None,
     ) -> str:
-        config = self.config
-        deadline = (
-            None if until is None else self._epoch + until * config.time_scale
-        )
-        budget = (
-            None if config.timeout is None else self._loop.time() + config.timeout
-        )
-        quiet = 0
+        """The kernel loop with a wall clock in it; returns why it ended.
+
+        Fire every record whose wall deadline has passed (the inherited
+        ``run``, bounded by the clock's reading), then decide from event
+        state alone: the run is done the instant the heap holds nothing
+        due before ``until`` and either ``until`` has come or the
+        transport holds nothing — every hop a message can be on is
+        counted by one of the two, and frames leave the transport for
+        the heap inside one callback (:meth:`SocketNetwork.ingest`), so
+        there is no gap to poll across.  Otherwise sleep until the next
+        deadline, or until a push or a drained link pokes.
+        """
+        loop, wake, queue = self._loop, self._wake, self._queue
+        scale = self.config.time_scale
+        bound = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
+        timeout = self.config.timeout
+        budget = math.inf if timeout is None else loop.time() + timeout
+        watched = () if transport is None else self.network.processes
+        down = [process.crashed for process in watched]
         while True:
+            # one batch: what is due *now*; records the batch schedules
+            # at a later reading of the clock wait for the next one, so
+            # the loop services sockets between batches
+            horizon = min(self.now, bound)
+            while self._fired < limit:
+                # the kernel's own loop, stepped one event at a time
+                fired = self._fired
+                super().run(until=horizon, max_events=1)
+                if self._fired == fired:
+                    break
+                # ``crashed`` flags flip only inside callbacks, so looking
+                # after each one misses no transition, however short
+                flags = [process.crashed for process in watched]
+                if flags != down:
+                    for process, now_down, was_down in zip(watched, flags, down):
+                        if now_down and not was_down:
+                            transport.pause_node(process.name)
+                        elif was_down and not now_down:
+                            transport.resume_node(process.name)
+                    down = flags
+            wake.clear()
             if self._error is not None:
                 return "error"
-            wall = self._loop.time()
-            if budget is not None and wall >= budget:
+            if loop.time() >= budget:
                 return "timeout"
-            if max_events is not None and self._fired >= max_events:
+            if self._fired >= limit:
                 return "max_events"
-            if deadline is not None and wall >= deadline:
-                return "until"
-            if self._armed == 0 and (cluster is None or not cluster.busy()):
-                # quiescent means *sustained* quiet: no armed timers and
-                # nothing in flight, over quiet_checks consecutive polls
-                # (one quiet instant can be a frame between two hops)
-                quiet += 1
-                if quiet >= config.quiet_checks:
-                    return "quiescent"
-            else:
-                quiet = 0
-            await asyncio.sleep(config.poll_interval)
-
-    def _finish(self, status: str, until: float | None) -> None:
-        current = (self._loop.time() - self._epoch) / self.config.time_scale
-        if until is not None:
-            current = min(current, until)
-        # a quiescent bounded run ends *at* the bound, as the DES does
-        if until is not None and status in ("quiescent", "until"):
-            self._now = until
-        else:
-            self._now = current
-        self._running = False
-        # orphan the loop-bound handles; the timers stay pending
-        for timer in self._timers:
-            if timer.armed:
-                timer.armed = False
-                timer.handle = None
-        self._armed = 0
-
-    def __repr__(self) -> str:
-        return f"NetSimulator(now={self.now:.6f}, pending={self.pending})"
+            # the head, if there is one, is live: the kernel loop popped
+            # every dead record in front of it
+            idle = not queue or queue[0][_TIME] > bound
+            if idle and (
+                self.now >= bound or transport is None or not transport.busy()
+            ):
+                return "done"
+            due = bound if idle else queue[0][_TIME]
+            deadline = min(self._epoch + due * scale, budget)
+            timer = (
+                None if deadline == math.inf else loop.call_at(deadline, wake.set)
+            )
+            await wake.wait()
+            if timer is not None:
+                timer.cancel()
 
 
 class SocketNetwork(Network):
@@ -373,7 +282,7 @@ class SocketNetwork(Network):
     virtual clock (a frame arriving early waits; one arriving late —
     loopback is fast, so this is rare — delivers immediately).
 
-    Delivery side: the endpoint's mailbox hands the frame back here, and
+    Delivery side: the endpoint's reader hands the frame back here, and
     the *inherited* ``Network._deliver`` runs — same policy module, same
     counters, same telemetry sites as the simulator.  Reliable kinds
     deliver through a per-``(src, dst)`` FIFO chain — each frame's
@@ -387,22 +296,19 @@ class SocketNetwork(Network):
 
     def __init__(self, sim: NetSimulator, **kwargs) -> None:
         super().__init__(sim, **kwargs)
-        self.proxy = ChaosProxy(self)
         self.transport: TcpTransport | None = None
-        self.services: dict[str, NodeService] = {}
         self._outbox: list[dict] = []
         self._seqs: dict[tuple[str, str], int] = {}
         # per-(src, dst) FIFO delivery chains for reliable kinds
         self._chains: dict[tuple[str, str], collections.deque] = {}
         self._chain_live: set[tuple[str, str]] = set()
         self._start_requested = False
-        self._started = False
 
     # ------------------------------------------------------------------
     # channel contract
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Request ``on_start`` hooks; they run once the services are up."""
+        """Request ``on_start`` hooks; they run once the transport is up."""
         self._start_requested = True
 
     def send(self, src: str, dst: str, kind: str, payload: Any) -> None:
@@ -413,12 +319,17 @@ class SocketNetwork(Network):
         telemetry = self.sim.telemetry
         if telemetry is not None:
             telemetry.note_send(kind, payload)
-        copies = self.proxy.send_copies(kind)
+        reliable = kind in self.reliable_kinds
+        copies = faultpolicy.send_copies(
+            self.sim.rng,
+            reliable=reliable,
+            drop_prob=self.drop_prob,
+            dup_prob=self.dup_prob,
+        )
         if copies == 0:
             self.dropped += 1
         elif copies == 2:
             self.duplicated += 1
-        reliable = kind in self.reliable_kinds
         now = self.sim.now
         for _ in range(copies):
             self._uid += 1
@@ -441,17 +352,17 @@ class SocketNetwork(Network):
                 self.transport.send(frame)
 
     # ------------------------------------------------------------------
-    # receive path (transport -> mailbox -> virtual delivery)
+    # receive path (transport -> virtual delivery)
     # ------------------------------------------------------------------
     def ingest(self, frame: dict) -> None:
-        """Route one received frame to its node's mailbox (in-loop)."""
-        service = self.services.get(frame["dst"])
-        if service is not None:
-            service.mailbox.put_nowait(frame)
-        else:  # pragma: no cover - services cover every process
-            self._deliver_frame(frame)
+        """Schedule one received frame's delivery (in-loop, called by the
+        endpoint's reader task, so a failure is the run's, not the task's)."""
+        try:
+            self._schedule_delivery(frame)
+        except Exception as exc:
+            self.sim.fail(exc)
 
-    def _deliver_frame(self, frame: dict) -> None:
+    def _schedule_delivery(self, frame: dict) -> None:
         msg = Message(
             frame["src"],
             frame["dst"],
@@ -475,7 +386,7 @@ class SocketNetwork(Network):
                 self._advance_chain(key)
             return
         # Network._deliver: the simulator's own delivery-policy code
-        self.sim.post(max(0.0, deliver_at - self.sim.now), self._deliver, msg)
+        self.sim.post_at(deliver_at, self._deliver, msg)
 
     def _advance_chain(self, key: tuple[str, str]) -> None:
         chain = self._chains.get(key)
@@ -483,9 +394,7 @@ class SocketNetwork(Network):
             self._chain_live.discard(key)
             return
         deliver_at, msg = chain.popleft()
-        self.sim.post(
-            max(0.0, deliver_at - self.sim.now), self._deliver_chained, key, msg
-        )
+        self.sim.post_at(deliver_at, self._deliver_chained, key, msg)
 
     def _deliver_chained(self, key: tuple[str, str], msg: Message) -> None:
         try:
@@ -494,94 +403,19 @@ class SocketNetwork(Network):
             self._advance_chain(key)
 
     # ------------------------------------------------------------------
-    # lifecycle (driven by ServiceCluster)
+    # lifecycle (driven by NetSimulator.run)
     # ------------------------------------------------------------------
-    def _attach(
-        self, transport: TcpTransport, services: dict[str, "NodeService"]
-    ) -> None:
+    def _go_live(self, transport: TcpTransport) -> None:
+        """Attach the started transport; pre-run state goes live in its
+        scheduling order: buffered sends first, then ``on_start`` hooks
+        (which send live) — the buffered timers are already on the heap."""
         self.transport = transport
-        self.services = services
-
-    def _flush_outbox(self) -> None:
-        outbox, self._outbox = self._outbox, []
-        for frame in outbox:
-            self.transport.send(frame)
-
-    def _run_start_hooks(self) -> None:
-        if not self._start_requested or self._started:
-            return
-        self._started = True
-        for process in self._processes.values():
-            process.on_start()
-
-    def busy(self) -> bool:
-        """Messages still in flight anywhere outside the virtual timers?"""
-        if self._outbox:
-            return True
-        if any(service.pending for service in self.services.values()):
-            return True
-        return self.transport is not None and self.transport.busy()
+        for frame in self._outbox:
+            transport.send(frame)
+        self._outbox.clear()
+        if self._start_requested:
+            for process in self._processes.values():
+                process.on_start()
 
     def transport_summary(self) -> dict:
         return {} if self.transport is None else self.transport.summary()
-
-
-class NodeService:
-    """One node as a long-running service: a mailbox plus its drain task.
-
-    The endpoint's reader enqueues received frames; this task dequeues
-    them and schedules their delivery on the virtual clock.  The hop
-    keeps per-node receive work ordered and gives the quiescence check a
-    visible queue (``pending``) for frames between socket and timer.
-    """
-
-    def __init__(self, network: SocketNetwork, name: str) -> None:
-        self.network = network
-        self.name = name
-        self.mailbox: asyncio.Queue = asyncio.Queue()
-        self._task = asyncio.create_task(self._run())
-
-    @property
-    def pending(self) -> int:
-        return self.mailbox.qsize()
-
-    async def _run(self) -> None:
-        while True:
-            frame = await self.mailbox.get()
-            try:
-                self.network._deliver_frame(frame)
-            except BaseException as exc:  # noqa: BLE001 - aborts the run
-                self.network.sim._record_error(exc)
-                return
-
-    def stop(self) -> None:
-        self._task.cancel()
-
-
-class ServiceCluster:
-    """Topology lifecycle: bring services up, expose busyness, tear down."""
-
-    def __init__(self, sim: NetSimulator, network: SocketNetwork) -> None:
-        self.sim = sim
-        self.network = network
-        self.transport = TcpTransport(network, sim.config)
-
-    async def start(self) -> None:
-        network = self.network
-        await self.transport.start()
-        services = {
-            process.name: NodeService(network, process.name)
-            for process in network.processes
-        }
-        network._attach(self.transport, services)
-        network.proxy.start(self.transport)
-
-    def busy(self) -> bool:
-        return self.network.busy()
-
-    async def stop(self) -> None:
-        network = self.network
-        network.proxy.stop()
-        for service in network.services.values():
-            service.stop()
-        await self.transport.stop()

@@ -21,10 +21,14 @@ contract exactly (the shared policy lives in
 * unreliable frames are written once; an unreachable or crashed peer
   means they are dropped, exactly where the simulator drops them.
 
-A crashed node's endpoint is paused by the chaos proxy (server closed,
-connections aborted); dialing it fails until it restarts on the *same*
-port, which is what makes "reconnect + redeliver across peer restarts"
-real rather than simulated.
+A crashed node's endpoint is paused (server closed, connections aborted)
+when the runtime's pump sees its ``crashed`` flag flip; dialing it fails
+until it restarts on the *same* port, which is what makes "reconnect +
+redeliver across peer restarts" real rather than simulated.
+
+Quiescence is event state: a link holds a frame while it is queued,
+unacked, or written and not yet read (``Link.busy``), and pokes the pump
+(:meth:`~repro.net.services.NetSimulator.poke`) whenever it drains.
 """
 
 from __future__ import annotations
@@ -257,9 +261,15 @@ class Link:
     def busy(self) -> bool:
         return bool(self.queue or self.unacked or self.conn_in_transit > 0)
 
+    def _settle(self) -> None:
+        """Tell the pump when the last frame this link held is gone."""
+        if not self.busy():
+            self.transport.network.sim.poke()
+
     def note_received(self) -> None:
         if self.conn_in_transit > 0:
             self.conn_in_transit -= 1
+            self._settle()
 
     def retransmit_due(self) -> None:
         """Requeue unacked frames older than the retransmit interval."""
@@ -373,6 +383,7 @@ class Link:
         self.unacked.pop(seq, None)
         self.sent_wall.pop(seq, None)
         self.attempts.pop(seq, None)
+        self._settle()
 
     def _on_disconnect(self) -> None:
         if self.writer is not None:
@@ -383,6 +394,7 @@ class Link:
             self.writer = None
         self.conn_in_transit = 0
         self._wake.set()
+        self._settle()
 
     def _peer_unreachable(self) -> None:
         """Apply the crash policy to queued traffic at a dead peer.
@@ -412,6 +424,7 @@ class Link:
             for seq in list(self.unacked):
                 self._forget(seq)
                 network.dropped += 1
+        self._settle()
 
     async def close(self) -> None:
         self.closed = True

@@ -294,7 +294,7 @@ class Simulator:
         self._profiler = value
 
     def __repr__(self) -> str:
-        return f"Simulator(now={self.now:.6f}, pending={self.pending})"
+        return f"{type(self).__name__}(now={self.now:.6f}, pending={self.pending})"
 
 
 def make_simulator(seed: int = 0):
@@ -304,9 +304,10 @@ def make_simulator(seed: int = 0):
     :class:`~repro.storm.executor.StormCluster`) builds its simulator
     here: the discrete-event :class:`Simulator`, unless a socket backend
     is scoped (``repro.net.context.socket_backend``) — inside that
-    ``with`` block this funnel returns the wall-clock
-    :class:`~repro.net.services.NetSimulator` instead, and the whole run
-    lands on real TCP transport behind the same channel contract.
+    ``with`` block this funnel returns its wall-clock subclass
+    :class:`~repro.net.services.NetSimulator` instead (the same heap,
+    fired when the wall deadline passes), and the whole run lands on
+    real TCP transport behind the same channel contract.
     """
     from repro.net.context import active_config
 

@@ -14,8 +14,8 @@ Four fault classes matter for the paper's anomaly taxonomy:
   DSL onto these primitives).
 
 Window composition and retry rules come from the shared backend policy
-(:mod:`repro.sim.faultpolicy`), which the real-transport chaos proxy
-(:mod:`repro.net.chaosproxy`) imports too — the injector works against
+(:mod:`repro.sim.faultpolicy`), which the real-transport network
+(:mod:`repro.net.services`) imports too — the injector works against
 any network exposing the channel contract, simulated or socket-backed.
 """
 

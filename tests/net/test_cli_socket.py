@@ -48,6 +48,14 @@ def test_timeout_exits_five_with_partial_rundir(tmp_path, capsys):
     assert meta["transport"] == "socket"
 
 
+def test_malformed_time_scale_is_a_typed_error(monkeypatch, capsys):
+    monkeypatch.setenv("BLAZES_NET_TIME_SCALE", "abc")
+    assert main(["run", "kvs", "--backend", "socket", "--smoke"]) == 1
+    err = capsys.readouterr().err
+    assert "BLAZES_NET_TIME_SCALE='abc' is not a number" in err
+    assert "Traceback" not in err
+
+
 def test_audit_matrix_rejects_socket_backend(capsys):
     assert main(["audit", "--matrix", "--backend", "socket", "--smoke",
                  "--no-report"]) == 1

@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
+from repro.net import frames
 from repro.net.context import NetConfig, socket_backend
 from repro.net.services import NetSimulator, SocketTimeout
 from repro.sim.events import make_simulator
 from repro.sim.network import LatencyModel, Process, make_network
 
-CFG = NetConfig(time_scale=0.5, poll_interval=0.005)
+CFG = NetConfig(time_scale=0.5)
 
 
 class Recorder(Process):
@@ -53,10 +54,8 @@ def test_run_to_quiescence_delivers_everything():
     b = net.register(Recorder("b"))
     net.start()
     final = sim.run()
-    assert [payload for _, payload in b.got] == sorted(
-        payload for _, payload in b.got
-    ) or len(b.got) == 6  # unreliable kind: all delivered, any order
-    assert len(b.got) == 6
+    # unreliable kind: each delivered exactly once, in any order
+    assert sorted(payload for _, payload in b.got) == list(range(6))
     assert net.sent == 6 and net.delivered == 6 and net.dropped == 0
     assert final > 0.0
     assert sim.now == final  # clock frozen at the final virtual time
@@ -118,10 +117,21 @@ def test_callback_exception_propagates():
         sim.run()
 
 
+def test_undecodable_frame_aborts_the_run(monkeypatch):
+    """A failure on the receive path (inside the endpoint's reader task,
+    not a timer callback) still ends the run, with that exception."""
+    sim, net = build()
+    net.register(Pinger("a", "b", 1))
+    b = net.register(Recorder("b"))
+    monkeypatch.setattr(frames, "encode_value", lambda value: {"!": "zz"})
+    net.start()
+    with pytest.raises(SimulationError, match="unknown frame tag 'zz'"):
+        sim.run()
+    assert b.got == []
+
+
 def test_timeout_raises_with_forensics():
-    sim, net = build(
-        NetConfig(time_scale=0.5, poll_interval=0.005, timeout=0.05)
-    )
+    sim, net = build(NetConfig(time_scale=0.5, timeout=0.05))
     a = net.register(Pinger("a", "b", 2))
     net.register(Recorder("b"))
 
@@ -148,6 +158,29 @@ def test_until_bounds_virtual_time():
     assert fired == ["early"]
     assert final == 0.05
     assert sim.pending == 1  # the far timer is still pending, as in the DES
+
+
+def test_max_events_bounds_fired_events():
+    sim, net = build()
+    net.register(Recorder("a"))
+
+    def tick():
+        sim.post(0.001, tick)
+
+    sim.post(0.001, tick)
+    sim.run(max_events=5)
+    assert sim.fired == 5
+    assert sim.pending == 1
+
+
+def test_sends_before_the_run_wait_for_the_transport():
+    sim, net = build()
+    a = net.register(Recorder("a"))
+    b = net.register(Recorder("b"))
+    a.send("b", "early", "x")  # no transport yet: buffered, flushed at start
+    sim.run()
+    assert b.got == [("early", "x")]
+    assert net.sent == 1 and net.delivered == 1
 
 
 def test_reliable_sends_are_exempt_from_loss():

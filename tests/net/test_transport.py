@@ -2,17 +2,18 @@
 
 These run real sockets on the loopback interface, with the virtual clock
 mapped 1:1 onto wall time (``time_scale=1.0``) so fault windows are wide
-relative to the chaos proxy's actuation poll.
+relative to loopback jitter.
 """
 
 from __future__ import annotations
 
 from repro.net.context import NetConfig
 from repro.net.services import NetSimulator
+from repro.net.transport import TcpTransport
 from repro.sim.failure import FailureInjector
 from repro.sim.network import LatencyModel, Process, make_network
 
-CFG = NetConfig(time_scale=1.0, poll_interval=0.005)
+CFG = NetConfig(time_scale=1.0)
 
 
 class Sink(Process):
@@ -109,8 +110,8 @@ def test_partition_drops_unreliable_traffic():
 def test_crash_restart_redelivers_exactly_once():
     """A reliable session survives a peer restart (``retry_crashed``).
 
-    The receiver crashes mid-stream and recovers; the chaos proxy tears
-    its endpoint down and rebinds the same port.  Held frames must be
+    The receiver crashes mid-stream and recovers; the runtime tears its
+    endpoint down and rebinds the same port.  Held frames must be
     redelivered after recovery with no loss and no duplicates.
     """
     sim, net = build(reliable_kinds=("data",), retry_crashed=True)
@@ -122,6 +123,34 @@ def test_crash_restart_redelivers_exactly_once():
     sim.run()
     assert sorted(b.got) == list(range(20))
     assert len(b.got) == 20
+    assert net.dropped == 0
+
+
+def test_crashes_of_two_milliseconds_still_restart_the_endpoint(monkeypatch):
+    """Crash actuation is exact: the pump looks at the ``crashed`` flags
+    after every callback, so a window far shorter than any polling
+    cadence is still a real teardown and a rebind of the same port."""
+    actuated = []
+    for verb in ("pause_node", "resume_node"):
+        inner = getattr(TcpTransport, verb)
+
+        def spy(transport, name, verb=verb, inner=inner):
+            actuated.append((verb, name))
+            inner(transport, name)
+
+        monkeypatch.setattr(TcpTransport, verb, spy)
+    sim, net = build(reliable_kinds=("data",), retry_crashed=True)
+    net.register(Streamer("a", "b", 20, gap=0.006))
+    b = net.register(Sink("b"))
+    chaos = FailureInjector(net)
+    for at in (0.03, 0.05, 0.07):
+        chaos.crash_for("b", at=at, duration=0.002)
+    net.start()
+    sim.run()
+    assert actuated == [("pause_node", "b"), ("resume_node", "b")] * 3
+    assert net.transport_summary()["reconnects"] >= 1
+    assert sorted(b.got) == list(range(20))
+    assert len(b.got) == 20  # exactly once
     assert net.dropped == 0
 
 
@@ -151,3 +180,15 @@ def test_loss_window_compiled_to_wall_clock():
     sim.run()
     assert 0 < len(b.got) < 30
     assert net.dropped == 30 - len(b.got)
+
+
+def test_until_ends_a_run_with_traffic_still_flowing():
+    """A bounded run stops *at* the bound, as the DES does, though the
+    stream's later sends are still on the heap."""
+    sim, net = build()
+    net.register(Streamer("a", "b", 30, gap=0.004))
+    b = net.register(Sink("b"))
+    net.start()
+    assert sim.run(until=0.05) == 0.05
+    assert 0 < len(b.got) < 30
+    assert sim.pending >= 1

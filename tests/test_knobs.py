@@ -9,8 +9,9 @@ loop over cells next to :func:`repro.exec.evaluate`, so does a second
 Bloom evaluation path or an engine switch under ``src/repro/bloom``, and
 so does a new constructor parameter or a second ``Network`` class on the
 message hop, so does ``repro.core`` importing the chaos layer built on it,
-so does a CLI flag declared in two places, and so does a per-row arity
-check (or a switch) creeping back into the Bloom timestep.
+so does a CLI flag declared in two places, so does a per-row arity
+check (or a switch) creeping back into the Bloom timestep, and so does a
+second scheduler, a polling loop or a cadence option in the socket runtime.
 """
 
 from __future__ import annotations
@@ -271,3 +272,41 @@ def test_every_cli_flag_is_declared_once():
         if option.startswith("--") and option != "--help"
     }
     assert offered == set(declared), offered ^ set(declared)
+
+
+def test_the_socket_runtime_is_the_kernel_and_ends_on_event_state():
+    """``NetSimulator`` is the DES kernel with a wall clock in it: it
+    inherits the heap and its scheduling surface — no other class under
+    ``src/repro`` defines one — and a run ends on event state, so nothing
+    sets a polling cadence and nothing under ``repro/net`` sleeps except
+    the transport's retransmit sweep and reconnect back-off."""
+    import ast
+    import dataclasses
+
+    from repro.net.context import NetConfig
+    from repro.net.services import NetSimulator
+    from repro.sim.events import Simulator
+
+    assert {field.name for field in dataclasses.fields(NetConfig)} == {
+        "host", "time_scale", "retransmit_interval", "reconnect_backoff", "timeout",
+    }
+    assert issubclass(NetSimulator, Simulator)
+    inherited = {"schedule", "post", "waker", "pending", "fired", "profiler"}
+    assert not inherited & vars(NetSimulator).keys()
+
+    schedulers = sorted(
+        (str(path.relative_to(SRC)), node.name)
+        for path in _sources()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and item.name in ("schedule", "post", "waker")
+    )
+    assert schedulers == [("repro/sim/events.py", "Simulator")] * 3
+
+    sleeps = {
+        path.name: path.read_text().count("asyncio.sleep")
+        for path in sorted((SRC / "repro" / "net").glob("*.py"))
+    }
+    assert {name: n for name, n in sleeps.items() if n} == {"transport.py": 2}
