@@ -116,8 +116,17 @@ class NetSimulator(Simulator):
         return self.schedule(max(0.0, time - self.now), action)
 
     def post_at(self, time: float, fn: Callable, *args) -> None:
-        """Fire-and-forget :meth:`schedule_at`."""
+        """Fire-and-forget :meth:`schedule_at`.
+
+        Pokes the pump: this is how a transport callback — a frame's
+        delivery, scheduled by :meth:`SocketNetwork.ingest` outside the
+        pump — lands on the heap, and the new record may be due before
+        the deadline the pump sleeps towards.  (A ``post`` made inside
+        the pump needs no poke: the pump looks at the heap after every
+        callback.)
+        """
         self.post(max(0.0, time - self.now), fn, *args)
+        self.poke()
 
     def _push(self, time: float, fn: Callable, args: tuple) -> list:
         rec = super()._push(time, fn, args)

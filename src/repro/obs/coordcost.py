@@ -56,6 +56,7 @@ from repro.wire import (
 __all__ = [
     "CoordCostReport",
     "PLANES",
+    "TOPIC_KINDS",
     "aggregate_coordcost",
     "classify_message",
     "coordcost_report",
@@ -70,6 +71,11 @@ PLANES = (PLANE_DATA, PLANE_COORDINATION, PLANE_DELIVERY)
 
 
 _ZK_ZNODE_KINDS = frozenset({ZK_SET, ZK_GET, ZK_GET_REPLY, ZK_SET_REPLY})
+
+# The only kinds whose classification reads the payload, and it reads
+# nothing but ``payload[0]`` (the topic): a hub may tally sends by kind,
+# plus the head for these, and classify the tally later.
+TOPIC_KINDS = frozenset({SEAL_PUNCT, ZK_SUBMIT, ZK_DELIVER, SEAL_DATA, SEAL_FRAME})
 
 
 def classify_message(kind: str, payload: Any) -> tuple[str, str]:

@@ -6,7 +6,10 @@ batch id, sealed-stream records their partition, sequencer traffic its
 topic — plus the explicit decision notes (replays, seal votes and
 releases, sequencer commits) the instrumented runtime emits.  Nothing is
 ever added to a payload, so traces stay byte-identical whether or not a
-tracker is attached.
+tracker is attached.  Hop telemetry is *recorded* on the hop — one
+append per delivery or decision note — and *derived* on the first read
+(see :class:`SpanTracker`), so a run whose spans nobody reads pays for
+the appends only.
 
 Lineage vocabulary:
 
@@ -56,11 +59,23 @@ def _part(partition: Any) -> str:
 
 
 class SpanTracker:
-    """Collects span events ``(time, lineage, event, node, detail)``."""
+    """Collects span events ``(time, lineage, event, node, detail)``.
+
+    Recorded on the hop, derived on read: :meth:`note_delivery` and
+    :meth:`note_event` each append one entry to a raw log, and the first
+    read of :attr:`events`, :attr:`dropped` or :meth:`lineage_of` (or of
+    any query built on them) derives the log into span events and the row
+    index — the same events in the same order, under the same
+    ``_MAX_EVENTS`` cap, as deriving them on every delivery would give.
+    Most trackers a sweep attaches are never read, so most runs never
+    pay for a derivation at all.
+    """
 
     def __init__(self) -> None:
-        self.events: list[tuple[float, str, str, str, Any]] = []
-        self.dropped = 0
+        # capture order; a delivery is (time, msg), an event its own row
+        self._log: list[tuple] = []
+        self._events: list[tuple[float, str, str, str, Any]] = []
+        self._dropped = 0
         self._lineage_of: dict[tuple, str] = {}
 
     # ------------------------------------------------------------------
@@ -70,14 +85,47 @@ class SpanTracker:
         self, time: float, lineage: str, event: str, node: str = "", detail: Any = None
     ) -> None:
         """Record one span event under ``lineage``."""
-        if len(self.events) >= _MAX_EVENTS:
-            self.dropped += 1
-            return
-        self.events.append((time, lineage, event, node, detail))
+        self._log.append((time, lineage, event, node, detail))
 
     def note_delivery(self, msg: Any, time: float) -> None:
-        """Derive span events from one delivered message's payload."""
+        """Record one delivered message; its span events come on read."""
+        self._log.append((time, msg))
+
+    # ------------------------------------------------------------------
+    # derivation
+    # ------------------------------------------------------------------
+    @property
+    def events(self) -> list[tuple[float, str, str, str, Any]]:
+        """Span events in capture (= time) order, at most ``_MAX_EVENTS``."""
+        if self._log:
+            self._derive()
+        return self._events
+
+    @property
+    def dropped(self) -> int:
+        """Span events past the cap: counted, not kept."""
+        if self._log:
+            self._derive()
+        return self._dropped
+
+    def _derive(self) -> None:
+        log, self._log = self._log, []
+        for entry in log:
+            if len(entry) == 2:
+                self._derive_delivery(entry[1], entry[0])
+            else:
+                self._keep(entry)
+
+    def _keep(self, event: tuple[float, str, str, str, Any]) -> None:
+        if len(self._events) >= _MAX_EVENTS:
+            self._dropped += 1
+        else:
+            self._events.append(event)
+
+    def _derive_delivery(self, msg: Any, time: float) -> None:
+        """Span events and row index entries from one delivered message."""
         kind, payload, node = msg.kind, msg.payload, msg.dst
+        keep = self._keep
         if kind == ST_CHAN:
             src, batch, attempt, seq, frame = payload
             items = 0
@@ -89,23 +137,21 @@ class SpanTracker:
                     items += 1
                     self._index(item[1], f"batch:{batch}")
             event = "punct" if punct and not items else "frame"
-            self.note_event(
+            keep((
                 time,
                 f"batch:{batch}",
                 event,
                 node,
                 f"{src}->{node} attempt={attempt} seq={seq} items={items}"
                 + (" +punct" if punct and items else ""),
-            )
+            ))
         elif kind == ST_ACK:
-            self.note_event(time, f"batch:{payload}", "ack", node, f"from={msg.src}")
+            keep((time, f"batch:{payload}", "ack", node, f"from={msg.src}"))
         elif kind == SEAL_DATA:
             _stream, seq, partition, record, producer = payload
             lineage = _part(partition)
             self._index(record, lineage)
-            self.note_event(
-                time, lineage, "seal-data", node, f"producer={producer} seq={seq}"
-            )
+            keep((time, lineage, "seal-data", node, f"producer={producer} seq={seq}"))
         elif kind == SEAL_FRAME:
             _stream, seq, items, producer = payload
             per_part: Counter = Counter()
@@ -114,43 +160,39 @@ class SpanTracker:
                 per_part[lineage] += 1
                 self._index(record, lineage)
             for lineage, count in per_part.items():
-                self.note_event(
+                keep((
                     time,
                     lineage,
                     "seal-frame",
                     node,
                     f"producer={producer} seq={seq} records={count}",
-                )
+                ))
         elif kind == SEAL_PUNCT:
             _stream, seq, partition, producer = payload
-            self.note_event(
-                time, _part(partition), "seal-vote", node, f"producer={producer}"
-            )
+            keep((time, _part(partition), "seal-vote", node, f"producer={producer}"))
         elif kind == ZK_SUBMIT:
             topic, value = payload
             self._index(value, f"topic:{topic}")
-            self.note_event(time, f"topic:{topic}", "submit", node, f"from={msg.src}")
+            keep((time, f"topic:{topic}", "submit", node, f"from={msg.src}"))
         elif kind == ZK_DELIVER:
             topic, seq, value = payload
             self._index(value, f"topic:{topic}")
-            self.note_event(time, f"topic:{topic}", "deliver", node, f"seq={seq}")
+            keep((time, f"topic:{topic}", "deliver", node, f"seq={seq}"))
         elif kind == BLOOM_CHAN:
             channel, row = payload
             self._index(row, f"chan:{channel}")
-            self.note_event(time, f"chan:{channel}", "row", node, f"from={msg.src}")
+            keep((time, f"chan:{channel}", "row", node, f"from={msg.src}"))
         elif kind == BLOOM_INSERT:
             collection, rows = payload
             for row in rows:
                 self._index(row, f"chan:{collection}")
-            self.note_event(
-                time, f"chan:{collection}", "insert", node, f"rows={len(rows)}"
-            )
+            keep((time, f"chan:{collection}", "insert", node, f"rows={len(rows)}"))
         elif kind.startswith(ZK_PREFIX):
-            self.note_event(time, "znode", kind.removeprefix(ZK_PREFIX), node)
+            keep((time, "znode", kind.removeprefix(ZK_PREFIX), node, None))
         elif kind.startswith(TXN_PREFIX):
-            self.note_event(time, f"batch:{payload}", kind, node)
+            keep((time, f"batch:{payload}", kind, node, None))
         else:
-            self.note_event(time, f"kind:{kind}", "message", node)
+            keep((time, f"kind:{kind}", "message", node, None))
 
     def _index(self, row: Any, lineage: str) -> None:
         """Map a data row (and its flattened tagged form) to its lineage."""
@@ -177,6 +219,8 @@ class SpanTracker:
         """
         if not isinstance(row, tuple):
             return None
+        if self._log:
+            self._derive()
         hit = self._lineage_of.get(row)
         if hit is not None:
             return hit

@@ -12,6 +12,14 @@ attribute load and a ``None`` check — the kernel's inner event loop is
 never touched — so disabled telemetry is free and traces are
 byte-identical either way.
 
+The two per-message notes are **recorded on the hop and derived on first
+read**: ``note_send`` bumps one tally entry that is folded into the
+``messages.*`` counters when a counter is first read, and
+``note_delivery`` appends the message to the span tracker's raw log
+(:class:`~repro.obs.spans.SpanTracker`).  A reader sees the counts and
+spans an eager hub would have built; a run nobody reads pays for the
+tallies and appends only.
+
 The hub itself is backend-agnostic: nothing here assumes a simulator.  A
 real-transport backend reports through exactly the same ``note_send`` /
 ``note_delivery`` / ``note_decision`` surface (see
@@ -24,7 +32,7 @@ import contextlib
 from collections import Counter
 from typing import Any
 
-from repro.obs.coordcost import classify_message
+from repro.obs.coordcost import TOPIC_KINDS, classify_message
 from repro.obs.spans import SpanTracker
 
 __all__ = ["Telemetry", "activate", "current"]
@@ -60,7 +68,9 @@ class Telemetry:
     """
 
     def __init__(self, *, spans: bool = False, profiler: Any = None) -> None:
-        self.counters: dict[str, Counter] = {}
+        self._counters: dict[str, Counter] = {}
+        # sends not yet folded into the messages.* counters, see note_send
+        self._sends: dict[Any, int] = {}
         self.spans: SpanTracker | None = SpanTracker() if spans else None
         self.profiler = profiler
         # Simulated-time serialization cost accumulated by coordination
@@ -70,11 +80,18 @@ class Telemetry:
     # ------------------------------------------------------------------
     # generic instruments
     # ------------------------------------------------------------------
+    @property
+    def counters(self) -> dict[str, Counter]:
+        """Every counter by name (label -> count), sends folded in."""
+        if self._sends:
+            self._fold_sends()
+        return self._counters
+
     def count(self, name: str, label: str = "", by: int = 1) -> None:
         """Increment the labeled counter ``name``/``label``."""
-        counter = self.counters.get(name)
+        counter = self._counters.get(name)
         if counter is None:
-            counter = self.counters[name] = Counter()
+            counter = self._counters[name] = Counter()
         counter[label] += by
 
     def counter(self, name: str) -> Counter:
@@ -89,12 +106,43 @@ class Telemetry:
     # structured runtime notes
     # ------------------------------------------------------------------
     def note_send(self, kind: str, payload: Any) -> None:
-        """Account one outbound message into its plane (see coordcost)."""
-        plane, topic = classify_message(kind, payload)
-        self.count("messages.plane", plane)
-        self.count("messages.kind", kind)
-        if topic:
-            self.count("messages.topic", topic)
+        """Account one outbound message into its plane (see coordcost).
+
+        Recorded on the hop, derived on read: a send only bumps a tally
+        keyed by what its classification depends on — the kind, plus
+        ``payload[0]`` for the kinds whose topic names it — and the tally
+        is folded into the ``messages.*`` counters on their first read.
+        A payload whose head is not a string is classified on the spot.
+        """
+        if kind in TOPIC_KINDS:
+            try:
+                head = payload[0]
+            except (TypeError, IndexError, KeyError):
+                head = None
+            if type(head) is str:
+                key = (kind, head)
+            else:
+                key = (kind, *classify_message(kind, payload))
+        else:
+            key = kind
+        sends = self._sends
+        sends[key] = sends.get(key, 0) + 1
+
+    def _fold_sends(self) -> None:
+        sends, self._sends = self._sends, {}
+        for key, sent in sends.items():
+            if type(key) is str:  # not a TOPIC_KINDS kind: no payload read
+                kind = key
+                plane, topic = classify_message(kind, None)
+            elif len(key) == 2:
+                kind, head = key
+                plane, topic = classify_message(kind, (head,))
+            else:
+                kind, plane, topic = key
+            self.count("messages.plane", plane, sent)
+            self.count("messages.kind", kind, sent)
+            if topic:
+                self.count("messages.topic", topic, sent)
 
     def note_delivery(self, msg: Any, time: float) -> None:
         """Feed one delivered message to the span tracker, if tracing."""

@@ -12,12 +12,14 @@ none of which may alter observable behavior — the differential suite in
 ``tests/sim/`` swaps the reference in for :class:`Simulator` and holds
 both to byte-identical traces:
 
-* **pooled, slotted event records** — an event is a plain 4-slot list
-  ``[time, seq, fn, args]``, recycled through a free pool once fired.
+* **slotted event records** — an event is a plain 4-slot list
+  ``[time, seq, fn, args]``, made fresh per event and dropped once fired
+  (its ``fn`` slot cleared, so a stale :class:`EventHandle` can tell).
   The heap orders records by C-level list comparison (``time`` then the
   unique ``seq``; ``fn`` is never reached), so there is no per-event
   handle object, no ``__lt__`` dispatch, and — via :meth:`Simulator.post`
-  — no per-message lambda closure;
+  — no per-message lambda closure.  There is no free pool: allocating a
+  4-list costs less than recycling one;
 * **batch-pop of equal-timestamp instants** — :meth:`Simulator.run`
   drains every record at the current instant in one inner loop, paying
   the clock/bound bookkeeping once per *instant* instead of once per
@@ -40,7 +42,9 @@ check per event.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from collections.abc import Callable
 from heapq import heappop, heappush
 
@@ -56,20 +60,16 @@ __all__ = [
 # Event records are plain lists so heapq compares them at C speed:
 # [time, seq, fn, args].  ``seq`` is unique per simulator, so comparison
 # never reaches the callable.  A record whose fn slot is None is dead
-# (cancelled or already fired) and is discarded lazily on pop.
+# (cancelled or already fired); a cancelled one is discarded lazily on pop.
 _TIME, _SEQ, _FN, _ARGS = 0, 1, 2, 3
-
-# Free-pool cap: enough to absorb any realistic steady state without
-# letting one pathological burst pin memory forever.
-_POOL_LIMIT = 1 << 16
 
 
 class EventHandle:
     """A cancellable reference to one scheduled event.
 
-    Holds the pooled record plus its sequence number: after the record is
-    recycled and reused for a different event, the stale handle's
-    ``cancel`` no-ops on the seq mismatch.
+    Holds the event's own record, which no other event ever reuses: the
+    kernel clears its ``fn`` slot when it fires, so ``cancel`` after the
+    event fired (or was cancelled) finds ``None`` there and does nothing.
     """
 
     __slots__ = ("_sim", "_rec", "time", "seq", "cancelled")
@@ -85,7 +85,7 @@ class EventHandle:
         """Prevent the event from firing (no-op if it already fired)."""
         self.cancelled = True
         rec = self._rec
-        if rec[_SEQ] == self.seq and rec[_FN] is not None:
+        if rec[_FN] is not None:
             rec[_FN] = None
             rec[_ARGS] = ()
             self._sim._live -= 1
@@ -147,7 +147,6 @@ class Simulator:
         self.rng = random.Random(seed)
         self.now: float = 0.0
         self._queue: list[list] = []
-        self._pool: list[list] = []
         self._seq = 0
         self._fired = 0
         self._live = 0
@@ -172,27 +171,14 @@ class Simulator:
     def _push(self, time: float, fn: Callable, args: tuple) -> list:
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            rec = pool.pop()
-            rec[_TIME] = time
-            rec[_SEQ] = seq
-            rec[_FN] = fn
-            rec[_ARGS] = args
-        else:
-            rec = [time, seq, fn, args]
-        heappush(self._queue, rec)
+        rec = [time, seq, fn, args]
+        queue = self._queue
+        heappush(queue, rec)
         self._live += 1
         profiler = self._profiler
-        if profiler is not None and len(self._queue) > profiler.heap_watermark:
-            profiler.heap_watermark = len(self._queue)
+        if profiler is not None and len(queue) > profiler.heap_watermark:
+            profiler.heap_watermark = len(queue)
         return rec
-
-    def _recycle(self, rec: list) -> None:
-        rec[_FN] = None
-        rec[_ARGS] = ()
-        if len(self._pool) < _POOL_LIMIT:
-            self._pool.append(rec)
 
     def schedule(self, delay: float, action: Callable[[], None]) -> EventHandle:
         """Schedule ``action`` to fire ``delay`` time units from now.
@@ -212,12 +198,19 @@ class Simulator:
         """Fire-and-forget: schedule ``fn(*args)`` with no handle.
 
         This is the hot path: the callable and its arguments go straight
-        into a pooled record — no closure, no handle, no per-event
-        allocation once the pool is warm.
+        into a fresh record and the record into the heap — no closure, no
+        handle, and no call between here and ``heappush``.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._push(self.now + delay, fn, args)
+        seq = self._seq
+        self._seq = seq + 1
+        queue = self._queue
+        heappush(queue, [self.now + delay, seq, fn, args])
+        self._live += 1
+        profiler = self._profiler
+        if profiler is not None and len(queue) > profiler.heap_watermark:
+            profiler.heap_watermark = len(queue)
 
     def post_at(self, time: float, fn: Callable, *args) -> None:
         """Fire-and-forget scheduling at an absolute virtual time."""
@@ -235,9 +228,11 @@ class Simulator:
     ) -> float:
         """Drain the event queue; returns the final virtual time.
 
-        ``until`` bounds virtual time (events beyond it stay queued);
-        ``max_events`` bounds the number of events fired (a safety valve
-        against runaway feedback loops).
+        ``until`` bounds virtual time (events beyond it stay queued, and a
+        bound the clock has already passed fires nothing and leaves
+        ``now`` where it is); ``max_events`` bounds the number of events
+        fired (a safety valve against runaway feedback loops; zero or
+        less fires nothing).
 
         The loop batch-pops: once an instant is chosen, every record at
         that exact timestamp drains through the inner loop — the bound
@@ -247,36 +242,38 @@ class Simulator:
         already queued, exactly as the seed scheduler orders them).
         """
         queue = self._queue
+        # both bounds resolved once per run
+        limit = sys.maxsize if max_events is None else max_events
+        bound = math.inf if until is None else until
         fired = 0
         while queue:
             rec = queue[0]
             if rec[_FN] is None:
                 heappop(queue)
-                self._recycle(rec)
                 continue
-            if max_events is not None and fired >= max_events:
+            if fired >= limit:
                 break
             time = rec[_TIME]
-            if until is not None and time > until:
-                self.now = until
+            if time > bound:
+                # a bound the clock has already passed leaves it alone
+                if bound > self.now:
+                    self.now = bound
                 break
             self.now = time
             while queue and queue[0][_TIME] == time:
-                if max_events is not None and fired >= max_events:
+                if fired >= limit:
                     break
                 rec = heappop(queue)
                 fn = rec[_FN]
                 if fn is None:
-                    self._recycle(rec)
                     continue
-                args = rec[_ARGS]
-                self._recycle(rec)
+                rec[_FN] = None  # fired: a late EventHandle.cancel no-ops
                 self._fired += 1
                 self._live -= 1
                 fired += 1
                 if self._profiler is not None:
                     self._profiler._note_fire(fn, len(queue))
-                fn(*args)
+                fn(*rec[_ARGS])
         if until is not None and self.now < until and not queue:
             self.now = until
         return self.now

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Callable, Iterable
+from math import log
 from typing import Any, NamedTuple
 
 from repro.errors import SimulationError
@@ -50,10 +51,22 @@ class Message(NamedTuple):
 
 @dataclasses.dataclass(frozen=True)
 class LatencyModel:
-    """Latency distribution for one network: ``base + Exp(mean jitter)``."""
+    """Latency distribution for one network: ``base + Exp(mean jitter)``.
+
+    Both parameters must be ``>= 0`` (``jitter == 0`` means no jitter and
+    no RNG draw): a negative ``base`` would surface later, seed-dependent,
+    as ``cannot schedule into the past`` from inside the event loop, and
+    :meth:`Network.send` draws the latency inline on that invariant.
+    """
 
     base: float = 0.001
     jitter: float = 0.002
+
+    def __post_init__(self) -> None:
+        for name in ("base", "jitter"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too
+                raise SimulationError(f"latency {name} must be >= 0, got {value}")
 
     def sample(self, rng) -> float:
         if self.jitter <= 0:
@@ -227,10 +240,17 @@ class Network:
                 self.dropped += 1
             elif copies == 2:
                 self.duplicated += 1
+        # LatencyModel.sample inlined: rng.expovariate's own arithmetic,
+        # so the draws and the delays are the same floats
+        latency = self.latency
+        base, jitter = latency.base, latency.jitter
+        rng = sim.rng
         for _ in range(copies):
             self._uid += 1
-            msg = Message(src, dst, kind, payload, sim.now, self._uid)
-            sim.post(self.latency.sample(sim.rng), self._deliver, msg)
+            # tuple.__new__: the NamedTuple constructor minus its keyword handling
+            msg = tuple.__new__(Message, (src, dst, kind, payload, sim.now, self._uid))
+            delay = base + -log(1.0 - rng.random()) / (1.0 / jitter) if jitter > 0 else base
+            sim.post(delay, self._deliver, msg)
 
     def _deliver(self, msg: Message, attempt: int = 0) -> None:
         # Partition and crash semantics are the shared backend policy
@@ -256,12 +276,13 @@ class Network:
                 self.dropped += 1
                 return
         self.delivered += 1
-        profiler = self.sim.profiler
+        sim = self.sim
+        profiler = sim._profiler
         if profiler is not None:
             profiler._note_message(msg.kind)
-        telemetry = self.sim.telemetry
+        telemetry = sim.telemetry
         if telemetry is not None:
-            telemetry.note_delivery(msg, self.sim.now)
+            telemetry.note_delivery(msg, sim.now)
         for observer in self._observers:
             observer(msg)
         process.recv(msg)

@@ -69,30 +69,39 @@ class _Router:
     ):
         self.task = task
         self.cluster = cluster
-        self.targets: list[tuple[str, str, list[str], Any]] = []
+        self.targets: list[tuple[str, str, list[str], Any, dict]] = []
         for consumer, grouping in cluster.topology.consumers_of(component):
             project = (
                 output_fields.projector(grouping.fields)
                 if grouping.mode == "fields"
                 else None
             )
+            # a fields grouping's key -> destination memo (see route)
             self.targets.append(
-                (grouping.mode, consumer, cluster.task_names(consumer), project)
+                (grouping.mode, consumer, cluster.task_names(consumer), project, {})
             )
         self._shuffle_counters = [0] * len(self.targets)
 
     def route(self, batch: int, attempt: int, values: tuple) -> None:
         send_chan = self.task.send_chan
         item = ("tuple", values)
-        for index, (mode, consumer, task_names, project) in enumerate(self.targets):
+        for index, (mode, consumer, task_names, project, memo) in enumerate(
+            self.targets
+        ):
             if mode == "shuffle":
                 position = self._shuffle_counters[index] % len(task_names)
                 self._shuffle_counters[index] += 1
                 dst = task_names[position]
             elif mode == "fields":
                 # the one shared routing formula: seal producer sets are
-                # derived from the same assignment, so they must agree
-                dst = self.cluster.assignment.task_for(consumer, project(values))
+                # derived from the same assignment, so they must agree.
+                # A pure function of the key, paid once per key here (the
+                # memo compares keys with ==: equal keys that print
+                # differently, like 1 and 1.0, would share a destination)
+                key = project(values)
+                dst = memo.get(key)
+                if dst is None:
+                    dst = memo[key] = self.cluster.assignment.task_for(consumer, key)
             else:  # global
                 dst = task_names[0]
             send_chan(dst, batch, attempt, item)
@@ -106,7 +115,7 @@ class _Router:
             # under every strategy: a delivery-plane decision, not a
             # coordination message
             telemetry.note_decision("punctuation", topic=self.task.component)
-        for _mode, _consumer, task_names, _project in self.targets:
+        for _mode, _consumer, task_names, _project, _memo in self.targets:
             for name in task_names:
                 self.task.send_chan(name, batch, attempt, ("punct",), flush=True)
 
@@ -181,7 +190,7 @@ class _TaskBase(Process):
         # from _out_frames were never carried by any frame
         self.frames_sent += 1
         self.items_sent += len(frame)
-        self.send(dst, CHAN, (self.name, batch, attempt, seq, frame))
+        self.network.send(self.name, dst, CHAN, (self.name, batch, attempt, seq, frame))
 
     def handle_chan(self, msg: Message) -> None:
         src, batch, attempt, seq, frame = msg.payload
@@ -346,6 +355,8 @@ class _BoltTask(_TaskBase):
         self._puncts: dict[tuple[int, int], set[str]] = {}
         self._batch_attempt: dict[int, int] = {}
         self._finished: set[int] = set()
+        # batch -> the emit bound to its current attempt (one per attempt)
+        self._emits: dict[int, partial] = {}
         self.processed_tuples = 0
         self.stale_items_dropped = 0
         self.bolt.prepare(self)
@@ -370,32 +381,35 @@ class _BoltTask(_TaskBase):
             self.stale_items_dropped += 1
             return
         self._queue.append((src, batch, attempt, item))
-        self._pump()
+        if not self._busy:
+            self._pump()
 
     def _pump(self) -> None:
-        if self._busy or not self._queue:
+        if not self._queue:
+            self._busy = False
             return
         self._busy = True
         src, batch, attempt, item = self._queue.popleft()
         # punctuations are control messages: near-free to process
         cost = self.exec_time if item[0] == "tuple" else self.cluster.config.punct_time
-        self.sim.post(cost, self._service, src, batch, attempt, item)
+        self.network.sim.post(cost, self._service, src, batch, attempt, item)
 
     def _service(self, src: str, batch: int, attempt: int, item: tuple) -> None:
+        current = self._batch_attempt.get(batch)
+        if current != attempt:
+            if current is not None and attempt < current:
+                # superseded while it waited in the queue
+                self._pump()
+                return
+            self._ensure_attempt(batch, attempt)
         kind = item[0]
-        self._ensure_attempt(batch, attempt)
-        if attempt == self._batch_attempt.get(batch, 0):
-            if kind == "tuple":
-                values = item[1]
-                self.processed_tuples += 1
-                self.bolt.execute(
-                    StormTuple(values, batch), partial(self.router.route, batch, attempt)
-                )
-            elif kind == "punct":
-                self._on_punct(src, batch, attempt)
-            else:  # pragma: no cover - defensive
-                raise StormError(f"unknown channel item {kind!r}")
-        self._busy = False
+        if kind == "tuple":
+            self.processed_tuples += 1
+            self.bolt.execute(StormTuple(item[1], batch), self._emits[batch])
+        elif kind == "punct":
+            self._on_punct(src, batch, attempt)
+        else:  # pragma: no cover - defensive
+            raise StormError(f"unknown channel item {kind!r}")
         self._pump()
 
     # ------------------------------------------------------------------
@@ -403,11 +417,12 @@ class _BoltTask(_TaskBase):
     # ------------------------------------------------------------------
     def _ensure_attempt(self, batch: int, attempt: int) -> None:
         current = self._batch_attempt.get(batch)
-        if current is None:
-            self._batch_attempt[batch] = attempt
-        elif attempt > current:
+        if current is not None and attempt <= current:
+            return
+        self._batch_attempt[batch] = attempt
+        self._emits[batch] = partial(self.router.route, batch, attempt)
+        if current is not None:
             # A replay superseded the old attempt: reset per-batch state.
-            self._batch_attempt[batch] = attempt
             self._puncts.pop((batch, current), None)
             self._finished.discard(batch)
             self.drop_stale_channels(batch, attempt)

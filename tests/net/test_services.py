@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.errors import SimulationError
@@ -213,3 +215,38 @@ def test_transport_summary_in_metrics_shape():
     assert summary["codec"] == "json"
     assert summary["nodes"] == 2
     assert summary["frames_sent"] >= 3
+
+
+def test_a_delivery_scheduled_outside_the_pump_wakes_it():
+    """A frame reaches the heap from the endpoint reader's callback
+    (``SocketNetwork.ingest`` -> ``post_at``), outside the pump.  The
+    pump is asleep towards its next deadline — a far timer here — and
+    must be woken for the earlier delivery, not find it at that
+    deadline."""
+    sim, net = build()
+    net.register(Recorder("a"))
+    arrivals = []
+
+    class Clocked(Recorder):
+        def recv(self, msg):
+            arrivals.append(sim.now)
+
+    net.register(Clocked("b"))
+    far = 1.0  # virtual seconds: half a wall second at this time scale
+    sim.schedule(far, lambda: None)
+
+    def reader_callback():
+        now = sim.now
+        net.ingest(
+            {
+                "src": "a", "dst": "b", "kind": "ping",
+                "payload": frames.encode_value(1), "uid": 1,
+                "sent": now, "at": now + 0.01,
+            }
+        )
+
+    # runs from the event loop once the pump is asleep, like a reader task
+    sim.schedule(0.01, lambda: asyncio.get_running_loop().call_soon(reader_callback))
+    sim.run()
+    assert len(arrivals) == 1
+    assert arrivals[0] < far / 2, f"delivered at {arrivals[0]}: the pump slept through it"

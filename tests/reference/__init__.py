@@ -2,8 +2,9 @@
 
 ``events_ref`` is the seed discrete-event scheduler, ``naive_engine``
 the textbook Bloom fixpoint with its from-scratch operator evaluation,
-and ``network_ref`` the network hop that asks the fault policy about
-every message.  None is reachable from ``src/``; the differential suites
+``network_ref`` the network hop that asks the fault policy about every
+message, and ``telemetry_ref`` the hop telemetry that classified every
+send and derived every span event on the hop.  None is reachable from ``src/``; the differential suites
 put them in place of the production code from the outside
 (``tests/test_knobs.py`` fails if ``src/`` ever imports them).
 """

@@ -18,9 +18,10 @@ fired, ``until`` bounds virtual time, ``max_events`` bounds firings.
 
 The only additions over the seed are the compatibility shims at the bottom
 of :class:`Simulator` (``post``/``post_at``/``waker``/profiler support), so
-the upper layers can drive either kernel through one interface, and the
-:attr:`Simulator.pending` fix (cancelled events no longer count as
-pending — the seed bug that misled quiescence checks).
+the upper layers can drive either kernel through one interface, and two
+seed bugs fixed: :attr:`Simulator.pending` no longer counts cancelled
+events (which misled quiescence checks), and a ``run`` whose ``until``
+the clock has already passed no longer moves ``now`` back to it.
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ class Simulator:
                 heappop(self._queue)
                 continue
             if until is not None and head.time > until:
-                self.now = until
+                # a bound the clock has already passed leaves it alone
+                self.now = max(self.now, until)
                 break
             if not self.step():
                 break
@@ -167,7 +169,7 @@ class Simulator:
     def post(self, delay: float, fn: Callable, *args) -> None:
         """Fire-and-forget scheduling (no handle).
 
-        The fast kernel stores ``(fn, args)`` in a pooled record; here it
+        The fast kernel stores ``(fn, args)`` in a list record; here it
         degrades to a closure per event, which is exactly the allocation
         cost the rewrite removes.  The closure inherits ``fn``'s qualified
         name so per-kind profiler histograms match across kernels.

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from tests.reference import events_ref
 
 
 def test_events_fire_in_time_order():
@@ -54,6 +55,41 @@ def test_run_until_bounds_virtual_time():
     assert sim.now == pytest.approx(2.0)
     sim.run()
     assert fired == [1, 5]
+
+
+# the seed scheduler had the same clock bug; both kernels are held to the fix
+KERNELS = pytest.mark.parametrize(
+    "sim_cls", [Simulator, events_ref.Simulator], ids=["fast", "ref"]
+)
+
+
+@KERNELS
+def test_run_until_a_bound_already_passed_fires_nothing_and_keeps_the_clock(sim_cls):
+    sim = sim_cls()
+    fired = []
+    sim.schedule(5.0, lambda: fired.append(5))
+    sim.schedule(6.0, lambda: fired.append(6))
+    sim.run(until=5.5)
+    assert fired == [5] and sim.now == pytest.approx(5.5)
+    sim.run(until=3.0)  # events remain beyond the bound: the clock must not go back
+    assert fired == [5] and sim.now == pytest.approx(5.5)
+    sim.run(until=5.5)
+    assert fired == [5] and sim.now == pytest.approx(5.5)
+    sim.run()
+    assert fired == [5, 6] and sim.now == pytest.approx(6.0)
+    sim.run(until=1.0)  # and with an empty queue
+    assert sim.now == pytest.approx(6.0)
+
+
+@KERNELS
+@pytest.mark.parametrize("budget", [0, -1])
+def test_a_budget_of_zero_or_less_fires_nothing(sim_cls, budget):
+    sim = sim_cls()
+    fired = []
+    sim.schedule(1.0, lambda: fired.append(1))
+    sim.run(max_events=budget)
+    assert fired == [] and sim.fired == 0 and sim.pending == 1
+    assert sim.now == 0.0
 
 
 def test_run_until_with_empty_queue_advances_clock():
@@ -148,8 +184,8 @@ def test_stale_handle_cancel_after_recycle_is_noop():
     fired = []
     stale = sim.schedule(0.5, lambda: fired.append("a"))
     sim.run()
-    # the fired event's pooled record is recycled into the next one; the
-    # stale handle must not be able to kill its successor
+    # a fired record keeps its slot list but loses its fn: cancelling it
+    # late must neither kill the next event nor touch the live count
     sim.schedule(1.0, lambda: fired.append("b"))
     stale.cancel()
     sim.run()

@@ -1,7 +1,7 @@
 """Differential golden-trace suite: fast kernel vs the seed scheduler.
 
 The fast kernel (``repro.sim.events``) claims to be a pure representation
-change over the seed scheduler (``tests/reference/events_ref.py``): pooled
+change over the seed scheduler (``tests/reference/events_ref.py``): list
 records instead of handle objects, batch-pop instead of per-event
 bookkeeping, wakers instead of guard flags.  These tests are the proof
 obligation — every registered app, under every strategy, across several

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -159,3 +161,36 @@ def test_on_start_hook_runs():
     network.register(s)
     network.start()
     assert s.started
+
+
+@pytest.mark.parametrize(
+    "base,jitter", [(-0.001, 0.002), (0.001, -0.002), (float("nan"), 0.002), (0.001, float("nan"))]
+)
+def test_latency_model_rejects_negative_parameters(base, jitter):
+    # a negative base used to surface as a seed-dependent "cannot schedule
+    # into the past" from inside the event loop; a negative jitter silently
+    # meant no jitter at all
+    with pytest.raises(SimulationError, match="latency"):
+        LatencyModel(base=base, jitter=jitter)
+
+
+def test_latency_model_accepts_zero_parameters():
+    model = LatencyModel(base=0.0, jitter=0.0)
+    assert model.sample(None) == 0.0  # no jitter: no draw
+
+
+def test_the_inlined_draw_is_latency_model_sample():
+    """``Network.send`` draws the latency inline; delivery times and the
+    RNG state after a run must be what ``LatencyModel.sample`` gives."""
+    latency = LatencyModel(base=0.003, jitter=0.007)
+    sim, network = build(seed=11, latency=latency)
+    a, b = Recorder("a"), Recorder("b")
+    network.register(a)
+    network.register(b)
+    for i in range(50):
+        a.send("b", "data", i)
+    sim.run()
+    rng = random.Random(11)
+    expected = sorted((latency.sample(rng), i) for i in range(50))
+    assert b.received == expected
+    assert sim.rng.getstate() == rng.getstate()

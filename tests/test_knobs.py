@@ -144,9 +144,11 @@ def test_the_timestep_checks_arity_only_on_external_input():
 def test_the_message_hop_has_no_knob_and_no_fork():
     """The hop was rewired in place: the four constructors on it take what
     they took before, the executor keeps channel state in its own integer
-    tables, and the delivery guard is one site for both backends because
+    tables, the delivery guard is one site for both backends because
     the socket network — still the only ``Network`` subclass under
-    ``src/`` — overrides ``send`` and inherits ``_deliver``."""
+    ``src/`` — overrides ``send`` and inherits ``_deliver``, the kernel
+    keeps no record pool, and one span tracker and one hub record the
+    hop's telemetry."""
     import inspect
 
     from repro.net.services import SocketNetwork
@@ -172,6 +174,20 @@ def test_the_message_hop_has_no_knob_and_no_fork():
 
     executor = (SRC / "repro" / "storm" / "executor.py").read_text()
     assert "OrderedInbox" not in executor
+
+    # records are made fresh, not recycled, and the hop telemetry derives
+    # on read in one class each: the eager copies live in tests/reference
+    for path in sorted((SRC / "repro" / "sim").glob("*.py")):
+        for retired in ("_pool", "_recycle", "_POOL_LIMIT"):
+            assert retired not in path.read_text(), (path.name, retired)
+    trackers = [
+        (str(path.relative_to(SRC)), name)
+        for path in _sources()
+        for name in re.findall(r"^class (\w*(?:SpanTracker|Telemetry)\w*)\b", path.read_text(), re.M)
+    ]
+    assert trackers == [
+        ("repro/obs/spans.py", "SpanTracker"), ("repro/obs/telemetry.py", "Telemetry"),
+    ]
 
     subclasses = [
         (str(path.relative_to(SRC)), name)
