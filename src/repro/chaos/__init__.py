@@ -17,11 +17,12 @@ in the spirit of the paper's Section VII evaluation:
   :class:`~repro.api.BlazesApp` audit profiles that runs one
   (strategy, schedule, seed) cell and extracts a
   :class:`~repro.chaos.oracle.RunObservation`;
-* :mod:`repro.chaos.campaign` — the campaign runner sweeping
-  (app x strategy x schedule x seeds), joining each observed severity
-  against the label predicted by :func:`repro.core.analysis.analyze` into
-  a soundness verdict (``observed <= predicted``), reported through
-  :mod:`repro.bench`;
+* :mod:`repro.chaos.campaign` — the audit cell, joining each observed
+  severity against the label predicted by
+  :func:`repro.core.analysis.analyze` into a soundness verdict
+  (``observed <= predicted``), and the one loop
+  (:meth:`~repro.chaos.campaign.Sweep.run`) driving every sweep of such
+  cells — audit, Figure 6 matrix, search, frontier — through the engine;
 * :mod:`repro.chaos.envelope` — declared fault-tolerance envelopes: the
   faults an app *claims* to tolerate; schedules outside the envelope
   classify as ``out-of-envelope`` instead of ``unsound``;
@@ -86,7 +87,6 @@ from repro.chaos.schedule import (
     split_link,
 )
 from repro.chaos.search import (
-    CellProbe,
     ShrinkOutcome,
     composite_schedule,
     composite_schedules,
@@ -100,7 +100,6 @@ from repro.chaos.search import (
 
 __all__ = [
     "AppHarness",
-    "CellProbe",
     "Crash",
     "Duplicate",
     "FaultEnvelope",

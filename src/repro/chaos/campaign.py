@@ -17,21 +17,23 @@ Results flow through :mod:`repro.bench`, so ``blazes audit`` and
 ``benchmarks/bench_fig14_fault_audit.py`` get the standard scenario
 table and ``BENCH_<name>.json`` record for free.
 
-Campaign cells share nothing — every cell re-seeds its own simulated
-cluster from its parameters — so the whole sweep executes through the
-evaluation engine (:func:`repro.exec.evaluate`): ``jobs > 1``
-(``blazes audit --jobs N`` / ``BLAZES_JOBS``) fans the cells out over
-the process-wide warm worker pool, and a
+Every sweep over audit cells — this audit, the Figure 6 matrix, and the
+search and frontier of :mod:`repro.chaos.search` — is a :class:`Sweep`:
+a cell generator plus its reducer, driven by one loop (:meth:`Sweep.run`)
+through the evaluation engine (:func:`repro.exec.evaluate`).  Cells share
+nothing, so ``jobs > 1`` (``--jobs N`` / ``BLAZES_JOBS``) fans them out
+over the process-wide warm worker pool, and a
 :class:`~repro.exec.cache.CellCache` serves previously computed cells by
-content address, so a repeated audit is nearly free.  Results are
-identical to a serial uncached run, merged back in scenario order.
+content address.  Results are identical to a serial uncached run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
-
+from collections import Counter
 from collections.abc import Sequence
+from typing import ClassVar
 
 from repro.bench import BenchReport, Scenario
 from repro.bench.runner import aligned
@@ -48,6 +50,9 @@ from repro.errors import BlazesError
 __all__ = [
     "DEFAULT_SEEDS",
     "DEFAULT_SMOKE_SEEDS",
+    "AuditSweep",
+    "MatrixSweep",
+    "Sweep",
     "audit_campaign",
     "audit_cell",
     "audit_to_dict",
@@ -56,7 +61,6 @@ __all__ = [
     "cell_status_of",
     "default_schedules",
     "demonstrated_anomalies",
-    "evaluate_cells",
     "matrix_apps",
     "matrix_campaign",
     "matrix_is_expected",
@@ -66,7 +70,6 @@ __all__ = [
     "render_audit",
     "render_matrix",
     "schedule_cell_name",
-    "sweep_defaults",
 ]
 
 DEFAULT_SEEDS = (7, 11, 13)
@@ -76,24 +79,6 @@ DEFAULT_SMOKE_SEEDS = (7, 11)
 # or below Async — the paper's "correct without (further) coordination"
 # judgment, orthogonal to soundness (observed <= predicted).
 _CONSISTENT_SEVERITY = ObservedLabel.ASYNC.severity
-
-
-def sweep_defaults(
-    base: str,
-    smoke: bool,
-    seeds: Sequence[int] | None = None,
-    name: str | None = None,
-) -> tuple[tuple[int, ...], str]:
-    """A sweep's ``(seeds, report name)`` at one tier.
-
-    Smoke sweeps default to two seeds and a ``<base>-smoke`` record, so
-    they never clobber a full-scale one; explicit values pass through.
-    """
-    if not seeds:
-        seeds = DEFAULT_SMOKE_SEEDS if smoke else DEFAULT_SEEDS
-    if name is None:
-        name = f"{base}-smoke" if smoke else base
-    return tuple(seeds), name
 
 
 def default_schedules(app: str, *, smoke: bool = False) -> tuple[FaultSchedule, ...]:
@@ -265,121 +250,6 @@ def audit_cell(
     return Scenario(schedule_cell_name(app, strategy, schedule), params)
 
 
-def evaluate_cells(
-    name: str,
-    cells: Sequence[Scenario],
-    *,
-    jobs: int = 1,
-    cache=None,
-    reporter=None,
-) -> BenchReport:
-    """Evaluate :func:`audit_cell` scenarios through the engine."""
-    from repro.exec.engine import evaluate
-
-    return evaluate(
-        name,
-        cells,
-        _cell_metrics,
-        jobs=jobs,
-        cache=cache,
-        cache_fields=_cell_cache_fields,
-        reporter=reporter,
-    )
-
-
-def audit_campaign(
-    apps: Sequence[str] | None = None,
-    *,
-    smoke: bool = False,
-    seeds: Sequence[int] | None = None,
-    schedules: Sequence[str] | None = None,
-    name: str | None = None,
-    reporter=None,
-    jobs: int = 1,
-    cache=None,
-    backend: str | None = None,
-    timeout: float | None = None,
-) -> BenchReport:
-    """Run the full audit sweep and return its :class:`BenchReport`.
-
-    ``schedules`` optionally restricts every app to the named subset of
-    its default schedules.  A name some swept app has is skipped for the
-    apps that lack it; a name *no* swept app has is an error, as is a
-    sweep that selects no cells at all — an audit of nothing must not
-    read as "sound".  Each scenario's metrics carry the predicted and
-    observed labels, their severities, the soundness verdict, and the
-    oracle's evidence lines.
-    ``jobs > 1`` executes the (independent, deterministic) cells on the
-    process-wide warm worker pool; a :class:`~repro.exec.cache.CellCache`
-    serves already-computed cells by content address.  Results are
-    identical to a serial uncached run, merged back in scenario order.
-    ``apps`` defaults to every registered app carrying an audit profile
-    (:func:`repro.chaos.harnesses.audit_apps`); ``seeds`` and ``name``
-    default per tier (:func:`sweep_defaults`: ``audit`` /
-    ``audit-smoke``, with ``-socket`` appended on the socket backend).
-
-    ``backend="socket"`` executes every cell on the real TCP transport
-    (:mod:`repro.net`) instead of the discrete-event kernel.  Socket
-    cells are wall-clock nondeterministic, so they are never served from
-    (or written to) the content-addressed cell cache; ``timeout`` bounds
-    each run in wall seconds.
-    """
-    from repro.net.context import NetConfig, note_backend, resolve_backend
-
-    exec_backend = resolve_backend(backend)
-    seeds, default_name = sweep_defaults("audit", smoke, seeds)
-    if exec_backend == "socket":
-        note_backend("socket", NetConfig.from_env(timeout=timeout))
-        cache = None
-        default_name += "-socket"
-    name = name or default_name
-    if apps is None:
-        apps = audit_apps()
-    harnesses = [harness_for(app, smoke=smoke) for app in apps]
-    if schedules is not None:
-        known = {
-            schedule.name for harness in harnesses for schedule in harness.schedules
-        }
-        unknown = sorted(set(schedules) - known)
-        if unknown:
-            raise BlazesError(
-                f"unknown schedule(s) {', '.join(unknown)}; "
-                f"the swept apps have: {', '.join(sorted(known))}"
-            )
-    scenarios: list[Scenario] = []
-    for harness in harnesses:
-        swept = [
-            schedule
-            for schedule in harness.schedules
-            if schedules is None or schedule.name in schedules
-        ]
-        # two distinct schedules sharing a name (composites built from
-        # same-named parts) would collide in report rows and schedule
-        # resolution: such cells go by digest-suffixed names and carry
-        # their schedule inline
-        counts: dict[str, int] = {}
-        for schedule in swept:
-            counts[schedule.name] = counts.get(schedule.name, 0) + 1
-        scenarios.extend(
-            audit_cell(
-                harness,
-                strategy,
-                schedule,
-                seeds=seeds,
-                inline=counts[schedule.name] > 1,
-                backend=exec_backend,
-                timeout=timeout,
-            )
-            for strategy in harness.strategies
-            for schedule in swept
-        )
-    if not scenarios:
-        raise BlazesError("the audit selected no cells: nothing to give a verdict on")
-    return evaluate_cells(
-        name, scenarios, jobs=jobs, cache=cache, reporter=reporter
-    )
-
-
 def cell_status_of(result) -> str:
     """One cell's ``sound`` / ``unsound`` / ``out-of-envelope`` status.
 
@@ -479,34 +349,6 @@ def matrix_apps() -> tuple[str, ...]:
     from repro.apps.queries import QUERY_MATRIX_APPS
 
     return tuple(QUERY_MATRIX_APPS)
-
-
-def matrix_campaign(
-    *,
-    smoke: bool = False,
-    seeds: Sequence[int] | None = None,
-    jobs: int = 1,
-    cache=None,
-    name: str | None = None,
-    reporter=None,
-) -> BenchReport:
-    """Sweep every Figure 6 query app through the fault audit.
-
-    The cells are ordinary audit cells — (query app) x {uncoordinated,
-    sealed, ordered} x {baseline, reorder, dup, crash} x seeds — and the
-    report is an ordinary audit report; :func:`matrix_summary` folds it
-    into the paper's per-query coordination-requirement matrix.
-    """
-    seeds, name = sweep_defaults("fig6-matrix", smoke, seeds, name)
-    return audit_campaign(
-        matrix_apps(),
-        smoke=smoke,
-        seeds=seeds,
-        name=name,
-        reporter=reporter,
-        jobs=jobs,
-        cache=cache,
-    )
 
 
 def matrix_summary(report: BenchReport) -> dict[tuple[str, str], dict]:
@@ -669,3 +511,205 @@ def render_audit(report: BenchReport, *, evidence: bool = False) -> str:
                 lines.append(f"{result.name}:")
                 lines.extend(f"  {item}" for item in result["evidence"])
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# the sweeps: cell generators over the one engine loop
+# ----------------------------------------------------------------------
+@dataclasses.dataclass(kw_only=True)
+class Sweep:
+    """One sweep over audit cells: a cell generator plus its reducer.
+
+    ``cells()`` yields batches of :func:`audit_cell` scenarios and receives
+    each batch's results, in input order, at the ``yield``.  ``reduce(found,
+    reports, engine)`` turns what it returned, the batches' reports and
+    their folded engine accounting into the sweep's value — what its
+    campaign function returns, and what ``payload`` (``--json``), ``sound``
+    (the verdict), ``render`` (the console text) and ``record`` (the
+    ``BENCH_<name>.json`` report) read.  ``seeds`` and ``name`` default per
+    tier (smoke: two seeds, a ``<kind>-smoke`` record); ``apps`` to every
+    app with an audit profile.
+    """
+
+    kind: ClassVar[str]
+    cacheable: ClassVar[bool] = True
+    apps: Sequence[str] | None = None
+    smoke: bool = False
+    seeds: Sequence[int] | None = None
+    name: str | None = None
+
+    def __post_init__(self) -> None:
+        self.seeds = tuple(self.seeds or (DEFAULT_SMOKE_SEEDS if self.smoke else DEFAULT_SEEDS))
+        self.name = self.name or (f"{self.kind}-smoke" if self.smoke else self.kind)
+        self.apps = tuple(audit_apps() if self.apps is None else self.apps)
+
+    def run(self, *, jobs: int = 1, cache=None, reporter=None):
+        """The one loop over audit cells: each batch is deduplicated by cell
+        name, evaluated through the engine and fanned back out in input
+        order.  An empty first batch is an error: nothing is not sound."""
+        from repro.exec.engine import evaluate
+
+        cache = cache if self.cacheable else None
+        cells, reports, results = self.cells(), [], None
+        try:
+            while True:
+                batch = cells.send(results)
+                if not (batch or reports):
+                    raise BlazesError(
+                        f"the {self.kind} selected no cells: nothing to give a verdict on"
+                    )
+                unique = {cell.name: cell for cell in batch}
+                report = evaluate(
+                    self.name, list(unique.values()), _cell_metrics,
+                    jobs=jobs, cache=cache, cache_fields=_cell_cache_fields,
+                )
+                reports.append(report)
+                by_name = {result.name: result for result in report}
+                results = [by_name[cell.name] for cell in batch]
+        except StopIteration as stop:
+            found = stop.value
+        keys = ("cells", "computed", "cache_hits", "cache_misses", "wall_seconds")
+        engine = {key: sum(report.engine[key] for report in reports) for key in keys}
+        engine.update(
+            batches=len(reports), jobs=jobs, cache_enabled=cache is not None,
+            hit_rate=engine["cache_hits"] / engine["cells"] if engine["cells"] else 0.0,
+        )
+        value = self.reduce(found, reports, engine)
+        if reporter is not None:
+            reporter.write(self.record(value, reports))
+        return value
+
+    def record(self, value, reports: list[BenchReport]) -> BenchReport:
+        return value
+
+    def render(self, report: BenchReport) -> str:
+        from repro.obs.render import engine_line
+
+        return f"{self.text(report)}\n\n{engine_line(report.engine)}"
+
+
+@dataclasses.dataclass(kw_only=True)
+class AuditSweep(Sweep):
+    """The audit: every app x strategy x default schedule, in one batch.
+
+    ``schedules`` restricts every app to the named subset of its default
+    schedules (a name *no* swept app has is an error).  Socket cells
+    (``backend="socket"``, each run bounded by ``timeout`` seconds) are
+    wall-clock nondeterministic: they bypass the cell cache, and the
+    default record name gains ``-socket``.  ``evidence`` adds the
+    oracle's evidence to the console text.
+    """
+
+    kind = "audit"
+    schedules: Sequence[str] | None = None
+    backend: str | None = None
+    timeout: float | None = None
+    evidence: bool = False
+    payload = staticmethod(audit_to_dict)
+    sound = staticmethod(campaign_is_sound)
+
+    def __post_init__(self) -> None:
+        from repro.net.context import NetConfig, note_backend, resolve_backend
+
+        named = self.name is not None
+        super().__post_init__()
+        self.backend = resolve_backend(self.backend)
+        if self.backend == "socket":
+            note_backend("socket", NetConfig.from_env(timeout=self.timeout))
+            self.cacheable = False
+            if not named:
+                self.name += "-socket"
+
+    def cells(self):
+        harnesses = [harness_for(app, smoke=self.smoke) for app in self.apps]
+        if self.schedules is not None:
+            known = {s.name for harness in harnesses for s in harness.schedules}
+            unknown = sorted(set(self.schedules) - known)
+            if unknown:
+                raise BlazesError(
+                    f"unknown schedule(s) {', '.join(unknown)}; "
+                    f"the swept apps have: {', '.join(sorted(known))}"
+                )
+        scenarios: list[Scenario] = []
+        for harness in harnesses:
+            swept = [
+                schedule for schedule in harness.schedules
+                if self.schedules is None or schedule.name in self.schedules
+            ]
+            # two distinct schedules sharing a name (composites built from
+            # same-named parts) would collide in report rows and schedule
+            # resolution: such cells go by digest-suffixed names and carry
+            # their schedule inline
+            counts = Counter(schedule.name for schedule in swept)
+            scenarios += [
+                audit_cell(
+                    harness, strategy, schedule, seeds=self.seeds,
+                    inline=counts[schedule.name] > 1,
+                    backend=self.backend, timeout=self.timeout,
+                )
+                for strategy in harness.strategies
+                for schedule in swept
+            ]
+        yield scenarios
+
+    def reduce(self, found, reports, engine) -> BenchReport:
+        return reports[0]
+
+    def text(self, report: BenchReport) -> str:
+        return render_audit(report, evidence=self.evidence)
+
+
+def audit_campaign(
+    apps: Sequence[str] | None = None,
+    *,
+    smoke: bool = False,
+    seeds: Sequence[int] | None = None,
+    schedules: Sequence[str] | None = None,
+    name: str | None = None,
+    reporter=None,
+    jobs: int = 1,
+    cache=None,
+    backend: str | None = None,
+    timeout: float | None = None,
+) -> BenchReport:
+    """Run the :class:`AuditSweep`: one report row per cell, carrying the
+    predicted and observed labels, their severities, the soundness verdict
+    and the oracle's evidence, plus the engine's accounting block."""
+    return AuditSweep(
+        apps=apps, smoke=smoke, seeds=seeds, schedules=schedules, name=name,
+        backend=backend, timeout=timeout,
+    ).run(jobs=jobs, cache=cache, reporter=reporter)
+
+
+@dataclasses.dataclass(kw_only=True)
+class MatrixSweep(AuditSweep):
+    """Every Figure 6 query app through the fault audit: ordinary audit
+    cells — (query app) x {uncoordinated, sealed, ordered} x {baseline,
+    reorder, dup, crash} x seeds — whose report :func:`matrix_summary`
+    folds into the paper's per-query coordination-requirement matrix; the
+    verdict is :func:`matrix_is_expected`."""
+
+    kind = "fig6-matrix"
+    payload = staticmethod(matrix_to_dict)
+    sound = staticmethod(matrix_is_expected)
+
+    def __post_init__(self) -> None:
+        self.apps = matrix_apps()
+        super().__post_init__()
+
+    def text(self, report: BenchReport) -> str:
+        return f"{render_matrix(report)}\n\n{super().text(report)}"
+
+
+def matrix_campaign(
+    *,
+    smoke: bool = False,
+    seeds: Sequence[int] | None = None,
+    jobs: int = 1,
+    cache=None,
+    name: str | None = None,
+    reporter=None,
+) -> BenchReport:
+    """Run the :class:`MatrixSweep` and return its audit report."""
+    sweep = MatrixSweep(smoke=smoke, seeds=seeds, name=name)
+    return sweep.run(jobs=jobs, cache=cache, reporter=reporter)

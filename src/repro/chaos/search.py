@@ -12,16 +12,15 @@ property-based-testing tradition:
 * :func:`shrink_schedule` — a delta-debugging shrinker that removes
   faults and bisects windows/intensities downward until the schedule is
   **1-minimal**: dropping any remaining fault loses the anomaly;
-* :func:`search_campaign` — candidate sweep + shrink per anomalous cell,
-  every evaluation routed through the warm-pool engine so shrink steps
-  run in parallel and repeat visits hit the content-addressed cache;
-* :func:`frontier_campaign` — the severity-frontier mode: bisect a
-  schedule's intensity (:meth:`FaultSchedule.with_intensity`) per
-  app x strategy to the smallest intensity where the guarantee degrades
-  beyond Async, emitted as ``BENCH_frontier.json`` via :mod:`repro.bench`.
+* :class:`SearchSweep` (:func:`search_campaign`) — candidate sweep, then
+  shrink every anomalous cell, one batch per shrink step;
+* :class:`FrontierSweep` (:func:`frontier_campaign`) — bisect the
+  intensity (:meth:`FaultSchedule.with_intensity`) of each app's fault
+  envelope, per strategy, to where the guarantee degrades beyond Async.
 
-Every schedule evaluation is an ordinary audit cell
-(:func:`repro.chaos.campaign.audit_cell`): same oracle, same seeds,
+Both are :class:`~repro.chaos.campaign.Sweep` cell generators that adapt
+to their previous batch's results, driven by the one loop over audit
+cells (:func:`repro.chaos.campaign.audit_cell`): same oracle, same seeds,
 same cache key schema — a searched schedule that matches a library one
 byte-for-byte shares its cache entry.
 """
@@ -30,18 +29,13 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Generator, Sequence
 
-from repro.bench import BenchReport, Scenario, assemble_report
+from repro.bench import BenchReport, ScenarioResult
 from repro.bench.runner import aligned
-from repro.chaos.campaign import (
-    _CONSISTENT_SEVERITY,
-    audit_cell,
-    evaluate_cells,
-    sweep_defaults,
-)
+from repro.chaos.campaign import _CONSISTENT_SEVERITY, Sweep, audit_cell
 from repro.chaos.envelope import FAULT_KINDS
-from repro.chaos.harnesses import audit_apps, harness_for
+from repro.chaos.harnesses import harness_for
 from repro.chaos.schedule import (
     Crash,
     Duplicate,
@@ -53,7 +47,8 @@ from repro.chaos.schedule import (
 from repro.errors import SimulationError
 
 __all__ = [
-    "CellProbe",
+    "FrontierSweep",
+    "SearchSweep",
     "ShrinkOutcome",
     "composite_schedule",
     "composite_schedules",
@@ -68,97 +63,6 @@ __all__ = [
 # window-perturbing kinds that anchor a composite: other faults are
 # placed to overlap the carrier's window
 _CARRIER_KINDS = ("reorder", "loss", "duplicate")
-
-
-# ----------------------------------------------------------------------
-# the engine-backed probe: arbitrary schedules as ordinary audit cells
-# ----------------------------------------------------------------------
-class CellProbe:
-    """Evaluate ad-hoc (app, strategy, schedule) cells through the engine.
-
-    Each :meth:`results` call is one :func:`repro.exec.evaluate` batch:
-    pending cells fan out over the warm worker pool (``jobs``) and
-    previously seen schedules — within this probe, across shrink steps,
-    or from any earlier audit — come back from the content-addressed
-    cache.  The probe accumulates the engine accounting across batches,
-    so callers can surface the searched-cell cache hit rate.
-    """
-
-    def __init__(
-        self,
-        *,
-        smoke: bool,
-        seeds: Sequence[int],
-        jobs: int = 1,
-        cache=None,
-        label: str = "search",
-    ) -> None:
-        self.smoke = smoke
-        self.seeds = list(seeds)
-        self.jobs = jobs
-        self.cache = cache
-        self.label = label
-        self.batches = 0
-        self.totals = {
-            "cells": 0,
-            "computed": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "wall_seconds": 0.0,
-        }
-        self._harnesses: dict[str, object] = {}
-
-    def harness(self, app: str):
-        if app not in self._harnesses:
-            self._harnesses[app] = harness_for(app, smoke=self.smoke)
-        return self._harnesses[app]
-
-    def results(
-        self,
-        cells: Sequence[tuple[str, str, FaultSchedule]],
-        *,
-        reporter=None,
-    ) -> list:
-        """One engine batch over ``cells``; returns per-cell
-        :class:`~repro.bench.ScenarioResult` in input order.
-
-        Cells with identical content (same digest-suffixed name) are
-        evaluated once and fanned back out.
-        """
-        scenarios = [
-            audit_cell(
-                self.harness(app), strategy, schedule, seeds=self.seeds, inline=True
-            )
-            for app, strategy, schedule in cells
-        ]
-        unique: dict[str, Scenario] = {}
-        for scenario in scenarios:
-            unique.setdefault(scenario.name, scenario)
-        report = evaluate_cells(
-            self.label,
-            list(unique.values()),
-            jobs=self.jobs,
-            cache=self.cache,
-            reporter=reporter,
-        )
-        self.batches += 1
-        engine = report.engine or {}
-        for key in ("cells", "computed", "cache_hits", "cache_misses"):
-            self.totals[key] += engine.get(key, 0)
-        self.totals["wall_seconds"] += engine.get("wall_seconds", 0.0)
-        by_name = {result.name: result for result in report}
-        return [by_name[scenario.name] for scenario in scenarios]
-
-    def summary(self) -> dict:
-        """The accumulated engine accounting, plus the cache hit rate."""
-        cells = self.totals["cells"]
-        return {
-            **self.totals,
-            "batches": self.batches,
-            "jobs": self.jobs,
-            "cache_enabled": self.cache is not None,
-            "hit_rate": (self.totals["cache_hits"] / cells) if cells else 0.0,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -269,21 +173,25 @@ class ShrinkOutcome:
 
 def shrink_schedule(
     schedule: FaultSchedule,
-    reproduces: Callable[[FaultSchedule], bool],
+    reproduces: Callable[[object], bool],
     *,
     budget: int = 64,
     bisect_steps: int = 3,
-    reproduces_many: Callable[[Sequence[FaultSchedule]], Sequence[bool]]
-    | None = None,
-) -> ShrinkOutcome:
+    cell: Callable[[FaultSchedule], object] = lambda schedule: schedule,
+) -> Generator[list, list, ShrinkOutcome]:
     """Shrink ``schedule`` to a minimal one still satisfying ``reproduces``.
 
-    The caller guarantees ``reproduces(schedule)`` is already true.  The
-    shrinker then alternates two monotone phases:
+    A generator: it yields batches of ``cell(candidate)``, takes back the
+    batch's results in order, judges each with ``reproduces`` and returns
+    a :class:`ShrinkOutcome`.  The search yields the batches as audit
+    cells into the sweep loop.  ``schedule`` must already reproduce.
+
+    The shrinker alternates two monotone phases:
 
     1. **removal fixpoint** (delta debugging): repeatedly drop any single
        fault whose removal keeps the predicate true, until a full pass
-       removes nothing — the schedule is 1-minimal under removal;
+       removes nothing — the schedule is 1-minimal under removal; a pass
+       is one batch, and the first reproducing candidate in order wins;
     2. **bisection**: per remaining fault, repeatedly halve its duration
        and its intensity (drop/dup probability, reorder jitter toward
        the neutral 1) while the predicate holds — windows and
@@ -297,27 +205,20 @@ def shrink_schedule(
 
     ``budget`` softly caps issued predicate evaluations: a phase checks
     the cap before each batch, so the count may overshoot by one batch.
-    ``reproduces_many`` optionally evaluates a candidate batch at once —
-    the engine-backed probes fan removal passes over the worker pool;
-    semantics match mapping ``reproduces`` (the pass takes the first
-    reproducing candidate in order).
     """
-    if reproduces_many is None:
-        reproduces_many = lambda batch: [reproduces(c) for c in batch]  # noqa: E731
-    state = {"trials": 0, "exhausted": False}
+    trials = 0
+    exhausted = False
 
     def check_many(batch: Sequence[FaultSchedule]):
-        if state["trials"] >= budget:
-            state["exhausted"] = True
+        nonlocal trials, exhausted
+        if trials >= budget:
+            exhausted = True
             return None
-        state["trials"] += len(batch)
-        return list(reproduces_many(batch))
+        trials += len(batch)
+        results = yield [cell(candidate) for candidate in batch]
+        return [reproduces(result) for result in results]
 
-    def check(candidate: FaultSchedule) -> bool:
-        verdicts = check_many([candidate])
-        return bool(verdicts and verdicts[0])
-
-    def removal_fixpoint(sched: FaultSchedule) -> tuple[FaultSchedule, bool]:
+    def removal_fixpoint(sched: FaultSchedule):
         """Drop removable faults until a full pass removes none.
 
         Returns ``(schedule, complete)``; ``complete`` is False when the
@@ -330,7 +231,7 @@ def shrink_schedule(
                 )
                 for i in range(len(sched.faults))
             ]
-            verdicts = check_many(candidates)
+            verdicts = yield from check_many(candidates)
             if verdicts is None:
                 return sched, False
             for candidate, ok in zip(candidates, verdicts):
@@ -355,7 +256,7 @@ def shrink_schedule(
         weakened = fault.with_intensity(0.5)
         return None if weakened == fault else weakened
 
-    def bisect_faults(sched: FaultSchedule) -> FaultSchedule:
+    def bisect_faults(sched: FaultSchedule):
         for i in range(len(sched.faults)):
             for transform in (halved_duration, halved_intensity):
                 for _ in range(bisect_steps):
@@ -366,149 +267,31 @@ def shrink_schedule(
                         sched.name,
                         sched.faults[:i] + (weakened,) + sched.faults[i + 1 :],
                     )
-                    if not check(candidate):
+                    verdicts = yield from check_many([candidate])
+                    if not (verdicts and verdicts[0]):
                         break
                     sched = candidate
         return sched
 
-    current, complete = removal_fixpoint(schedule)
+    current, complete = yield from removal_fixpoint(schedule)
     if current.faults and complete:
-        bisected = bisect_faults(current)
+        bisected = yield from bisect_faults(current)
         if bisected.faults != current.faults:
-            current, complete = removal_fixpoint(bisected)
+            current, complete = yield from removal_fixpoint(bisected)
         else:
             current = bisected
     return ShrinkOutcome(
         schedule=current,
-        trials=state["trials"],
+        trials=trials,
         removed=len(schedule.faults) - len(current.faults),
-        one_minimal=complete and not state["exhausted"],
-        exhausted=state["exhausted"],
+        one_minimal=complete and not exhausted,
+        exhausted=exhausted,
     )
 
 
 # ----------------------------------------------------------------------
 # the search campaign: generate -> evaluate -> shrink anomalies
 # ----------------------------------------------------------------------
-def search_campaign(
-    apps: Sequence[str] | None = None,
-    *,
-    smoke: bool = False,
-    seeds: Sequence[int] | None = None,
-    candidates: int = 4,
-    budget: int = 64,
-    seed: int = 0,
-    jobs: int = 1,
-    cache=None,
-    reporter=None,
-) -> dict:
-    """Search for minimal anomaly-exhibiting schedules per app x strategy.
-
-    Generates ``candidates`` composite schedules per app (inside its
-    envelope), evaluates every (app, strategy, candidate) cell in one
-    engine batch, then shrinks each cell whose observed label exceeds
-    Async to a 1-minimal schedule still exhibiting the *same* observed
-    label under the same seeds.  Returns a JSON-able payload: candidate
-    cells, minimized findings, and the accumulated engine accounting
-    (including the searched-cell cache hit rate).  ``reporter`` writes
-    the candidate sweep as an ordinary ``BENCH_*.json``.
-    """
-    seeds, label = sweep_defaults("search", smoke, seeds)
-    if apps is None:
-        apps = audit_apps()
-    probe = CellProbe(
-        smoke=smoke, seeds=seeds, jobs=jobs, cache=cache, label=label
-    )
-
-    cells: list[tuple[str, str, FaultSchedule]] = []
-    for app in apps:
-        harness = probe.harness(app)
-        generated = composite_schedules(
-            candidates,
-            seed=seed,
-            envelope=harness.envelope,
-            roles=harness.role_pool(),
-        )
-        cells.extend(
-            (app, strategy, schedule)
-            for strategy in harness.strategies
-            for schedule in generated
-        )
-
-    results = probe.results(cells, reporter=reporter)
-    cell_rows = []
-    findings = []
-    for (app, strategy, schedule), result in zip(cells, results):
-        metrics = result.metrics
-        cell_rows.append(
-            {
-                "name": result.name,
-                "app": app,
-                "strategy": strategy,
-                "schedule": schedule.name,
-                "faults": len(schedule.faults),
-                "predicted": metrics["predicted"],
-                "observed": metrics["observed"],
-                "status": metrics["status"],
-                "consistent": metrics["consistent"],
-            }
-        )
-        anomalous = (
-            metrics["observed_severity"] > _CONSISTENT_SEVERITY
-            and metrics["in_envelope"]
-        )
-        if not anomalous:
-            continue
-        target = metrics["observed"]
-
-        def reproduces_many(batch, _app=app, _strategy=strategy, _target=target):
-            rows = probe.results([(_app, _strategy, s) for s in batch])
-            return [row.metrics["observed"] == _target for row in rows]
-
-        outcome = shrink_schedule(
-            schedule,
-            lambda s: reproduces_many([s])[0],
-            budget=budget,
-            reproduces_many=reproduces_many,
-        )
-        # explicit final verification (a cache hit): the CI gate asserts
-        # every minimized schedule still reproduces its verdict
-        verified = reproduces_many([outcome.schedule])[0]
-        findings.append(
-            {
-                "cell": result.name,
-                "app": app,
-                "strategy": strategy,
-                "schedule": schedule.name,
-                "predicted": metrics["predicted"],
-                "observed": target,
-                "status": metrics["status"],
-                "original": schedule.to_dict(),
-                "original_faults": len(schedule.faults),
-                "minimal": outcome.schedule.to_dict(),
-                "minimal_faults": len(outcome.schedule.faults),
-                "removed": outcome.removed,
-                "trials": outcome.trials,
-                "one_minimal": outcome.one_minimal,
-                "exhausted": outcome.exhausted,
-                "reproduced": verified,
-                "minimal_description": outcome.schedule.describe(),
-            }
-        )
-
-    return {
-        "search": label,
-        "apps": list(apps),
-        "candidates": candidates,
-        "budget": budget,
-        "seed": seed,
-        "seeds": list(seeds),
-        "cells": cell_rows,
-        "findings": findings,
-        "engine": probe.summary(),
-    }
-
-
 def search_is_sound(payload: dict) -> bool:
     """Did no in-envelope searched cell observe beyond its prediction?"""
     return all(cell["status"] != "unsound" for cell in payload["cells"])
@@ -561,157 +344,112 @@ def render_search(payload: dict) -> str:
     return "\n".join(lines)
 
 
+@dataclasses.dataclass(kw_only=True)
+class SearchSweep(Sweep):
+    """Search for minimal anomaly-exhibiting schedules per app x strategy.
+
+    Evaluates ``candidates`` composite schedules per app (inside its
+    envelope) x strategy in one batch, then shrinks each cell observed
+    beyond Async to a 1-minimal schedule still exhibiting the *same*
+    label under the same seeds — one batch per shrink step, plus one
+    verifying the minimal schedule.  The value is a JSON-able payload:
+    candidate cells, findings, and the engine accounting folded over
+    every batch; the record is the candidate batch.
+    """
+
+    kind = "search"
+    candidates: int = 4
+    budget: int = 64
+    seed: int = 0
+    payload = staticmethod(dict)
+    sound = staticmethod(search_is_sound)
+    render = staticmethod(render_search)
+
+    def cells(self):
+        swept = []
+        for app in self.apps:
+            harness = harness_for(app, smoke=self.smoke)
+            generated = composite_schedules(
+                self.candidates, seed=self.seed,
+                envelope=harness.envelope, roles=harness.role_pool(),
+            )
+            swept += [
+                (harness, strategy, schedule)
+                for strategy in harness.strategies for schedule in generated
+            ]
+
+        def cell(harness, strategy, schedule):
+            return audit_cell(harness, strategy, schedule, seeds=self.seeds, inline=True)
+
+        results = yield [cell(*triple) for triple in swept]
+        rows, findings = [], []
+        for (harness, strategy, schedule), result in zip(swept, results):
+            metrics = result.metrics
+            head = {"app": harness.name, "strategy": strategy, "schedule": schedule.name}
+            rows.append({
+                "name": result.name, **head, "faults": len(schedule.faults),
+                **{key: metrics[key] for key in ("predicted", "observed", "status", "consistent")},
+            })
+            if metrics["observed_severity"] <= _CONSISTENT_SEVERITY or not metrics["in_envelope"]:
+                continue
+            outcome = yield from shrink_schedule(
+                schedule,
+                lambda row: row["observed"] == metrics["observed"],
+                budget=self.budget,
+                cell=lambda candidate: cell(harness, strategy, candidate),
+            )
+            # explicit final verification (a cache hit): the CI gate asserts
+            # every minimized schedule still reproduces its verdict
+            (final,) = yield [cell(harness, strategy, outcome.schedule)]
+            minimal = outcome.schedule
+            findings.append({
+                "cell": result.name, **head,
+                **{key: metrics[key] for key in ("predicted", "observed", "status")},
+                "original": schedule.to_dict(), "original_faults": len(schedule.faults),
+                "minimal": minimal.to_dict(), "minimal_faults": len(minimal.faults),
+                **{key: getattr(outcome, key) for key in ("removed", "trials", "one_minimal", "exhausted")},
+                "reproduced": final["observed"] == metrics["observed"],
+                "minimal_description": minimal.describe(),
+            })
+        return {
+            "search": self.name, "apps": list(self.apps), "candidates": self.candidates,
+            "budget": self.budget, "seed": self.seed, "seeds": list(self.seeds),
+            "cells": rows, "findings": findings,
+        }
+
+    def reduce(self, found, reports, engine) -> dict:
+        return {**found, "engine": engine}
+
+    def record(self, payload, reports: list[BenchReport]) -> BenchReport:
+        return reports[0]
+
+
+def search_campaign(
+    apps: Sequence[str] | None = None,
+    *,
+    smoke: bool = False,
+    seeds: Sequence[int] | None = None,
+    candidates: int = 4,
+    budget: int = 64,
+    seed: int = 0,
+    jobs: int = 1,
+    cache=None,
+    reporter=None,
+) -> dict:
+    """Run the :class:`SearchSweep` and return its payload."""
+    return SearchSweep(
+        apps=apps, smoke=smoke, seeds=seeds, candidates=candidates,
+        budget=budget, seed=seed,
+    ).run(jobs=jobs, cache=cache, reporter=reporter)
+
+
 # ----------------------------------------------------------------------
 # the severity frontier: bisect intensity per app x strategy
 # ----------------------------------------------------------------------
 def _frontier_base(harness) -> FaultSchedule:
     """The app's full-envelope schedule: every default fault at once."""
-    faults = tuple(
-        fault
-        for schedule in harness.schedules
-        for fault in schedule.faults
-    )
-    return FaultSchedule("envelope", faults)
-
-
-def frontier_campaign(
-    apps: Sequence[str] | None = None,
-    *,
-    smoke: bool = False,
-    seeds: Sequence[int] | None = None,
-    steps: int = 5,
-    jobs: int = 1,
-    cache=None,
-    reporter=None,
-) -> BenchReport:
-    """Map, per app x strategy, the intensity where the guarantee breaks.
-
-    Each pair's *envelope schedule* (all of the app's default faults
-    composed) is evaluated at both intensity endpoints in one batch:
-    intensity 0 melts to the fault-free baseline (a pair already
-    inconsistent there has ``frontier`` 0 — the anomaly needs no faults
-    at all), and pairs consistent at full intensity hold through the
-    whole envelope and report a ``frontier`` of ``None``.  The remaining
-    pairs bisect :meth:`FaultSchedule.with_intensity` over [0, 1] for
-    ``steps`` rounds; ``frontier`` is the smallest intensity observed to
-    degrade the guarantee.  Bisection rounds are batched across pairs,
-    so the probes of every app x strategy fan out over the worker pool
-    together, and the endpoint cells are shared with (cached from) any
-    ordinary audit of the same apps.
-    """
-    seeds, name = sweep_defaults("frontier", smoke, seeds)
-    if apps is None:
-        apps = audit_apps()
-    probe = CellProbe(
-        smoke=smoke, seeds=seeds, jobs=jobs, cache=cache, label=name
-    )
-
-    pairs = []
-    for app in apps:
-        harness = probe.harness(app)
-        base = _frontier_base(harness)
-        for strategy in harness.strategies:
-            pairs.append(
-                {
-                    "app": app,
-                    "strategy": strategy,
-                    "base": base,
-                    "lo": 0.0,
-                    "hi": 1.0,
-                    "frontier": None,
-                    "probes": 0,
-                    "wall": 0.0,
-                    "active": True,
-                    "full": None,
-                    "zero": None,
-                }
-            )
-
-    def probe_round(entries, intensity_of):
-        cells = [
-            (p["app"], p["strategy"], intensity_of(p)) for p in entries
-        ]
-        rows = probe.results(cells)
-        for pair, row in zip(entries, rows):
-            pair["probes"] += 1
-            pair["wall"] += row.wall_seconds
-        return rows
-
-    # round 0: both intensity endpoints for every pair, one batch — the
-    # lam=0 schedule melts to the fault-free baseline
-    endpoint_cells = [(p["app"], p["strategy"], p["base"]) for p in pairs] + [
-        (p["app"], p["strategy"], p["base"].with_intensity(0.0)) for p in pairs
-    ]
-    rows = probe.results(endpoint_cells)
-    for pair, full_row, zero_row in zip(pairs, rows, rows[len(pairs) :]):
-        pair["probes"] += 2
-        pair["wall"] += full_row.wall_seconds + zero_row.wall_seconds
-        pair["full"] = full_row.metrics
-        pair["zero"] = zero_row.metrics
-        if not zero_row.metrics["consistent"]:
-            # anomalous with no faults injected: the frontier is the floor
-            pair["frontier"] = 0.0
-            pair["active"] = False
-        elif full_row.metrics["consistent"]:
-            pair["active"] = False  # guarantee holds through the envelope
-
-    for _ in range(steps):
-        active = [p for p in pairs if p["active"]]
-        if not active:
-            break
-        rows = probe_round(
-            active,
-            lambda p: p["base"].with_intensity((p["lo"] + p["hi"]) / 2),
-        )
-        for pair, row in zip(active, rows):
-            mid = (pair["lo"] + pair["hi"]) / 2
-            if row.metrics["consistent"]:
-                pair["lo"] = mid
-            else:
-                pair["hi"] = mid
-    for pair in pairs:
-        if pair["active"]:
-            pair["frontier"] = pair["hi"]
-
-    scenarios = []
-    outcomes = []
-    for pair in pairs:
-        full = pair["full"]
-        scenarios.append(
-            Scenario(
-                f"{pair['app']}/{pair['strategy']}",
-                {
-                    "app": pair["app"],
-                    "strategy": pair["strategy"],
-                    "smoke": smoke,
-                    "seeds": list(seeds),
-                    "steps": steps,
-                    "schedule_spec": pair["base"].to_dict(),
-                },
-            )
-        )
-        outcomes.append(
-            (
-                {
-                    "frontier": pair["frontier"],
-                    "holds": pair["frontier"] is None,
-                    "probes": pair["probes"],
-                    "faults": len(pair["base"].faults),
-                    "predicted": full["predicted"],
-                    "observed_full": full["observed"],
-                    "observed_full_severity": full["observed_severity"],
-                    "observed_zero": pair["zero"]["observed"],
-                    "status_full": full["status"],
-                    "coordinated": full["coordinated"],
-                },
-                pair["wall"],
-            )
-        )
-    report = assemble_report(name, scenarios, outcomes)
-    report.engine = probe.summary()
-    if reporter is not None:
-        reporter.write(report)
-    return report
+    faults = (fault for schedule in harness.schedules for fault in schedule.faults)
+    return FaultSchedule("envelope", tuple(faults))
 
 
 def render_frontier(report: BenchReport) -> str:
@@ -738,3 +476,107 @@ def render_frontier(report: BenchReport) -> str:
         f"full envelope intensity"
     )
     return "\n".join(lines)
+
+
+@dataclasses.dataclass(kw_only=True)
+class FrontierSweep(Sweep):
+    """Map, per app x strategy, the intensity where the guarantee breaks.
+
+    Each pair's *envelope schedule* (all of the app's default faults
+    composed) is evaluated at both intensity endpoints in one batch:
+    intensity 0 melts to the fault-free baseline (a pair already
+    inconsistent there has ``frontier`` 0 — the anomaly needs no faults
+    at all), and pairs consistent at full intensity hold through the
+    whole envelope and report a ``frontier`` of ``None``.  The remaining
+    pairs bisect :meth:`FaultSchedule.with_intensity` over [0, 1] for
+    ``steps`` rounds, one batch per round across pairs; ``frontier`` is
+    the smallest intensity observed to degrade the guarantee.  The
+    frontier is a map, not a verdict: it never fails the run.
+    """
+
+    kind = "frontier"
+    steps: int = 5
+    payload = staticmethod(BenchReport.to_dict)
+    text = staticmethod(render_frontier)
+
+    def cells(self):
+        pairs = []
+        for app in self.apps:
+            harness = harness_for(app, smoke=self.smoke)
+            base = _frontier_base(harness)
+            pairs += [
+                {"harness": harness, "strategy": strategy, "base": base, "lo": 0.0, "hi": 1.0}
+                for strategy in harness.strategies
+            ]
+
+        def cell(pair, schedule):
+            return audit_cell(
+                pair["harness"], pair["strategy"], schedule, seeds=self.seeds, inline=True
+            )
+
+        # round 0: both intensity endpoints for every pair, one batch — the
+        # lam=0 schedule melts to the fault-free baseline
+        rows = yield [cell(p, p["base"]) for p in pairs] + [
+            cell(p, p["base"].with_intensity(0.0)) for p in pairs
+        ]
+        for pair, full, zero in zip(pairs, rows, rows[len(pairs) :]):
+            pair["rows"] = [full, zero]
+        # a pair anomalous at intensity 0 has its frontier at the floor, and
+        # one consistent at intensity 1 holds throughout: neither bisects
+        active = [
+            p for p in pairs if p["rows"][1]["consistent"] and not p["rows"][0]["consistent"]
+        ]
+        for _ in range(self.steps if active else 0):
+            mids = [(p["lo"] + p["hi"]) / 2 for p in active]
+            rows = yield [cell(p, p["base"].with_intensity(m)) for p, m in zip(active, mids)]
+            for pair, mid, row in zip(active, mids, rows):
+                pair["rows"].append(row)
+                pair["lo" if row["consistent"] else "hi"] = mid
+        return pairs
+
+    def reduce(self, pairs, reports, engine) -> BenchReport:
+        results = []
+        for pair in pairs:
+            app, strategy, base = pair["harness"].name, pair["strategy"], pair["base"]
+            full, zero = (row.metrics for row in pair["rows"][:2])
+            frontier = None
+            if not zero["consistent"]:
+                frontier = 0.0
+            elif not full["consistent"]:
+                frontier = pair["hi"]
+            params = {
+                "app": app, "strategy": strategy, "smoke": self.smoke,
+                "seeds": list(self.seeds), "steps": self.steps,
+                "schedule_spec": base.to_dict(),
+            }
+            metrics = {
+                "frontier": frontier, "holds": frontier is None,
+                "probes": len(pair["rows"]), "faults": len(base.faults),
+                "predicted": full["predicted"], "observed_full": full["observed"],
+                "observed_full_severity": full["observed_severity"],
+                "observed_zero": zero["observed"], "status_full": full["status"],
+                "coordinated": full["coordinated"],
+            }
+            wall = sum(row.wall_seconds for row in pair["rows"])
+            results.append(ScenarioResult(f"{app}/{strategy}", params, metrics, wall))
+        report = BenchReport(self.name, results)
+        report.engine = engine
+        return report
+
+    def sound(self, report: BenchReport) -> bool:
+        return True
+
+
+def frontier_campaign(
+    apps: Sequence[str] | None = None,
+    *,
+    smoke: bool = False,
+    seeds: Sequence[int] | None = None,
+    steps: int = 5,
+    jobs: int = 1,
+    cache=None,
+    reporter=None,
+) -> BenchReport:
+    """Run the :class:`FrontierSweep` and return its per-pair report."""
+    sweep = FrontierSweep(apps=apps, smoke=smoke, seeds=seeds, steps=steps)
+    return sweep.run(jobs=jobs, cache=cache, reporter=reporter)

@@ -41,9 +41,9 @@ so CI and the audit can diff predictions without scraping text.
 
 This module parses and dispatches, nothing else: every flag is declared
 once (:data:`_FLAGS`), the run verbs share :func:`_run_app`, the four
-sweeps share :func:`_cmd_sweep`, and what a verb prints is rendered
-beside what it ran (:mod:`repro.core.report`, :mod:`repro.obs.render`,
-:mod:`repro.chaos.campaign`, :mod:`repro.chaos.search`).
+sweep verbs pick a :class:`~repro.chaos.campaign.Sweep` in
+:func:`_cmd_sweep`, and what a verb prints is rendered beside what it
+ran (:mod:`repro.core.report`, :mod:`repro.obs.render`, the sweeps).
 """
 
 from __future__ import annotations
@@ -473,6 +473,8 @@ def _names(text: str | None) -> tuple[str, ...] | None:
 
 
 def _reject_mixed_sweeps(args) -> None:
+    if args.command == "frontier":
+        return  # takes none of the audit's sweep-choosing flags
     if args.matrix and args.apps:
         raise BlazesError("--matrix chooses its own apps; drop --apps")
     if args.matrix and args.backend == "socket":
@@ -488,84 +490,46 @@ def _reject_mixed_sweeps(args) -> None:
         raise BlazesError("--search generates its schedules; drop --schedules")
 
 
-def _sweep_of(args):
-    """``(campaign, its own options, serialiser, renderer, verdict)`` of the
-    sweep ``args`` selects; each piece is defined beside its campaign."""
-    from repro.bench import BenchReport
-    from repro.chaos import campaign, search
-
-    options: dict[str, Any] = {"apps": _names(args.apps)}
-    if args.command == "frontier":
-        options["steps"] = args.steps
-        return (
-            search.frontier_campaign, options,
-            BenchReport.to_dict, search.render_frontier, lambda report: True,
-        )
-    _reject_mixed_sweeps(args)
-    if args.search:
-        options.update(
-            candidates=args.candidates, budget=args.budget, seed=args.search_seed
-        )
-        return (
-            search.search_campaign, options,
-            dict, search.render_search, search.search_is_sound,
-        )
-
-    def render(report) -> str:
-        text = campaign.render_audit(report, evidence=args.evidence)
-        return f"{campaign.render_matrix(report)}\n\n{text}" if args.matrix else text
-
-    if args.matrix:
-        # an expected matrix has every cell sound: that is the whole verdict
-        return (
-            campaign.matrix_campaign, {},
-            campaign.matrix_to_dict, render, campaign.matrix_is_expected,
-        )
-    options.update(
-        schedules=_names(args.schedules), backend=args.backend, timeout=args.timeout
-    )
-    return (
-        campaign.audit_campaign, options,
-        campaign.audit_to_dict, render, campaign.campaign_is_sound,
-    )
-
-
 def _cmd_sweep(args) -> int:
-    """``audit``, ``audit --matrix``, ``audit --search`` and ``frontier``: one
-    engine set-up, one emission and one exit code for the four sweeps."""
+    """``audit``, ``audit --matrix``, ``audit --search`` and ``frontier``: build
+    the sweep the flags select, run it, print what it showed, exit on its
+    verdict."""
     from repro.bench import JsonReporter
+    from repro.chaos.campaign import AuditSweep, MatrixSweep
+    from repro.chaos.search import FrontierSweep, SearchSweep
     from repro.exec import CellCache, resolve_jobs
     from repro.net.services import SocketTimeout
-    from repro.obs.render import engine_line
 
-    campaign, options, to_dict, render, is_ok = _sweep_of(args)
+    _reject_mixed_sweeps(args)
+    common = dict(apps=_names(args.apps), smoke=args.smoke, seeds=args.seeds)
+    if args.command == "frontier":
+        sweep = FrontierSweep(steps=args.steps, **common)
+    elif args.search:
+        sweep = SearchSweep(
+            candidates=args.candidates, budget=args.budget, seed=args.search_seed,
+            **common,
+        )
+    elif args.matrix:
+        sweep = MatrixSweep(evidence=args.evidence, **common)
+    else:
+        sweep = AuditSweep(
+            schedules=_names(args.schedules), backend=args.backend,
+            timeout=args.timeout, evidence=args.evidence, **common,
+        )
     reporter = None if args.no_report else JsonReporter()
     try:
-        result = campaign(
-            smoke=args.smoke,
-            seeds=args.seeds,
-            reporter=reporter,
-            jobs=resolve_jobs(args.jobs),
-            cache=None if args.no_cache else CellCache(),
-            **options,
-        )
+        cache = None if args.no_cache else CellCache()
+        value = sweep.run(jobs=resolve_jobs(args.jobs), cache=cache, reporter=reporter)
     except SocketTimeout as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     if args.json:
-        print(json.dumps(to_dict(result), indent=2))
+        print(json.dumps(sweep.payload(value), indent=2))
     else:
-        print(render(result))
-        if isinstance(result, dict):
-            # a search payload: its renderer already accounts for the engine
-            name, engine = result["search"], None
-        else:
-            name, engine = result.name, result.engine
-        if engine is not None:
-            print(f"\n{engine_line(engine)}")
+        print(sweep.render(value))
         if reporter is not None:
-            print(f"\nwrote {reporter.path_for(name)}")
-    return 0 if is_ok(result) else 4
+            print(f"\nwrote {reporter.path_for(sweep.name)}")
+    return 0 if sweep.sound(value) else 4
 
 
 def _cmd_cache(args) -> int:

@@ -9,8 +9,11 @@ The analyzer walks the dataflow from its external inputs to its sinks:
    that, as in the paper's footnote 3, the Cache self-edge forms a cycle
    while Cache and Report do not (Cache provides no path from ``r`` to
    ``q``);
-3. each nontrivial cycle is collapsed to a single node carrying the
-   highest-severity annotation among the cycle's member paths;
+3. each nontrivial cycle is collapsed to a single node carrying every
+   distinct annotation among the cycle's member paths: a record entering
+   the cycle may cross any of them, so its label is derived through each
+   and the results reconcile together (never through one "worst" member:
+   severity ignores the gate, so a tie would let member names decide);
 4. for every output interface, in topological order over the collapsed
    graph, the Figure 9 inference rules derive per-path labels, the
    Figure 10 reconciliation procedure resolves internal labels, and the
@@ -385,17 +388,17 @@ def _process_cycle(
 ) -> None:
     """Collapse one interface-level cycle and label its outputs.
 
-    The collapsed node carries the highest-severity annotation among the
-    paths whose endpoints both lie inside the cycle.  Every output
-    interface inside the cycle derives labels from (a) the streams entering
-    the cycle from outside, through the collapsed annotation, and (b) any
+    The collapsed node carries every distinct annotation among the paths
+    whose endpoints both lie inside the cycle.  Every output interface
+    inside the cycle derives labels from (a) the streams entering the
+    cycle from outside, through each of those annotations, and (b) any
     non-cycle paths reaching it, through their own annotations.
     """
     members = {node[1] for node in scc}
     in_nodes = {(c, i) for d, c, i in scc if d == _IN}
     out_nodes = {(c, i) for d, c, i in scc if d == _OUT}
 
-    collapsed_annotation = _collapsed_annotation(dataflow, scc)
+    cycle_annotations = _cycle_annotations(dataflow, scc)
     replicated = any(dataflow.component(name).rep for name in members)
 
     # Labels entering the cycle: (a) streams from outside into in-interfaces
@@ -422,7 +425,7 @@ def _process_cycle(
         component = dataflow.component(comp_name)
         for path in component.paths_into(out_iface):
             if (comp_name, path.from_iface) in in_nodes:
-                continue  # a cycle path: folded into the collapsed annotation
+                continue  # a cycle path: one of the cycle's annotations
             for _stream, label, _rep in _inputs_for(
                 dataflow, comp_name, path.from_iface, stream_labels, stream_rep
             ):
@@ -440,9 +443,10 @@ def _process_cycle(
         steps: list[DerivationStep] = list(direct.get((comp_name, out_iface), ()))
         labels: list[Label] = [step.output_label for step in steps]
         for label in entry_labels:
-            derived = derive_path(label, collapsed_annotation, fds)
-            steps.extend(derived)
-            labels.extend(step.output_label for step in derived)
+            for annotation in cycle_annotations:
+                derived = derive_path(label, annotation, fds)
+                steps.extend(derived)
+                labels.extend(step.output_label for step in derived)
         labels.extend(internal_feed)
         result = reconcile(labels, replicated=replicated, fds=fds)
         record = OutputAnalysis(
@@ -462,19 +466,20 @@ def _process_cycle(
             stream_rep[stream.name] = stream.rep or producer_rep
 
 
-def _collapsed_annotation(dataflow: Dataflow, scc: frozenset[_Node]) -> PathAnnotation:
+def _cycle_annotations(
+    dataflow: Dataflow, scc: frozenset[_Node]
+) -> tuple[PathAnnotation, ...]:
+    """The distinct annotations of the cycle's member paths, in an order
+    fixed by the annotations themselves, not by component names."""
     in_nodes = {(c, i) for d, c, i in scc if d == _IN}
     out_nodes = {(c, i) for d, c, i in scc if d == _OUT}
-    best: PathAnnotation | None = None
-    for comp_name in sorted({node[1] for node in scc}):
-        component = dataflow.component(comp_name)
-        for path in component.paths:
-            if (comp_name, path.from_iface) in in_nodes and (
-                comp_name,
-                path.to_iface,
-            ) in out_nodes:
-                if best is None or path.annotation.severity > best.severity:
-                    best = path.annotation
-    if best is None:
+    annotations = {
+        path.annotation
+        for comp_name in {node[1] for node in scc}
+        for path in dataflow.component(comp_name).paths
+        if (comp_name, path.from_iface) in in_nodes
+        and (comp_name, path.to_iface) in out_nodes
+    }
+    if not annotations:
         raise AnalysisError("cycle contains no member paths; graph inconsistent")
-    return best
+    return tuple(sorted(annotations, key=lambda a: (a.severity, str(a))))

@@ -88,6 +88,21 @@ def _is_weakened_subsequence(minimal, original) -> bool:
     return True
 
 
+def _shrink(schedule, reproduces, *, batches=None, **options):
+    """Drive the shrinker to its outcome, answering each candidate batch
+    with the batch itself (its default ``cell`` is the schedule); the
+    batch sizes are appended to ``batches`` when given."""
+    steps = shrink_schedule(schedule, reproduces, **options)
+    results = None
+    while True:
+        try:
+            results = steps.send(results)
+        except StopIteration as stop:
+            return stop.value
+        if batches is not None:
+            batches.append(len(results))
+
+
 class TestShrinkerProperties:
     @settings(max_examples=60, deadline=None)
     @given(schedules, st.data())
@@ -112,7 +127,7 @@ class TestShrinkerProperties:
                     return False
             return True
 
-        outcome = shrink_schedule(schedule, reproduces, budget=500)
+        outcome = _shrink(schedule, reproduces, budget=500)
         assert not outcome.exhausted
         assert outcome.one_minimal
         assert reproduces(outcome.schedule)  # verdict reproduced
@@ -133,7 +148,7 @@ class TestShrinkerProperties:
         def reproduces(candidate):
             return any(isinstance(f, kind) for f in candidate.faults)
 
-        outcome = shrink_schedule(schedule, reproduces, budget=500)
+        outcome = _shrink(schedule, reproduces, budget=500)
         assert not outcome.exhausted
         assert outcome.one_minimal
         assert reproduces(outcome.schedule)
@@ -151,7 +166,7 @@ class TestShrinkerProperties:
             calls["n"] += 1
             return True  # everything reproduces: shrink to nothing
 
-        outcome = shrink_schedule(schedule, reproduces, budget=10)
+        outcome = _shrink(schedule, reproduces, budget=10)
         assert outcome.trials == calls["n"]
         # soft cap: a phase checks before each batch, so the count may
         # overshoot by at most one batch (= len(faults) candidates)
@@ -163,7 +178,7 @@ class TestShrinkerProperties:
 class TestShrinkerEdges:
     def test_zero_budget_returns_original_unclaimed(self):
         schedule = FaultSchedule("s", (Loss(0.1, 0.4, 0.8),))
-        outcome = shrink_schedule(schedule, lambda s: True, budget=0)
+        outcome = _shrink(schedule, lambda s: True, budget=0)
         assert outcome.schedule == schedule
         assert outcome.trials == 0
         assert outcome.exhausted
@@ -177,7 +192,7 @@ class TestShrinkerEdges:
         def reproduces(candidate):
             return any(isinstance(f, Loss) for f in candidate.faults)
 
-        outcome = shrink_schedule(schedule, reproduces, budget=100)
+        outcome = _shrink(schedule, reproduces, budget=100)
         assert outcome.one_minimal
         (loss,) = outcome.schedule.faults
         assert isinstance(loss, Loss)
@@ -194,15 +209,15 @@ class TestShrinkerEdges:
         def reproduces(candidate):
             return sum(isinstance(f, Loss) for f in candidate.faults) >= 1
 
-        serial = shrink_schedule(schedule, reproduces, budget=200)
-        batched = shrink_schedule(
-            schedule,
-            reproduces,
-            budget=200,
-            reproduces_many=lambda batch: [reproduces(c) for c in batch],
-        )
-        assert serial.schedule == batched.schedule
-        assert serial.trials == batched.trials
+        batches: list[int] = []
+        outcome = _shrink(schedule, reproduces, budget=200, batches=batches)
+        # a removal pass is one batch (the first reproducing candidate in
+        # order wins), each bisection probe a batch of its own
+        assert batches[:3] == [3, 2, 1]
+        assert set(batches[3:]) == {1}
+        assert outcome.trials == sum(batches)
+        (loss,) = outcome.schedule.faults
+        assert loss.at == pytest.approx(0.3)
 
 
 class TestCompositeGenerator:
@@ -327,3 +342,86 @@ class TestFrontierCampaign:
         assert report.engine is not None
         text = render_frontier(report)
         assert "severity frontier" in text and "holds" in text
+
+    def test_bisection_rounds_converge_in_lockstep(self, monkeypatch):
+        """Two pairs bisect side by side against a synthetic cell whose
+        verdict flips at a known intensity; the third holds throughout.
+
+        The fake reads the intensity back off the envelope schedule's
+        reorder factor (8 at full intensity, interpolated toward 1)."""
+        import repro.chaos.campaign as campaign
+        from repro.chaos.schedule import Reorder, schedule_from_dict
+        from repro.chaos.search import frontier_campaign
+
+        flips_at = {"uncoordinated": 0.3, "sealed": 0.7}
+
+        def fake_cell(*, strategy, schedule_spec, **_params):
+            reorders = [
+                f for f in schedule_from_dict(schedule_spec).faults
+                if isinstance(f, Reorder)
+            ]
+            intensity = (reorders[0].factor - 1.0) / 7.0 if reorders else 0.0
+            broken = intensity >= flips_at.get(strategy, 2.0)
+            return {
+                "predicted": "Async",
+                "observed": "Diverge" if broken else "Async",
+                "observed_severity": 5 if broken else 2,
+                "status": "unsound" if broken else "sound",
+                "consistent": not broken,
+                "coordinated": strategy != "uncoordinated",
+            }
+
+        monkeypatch.setattr(campaign, "_cell_metrics", fake_cell)
+        report = frontier_campaign(["kvs"], smoke=True, steps=3, jobs=1, cache=None)
+        pinned = {
+            r.name: (r["frontier"], r["probes"], r["holds"]) for r in report
+        }
+        assert pinned == {
+            # 0.5 breaks, 0.25 holds, 0.375 breaks
+            "kvs/uncoordinated": (0.375, 5, False),
+            # 0.5 holds, 0.75 breaks, 0.625 holds
+            "kvs/sealed": (0.75, 5, False),
+            "kvs/ordered": (None, 2, True),
+        }
+        # the endpoints batch, then one batch per bisection round
+        assert report.engine["batches"] == 4
+        assert report.engine["cells"] == 3 * 2 + 2 * 3
+
+
+def _without_timing(value):
+    if isinstance(value, dict):
+        return {
+            key: _without_timing(item)
+            for key, item in value.items()
+            if key not in ("engine", "wall_seconds", "cpu_seconds")
+        }
+    if isinstance(value, list):
+        return [_without_timing(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "sweep, options",
+    [
+        ("search", dict(apps=["wordcount"], candidates=2, budget=8)),
+        ("frontier", dict(apps=["kvs"], steps=2)),
+    ],
+)
+def test_adaptive_sweeps_do_not_depend_on_jobs(sweep, options):
+    """The loop owns the fan-out: the golden search and frontier give the
+    same payload serially and on a two-worker pool."""
+    from repro.bench import BenchReport
+    from repro.chaos.search import frontier_campaign, search_campaign
+    from repro.exec import shutdown_shared_pool
+
+    campaign, to_dict = {
+        "search": (search_campaign, dict),
+        "frontier": (frontier_campaign, BenchReport.to_dict),
+    }[sweep]
+    try:
+        serial = to_dict(campaign(smoke=True, jobs=1, cache=None, **options))
+        pooled = to_dict(campaign(smoke=True, jobs=2, cache=None, **options))
+    finally:
+        shutdown_shared_pool()
+    assert pooled["engine"]["jobs"] == 2
+    assert _without_timing(serial) == _without_timing(pooled)

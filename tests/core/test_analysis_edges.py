@@ -186,3 +186,37 @@ def test_stream_leaving_a_cycle_is_replicated_iff_its_producer_is(
         assert result.label_of(f"sink-{producer}").kind is expected
     assert result.stream_rep["ab"] is first_rep
     assert result.stream_rep["ba"] is second_rep
+
+
+@pytest.mark.parametrize("sealed_member", ["a", "b"])
+def test_cycle_labels_do_not_depend_on_member_names(sealed_member):
+    """Two replicated members gossip in a cycle: ``OW[x]`` on one, ``OW[y]``
+    on the other.  Records sealed on ``x`` enter at the ``OW[x]`` member
+    but still cross the ``OW[y]`` path, so every stream diverges — whether
+    the ``OW[x]`` member's name sorts first or last."""
+    other = "b" if sealed_member == "a" else "a"
+    flow = Dataflow("two-gate-gossip")
+    flow.add_component(sealed_member, rep=True).add_path("i0", "o0", OW("x"))
+    flow.add_component(other, rep=True).add_path("i0", "o0", OW("y"))
+    flow.add_stream("src", dst=(sealed_member, "i0"), seal=["x"])
+    flow.add_stream("fwd", src=(sealed_member, "o0"), dst=(other, "i0"))
+    flow.add_stream("back", src=(other, "o0"), dst=(sealed_member, "i0"))
+    flow.add_stream("sink", src=(other, "o0"))
+    result = analyze(flow)
+    assert result.cycles == (frozenset({"a", "b"}),)
+    labels = {name: result.label_of(name).kind for name in ("fwd", "back", "sink")}
+    assert labels == dict.fromkeys(labels, LabelKind.DIVERGE)
+
+
+def test_cycle_derives_through_each_member_annotation():
+    """The most severe member annotation is not the whole story: ``OW[x]``
+    consumes a ``Seal[x]`` input to ``Async``, but the less severe
+    ``OR[y]`` member still reads it out of order (``Run``)."""
+    flow = Dataflow("or-and-ow-gossip")
+    flow.add_component("a").add_path("i0", "o0", OW("x"))
+    flow.add_component("b").add_path("i0", "o0", OR("y"))
+    flow.add_stream("src", dst=("a", "i0"), seal=["x"])
+    flow.add_stream("fwd", src=("a", "o0"), dst=("b", "i0"))
+    flow.add_stream("back", src=("b", "o0"), dst=("a", "i0"))
+    flow.add_stream("sink", src=("b", "o0"))
+    assert analyze(flow).label_of("sink").kind is LabelKind.RUN

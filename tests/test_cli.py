@@ -283,6 +283,25 @@ def test_audit_of_zero_cells_never_exits_zero(capsys):
     assert "no cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", [["audit", "--search"], ["frontier"]])
+def test_adaptive_sweep_of_zero_cells_never_exits_zero(verb, capsys):
+    """Not "0 cells ... sound" nor "0/0 cells hold": an empty first batch
+    is the sweep loop's error, whichever sweep yielded it."""
+    assert main([*verb, "--smoke", "--apps", ",", "--no-cache", "--no-report"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "selected no cells" in captured.err
+
+
+def test_matrix_of_zero_cells_is_an_error(monkeypatch):
+    import repro.chaos.campaign as campaign
+    from repro.errors import BlazesError
+
+    monkeypatch.setattr(campaign, "matrix_apps", lambda: ())
+    with pytest.raises(BlazesError, match="selected no cells"):
+        campaign.matrix_campaign(smoke=True)
+
+
 def test_audit_json_reports_summary(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
     assert main([
