@@ -29,30 +29,34 @@ carries ``Rep`` or its own producer does — also when that producer sits in
 a collapsed cycle: the cycle's members share one reconciliation, but each
 stream leaving it takes the flag of the member that emits it.
 
-The pass is linear in components + streams + paths: every adjacency
-question is a lookup in the graph's index (:mod:`repro.core.graph`), asked
-a bounded number of times per interface.
+One call numbers the interface graph once: each ``(direction, component,
+interface)`` node gets a dense integer in the order a sweep over the
+components' paths first meets it, and the same sweep and one over the
+streams fill the lists the labelling reads — successors, the paths into
+each output node, the streams into each input node and out of each output
+node.  Tarjan, the condensation order and the labelling index lists; no
+step re-scans a component or hashes a node.  Within the call each Figure 9
+step is derived once per ``(label, annotation)`` and each reconciliation
+once per ``(label set, replicated)``: both are pure functions of frozen,
+hashable values and of ``fds``, which is fixed for the call, and
+``reconcile`` reduces its input to a frozenset itself.  The pass is linear
+in components + streams + paths, however they are distributed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from collections.abc import Iterable
 
 from repro.core.annotations import PathAnnotation
 from repro.core.fd import FDSet
-from repro.core.graph import Component, Dataflow, Stream
+from repro.core.graph import Dataflow, Stream
 from repro.core.inference import DerivationStep, derive_path
-from repro.core.labels import Async, Label, LabelKind, Seal
+from repro.core.labels import Async, Label, Seal
 from repro.core.reconciliation import ReconciliationResult, reconcile
 from repro.errors import AnalysisError
 
 __all__ = ["OutputAnalysis", "AnalysisResult", "analyze"]
-
-_IN = "in"
-_OUT = "out"
-_Node = tuple[str, str, str]  # (direction, component, interface)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -141,51 +145,250 @@ class AnalysisResult:
 def analyze(dataflow: Dataflow, fds: FDSet | None = None) -> AnalysisResult:
     """Derive labels for every stream and output interface of ``dataflow``."""
     dataflow.validate()
-    fds = fds if fds is not None else FDSet()
+    return _Pass(dataflow, fds if fds is not None else FDSet()).run()
 
-    nodes, edges = _interface_graph(dataflow)
-    sccs = _tarjan(nodes, edges)
-    nontrivial = [scc for scc in sccs if len(scc) > 1]
-    node_scc: dict[_Node, int] = {}
-    for index, scc in enumerate(sccs):
-        for node in scc:
-            node_scc[node] = index
 
-    stream_labels: dict[str, Label] = {}
-    stream_rep: dict[str, bool] = {}
-    for stream in dataflow.external_inputs:
-        stream_labels[stream.name] = _external_label(stream)
-        stream_rep[stream.name] = stream.rep
+class _Pass:
+    """One call of :func:`analyze`: the numbered interface graph, the
+    labels derived so far and the call's two memos.
 
-    outputs: dict[tuple[str, str], OutputAnalysis] = {}
-    cycles = tuple(
-        frozenset(node[1] for node in scc) for scc in nontrivial
+    Node ``n`` is an output interface when ``is_out[n]``; ``comp[n]``
+    indexes ``components`` and ``iface[n]`` names the interface.
+    ``into[n]`` is what feeds it: for an output node, ``(input node,
+    annotation)`` per path into it; for an input node, the streams into it
+    — both in declaration order.  ``streams_out`` maps an output node to
+    the streams leaving it, also in declaration order.
+    """
+
+    __slots__ = (
+        "dataflow", "fds", "components", "ids", "is_out", "comp", "iface", "succ",
+        "into", "streams_out", "fed_rep", "scc_of", "stream_labels", "stream_rep",
+        "outputs", "_derived", "_reconciled",
     )
 
-    order = _condensation_order(sccs, edges, node_scc)
-    for scc_index in order:
-        scc = sccs[scc_index]
-        if len(scc) == 1:
-            node = next(iter(scc))
-            if node[0] == _OUT:
-                _process_output(dataflow, node[1], node[2], fds, stream_labels, stream_rep, outputs)
-        else:
-            _process_cycle(dataflow, scc, fds, stream_labels, stream_rep, outputs)
+    def __init__(self, dataflow: Dataflow, fds: FDSet) -> None:
+        self.dataflow = dataflow
+        self.fds = fds
+        self.components = dataflow.components
+        self.stream_labels: dict[str, Label] = {}
+        self.stream_rep: dict[str, bool] = {}
+        self.outputs: dict[tuple[str, str], OutputAnalysis] = {}
+        self._derived: dict[tuple[Label, PathAnnotation], tuple[DerivationStep, ...]] = {}
+        self._reconciled: dict[tuple[frozenset[Label], bool], ReconciliationResult] = {}
+        self._number()
 
-    missing = [
-        s.name for s in dataflow.streams if s.name not in stream_labels
-    ]
-    if missing:
-        raise AnalysisError(f"streams left unlabeled: {missing}")
+    def _number(self) -> None:
+        """Number the nodes in first-seen order and fill the tables."""
+        is_out: list[bool] = []
+        comp: list[int] = []
+        iface: list[str] = []
+        succ: list[list[int]] = []
+        into: list[list] = []
+        # per component name: its number and its input and output node ids
+        ids: dict[str, tuple[int, dict[str, int], dict[str, int]]] = {}
+        for c, component in enumerate(self.components):
+            ins: dict[str, int] = {}
+            outs: dict[str, int] = {}
+            ids[component.name] = (c, ins, outs)
+            for path in component.paths:
+                src = ins.get(path.from_iface)
+                if src is None:
+                    src = ins[path.from_iface] = len(is_out)
+                    is_out.append(False)
+                    comp.append(c)
+                    iface.append(path.from_iface)
+                    succ.append([])
+                    into.append([])
+                dst = outs.get(path.to_iface)
+                if dst is None:
+                    dst = outs[path.to_iface] = len(is_out)
+                    is_out.append(True)
+                    comp.append(c)
+                    iface.append(path.to_iface)
+                    succ.append([])
+                    into.append([])
+                succ[src].append(dst)
+                into[dst].append((src, path.annotation))
 
-    return AnalysisResult(
-        dataflow=dataflow,
-        fds=fds,
-        outputs=outputs,
-        stream_labels=stream_labels,
-        stream_rep=stream_rep,
-        cycles=cycles,
-    )
+        streams_out: dict[int, list[Stream]] = {}
+        # a component counts as replicated once a replicated stream into it is
+        # known: its own ``Rep`` or a stream's ``Rep`` from the start, a
+        # stream whose producer is ``Rep`` from when that stream is labeled —
+        # what a scan of the labeled streams' flags would find at each output
+        fed_rep = [component.rep for component in self.components]
+        for stream in self.dataflow.streams:
+            dst = -1
+            if stream.dst is not None:
+                consumer, ins, _outs = ids[stream.dst[0]]
+                dst = ins[stream.dst[1]]
+                into[dst].append(stream)
+                if stream.rep:
+                    fed_rep[consumer] = True
+            if stream.src is None:
+                self.stream_labels[stream.name] = _external_label(stream)
+                self.stream_rep[stream.name] = stream.rep
+                continue
+            src = ids[stream.src[0]][2][stream.src[1]]
+            streams_out.setdefault(src, []).append(stream)
+            if dst >= 0:
+                succ[src].append(dst)
+        self.ids, self.is_out, self.comp, self.iface = ids, is_out, comp, iface
+        self.succ, self.into, self.streams_out, self.fed_rep = succ, into, streams_out, fed_rep
+
+    def run(self) -> AnalysisResult:
+        sccs, self.scc_of = _tarjan(self.succ)
+        for k in _condensation_order(self.succ, sccs, self.scc_of):
+            members = sccs[k]
+            if len(members) > 1:
+                self._process_cycle(k, members)
+            elif self.is_out[members[0]]:
+                self._process_output(members[0])
+
+        if len(self.stream_labels) != len(self.dataflow.streams):
+            missing = [s.name for s in self.dataflow.streams if s.name not in self.stream_labels]
+            raise AnalysisError(f"streams left unlabeled: {missing}")
+        names = [component.name for component in self.components]
+        return AnalysisResult(
+            dataflow=self.dataflow,
+            fds=self.fds,
+            outputs=self.outputs,
+            stream_labels=self.stream_labels,
+            stream_rep=self.stream_rep,
+            cycles=tuple(
+                frozenset(names[self.comp[node]] for node in scc)
+                for scc in sccs
+                if len(scc) > 1
+            ),
+        )
+
+    # ------------------------------------------------------------------
+    # the two memos
+    # ------------------------------------------------------------------
+    def _derive(self, label: Label, annotation: PathAnnotation) -> tuple[DerivationStep, ...]:
+        key = (label, annotation)
+        steps = self._derived.get(key)
+        if steps is None:
+            steps = self._derived[key] = tuple(derive_path(label, annotation, self.fds))
+        return steps
+
+    def _reconcile(self, labels: frozenset[Label], replicated: bool) -> ReconciliationResult:
+        key = (labels, replicated)
+        result = self._reconciled.get(key)
+        if result is None:
+            result = self._reconciled[key] = reconcile(
+                labels, replicated=replicated, fds=self.fds
+            )
+        return result
+
+    # ------------------------------------------------------------------
+    # labelling
+    # ------------------------------------------------------------------
+    def _process_output(self, out: int) -> None:
+        stream_labels = self.stream_labels
+        steps: list[DerivationStep] = []
+        for src, annotation in self.into[out]:
+            for stream in self.into[src]:
+                steps += self._derive(stream_labels[stream.name], annotation)
+        replicated = self.fed_rep[self.comp[out]]
+        result = self._reconcile(frozenset(step.output_label for step in steps), replicated)
+        self._record(out, steps, result, replicated, collapsed=False)
+
+    def _process_cycle(self, k: int, members: list[int]) -> None:
+        """Collapse one interface-level cycle and label its outputs.
+
+        The collapsed node carries every distinct annotation among the paths
+        whose endpoints both lie inside the cycle.  Every output interface
+        inside the cycle derives labels from (a) the streams entering the
+        cycle from outside, through each of those annotations, and (b) any
+        non-cycle paths reaching it, through their own annotations.
+        """
+        scc_of, stream_labels = self.scc_of, self.stream_labels
+        # in name order, which orders `steps` and `outputs` but no label:
+        # every output of the cycle reconciles the same entry labels, as a set
+        ordered = sorted(members, key=lambda n: (self.components[self.comp[n]].name, self.iface[n]))
+        in_nodes = [n for n in ordered if not self.is_out[n]]
+        out_nodes = [n for n in ordered if self.is_out[n]]
+
+        annotations = {
+            annotation
+            for out in out_nodes
+            for src, annotation in self.into[out]
+            if scc_of[src] == k
+        }
+        if not annotations:
+            raise AnalysisError("cycle contains no member paths; graph inconsistent")
+        # an order fixed by the annotations themselves, not by component names;
+        # it orders `steps` only, since the derived labels reconcile as a set
+        cycle_annotations = sorted(annotations, key=lambda a: (a.severity, str(a)))
+        replicated = any(self.components[c].rep for c in {self.comp[n] for n in members})
+
+        # Labels entering the cycle: (a) streams from outside into in-interfaces
+        # that belong to the cycle...
+        entry_labels: list[Label] = []
+        for node in in_nodes:
+            for stream in self.into[node]:
+                producer = stream.src
+                if producer is not None and scc_of[self.ids[producer[0]][2][producer[1]]] == k:
+                    continue  # intra-cycle stream: labeled when the cycle resolves
+                entry_labels.append(stream_labels[stream.name])
+                replicated = replicated or self.stream_rep[stream.name]
+
+        # ...and (b) outputs of non-cycle paths that terminate at a cycle
+        # interface: those records circulate through the cycle too.  Their
+        # direct derivations also appear at their own output interface.
+        direct: dict[int, list[DerivationStep]] = {}
+        internal_feed: list[Label] = []
+        for out in out_nodes:
+            for src, annotation in self.into[out]:
+                if scc_of[src] == k:
+                    continue  # a cycle path: one of the cycle's annotations
+                for stream in self.into[src]:
+                    derived = self._derive(stream_labels[stream.name], annotation)
+                    direct.setdefault(out, []).extend(derived)
+                    for step in derived:
+                        # tainted state anywhere in the cycle contaminates
+                        # every member
+                        feed = internal_feed if step.output_label.is_internal else entry_labels
+                        feed.append(step.output_label)
+
+        entry_steps = [
+            step
+            for label in entry_labels
+            for annotation in cycle_annotations
+            for step in self._derive(label, annotation)
+        ]
+        for out in out_nodes:
+            steps = direct.get(out, []) + entry_steps
+            labels = frozenset(step.output_label for step in steps).union(internal_feed)
+            result = self._reconcile(labels, replicated)
+            self._record(out, steps, result, replicated, collapsed=True)
+
+    def _record(
+        self,
+        out: int,
+        steps: list[DerivationStep],
+        result: ReconciliationResult,
+        replicated: bool,
+        collapsed: bool,
+    ) -> None:
+        component = self.components[self.comp[out]]
+        self.outputs[(component.name, self.iface[out])] = OutputAnalysis(
+            component=component.name,
+            interface=self.iface[out],
+            steps=tuple(steps),
+            reconciliation=result,
+            replicated=replicated,
+            collapsed=collapsed,
+        )
+        # Stream replication is the producing component's Rep flag (or the
+        # stream's own annotation), inside a cycle as outside one; the
+        # consumer-side flag does not make the produced stream replicated.
+        for stream in self.streams_out.get(out, ()):
+            rep = stream.rep or component.rep
+            self.stream_labels[stream.name] = result.merged
+            self.stream_rep[stream.name] = rep
+            if rep and stream.dst is not None:
+                self.fed_rep[self.ids[stream.dst[0]][0]] = True
 
 
 # ----------------------------------------------------------------------
@@ -203,98 +406,80 @@ def _external_label(stream: Stream) -> Label:
     return Async()
 
 
-def _interface_graph(
-    dataflow: Dataflow,
-) -> tuple[list[_Node], dict[_Node, list[_Node]]]:
-    nodes: list[_Node] = []
-    edges: dict[_Node, list[_Node]] = {}
+def _tarjan(succ: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Iterative Tarjan strongly-connected components.
 
-    def ensure(node: _Node) -> _Node:
-        if node not in edges:
-            edges[node] = []
-            nodes.append(node)
-        return node
-
-    for component in dataflow.components:
-        for path in component.paths:
-            src = ensure((_IN, component.name, path.from_iface))
-            dst = ensure((_OUT, component.name, path.to_iface))
-            edges[src].append(dst)
-    for stream in dataflow.streams:
-        if stream.src is None or stream.dst is None:
-            continue
-        src = ensure((_OUT, stream.src[0], stream.src[1]))
-        dst = ensure((_IN, stream.dst[0], stream.dst[1]))
-        edges[src].append(dst)
-    return nodes, edges
-
-
-def _tarjan(
-    nodes: Iterable[_Node], edges: dict[_Node, list[_Node]]
-) -> list[frozenset[_Node]]:
-    """Iterative Tarjan strongly-connected components."""
-    index: dict[_Node, int] = {}
-    lowlink: dict[_Node, int] = {}
-    on_stack: set[_Node] = set()
-    stack: list[_Node] = []
+    Returns the components in completion order and each node's component
+    number; a node with an index but no component yet is on the stack.
+    """
+    count = len(succ)
+    index = [-1] * count
+    lowlink = [0] * count
+    scc_of = [-1] * count
+    stack: list[int] = []
+    sccs: list[list[int]] = []
     counter = 0
-    sccs: list[frozenset[_Node]] = []
 
-    for root in nodes:
-        if root in index:
+    for root in range(count):
+        if index[root] >= 0:
             continue
-        work: list[tuple[_Node, int]] = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            node, child_index = work.pop()
-            if child_index == 0:
-                index[node] = counter
-                lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            children = edges.get(node, [])
-            for position in range(child_index, len(children)):
-                child = children[position]
-                if child not in index:
-                    work.append((node, position + 1))
-                    work.append((child, 0))
-                    recurse = True
+            node, children = work[-1]
+            for child in children:
+                if index[child] < 0:
+                    index[child] = lowlink[child] = counter
+                    counter += 1
+                    stack.append(child)
+                    work.append((child, iter(succ[child])))
                     break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if recurse:
-                continue
-            if lowlink[node] == index[node]:
-                members: set[_Node] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    members.add(member)
-                    if member == node:
-                        break
-                sccs.append(frozenset(members))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return sccs
+                if scc_of[child] < 0 and index[child] < lowlink[node]:
+                    lowlink[node] = index[child]
+            else:
+                work.pop()
+                if lowlink[node] == index[node]:
+                    k = len(sccs)
+                    members: list[int] = []
+                    while True:
+                        member = stack.pop()
+                        scc_of[member] = k
+                        members.append(member)
+                        if member == node:
+                            break
+                    sccs.append(members)
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[node] < lowlink[parent]:
+                        lowlink[parent] = lowlink[node]
+    return sccs, scc_of
 
 
 def _condensation_order(
-    sccs: list[frozenset[_Node]],
-    edges: dict[_Node, list[_Node]],
-    node_scc: dict[_Node, int],
+    succ: list[list[int]], sccs: list[list[int]], scc_of: list[int]
 ) -> list[int]:
-    """Topological order over the condensation (Kahn's algorithm)."""
-    successors: dict[int, set[int]] = {i: set() for i in range(len(sccs))}
-    indegree: dict[int, int] = {i: 0 for i in range(len(sccs))}
-    for src, children in edges.items():
-        for dst in children:
-            a, b = node_scc[src], node_scc[dst]
-            if a != b and b not in successors[a]:
-                successors[a].add(b)
-                indegree[b] += 1
-    ready = deque(sorted(i for i, deg in indegree.items() if deg == 0))
+    """Topological order over the condensation (Kahn's algorithm).
+
+    Ties go to the lower component number, which follows declaration
+    order.  Any topological order labels alike — an SCC is processed after
+    every SCC that feeds it — except through ``fed_rep``: a component's
+    flag reads streams into its *other* interfaces, which this order may
+    or may not have labeled yet.
+    """
+    successors: list[list[int]] = [[] for _ in sccs]
+    indegree = [0] * len(sccs)
+    last_from = [-1] * len(sccs)
+    for a, members in enumerate(sccs):
+        for node in members:
+            for child in succ[node]:
+                b = scc_of[child]
+                if b != a and last_from[b] != a:
+                    last_from[b] = a
+                    successors[a].append(b)
+                    indegree[b] += 1
+    ready = deque(k for k, degree in enumerate(indegree) if degree == 0)
     order: list[int] = []
     while ready:
         current = ready.popleft()
@@ -306,180 +491,3 @@ def _condensation_order(
     if len(order) != len(sccs):
         raise AnalysisError("condensation is cyclic; Tarjan output inconsistent")
     return order
-
-
-def _inputs_for(
-    dataflow: Dataflow,
-    component: str,
-    in_iface: str,
-    stream_labels: dict[str, Label],
-    stream_rep: dict[str, bool],
-) -> list[tuple[Stream, Label, bool]]:
-    inputs = []
-    for stream in dataflow.streams_into(component, in_iface):
-        if stream.name not in stream_labels:
-            raise AnalysisError(
-                f"stream {stream.name!r} feeding {component}.{in_iface} has no "
-                f"label yet; processing order is inconsistent"
-            )
-        inputs.append(
-            (stream, stream_labels[stream.name], stream_rep.get(stream.name, False))
-        )
-    return inputs
-
-
-def _component_replicated(
-    dataflow: Dataflow,
-    component: Component,
-    stream_rep: dict[str, bool],
-) -> bool:
-    if component.rep:
-        return True
-    return any(
-        stream_rep.get(s.name, False) or s.rep
-        for s in dataflow.streams_into(component.name)
-    )
-
-
-def _process_output(
-    dataflow: Dataflow,
-    component_name: str,
-    out_iface: str,
-    fds: FDSet,
-    stream_labels: dict[str, Label],
-    stream_rep: dict[str, bool],
-    outputs: dict[tuple[str, str], OutputAnalysis],
-) -> None:
-    component = dataflow.component(component_name)
-    steps: list[DerivationStep] = []
-    labels: list[Label] = []
-    for path in component.paths_into(out_iface):
-        for _stream, label, _rep in _inputs_for(
-            dataflow, component_name, path.from_iface, stream_labels, stream_rep
-        ):
-            derived = derive_path(label, path.annotation, fds)
-            steps.extend(derived)
-            labels.extend(step.output_label for step in derived)
-    replicated = _component_replicated(dataflow, component, stream_rep)
-    result = reconcile(labels, replicated=replicated, fds=fds)
-    record = OutputAnalysis(
-        component=component_name,
-        interface=out_iface,
-        steps=tuple(steps),
-        reconciliation=result,
-        replicated=replicated,
-    )
-    outputs[(component_name, out_iface)] = record
-    # Stream replication is the producing component's Rep flag (or the
-    # stream's own annotation); consumer-side replication does not make the
-    # produced stream replicated.
-    for stream in dataflow.streams_from(component_name, out_iface):
-        stream_labels[stream.name] = result.merged
-        stream_rep[stream.name] = stream.rep or component.rep
-
-
-def _process_cycle(
-    dataflow: Dataflow,
-    scc: frozenset[_Node],
-    fds: FDSet,
-    stream_labels: dict[str, Label],
-    stream_rep: dict[str, bool],
-    outputs: dict[tuple[str, str], OutputAnalysis],
-) -> None:
-    """Collapse one interface-level cycle and label its outputs.
-
-    The collapsed node carries every distinct annotation among the paths
-    whose endpoints both lie inside the cycle.  Every output interface
-    inside the cycle derives labels from (a) the streams entering the
-    cycle from outside, through each of those annotations, and (b) any
-    non-cycle paths reaching it, through their own annotations.
-    """
-    members = {node[1] for node in scc}
-    in_nodes = {(c, i) for d, c, i in scc if d == _IN}
-    out_nodes = {(c, i) for d, c, i in scc if d == _OUT}
-
-    cycle_annotations = _cycle_annotations(dataflow, scc)
-    replicated = any(dataflow.component(name).rep for name in members)
-
-    # Labels entering the cycle: (a) streams from outside into in-interfaces
-    # that belong to the cycle...
-    entry_labels: list[Label] = []
-    for comp, iface in sorted(in_nodes):
-        for stream in dataflow.streams_into(comp, iface):
-            if stream.src is not None and (stream.src[0], stream.src[1]) in out_nodes:
-                continue  # intra-cycle stream: labeled when the cycle resolves
-            if stream.name not in stream_labels:
-                raise AnalysisError(
-                    f"stream {stream.name!r} feeding cycle member {comp}.{iface} "
-                    f"has no label yet; processing order is inconsistent"
-                )
-            entry_labels.append(stream_labels[stream.name])
-            replicated = replicated or stream_rep.get(stream.name, False)
-
-    # ...and (b) outputs of non-cycle paths that terminate at a cycle
-    # interface: those records circulate through the cycle too.  Their
-    # direct derivations also appear at their own output interface.
-    direct: dict[tuple[str, str], list[DerivationStep]] = {}
-    internal_feed: list[Label] = []
-    for comp_name, out_iface in sorted(out_nodes):
-        component = dataflow.component(comp_name)
-        for path in component.paths_into(out_iface):
-            if (comp_name, path.from_iface) in in_nodes:
-                continue  # a cycle path: one of the cycle's annotations
-            for _stream, label, _rep in _inputs_for(
-                dataflow, comp_name, path.from_iface, stream_labels, stream_rep
-            ):
-                derived = derive_path(label, path.annotation, fds)
-                direct.setdefault((comp_name, out_iface), []).extend(derived)
-                for step in derived:
-                    if step.output_label.is_internal:
-                        # tainted state anywhere in the cycle contaminates
-                        # every member
-                        internal_feed.append(step.output_label)
-                    else:
-                        entry_labels.append(step.output_label)
-
-    for comp_name, out_iface in sorted(out_nodes):
-        steps: list[DerivationStep] = list(direct.get((comp_name, out_iface), ()))
-        labels: list[Label] = [step.output_label for step in steps]
-        for label in entry_labels:
-            for annotation in cycle_annotations:
-                derived = derive_path(label, annotation, fds)
-                steps.extend(derived)
-                labels.extend(step.output_label for step in derived)
-        labels.extend(internal_feed)
-        result = reconcile(labels, replicated=replicated, fds=fds)
-        record = OutputAnalysis(
-            component=comp_name,
-            interface=out_iface,
-            steps=tuple(steps),
-            reconciliation=result,
-            replicated=replicated,
-            collapsed=True,
-        )
-        outputs[(comp_name, out_iface)] = record
-        # as in _process_output: a stream leaving the cycle is replicated iff
-        # its own producer is, whatever the other members are
-        producer_rep = dataflow.component(comp_name).rep
-        for stream in dataflow.streams_from(comp_name, out_iface):
-            stream_labels[stream.name] = result.merged
-            stream_rep[stream.name] = stream.rep or producer_rep
-
-
-def _cycle_annotations(
-    dataflow: Dataflow, scc: frozenset[_Node]
-) -> tuple[PathAnnotation, ...]:
-    """The distinct annotations of the cycle's member paths, in an order
-    fixed by the annotations themselves, not by component names."""
-    in_nodes = {(c, i) for d, c, i in scc if d == _IN}
-    out_nodes = {(c, i) for d, c, i in scc if d == _OUT}
-    annotations = {
-        path.annotation
-        for comp_name in {node[1] for node in scc}
-        for path in dataflow.component(comp_name).paths
-        if (comp_name, path.from_iface) in in_nodes
-        and (comp_name, path.to_iface) in out_nodes
-    }
-    if not annotations:
-        raise AnalysisError("cycle contains no member paths; graph inconsistent")
-    return tuple(sorted(annotations, key=lambda a: (a.severity, str(a))))

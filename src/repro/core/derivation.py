@@ -45,9 +45,17 @@ def render_chain(result: AnalysisResult, sink_stream: str) -> str:
     if sink.src is None:
         return f"{sink.name} is an external input: {result.label_of(sink.name)}"
 
+    # per component, the inputs feeding each output: one scan of its paths
+    # however many of its outputs the walk visits
+    feeding: dict[str, dict[str, list[str]]] = {}
+
     def upstream(component: str, out_iface: str):
-        for path in dataflow.component(component).paths_into(out_iface):
-            for stream in dataflow.streams_into(component, path.from_iface):
+        if component not in feeding:
+            by_output = feeding[component] = {}
+            for path in dataflow.component(component).paths:
+                by_output.setdefault(path.to_iface, []).append(path.from_iface)
+        for from_iface in feeding[component].get(out_iface, ()):
+            for stream in dataflow.streams_into(component, from_iface):
                 if stream.src is not None:
                     yield stream.src
 

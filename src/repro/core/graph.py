@@ -59,43 +59,43 @@ class Component:
             raise DataflowError("components require a non-empty name")
         self.name = name
         self.rep = rep
-        self._paths: list[Path] = []
+        # keyed by (from_iface, to_iface), in declaration order: the key is
+        # the duplicate check, so declaring n paths costs n lookups
+        self._paths: dict[tuple[str, str], Path] = {}
 
     @property
     def paths(self) -> tuple[Path, ...]:
         """All annotated paths through this component."""
-        return tuple(self._paths)
+        return tuple(self._paths.values())
 
     def add_path(
         self, from_iface: str, to_iface: str, annotation: PathAnnotation
     ) -> Path:
         """Declare a path ``from_iface -> to_iface`` with its annotation."""
-        for existing in self._paths:
-            if existing.from_iface == from_iface and existing.to_iface == to_iface:
-                raise DataflowError(
-                    f"duplicate path {from_iface} -> {to_iface} on component {self.name}"
-                )
-        path = Path(from_iface, to_iface, annotation)
-        self._paths.append(path)
+        if (from_iface, to_iface) in self._paths:
+            raise DataflowError(
+                f"duplicate path {from_iface} -> {to_iface} on component {self.name}"
+            )
+        path = self._paths[from_iface, to_iface] = Path(from_iface, to_iface, annotation)
         return path
 
     @property
     def input_interfaces(self) -> tuple[str, ...]:
         """Input interface names, in declaration order."""
-        return tuple(dict.fromkeys(path.from_iface for path in self._paths))
+        return tuple(dict.fromkeys(from_iface for from_iface, _ in self._paths))
 
     @property
     def output_interfaces(self) -> tuple[str, ...]:
         """Output interface names, in declaration order."""
-        return tuple(dict.fromkeys(path.to_iface for path in self._paths))
+        return tuple(dict.fromkeys(to_iface for _, to_iface in self._paths))
 
     def paths_into(self, out_iface: str) -> tuple[Path, ...]:
         """All paths that terminate at ``out_iface``."""
-        return tuple(p for p in self._paths if p.to_iface == out_iface)
+        return tuple(p for p in self._paths.values() if p.to_iface == out_iface)
 
     def paths_from(self, in_iface: str) -> tuple[Path, ...]:
         """All paths that originate at ``in_iface``."""
-        return tuple(p for p in self._paths if p.from_iface == in_iface)
+        return tuple(p for p in self._paths.values() if p.from_iface == in_iface)
 
     def __repr__(self) -> str:
         rep = ", rep" if self.rep else ""

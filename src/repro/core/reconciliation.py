@@ -123,6 +123,8 @@ def reconcile(
             f" ({'replicated' if replicated else 'single instance'})"
         )
 
+    # sorted only so that `notes` reads the same on every run: each verdict
+    # depends on the whole set (`is_protected`), so no label depends on it
     for label in sorted(label_set, key=str):
         if label.kind is not LabelKind.NDREAD:
             continue

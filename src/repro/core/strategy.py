@@ -181,10 +181,13 @@ def _strategy_for_component(result: AnalysisResult, name: str) -> Strategy:
 
     seal_partitions: list[tuple[str, frozenset[str]]] = []
     if sealable:
+        # each distinct gate once: a component with many paths over one gate
+        # checks each input stream once, not once per path
+        distinct_gates = set(gates)
         for stream in dataflow.streams_into(name):
             key = _seal_key_of(result, stream.name)
             if key is not None and all(
-                compatible(gate, key, result.fds) for gate in gates
+                compatible(gate, key, result.fds) for gate in distinct_gates
             ):
                 seal_partitions.append((stream.name, key))
         if not seal_partitions:

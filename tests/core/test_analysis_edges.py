@@ -220,3 +220,34 @@ def test_cycle_derives_through_each_member_annotation():
     flow.add_stream("back", src=("b", "o0"), dst=("a", "i0"))
     flow.add_stream("sink", src=("b", "o0"))
     assert analyze(flow).label_of("sink").kind is LabelKind.RUN
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a component counts as replicated through a stream into another of "
+    "its interfaces only once that stream is labeled, and which streams are "
+    "labeled first follows declaration order",
+)
+def test_labels_do_not_depend_on_declaration_order():
+    """``X.o0`` (``OW``, fed from outside) and the replicated ``Y`` are
+    independent; ``Y`` also feeds ``X.i1``.  Declared ``X`` first, ``X.o0``
+    is labeled before ``Y.out`` and its sink reads ``Run``; declared ``Y``
+    first, ``Diverge``."""
+
+    def build(y_first: bool) -> Dataflow:
+        flow = Dataflow("order")
+        for name in ("Y", "X") if y_first else ("X", "Y"):
+            if name == "Y":
+                flow.add_component("Y", rep=True).add_path("in", "out", CW())
+            else:
+                x = flow.add_component("X")
+                x.add_path("i0", "o0", OW("k"))
+                x.add_path("i1", "o1", CW())
+        flow.add_stream("e0", dst=("X", "i0"))
+        flow.add_stream("e1", dst=("Y", "in"))
+        flow.add_stream("yx", src=("Y", "out"), dst=("X", "i1"))
+        flow.add_stream("sink0", src=("X", "o0"))
+        flow.add_stream("sink1", src=("X", "o1"))
+        return flow
+
+    assert analyze(build(False)).stream_labels == analyze(build(True)).stream_labels

@@ -1,20 +1,23 @@
 """Whole-dataflow properties: the adjacency index, renaming, rendering.
 
-One strategy draws small dataflows as *recipes* — plain data, so the same
-graph can be declared in a different order or under different names —
-covering self-edges, multi-member cycles, several streams into one
-interface, external inputs, sinks and random ``rep`` / ``seal``.
+Two strategies draw small dataflows as *recipes* — plain data, so the same
+graph can be declared in a different order or under different names.
+``recipes()`` covers self-edges, multi-member cycles, several streams into
+one interface, external inputs, sinks and random ``rep`` / ``seal``;
+``cyclic_recipes()`` draws the multi-member cycles whose members tie, where
+a choice by name would show, and every renaming of them is tried.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import re
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Dataflow, analyze, render_chain
+from repro.core import OR, OW, Dataflow, analyze, render_chain
 from tests.core.test_properties import annotations, attr_sets
 
 Endpoint = tuple[str, str] | None
@@ -83,6 +86,50 @@ def recipes(draw) -> Recipe:
     return Recipe(components, tuple(paths), streams)
 
 
+_gates = st.frozensets(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=2)
+
+
+@st.composite
+def cyclic_recipes(draw) -> Recipe:
+    """Few components, mostly wired into each other: multi-member cycles
+    whose members tie on severity (gated ``OR``/``OW`` over a three-attribute
+    pool) and are entered by streams sealed on those attributes — the shape
+    in which a choice among members by name would show."""
+    names = [f"c{i}" for i in range(draw(st.integers(2, 4)))]
+    components = tuple((name, draw(st.booleans())) for name in names)
+    paths = []
+    for name in names:
+        pairs = draw(
+            st.lists(
+                st.tuples(st.sampled_from(["i0", "i1"]), st.sampled_from(["o0", "o1"])),
+                min_size=1,
+                max_size=2,
+                unique=True,
+            )
+        )
+        paths += [(name, i, o, draw(st.sampled_from([OR, OW]))(draw(_gates))) for i, o in pairs]
+    inputs = sorted({(c, i) for c, i, _, _ in paths})
+    outputs = sorted({(c, o) for c, _, o, _ in paths})
+    # three in four inputs are fed by another member, and sealed external
+    # streams enter anywhere, a cycle's own interfaces included
+    wiring = [
+        (
+            None
+            if draw(st.integers(0, 3)) == 0
+            else draw(st.sampled_from([o for o in outputs if o[0] != dst[0]])),
+            dst,
+        )
+        for dst in inputs
+    ]
+    wiring += [(None, dst) for dst in draw(st.lists(st.sampled_from(inputs), min_size=1, max_size=2))]
+    wiring += [(src, None) for src in draw(st.lists(st.sampled_from(outputs), max_size=2))]
+    streams = tuple(
+        (f"s{n}", src, dst, draw(st.booleans()), draw(_gates) if src is None else None)
+        for n, (src, dst) in enumerate(wiring)
+    )
+    return Recipe(components, tuple(paths), streams)
+
+
 def _check_index_is_the_scan(flow: Dataflow) -> None:
     components = [c.name for c in flow.components] + ["ghost"]
     for component in components:
@@ -126,7 +173,12 @@ def test_analysis_is_invariant_under_renaming(data):
     mapping = {name: new_components[i] for i, (name, _) in enumerate(recipe.components)}
     mapping.update({s[0]: new_streams[i] for i, s in enumerate(recipe.streams)})
 
-    base = analyze(recipe.build())
+    _assert_renaming_alike(recipe, analyze(recipe.build()), mapping)
+
+
+def _assert_renaming_alike(recipe: Recipe, base, mapping: dict[str, str]) -> None:
+    """The analysis of ``recipe`` renamed by ``mapping`` is ``base``, the
+    analysis of ``recipe``, with ``mapping`` applied to its names."""
     renamed = analyze(recipe.build(rename=mapping.__getitem__))
 
     assert {mapping[s]: label for s, label in base.stream_labels.items()} == renamed.stream_labels
@@ -136,6 +188,18 @@ def test_analysis_is_invariant_under_renaming(data):
     }
     assert {frozenset(mapping[c] for c in cycle) for cycle in base.cycles} == set(renamed.cycles)
     assert len(base.cycles) == len(renamed.cycles)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclic_recipes())
+def test_every_component_renaming_labels_alike(recipe):
+    """Exhaustive over names: each of the (up to 24) ways to give the
+    drawn components four names that sort differently labels alike."""
+    base = analyze(recipe.build())
+    streams = {s[0]: s[0] for s in recipe.streams}
+    members = [name for name, _rep in recipe.components]
+    for names in itertools.permutations(["mid", "Zulu", "a9", "beta"], len(members)):
+        _assert_renaming_alike(recipe, base, {**streams, **dict(zip(members, names))})
 
 
 def _upstream_outputs(flow: Dataflow, stream_name: str) -> set[tuple[str, str]]:

@@ -4,7 +4,8 @@ A ``sys.settrace`` line counter (``tools/unexecuted.py``'s tracer)
 restricted to ``repro/core`` repeats exactly from run to run, so the
 growth of executed lines for 4x the components is a fact about the code,
 not about the host.  The shapes are the perf ledger's (``benchmarks/`` is
-not imported) plus the wide hub.
+not imported) plus two single components: a hub with many inputs into one
+output, and a wide one with as many outputs as paths.
 """
 
 from __future__ import annotations
@@ -87,6 +88,18 @@ def hub(n: int, rng: random.Random) -> Dataflow:
     return flow
 
 
+def wide(n: int, rng: random.Random) -> Dataflow:
+    """One component with ``n`` paths ``in_j -> out_j``, each input fed
+    from outside and each output sunk: as many output interfaces as paths."""
+    flow = Dataflow(f"wide-{n}")
+    comp = flow.add_component("wide")
+    for i in range(n):
+        comp.add_path(f"in{i}", f"out{i}", CR() if rng.random() < 1 / 2 else OW("k"))
+        flow.add_stream(f"src{i}", dst=("wide", f"in{i}"), seal=["k"] if i % 2 else None)
+        flow.add_stream("sink" if i == 0 else f"sink{i}", src=("wide", f"out{i}"))
+    return flow
+
+
 def verdict_to_explanation(flow: Dataflow) -> str:
     result = analyze(flow)
     plan = choose_strategies(result)
@@ -100,7 +113,7 @@ def core_lines(call, *args) -> int:
     return count_lines(CORE, call, *args)
 
 
-@pytest.mark.parametrize("shape", [chain, fan, cycles, hub])
+@pytest.mark.parametrize("shape", [chain, fan, cycles, hub, wide])
 def test_executed_core_lines_grow_linearly_with_the_graph(shape):
     small, large = (shape(n, random.Random(f"{shape.__name__}:{n}")) for n in (100, 400))
     base, grown = core_lines(verdict_to_explanation, small), core_lines(verdict_to_explanation, large)

@@ -3,8 +3,10 @@
 ``events_ref`` is the seed discrete-event scheduler, ``naive_engine``
 the textbook Bloom fixpoint with its from-scratch operator evaluation,
 ``network_ref`` the network hop that asks the fault policy about every
-message, and ``telemetry_ref`` the hop telemetry that classified every
-send and derived every span event on the hop.  None is reachable from ``src/``; the differential suites
+message, ``telemetry_ref`` the hop telemetry that classified every
+send and derived every span event on the hop, and ``analysis_ref`` the
+label analysis over string-tuple nodes that derived every step afresh.
+None is reachable from ``src/``; the differential suites
 put them in place of the production code from the outside
 (``tests/test_knobs.py`` fails if ``src/`` ever imports them).
 """

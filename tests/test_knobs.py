@@ -226,6 +226,11 @@ def test_the_graph_index_has_no_knob_and_no_fork():
     for path in sorted((SRC / "repro" / "core").glob("*.py")):
         assert not re.findall(r"lru_cache|functools\.cache", path.read_text()), path.name
 
+    # the string-tuple interface graph lives on only in tests/reference
+    analysis = (SRC / "repro" / "core" / "analysis.py").read_text()
+    for retired in ("_interface_graph", "_Node", "_component_replicated", "_inputs_for"):
+        assert retired not in analysis, retired
+
 
 def test_core_never_imports_the_chaos_layer():
     """``core <- chaos``: the analysis is a leaf the audit builds on, so a
