@@ -149,12 +149,76 @@ def _recount(support: dict, arrived, departed, added: set, removed: set) -> None
 
 
 def _net(added: set, removed: set) -> Delta:
-    """Cancel rows whose support flipped both ways within one round."""
-    both = added & removed
-    if both:
-        added -= both
-        removed -= both
+    """Cancel rows whose support flipped both ways within one round.
+
+    Only a round that moved rows both ways can cancel any; one whose
+    support counts all returned where they started is ``NO_CHANGE``.
+    """
+    if added and removed:
+        both = added & removed
+        if both:
+            added -= both
+            removed -= both
+    elif not added and not removed:
+        return NO_CHANGE
     return added, removed
+
+
+def _count_step(child: Step, key_of: Callable, groups: dict, width: int) -> Step:
+    """A group-by whose every aggregate is ``count``, in streaming form.
+
+    A group's bucket is the set of its child rows, so its count *is*
+    ``len(bucket)`` — exact under duplicates and retractions alike, and
+    its output row is ``key + (count,) * width``, a function of the count.
+    A round notes each touched group's count before its first change; the
+    group's old and new output rows are then built once each, from that
+    count and the bucket's size after the round.
+    """
+
+    def count_by(base):
+        child_added, child_removed = child(base)
+        if not child_removed and len(child_added) == 1:
+            # one arrival, so one group's count moves up by one
+            (row,) = child_added
+            key = key_of(row)
+            bucket = groups.get(key)
+            if bucket is None:
+                groups[key] = {row}
+                return {key + (1,) * width}, NO_ROWS
+            was = len(bucket)
+            bucket.add(row)
+            return {key + (was + 1,) * width}, {key + (was,) * width}
+        if not child_added and not child_removed:
+            return NO_CHANGE
+        before: dict[tuple, int] = {}  # key -> its count before this round
+        for row in child_added:
+            key = key_of(row)
+            bucket = groups.get(key)
+            if bucket is None:
+                bucket = groups[key] = set()
+            if key not in before:
+                before[key] = len(bucket)
+            bucket.add(row)
+        for row in child_removed:
+            key = key_of(row)
+            bucket = groups[key]  # a removed row was in its group
+            if key not in before:
+                before[key] = len(bucket)
+            bucket.discard(row)
+        added, removed = set(), set()
+        for key, was in before.items():
+            now = len(groups[key])
+            if now == was:
+                continue
+            if was:
+                removed.add(key + (was,) * width)
+            if now:
+                added.add(key + (now,) * width)
+            else:
+                del groups[key]
+        return added, removed
+
+    return count_by
 
 
 def _columns(indexes: list[int]) -> Callable[[tuple], tuple]:
@@ -324,6 +388,12 @@ class Project(Node):
             child_added, child_removed = child(base)
             if not child_added and not child_removed:
                 return NO_CHANGE
+            if len(child_added) == 1 == len(child_removed):
+                # one row replaced by one (a group's count moving on): if
+                # both project onto the same row its support is unchanged
+                (new,), (old,) = child_added, child_removed
+                if pick(new) == pick(old):
+                    return NO_CHANGE
             added, removed = set(), set()
             _recount(
                 support, map(pick, child_added), map(pick, child_removed),
@@ -419,12 +489,26 @@ class Select(Node):
         if len(cols) == 1:  # a dict display: a third of the comprehension's cost
             ((name, at),) = cols
 
-            def keep(rows):
+            def passes(row):
+                return predicate({name: row[at]})
+
+            def passing(rows):
                 return {r for r in rows if predicate({name: r[at]})}
         else:
 
-            def keep(rows):
+            def passes(row):
+                return predicate({c: row[i] for c, i in cols})
+
+            def passing(rows):
                 return {r for r in rows if predicate({c: r[i] for c, i in cols})}
+
+        def keep(rows):
+            """The rows that pass; an empty half is ``NO_ROWS`` and a lone
+            row that passes is handed on in its own (unmutated) set."""
+            if len(rows) == 1:
+                (row,) = rows
+                return rows if passes(row) else NO_ROWS
+            return passing(rows) if rows else NO_ROWS
 
         def select(base):
             child_added, child_removed = child(base)
@@ -663,18 +747,16 @@ class GroupBy(Node):
     def _compile(self, build) -> Step:
         child = build(self.child)
         key_of = _columns([self.child._index(k) for k in self.keys])
+        groups: dict[tuple, set] = {}     # key -> set of child rows
+        if all(agg_name == "count" for _out, agg_name, _col in self.aggs):
+            return _count_step(child, key_of, groups, len(self.aggs))
+        # Other aggregates (notably float ``sum``) re-aggregate the groups a
+        # round touched: an incremental accumulator would drift from the
+        # naive engine's recompute.
         agg_fns = [
             (AGGREGATES[agg_name], None if col is None else self.child._index(col))
             for _out, agg_name, col in self.aggs
         ]
-        # ``count`` is the one aggregate with an O(1) streaming form: the
-        # bucket is a set, so the count IS len(bucket) — exact under
-        # duplicates and retractions alike.  Other aggregates (notably
-        # float ``sum``) stay on the re-aggregate path: an incremental
-        # accumulator would drift from the naive engine's recompute.
-        count_only = all(agg_name == "count" for _out, agg_name, _col in self.aggs)
-        width = len(agg_fns)
-        groups: dict[tuple, set] = {}     # key -> set of child rows
         out_rows: dict[tuple, tuple] = {}  # key -> current output row
 
         def group_by(base):
@@ -702,13 +784,10 @@ class GroupBy(Node):
                 rows = groups.get(key)
                 old = out_rows.get(key)
                 if rows:
-                    if count_only:
-                        new = key + (len(rows),) * width
-                    else:
-                        new = key + tuple(
-                            fn(list(rows) if col is None else [row[col] for row in rows])
-                            for fn, col in agg_fns
-                        )
+                    new = key + tuple(
+                        fn(list(rows) if col is None else [row[col] for row in rows])
+                        for fn, col in agg_fns
+                    )
                 else:
                     new = None
                     groups.pop(key, None)

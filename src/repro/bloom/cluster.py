@@ -4,8 +4,8 @@ A :class:`BloomNode` hosts one runtime; channel tuples route over the
 simulated network by their location-specifier column.  Nodes tick lazily —
 whenever input is pending — so virtual time advances with message flow,
 and a scheduled tick whose pending input turns out to be a no-op (see
-:meth:`~repro.bloom.runtime.BloomRuntime.skip_noop_tick`) is skipped
-without re-running the fixpoint at all.
+:meth:`~repro.bloom.runtime.BloomRuntime.tick`) is skipped without
+re-running the fixpoint at all.
 
 Input *delivery policies* implement the coordination strategies the
 analyzer synthesizes (see :mod:`repro.bloom.rewrite`): plain asynchronous
@@ -67,15 +67,16 @@ class BloomNode(Process):
         for plugin in self._plugins:
             if plugin(msg):
                 return
-        if msg.kind == CHANNEL_MSG:
+        kind = msg.kind
+        if kind == CHANNEL_MSG:
             channel, row = msg.payload
-            self.runtime.deliver(channel, tuple(row))
-            self.schedule_tick()
-        elif msg.kind == INSERT_MSG:
+            self.runtime.deliver(channel, row)
+        elif kind == INSERT_MSG:
             collection, rows = msg.payload
-            self.insert(collection, [tuple(r) for r in rows])
+            self.runtime.insert(collection, rows)
         else:
-            raise BloomError(f"node {self.name} got unexpected message {msg.kind}")
+            raise BloomError(f"node {self.name} got unexpected message {kind}")
+        self.schedule_tick()
 
     def _channel_send(self, channel: str, address: str, row: tuple) -> None:
         self.send(address, CHANNEL_MSG, (channel, row))
@@ -98,29 +99,32 @@ class BloomNode(Process):
         wake.arm()
 
     def _do_tick(self) -> None:
-        # quiescence fast path: a tick whose only pending input is
-        # redundant (e.g. duplicated deliveries of rows a table already
-        # holds) is skipped outright instead of re-running the fixpoint
+        runtime = self.runtime
+        evaluated = runtime.tick_count
+        outputs = runtime.tick()
         telemetry = self.sim.telemetry
-        if self.runtime.skip_noop_tick():
+        if runtime.tick_count == evaluated:
+            # quiescence fast path: the runtime consumed a tick whose only
+            # pending input was redundant (e.g. duplicated deliveries of
+            # rows a table already holds) without running the fixpoint
             if telemetry is not None:
                 telemetry.count("bloom.ticks_skipped", self.name)
             return
-        outputs = self.runtime.tick()
         if telemetry is not None:
             telemetry.count("bloom.ticks", self.name)
         last, self._last_outputs = self._last_outputs, outputs
-        for name, rows in outputs.items():
-            if rows is last.get(name):
-                continue  # the very set already logged: nothing is fresh
-            fresh = rows - self.outputs_log[name]
-            if fresh and self.trace is not None:
-                for row in sorted(fresh):
-                    self.trace.record(self.now, self.name, f"output:{name}", row)
-            self.outputs_log[name] |= fresh
+        if outputs is not last:  # the same dict holds only logged sets
+            for name, rows in outputs.items():
+                if rows is last.get(name):
+                    continue  # the very set already logged: nothing is fresh
+                fresh = rows - self.outputs_log[name]
+                if fresh and self.trace is not None:
+                    for row in sorted(fresh):
+                        self.trace.record(self.now, self.name, f"output:{name}", row)
+                self.outputs_log[name] |= fresh
         if self.on_tick is not None:
             self.on_tick(outputs)
-        if self.runtime.has_pending_input:
+        if runtime.has_pending_input:
             self.schedule_tick()
 
     # ------------------------------------------------------------------

@@ -69,26 +69,30 @@ class OrderedInputAdapter:
         node.add_plugin(self.consumer.handle)
         self.applied = 0
         self._queue: deque[tuple[str, tuple]] = deque()
-        self._draining = False
+        self._draining = False  # a released value's step is still ahead
 
     def _enqueue(self, item: tuple[str, tuple]) -> None:
-        self._queue.append(item)
-        self._pump()
+        if self._draining:
+            self._queue.append(item)
+        else:
+            self._apply(item)
 
-    def _pump(self) -> None:
-        if self._draining or not self._queue:
-            return
+    def _apply(self, item: tuple[str, tuple]) -> None:
         self._draining = True
-        collection, row = self._queue.popleft()
-        self.node.insert(collection, [tuple(row)])
+        collection, row = item
+        node = self.node
+        node.runtime.insert(collection, (row,))
+        node.schedule_tick()
         self.applied += 1
         # the tick for this value fires at tick_delay; release the next
         # one strictly after it so no two sequenced values share a step
-        self.node.sim.post(self.node.tick_delay * 1.5, self._release_next)
+        node.sim.post(node.tick_delay * 1.5, self._release_next)
 
     def _release_next(self) -> None:
-        self._draining = False
-        self._pump()
+        if self._queue:
+            self._apply(self._queue.popleft())
+        else:
+            self._draining = False
 
 
 class SealedInputAdapter:

@@ -93,13 +93,14 @@ class _RuleState:
     of each scanned collection published since the rule last fired;
     ``dirty`` says the rule must fire: it never has, its inbox filled, or
     it must ``reassert`` its output into a target that lost rows
-    (``standing``: the target is a standing sink, which never does).  The
+    (``standing``: the target is a standing sink, which never does).
+    ``level`` is the rule's stratum (``None`` for an end-of-step rule).  The
     body's width is checked here, once, and not per derived row.
     """
 
     __slots__ = (
         "rule", "lhs", "scans", "negated", "decl",
-        "step", "out", "inbox", "dirty", "reassert", "standing",
+        "step", "out", "inbox", "dirty", "reassert", "standing", "level",
     )
 
     def __init__(self, rule: Rule, decl: CollectionDecl) -> None:
@@ -115,6 +116,7 @@ class _RuleState:
         self.inbox: dict[str, Delta] = {}
         self.dirty = True
         self.reassert = False
+        self.level = None
 
 
 class BloomRuntime:
@@ -151,6 +153,13 @@ class BloomRuntime:
     One aliasing rule keeps publishing copy-free: a set that has been
     published (handed to ``_record``) is never mutated afterwards, and a
     storage set — which *is* mutated in place — is never a published one.
+
+    The bookkeeping is as sparse as the delta.  The boundary visits the
+    collections with pending input and the transients that hold rows
+    (``_filled``, kept exact: a transient enters it when it gains rows and
+    leaves it at the boundary that clears it), and nothing else.  A
+    stratum is evaluated only while it is in ``_dirty``, the set of strata
+    holding a dirty rule, which every mark of a rule as dirty updates.
     """
 
     def __init__(
@@ -164,9 +173,12 @@ class BloomRuntime:
         self.storage: dict[str, set[tuple]] = {
             decl.name: set() for decl in module.declarations
         }
-        self._collections = tuple(
-            (decl.name, decl.transient) for decl in module.declarations
-        )
+        # what ``insert`` accepts, with the width it checks
+        self._widths = {
+            decl.name: len(decl.schema)
+            for decl in module.declarations
+            if decl.kind is not CollectionKind.OUTPUT
+        }
         self._output_names = tuple(decl.name for decl in module.outputs)
         self._pending_inserts: dict[str, set[tuple]] = {}
         self._pending_deletes: dict[str, set[tuple]] = {}
@@ -174,15 +186,20 @@ class BloomRuntime:
             _RuleState(rule, module.declaration(rule.lhs)) for rule in module.program
         ]
         self._strata = _stratify(module, rules)
+        for level, stratum in enumerate(self._strata):
+            for state in stratum:
+                state.level = level
         self._end_rules = tuple(
             state for state in rules if not state.rule.instantaneous
         )
         # change routing, fixed for the runtime's life: the rules that scan
-        # each collection, and the instantaneous rules that derive it
-        self._readers = {
-            name: tuple(state for state in rules if name in state.scans)
-            for name in self.storage
-        }
+        # each collection with the strata they sit in, and the instantaneous
+        # rules that derive each collection
+        self._readers = {}
+        for name in self.storage:
+            readers = tuple(state for state in rules if name in state.scans)
+            levels = frozenset(s.level for s in readers if s.level is not None)
+            self._readers[name] = readers, levels
         self._writers = {
             name: tuple(s for s in rules if s.lhs == name and s.rule.instantaneous)
             for name in self.storage
@@ -190,18 +207,22 @@ class BloomRuntime:
         # standing sinks (module docstring): the boundary leaves them alone
         # and their writers apply deltas to them in place
         deferred_into = {state.lhs for state in self._end_rules}
-        standing = {
+        self._standing = frozenset(
             name for name in self._output_names
-            if not self._readers[name] and name not in deferred_into
-        }
+            if not self._readers[name][0] and name not in deferred_into
+        )
         for state in rules:
-            state.standing = state.rule.instantaneous and state.lhs in standing
-        self._boundary = tuple(c for c in self._collections if c[0] not in standing)
+            state.standing = state.rule.instantaneous and state.lhs in self._standing
+        self._transient = frozenset(
+            decl.name for decl in module.declarations if decl.transient
+        ) - self._standing
+        self._filled: set[str] = set()
+        self._dirty = set(range(len(self._strata)))
         self._lingering: dict[str, set[tuple]] = {}
         # tick()'s result; ``_stale`` names the snapshots to retake (always
         # the outputs that are not standing: they are re-derived every tick)
         self._outputs = dict.fromkeys(self._output_names, NO_ROWS)
-        self._volatile = frozenset(self._output_names) - standing
+        self._volatile = frozenset(self._output_names) - self._standing
         self._stale = set(self._volatile)
         self.tick_count = 0
         self.ticks_skipped = 0
@@ -210,13 +231,23 @@ class BloomRuntime:
     # external input
     # ------------------------------------------------------------------
     def insert(self, collection: str, rows: Iterable[tuple]) -> None:
-        """Queue tuples for the next timestep (external stimulus)."""
-        decl = self.module.declaration(collection)
-        if decl.kind is CollectionKind.OUTPUT:
+        """Queue tuples for the next timestep (external stimulus).
+
+        A row that is a tuple of the collection's width is queued as it is;
+        anything else goes through the declaration's arity check, which
+        copies it into a tuple or refuses it.
+        """
+        width = self._widths.get(collection)
+        if width is None:
+            self.module.declaration(collection)  # an unknown name raises here
             raise BloomError(f"cannot insert into output interface {collection!r}")
-        pending = self._pending_inserts.setdefault(collection, set())
+        pending = self._pending_inserts.get(collection)
+        if pending is None:
+            pending = self._pending_inserts[collection] = set()
         for row in rows:
-            pending.add(decl.check_arity(row))
+            if type(row) is not tuple or len(row) != width:
+                row = self.module.declaration(collection).check_arity(row)
+            pending.add(row)
 
     def deliver(self, channel: str, row: tuple) -> None:
         """A network delivery into a channel (visible next timestep)."""
@@ -234,76 +265,67 @@ class BloomRuntime:
         return False
 
     # ------------------------------------------------------------------
-    # quiescence
-    # ------------------------------------------------------------------
-    @property
-    def tick_is_noop(self) -> bool:
-        """Would running a tick now leave no observable trace?
-
-        True only when the boundary would change nothing — no pending
-        deletes, every pending insert targets a persistent collection
-        that already holds the row (e.g. a duplicated network delivery),
-        and every transient collection is already empty — *and* the
-        module has no deferred/deletion/async rules (those emit on every
-        tick regardless of change).  Skipping such a tick is exactly
-        equivalent to running it.
-        """
-        if self.tick_count == 0:
-            return False  # the first tick materializes Const-only rules
-        if self._end_rules:
-            return False
-        if any(self._pending_deletes.values()):
-            return False
-        for name, transient in self._collections:
-            pending = self._pending_inserts.get(name)
-            if transient:
-                if pending or self.storage[name]:
-                    return False
-            elif pending and not pending <= self.storage[name]:
-                return False
-        return True
-
-    def skip_noop_tick(self) -> bool:
-        """Consume the pending queues without evaluating, if a no-op.
-
-        The cluster layer's quiescence fast path: returns True (and
-        drains the no-op pending input) when :attr:`tick_is_noop`,
-        otherwise leaves the runtime untouched for a real :meth:`tick`.
-        """
-        if not self.tick_is_noop:
-            return False
-        self._pending_inserts = {}
-        self._pending_deletes = {}
-        self.ticks_skipped += 1
-        return True
-
-    # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
     def tick(self) -> dict[str, frozenset[tuple]]:
         """Run one timestep; returns the contents of output interfaces
-        (the *same* frozenset object for an output that did not change)."""
+        (the *same* frozenset object for an output that did not change).
+
+        A timestep that would leave no trace is consumed at the door: its
+        pending input is dropped, :attr:`ticks_skipped` counts it and
+        :attr:`tick_count` does not.  That is the case when the boundary
+        would change nothing — no pending deletes, every pending insert
+        targets a table that already holds the row (e.g. a duplicated
+        network delivery), every transient is empty — and the module has
+        no deferred/deletion/async rules (those emit every tick regardless
+        of change); the first tick always runs (it materializes
+        ``Const``-only rules).  Skipping such a tick is exactly equivalent
+        to running it.
+        """
         storage = self.storage
+        inserts, deletes = self._pending_inserts, self._pending_deletes
+        if inserts:
+            self._pending_inserts = {}
+        if deletes:
+            self._pending_deletes = {}
+        if (
+            not self._filled
+            and self.tick_count
+            and not self._end_rules
+            and self._quiet(inserts, deletes)
+        ):
+            self.ticks_skipped += 1
+            return self._outputs
 
         # 1. boundary: clear transients, apply deletes then inserts.
-        for name, (added, removed) in self._apply_boundary().items():
-            self._record(name, added, removed)
-            if removed:
-                # rules whose target lost rows must re-assert their cached
-                # output (naive evaluation re-derives it on the stratum's
-                # first iteration)
-                for state in self._writers[name]:
-                    if state.out:
-                        state.reassert = state.dirty = True
+        self._apply_boundary(inserts, deletes)
 
-        # 2. instantaneous strata to fixpoint, wave-aligned.
-        for stratum in self._strata:
-            wave = [state for state in stratum if state.dirty]
+        # 2. instantaneous strata to fixpoint, wave-aligned: a wave fires
+        # the rules of the stratum that are dirty when it starts (firing
+        # dirties nothing; only publishing does, at the wave boundary).
+        dirty, filled, transient = self._dirty, self._filled, self._transient
+        for level, stratum in enumerate(self._strata):
+            if level not in dirty:
+                continue
             first_wave = True
-            while wave:
+            while True:
+                dirty.discard(level)
                 staging = {}  # target -> rows this wave adds to it
-                for state in wave:
-                    added, removed = self._fire(state)
+                for state in stratum:
+                    if not state.dirty:
+                        continue
+                    base = state.inbox
+                    if base and state.step is not None:
+                        # _fire's common case, inlined: consume the inbox
+                        state.dirty = False
+                        state.inbox = {}
+                        added, removed = state.step(base)
+                        if removed:
+                            state.out -= removed
+                        if added:
+                            state.out |= added
+                    else:
+                        added, removed = self._fire(state)
                     if state.standing:
                         if added or removed:
                             self._update_sink(state, added, removed, first_wave)
@@ -311,18 +333,22 @@ class BloomRuntime:
                     if state.reassert:
                         state.reassert = False
                         added = state.out
-                    lhs = state.lhs
-                    fresh = added - storage[lhs]
-                    if fresh:
-                        staging[lhs] = staging[lhs] | fresh if lhs in staging else fresh
+                    if added:
+                        lhs = state.lhs
+                        fresh = added - storage[lhs]
+                        if fresh:
+                            staging[lhs] = staging[lhs] | fresh if lhs in staging else fresh
                 if not staging:
                     break  # nothing published: no rule here went dirty
                 # wave boundary: publish this wave's additions at once,
                 # exactly like naive evaluation's per-iteration snapshot
                 for name, rows in staging.items():
                     storage[name] |= rows
+                    if name in transient:
+                        filled.add(name)
                     self._record(name, rows, NO_ROWS)
-                wave = [state for state in stratum if state.dirty]
+                if level not in dirty:
+                    break
                 first_wave = False
 
         # 3. end of step: deferred / deletion / async rules evaluate
@@ -348,6 +374,17 @@ class BloomRuntime:
             self._stale = set(self._volatile)
         return self._outputs
 
+    def _quiet(self, inserts, deletes) -> bool:
+        """Would a boundary with this pending input change nothing?  Asked
+        only while no transient outside the standing sinks holds rows."""
+        if any(deletes.values()):
+            return False
+        storage, transient = self.storage, self._transient
+        for name, rows in inserts.items():
+            if rows and (name in transient or not rows <= storage[name]):
+                return False
+        return not any(storage[name] for name in self._standing)
+
     # -- change tracking ------------------------------------------------
     def _record(self, name: str, added, removed) -> None:
         """Publish one change to the rules that scan the collection.
@@ -355,7 +392,9 @@ class BloomRuntime:
         A lone change is handed on as-is; a second one for the same
         collection before the rule fires folds into the net change.
         """
-        for state in self._readers[name]:
+        readers, levels = self._readers[name]
+        self._dirty.update(levels)
+        for state in readers:
             state.dirty = True
             inbox = state.inbox
             earlier = inbox.get(name)
@@ -375,8 +414,9 @@ class BloomRuntime:
 
         Returns the net change of the output.  The first firing compiles
         the body and materializes it (every scanned collection's live
-        contents count as added, so each operator builds its index);
-        later firings consume only the inbox.
+        contents count as added, so each operator builds its index) even
+        when nothing arrived; later firings consume only the inbox, and one
+        with an empty inbox changes nothing (a re-assert still follows it).
         """
         state.dirty = False
         base, state.inbox = state.inbox, {}
@@ -408,50 +448,70 @@ class BloomRuntime:
         outs = [state.out for state in self._writers[name]]
         return {row for row in rows if not any(row in out for out in outs)}
 
-    def _apply_boundary(self) -> dict[str, Delta]:
+    def _apply_boundary(self, inserts, deletes) -> None:
         """Start of step: clear transients, apply deletes then inserts.
 
-        Returns the net per-collection ``(added, removed)`` deltas, built
-        from sets nothing mutates afterwards (see the aliasing rule in the
-        class docstring).  Deletes apply before inserts — see the module
-        docstring on simultaneous ``<+``/``<-``.
+        Visits only the transients that hold rows and the collections with
+        pending input (``inserts``/``deletes``, already detached from the
+        queues), and publishes each net ``(added, removed)`` change as it
+        is made, from sets nothing mutates afterwards (see the aliasing
+        rule in the class docstring).  Deletes apply before inserts — see
+        the module docstring on simultaneous ``<+``/``<-``; a delete aimed
+        at a transient is moot, since the boundary empties it anyway.
         """
-        deltas: dict[str, Delta] = {}
         storage = self.storage
-        for name, rows in self._lingering.items():  # retire last step's
-            storage[name] -= self._underived(name, rows)
-            self._stale.add(name)
-        self._lingering.clear()
-        all_inserts, self._pending_inserts = self._pending_inserts, {}
-        all_deletes, self._pending_deletes = self._pending_deletes, {}
-        for name, transient in self._boundary:
+        if self._lingering:
+            for name, rows in self._lingering.items():  # retire last step's
+                storage[name] -= self._underived(name, rows)
+                self._stale.add(name)
+            self._lingering.clear()
+        filled, self._filled = self._filled, set()
+        for name in filled:  # retire the old set: its rows are the removal
             current = storage[name]
-            inserts = all_inserts.get(name)
-            if transient:
-                if not inserts:
-                    if current:  # retire the old set: it is the removal
-                        storage[name] = set()
-                        deltas[name] = (NO_ROWS, current)
-                    continue
-                if not current:
-                    storage[name] = set(inserts)
-                    deltas[name] = (inserts, NO_ROWS)
-                    continue
-                added, removed = inserts - current, current - inserts
-                storage[name] = inserts
+            rows = inserts.pop(name, None)
+            if rows:
+                storage[name] = rows
+                self._filled.add(name)
+                self._publish(name, rows - current, current - rows)
             else:
-                deletes = all_deletes.get(name)
-                if not deletes and not inserts:
-                    continue
-                added = inserts - current if inserts else NO_ROWS
-                removed = deletes & current if deletes else NO_ROWS
-                if removed and inserts:
-                    removed = removed - inserts
-                current -= removed
-                current |= added
-            if added or removed:
-                deltas[name] = (added, removed)
-        return deltas
+                storage[name] = set()
+                self._publish(name, NO_ROWS, current)
+        transient = self._transient
+        for name, rows in inserts.items():
+            if not rows:
+                continue
+            if name in transient:  # an empty one: it was not filled
+                storage[name] = set(rows)
+                self._filled.add(name)
+                self._publish(name, rows, NO_ROWS)
+                continue
+            current = storage[name]
+            dropped = deletes.pop(name, None)
+            added = rows - current
+            removed = dropped & current if dropped else NO_ROWS
+            if removed:
+                removed = removed - rows
+            current -= removed
+            current |= added
+            self._publish(name, added, removed)
+        for name, rows in deletes.items():
+            if rows and name not in transient:
+                removed = rows & storage[name]
+                storage[name] -= removed
+                self._publish(name, NO_ROWS, removed)
+
+    def _publish(self, name: str, added, removed) -> None:
+        """Publish one boundary change.  The rules whose target lost rows
+        re-assert their cached output: naive evaluation re-derives it on
+        the stratum's first iteration."""
+        if not added and not removed:
+            return
+        self._record(name, added, removed)
+        if removed:
+            for state in self._writers[name]:
+                if state.out:
+                    state.reassert = state.dirty = True
+                    self._dirty.add(state.level)
 
     def _send_async(self, channel: str, rows: Iterable[tuple]) -> None:
         decl = self.module.declaration(channel)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
-from repro.coord import zookeeper as zk
 from repro.sim.network import Message
+from repro.wire import ZK_DELIVER as DELIVER
 
 __all__ = ["OrderedInbox", "OrderedConsumer"]
 
@@ -39,11 +39,11 @@ class OrderedInbox:
     def offer(self, seq: int, value: Any) -> int:
         """Accept one delivery; returns how many values were released."""
         pending = self._pending
-        if seq < self._next_seq or seq in pending:
-            self.duplicates += 1
-            return 0
         if seq != self._next_seq:
-            pending[seq] = value
+            if seq < self._next_seq or seq in pending:
+                self.duplicates += 1
+            else:
+                pending[seq] = value
             return 0
         # in order: release it, then whatever it was holding back
         released = 0
@@ -85,7 +85,7 @@ class OrderedConsumer:
 
     def handle(self, msg: Message) -> bool:
         """Route a delivery; returns True when the message was one."""
-        if msg.kind != zk.DELIVER:
+        if msg.kind != DELIVER:
             return False
         topic, seq, value = msg.payload
         inbox = self._inboxes.get(topic)

@@ -265,12 +265,10 @@ class SealManager:
     # ------------------------------------------------------------------
     def _clock(self) -> float:
         """Best-effort simulated time for span events (0.0 without one)."""
-        if self._zk is not None:
-            try:
-                return self._zk.process.now
-            except AssertionError:  # process not registered yet
-                return 0.0
-        return 0.0
+        process = None if self._zk is None else self._zk.process
+        if process is None or process.sim is None:  # not registered yet
+            return 0.0
+        return process.now
 
     def _ensure_producer_set(self, partition: Partition) -> None:
         if partition in self._producer_sets or partition in self._lookups_inflight:

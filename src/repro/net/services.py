@@ -181,7 +181,7 @@ class NetSimulator(Simulator):
                 timeout=self.config.timeout,
                 virtual_time=self._now,
                 fired=self._fired,
-                pending=self._live,
+                pending=self.pending,
             )
         return self._now
 

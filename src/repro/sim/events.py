@@ -88,7 +88,7 @@ class EventHandle:
         if rec[_FN] is not None:
             rec[_FN] = None
             rec[_ARGS] = ()
-            self._sim._live -= 1
+            self._sim._cancelled += 1
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -105,7 +105,7 @@ class Waker:
     no pending wakeup, no heap entry, never polled.
     """
 
-    __slots__ = ("sim", "delay", "fn", "armed")
+    __slots__ = ("sim", "delay", "fn", "armed", "_callback")
 
     def __init__(self, sim, delay: float, fn: Callable[[], None]) -> None:
         if delay < 0:
@@ -114,12 +114,13 @@ class Waker:
         self.delay = delay
         self.fn = fn
         self.armed = False
+        self._callback = self._fire  # bound once, not per arm
 
     def arm(self) -> None:
         """Schedule the wakeup unless one is already pending."""
         if not self.armed:
             self.armed = True
-            self.sim.post(self.delay, self._fire)
+            self.sim.post(self.delay, self._callback)
 
     def _fire(self) -> None:
         self.armed = False
@@ -147,9 +148,9 @@ class Simulator:
         self.rng = random.Random(seed)
         self.now: float = 0.0
         self._queue: list[list] = []
-        self._seq = 0
+        self._seq = 0  # records pushed
         self._fired = 0
-        self._live = 0
+        self._cancelled = 0
         self._profiler = None
         # The attached telemetry hub (repro.obs), read by message-level
         # instrumentation sites; the event loop itself never consults it.
@@ -158,7 +159,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of live scheduled events (cancelled ones excluded)."""
-        return self._live
+        return self._seq - self._fired - self._cancelled
 
     @property
     def fired(self) -> int:
@@ -174,7 +175,6 @@ class Simulator:
         rec = [time, seq, fn, args]
         queue = self._queue
         heappush(queue, rec)
-        self._live += 1
         profiler = self._profiler
         if profiler is not None and len(queue) > profiler.heap_watermark:
             profiler.heap_watermark = len(queue)
@@ -207,7 +207,6 @@ class Simulator:
         self._seq = seq + 1
         queue = self._queue
         heappush(queue, [self.now + delay, seq, fn, args])
-        self._live += 1
         profiler = self._profiler
         if profiler is not None and len(queue) > profiler.heap_watermark:
             profiler.heap_watermark = len(queue)
@@ -269,7 +268,6 @@ class Simulator:
                     continue
                 rec[_FN] = None  # fired: a late EventHandle.cancel no-ops
                 self._fired += 1
-                self._live -= 1
                 fired += 1
                 if self._profiler is not None:
                     self._profiler._note_fire(fn, len(queue))

@@ -78,20 +78,16 @@ class Process:
     """A simulated node: subclass and override :meth:`recv`.
 
     Processes are registered with a :class:`Network`, which routes messages
-    by name.  ``self.send`` is the only way out; the simulator clock is
-    reachable as ``self.now``.
+    by name and sets ``network`` and ``sim`` (``None`` until then).
+    ``self.send`` is the only way out; the simulator clock is reachable as
+    ``self.now``.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.network: "Network | None" = None
+        self.sim: Simulator | None = None
         self.crashed = False
-
-    # wired by Network.register
-    @property
-    def sim(self) -> Simulator:
-        assert self.network is not None, f"{self.name} is not registered"
-        return self.network.sim
 
     @property
     def now(self) -> float:
@@ -154,6 +150,7 @@ class Network:
         # never quiesces.
         self.retry_limit = retry_limit
         self._processes: dict[str, Process] = {}
+        self._unstarted: list[Process] = []  # registered, on_start not yet run
         # reference-counted so overlapping partitions on one link don't
         # heal early when the first window closes
         self._blocked_links: dict[tuple[str, str], int] = {}
@@ -170,7 +167,9 @@ class Network:
         if process.name in self._processes:
             raise SimulationError(f"duplicate process name {process.name!r}")
         process.network = self
+        process.sim = self.sim
         self._processes[process.name] = process
+        self._unstarted.append(process)
         return process
 
     def process(self, name: str) -> Process:
@@ -208,8 +207,14 @@ class Network:
         return (src, dst) in self._blocked_links
 
     def start(self) -> None:
-        """Invoke every process's ``on_start`` hook."""
-        for process in self._processes.values():
+        """Invoke the ``on_start`` hook of every process not yet started.
+
+        Each process starts once, however many times a cluster's ``run``
+        is called: a run resumed after a bounded one (``run(until=t);
+        run()``) must not emit a source's workload twice.
+        """
+        starting, self._unstarted = self._unstarted, []
+        for process in starting:
             process.on_start()
 
     def send(self, src: str, dst: str, kind: str, payload: Any) -> None:

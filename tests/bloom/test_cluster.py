@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.queries import make_report_module
 from repro.bloom.cluster import INSERT_MSG, BloomCluster
 from repro.bloom.module import BloomModule
 from repro.apps.source import PlannedSource
@@ -369,3 +370,37 @@ def test_duplicate_delivery_skips_the_tick():
     assert node.read("t") == {(1,)}
     assert node.ticks_skipped >= 1
     assert node.runtime.tick_count + node.runtime.ticks_skipped >= 3
+
+
+class OneClick(Process):
+    """Sends one click and one request to the report node on start."""
+
+    def on_start(self):
+        self.send("report", INSERT_MSG, ("click", [("c0", 0, "ad0", "u0")]))
+        self.send("report", INSERT_MSG, ("request", [("q0", "ad0")]))
+
+    def recv(self, msg):  # pragma: no cover - nothing answers
+        raise AssertionError(msg)
+
+
+def one_click_run(*bounds: float):
+    """Messages sent, committed clicks and trace rows of a one-click run
+    driven by ``run(until=b)`` for each bound, then ``run()``."""
+    cluster = BloomCluster(seed=3)
+    node = cluster.add_node("report", make_report_module("CAMPAIGN"))
+    cluster.network.register(OneClick("source"))
+    for until in bounds:
+        cluster.run(until=until)
+    cluster.run()
+    return cluster.network.sent, node.read("clicks"), list(cluster.trace)
+
+
+def test_a_run_resumed_after_a_bounded_one_starts_no_process_twice():
+    """``run(until=t); run()`` is one run: a second ``run`` that called
+    every ``on_start`` again would have the source send its click twice."""
+    whole = one_click_run()
+    sent, clicks, rows = whole
+    assert (sent, len(clicks)) == (2, 1)
+    assert [row.event for row in rows] == ["output:response"]
+    assert one_click_run(1e-4) == whole
+    assert one_click_run(1e-4, 2e-3, 1.0) == whole

@@ -19,6 +19,12 @@ ways:
   objects* (the generator above never does), so the compiled pipeline's
   once-per-round answer for a shared node is held to the reference too.
 
+* one-row schedules — exactly one row into one input per tick, the shape
+  of the ordered strategy's sequenced timesteps — over the four Figure 6
+  report modules (thresholds their counts cross mid-run) and both modules
+  above, so the single-row fast paths and a stratum dirtied only by a
+  re-assert are held to the reference too.
+
 Both engines evaluate the *same module instance* on purpose: per-rule
 evaluation state must live in the runtime (the closures of its compiled
 pipelines), never on the shared AST.
@@ -31,6 +37,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.queries import QUERY_NAMES, make_report_module
 from repro.bloom.module import BloomModule
 from repro.bloom.runtime import BloomRuntime
 from repro.errors import BloomError
@@ -184,15 +191,20 @@ def _schedule(seed: int, ticks: int = 5) -> list[list[tuple[str, list[tuple]]]]:
     return plan
 
 
-def _run_differential(module: BloomModule, plan) -> None:
+def _run_differential(module: BloomModule, plan) -> list[dict]:
+    """Drive both engines through ``plan`` in lockstep; returns the
+    outputs of each planned tick."""
     incremental = BloomRuntime(module)
     naive = NaiveBloomRuntime(module)
     assert incremental.strata() == naive.strata()
+    seen = []
     for step in plan:
         for collection, rows in step:
             incremental.insert(collection, rows)
             naive.insert(collection, rows)
-        assert incremental.tick() == naive.tick()
+        outputs = incremental.tick()
+        assert outputs == naive.tick()
+        seen.append(outputs)
         for decl in module.declarations:
             assert incremental.read(decl.name) == naive.read(decl.name), (
                 f"{module.name}: {decl.name} diverged"
@@ -206,6 +218,7 @@ def _run_differential(module: BloomModule, plan) -> None:
         assert incremental.tick() == naive.tick()
         for decl in module.declarations:
             assert incremental.read(decl.name) == naive.read(decl.name)
+    return seen
 
 
 def test_randomized_programs_and_schedules_are_engine_equivalent():
@@ -345,3 +358,72 @@ def test_shared_subdags_are_engine_equivalent_under_inserts_and_deletes():
                     step.append((collection, rows))
             plan.append(step)
         _run_differential(module, plan)
+
+
+def one_row_plan(seed: int, draw, ticks: int = 36) -> list:
+    """Exactly one row into one input per tick: ``draw(rng, tick)`` picks
+    ``(collection, row)``.  A third of the ticks repeat the previous
+    tick's row, which changes no input at all, so a tick whose only work
+    is a re-assert comes up often."""
+    rng = random.Random(f"one-row:{seed}")
+    plan, last = [], None
+    for tick in range(ticks):
+        if last is None or rng.random() >= 1 / 3:
+            last = draw(rng, tick)
+        collection, row = last
+        plan.append([(collection, [row])])
+    return plan
+
+
+def report_row(rng: random.Random, tick: int) -> tuple[str, tuple]:
+    """A click on one of two ads in two campaigns and windows, or a request."""
+    if rng.random() < 0.2:
+        return "request", (f"q{rng.randrange(3)}", f"ad{rng.randrange(2)}")
+    click = (f"c{rng.randrange(2)}", rng.randrange(2), f"ad{rng.randrange(2)}", f"u{tick}")
+    return "click", click
+
+
+def pair_row(*collections: str):
+    def draw(rng: random.Random, tick: int) -> tuple[str, tuple]:
+        return rng.choice(collections), (rng.choice(VALUES), rng.choice(VALUES))
+
+    return draw
+
+
+def crossed(query: str, plan: list, seen: list[dict]) -> bool:
+    """Did a count cross the query's threshold during the run?  POOR,
+    WINDOW and CAMPAIGN then lose an answer; THRESH gains one for a
+    request posed on an earlier tick."""
+    asked: dict[tuple, int] = {}
+    for tick, [(collection, [row])] in enumerate(plan):
+        if collection == "request":
+            asked.setdefault(row, tick)
+    for tick in range(1, len(seen)):
+        before, now = seen[tick - 1]["response"], seen[tick]["response"]
+        if query != "THRESH" and before - now:
+            return True
+        if query == "THRESH" and any(asked[row] < tick for row in now - before):
+            return True
+    return False
+
+
+def test_one_row_ticks_are_engine_equivalent():
+    crossings = dict.fromkeys(QUERY_NAMES, 0)
+    for query in QUERY_NAMES:
+        for seed in range(6):
+            plan = one_row_plan(seed, report_row)
+            seen = _run_differential(make_report_module(query, threshold=3), plan)
+            crossings[query] += crossed(query, plan, seen)
+    assert min(crossings.values()) >= 3, crossings
+    checked = 0
+    for seed in range(60):
+        module = RandomModule(seed)
+        try:
+            NaiveBloomRuntime(module)
+        except BloomError:
+            continue  # unstratifiable draw
+        _run_differential(module, one_row_plan(seed, pair_row("in0", "in1", "t0")))
+        checked += 1
+    assert checked >= 20, f"only {checked} stratifiable programs generated"
+    for seed in range(10):
+        _run_differential(AdversarialModule(), one_row_plan(seed, pair_row("edge")))

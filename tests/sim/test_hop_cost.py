@@ -19,10 +19,11 @@ from repro.api import get_app
 from tools.unexecuted import count_lines
 
 SIM = str(Path(repro.sim.__file__).parent)
-# executed repro/sim lines per delivered message on the run below: 80.95
-# (70 106 lines, 866 deliveries); 108.1 with a free pool of records, a
-# helper call per post and LatencyModel.sample on the hop
-CEILING = 81.0
+# executed repro/sim lines per delivered message on the run below: 76.62
+# (66 356 lines, 866 deliveries); 80.95 with a live-event counter written
+# per event and ``Process.sim`` a property, 108.1 with a free pool of
+# records, a helper call per post and LatencyModel.sample on the hop
+CEILING = 76.7
 
 
 def sim_lines_per_delivery() -> tuple[int, int]:

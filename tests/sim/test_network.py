@@ -152,15 +152,22 @@ def test_on_start_hook_runs():
     sim, network = build()
 
     class Starter(Recorder):
-        started = False
+        started = 0
 
         def on_start(self):
-            self.started = True
+            self.started += 1
 
     s = Starter("s")
     network.register(s)
     network.start()
-    assert s.started
+    assert s.started == 1
+    # once per process: a second start (a resumed run) starts only the
+    # processes registered since the first
+    late = Starter("late")
+    network.register(late)
+    network.start()
+    assert (s.started, late.started) == (1, 1)
+    assert s.sim is sim and late.network is network
 
 
 @pytest.mark.parametrize(
