@@ -44,10 +44,9 @@ from repro.apps.source import PlannedSource
 from repro.chaos.envelope import order_only_envelope
 from repro.bloom.cluster import INSERT_MSG, ZK_KINDS, BloomCluster, BloomNode
 from repro.bloom.rewrite import SealedInputAdapter, apply_strategy
-from repro.coord.assignment import ReplicaAssignment
 from repro.coord.sealing import DATA as SEAL_DATA
-from repro.coord.sealing import FRAME as SEAL_FRAME
 from repro.coord.sealing import PUNCT as SEAL_PUNCT
+from repro.coord.sealing import registry_path
 from repro.coord.zookeeper import install_zookeeper, recorded_order
 from repro.core.strategy import NoCoordination, SealStrategy
 from repro.errors import SimulationError
@@ -80,24 +79,7 @@ SEAL_COLUMNS = {
 
 @dataclasses.dataclass(frozen=True)
 class AdWorkload:
-    """Workload parameters (paper Section VIII-B defaults).
-
-    ``producer_replicas`` scales each ad server out into that many
-    protocol-level producer tasks for the sealed click stream: campaigns
-    hash-partition across a server's replicas, and the seal registry's
-    producer sets are derived from the resulting replica assignment
-    instead of assuming one task per server.
-
-    ``frames`` turns on frame-level delivery: each burst ships as one
-    message per destination (uncoordinated inserts batch per reporting
-    node; seal producers buffer ``batch_size`` records per frame), so the
-    simulated event count scales with bursts instead of clicks.  The
-    committed state and oracle verdicts are unchanged — only message
-    granularity moves — but delivery interleavings differ from the
-    per-record default, so seeded expectations are only comparable within
-    one setting.  This is what lets the full fig12/fig13 sweeps reach 50+
-    servers at 10k+ entries each.
-    """
+    """Workload parameters (paper Section VIII-B defaults)."""
 
     ad_servers: int = 5
     entries_per_server: int = 1000
@@ -107,8 +89,6 @@ class AdWorkload:
     ads_per_campaign: int = 5
     requests: int = 12
     report_replicas: int = 3
-    producer_replicas: int = 1
-    frames: bool = False
 
     @property
     def total_entries(self) -> int:
@@ -322,7 +302,7 @@ def run_ad_network(
         raise SimulationError("independent-seal requires seal_key='campaign'")
     workload_seed = seed if workload_seed is None else workload_seed
     reliable_kinds = ZK_KINDS + (
-        (SEAL_DATA, SEAL_FRAME, SEAL_PUNCT, INSERT_MSG) if reliable_sessions else ()
+        (SEAL_DATA, SEAL_PUNCT, INSERT_MSG) if reliable_sessions else ()
     )
     cluster = BloomCluster(
         seed=seed,
@@ -353,16 +333,8 @@ def run_ad_network(
             apply_strategy(node, installed, zk=zk, stream_collections=CLICK_STREAMS)
         )
 
-    # Ad servers generate click-log entries in bursts.  Each hosts
-    # ``producer_replicas`` protocol-level producer tasks; the replica a
-    # partition's records flow through is fixed by the shared assignment,
-    # so the seal registry's producer sets match what actually gets sealed
-    # (with one replica per server the task names degenerate to the bare
-    # server names the paper's description assumes).
-    replicas = ReplicaAssignment(
-        {name: workload.producer_replicas for name in server_names},
-        collapse_single=True,
-    )
+    # Ad servers generate click-log entries in bursts, each server the one
+    # producer of the clicks it emits.
     seal_column = SEAL_COLUMNS[seal_key]
     servers: list[PlannedSource] = []
     for index, name in enumerate(server_names):
@@ -386,26 +358,20 @@ def run_ad_network(
             batch_size=workload.batch_size,
             sleep=workload.sleep,
             stream_collections=CLICK_STREAMS,
-            # frame-level delivery: a burst rides one message per
-            # destination instead of one per click
-            frame_size=workload.batch_size if workload.frames else 1,
-            assignment=replicas,
         )
         cluster.network.register(server)
         servers.append(server)
 
     if isinstance(installed, SealStrategy):
-        # The seal registry reflects the *actual* producers: the task-level
-        # set of every server whose planned entries touch a partition (a
-        # server that never emits a partition must not be waited on).
+        # The seal registry reflects the *actual* producers: every server
+        # whose planned entries touch a partition (a server that never
+        # emits a partition must not be waited on).
         producer_sets: dict[object, set[str]] = {}
         for server in servers:
             for partition in server.seal_partitions:
-                producer_sets.setdefault(partition, set()).add(
-                    replicas.task_for(server.name, partition)
-                )
+                producer_sets.setdefault(partition, set()).add(server.name)
         for partition, producers in producer_sets.items():
-            zk.preload_znode(f"producers/{partition!r}", sorted(producers))
+            zk.preload_znode(registry_path(partition), sorted(producers))
 
     # The analyst poses requests about ads to every reporting replica.
     rng = random.Random(f"analyst:{workload_seed}")

@@ -73,7 +73,6 @@ class PlannedSource(Process):
 
     def _ask(self, row: tuple) -> None:
         self.out.emit(self.ask_collection, row)
-        self.out.flush()
 
     def _burst(self) -> None:
         start = self._cursor
@@ -87,9 +86,6 @@ class PlannedSource(Process):
                 complete.append(partition)
         for partition in complete:
             self.out.seal(partition)
-        # ship partial trailing frames so progress tracks bursts, not
-        # whenever the next seal happens to flush the channel
-        self.out.flush()
         if end < len(self.rows):
             self.after(self.sleep, self._burst)
 

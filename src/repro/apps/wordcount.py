@@ -369,7 +369,6 @@ def run_wordcount(
         transactional=transactional,
         drop_prob=drop_prob,
         replay_timeout=replay_timeout,
-        zk_write_service=0.002,
         frame_size=frame_size,
         parallelism=parallelism,
         exec_times={

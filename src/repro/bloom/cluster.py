@@ -26,23 +26,23 @@ from repro.sim.network import LatencyModel, Message, Process, make_network
 from repro.sim.trace import Trace
 from repro.wire import BLOOM_CHAN as CHANNEL_MSG, BLOOM_INSERT as INSERT_MSG
 
-__all__ = ["BloomNode", "BloomCluster", "CHANNEL_MSG", "INSERT_MSG", "ZK_KINDS"]
+__all__ = [
+    "BloomNode", "BloomCluster", "CHANNEL_MSG", "INSERT_MSG", "TICK_DELAY", "ZK_KINDS",
+]
+
+# Virtual seconds from a node's first pending input to the tick that
+# evaluates it: every delivery inside that window joins the same tick.
+TICK_DELAY = 0.0005
 
 
 class BloomNode(Process):
     """One simulated node running one Bloom module instance."""
 
     def __init__(
-        self,
-        name: str,
-        module: BloomModule,
-        *,
-        tick_delay: float = 0.0005,
-        trace: Trace | None = None,
+        self, name: str, module: BloomModule, *, trace: Trace | None = None
     ) -> None:
         super().__init__(name)
         self.module = module
-        self.tick_delay = tick_delay
         self.trace = trace
         self.runtime = BloomRuntime(module, on_channel_send=self._channel_send)
         self.outputs_log: dict[str, set[tuple]] = {
@@ -95,7 +95,7 @@ class BloomNode(Process):
         # coalesces any number of deliveries into the next tick.
         wake = self._wake
         if wake is None:
-            wake = self._wake = self.sim.waker(self.tick_delay, self._do_tick)
+            wake = self._wake = self.sim.waker(TICK_DELAY, self._do_tick)
         wake.arm()
 
     def _do_tick(self) -> None:
@@ -151,8 +151,6 @@ class BloomCluster:
         *,
         seed: int = 0,
         latency: LatencyModel | None = None,
-        drop_prob: float = 0.0,
-        dup_prob: float = 0.0,
         reliable_kinds: Iterable[str] = ZK_KINDS,
         retry_crashed: bool = False,
     ) -> None:
@@ -160,19 +158,15 @@ class BloomCluster:
         self.network = make_network(
             self.sim,
             latency=latency or LatencyModel(base=0.001, jitter=0.003),
-            drop_prob=drop_prob,
-            dup_prob=dup_prob,
             reliable_kinds=reliable_kinds,
             retry_crashed=retry_crashed,
         )
         self.trace = Trace()
         self._nodes: dict[str, BloomNode] = {}
 
-    def add_node(
-        self, name: str, module: BloomModule, *, tick_delay: float = 0.0005
-    ) -> BloomNode:
+    def add_node(self, name: str, module: BloomModule) -> BloomNode:
         """Create, register, and return a node hosting ``module``."""
-        node = BloomNode(name, module, tick_delay=tick_delay, trace=self.trace)
+        node = BloomNode(name, module, trace=self.trace)
         self.network.register(node)
         self._nodes[name] = node
         return node

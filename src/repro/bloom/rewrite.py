@@ -26,8 +26,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Mapping, Sequence
 
-from repro.bloom.cluster import INSERT_MSG, BloomNode
-from repro.coord.assignment import ReplicaAssignment
+from repro.bloom.cluster import INSERT_MSG, TICK_DELAY, BloomNode
 from repro.coord.ordering import OrderedConsumer
 from repro.coord.sealing import SealedStreamProducer, SealManager
 from repro.coord.zookeeper import ZkClient, ZookeeperService
@@ -84,9 +83,9 @@ class OrderedInputAdapter:
         node.runtime.insert(collection, (row,))
         node.schedule_tick()
         self.applied += 1
-        # the tick for this value fires at tick_delay; release the next
+        # the tick for this value fires at TICK_DELAY; release the next
         # one strictly after it so no two sequenced values share a step
-        node.sim.post(node.tick_delay * 1.5, self._release_next)
+        node.sim.post(TICK_DELAY * 1.5, self._release_next)
 
     def _release_next(self) -> None:
         if self._queue:
@@ -180,41 +179,19 @@ def apply_strategy(
 
 
 class _BroadcastProducer:
-    """No coordination: every row goes straight to every destination.
+    """No coordination: every row goes straight to every destination."""
 
-    ``frame_size`` > 1 buffers rows and ships them as one insert message
-    per destination per frame (and per :meth:`flush`).
-    """
-
-    def __init__(
-        self, process: Process, destinations: Sequence[str], frame_size: int = 1
-    ) -> None:
+    def __init__(self, process: Process, destinations: Sequence[str]) -> None:
         self.process = process
         self.destinations = tuple(destinations)
-        self.frame_size = frame_size
-        self._frames: dict[str, list[tuple]] = {}
 
     def emit(self, collection: str, row: tuple, partition=None) -> None:
         """Ship one row of ``collection`` (in seal partition ``partition``)."""
-        if self.frame_size > 1:
-            frame = self._frames.setdefault(collection, [])
-            frame.append(row)
-            if len(frame) >= self.frame_size:
-                self.flush()
-            return
         for dst in self.destinations:
             self.process.send(dst, INSERT_MSG, (collection, [row]))
 
     def seal(self, partition) -> None:
         """Promise no more rows for ``partition`` (sealed delivery only)."""
-
-    def flush(self) -> None:
-        """Ship every partial frame."""
-        for collection, rows in self._frames.items():
-            if rows:
-                self._frames[collection] = []
-                for dst in self.destinations:
-                    self.process.send(dst, INSERT_MSG, (collection, rows))
 
     def handle(self, msg: Message) -> bool:
         """Route a coordination-service reply; True when it was one."""
@@ -237,53 +214,33 @@ class _SequencedProducer(_BroadcastProducer):
 
 
 class _SealedProducer(_BroadcastProducer):
-    """Rows of the sealed collections ride punctuated channels, one
-    protocol-level producer per task replica of the process
-    (``assignment``); every other collection is broadcast."""
+    """Rows of the sealed collections ride punctuated channels, with the
+    process as their one producer; every other collection is broadcast."""
 
     def __init__(
         self,
         process: Process,
         destinations: Sequence[str],
         sealed: Mapping[str, str],
-        frame_size: int,
-        assignment: ReplicaAssignment | None,
     ) -> None:
-        super().__init__(process, destinations, frame_size)
-        self.assignment = assignment or ReplicaAssignment(
-            {process.name: 1}, collapse_single=True
-        )
+        super().__init__(process, destinations)
         self._channels = {
-            collection: {
-                task: SealedStreamProducer(
-                    process, stream, producer_id=task, frame_size=frame_size
-                )
-                for task in self.assignment.tasks_of(process.name)
-            }
+            collection: SealedStreamProducer(process, stream)
             for collection, stream in sealed.items()
         }
 
     def emit(self, collection: str, row: tuple, partition=None) -> None:
-        channels = self._channels.get(collection)
-        if channels is None:
+        channel = self._channels.get(collection)
+        if channel is None:
             super().emit(collection, row)
             return
-        channel = channels[self.assignment.task_for(self.process.name, partition)]
         for dst in self.destinations:
             channel.send_record(dst, partition, row)
 
     def seal(self, partition) -> None:
-        task = self.assignment.task_for(self.process.name, partition)
-        for channels in self._channels.values():
+        for channel in self._channels.values():
             for dst in self.destinations:
-                channels[task].seal(dst, partition)
-
-    def flush(self) -> None:
-        super().flush()
-        for channels in self._channels.values():
-            for dst in self.destinations:
-                for channel in channels.values():
-                    channel.flush(dst)
+                channel.seal(dst, partition)
 
 
 def strategy_producer(
@@ -292,14 +249,12 @@ def strategy_producer(
     destinations: Sequence[str],
     *,
     stream_collections: Mapping[str, str] | None = None,
-    frame_size: int = 1,
-    assignment: ReplicaAssignment | None = None,
 ):
     """The producer half: how ``process`` ships rows under a strategy.
 
     The returned object has ``emit(collection, row, partition)``,
-    ``seal(partition)``, ``flush()`` and ``handle(msg)``; which of
-    broadcast, sealed or sequenced delivery they perform is fixed here.
+    ``seal(partition)`` and ``handle(msg)``; which of broadcast, sealed or
+    sequenced delivery they perform is fixed here.
     ``stream_collections`` names the streams this process produces that a
     :class:`SealStrategy` may cover (stream -> collection, the mapping
     :func:`apply_strategy` takes); a process producing none of the sealed
@@ -315,9 +270,7 @@ def strategy_producer(
             if stream in produced
         }
         if sealed:
-            return _SealedProducer(
-                process, destinations, sealed, frame_size, assignment
-            )
+            return _SealedProducer(process, destinations, sealed)
     elif not isinstance(strategy, NoCoordination):
         raise BloomError(f"unknown strategy {strategy!r}")
-    return _BroadcastProducer(process, destinations, frame_size)
+    return _BroadcastProducer(process, destinations)

@@ -63,6 +63,8 @@ __all__ = [
 # window-perturbing kinds that anchor a composite: other faults are
 # placed to overlap the carrier's window
 _CARRIER_KINDS = ("reorder", "loss", "duplicate")
+# halvings the shrinker tries per fault and per transform (window, intensity)
+_BISECT_STEPS = 3
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +178,6 @@ def shrink_schedule(
     reproduces: Callable[[object], bool],
     *,
     budget: int = 64,
-    bisect_steps: int = 3,
     cell: Callable[[FaultSchedule], object] = lambda schedule: schedule,
 ) -> Generator[list, list, ShrinkOutcome]:
     """Shrink ``schedule`` to a minimal one still satisfying ``reproduces``.
@@ -259,7 +260,7 @@ def shrink_schedule(
     def bisect_faults(sched: FaultSchedule):
         for i in range(len(sched.faults)):
             for transform in (halved_duration, halved_intensity):
-                for _ in range(bisect_steps):
+                for _ in range(_BISECT_STEPS):
                     weakened = transform(sched.faults[i])
                     if weakened is None:
                         break

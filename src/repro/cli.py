@@ -454,6 +454,8 @@ def _cmd_trace(args) -> int:
     from repro.obs.render import render_lineages, render_timeline
     from repro.obs.telemetry import Telemetry
 
+    if args.limit < 1:
+        raise BlazesError(f"--limit must be >= 1, got {args.limit}")
     spans = _run_app(args, args.strategy, Telemetry(spans=True)).telemetry.spans
     if args.json:
         rows = spans.to_rows()

@@ -8,7 +8,7 @@ punctuations.
 
 from repro.coord.assignment import ReplicaAssignment, stable_hash
 from repro.coord.ordering import OrderedConsumer, OrderedInbox
-from repro.coord.sealing import DATA, FRAME, PUNCT, SealManager, SealedStreamProducer
+from repro.coord.sealing import DATA, PUNCT, SealManager, SealedStreamProducer
 from repro.coord.zookeeper import ZkClient, ZkStats, ZookeeperService, install_zookeeper
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "OrderedConsumer",
     "OrderedInbox",
     "DATA",
-    "FRAME",
     "PUNCT",
     "SealManager",
     "SealedStreamProducer",

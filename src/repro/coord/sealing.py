@@ -17,10 +17,10 @@ Once complete, the partition is released for processing — asynchronously
 with respect to every other partition, which is why sealing scales where
 global ordering does not.
 
-When producers are scaled-out components, the producer set of a partition
-is derived from the actual replica layout by
-:class:`repro.coord.assignment.ReplicaAssignment`.  See
-``docs/architecture.md`` for the full paper-section-to-module map.
+Each producer is one process, named in the protocol by its process name,
+so a partition's producer set is the set of process names registered for
+it (at :func:`registry_path`).  See ``docs/architecture.md`` for the full
+paper-section-to-module map.
 """
 
 from __future__ import annotations
@@ -32,14 +32,18 @@ from repro.coord.ordering import OrderedInbox
 from repro.coord.zookeeper import ZkClient
 from repro.errors import SimulationError
 from repro.obs.telemetry import current as _telemetry
-from repro.wire import SEAL_DATA as DATA, SEAL_FRAME as FRAME, SEAL_PUNCT as PUNCT
+from repro.wire import SEAL_DATA as DATA, SEAL_PUNCT as PUNCT
 
-__all__ = ["SealedStreamProducer", "SealManager", "DATA", "PUNCT", "FRAME"]
+__all__ = ["SealedStreamProducer", "SealManager", "DATA", "PUNCT", "registry_path"]
 
 _SEAL_MARK = object()
-_FRAME_MARK = object()
 
 Partition = Hashable
+
+
+def registry_path(partition: Partition) -> str:
+    """The znode holding the producer set of one sealed partition."""
+    return f"producers/{partition!r}"
 
 
 class SealedStreamProducer:
@@ -50,40 +54,15 @@ class SealedStreamProducer:
     producer therefore stamps every message on a ``(stream, destination)``
     channel with a dense sequence number and the consumer reassembles the
     channel in order — the role TCP plays for real punctuated streams.
-
-    ``producer_id`` names this producer in the protocol; it defaults to
-    the process name but may identify one *task replica* of a scaled-out
-    component (see :class:`repro.coord.assignment.ReplicaAssignment`), so
-    a single simulated process can host several protocol-level producers.
-
-    ``frame_size`` > 1 turns on frame-level delivery: records buffer
-    locally and ship as one :data:`FRAME` message per ``frame_size``
-    records (per destination), cutting the simulated event count by that
-    factor.  Frames ride the same per-destination sequence space as
-    punctuations, and :meth:`seal` flushes before punctuating, so the
-    protocol's ordering guarantee is untouched.  Callers that stop
-    producing without sealing must :meth:`flush` to push out a partial
-    trailing frame.
+    The producer is named in the protocol by its process name.
     """
 
-    def __init__(
-        self,
-        process,
-        stream: str,
-        *,
-        producer_id: str | None = None,
-        frame_size: int = 1,
-    ) -> None:
-        if frame_size < 1:
-            raise SimulationError(f"frame_size must be >= 1, got {frame_size}")
+    def __init__(self, process, stream: str) -> None:
         self.process = process
         self.stream = stream
-        self.producer_id = producer_id if producer_id is not None else process.name
-        self.frame_size = frame_size
         self._sealed: set[Partition] = set()
         self._open: set[Partition] = set()
         self._chan_seq: dict[str, int] = {}
-        self._frames: dict[str, list[tuple[Partition, Any]]] = {}
 
     def _next_seq(self, dst: str) -> int:
         seq = self._chan_seq.get(dst, 0)
@@ -94,49 +73,24 @@ class SealedStreamProducer:
         """Send one data record within a partition."""
         if partition in self._sealed:
             raise SimulationError(
-                f"producer {self.producer_id} already sealed partition "
+                f"producer {self.process.name} already sealed partition "
                 f"{partition!r} on stream {self.stream}"
             )
         self._open.add(partition)
-        if self.frame_size > 1:
-            frame = self._frames.setdefault(dst, [])
-            frame.append((partition, record))
-            if len(frame) >= self.frame_size:
-                self.flush(dst)
-            return
         self.process.send(
             dst,
             DATA,
-            (self.stream, self._next_seq(dst), partition, record, self.producer_id),
-        )
-
-    def flush(self, dst: str | None = None) -> None:
-        """Ship any buffered frame (all destinations when ``dst`` is None)."""
-        if dst is None:
-            for buffered in sorted(self._frames):
-                self.flush(buffered)
-            return
-        frame = self._frames.get(dst)
-        if not frame:
-            return
-        self._frames[dst] = []
-        self.process.send(
-            dst,
-            FRAME,
-            (self.stream, self._next_seq(dst), tuple(frame), self.producer_id),
+            (self.stream, self._next_seq(dst), partition, record, self.process.name),
         )
 
     def seal(self, dst: str, partition: Partition) -> None:
         """Punctuate: promise no more records for ``partition``."""
-        # the punctuation must carry a higher channel seq than every
-        # record it covers, so any partial frame ships first
-        self.flush(dst)
         self._sealed.add(partition)
         self._open.discard(partition)
         self.process.send(
             dst,
             PUNCT,
-            (self.stream, self._next_seq(dst), partition, self.producer_id),
+            (self.stream, self._next_seq(dst), partition, self.process.name),
         )
 
     def seal_all(self, dst: str) -> None:
@@ -160,9 +114,9 @@ class SealManager:
     producers_for:
         Synchronous partition-to-producer-set lookup (static topologies).
         Mutually exclusive with ``zk_client``.
-    zk_client / registry_prefix:
+    zk_client:
         Asynchronous lookup through the znode store: the producer set of
-        partition ``p`` lives at ``{registry_prefix}/{p!r}``.  The manager
+        partition ``p`` lives at ``registry_path(p)``.  The manager
         issues exactly one read per partition and caches the result.
     """
 
@@ -173,7 +127,6 @@ class SealManager:
         *,
         producers_for: Callable[[Partition], frozenset[str]] | None = None,
         zk_client: ZkClient | None = None,
-        registry_prefix: str = "producers",
     ) -> None:
         if (producers_for is None) == (zk_client is None):
             raise SimulationError(
@@ -183,7 +136,6 @@ class SealManager:
         self.on_complete = on_complete
         self._producers_for = producers_for
         self._zk = zk_client
-        self._registry_prefix = registry_prefix
         self._channels: dict[str, OrderedInbox] = {}
         self._buffers: dict[Partition, list[Any]] = {}
         self._seals: dict[Partition, set[str]] = {}
@@ -215,12 +167,6 @@ class SealManager:
                 return False
             self._channel(producer).offer(seq, (partition, _SEAL_MARK, producer))
             return True
-        if msg.kind == FRAME:
-            stream, seq, items, producer = msg.payload
-            if stream != self.stream:
-                return False
-            self._channel(producer).offer(seq, (_FRAME_MARK, items, producer))
-            return True
         return False
 
     def _channel(self, producer: str) -> "OrderedInbox":
@@ -234,9 +180,6 @@ class SealManager:
         partition, record, producer = item
         if record is _SEAL_MARK:
             self.on_seal(partition, producer)
-        elif partition is _FRAME_MARK:
-            for part, rec in record:
-                self.on_data(part, rec, producer)
         else:
             self.on_data(partition, record, producer)
 
@@ -283,8 +226,10 @@ class SealManager:
         assert self._zk is not None
         self._lookups_inflight.add(partition)
         self.registry_lookups += 1
-        path = f"{self._registry_prefix}/{partition!r}"
-        self._zk.get_znode(path, lambda value: self._registry_reply(partition, value))
+        self._zk.get_znode(
+            registry_path(partition),
+            lambda value: self._registry_reply(partition, value),
+        )
 
     def _registry_reply(self, partition: Partition, value: Any) -> None:
         self._lookups_inflight.discard(partition)

@@ -42,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import Trace
 
 __all__ = [
+    "SERVICE_NAME",
     "ZK_KINDS",
     "ZookeeperService",
     "ZkStats",
@@ -49,6 +50,12 @@ __all__ = [
     "install_zookeeper",
     "recorded_order",
 ]
+
+
+# The service's process name: clients address it by this name alone.
+SERVICE_NAME = "zookeeper"
+# Virtual seconds for a read, served without the quorum round trip.
+READ_SERVICE = 0.001
 
 
 @dataclasses.dataclass
@@ -69,22 +76,17 @@ class ZookeeperService(Process):
     write_service:
         Virtual seconds the leader spends committing one write (quorum
         round trip plus log fsync).  Writes serialize: this is the
-        sequencer's bottleneck.
-    read_service:
-        Virtual seconds for a read (served without the quorum round trip).
+        sequencer's bottleneck.  A read costs :data:`READ_SERVICE`.
     """
 
     def __init__(
         self,
-        name: str = "zookeeper",
         *,
         write_service: float = 0.004,
-        read_service: float = 0.001,
         trace: "Trace | None" = None,
     ) -> None:
-        super().__init__(name)
+        super().__init__(SERVICE_NAME)
         self.write_service = write_service
-        self.read_service = read_service
         self.trace = trace
         self.stats = ZkStats()
         self._subscribers: dict[str, list[str]] = {}
@@ -137,7 +139,7 @@ class ZookeeperService(Process):
             return
         self._busy = True
         kind, msg = self._queue.popleft()
-        service = self.read_service if kind == GET else self.write_service
+        service = READ_SERVICE if kind == GET else self.write_service
         self.sim.post(service, self._complete, kind, msg)
 
     def _complete(self, kind: str, msg: Message) -> None:
@@ -161,7 +163,7 @@ class ZookeeperService(Process):
                 )
             else:
                 telemetry.note_decision(
-                    "zk_read", topic=str(msg.payload), overhead=self.read_service
+                    "zk_read", topic=str(msg.payload), overhead=READ_SERVICE
                 )
         if kind == SUBMIT:
             topic, value = msg.payload
@@ -196,15 +198,14 @@ class ZkClient:
     replies back through the callbacks registered here.
     """
 
-    def __init__(self, process: Process, service_name: str = "zookeeper") -> None:
+    def __init__(self, process: Process) -> None:
         self.process = process
-        self.service_name = service_name
         self._get_callbacks: dict[str, list[Callable[[Any], None]]] = {}
         self._set_callbacks: dict[str, list[Callable[[], None]]] = {}
 
     def submit(self, topic: str, value: Any) -> None:
         """Submit a value for total-order broadcast on ``topic``."""
-        self.process.send(self.service_name, SUBMIT, (topic, value))
+        self.process.send(SERVICE_NAME, SUBMIT, (topic, value))
 
     def set_znode(
         self, path: str, value: Any, callback: Callable[[], None] | None = None
@@ -216,12 +217,12 @@ class ZkClient:
         """
         if callback is not None:
             self._set_callbacks.setdefault(path, []).append(callback)
-        self.process.send(self.service_name, SET, (path, value))
+        self.process.send(SERVICE_NAME, SET, (path, value))
 
     def get_znode(self, path: str, callback: Callable[[Any], None]) -> None:
         """Asynchronously read a znode; ``callback`` gets its value."""
         self._get_callbacks.setdefault(path, []).append(callback)
-        self.process.send(self.service_name, GET, path)
+        self.process.send(SERVICE_NAME, GET, path)
 
     def handle(self, msg: Message) -> bool:
         """Route a zookeeper reply; returns True when the message was one."""
@@ -242,9 +243,7 @@ class ZkClient:
 def install_zookeeper(
     network: Network,
     *,
-    name: str = "zookeeper",
     write_service: float = 0.004,
-    read_service: float = 0.001,
     trace: "Trace | None" = None,
 ) -> ZookeeperService:
     """Create and register a service instance on a network.
@@ -252,9 +251,7 @@ def install_zookeeper(
     Pass a :class:`~repro.sim.trace.Trace` to record the committed total
     order of every topic as ``zk.order:<topic>`` events.
     """
-    service = ZookeeperService(
-        name, write_service=write_service, read_service=read_service, trace=trace
-    )
+    service = ZookeeperService(write_service=write_service, trace=trace)
     network.register(service)
     return service
 

@@ -158,18 +158,10 @@ class WorkerPool:
     mapping, exactly like a :func:`repro.exec.evaluate` measurement.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        *,
-        preload: Sequence[str] = PRELOAD,
-        start_method: str | None = None,
-    ) -> None:
+    def __init__(self, jobs: int) -> None:
         if jobs < 1:
             raise ExecError(f"worker pool needs jobs >= 1, got {jobs}")
         self.jobs = jobs
-        self.preload = tuple(preload)
-        self.start_method = start_method or _start_method()
         self._executor: ProcessPoolExecutor | None = None
         self.spawned = 0
         self.lifetime = PoolStats(jobs=jobs)
@@ -181,12 +173,12 @@ class WorkerPool:
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            context = multiprocessing.get_context(self.start_method)
+            context = multiprocessing.get_context(_start_method())
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=context,
                 initializer=_warm_worker,
-                initargs=(self.preload,),
+                initargs=(PRELOAD,),
             )
             self.spawned += 1
         return self._executor

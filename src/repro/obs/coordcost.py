@@ -17,9 +17,9 @@ of three planes:
     coordinates, so it is kept out of the coordination share.
 ``data``
     Everything else — channel frames, bloom channel rows and inserts,
-    sealed stream records and frames (the records themselves flow under
-    every strategy; the *votes* that gate their release are what
-    coordination adds).
+    sealed stream records (the records themselves flow under every
+    strategy; the *votes* that gate their release are what coordination
+    adds).
 
 Alongside message counts the hub accrues *decisions* (seal votes and
 releases, sequencer commits, registry lookups, replays, retries) and the
@@ -41,7 +41,6 @@ from typing import Any
 
 from repro.wire import (
     SEAL_DATA,
-    SEAL_FRAME,
     SEAL_PUNCT,
     ST_ACK,
     TXN_PREFIX,
@@ -75,7 +74,7 @@ _ZK_ZNODE_KINDS = frozenset({ZK_SET, ZK_GET, ZK_GET_REPLY, ZK_SET_REPLY})
 # The only kinds whose classification reads the payload, and it reads
 # nothing but ``payload[0]`` (the topic): a hub may tally sends by kind,
 # plus the head for these, and classify the tally later.
-TOPIC_KINDS = frozenset({SEAL_PUNCT, ZK_SUBMIT, ZK_DELIVER, SEAL_DATA, SEAL_FRAME})
+TOPIC_KINDS = frozenset({SEAL_PUNCT, ZK_SUBMIT, ZK_DELIVER, SEAL_DATA})
 
 
 def classify_message(kind: str, payload: Any) -> tuple[str, str]:
@@ -96,7 +95,7 @@ def classify_message(kind: str, payload: Any) -> tuple[str, str]:
             return PLANE_COORDINATION, "txn"
         if kind == ST_ACK:
             return PLANE_DELIVERY, ""
-        if kind == SEAL_DATA or kind == SEAL_FRAME:
+        if kind == SEAL_DATA:
             return PLANE_DATA, f"seal:{payload[0]}"
     except (TypeError, IndexError, KeyError):
         # a malformed payload never breaks accounting; fall through to

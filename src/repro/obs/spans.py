@@ -36,7 +36,6 @@ from repro.wire import (
     BLOOM_CHAN,
     BLOOM_INSERT,
     SEAL_DATA,
-    SEAL_FRAME,
     SEAL_PUNCT,
     ST_ACK,
     ST_CHAN,
@@ -152,21 +151,6 @@ class SpanTracker:
             lineage = _part(partition)
             self._index(record, lineage)
             keep((time, lineage, "seal-data", node, f"producer={producer} seq={seq}"))
-        elif kind == SEAL_FRAME:
-            _stream, seq, items, producer = payload
-            per_part: Counter = Counter()
-            for partition, record in items:
-                lineage = _part(partition)
-                per_part[lineage] += 1
-                self._index(record, lineage)
-            for lineage, count in per_part.items():
-                keep((
-                    time,
-                    lineage,
-                    "seal-frame",
-                    node,
-                    f"producer={producer} seq={seq} records={count}",
-                ))
         elif kind == SEAL_PUNCT:
             _stream, seq, partition, producer = payload
             keep((time, _part(partition), "seal-vote", node, f"producer={producer}"))

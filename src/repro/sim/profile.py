@@ -8,7 +8,7 @@ A :class:`SimProfiler` attaches to a simulator through
   ``BloomNode._do_tick`` show up as distinct rows);
 * the :class:`~repro.sim.network.Network` reports each delivered
   message's ``kind`` while a profiler is attached, giving a per-protocol
-  breakdown (``bloom.insert`` vs ``seal.frame`` vs retries);
+  breakdown (``bloom.insert`` vs ``seal.data`` vs retries);
 * the kernel notes the deepest the heap ever got — the watermark bounds
   the simulator's working set and is the first thing to look at when a
   run is slower than its event count predicts.

@@ -50,6 +50,15 @@ from repro.wire import ST_ACK as ACK, ST_CHAN as CHAN, TXN_KINDS
 
 __all__ = ["StormCluster", "ClusterConfig", "stable_hash"]
 
+# Virtual-time costs of the task model: one item's service at a bolt with
+# no entry in ``ClusterConfig.exec_times``, one punctuation's service, and
+# the spout's emission of one tuple.
+DEFAULT_EXEC_TIME = 0.0002
+PUNCT_TIME = 0.00001
+EMIT_TIME = 0.00005
+# Batches a spout task keeps in flight before it waits for an ack.
+MAX_PENDING = 4
+
 
 class _Router:
     """Routes emitted tuples from one task to downstream tasks.
@@ -249,8 +258,7 @@ class _SpoutTask(_TaskBase):
         self._fill_pipeline()
 
     def _fill_pipeline(self) -> None:
-        config = self.cluster.config
-        while not self.exhausted and len(self.pending) < config.max_pending:
+        while not self.exhausted and len(self.pending) < MAX_PENDING:
             batch = self._allocate_batch_id()
             contents = self.spout.next_batch(batch)
             if contents is None:
@@ -272,7 +280,7 @@ class _SpoutTask(_TaskBase):
         config = self.cluster.config
         contents = self.batch_cache[batch]
         attempt = self.attempts[batch]
-        emit_cost = config.emit_time * max(1, len(contents))
+        emit_cost = EMIT_TIME * max(1, len(contents))
 
         def do_emit() -> None:
             for values in contents:
@@ -342,9 +350,7 @@ class _BoltTask(_TaskBase):
         self.index = index
         self.bolt = cluster.topology.declaration(component).factory()
         self.router = _Router(self, cluster, component, self.bolt.output_fields)
-        self.exec_time = cluster.config.exec_times.get(
-            component, cluster.config.default_exec_time
-        )
+        self.exec_time = cluster.config.exec_times.get(component, DEFAULT_EXEC_TIME)
         self.upstream_tasks = cluster.upstream_tasks_of(component)
         self.is_terminal = not self.router.has_consumers
         self.transactional = (
@@ -391,7 +397,7 @@ class _BoltTask(_TaskBase):
         self._busy = True
         src, batch, attempt, item = self._queue.popleft()
         # punctuations are control messages: near-free to process
-        cost = self.exec_time if item[0] == "tuple" else self.cluster.config.punct_time
+        cost = self.exec_time if item[0] == "tuple" else PUNCT_TIME
         self.network.sim.post(cost, self._service, src, batch, attempt, item)
 
     def _service(self, src: str, batch: int, attempt: int, item: tuple) -> None:
@@ -451,6 +457,11 @@ class _BoltTask(_TaskBase):
         else:
             self.complete_batch(batch, attempt)
 
+    def has_finished(self, batch: int) -> bool:
+        """Has the current attempt of ``batch`` been punctuated by every
+        upstream task?"""
+        return batch in self._finished
+
     def complete_batch(self, batch: int, attempt: int | None = None) -> None:
         """Run ``finish_batch``, forward punctuation, and acknowledge."""
         if attempt is None:
@@ -481,7 +492,8 @@ class _BoltTask(_TaskBase):
 class ClusterConfig:
     """Tunable parameters for one cluster run.
 
-    ``exec_times`` maps component name to per-item service time;
+    ``exec_times`` maps component name to per-item service time
+    (:data:`DEFAULT_EXEC_TIME` for a component it omits);
     ``transactional`` defers the terminal bolt's batch completion to the
     commit coordinator (see :mod:`repro.storm.transactional`);
     ``frame_size`` is the channel-delivery batching factor (1 = one
@@ -497,16 +509,9 @@ class ClusterConfig:
         seed: int = 0,
         latency: LatencyModel | None = None,
         drop_prob: float = 0.0,
-        dup_prob: float = 0.0,
-        default_exec_time: float = 0.0002,
         exec_times: dict[str, float] | None = None,
-        punct_time: float = 0.00001,
-        emit_time: float = 0.00005,
-        max_pending: int = 4,
         replay_timeout: float | None = None,
         transactional: bool = False,
-        commit_time: float = 0.001,
-        zk_write_service: float = 0.004,
         frame_size: int = 1,
         parallelism: dict[str, int] | None = None,
     ) -> None:
@@ -515,16 +520,9 @@ class ClusterConfig:
         self.seed = seed
         self.latency = latency or LatencyModel(base=0.0005, jitter=0.001)
         self.drop_prob = drop_prob
-        self.dup_prob = dup_prob
-        self.default_exec_time = default_exec_time
         self.exec_times = exec_times or {}
-        self.punct_time = punct_time
-        self.emit_time = emit_time
-        self.max_pending = max_pending
         self.replay_timeout = replay_timeout
         self.transactional = transactional
-        self.commit_time = commit_time
-        self.zk_write_service = zk_write_service
         self.frame_size = frame_size
         self.parallelism = dict(parallelism or {})
 
@@ -544,7 +542,6 @@ class StormCluster:
             self.sim,
             latency=self.config.latency,
             drop_prob=self.config.drop_prob,
-            dup_prob=self.config.dup_prob,
             reliable_kinds=reliable,
         )
         self.trace = Trace()

@@ -10,9 +10,17 @@ Sections I-B and VIII-A).  The model here:
    every committer is ready for — by submitting it to the Zookeeper
    sequencer (one serialized quorum write per batch);
 3. the sequencer's ordered delivery triggers the actual commit at each
-   committer task (charged ``commit_time``), which then acknowledges back;
+   committer task (charged :data:`COMMIT_TIME`), which then acknowledges
+   back;
 4. only when every committer confirms does the coordinator grant the next
    batch.
+
+A batch is granted once.  A replay can reach a committer after its batch
+was granted: the replay resets the committer's state for the batch, so
+the commit waits until the replayed attempt has been processed again and
+then applies that attempt (never a half-refilled one).  A replay that
+finishes after the grant — before or after the commit — is acknowledged
+through ``txn.reack``, not committed again.
 
 The serialized grant cycle — zookeeper write + fan-out + commit + fan-in —
 is the throughput ceiling that the paper's Figure 11 measures against the
@@ -39,6 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["CommitCoordinator", "install_transactional"]
 
 COMMITS_TOPIC = "txn.commits"
+# Virtual seconds a committer spends applying one granted batch, and the
+# coordination service's time to commit one write.
+COMMIT_TIME = 0.001
+ZK_WRITE_SERVICE = 0.002
 
 
 class CommitCoordinator(Process):
@@ -52,6 +64,9 @@ class CommitCoordinator(Process):
         self._ready: dict[int, set[str]] = {}
         self._confirmations: dict[int, set[str]] = {}
         self._granted: int | None = None
+        # committer-side: (task, batch) grants that found the batch reset by
+        # a replay, to apply once that task finishes the batch again
+        self._owed: set[tuple[str, int]] = set()
         self.committed: set[int] = set()
         self.commit_count = 0
 
@@ -108,6 +123,9 @@ class CommitCoordinator(Process):
         if self._granted == batch:
             self._granted = None
         self.cluster.trace.record(self.now, self.name, "batch_committed", batch)
+        # tasks that finished a replay of the batch while it was in flight
+        for task in sorted(self._ready.pop(batch, ())):
+            self.send(task, REACK, batch)
         self._try_grant()
 
     # ------------------------------------------------------------------
@@ -115,7 +133,18 @@ class CommitCoordinator(Process):
     # ------------------------------------------------------------------
     def mark_ready(self, task: "_BoltTask", batch: int) -> None:
         """A committer task finished processing a batch's tuples."""
-        task.send(self.name, READY, batch)
+        if (task.name, batch) in self._owed:
+            self._owed.discard((task.name, batch))
+            task.after(COMMIT_TIME, lambda: self._commit(task, batch))
+        else:
+            task.send(self.name, READY, batch)
+
+    def _commit(self, task: "_BoltTask", batch: int) -> None:
+        if not task.has_finished(batch):
+            self._owed.add((task.name, batch))
+            return
+        task.complete_batch(batch)
+        task.send(self.name, COMMITTED, batch)
 
     def handle_task_message(self, task: "_BoltTask", msg: Message) -> bool:
         """Intercept coordinator-related traffic at a committer task."""
@@ -123,13 +152,7 @@ class CommitCoordinator(Process):
             topic, _seq, batch = msg.payload
             if topic != COMMITS_TOPIC:
                 return False
-            commit_time = self.cluster.config.commit_time
-
-            def commit() -> None:
-                task.complete_batch(batch)
-                task.send(self.name, COMMITTED, batch)
-
-            task.after(commit_time, commit)
+            task.after(COMMIT_TIME, lambda: self._commit(task, batch))
             return True
         if msg.kind == REACK:
             batch = msg.payload
@@ -141,10 +164,7 @@ class CommitCoordinator(Process):
 
 def install_transactional(cluster: "StormCluster") -> CommitCoordinator:
     """Wire a commit coordinator and Zookeeper service into a cluster."""
-    service = zk.install_zookeeper(
-        cluster.network,
-        write_service=cluster.config.zk_write_service,
-    )
+    service = zk.install_zookeeper(cluster.network, write_service=ZK_WRITE_SERVICE)
     coordinator = CommitCoordinator("commit-coordinator", cluster)
     cluster.network.register(coordinator)
     for committer in cluster.acker_tasks:

@@ -20,10 +20,9 @@ TXN_COMMITTED = "txn.committed"
 TXN_REACK = "txn.reack"
 TXN_KINDS = (TXN_READY, TXN_COMMITTED, TXN_REACK)
 
-# sealed streams: data, punctuations, and frames batching both
+# sealed streams: data records and punctuations
 SEAL_DATA = "seal.data"
 SEAL_PUNCT = "seal.punct"
-SEAL_FRAME = "seal.frame"
 
 # the Zookeeper service: sequencer topics and the znode registry
 ZK_PREFIX = "zk."

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.ad_network import AdWorkload, run_ad_network
+from repro.coord.sealing import registry_path
 
 SMALL = AdWorkload(
     ad_servers=2,
@@ -237,44 +238,7 @@ class TestOrderedDecisionLog:
             assert len(histories) == 1, seed
 
 
-class TestProducerReplicas:
-    """Seal producer sets derived from the actual replica assignment."""
-
-    REPLICATED = AdWorkload(
-        ad_servers=2,
-        entries_per_server=100,
-        batch_size=25,
-        sleep=0.1,
-        campaigns=6,
-        requests=4,
-        report_replicas=2,
-        producer_replicas=3,
-    )
-
-    def test_scaled_out_producers_process_all_records(self):
-        for strategy in ("seal", "independent-seal"):
-            result = run_ad_network(strategy, workload=self.REPLICATED, seed=4)
-            for node in result.report_nodes:
-                assert (
-                    result.processed_count(node) == self.REPLICATED.total_entries
-                ), strategy
-            assert result.replicas_agree, strategy
-
-    def test_registry_entries_are_task_level(self):
-        """The znode producer set for a campaign names replica tasks, one
-        per producing server, chosen by the shared stable-hash routing."""
-        result = run_ad_network("seal", workload=self.REPLICATED, seed=4)
-        zk = result.cluster.network.process("zookeeper")
-        for campaign in range(self.REPLICATED.campaigns):
-            producers = zk.znode(f"producers/{f'c{campaign}'!r}")
-            assert producers is not None
-            assert len(producers) == self.REPLICATED.ad_servers
-            for producer in producers:
-                server, _, replica = producer.partition("#")
-                assert server.startswith("adserver")
-                assert 0 <= int(replica) < self.REPLICATED.producer_replicas
-
-    def test_single_replica_layout_matches_seed_behavior(self):
-        result = run_ad_network("seal", workload=SMALL, seed=1)
-        zk = result.cluster.network.process("zookeeper")
-        assert zk.znode("producers/'c0'") == ["adserver0", "adserver1"]
+def test_registry_names_each_producing_server():
+    result = run_ad_network("seal", workload=SMALL, seed=1)
+    zk = result.cluster.network.process("zookeeper")
+    assert zk.znode(registry_path("c0")) == ["adserver0", "adserver1"]

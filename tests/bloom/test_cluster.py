@@ -14,7 +14,7 @@ from repro.bloom.rewrite import (
     apply_strategy,
     strategy_producer,
 )
-from repro.coord.sealing import DATA, FRAME, PUNCT, SealedStreamProducer
+from repro.coord.sealing import DATA, PUNCT, SealedStreamProducer
 from repro.coord.zookeeper import SUBMIT, install_zookeeper
 from repro.core.strategy import NoCoordination, OrderStrategy, SealStrategy
 from repro.errors import BloomError
@@ -229,7 +229,7 @@ def test_installer_accepts_every_plan_entry(app_name, strategy_name):
 class RecordingSource(PlannedSource):
     """Captures what the producer half puts on the wire."""
 
-    def __init__(self, strategy, **kwargs):
+    def __init__(self, strategy):
         self.wire: list[tuple] = []
         super().__init__(
             "src",
@@ -244,16 +244,15 @@ class RecordingSource(PlannedSource):
             asks=[("q",)],
             ask_spacing=1.0,
             stream_collections={"s": "inp"},
-            **kwargs,
         )
 
     def send(self, dst, kind, payload):
         self.wire.append((dst, kind, payload))
 
 
-def _wire_of(strategy, **kwargs) -> list[tuple]:
+def _wire_of(strategy) -> list[tuple]:
     cluster = BloomCluster(seed=0)
-    source = RecordingSource(strategy, **kwargs)
+    source = RecordingSource(strategy)
     cluster.network.register(source)
     cluster.run()
     return source.wire
@@ -271,15 +270,6 @@ class TestProducerHalf:
         rows = [("a", 1), ("b", 2), ("a", 3), ("b", 4), ("c", 5)]
         assert _wire_of(NoCoordination("n")) == _to_both(
             INSERT_MSG, *[("inp", [row]) for row in rows], ("ask", [("q",)])
-        )
-
-    def test_broadcast_frames_ship_one_insert_per_burst(self):
-        assert _wire_of(NoCoordination("n"), frame_size=2) == _to_both(
-            INSERT_MSG,
-            ("inp", [("a", 1), ("b", 2)]),
-            ("inp", [("a", 3), ("b", 4)]),
-            ("inp", [("c", 5)]),  # the partial trailing frame is flushed
-            ("ask", [("q",)]),
         )
 
     def test_sequenced(self):
@@ -306,23 +296,6 @@ class TestProducerHalf:
             # the unsealed collection is broadcast
             + _to_both(INSERT_MSG, ("ask", [("q",)]))
         )
-
-    def test_sealed_frames_flush_before_the_punctuation(self):
-        def frame(seq, *rows):
-            return ("s", seq, tuple((row[0], row) for row in rows), "src")
-
-        wire = _wire_of(SEAL_ON_K, frame_size=3)
-        assert wire[:2] == _to_both(FRAME, frame(0, ("a", 1), ("b", 2)))
-        per_dst = [(kind, payload) for dst, kind, payload in wire if dst == "r0"]
-        assert per_dst == [
-            (FRAME, frame(0, ("a", 1), ("b", 2))),
-            (FRAME, frame(1, ("a", 3), ("b", 4))),
-            (PUNCT, ("s", 2, "a", "src")),
-            (PUNCT, ("s", 3, "b", "src")),
-            (FRAME, frame(4, ("c", 5))),
-            (PUNCT, ("s", 5, "c", "src")),
-            (INSERT_MSG, ("ask", [("q",)])),
-        ]
 
     def test_a_process_producing_no_sealed_stream_broadcasts(self):
         class Quiet(Process):

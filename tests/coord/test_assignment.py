@@ -1,4 +1,4 @@
-"""ReplicaAssignment: component-to-task expansion and producer sets."""
+"""ReplicaAssignment: component-to-task expansion and key routing."""
 
 from __future__ import annotations
 
@@ -14,45 +14,12 @@ def test_tasks_of_names_follow_executor_convention():
     assert assignment.tasks_of("Commit") == ("Commit#0",)
 
 
-def test_collapse_single_keeps_bare_component_names():
-    assignment = ReplicaAssignment({"adserver0": 1, "adserver1": 2}, collapse_single=True)
-    assert assignment.tasks_of("adserver0") == ("adserver0",)
-    assert assignment.tasks_of("adserver1") == ("adserver1#0", "adserver1#1")
-
-
 def test_task_for_is_deterministic_and_stable_hashed():
     assignment = ReplicaAssignment({"Count": 4})
     chosen = assignment.task_for("Count", ("w1", 3))
     assert chosen == assignment.task_for("Count", ("w1", 3))
     expected = assignment.tasks_of("Count")[stable_hash(("w1", 3)) % 4]
     assert chosen == expected
-
-
-def test_producer_tasks_partitioned_vs_unpartitioned():
-    assignment = ReplicaAssignment({"a": 2, "b": 2})
-    everyone = assignment.producer_tasks(["a", "b"])
-    assert everyone == frozenset({"a#0", "a#1", "b#0", "b#1"})
-    routed = assignment.producer_tasks(["a", "b"], partition="c7")
-    assert len(routed) == 2  # one replica per component
-    assert routed <= everyone
-
-
-def test_producer_sets_expands_component_level_registry():
-    assignment = ReplicaAssignment({"s0": 2, "s1": 2})
-    component_sets = {"c0": frozenset({"s0", "s1"}), "c1": frozenset({"s0"})}
-    sets = assignment.producer_sets(component_sets)
-    assert set(sets) == {"c0", "c1"}
-    assert len(sets["c0"]) == 2 and len(sets["c1"]) == 1
-    for partition, tasks in sets.items():
-        for task in tasks:
-            component = task.split("#")[0]
-            assert task == assignment.task_for(component, partition)
-
-
-def test_single_replica_assignment_degenerates_to_component_names():
-    assignment = ReplicaAssignment({"s0": 1, "s1": 1}, collapse_single=True)
-    sets = assignment.producer_sets({"c0": frozenset({"s0", "s1"})})
-    assert sets["c0"] == frozenset({"s0", "s1"})
 
 
 def test_invalid_counts_and_unknown_components_raise():

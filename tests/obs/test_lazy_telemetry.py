@@ -69,11 +69,11 @@ def _msg(kind, payload, uid, *, src="a", dst="b"):
     return Message(src, dst, kind, payload, 0.0, uid)
 
 
-# a delivery of each shape: one event, several (one per partition), and
-# rows indexed whether or not their event survives the cap
+# a delivery of each shape, with rows indexed whether or not their event
+# survives the cap
 DELIVERIES = (
     ("st.chan", ("S#0", 1, 0, 0, (("tuple", ("w1",)), ("tuple", ("w2",)), ("punct",)))),
-    ("seal.frame", ("clicks", 0, (("p0", ("r1", 1)), ("p1", ("r2", 2)), ("p0", ("r3", 3))), "s0")),
+    ("seal.data", ("clicks", 0, "p0", ("r1", 1), "s0")),
     ("zk.deliver", ("orders", 0, ("tbl", ("r4",)))),
     ("bloom.insert", ("req", [("q0", "ad0"), ("q1", "ad1")])),
     ("st.ack", 1),
@@ -125,7 +125,6 @@ SENDS = (
     ("seal.punct", "clicks"),
     ("seal.data", {0: "dict-head"}),
     ("seal.data", {}),
-    ("seal.frame", ("clicks", 0, (), "s0")),
     ("zk.submit", ("orders", ("tbl", ("r",)))),
     ("zk.submit", None),
     ("zk.deliver", (("tuple", "topic"), 0, None)),

@@ -35,14 +35,12 @@ def test_seal_and_sequencer_lineages():
         _msg("seal.data", ("clicks", 0, "c0", ("ad1", 3), "s0")), 0.5
     )
     spans.note_delivery(
-        _msg("seal.frame", ("clicks", 1, (("c0", ("ad2", 4)), (("k",), ("ad3", 5))), "s0")),
-        0.6,
+        _msg("seal.data", ("clicks", 1, ("k",), ("ad3", 5), "s0")), 0.6
     )
     spans.note_delivery(_msg("seal.punct", ("clicks", 2, "c0", "s0")), 0.7)
     spans.note_delivery(_msg("zk.submit", ("orders", ("tbl", ("r",)))), 0.8)
     spans.note_delivery(_msg("zk.deliver", ("orders", 0, ("tbl", ("r",)))), 0.9)
     assert spans.lineage_of(("ad1", 3)) == "part:c0"
-    assert spans.lineage_of(("ad2", 4)) == "part:c0"
     # non-string partitions render via repr
     assert spans.lineage_of(("ad3", 5)) == "part:('k',)"
     # the sequencer value is indexed both as sent and flattened
@@ -50,7 +48,6 @@ def test_seal_and_sequencer_lineages():
     assert spans.lineage_of(("tbl", "r")) == "topic:orders"
     assert [event[2] for event in spans.slice_for("part:c0")] == [
         "seal-data",
-        "seal-frame",
         "seal-vote",
     ]
 

@@ -27,7 +27,6 @@ from repro.wire import (
     BLOOM_CHAN,
     BLOOM_INSERT,
     SEAL_DATA,
-    SEAL_FRAME,
     SEAL_PUNCT,
     ST_ACK,
     ST_CHAN,
@@ -91,21 +90,6 @@ class EagerSpanTracker:
             self.note_event(
                 time, lineage, "seal-data", node, f"producer={producer} seq={seq}"
             )
-        elif kind == SEAL_FRAME:
-            _stream, seq, items, producer = payload
-            per_part: Counter = Counter()
-            for partition, record in items:
-                lineage = _part(partition)
-                per_part[lineage] += 1
-                self._index(record, lineage)
-            for lineage, count in per_part.items():
-                self.note_event(
-                    time,
-                    lineage,
-                    "seal-frame",
-                    node,
-                    f"producer={producer} seq={seq} records={count}",
-                )
         elif kind == SEAL_PUNCT:
             _stream, seq, partition, producer = payload
             self.note_event(

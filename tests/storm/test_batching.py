@@ -47,7 +47,7 @@ class TestFrameDelivery:
         cluster, _ = run_observed(frame_size=8)
         assert len(cluster.task_names("Splitter")) == 4
         assert len(cluster.task_names("Count")) == 6
-        assert cluster.assignment.replica_count("Count") == 6
+        assert len(cluster.assignment.tasks_of("Count")) == 6
 
     def test_frames_respect_frame_size_and_actually_batch(self):
         _, channels = run_observed(frame_size=8)

@@ -134,6 +134,28 @@ class TestReplay:
         ]
         assert sorted(commits) == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_replay_racing_an_in_flight_commit_commits_once_and_loses_nothing(
+        self, seed
+    ):
+        """A replay timeout shorter than the commit cycle: replays reach
+        committers between the grant and the commit, and finish while the
+        commit is in flight."""
+        metrics, cluster = run_wordcount(
+            workers=2,
+            total_batches=6,
+            batch_size=10,
+            transactional=True,
+            replay_timeout=0.02,
+            seed=seed,
+        )
+        assert cluster.total_replays > 0
+        assert metrics.batches_acked == 6
+        assert cluster.coordinator.commit_count == 6
+        commits = [r.data for r in cluster.trace.select(event="batch_committed")]
+        assert sorted(commits) == list(range(6))
+        assert committed_store(cluster) == reference_counts(6, 10, seed=seed)
+
 
 def test_topology_scaling_increases_throughput():
     small, _ = run_wordcount(workers=2, total_batches=8, batch_size=20)

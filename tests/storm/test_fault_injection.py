@@ -12,7 +12,7 @@ def run_with_crash(crash_task: str, *, at: float, duration: float):
     topology = build_wordcount_topology(
         workers=2, total_batches=5, batch_size=10, seed=2
     )
-    config = ClusterConfig(seed=2, replay_timeout=1.0, zk_write_service=0.002)
+    config = ClusterConfig(seed=2, replay_timeout=1.0)
     cluster = StormCluster(topology, config)
     injector = FailureInjector(cluster.network)
     injector.crash_for(crash_task, at=at, duration=duration)
@@ -43,7 +43,7 @@ def test_loss_window_recovers():
     topology = build_wordcount_topology(
         workers=2, total_batches=4, batch_size=10, seed=4
     )
-    config = ClusterConfig(seed=4, replay_timeout=0.8, zk_write_service=0.002)
+    config = ClusterConfig(seed=4, replay_timeout=0.8)
     cluster = StormCluster(topology, config)
     injector = FailureInjector(cluster.network)
     injector.loss_window(at=0.005, duration=0.05, drop_prob=0.8)

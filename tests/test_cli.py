@@ -426,6 +426,15 @@ def test_trace_subcommand_timeline_and_json(capsys):
     assert rows and all(row["lineage"] == "topic:kvs.inputs" for row in rows)
 
 
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_trace_rejects_a_limit_below_one(capsys, limit):
+    assert main(["trace", "kvs", "--smoke", "--limit", limit]) == 1
+    assert main(["trace", "kvs", "--smoke", "--id", "part:k0", "--limit", limit]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(f"--limit must be >= 1, got {limit}") == 2
+
+
 def test_trace_unknown_lineage_suggests_known_ids(capsys):
     assert main([
         "trace", "kvs", "--strategy", "ordered", "--smoke", "--id", "batch:999",

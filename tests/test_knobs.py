@@ -10,8 +10,10 @@ Bloom evaluation path or an engine switch under ``src/repro/bloom``, and
 so does a new constructor parameter or a second ``Network`` class on the
 message hop, so does ``repro.core`` importing the chaos layer built on it,
 so does a CLI flag declared in two places, so does a per-row arity
-check (or a switch) creeping back into the Bloom timestep, and so does a
-second scheduler, a polling loop or a cadence option in the socket runtime.
+check (or a switch) creeping back into the Bloom timestep, so does a
+second scheduler, a polling loop or a cadence option in the socket runtime,
+and so does a setting that every caller leaves at one value coming back as
+a parameter.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def test_bloom_has_one_evaluation_path_and_no_engine_switch():
         "self", "module", "on_channel_send",
     ]
     assert list(inspect.signature(BloomNode.__init__).parameters) == [
-        "self", "name", "module", "tick_delay", "trace",
+        "self", "name", "module", "trace",
     ]
 
 
@@ -165,10 +167,8 @@ def test_the_message_hop_has_no_knob_and_no_fork():
     ]
     assert parameters(Simulator) == ["self", "seed"]
     assert parameters(ClusterConfig) == [
-        "self", "seed", "latency", "drop_prob", "dup_prob", "default_exec_time",
-        "exec_times", "punct_time", "emit_time", "max_pending", "replay_timeout",
-        "transactional", "commit_time", "zk_write_service", "frame_size",
-        "parallelism",
+        "self", "seed", "latency", "drop_prob", "exec_times", "replay_timeout",
+        "transactional", "frame_size", "parallelism",
     ]
     assert parameters(StormCluster) == ["self", "topology", "config"]
 
@@ -197,6 +197,77 @@ def test_the_message_hop_has_no_knob_and_no_fork():
     assert subclasses == [("repro/net/services.py", "SocketNetwork")]
     assert "send" in vars(SocketNetwork) and "_deliver" not in vars(SocketNetwork)
     assert "self.latency.sample(" in inspect.getsource(SocketNetwork.send)
+
+
+def test_single_valued_settings_are_constants():
+    """Bloom delivery has one granularity (a message per row) and one
+    producer per process, and the settings every caller left at one value
+    are module constants: the constructors and functions that carried them
+    take exactly what they take now, and the retired spellings are gone."""
+    import dataclasses
+    import inspect
+
+    from repro.apps.ad_network import AdWorkload
+    from repro.apps.source import PlannedSource
+    from repro.bloom import rewrite
+    from repro.bloom.cluster import BloomCluster
+    from repro.chaos.search import shrink_schedule
+    from repro.coord.assignment import ReplicaAssignment
+    from repro.coord.sealing import SealedStreamProducer, SealManager
+    from repro.coord.zookeeper import ZkClient, ZookeeperService, install_zookeeper
+    from repro.exec.pool import WorkerPool
+
+    def parameters(function) -> list[str]:
+        return list(inspect.signature(function).parameters)
+
+    assert parameters(SealedStreamProducer.__init__) == ["self", "process", "stream"]
+    assert parameters(SealManager.__init__) == [
+        "self", "stream", "on_complete", "producers_for", "zk_client",
+    ]
+    assert parameters(ReplicaAssignment.__init__) == ["self", "replicas"]
+    assert [name for name in vars(ReplicaAssignment) if not name.startswith("_")] == [
+        "tasks_of", "task_for",
+    ]
+    assert parameters(ZookeeperService.__init__) == ["self", "write_service", "trace"]
+    assert parameters(install_zookeeper) == ["network", "write_service", "trace"]
+    assert parameters(ZkClient.__init__) == ["self", "process"]
+    assert parameters(rewrite.strategy_producer) == [
+        "process", "strategy", "destinations", "stream_collections",
+    ]
+    assert parameters(rewrite._BroadcastProducer.__init__) == [
+        "self", "process", "destinations",
+    ]
+    assert parameters(rewrite._SealedProducer.__init__) == [
+        "self", "process", "destinations", "sealed",
+    ]
+    for producer in (
+        rewrite._BroadcastProducer, rewrite._SequencedProducer, rewrite._SealedProducer,
+        SealedStreamProducer,
+    ):
+        assert not hasattr(producer, "flush"), producer.__name__
+    assert parameters(PlannedSource.__init__) == [
+        "self", "name", "strategy", "destinations", "collection", "rows",
+        "partition_of", "batch_size", "sleep", "ask_collection", "asks",
+        "ask_spacing", "producer_kwargs",
+    ]
+    assert parameters(BloomCluster.__init__) == [
+        "self", "seed", "latency", "reliable_kinds", "retry_crashed",
+    ]
+    assert parameters(BloomCluster.add_node) == ["self", "name", "module"]
+    assert parameters(WorkerPool.__init__) == ["self", "jobs"]
+    assert parameters(shrink_schedule) == ["schedule", "reproduces", "budget", "cell"]
+    assert [field.name for field in dataclasses.fields(AdWorkload)] == [
+        "ad_servers", "entries_per_server", "batch_size", "sleep", "campaigns",
+        "ads_per_campaign", "requests", "report_replicas",
+    ]
+
+    texts = {str(path.relative_to(SRC)): path.read_text() for path in _sources()}
+    for retired in ("seal.frame", "SEAL_FRAME", "producer_replicas", "collapse_single"):
+        found = [name for name, text in texts.items() if retired in text]
+        assert not found, (retired, found)
+    # the seal registry's znode path is written in one place
+    spelled = {name: text.count("producers/") for name, text in texts.items()}
+    assert {name: n for name, n in spelled.items() if n} == {"repro/coord/sealing.py": 1}
 
 
 def test_the_graph_index_has_no_knob_and_no_fork():
