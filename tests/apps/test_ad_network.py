@@ -238,7 +238,38 @@ class TestOrderedDecisionLog:
             assert len(histories) == 1, seed
 
 
-def test_registry_names_each_producing_server():
-    result = run_ad_network("seal", workload=SMALL, seed=1)
-    zk = result.cluster.network.process("zookeeper")
-    assert zk.znode(registry_path("c0")) == ["adserver0", "adserver1"]
+class TestProducerReplicas:
+    """Seal producer sets: each producing server is one producer task."""
+
+    REPLICATED = AdWorkload(
+        ad_servers=3,
+        entries_per_server=100,
+        batch_size=25,
+        sleep=0.1,
+        campaigns=6,
+        requests=4,
+        report_replicas=2,
+    )
+
+    def test_scaled_out_producers_process_all_records(self):
+        for strategy in ("seal", "independent-seal"):
+            result = run_ad_network(strategy, workload=self.REPLICATED, seed=4)
+            for node in result.report_nodes:
+                assert (
+                    result.processed_count(node) == self.REPLICATED.total_entries
+                ), strategy
+            assert result.replicas_agree, strategy
+
+    def test_registry_entries_are_task_level(self):
+        """The znode producer set for a campaign names the producing
+        tasks, one per server, each by its process name."""
+        result = run_ad_network("seal", workload=self.REPLICATED, seed=4)
+        zk = result.cluster.network.process("zookeeper")
+        servers = [f"adserver{i}" for i in range(self.REPLICATED.ad_servers)]
+        for campaign in range(self.REPLICATED.campaigns):
+            assert zk.znode(registry_path(f"c{campaign}")) == servers
+
+    def test_single_replica_layout_matches_seed_behavior(self):
+        result = run_ad_network("seal", workload=SMALL, seed=1)
+        zk = result.cluster.network.process("zookeeper")
+        assert zk.znode(registry_path("c0")) == ["adserver0", "adserver1"]

@@ -33,6 +33,7 @@ from repro.obs.telemetry import Telemetry
         ("st.ack", 3, PLANE_DELIVERY, ""),
         ("st.chan", ("Spout", 0, 1, 0, (("tuple", ("w",)),)), PLANE_DATA, ""),
         ("seal.data", ("clicks", 0, "c0", ("row",), "s0"), PLANE_DATA, "seal:clicks"),
+        ("bloom.insert", ("clicks", [("row",)]), PLANE_DATA, ""),
         ("bloom.chan", ("req", ("row",)), PLANE_DATA, ""),
         ("unknown.kind", None, PLANE_DATA, ""),
     ],

@@ -165,6 +165,44 @@ def test_random_fault_schedules_run_identically(app_name, schedule_seed):
     assert observations["fast"] == observations["ref"]
 
 
+# ----------------------------------------------------------------------
+# a replicated multi-server adnet, committed state included
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("strategy", ("uncoordinated", "seal", "independent-seal"))
+def test_replicated_adnet_runs_identically(strategy):
+    from repro.apps.ad_network import AdWorkload, run_ad_network
+
+    workload = AdWorkload(
+        ad_servers=3,
+        entries_per_server=120,
+        batch_size=30,
+        sleep=0.1,
+        campaigns=6,
+        requests=3,
+        report_replicas=2,
+    )
+    prints = {}
+    for name in KERNELS:
+        with kernel(name):
+            result = run_ad_network(strategy, workload=workload, seed=5)
+        prints[name] = _fingerprint(
+            result.cluster,
+            {
+                "processed": result.processed_count(),
+                "completion": result.completion_time,
+                "agree": result.replicas_agree,
+            },
+        )
+        prints[name]["committed"] = {
+            node: result.committed_state(node) for node in result.report_nodes
+        }
+    assert prints["fast"] == prints["ref"]
+    # every click lands and the replicas agree
+    metrics = prints["fast"]["metrics"]
+    assert metrics["processed"] == workload.total_entries
+    assert metrics["agree"]
+
+
 def test_baseline_schedule_is_equivalence_smoke():
     """The no-fault path through the harness also matches (fast sanity)."""
     app = get_app("kvs")
