@@ -211,10 +211,9 @@ class _Pass:
                 into[dst].append((src, path.annotation))
 
         streams_out: dict[int, list[Stream]] = {}
-        # a component counts as replicated once a replicated stream into it is
-        # known: its own ``Rep`` or a stream's ``Rep`` from the start, a
-        # stream whose producer is ``Rep`` from when that stream is labeled —
-        # what a scan of the labeled streams' flags would find at each output
+        # a component is replicated when it is ``Rep`` or a replicated stream
+        # feeds it; a stream's replication is static — its own ``Rep`` or its
+        # producer's — so it is known here, whatever order labels come in
         fed_rep = [component.rep for component in self.components]
         for stream in self.dataflow.streams:
             dst = -1
@@ -222,7 +221,9 @@ class _Pass:
                 consumer, ins, _outs = ids[stream.dst[0]]
                 dst = ins[stream.dst[1]]
                 into[dst].append(stream)
-                if stream.rep:
+                if stream.rep or (
+                    stream.src is not None and self.components[ids[stream.src[0]][0]].rep
+                ):
                     fed_rep[consumer] = True
             if stream.src is None:
                 self.stream_labels[stream.name] = _external_label(stream)
@@ -384,11 +385,8 @@ class _Pass:
         # stream's own annotation), inside a cycle as outside one; the
         # consumer-side flag does not make the produced stream replicated.
         for stream in self.streams_out.get(out, ()):
-            rep = stream.rep or component.rep
             self.stream_labels[stream.name] = result.merged
-            self.stream_rep[stream.name] = rep
-            if rep and stream.dst is not None:
-                self.fed_rep[self.ids[stream.dst[0]][0]] = True
+            self.stream_rep[stream.name] = stream.rep or component.rep
 
 
 # ----------------------------------------------------------------------

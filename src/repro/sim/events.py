@@ -20,9 +20,10 @@ both to byte-identical traces:
   handle object, no ``__lt__`` dispatch, and — via :meth:`Simulator.post`
   — no per-message lambda closure.  There is no free pool: allocating a
   4-list costs less than recycling one;
-* **batch-pop of equal-timestamp instants** — :meth:`Simulator.run`
-  drains every record at the current instant in one inner loop, paying
-  the clock/bound bookkeeping once per *instant* instead of once per
+* **a pop-first loop** — :meth:`Simulator.run` pops each record once
+  and fires it, pushing back only the one record that ends the run (past
+  ``until`` or beyond ``max_events``); the fired count is a local of the
+  loop, stored on :attr:`Simulator.fired` once per run, not once per
   event;
 * **wake-based process scheduling** — a :class:`Waker` is the kernel's
   coalesced timer: arming an armed waker is a no-op, so an idle component
@@ -37,7 +38,9 @@ events only — cancelled records awaiting lazy removal are not pending.
 
 Profiling (:mod:`repro.sim.profile`) attaches via
 :attr:`Simulator.profiler`; when detached the hot loop pays one ``None``
-check per event.
+check per event.  :attr:`Simulator.watched` is the message hop's one
+check: it turns on when a profiler, a telemetry hub or a delivery
+observer first attaches, and never turns off.
 """
 
 from __future__ import annotations
@@ -155,6 +158,10 @@ class Simulator:
         # The attached telemetry hub (repro.obs), read by message-level
         # instrumentation sites; the event loop itself never consults it.
         self.telemetry = None
+        # Set once a profiler, a telemetry hub or a network's delivery
+        # observer attaches, never cleared: a delivery looks past this one
+        # flag only on a run that something watches (or once watched).
+        self.watched = False
 
     @property
     def pending(self) -> int:
@@ -233,45 +240,43 @@ class Simulator:
         fired (a safety valve against runaway feedback loops; zero or
         less fires nothing).
 
-        The loop batch-pops: once an instant is chosen, every record at
-        that exact timestamp drains through the inner loop — the bound
-        checks and clock assignment are paid per instant, not per event.
-        Events a batch schedules *at the current instant* join the same
-        batch (they carry higher seqs, so they fire after the records
-        already queued, exactly as the seed scheduler orders them).
+        The loop pops first: each live record is popped once and fired,
+        and the one record that ends the run — past ``until``, or beyond
+        ``max_events`` — is pushed back (its seq keeps its place).  The
+        fired count is stored once per run, on the way out, including when
+        a callback raises (the raising event counts as fired); read
+        :attr:`fired` and :attr:`pending` between runs, not from inside a
+        callback.
         """
         queue = self._queue
         # both bounds resolved once per run
         limit = sys.maxsize if max_events is None else max_events
         bound = math.inf if until is None else until
         fired = 0
-        while queue:
-            rec = queue[0]
-            if rec[_FN] is None:
-                heappop(queue)
-                continue
-            if fired >= limit:
-                break
-            time = rec[_TIME]
-            if time > bound:
-                # a bound the clock has already passed leaves it alone
-                if bound > self.now:
-                    self.now = bound
-                break
-            self.now = time
-            while queue and queue[0][_TIME] == time:
-                if fired >= limit:
-                    break
+        try:
+            while queue:
                 rec = heappop(queue)
                 fn = rec[_FN]
-                if fn is None:
+                if fn is None:  # cancelled: discarded on the way past
                     continue
+                if fired >= limit:
+                    heappush(queue, rec)
+                    break
+                time = rec[_TIME]
+                if time > bound:
+                    heappush(queue, rec)
+                    # a bound the clock has already passed leaves it alone
+                    if bound > self.now:
+                        self.now = bound
+                    break
+                self.now = time
                 rec[_FN] = None  # fired: a late EventHandle.cancel no-ops
-                self._fired += 1
                 fired += 1
                 if self._profiler is not None:
                     self._profiler._note_fire(fn, len(queue))
                 fn(*rec[_ARGS])
+        finally:
+            self._fired += fired
         if until is not None and self.now < until and not queue:
             self.now = until
         return self.now
@@ -287,6 +292,8 @@ class Simulator:
     @profiler.setter
     def profiler(self, value) -> None:
         self._profiler = value
+        if value is not None:
+            self.watched = True
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(now={self.now:.6f}, pending={self.pending})"
@@ -323,6 +330,7 @@ def make_simulator(seed: int = 0):
     hub = current()
     if hub is not None:
         sim.telemetry = hub
+        sim.watched = True
         if hub.profiler is not None:
             sim.profiler = hub.profiler
     return sim

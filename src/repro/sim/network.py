@@ -15,7 +15,9 @@ result **and** its RNG draw count are already determined: ``send`` asks
 ``send_copies`` only while a loss or duplication probability is positive
 (otherwise: one copy, no draw), and ``_deliver`` asks ``delivery_action``
 only while some link is blocked or the destination is unknown or crashed
-(otherwise: deliver).  ``tests/reference/network_ref.py`` keeps the
+(otherwise: deliver).  A delivery then reports to the profiler, the
+telemetry hub and the observers only once ``Simulator.watched`` says one
+of them ever attached.  ``tests/reference/network_ref.py`` keeps the
 unguarded hop, and the differential suite holds the two to identical
 deliveries, counters and RNG state.
 """
@@ -185,6 +187,7 @@ class Network:
     def observe(self, callback: Callable[[Message], None]) -> None:
         """Register a delivery observer (tracing, assertions)."""
         self._observers.append(callback)
+        self.sim.watched = True
 
     # ------------------------------------------------------------------
     # link partitions
@@ -231,12 +234,12 @@ class Network:
         telemetry = sim.telemetry
         if telemetry is not None:
             telemetry.note_send(kind, payload)
-        copies = 1
+        rng = sim.rng
         # guard: with neither probability positive the policy answers 1
         # and draws nothing, whatever the kind
         if self.drop_prob > 0 or self.dup_prob > 0:
             copies = faultpolicy.send_copies(
-                sim.rng,
+                rng,
                 reliable=kind in self.reliable_kinds,
                 drop_prob=self.drop_prob,
                 dup_prob=self.dup_prob,
@@ -245,17 +248,21 @@ class Network:
                 self.dropped += 1
             elif copies == 2:
                 self.duplicated += 1
-        # LatencyModel.sample inlined: rng.expovariate's own arithmetic,
-        # so the draws and the delays are the same floats
+            for _ in range(copies):
+                self._uid += 1
+                msg = Message(src, dst, kind, payload, sim.now, self._uid)
+                sim.post(self.latency.sample(rng), self._deliver, msg)
+            return
+        # the usual case, one copy: LatencyModel.sample inlined with
+        # rng.expovariate's own arithmetic, so the draws and the delays are
+        # the same floats, and tuple.__new__ is the NamedTuple constructor
+        # minus its keyword handling
+        self._uid = uid = self._uid + 1
+        msg = tuple.__new__(Message, (src, dst, kind, payload, sim.now, uid))
         latency = self.latency
         base, jitter = latency.base, latency.jitter
-        rng = sim.rng
-        for _ in range(copies):
-            self._uid += 1
-            # tuple.__new__: the NamedTuple constructor minus its keyword handling
-            msg = tuple.__new__(Message, (src, dst, kind, payload, sim.now, self._uid))
-            delay = base + -log(1.0 - rng.random()) / (1.0 / jitter) if jitter > 0 else base
-            sim.post(delay, self._deliver, msg)
+        delay = base + -log(1.0 - rng.random()) / (1.0 / jitter) if jitter > 0 else base
+        sim.post(delay, self._deliver, msg)
 
     def _deliver(self, msg: Message, attempt: int = 0) -> None:
         # Partition and crash semantics are the shared backend policy
@@ -282,14 +289,15 @@ class Network:
                 return
         self.delivered += 1
         sim = self.sim
-        profiler = sim._profiler
-        if profiler is not None:
-            profiler._note_message(msg.kind)
-        telemetry = sim.telemetry
-        if telemetry is not None:
-            telemetry.note_delivery(msg, sim.now)
-        for observer in self._observers:
-            observer(msg)
+        if sim.watched:  # a profiler, a telemetry hub or an observer
+            profiler = sim._profiler
+            if profiler is not None:
+                profiler._note_message(msg.kind)
+            telemetry = sim.telemetry
+            if telemetry is not None:
+                telemetry.note_delivery(msg, sim.now)
+            for observer in self._observers:
+                observer(msg)
         process.recv(msg)
 
     def _retry(self, msg: Message, attempt: int) -> None:

@@ -7,32 +7,35 @@ the Storm guarantees the paper's evaluation relies on:
 
 * **channel FIFO** — frames between a task pair are sequence-numbered and
   reassembled in order, so batch punctuations cannot overtake data (the
-  state is two integer tables per task and a held-frames table that is
-  non-empty only while a gap is open — see :class:`_TaskBase`);
+  state is two integer tables per task, retired when the batch attempt
+  closes, and a held-frames table that is non-empty only while a gap is
+  open — see :class:`_TaskBase`);
 * **batched delivery** — tuples between a task pair coalesce into frames
   of up to ``frame_size`` items carried by a single simulated message.
-  Punctuations ride in-frame (flushing the channel), so FIFO, batch
-  tracking, and replay all operate at frame granularity and the number of
-  simulated message events shrinks roughly ``frame_size``-fold on the
-  data path;
+  Punctuations ride in-frame (a channel's last frame carries them), so
+  FIFO, batch tracking, and replay all operate at frame granularity and
+  the number of simulated message events shrinks roughly
+  ``frame_size``-fold on the data path;
 * **batch tracking** — a task finishes batch ``b`` when every upstream task
   has punctuated ``b``; it then forwards its own punctuation downstream;
 * **at-least-once replay** — a spout re-emits a batch (as a new *attempt*)
-  if the terminal bolt's tasks do not all acknowledge it in time; bolts are
-  told to reset per-batch state when a new attempt supersedes an old one;
+  if the terminal bolt's tasks do not all acknowledge it in time, up to
+  :data:`MAX_REPLAYS` times; bolts are told to reset per-batch state when
+  a new attempt supersedes an old one;
 * **transactional commits** (:mod:`repro.storm.transactional`) — when
   enabled, the terminal bolt's ``finish_batch`` is deferred until the
   commit coordinator grants the batch in a global serial order, which is
   Storm's "transactional topology" semantics.
 
 What is fixed once the cluster is wired is resolved then, not per tuple:
-a router's grouping modes, consumer tasks and key column positions
-(:class:`_Router`), and the punctuation sets a batch completes on
+each consuming edge's destination rule (:class:`_Router`), and the
+punctuation sets a batch completes on
 (:meth:`StormCluster.expected_punct_tasks`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from functools import partial
@@ -58,15 +61,31 @@ PUNCT_TIME = 0.00001
 EMIT_TIME = 0.00005
 # Batches a spout task keeps in flight before it waits for an ack.
 MAX_PENDING = 4
+# Re-emissions of one batch before its spout task gives up on it, as
+# ``Network.retry_limit`` bounds a session.  Far above any replay count a
+# healing fault needs (no audit cell replays a batch more than once; a
+# 5 % loss on every message takes up to 162 attempts in the tests), it
+# exists so a replay timeout shorter than a batch's round trip ends with
+# the batch visibly unacked instead of superseding every attempt forever.
+MAX_REPLAYS = 1000
+
+# Channel items: a data tuple is ``(TUPLE, values)``; the punctuation that
+# ends a batch attempt's channel is one shared object, as is its frame.
+TUPLE = "tuple"
+PUNCT = ("punct",)
+_PUNCT_FRAME = (PUNCT,)
 
 
 class _Router:
     """Routes emitted tuples from one task to downstream tasks.
 
-    Everything a route needs that is fixed once the cluster is wired —
-    each consuming edge's grouping mode, its consumer's replica tasks and
-    the column positions of a fields grouping's key — is resolved here, so
-    a fields grouping on an undeclared field is a construction-time error.
+    Everything a route needs that is fixed once the cluster is wired is
+    resolved here, into one ``(key, table)`` pair per consuming edge: the
+    destination of a tuple is ``table[key(values)]``.  A fields grouping's
+    key is its column projection (so a grouping on an undeclared field is
+    a construction-time error) and its table a :class:`_KeyRoutes`; a
+    shuffle's key turns through the consumer's task positions; a global
+    grouping's is always its first task.
     """
 
     def __init__(
@@ -77,60 +96,75 @@ class _Router:
         output_fields: Fields,
     ):
         self.task = task
-        self.cluster = cluster
-        self.targets: list[tuple[str, str, list[str], Any, dict]] = []
+        self._routes: list[tuple[Any, Any]] = []
+        # every consumer task, in wiring order: where punctuations go
+        self.consumer_tasks: list[str] = []
         for consumer, grouping in cluster.topology.consumers_of(component):
-            project = (
-                output_fields.projector(grouping.fields)
-                if grouping.mode == "fields"
-                else None
-            )
-            # a fields grouping's key -> destination memo (see route)
-            self.targets.append(
-                (grouping.mode, consumer, cluster.task_names(consumer), project, {})
-            )
-        self._shuffle_counters = [0] * len(self.targets)
+            names = cluster.task_names(consumer)
+            self.consumer_tasks.extend(names)
+            if grouping.mode == "fields":
+                key = output_fields.projector(grouping.fields)
+                table = _KeyRoutes(cluster.assignment, consumer)
+            elif grouping.mode == "shuffle":
+                key, table = _turns(len(names)), names
+            else:  # global
+                key, table = _first_task, names
+            self._routes.append((key, table))
 
     def route(self, batch: int, attempt: int, values: tuple) -> None:
         send_chan = self.task.send_chan
-        item = ("tuple", values)
-        for index, (mode, consumer, task_names, project, memo) in enumerate(
-            self.targets
-        ):
-            if mode == "shuffle":
-                position = self._shuffle_counters[index] % len(task_names)
-                self._shuffle_counters[index] += 1
-                dst = task_names[position]
-            elif mode == "fields":
-                # the one shared routing formula: seal producer sets are
-                # derived from the same assignment, so they must agree.
-                # A pure function of the key, paid once per key here (the
-                # memo compares keys with ==: equal keys that print
-                # differently, like 1 and 1.0, would share a destination)
-                key = project(values)
-                dst = memo.get(key)
-                if dst is None:
-                    dst = memo[key] = self.cluster.assignment.task_for(consumer, key)
-            else:  # global
-                dst = task_names[0]
-            send_chan(dst, batch, attempt, item)
+        item = (TUPLE, values)
+        for key, table in self._routes:
+            send_chan(table[key(values)], batch, attempt, item)
 
     def broadcast_punct(self, batch: int, attempt: int) -> None:
-        # flush=True: the punctuation closes the channel's open frame, so
-        # no data record of the batch attempt stays buffered behind it.
         telemetry = self.task.sim.telemetry
-        if telemetry is not None and self.targets:
+        if telemetry is not None and self.consumer_tasks:
             # in-frame punctuations are batch-tracking machinery present
             # under every strategy: a delivery-plane decision, not a
             # coordination message
             telemetry.note_decision("punctuation", topic=self.task.component)
-        for _mode, _consumer, task_names, _project, _memo in self.targets:
-            for name in task_names:
-                self.task.send_chan(name, batch, attempt, ("punct",), flush=True)
+        close_chan = self.task.close_chan
+        for name in self.consumer_tasks:
+            close_chan(name, batch, attempt)
 
     @property
     def has_consumers(self) -> bool:
-        return bool(self.targets)
+        return bool(self.consumer_tasks)
+
+
+class _KeyRoutes(dict):
+    """A fields grouping's key -> consumer task, filled on first sight.
+
+    The one shared routing formula, ``ReplicaAssignment.task_for``: seal
+    producer sets are derived from the same assignment, so they must
+    agree.  It is a pure function of the key, so each key pays it once.
+    Keys compare with ``==``: equal keys that print differently, like 1
+    and 1.0, share a destination.
+    """
+
+    __slots__ = ("assignment", "consumer")
+
+    def __init__(self, assignment: ReplicaAssignment, consumer: str) -> None:
+        super().__init__()
+        self.assignment = assignment
+        self.consumer = consumer
+
+    def __missing__(self, key) -> str:
+        dst = self[key] = self.assignment.task_for(self.consumer, key)
+        return dst
+
+
+def _turns(count: int):
+    """A shuffle grouping's key: the task positions in turn, whatever the
+    tuple."""
+    positions = itertools.cycle(range(count))
+    return lambda values: next(positions)
+
+
+def _first_task(values: tuple) -> int:
+    """A global grouping's key: every tuple goes to the first task."""
+    return 0
 
 
 class _TaskBase(Process):
@@ -145,18 +179,24 @@ class _TaskBase(Process):
 
     Outgoing items accumulate per channel into a *frame* of up to
     ``frame_size`` items; one sequence number covers one frame, and one
-    simulated message carries it.  A punctuation always flushes its
-    channel (appended after any buffered data, so it cannot overtake the
-    records it covers), and a batch attempt always ends in a punctuation
-    broadcast to every downstream task — which is what guarantees no data
-    is left stranded in a partial frame.
+    simulated message carries it (at ``frame_size`` 1, the usual case, an
+    item is its own frame and is sent at once).  A batch attempt ends in
+    :meth:`close_chan` on every downstream channel: the last frame carries
+    whatever is buffered and then the punctuation, so the punctuation
+    cannot overtake the records it covers and no data is left stranded in
+    a partial frame.
 
-    Channel state is integers: ``_chan_seq`` holds the next sequence
-    number to send and ``_recv_seq`` the next one expected, and a channel
-    appears in ``_held`` (``seq -> frame``) only while a gap is open.  A
-    run opens a channel per (task pair, batch attempt) and sends two or
-    three frames down it, so an object per channel would cost more than
-    the frames it orders and, living to the end of the run, would be what
+    Channel state is integers, and retired when the batch attempt closes:
+    ``_chan_seq`` holds the next sequence number to send and ``_recv_seq``
+    the next one expected, and a channel appears in ``_held`` (``seq ->
+    frame``) only while a gap is open.  The sender drops a channel's
+    counter with its punctuation; a bolt drops the receive counters of a
+    batch attempt once every expected source has punctuated it, and keeps
+    one ``(batch, attempt)`` tombstone in ``_closed`` so that a late copy
+    of any of their frames is still ignored, not executed again.  A run
+    opens a channel per (task pair, batch attempt) and sends two or three
+    frames down it, so an object per channel would cost more than the
+    frames it orders, and state kept to the end of the run would be what
     the cyclic collector keeps re-traversing.  The reassembly rule —
     release the contiguous prefix, apply a duplicate once — is the one
     :mod:`repro.coord.ordering` applies, with an inbox object per channel,
@@ -172,27 +212,25 @@ class _TaskBase(Process):
         self._out_frames: dict[tuple[str, int, int], list[tuple]] = {}
         self._recv_seq: dict[tuple[str, int, int], int] = {}
         self._held: dict[tuple[str, int, int], dict[int, tuple]] = {}
+        self._closed: set[tuple[int, int]] = set()
         self.frames_sent = 0
         self.items_sent = 0
 
-    def send_chan(
-        self, dst: str, batch: int, attempt: int, item: tuple, *, flush: bool = False
-    ) -> None:
+    def send_chan(self, dst: str, batch: int, attempt: int, item: tuple) -> None:
+        """Send one data item down channel ``(dst, batch, attempt)``."""
         key = (dst, batch, attempt)
-        frame = self._out_frames.get(key)
-        if frame is None:
-            if flush or self.frame_size == 1:
-                self._send_frame(key, (item,))
-            else:
+        if self.frame_size == 1:
+            frame = (item,)
+        else:
+            buffered = self._out_frames.get(key)
+            if buffered is None:
                 self._out_frames[key] = [item]
-            return
-        frame.append(item)
-        if flush or len(frame) >= self.frame_size:
+                return
+            buffered.append(item)
+            if len(buffered) < self.frame_size:
+                return
             del self._out_frames[key]
-            self._send_frame(key, tuple(frame))
-
-    def _send_frame(self, key: tuple[str, int, int], frame: tuple) -> None:
-        dst, batch, attempt = key
+            frame = tuple(buffered)
         seq = self._chan_seq.get(key, 0)
         self._chan_seq[key] = seq + 1
         # counted when sent, not when buffered: items a replay discards
@@ -201,17 +239,38 @@ class _TaskBase(Process):
         self.items_sent += len(frame)
         self.network.send(self.name, dst, CHAN, (self.name, batch, attempt, seq, frame))
 
+    def close_chan(self, dst: str, batch: int, attempt: int) -> None:
+        """Send the channel's last frame — anything buffered, then the
+        punctuation — and retire its sequence counter."""
+        key = (dst, batch, attempt)
+        buffered = self._out_frames.pop(key, None)
+        frame = _PUNCT_FRAME if buffered is None else (*buffered, PUNCT)
+        seq = self._chan_seq.pop(key, 0)
+        self.frames_sent += 1
+        self.items_sent += len(frame)
+        self.network.send(self.name, dst, CHAN, (self.name, batch, attempt, seq, frame))
+
     def handle_chan(self, msg: Message) -> None:
         src, batch, attempt, seq, frame = msg.payload
         key = (src, batch, attempt)
-        expected = self._recv_seq.get(key, 0)
+        expected = self._recv_seq.get(key)
+        if expected is None:
+            if (batch, attempt) in self._closed:
+                return  # a late copy of a frame of a closed batch attempt
+            expected = 0
+        on_item = self.on_item
+        if seq == expected and not self._held:
+            # in order with no gap open: the frame releases itself alone
+            self._recv_seq[key] = seq + 1
+            for item in frame:
+                on_item(src, batch, attempt, item)
+            return
         if seq != expected:
             # ahead of a gap: hold it (once); behind: a duplicate
             if seq > expected:
                 self._held.setdefault(key, {}).setdefault(seq, frame)
             return
         held = self._held.get(key)
-        on_item = self.on_item
         while frame is not None:
             seq += 1
             self._recv_seq[key] = seq
@@ -297,6 +356,16 @@ class _SpoutTask(_TaskBase):
 
     def _replay(self, batch: int) -> None:
         if batch not in self.pending:
+            return
+        if self.attempts[batch] >= MAX_REPLAYS:
+            # give up: the batch stays unacked (a late ack of an attempt
+            # still in flight finds nothing pending), and its slot goes to
+            # the next batch
+            del self.pending[batch]
+            self.replay_timers.pop(batch, None)
+            self.batch_cache.pop(batch, None)
+            self.cluster.trace.record(self.now, self.name, "batch_abandoned", batch)
+            self._fill_pipeline()
             return
         self.replays += 1
         self.attempts[batch] += 1
@@ -386,19 +455,22 @@ class _BoltTask(_TaskBase):
         if current is not None and attempt < current:
             self.stale_items_dropped += 1
             return
-        self._queue.append((src, batch, attempt, item))
-        if not self._busy:
-            self._pump()
+        if self._busy:
+            self._queue.append((src, batch, attempt, item))
+            return
+        # idle: the item goes straight into service, never into the queue
+        self._busy = True
+        cost = self.exec_time if item[0] == TUPLE else PUNCT_TIME
+        self.sim.post(cost, self._service, src, batch, attempt, item)
 
     def _pump(self) -> None:
         if not self._queue:
             self._busy = False
             return
-        self._busy = True
         src, batch, attempt, item = self._queue.popleft()
         # punctuations are control messages: near-free to process
-        cost = self.exec_time if item[0] == "tuple" else PUNCT_TIME
-        self.network.sim.post(cost, self._service, src, batch, attempt, item)
+        cost = self.exec_time if item[0] == TUPLE else PUNCT_TIME
+        self.sim.post(cost, self._service, src, batch, attempt, item)
 
     def _service(self, src: str, batch: int, attempt: int, item: tuple) -> None:
         current = self._batch_attempt.get(batch)
@@ -409,10 +481,10 @@ class _BoltTask(_TaskBase):
                 return
             self._ensure_attempt(batch, attempt)
         kind = item[0]
-        if kind == "tuple":
+        if kind == TUPLE:
             self.processed_tuples += 1
             self.bolt.execute(StormTuple(item[1], batch), self._emits[batch])
-        elif kind == "punct":
+        elif item == PUNCT:
             self._on_punct(src, batch, attempt)
         else:  # pragma: no cover - defensive
             raise StormError(f"unknown channel item {kind!r}")
@@ -443,12 +515,20 @@ class _BoltTask(_TaskBase):
     # batch completion
     # ------------------------------------------------------------------
     def _on_punct(self, src: str, batch: int, attempt: int) -> None:
-        seen = self._puncts.setdefault((batch, attempt), set())
+        key = (batch, attempt)
+        seen = self._puncts.get(key)
+        if seen is None:
+            seen = self._puncts[key] = set()
         seen.add(src)
         expected = self.cluster.expected_punct_tasks(self.component, batch)
         if not expected <= seen:
             return
-        self._puncts.pop((batch, attempt), None)
+        del self._puncts[key]
+        # every expected source has sent its channel's last frame: the
+        # attempt's receive counters retire, and its tombstone stays
+        for source in expected:
+            self._recv_seq.pop((source, batch, attempt), None)
+        self._closed.add(key)
         if batch in self._finished:
             return
         self._finished.add(batch)
@@ -517,6 +597,16 @@ class ClusterConfig:
     ) -> None:
         if frame_size < 1:
             raise StormError(f"frame_size must be >= 1, got {frame_size}")
+        # checked here, not discovered from inside the event loop: a
+        # non-positive timeout replays a batch before it can be acked, and
+        # a negative service time schedules into the past
+        if replay_timeout is not None and not replay_timeout > 0:  # NaN fails too
+            raise StormError(f"replay_timeout must be > 0, got {replay_timeout}")
+        for component, exec_time in (exec_times or {}).items():
+            if not exec_time >= 0:
+                raise StormError(
+                    f"exec_times[{component!r}] must be >= 0, got {exec_time}"
+                )
         self.seed = seed
         self.latency = latency or LatencyModel(base=0.0005, jitter=0.001)
         self.drop_prob = drop_prob
@@ -545,11 +635,12 @@ class StormCluster:
             reliable_kinds=reliable,
         )
         self.trace = Trace()
-        unknown = set(self.config.parallelism) - set(topology.declarations)
-        if unknown:
-            raise StormError(
-                f"parallelism overrides for unknown components: {sorted(unknown)}"
-            )
+        for setting in ("parallelism", "exec_times"):
+            unknown = set(getattr(self.config, setting)) - set(topology.declarations)
+            if unknown:
+                raise StormError(
+                    f"{setting} overrides for unknown components: {sorted(unknown)}"
+                )
         self.assignment = ReplicaAssignment(
             {
                 name: self.config.parallelism.get(name, decl.parallelism)

@@ -222,17 +222,12 @@ def test_cycle_derives_through_each_member_annotation():
     assert analyze(flow).label_of("sink").kind is LabelKind.RUN
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a component counts as replicated through a stream into another of "
-    "its interfaces only once that stream is labeled, and which streams are "
-    "labeled first follows declaration order",
-)
 def test_labels_do_not_depend_on_declaration_order():
     """``X.o0`` (``OW``, fed from outside) and the replicated ``Y`` are
-    independent; ``Y`` also feeds ``X.i1``.  Declared ``X`` first, ``X.o0``
-    is labeled before ``Y.out`` and its sink reads ``Run``; declared ``Y``
-    first, ``Diverge``."""
+    independent; ``Y`` also feeds ``X.i1``.  ``X`` is replicated through
+    ``yx`` however the components are declared, so ``X.o0``'s sink reads
+    ``Diverge`` both ways (it used to read ``Run`` when ``X`` came first,
+    labeled before ``Y.out`` made ``yx`` count)."""
 
     def build(y_first: bool) -> Dataflow:
         flow = Dataflow("order")
@@ -251,3 +246,4 @@ def test_labels_do_not_depend_on_declaration_order():
         return flow
 
     assert analyze(build(False)).stream_labels == analyze(build(True)).stream_labels
+    assert analyze(build(False)).label_of("sink0").kind is LabelKind.DIVERGE

@@ -223,16 +223,16 @@ def _inputs_for(
     return inputs
 
 
-def _component_replicated(
-    dataflow: Dataflow,
-    component: Component,
-    stream_rep: dict[str, bool],
-) -> bool:
-    if component.rep:
-        return True
-    return any(
-        stream_rep.get(s.name, False) or s.rep
-        for s in dataflow.streams_into(component.name)
+def _stream_replicated(dataflow: Dataflow, stream: Stream) -> bool:
+    """A stream's replication is static: its own ``Rep`` or its producer's."""
+    return stream.rep or (
+        stream.src is not None and dataflow.component(stream.src[0]).rep
+    )
+
+
+def _component_replicated(dataflow: Dataflow, component: Component) -> bool:
+    return component.rep or any(
+        _stream_replicated(dataflow, s) for s in dataflow.streams_into(component.name)
     )
 
 
@@ -255,7 +255,7 @@ def _process_output(
             derived = derive_path(label, path.annotation, fds)
             steps.extend(derived)
             labels.extend(step.output_label for step in derived)
-    replicated = _component_replicated(dataflow, component, stream_rep)
+    replicated = _component_replicated(dataflow, component)
     result = reconcile(labels, replicated=replicated, fds=fds)
     record = OutputAnalysis(
         component=component_name,
@@ -309,7 +309,7 @@ def _process_cycle(
                     f"has no label yet; processing order is inconsistent"
                 )
             entry_labels.append(stream_labels[stream.name])
-            replicated = replicated or stream_rep.get(stream.name, False)
+            replicated = replicated or _stream_replicated(dataflow, stream)
 
     # ...and (b) outputs of non-cycle paths that terminate at a cycle
     # interface: those records circulate through the cycle too.  Their

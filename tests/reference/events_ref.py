@@ -17,7 +17,8 @@ file.  Keep the scheduling semantics here frozen: events fire in
 fired, ``until`` bounds virtual time, ``max_events`` bounds firings.
 
 The only additions over the seed are the compatibility shims at the bottom
-of :class:`Simulator` (``post``/``post_at``/``waker``/profiler support), so
+of :class:`Simulator` (``post``/``post_at``/``waker``/profiler support and
+the ``watched`` flag), so
 the upper layers can drive either kernel through one interface, and two
 seed bugs fixed: :attr:`Simulator.pending` no longer counts cancelled
 events (which misled quiescence checks), and a ``run`` whose ``until``
@@ -81,6 +82,7 @@ class Simulator:
         # The attached telemetry hub (repro.obs); same contract as the
         # fast kernel: message-level sites read it, the loop never does.
         self.telemetry = None
+        self.watched = False  # the network's one delivery check, as there
 
     @property
     def pending(self) -> int:
@@ -201,6 +203,8 @@ class Simulator:
     @profiler.setter
     def profiler(self, value) -> None:
         self._profiler = value
+        if value is not None:
+            self.watched = True
 
     def __repr__(self) -> str:
         return f"Simulator(now={self.now:.6f}, pending={self.pending})"

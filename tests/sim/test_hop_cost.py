@@ -2,12 +2,14 @@
 
 Every simulated message pays one hop: a kernel record, ``Network.send``,
 the kernel loop popping it, ``Network._deliver``.  ``tools/unexecuted.py``'s
-``sys.settrace`` line counter, restricted to ``src/repro/sim``, repeats
-exactly from run to run, so "lines the simulator executes per delivered
-message" is a fact about the code and not about the host
-(``tests/bloom/test_tick_cost.py`` pins the Bloom timestep the same way).
-A record pool, a per-message helper call or a per-event re-check creeping
-back onto the hop raises the count past the ceiling.
+``sys.settrace`` line counter repeats exactly from run to run, so "lines
+executed per delivered message" is a fact about the code and not about
+the host (``tests/bloom/test_tick_cost.py`` pins the Bloom timestep the
+same way).  Restricted to ``src/repro/sim`` it is the hop itself: a record
+pool, a per-message helper call or a per-event re-check creeping back
+raises it past :data:`CEILING`.  Over all of ``src/repro`` it adds the
+Storm executor's per-item path around each hop (route, channel send,
+reassembly, service), pinned by :data:`REPRO_CEILING`.
 """
 
 from __future__ import annotations
@@ -19,15 +21,24 @@ from repro.api import get_app
 from tools.unexecuted import count_lines
 
 SIM = str(Path(repro.sim.__file__).parent)
-# executed repro/sim lines per delivered message on the run below: 76.62
-# (66 356 lines, 866 deliveries); 80.95 with a live-event counter written
-# per event and ``Process.sim`` a property, 108.1 with a free pool of
-# records, a helper call per post and LatencyModel.sample on the hop
-CEILING = 76.7
+REPRO = str(Path(repro.__file__).parent)
+# executed repro/sim lines per delivered message on the run below: 57.71
+# (49 981 lines, 866 deliveries); 76.62 with the fired count written and
+# the instant re-checked per event, a copy loop on every send and the
+# profiler, telemetry and observers each checked per delivery; 80.95 with
+# a live-event counter written per event and ``Process.sim`` a property,
+# 108.1 with a free pool of records, a helper call per post and
+# LatencyModel.sample on the hop
+CEILING = 57.8
+# executed src/repro lines per delivered message on the same run: 131.78
+# (114 121 lines); 155.73 with every channel item queued before service,
+# a router branching on the grouping mode per tuple and the punctuation
+# built per send
+REPRO_CEILING = 131.8
 
 
-def sim_lines_per_delivery() -> tuple[int, int]:
-    """``(lines, delivered)`` for a small, fixed word count run."""
+def lines_per_delivery(prefix: str) -> tuple[int, int]:
+    """``(lines under prefix, delivered)`` for a small, fixed word count run."""
     outcomes = []
 
     def run() -> None:
@@ -37,13 +48,19 @@ def sim_lines_per_delivery() -> tuple[int, int]:
             )
         )
 
-    lines = count_lines(SIM, run)
+    lines = count_lines(prefix, run)
     (outcome,) = outcomes
     return lines, outcome.cluster.network.delivered
 
 
 def test_a_delivered_message_costs_the_simulator_a_bounded_number_of_lines():
-    lines, delivered = sim_lines_per_delivery()
+    lines, delivered = lines_per_delivery(SIM)
     assert delivered > 500, "the run delivered too little to measure"
     assert lines / delivered <= CEILING, lines / delivered
-    assert sim_lines_per_delivery() == (lines, delivered)  # a count, not a timing
+    assert lines_per_delivery(SIM) == (lines, delivered)  # a count, not a timing
+
+
+def test_a_delivered_message_costs_the_program_a_bounded_number_of_lines():
+    lines, delivered = lines_per_delivery(REPRO)
+    assert delivered > 500, "the run delivered too little to measure"
+    assert lines / delivered <= REPRO_CEILING, lines / delivered

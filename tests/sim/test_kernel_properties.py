@@ -173,3 +173,73 @@ class TestKernelAgreement:
             sim.run()
             results.append((fired, sim.now, sim.fired, sim.pending))
         assert results[0] == results[1]
+
+
+class Boom(Exception):
+    """Raised by a callback to end a run."""
+
+
+@both_kernels
+def test_a_raising_callback_counts_as_fired(sim_cls):
+    sim = sim_cls()
+
+    def boom():
+        raise Boom
+
+    for delay in (1.0, 3.0):
+        sim.schedule(delay, lambda: None)
+    sim.schedule(2.0, boom)
+    with pytest.raises(Boom):
+        sim.run()
+    assert (sim.now, sim.fired, sim.pending) == (2.0, 2, 1)
+    sim.run()
+    assert (sim.now, sim.fired, sim.pending) == (3.0, 3, 0)
+
+
+bounded_runs = st.lists(
+    st.one_of(
+        st.builds(dict, max_events=st.integers(min_value=0, max_value=6)),
+        st.builds(dict, until=st.floats(min_value=0, max_value=60)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(
+    program=programs,
+    seed=st.integers(min_value=0, max_value=2**31),
+    runs=bounded_runs,
+    raise_at=st.one_of(st.none(), st.integers(min_value=1, max_value=30)),
+)
+@settings(max_examples=80)
+def test_counters_between_runs_match_the_reference(program, seed, runs, raise_at):
+    """``fired`` and ``pending`` read between runs — after each
+    ``run(max_events=k)``, each ``run(until=t)`` and a run a callback ended
+    by raising — are the reference kernel's, and so is the drained end."""
+    results = []
+    for cls in KERNEL_CLASSES:
+        sim = cls(seed=seed)
+        log = []
+        extras = {}
+
+        def fire(tag, sim=sim, log=log, extras=extras):
+            log.append((round(sim.now, 9), tag))
+            if len(log) == raise_at:
+                raise Boom
+            for sub in range(extras.get(tag, 0)):
+                sim.schedule(sim.rng.random(), lambda t=(tag, sub): fire(t))
+
+        for index, (delay, extra) in enumerate(program):
+            extras[index] = extra
+            sim.schedule(delay, lambda i=index: fire(i))
+        readings = []
+        for bounds in runs + [{}]:
+            try:
+                sim.run(**bounds)
+                ended = "returned"
+            except Boom:
+                ended = "raised"
+            readings.append((ended, sim.now, sim.fired, sim.pending, len(log)))
+        results.append(readings)
+    assert results[0] == results[1]

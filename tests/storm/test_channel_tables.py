@@ -2,24 +2,30 @@
 
 The receive side of a channel is two dicts — next expected sequence
 number per ``(src, batch, attempt)``, and held-back frames only while a
-gap is open — instead of an inbox object per channel.  The reassembly
-rule must still be :class:`repro.coord.ordering.OrderedInbox`'s, and the
-work saved is pinned as counts (which repeat exactly), not timings.
+gap is open — instead of an inbox object per channel, and both sides
+retire a channel when its batch attempt closes.  The reassembly rule must
+still be :class:`repro.coord.ordering.OrderedInbox`'s, and the work saved
+is pinned as counts (which repeat exactly), not timings.
 """
 
 from __future__ import annotations
 
-import gc
 import types
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.wordcount import build_wordcount_topology, run_wordcount
+from repro.apps.wordcount import (
+    build_wordcount_topology,
+    committed_store,
+    reference_counts,
+    run_wordcount,
+)
 from repro.coord.ordering import OrderedInbox
-from repro.sim import LatencyModel, Message, faultpolicy
+from repro.sim import FailureInjector, LatencyModel, Message, faultpolicy
 from repro.storm import ClusterConfig, StormCluster
-from repro.storm.executor import CHAN, _TaskBase
+from repro.storm.executor import CHAN, _BoltTask, _TaskBase
 
 
 class RecordingTask(_TaskBase):
@@ -128,17 +134,45 @@ def test_policy_is_consulted_only_while_a_fault_can_apply(monkeypatch):
     assert (len(copies), len(actions)) == (cluster.network.sent, 0)
 
 
-def test_in_order_channels_hold_integers_only():
+@pytest.mark.parametrize(
+    "jitter, frame_size", [(0.0, 1), (0.001, 1), (0.001, 8)], ids=["in-order", "jitter", "framed"]
+)
+def test_channel_tables_are_empty_after_a_run(jitter, frame_size):
+    """Every channel retires when its batch attempt closes: the sender
+    drops its counter with the punctuation, the receiver its counter when
+    the attempt completes, and what is left is one tombstone per batch
+    attempt at each bolt task."""
     topology = build_wordcount_topology(workers=4, total_batches=6, batch_size=20)
-    jitter_free = LatencyModel(base=0.0005, jitter=0.0)
-    cluster = StormCluster(topology, ClusterConfig(seed=3, latency=jitter_free))
+    latency = LatencyModel(base=0.0005, jitter=jitter)
+    config = ClusterConfig(seed=3, latency=latency, frame_size=frame_size)
+    cluster = StormCluster(topology, config)
     cluster.run()
     assert len(cluster.batches_acked) == 6
-    channels = 0
     for task in _tasks(cluster):
-        assert task._held == {}
-        for table in (task._recv_seq, task._chan_seq):
-            channels += len(table)
-            assert all(type(value) is int for value in table.values())
-            assert not any(gc.is_tracked(value) for value in table.values())
-    assert channels > 300  # the tables were exercised, not vacuously clean
+        assert task._chan_seq == task._recv_seq == task._held == task._out_frames == {}
+    assert cluster.total_frames_sent > 150  # the tables were exercised
+    bolts = [task for task in _tasks(cluster) if isinstance(task, _BoltTask)]
+    assert all(task._closed == {(batch, 0) for batch in range(6)} for task in bolts)
+
+
+def _processed(cluster: StormCluster) -> int:
+    return sum(
+        task.processed_tuples for task in _tasks(cluster) if isinstance(task, _BoltTask)
+    )
+
+
+def test_a_frame_copied_after_its_attempt_closed_is_not_executed_again():
+    """Every data message is sent twice, so the late copy of many a
+    channel's frames lands after its batch attempt completed and its
+    receive counter retired: the tombstone must still discard it."""
+    shape = dict(workers=4, total_batches=6, batch_size=20, seed=5)
+    _, clean = run_wordcount(**shape)
+
+    def duplicate_everything(cluster: StormCluster) -> None:
+        FailureInjector(cluster.network).duplicate_window(0.0, 1000.0, 1.0)
+
+    metrics, cluster = run_wordcount(**shape, chaos=duplicate_everything)
+    assert metrics.batches_acked == 6
+    assert cluster.network.duplicated == cluster.network.sent  # no reliable kinds
+    assert committed_store(cluster) == reference_counts(6, 20, seed=5)
+    assert _processed(cluster) == _processed(clean)

@@ -11,7 +11,9 @@ from repro.apps.wordcount import (
     reference_counts,
     run_wordcount,
 )
+from repro.errors import StormError
 from repro.storm import ClusterConfig, StormCluster, stable_hash
+from repro.storm.executor import MAX_REPLAYS
 
 
 def test_spout_batches_are_replay_deterministic():
@@ -171,3 +173,33 @@ def test_metrics_fields_are_consistent():
     assert metrics.throughput > 0
     assert metrics.mean_batch_latency > 0
     assert metrics.replays == 0
+
+
+class TestConfigChecks:
+    """Settings that would hang or fail inside the event loop fail here."""
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_a_replay_timeout_must_be_positive(self, timeout):
+        with pytest.raises(StormError, match="replay_timeout"):
+            ClusterConfig(replay_timeout=timeout)
+
+    def test_a_service_time_must_not_be_negative(self):
+        with pytest.raises(StormError, match="Count"):
+            ClusterConfig(exec_times={"Count": -1.0})
+
+    def test_a_service_time_for_an_unknown_component_is_rejected(self):
+        topology = build_wordcount_topology(workers=2, total_batches=1)
+        config = ClusterConfig(exec_times={"Conut": 0.001})  # typo'd "Count"
+        with pytest.raises(StormError, match="Conut"):
+            StormCluster(topology, config)
+
+    def test_a_batch_replayed_max_replays_times_is_given_up(self):
+        """A timeout shorter than any round trip: every batch is re-emitted
+        MAX_REPLAYS times, then left unacked, and the run ends."""
+        metrics, cluster = run_wordcount(
+            workers=2, total_batches=3, batch_size=10, replay_timeout=0.0001
+        )
+        assert metrics.batches_acked == 0
+        assert metrics.replays == 3 * MAX_REPLAYS
+        abandoned = [r.data for r in cluster.trace.select(event="batch_abandoned")]
+        assert sorted(abandoned) == [0, 1, 2]

@@ -208,6 +208,23 @@ def test_run_bad_override_is_a_clean_error(capsys):
     assert "KEY=VALUE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1"])
+def test_run_rejects_a_replay_timeout_that_is_not_positive(capsys, timeout):
+    assert main(["run", "wordcount", "--smoke", "--set", f"replay_timeout={timeout}"]) == 1
+    assert "replay_timeout must be > 0" in capsys.readouterr().err
+
+
+def test_a_replay_timeout_shorter_than_a_round_trip_ends_unacked(capsys):
+    """Every attempt is superseded before it can be acked; the spout gives
+    each batch up after MAX_REPLAYS re-emissions instead of livelocking."""
+    assert main([
+        "run", "wordcount", "--smoke", "--json", "--set", "replay_timeout=0.0001",
+    ]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert metrics["batches_acked"] < 3  # the smoke run's total
+    assert metrics["replays"] > 0
+
+
 def test_run_reserved_override_is_a_clean_error(capsys):
     for key, flag in (("seed", "--seed"), ("smoke", "--smoke"), ("strategy", "--strategy")):
         assert main(["run", "wordcount", "--set", f"{key}=1"]) == 1
