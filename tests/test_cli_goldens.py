@@ -53,6 +53,10 @@ INVOCATIONS = {
         0,
     ),
     "stats-text": (["stats", "kvs", "--smoke"], 0),
+    # the coordcost ledger: seal votes and releases, registry lookups, zk
+    # reads, the sequencer, txn traffic, punctuation and batch commits
+    "stats-adnet-json": (["stats", "adnet", "--smoke", "--json"], 0),
+    "stats-wordcount-json": (["stats", "wordcount", "--smoke", "--json"], 0),
     "trace-id-text": (
         ["trace", "wordcount", "--smoke", "--id", "batch:1", "--limit", "8"],
         0,
