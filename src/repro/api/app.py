@@ -626,9 +626,7 @@ class BlazesApp:
 
                 network = getattr(cluster, "network", None)
                 sent = network.sent if network is not None else None
-                metrics["coordcost"] = coordcost_report(
-                    telemetry, messages_sent=sent
-                ).to_dict()
+                metrics["coordcost"] = coordcost_report(telemetry, messages_sent=sent)
                 if telemetry.profiler is not None:
                     telemetry.profiler.wall_seconds += elapsed
                     metrics["profile"] = telemetry.profiler.snapshot()

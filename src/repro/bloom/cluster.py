@@ -102,16 +102,11 @@ class BloomNode(Process):
         runtime = self.runtime
         evaluated = runtime.tick_count
         outputs = runtime.tick()
-        telemetry = self.sim.telemetry
         if runtime.tick_count == evaluated:
             # quiescence fast path: the runtime consumed a tick whose only
             # pending input was redundant (e.g. duplicated deliveries of
             # rows a table already holds) without running the fixpoint
-            if telemetry is not None:
-                telemetry.count("bloom.ticks_skipped", self.name)
             return
-        if telemetry is not None:
-            telemetry.count("bloom.ticks", self.name)
         last, self._last_outputs = self._last_outputs, outputs
         if outputs is not last:  # the same dict holds only logged sets
             for name, rows in outputs.items():

@@ -9,7 +9,7 @@ punctuations.
 from repro.coord.assignment import ReplicaAssignment, stable_hash
 from repro.coord.ordering import OrderedConsumer, OrderedInbox
 from repro.coord.sealing import DATA, PUNCT, SealManager, SealedStreamProducer
-from repro.coord.zookeeper import ZkClient, ZkStats, ZookeeperService, install_zookeeper
+from repro.coord.zookeeper import ZkClient, ZookeeperService, install_zookeeper
 
 __all__ = [
     "ReplicaAssignment",
@@ -21,7 +21,6 @@ __all__ = [
     "SealManager",
     "SealedStreamProducer",
     "ZkClient",
-    "ZkStats",
     "ZookeeperService",
     "install_zookeeper",
 ]

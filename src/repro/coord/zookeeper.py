@@ -21,13 +21,13 @@ See ``docs/architecture.md`` for the full paper-section-to-module map.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.errors import SimulationError
 from repro.sim.network import Message, Network, Process
+from repro.sim.trace import Trace
 from repro.wire import (
     ZK_DELIVER as DELIVER,
     ZK_GET as GET,
@@ -38,14 +38,10 @@ from repro.wire import (
     ZK_SUBMIT as SUBMIT,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.trace import Trace
-
 __all__ = [
     "SERVICE_NAME",
     "ZK_KINDS",
     "ZookeeperService",
-    "ZkStats",
     "ZkClient",
     "install_zookeeper",
     "recorded_order",
@@ -58,16 +54,6 @@ SERVICE_NAME = "zookeeper"
 READ_SERVICE = 0.001
 
 
-@dataclasses.dataclass
-class ZkStats:
-    """Operation counters for one service instance."""
-
-    submits: int = 0
-    deliveries: int = 0
-    reads: int = 0
-    writes: int = 0
-
-
 class ZookeeperService(Process):
     """The simulated coordination service (leader's-eye view).
 
@@ -77,21 +63,23 @@ class ZookeeperService(Process):
         Virtual seconds the leader spends committing one write (quorum
         round trip plus log fsync).  Writes serialize: this is the
         sequencer's bottleneck.  A read costs :data:`READ_SERVICE`.
+    trace:
+        Where the committed total order of every topic is recorded, as
+        ``zk.order:<topic>`` events; a service built without one records
+        into a trace of its own.
     """
 
     def __init__(
         self,
         *,
         write_service: float = 0.004,
-        trace: "Trace | None" = None,
+        trace: Trace | None = None,
     ) -> None:
         super().__init__(SERVICE_NAME)
         self.write_service = write_service
-        self.trace = trace
-        self.stats = ZkStats()
+        self.trace = trace if trace is not None else Trace()
         self._subscribers: dict[str, list[str]] = {}
         self._sequences: dict[str, int] = {}
-        self._log: dict[str, list[Any]] = {}
         self._znodes: dict[str, Any] = {}
         self._queue: deque[tuple[str, Message]] = deque()
         self._busy = False
@@ -119,11 +107,10 @@ class ZookeeperService(Process):
         This is the run's *decision log*: a different run of the same
         workload commits a different (but equally valid) order, which is
         why cross-run comparisons of ordered deployments must condition
-        on it (see :func:`repro.chaos.oracle.classify_runs`).  The same
-        order is recorded as ``zk.order:<topic>`` trace events when the
-        service was built with a :class:`~repro.sim.trace.Trace`.
+        on it (see :func:`repro.chaos.oracle.classify_runs`).  It is read
+        back from the service's ``zk.order:<topic>`` trace events.
         """
-        return tuple(self._log.get(topic, ()))
+        return recorded_order(self.trace, topic)
 
     # ------------------------------------------------------------------
     # message handling
@@ -167,24 +154,18 @@ class ZookeeperService(Process):
                 )
         if kind == SUBMIT:
             topic, value = msg.payload
-            self.stats.submits += 1
             seq = self._sequences.get(topic, 0)
             self._sequences[topic] = seq + 1
-            self._log.setdefault(topic, []).append(value)
-            if self.trace is not None:
-                self.trace.record(self.now, self.name, f"zk.order:{topic}", (seq, value))
+            self.trace.record(self.now, self.name, f"zk.order:{topic}", (seq, value))
             delivery = (topic, seq, value)
             for subscriber in self._subscribers.get(topic, ()):
-                self.stats.deliveries += 1
                 self.send(subscriber, DELIVER, delivery)
         elif kind == SET:
             path, value = msg.payload
-            self.stats.writes += 1
             self._znodes[path] = value
             self.send(msg.src, SET_REPLY, path)
         elif kind == GET:
             path = msg.payload
-            self.stats.reads += 1
             self.send(msg.src, GET_REPLY, (path, self._znodes.get(path)))
         self._busy = False
         self._pump()
@@ -244,19 +225,19 @@ def install_zookeeper(
     network: Network,
     *,
     write_service: float = 0.004,
-    trace: "Trace | None" = None,
+    trace: Trace | None = None,
 ) -> ZookeeperService:
     """Create and register a service instance on a network.
 
-    Pass a :class:`~repro.sim.trace.Trace` to record the committed total
-    order of every topic as ``zk.order:<topic>`` events.
+    Pass the run's :class:`~repro.sim.trace.Trace` to record the committed
+    total order of every topic as ``zk.order:<topic>`` events in it.
     """
     service = ZookeeperService(write_service=write_service, trace=trace)
     network.register(service)
     return service
 
 
-def recorded_order(trace: "Trace", topic: str) -> tuple:
+def recorded_order(trace: Trace, topic: str) -> tuple:
     """The order the sequencer committed on ``topic``, read back from the
     ``zk.order:<topic>`` records of a run's trace (empty when nothing was
     sequenced)."""

@@ -74,17 +74,34 @@ def _run_chunk(fn, tasks):
 
 @dataclasses.dataclass
 class PoolStats:
-    """One dispatch's (or the pool lifetime's) accounting."""
+    """One dispatch's accounting.
+
+    The ``tasks``, ``busy_seconds`` and ``events`` totals are sums of the
+    per-worker rows; what a pool did over its lifetime is the sum of its
+    dispatches, kept in the cache's ``stats.json`` (``blazes stats
+    --engine``).
+    """
 
     jobs: int
-    tasks: int = 0
     chunks: int = 0
-    dispatches: int = 0
     wall_seconds: float = 0.0
-    busy_seconds: float = 0.0
     cpu_seconds: float = 0.0
-    events: int = 0
     workers: dict[int, dict[str, float]] = dataclasses.field(default_factory=dict)
+
+    def _total(self, field: str, zero: float = 0):
+        return sum((worker[field] for worker in self.workers.values()), zero)
+
+    @property
+    def tasks(self) -> int:
+        return self._total("tasks")
+
+    @property
+    def busy_seconds(self) -> float:
+        return self._total("busy_seconds", 0.0)
+
+    @property
+    def events(self) -> int:
+        return self._total("events")
 
     @property
     def utilization(self) -> float:
@@ -94,8 +111,6 @@ class PoolStats:
         return min(1.0, self.busy_seconds / (self.wall_seconds * self.jobs))
 
     def note_task(self, pid: int, wall: float, cpu: float, events: int | None) -> None:
-        self.tasks += 1
-        self.busy_seconds += wall
         self.cpu_seconds += cpu
         worker = self.workers.setdefault(
             pid, {"tasks": 0, "busy_seconds": 0.0, "events": 0}
@@ -104,31 +119,13 @@ class PoolStats:
         worker["busy_seconds"] += wall
         if events:
             worker["events"] += events
-            self.events += events
-
-    def merge(self, other: "PoolStats") -> None:
-        """Fold one dispatch into a lifetime accumulator."""
-        self.tasks += other.tasks
-        self.chunks += other.chunks
-        self.dispatches += other.dispatches
-        self.wall_seconds += other.wall_seconds
-        self.busy_seconds += other.busy_seconds
-        self.cpu_seconds += other.cpu_seconds
-        self.events += other.events
-        for pid, theirs in other.workers.items():
-            worker = self.workers.setdefault(
-                pid, {"tasks": 0, "busy_seconds": 0.0, "events": 0}
-            )
-            worker["tasks"] += theirs["tasks"]
-            worker["busy_seconds"] += theirs["busy_seconds"]
-            worker["events"] += theirs["events"]
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "jobs": self.jobs,
             "tasks": self.tasks,
             "chunks": self.chunks,
-            "dispatches": self.dispatches,
+            "dispatches": 1,  # one record per dispatch
             "wall_seconds": self.wall_seconds,
             "busy_seconds": self.busy_seconds,
             "cpu_seconds": self.cpu_seconds,
@@ -164,7 +161,6 @@ class WorkerPool:
         self.jobs = jobs
         self._executor: ProcessPoolExecutor | None = None
         self.spawned = 0
-        self.lifetime = PoolStats(jobs=jobs)
         self.last: PoolStats | None = None
 
     @property
@@ -191,7 +187,6 @@ class WorkerPool:
             return
         self.shutdown()
         self.jobs = jobs
-        self.lifetime.jobs = jobs
 
     def shutdown(self) -> None:
         if self._executor is not None:
@@ -211,7 +206,7 @@ class WorkerPool:
         Worker exceptions propagate to the caller, as they would serially.
         """
         tasks = list(enumerate(param_list))
-        stats = PoolStats(jobs=self.jobs, dispatches=1)
+        stats = PoolStats(jobs=self.jobs)
         if not tasks:
             self.last = stats
             return []
@@ -230,7 +225,6 @@ class WorkerPool:
         stats.chunks = len(chunks)
         stats.wall_seconds = time.perf_counter() - start
         self.last = stats
-        self.lifetime.merge(stats)
         return rows  # type: ignore[return-value]
 
 

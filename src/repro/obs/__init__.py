@@ -8,7 +8,6 @@ backend speaking the same wire vocabulary reports through it unchanged.
 """
 
 from repro.obs.coordcost import (
-    CoordCostReport,
     PLANES,
     aggregate_coordcost,
     classify_message,
@@ -19,7 +18,6 @@ from repro.obs.spans import SpanTracker, divergence_explain
 from repro.obs.telemetry import Telemetry, activate, current
 
 __all__ = [
-    "CoordCostReport",
     "PLANES",
     "RUNDIR_SCHEMA_VERSION",
     "SpanTracker",

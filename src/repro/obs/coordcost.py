@@ -24,8 +24,8 @@ of three planes:
 Alongside message counts the hub accrues *decisions* (seal votes and
 releases, sequencer commits, registry lookups, replays, retries) and the
 simulated-time serialization cost of the coordination service (the ZK
-leader's busy time per operation), yielding a per-run
-:class:`CoordCostReport` that benchmarks and audit cells embed in their
+leader's busy time per operation), yielding a per-run ``coordcost`` block
+(:func:`coordcost_report`) that benchmarks and audit cells embed in their
 ``BENCH_*.json``.
 
 The message kinds come from :mod:`repro.wire`, the import-free leaf the
@@ -35,7 +35,7 @@ any backend speaking the same wire vocabulary and depends on none.
 
 from __future__ import annotations
 
-import dataclasses
+from collections import Counter
 from collections.abc import Iterable
 from typing import Any
 
@@ -53,7 +53,6 @@ from repro.wire import (
 )
 
 __all__ = [
-    "CoordCostReport",
     "PLANES",
     "TOPIC_KINDS",
     "aggregate_coordcost",
@@ -67,6 +66,9 @@ PLANE_DATA = "data"
 PLANE_COORDINATION = "coordination"
 PLANE_DELIVERY = "delivery"
 PLANES = (PLANE_DATA, PLANE_COORDINATION, PLANE_DELIVERY)
+
+# The block's raw per-label fields: one hub tally each (Telemetry.tallies).
+TALLIES = ("planes", "kinds", "topics", "decisions", "decision_topics")
 
 
 _ZK_ZNODE_KINDS = frozenset({ZK_SET, ZK_GET, ZK_GET_REPLY, ZK_SET_REPLY})
@@ -113,120 +115,69 @@ COORDINATION_DECISIONS = frozenset(
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class CoordCostReport:
-    """One run's coordination-cost accounting, JSON-able via ``to_dict``.
+def _block(
+    messages_sent: int, tallies: dict[str, dict], sim_time_overhead: float
+) -> dict[str, Any]:
+    """The coordcost block of raw fields, with the derived ones added.
 
     ``coordination_share`` is the coordination plane's fraction of
     ``messages_sent`` — the headline number: ~0 for an uncoordinated
     deployment, strictly positive wherever a strategy seals or orders.
     """
-
-    messages_sent: int
-    planes: dict[str, int]
-    kinds: dict[str, int]
-    topics: dict[str, int]
-    decisions: dict[str, int]
-    decision_topics: dict[str, int]
-    sim_time_overhead: float
-
-    @property
-    def coordination_messages(self) -> int:
-        return self.planes.get(PLANE_COORDINATION, 0)
-
-    @property
-    def coordination_share(self) -> float:
-        if self.messages_sent <= 0:
-            return 0.0
-        return self.coordination_messages / self.messages_sent
-
-    @property
-    def coordination_decisions(self) -> int:
-        return sum(
+    planes = dict(sorted(tallies["planes"].items()))
+    decisions = dict(sorted(tallies["decisions"].items()))
+    coordination = planes.get(PLANE_COORDINATION, 0)
+    return {
+        "schema_version": COORDCOST_SCHEMA_VERSION,
+        "messages_sent": messages_sent,
+        "planes": planes,
+        "kinds": dict(sorted(tallies["kinds"].items())),
+        "topics": dict(sorted(tallies["topics"].items())),
+        "decisions": decisions,
+        "decision_topics": dict(sorted(tallies["decision_topics"].items())),
+        "coordination_messages": coordination,
+        "coordination_share": (
+            coordination / messages_sent if messages_sent > 0 else 0.0
+        ),
+        "coordination_decisions": sum(
             count
-            for name, count in self.decisions.items()
+            for name, count in decisions.items()
             if name in COORDINATION_DECISIONS
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": COORDCOST_SCHEMA_VERSION,
-            "messages_sent": self.messages_sent,
-            "planes": dict(self.planes),
-            "kinds": dict(self.kinds),
-            "topics": dict(self.topics),
-            "decisions": dict(self.decisions),
-            "decision_topics": dict(self.decision_topics),
-            "coordination_messages": self.coordination_messages,
-            "coordination_share": self.coordination_share,
-            "coordination_decisions": self.coordination_decisions,
-            "sim_time_overhead": self.sim_time_overhead,
-        }
+        ),
+        "sim_time_overhead": sim_time_overhead,
+    }
 
 
-def coordcost_report(hub, *, messages_sent: int | None = None) -> CoordCostReport:
-    """Derive the :class:`CoordCostReport` from a hub's counters.
+def coordcost_report(hub, *, messages_sent: int | None = None) -> dict[str, Any]:
+    """One run's coordcost block, from a hub's tallies.
 
     ``messages_sent`` (typically ``network.sent``) overrides the
     denominator; it defaults to the sends the hub itself observed, which
     is the same number whenever the hub was active for the whole run.
     """
-    planes = {
-        label: count for label, count in sorted(hub.counter("messages.plane").items())
-    }
-    observed = sum(planes.values())
-    return CoordCostReport(
-        messages_sent=messages_sent if messages_sent is not None else observed,
-        planes=planes,
-        kinds=dict(sorted(hub.counter("messages.kind").items())),
-        topics=dict(sorted(hub.counter("messages.topic").items())),
-        decisions=dict(sorted(hub.counter("decisions").items())),
-        decision_topics=dict(sorted(hub.counter("decisions.topic").items())),
-        sim_time_overhead=hub.sim_time_overhead,
-    )
+    tallies = hub.tallies()
+    if messages_sent is None:
+        messages_sent = sum(tallies["planes"].values())
+    return _block(messages_sent, tallies, hub.sim_time_overhead)
 
 
 def aggregate_coordcost(reports: Iterable[dict | None]) -> dict[str, Any] | None:
-    """Merge per-run ``to_dict`` blocks (e.g. one per audit seed).
+    """Merge per-run blocks (e.g. one per audit seed) into one, plus ``runs``.
 
-    Counts and overheads sum; the share is recomputed over the summed
-    totals.  ``None`` entries are skipped; all-``None`` yields ``None``.
+    The raw fields sum and the derived ones are derived again over the
+    sums.  ``None`` entries are skipped; all-``None`` yields ``None``.
     """
-    merged: dict[str, Any] | None = None
-    runs = 0
-    for report in reports:
-        if report is None:
-            continue
-        runs += 1
-        if merged is None:
-            merged = {
-                "schema_version": report.get(
-                    "schema_version", COORDCOST_SCHEMA_VERSION
-                ),
-                "messages_sent": 0,
-                "planes": {},
-                "kinds": {},
-                "topics": {},
-                "decisions": {},
-                "decision_topics": {},
-                "sim_time_overhead": 0.0,
-            }
-        merged["messages_sent"] += report.get("messages_sent", 0)
-        merged["sim_time_overhead"] += report.get("sim_time_overhead", 0.0)
-        for field in ("planes", "kinds", "topics", "decisions", "decision_topics"):
-            for label, count in report.get(field, {}).items():
-                merged[field][label] = merged[field].get(label, 0) + count
-    if merged is None:
+    blocks = [report for report in reports if report is not None]
+    if not blocks:
         return None
-    coordination = merged["planes"].get(PLANE_COORDINATION, 0)
-    merged["coordination_messages"] = coordination
-    merged["coordination_share"] = (
-        coordination / merged["messages_sent"] if merged["messages_sent"] else 0.0
+    tallies = {field: Counter() for field in TALLIES}
+    for block in blocks:
+        for field, tally in tallies.items():
+            tally.update(block[field])
+    merged = _block(
+        sum(block["messages_sent"] for block in blocks),
+        tallies,
+        sum((block["sim_time_overhead"] for block in blocks), 0.0),
     )
-    merged["coordination_decisions"] = sum(
-        count
-        for name, count in merged["decisions"].items()
-        if name in COORDINATION_DECISIONS
-    )
-    merged["runs"] = runs
+    merged["runs"] = len(blocks)
     return merged

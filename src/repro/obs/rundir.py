@@ -1,8 +1,9 @@
 """Machine-readable run directories (the ``--rundir`` artifact).
 
 One finished run is archived as a directory of versioned, line-oriented
-artifacts — the OpenDT-style record the ROADMAP's real-transport backend
-will also write, so downstream tooling never depends on the simulator:
+artifacts — an OpenDT-style record that a run over either backend (the
+simulator or loopback TCP) writes alike, so downstream tooling never
+depends on the simulator:
 
 ``meta.json``
     Run identity: schema version, app, strategy, seed, backend, kernel,
@@ -10,7 +11,9 @@ will also write, so downstream tooling never depends on the simulator:
 ``metrics.json``
     The outcome's metrics summary (what ``blazes run --json`` prints).
 ``coordcost.json``
-    The :class:`~repro.obs.coordcost.CoordCostReport` block.
+    The run's coordination-cost ledger: the ``coordcost`` block of
+    :func:`~repro.obs.coordcost.coordcost_report` (``{}`` for a run
+    without a telemetry hub).
 ``trace.jsonl``
     One JSON object per trace row: ``{"t", "source", "event", "data"}``.
 ``spans.jsonl``
@@ -127,7 +130,7 @@ def write_rundir(directory: str | Path, outcome, telemetry=None) -> Path:
     coordcost = outcome.metrics.get("coordcost")
     if coordcost is None and hub is not None:
         # a timed-out partial run: no outcome block, only what the hub saw
-        coordcost = coordcost_report(hub).to_dict()
+        coordcost = coordcost_report(hub)
     (path / "coordcost.json").write_text(
         json.dumps(_sanitize(coordcost or {}), indent=2, sort_keys=True) + "\n"
     )

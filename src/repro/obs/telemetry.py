@@ -1,8 +1,9 @@
-"""The telemetry hub: one interface the whole runtime reports through.
+"""The telemetry hub: the coordination-cost ledger the runtime reports to.
 
-A :class:`Telemetry` hub carries labeled counters plus the structured
-notes the simulated runtime emits
-(message sends, deliveries, coordination decisions).  Hubs are **opt-in
+A :class:`Telemetry` hub tallies the structured notes the simulated
+runtime emits (message sends, deliveries, coordination decisions) into
+the fields of the ``coordcost`` block
+(:func:`repro.obs.coordcost.coordcost_report`).  Hubs are **opt-in
 and context-scoped**: :meth:`Telemetry.activate` (used by
 ``BlazesApp.run(telemetry=...)``) pushes the hub onto a module-level
 stack, and :func:`repro.sim.events.make_simulator` attaches
@@ -14,7 +15,7 @@ byte-identical either way.
 
 The two per-message notes are **recorded on the hop and derived on first
 read**: ``note_send`` bumps one tally entry that is folded into the
-``messages.*`` counters when a counter is first read, and
+plane/kind/topic tallies when they are first read, and
 ``note_delivery`` appends the message to the span tracker's raw log
 (:class:`~repro.obs.spans.SpanTracker`).  A reader sees the counts and
 spans an eager hub would have built; a run nobody reads pays for the
@@ -32,7 +33,7 @@ import contextlib
 from collections import Counter
 from typing import Any
 
-from repro.obs.coordcost import TOPIC_KINDS, classify_message
+from repro.obs.coordcost import TALLIES, TOPIC_KINDS, classify_message
 from repro.obs.spans import SpanTracker
 
 __all__ = ["Telemetry", "activate", "current"]
@@ -59,17 +60,19 @@ def activate(hub: "Telemetry"):
 
 
 class Telemetry:
-    """One run's telemetry: instruments plus the runtime's structured notes.
+    """One run's coordination-cost ledger plus its optional instruments.
 
-    ``spans=True`` attaches a :class:`~repro.obs.spans.SpanTracker` that
-    derives causal lineage from delivered messages; ``profiler`` carries a
+    The ledger is five tallies (see :meth:`tallies`), the simulated-time
+    overhead of the coordination services, and — with ``spans=True`` — a
+    :class:`~repro.obs.spans.SpanTracker` that derives causal lineage from
+    delivered messages.  ``profiler`` carries a
     :class:`~repro.sim.profile.SimProfiler` that ``make_simulator``
     attaches to the built kernel (the ``--profile`` path).
     """
 
     def __init__(self, *, spans: bool = False, profiler: Any = None) -> None:
-        self._counters: dict[str, Counter] = {}
-        # sends not yet folded into the messages.* counters, see note_send
+        self._tallies = {field: Counter() for field in TALLIES}
+        # sends not yet folded into the message tallies, see note_send
         self._sends: dict[Any, int] = {}
         self.spans: SpanTracker | None = SpanTracker() if spans else None
         self.profiler = profiler
@@ -77,30 +80,13 @@ class Telemetry:
         # services (ZK leader busy time); see obs/coordcost.py.
         self.sim_time_overhead = 0.0
 
-    # ------------------------------------------------------------------
-    # generic instruments
-    # ------------------------------------------------------------------
-    @property
-    def counters(self) -> dict[str, Counter]:
-        """Every counter by name (label -> count), sends folded in."""
+    def tallies(self) -> dict[str, Counter]:
+        """The ledger's five tallies by coordcost field, sends folded in:
+        messages by plane, kind and topic, decisions by name and by
+        ``name:topic``."""
         if self._sends:
             self._fold_sends()
-        return self._counters
-
-    def count(self, name: str, label: str = "", by: int = 1) -> None:
-        """Increment the labeled counter ``name``/``label``."""
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter()
-        counter[label] += by
-
-    def counter(self, name: str) -> Counter:
-        """The label -> count mapping for one counter (empty if unused)."""
-        return self.counters.get(name, Counter())
-
-    def total(self, name: str) -> int:
-        """Sum over all labels of one counter."""
-        return sum(self.counter(name).values())
+        return self._tallies
 
     # ------------------------------------------------------------------
     # structured runtime notes
@@ -111,7 +97,7 @@ class Telemetry:
         Recorded on the hop, derived on read: a send only bumps a tally
         keyed by what its classification depends on — the kind, plus
         ``payload[0]`` for the kinds whose topic names it — and the tally
-        is folded into the ``messages.*`` counters on their first read.
+        is folded into the message tallies on their first read.
         A payload whose head is not a string is classified on the spot.
         """
         if kind in TOPIC_KINDS:
@@ -130,6 +116,8 @@ class Telemetry:
 
     def _fold_sends(self) -> None:
         sends, self._sends = self._sends, {}
+        tallies = self._tallies
+        planes, kinds, topics = tallies["planes"], tallies["kinds"], tallies["topics"]
         for key, sent in sends.items():
             if type(key) is str:  # not a TOPIC_KINDS kind: no payload read
                 kind = key
@@ -139,10 +127,10 @@ class Telemetry:
                 plane, topic = classify_message(kind, (head,))
             else:
                 kind, plane, topic = key
-            self.count("messages.plane", plane, sent)
-            self.count("messages.kind", kind, sent)
+            planes[plane] += sent
+            kinds[kind] += sent
             if topic:
-                self.count("messages.topic", topic, sent)
+                topics[topic] += sent
 
     def note_delivery(self, msg: Any, time: float) -> None:
         """Feed one delivered message to the span tracker, if tracing."""
@@ -163,32 +151,15 @@ class Telemetry:
         """Account one coordination/control decision (vote, release,
         sequencer commit, replay, retry), with optional simulated-time
         ``overhead`` and an optional span event under ``lineage``."""
-        self.count("decisions", name)
+        tallies = self._tallies
+        tallies["decisions"][name] += 1
         if topic:
-            self.count("decisions.topic", f"{name}:{topic}")
+            tallies["decision_topics"][f"{name}:{topic}"] += 1
         if overhead:
             self.sim_time_overhead += overhead
         if lineage is not None and self.spans is not None:
             self.spans.note_event(time, lineage, name, node, detail)
 
-    # ------------------------------------------------------------------
-    # scoping and export
-    # ------------------------------------------------------------------
     def activate(self):
         """Scope this hub as the active hub for a ``with`` block."""
         return activate(self)
-
-    def snapshot(self) -> dict[str, Any]:
-        """A JSON-able dump of every instrument."""
-        return {
-            "counters": {
-                name: dict(counter) for name, counter in sorted(self.counters.items())
-            },
-            "sim_time_overhead": self.sim_time_overhead,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"Telemetry(counters={len(self.counters)}, "
-            f"spans={'on' if self.spans is not None else 'off'})"
-        )

@@ -17,7 +17,7 @@ from repro.sim.events import EventHandle, Simulator, Waker, make_simulator
 from repro.sim.failure import FailureInjector
 from repro.sim.network import LatencyModel, Message, Network, Process
 from repro.sim.profile import SimProfiler
-from repro.sim.trace import Trace, TraceRecord, merge_traces
+from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
     "EventHandle",
@@ -32,5 +32,4 @@ __all__ = [
     "Process",
     "Trace",
     "TraceRecord",
-    "merge_traces",
 ]

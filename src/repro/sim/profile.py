@@ -39,7 +39,6 @@ class SimProfiler:
     """Counters the kernel and network fill in while attached."""
 
     __slots__ = (
-        "events",
         "kinds",
         "message_kinds",
         "heap_watermark",
@@ -47,7 +46,6 @@ class SimProfiler:
     )
 
     def __init__(self) -> None:
-        self.events = 0
         self.kinds: Counter[str] = Counter()
         self.message_kinds: Counter[str] = Counter()
         self.heap_watermark = 0
@@ -56,7 +54,6 @@ class SimProfiler:
     # Called by the kernel for every fired event.  ``heap_depth`` is the
     # queue size after the pop; pushes update the watermark directly.
     def _note_fire(self, fn, heap_depth: int) -> None:
-        self.events += 1
         self.kinds[getattr(fn, "__qualname__", repr(fn))] += 1
         if heap_depth > self.heap_watermark:
             self.heap_watermark = heap_depth
@@ -64,6 +61,11 @@ class SimProfiler:
     # Called by Network._deliver for every delivered message.
     def _note_message(self, kind: str) -> None:
         self.message_kinds[kind] += 1
+
+    @property
+    def events(self) -> int:
+        """Fired events while attached: the sum of the per-callable rows."""
+        return sum(self.kinds.values())
 
     @property
     def events_per_second(self) -> float:

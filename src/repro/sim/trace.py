@@ -17,8 +17,10 @@ through :meth:`Trace.total` and ``timeline(..., weighted=True)``.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from typing import Any
+
+from repro.errors import SimulationError
 
 __all__ = ["TraceRecord", "Trace"]
 
@@ -96,8 +98,10 @@ class Trace:
         plotted in the paper's Figures 12-14.  With ``weighted=True`` each
         record contributes its integer ``data`` weight (see :meth:`total`),
         so aggregated probes produce the same series their per-item
-        predecessors did.
+        predecessors did.  ``bucket`` must be positive.
         """
+        if not bucket > 0:
+            raise SimulationError(f"timeline bucket must be > 0, got {bucket}")
         points = sorted(
             (row[0], _weight(row[3]) if weighted else 1)
             for row in self._rows
@@ -128,14 +132,6 @@ class Trace:
         """
         return [row[3] for row in self._rows if row[2] == event]
 
-    def first(self, event: str) -> TraceRecord | None:
-        """Earliest record with the given event name, if any."""
-        best = None
-        for row in self._rows:
-            if row[2] == event and (best is None or row[0] < best[0]):
-                best = row
-        return TraceRecord(*best) if best is not None else None
-
     def last(self, event: str) -> TraceRecord | None:
         """Latest record with the given event name, if any."""
         best = None
@@ -144,13 +140,3 @@ class Trace:
                 best = row
         return TraceRecord(*best) if best is not None else None
 
-
-def merge_traces(traces: Iterable[Trace]) -> Trace:
-    """Merge several traces into one, ordered by time."""
-    merged = Trace()
-    rows = sorted(
-        (row for trace in traces for row in trace._rows),
-        key=lambda row: row[0],
-    )
-    merged._rows.extend(rows)
-    return merged

@@ -6,7 +6,8 @@ import pytest
 
 from repro.coord import SealManager, SealedStreamProducer, ZkClient, install_zookeeper
 from repro.errors import SimulationError
-from repro.sim import LatencyModel, Network, Process, Simulator
+from repro.obs.telemetry import Telemetry
+from repro.sim import LatencyModel, Network, Process, Simulator, make_simulator
 
 
 class Producer(Process):
@@ -162,7 +163,9 @@ def test_duplicated_network_releases_each_partition_once():
 
 
 def test_zk_registry_lookup_once_per_partition():
-    sim, network = build()
+    with Telemetry().activate():
+        sim = make_simulator()
+    network = Network(sim, latency=LatencyModel(0.001, 0.002))
     zk = install_zookeeper(network)
     zk.preload_znode("producers/'k1'", ["p0"])
     zk.preload_znode("producers/'k2'", ["p0"])
@@ -182,7 +185,7 @@ def test_zk_registry_lookup_once_per_partition():
     assert sorted(p for p, _ in consumer.completed) == ["k1", "k2"]
     # one registry read per partition, regardless of record count
     assert consumer.seals.registry_lookups == 2
-    assert zk.stats.reads == 2
+    assert sim.telemetry.tallies()["decisions"]["zk_read"] == 2
 
 
 def test_missing_registry_entry_raises():

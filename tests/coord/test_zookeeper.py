@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from repro.coord import ZkClient, install_zookeeper
 from repro.coord.zookeeper import DELIVER
-from repro.sim import LatencyModel, Network, Process, Simulator
+from repro.obs.telemetry import Telemetry
+from repro.sim import LatencyModel, Network, Process, make_simulator
 
 
 class Subscriber(Process):
@@ -32,7 +33,10 @@ class Client(Process):
 
 
 def build(seed=0):
-    sim = Simulator(seed=seed)
+    """A service on a network whose simulator reports to a telemetry hub
+    (``sim.telemetry``)."""
+    with Telemetry().activate():
+        sim = make_simulator(seed=seed)
     network = Network(sim, latency=LatencyModel(0.001, 0.002))
     zk = install_zookeeper(network)
     return sim, network, zk
@@ -49,8 +53,12 @@ def test_sequencer_assigns_dense_sequence_numbers():
     sim.run()
     seqs = sorted(seq for _, seq, _ in sub.deliveries)
     assert seqs == list(range(5))
-    assert zk.stats.submits == 5
-    assert zk.stats.deliveries == 5
+    # each value sequenced once, in the order the trace recorded
+    assert sorted(zk.committed_order("t")) == [f"v{i}" for i in range(5)]
+    assert [seq for seq, _ in zk.trace.data_series("zk.order:t")] == list(range(5))
+    tallies = sim.telemetry.tallies()
+    assert tallies["decisions"]["sequencer"] == 5
+    assert tallies["kinds"]["zk.deliver"] == 5
 
 
 def test_all_subscribers_get_every_delivery():
@@ -116,8 +124,9 @@ def test_znode_get_set_round_trip():
     sim.schedule(0.0, kick)
     sim.run()
     assert client.got == [[1, 2, 3]]
-    assert zk.stats.reads == 1
-    assert zk.stats.writes == 1
+    decisions = sim.telemetry.tallies()["decisions"]
+    assert decisions["zk_read"] == 1
+    assert decisions["zk_write"] == 1
 
 
 def test_get_of_missing_znode_returns_none():

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ExecError
 from repro.exec import PoolStats, WorkerPool, shared_pool, shutdown_shared_pool
+from repro.exec.cache import read_engine_stats, record_engine_stats
 
 
 @pytest.fixture(autouse=True)
@@ -35,16 +36,20 @@ def test_pool_runs_in_input_order():
     assert all(wall >= 0.0 and cpu >= 0.0 for _, wall, cpu in rows)
 
 
-def test_pool_workers_stay_warm_across_dispatches():
+def test_pool_workers_stay_warm_across_dispatches(tmp_path):
     pool = WorkerPool(2)
     try:
-        pool.run(square, [{"x": 1}, {"x": 2}])
-        pool.run(square, [{"x": 3}, {"x": 4}])
+        for params in ([{"x": 1}, {"x": 2}], [{"x": 3}, {"x": 4}]):
+            pool.run(square, params)
+            record_engine_stats({"pool": pool.last.to_dict()}, tmp_path)
         assert pool.spawned == 1  # the second dispatch reused the workers
-        assert pool.lifetime.tasks == 4
-        assert pool.lifetime.dispatches == 2
     finally:
         pool.shutdown()
+    # the lifetime record is the sum of the dispatches in stats.json
+    totals = read_engine_stats(tmp_path)["totals"]
+    assert totals["runs"] == 2
+    assert totals["pool_tasks"] == 4
+    assert totals["events"] == 1 + 2 + 3 + 4
 
 
 def test_pool_resize_respawns_with_new_worker_count():
@@ -78,17 +83,19 @@ def test_pool_stats_count_tasks_events_and_utilization():
         assert worker["events_per_second"] >= 0.0
 
 
-def test_pool_stats_merge_accumulates():
-    lifetime = PoolStats(jobs=2)
-    dispatch = PoolStats(jobs=2, dispatches=1)
-    dispatch.note_task(101, wall=0.5, cpu=0.4, events=10)
-    dispatch.note_task(102, wall=0.25, cpu=0.2, events=5)
-    lifetime.merge(dispatch)
-    lifetime.merge(dispatch)
-    assert lifetime.tasks == 4
-    assert lifetime.events == 30
-    assert lifetime.busy_seconds == pytest.approx(1.5)
-    assert lifetime.workers[101]["tasks"] == 2
+def test_pool_stats_totals_sum_the_worker_rows():
+    stats = PoolStats(jobs=2)
+    assert (stats.tasks, stats.busy_seconds, stats.events) == (0, 0.0, 0)
+    stats.note_task(101, wall=0.5, cpu=0.4, events=10)
+    stats.note_task(102, wall=0.25, cpu=0.2, events=5)
+    stats.note_task(101, wall=0.75, cpu=0.1, events=None)
+    assert stats.tasks == 3
+    assert stats.events == 15
+    assert stats.busy_seconds == pytest.approx(1.5)
+    assert stats.cpu_seconds == pytest.approx(0.7)
+    assert stats.workers[101] == {"tasks": 2, "busy_seconds": 1.25, "events": 10}
+    payload = stats.to_dict()
+    assert payload["tasks"] == 3 and payload["dispatches"] == 1
 
 
 def test_pool_propagates_worker_exceptions():

@@ -10,7 +10,6 @@ from repro.obs.coordcost import (
     PLANE_COORDINATION,
     PLANE_DATA,
     PLANE_DELIVERY,
-    CoordCostReport,
     aggregate_coordcost,
     classify_message,
     coordcost_report,
@@ -49,40 +48,65 @@ def test_classify_message_never_raises_on_malformed_payloads():
 
 
 def test_report_properties_and_schema():
-    report = CoordCostReport(
-        messages_sent=10,
-        planes={PLANE_DATA: 6, PLANE_COORDINATION: 3, PLANE_DELIVERY: 1},
-        kinds={"zk.submit": 3},
-        topics={"order:t": 3},
-        decisions={"sequencer": 3, "replay": 2},
-        decision_topics={"sequencer:t": 3},
-        sim_time_overhead=0.01,
-    )
-    assert report.coordination_messages == 3
-    assert report.coordination_share == 0.3
-    assert report.coordination_decisions == 3  # replay is delivery machinery
-    block = report.to_dict()
+    hub = Telemetry()
+    for _ in range(6):
+        hub.note_send("bloom.chan", ("req", ("row",)))
+    for _ in range(3):
+        hub.note_send("zk.submit", ("t", "v"))
+        hub.note_decision("sequencer", topic="t", overhead=0.005)
+    hub.note_send("st.ack", 1)
+    for _ in range(2):
+        hub.note_decision("replay")
+    block = coordcost_report(hub)
+    assert list(block) == [
+        "schema_version",
+        "messages_sent",
+        "planes",
+        "kinds",
+        "topics",
+        "decisions",
+        "decision_topics",
+        "coordination_messages",
+        "coordination_share",
+        "coordination_decisions",
+        "sim_time_overhead",
+    ]
     assert block["schema_version"] == 1
+    assert block["messages_sent"] == 10
+    assert block["planes"] == {PLANE_COORDINATION: 3, PLANE_DATA: 6, PLANE_DELIVERY: 1}
+    assert block["topics"] == {"order:t": 3}
+    assert block["decisions"] == {"replay": 2, "sequencer": 3}
+    assert block["decision_topics"] == {"sequencer:t": 3}
+    assert block["coordination_messages"] == 3
     assert block["coordination_share"] == 0.3
+    assert block["coordination_decisions"] == 3  # replay is delivery machinery
+    assert block["sim_time_overhead"] == pytest.approx(0.015)
     assert "replay" not in COORDINATION_DECISIONS
+    # an explicit denominator (the network's sent count) wins
+    assert coordcost_report(hub, messages_sent=20)["coordination_share"] == 0.15
 
 
 def test_empty_report_has_zero_share():
     report = coordcost_report(Telemetry())
-    assert report.messages_sent == 0
-    assert report.coordination_share == 0.0
+    assert report["messages_sent"] == 0
+    assert report["coordination_share"] == 0.0
 
 
 def test_aggregate_coordcost_sums_and_recomputes_share():
     hub = Telemetry()
     hub.note_send("zk.submit", ("t", "v"))
     hub.note_send("st.chan", ("S", 0, 1, 0, ()))
-    block = coordcost_report(hub).to_dict()
+    hub.note_decision("seal_vote", topic="clicks", overhead=0.25)
+    block = coordcost_report(hub)
     merged = aggregate_coordcost([block, block, None])
     assert merged["runs"] == 2
     assert merged["messages_sent"] == 4
     assert merged["coordination_messages"] == 2
     assert merged["coordination_share"] == 0.5
+    assert merged["coordination_decisions"] == 2
+    assert merged["kinds"] == {"st.chan": 2, "zk.submit": 2}
+    assert merged["decision_topics"] == {"seal_vote:clicks": 2}
+    assert merged["sim_time_overhead"] == 0.5
     assert aggregate_coordcost([None, None]) is None
 
 

@@ -3,7 +3,7 @@
 :class:`repro.obs.spans.SpanTracker` appends each delivery and decision
 note to a raw log and derives span events and the row index from it on
 first read; :meth:`repro.obs.telemetry.Telemetry.note_send` tallies sends
-and folds the tally into the ``messages.*`` counters on first read.
+and folds the tally into the plane, kind and topic tallies on first read.
 ``tests/reference/telemetry_ref.py`` keeps the eager versions, and these
 tests hold the two to the same observable output: every registered app
 under each of its strategies and one fault schedule, the event cap with
@@ -12,8 +12,6 @@ malformed payloads.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -37,10 +35,15 @@ def _observable(hub) -> dict:
         "index": list(spans._lineage_of.items()),
         "lineage_of": [spans.lineage_of(row) for row in rows],
         "dropped": spans.dropped,
-        "coordcost": coordcost_report(hub).to_dict(),
-        "snapshot": json.dumps(hub.snapshot()),
-        "labels": [(name, list(counter.items())) for name, counter in sorted(hub.counters.items())],
+        "coordcost": coordcost_report(hub),
+        "tallies": _tallies(hub),
+        "sim_time_overhead": hub.sim_time_overhead,
     }
+
+
+def _tallies(hub) -> list:
+    """The hub's tallies with their label insertion order."""
+    return [(field, list(tally.items())) for field, tally in hub.tallies().items()]
 
 
 def _matrix() -> list[tuple[str, str]]:
@@ -147,10 +150,7 @@ def test_malformed_payloads_are_classified_as_the_eager_hop_does():
             lazy.note_send(kind, payload)
         eager.note_decision("seal_vote", topic="clicks")
         lazy.note_decision("seal_vote", topic="clicks")
-        assert lazy.snapshot() == eager.snapshot()  # folds, then keeps tallying
-    assert json.dumps(lazy.snapshot()) == json.dumps(eager.snapshot())
-    for name in ("messages.plane", "messages.kind", "messages.topic"):
-        assert list(lazy.counter(name).items()) == list(eager.counter(name).items())
-    assert coordcost_report(lazy).to_dict() == coordcost_report(eager).to_dict()
-    assert lazy.counter("messages.topic")["seal:1"] == 2
-    assert lazy.counter("messages.topic")["seal:True"] == 2
+        assert _tallies(lazy) == _tallies(eager)  # folds, then keeps tallying
+    assert coordcost_report(lazy) == coordcost_report(eager)
+    assert lazy.tallies()["topics"]["seal:1"] == 2
+    assert lazy.tallies()["topics"]["seal:True"] == 2

@@ -1,4 +1,4 @@
-"""The telemetry hub: instruments, scoping, and runtime attachment."""
+"""The telemetry hub: the ledger's tallies, scoping, and runtime attachment."""
 
 from __future__ import annotations
 
@@ -16,18 +16,31 @@ class _Sink(Process):
         self.got.append(msg)
 
 
-def test_counters():
+def test_tallies():
     hub = Telemetry()
-    hub.count("hits", "a")
-    hub.count("hits", "a", by=2)
-    hub.count("hits", "b")
-    assert hub.counter("hits")["a"] == 3
-    assert hub.total("hits") == 4
-    assert hub.counter("never") == {}
-    assert hub.snapshot() == {
-        "counters": {"hits": {"a": 3, "b": 1}},
-        "sim_time_overhead": 0.0,
+    assert hub.tallies() == {
+        "planes": {},
+        "kinds": {},
+        "topics": {},
+        "decisions": {},
+        "decision_topics": {},
     }
+    hub.note_send("seal.punct", ("clicks", 0, "p0", "s0"))
+    hub.note_send("seal.punct", ("clicks", 1, "p0", "s0"))
+    hub.note_send("st.ack", 3)
+    hub.note_decision("seal_vote", topic="seal:clicks")
+    hub.note_decision("replay")
+    assert hub.tallies() == {
+        "planes": {"coordination": 2, "delivery": 1},
+        "kinds": {"seal.punct": 2, "st.ack": 1},
+        "topics": {"seal:clicks": 2},
+        "decisions": {"seal_vote": 1, "replay": 1},
+        "decision_topics": {"seal_vote:seal:clicks": 1},
+    }
+    # a send after a read is folded on the next read
+    hub.note_send("st.ack", 4)
+    assert hub.tallies()["planes"]["delivery"] == 2
+    assert hub.sim_time_overhead == 0.0
 
 
 def test_current_is_none_by_default_and_nests():
@@ -79,11 +92,10 @@ def test_network_reports_sends_and_deliveries_through_the_hub():
     net.process("a").send("b", "zk.submit", ("orders", ("row", 1)))
     net.process("a").send("b", "anything.else", None)
     sim.run()
-    planes = hub.counter("messages.plane")
-    assert planes["coordination"] == 1
-    assert planes["data"] == 1
-    assert hub.counter("messages.kind")["zk.submit"] == 1
-    assert hub.counter("messages.topic")["order:orders"] == 1
+    tallies = hub.tallies()
+    assert tallies["planes"] == {"coordination": 1, "data": 1}
+    assert tallies["kinds"]["zk.submit"] == 1
+    assert tallies["topics"] == {"order:orders": 1}
     # deliveries fed the span tracker
     assert hub.spans is not None and len(hub.spans.events) == 2
 
@@ -100,7 +112,8 @@ def test_note_decision_accrues_overhead_and_spans():
         detail="seq=0",
     )
     hub.note_decision("retry", topic="st.chan")
-    assert hub.counter("decisions")["sequencer"] == 1
-    assert hub.counter("decisions.topic")["sequencer:orders"] == 1
+    tallies = hub.tallies()
+    assert tallies["decisions"] == {"sequencer": 1, "retry": 1}
+    assert tallies["decision_topics"] == {"sequencer:orders": 1, "retry:st.chan": 1}
     assert hub.sim_time_overhead == 0.005
     assert hub.spans.events == [(1.5, "topic:orders", "sequencer", "zk", "seq=0")]

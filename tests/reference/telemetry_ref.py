@@ -4,11 +4,11 @@
 was when every delivery was turned into span events and row index
 entries on the hop, and :class:`EagerTelemetry` is
 :class:`repro.obs.telemetry.Telemetry` with the ``note_send`` that
-classified each send and bumped the three ``messages.*`` counters on the
+classified each send and bumped the plane, kind and topic tallies on the
 spot.  The production code records on the hop and derives on first
 read; ``tests/obs/test_lazy_telemetry.py`` holds it to these two — same
 events in the same order, same drops past the cap, same row index, same
-counters with the same label insertion order.
+tallies with the same label insertion order.
 
 The cap is read from ``repro.obs.spans._MAX_EVENTS`` at capture time, so
 a test that patches it patches both trackers.
@@ -191,7 +191,8 @@ class EagerTelemetry(Telemetry):
     def note_send(self, kind: str, payload: Any) -> None:
         """Account one outbound message into its plane (see coordcost)."""
         plane, topic = classify_message(kind, payload)
-        self.count("messages.plane", plane)
-        self.count("messages.kind", kind)
+        tallies = self.tallies()
+        tallies["planes"][plane] += 1
+        tallies["kinds"][kind] += 1
         if topic:
-            self.count("messages.topic", topic)
+            tallies["topics"][topic] += 1

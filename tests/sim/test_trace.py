@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.sim import Trace
-from repro.sim.trace import merge_traces
 
 
 def make_trace():
@@ -36,19 +38,18 @@ def test_timeline_empty_event():
     assert make_trace().timeline("nope") == []
 
 
-def test_first_and_last():
+@pytest.mark.parametrize("bucket", [0, -0.5])
+def test_timeline_rejects_a_bucket_that_does_not_advance(bucket):
+    trace = Trace()
+    trace.record(0.5, "a", "processed")
+    with pytest.raises(SimulationError, match="bucket must be > 0"):
+        trace.timeline("processed", bucket=bucket)
+
+
+def test_last():
     trace = make_trace()
-    assert trace.first("processed").data == 1
     assert trace.last("processed").data == 3
-    assert trace.first("nope") is None
-
-
-def test_merge_traces_orders_by_time():
-    t1, t2 = Trace(), Trace()
-    t1.record(2.0, "x", "e")
-    t2.record(1.0, "y", "e")
-    merged = merge_traces([t1, t2])
-    assert [r.source for r in merged] == ["y", "x"]
+    assert trace.last("nope") is None
 
 
 def test_total_weights_integer_data():
@@ -93,14 +94,3 @@ def test_data_series_preserves_record_order():
     assert trace.data_series("zk.order:t") == payloads
     assert trace.data_series("nope") == []
 
-
-def test_merge_traces_is_stable_under_equal_timestamps():
-    t1, t2 = Trace(), Trace()
-    t1.record(1.0, "x", "e", "x1")
-    t1.record(1.0, "x", "e", "x2")
-    t2.record(1.0, "y", "e", "y1")
-    merged = merge_traces([t1, t2])
-    # sorted() is stable: equal-time rows keep per-trace input order,
-    # with t1's rows ahead of t2's
-    assert [r.data for r in merged] == ["x1", "x2", "y1"]
-    assert [r.data for r in merge_traces([t2, t1])] == ["y1", "x1", "x2"]
