@@ -23,6 +23,7 @@ app switches on a strategy name to pick a delivery mechanism.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from collections.abc import Callable, Mapping, Sequence
 
@@ -63,9 +64,12 @@ class OrderedInputAdapter:
 
     def __init__(self, node: BloomNode, topic: str) -> None:
         self.node = node
-        self.consumer = OrderedConsumer()
-        self.inbox = self.consumer.on_topic(topic, self._enqueue)
-        node.add_plugin(self.consumer.handle)
+        # only the node's plugin holds the consumer (and the inbox that
+        # calls back into this adapter): with no way back to them, the
+        # adapter leaves no cycle once a closed node drops its plugins
+        consumer = OrderedConsumer()
+        consumer.on_topic(topic, self._enqueue)
+        node.add_plugin(consumer.handle)
         self.applied = 0
         self._queue: deque[tuple[str, tuple]] = deque()
         self._draining = False  # a released value's step is still ahead
@@ -113,9 +117,12 @@ class SealedInputAdapter:
         *,
         producers_for: Callable[[object], frozenset[str]] | None = None,
     ) -> None:
-        self.node = node
+        # the manager and the adapter call each other back, a cycle that
+        # outlives the node's plugins: the way from it to the node is weak,
+        # so a closed run's node is in no cycle and is freed at once
+        self.node = weakref.proxy(node)
         self.collection = collection
-        self._zk_client = ZkClient(node) if producers_for is None else None
+        self._zk_client = ZkClient(self.node) if producers_for is None else None
         self.manager = SealManager(
             stream,
             self._release,

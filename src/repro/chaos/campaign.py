@@ -143,6 +143,9 @@ def _cell_metrics(
         observations.append(observation)
         costs.append(outcome.metrics.get("coordcost"))
         events += outcome.cluster.sim.fired
+        # all this cell wants of the run is read: release it now, so it is
+        # freed by reference counting, not left to the cyclic collector
+        outcome.cluster.network.close()
     verdict = classify_runs(observations)
     predicted = harness.predicted(strategy)
     coordcost = aggregate_coordcost(costs)

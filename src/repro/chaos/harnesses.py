@@ -85,8 +85,13 @@ class AppHarness:
     def observe(
         self, strategy: str, schedule: FaultSchedule, seed: int
     ) -> RunObservation:
-        """Run one campaign cell and extract its observation."""
-        observation, _outcome = self.observe_outcome(strategy, schedule, seed)
+        """Run one campaign cell and extract its observation.
+
+        The run itself is closed (:meth:`repro.sim.network.Network.close`)
+        before the observation is returned: nothing else of it is kept.
+        """
+        observation, outcome = self.observe_outcome(strategy, schedule, seed)
+        outcome.cluster.network.close()
         return observation
 
     def observe_outcome(

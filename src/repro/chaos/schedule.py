@@ -29,7 +29,7 @@ import dataclasses
 from collections.abc import Callable
 
 from repro.errors import SimulationError
-from repro.sim.failure import FailureInjector
+from repro.sim.failure import FailureInjector, check_fault
 
 __all__ = [
     "Crash",
@@ -56,30 +56,26 @@ __all__ = [
 ResolveRole = Callable[[str, int], str]
 
 
-def _check_window(fault) -> None:
-    """Reject faults that would arm in the past or run backwards.
+def _check(fault, **values) -> None:
+    """Reject faults that would arm in the past, run backwards, or carry a
+    value the injector would refuse (:func:`repro.sim.failure.check_fault`).
 
     Construction-time validation: ``rescaled`` goes through
     ``dataclasses.replace`` (which re-runs ``__post_init__``), so a
     ``shifted`` with an offset larger than a fault's ``at`` raises here
     instead of producing a fault the injector schedules before t=0 —
     the sim kernels would raise at arm time, and the socket backend
-    would silently clamp it, both far from the buggy call site.
+    would silently clamp it, both far from the buggy call site.  A NaN
+    fails here too, including one read from a JSON spec.
     """
     if fault.at < 0:
         raise SimulationError(
             f"fault begins before t=0 (negative offset?): {fault!r}"
         )
-    if fault.duration < 0:
-        raise SimulationError(f"fault has a negative duration: {fault!r}")
-
-
-def _check_prob(fault, attr: str) -> None:
-    value = getattr(fault, attr)
-    if not 0.0 <= value <= 1.0:
-        raise SimulationError(
-            f"fault {attr} must be within [0, 1], got {value}: {fault!r}"
-        )
+    try:
+        check_fault(fault.at, fault.duration, **values)
+    except SimulationError as exc:
+        raise SimulationError(f"{exc}: {fault!r}") from None
 
 
 class _Window:
@@ -110,7 +106,7 @@ class Crash(_Window):
     duration: float
 
     def __post_init__(self) -> None:
-        _check_window(self)
+        _check(self)
 
     def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
         injector.crash_for(resolve(self.role, self.index), self.at, self.duration)
@@ -128,8 +124,7 @@ class Loss(_Window):
     drop_prob: float
 
     def __post_init__(self) -> None:
-        _check_window(self)
-        _check_prob(self, "drop_prob")
+        _check(self, prob=("drop_prob", self.drop_prob))
 
     def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
         injector.loss_window(self.at, self.duration, self.drop_prob)
@@ -147,8 +142,7 @@ class Duplicate(_Window):
     dup_prob: float
 
     def __post_init__(self) -> None:
-        _check_window(self)
-        _check_prob(self, "dup_prob")
+        _check(self, prob=("dup_prob", self.dup_prob))
 
     def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
         injector.duplicate_window(self.at, self.duration, self.dup_prob)
@@ -170,7 +164,7 @@ class Partition(_Window):
     symmetric: bool = True
 
     def __post_init__(self) -> None:
-        _check_window(self)
+        _check(self)
 
     def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
         injector.partition(
@@ -194,11 +188,7 @@ class Reorder(_Window):
     factor: float
 
     def __post_init__(self) -> None:
-        _check_window(self)
-        if self.factor < 0:
-            raise SimulationError(
-                f"reorder factor must be >= 0, got {self.factor}"
-            )
+        _check(self, factor=self.factor)
 
     def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
         injector.reorder_window(self.at, self.duration, self.factor)

@@ -208,6 +208,9 @@ class NetSimulator(Simulator):
             self._now = now
             if transport is not None:
                 await transport.stop()
+            # one run per instance: from here the network is the cluster's
+            # alone (the simulator holding it back would make a cycle)
+            self.network = None
         return status
 
     async def _pump(

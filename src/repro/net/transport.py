@@ -79,6 +79,10 @@ class TcpTransport:
         for endpoint in self.endpoints.values():
             await endpoint.pause()
         self._retransmit_task = None
+        # stopped, it reads nothing of the run again (summary() reads its
+        # own counters); its links, endpoints and tasks refer to one
+        # another, so holding on would keep the network in their cycle
+        self.network = None
 
     # ------------------------------------------------------------------
     # sending

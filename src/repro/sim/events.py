@@ -28,7 +28,14 @@ both to byte-identical traces:
 * **wake-based process scheduling** — a :class:`Waker` is the kernel's
   coalesced timer: arming an armed waker is a no-op, so an idle component
   (e.g. a :class:`~repro.bloom.cluster.BloomNode` between deliveries)
-  costs zero heap entries and is never polled.
+  costs zero heap entries and is never polled.  Its wakeup is a plain
+  function posted with the waker as its argument, not a method bound to
+  it, so a waker holds no reference to itself and dies with its owner.
+
+A run's end of life is :meth:`repro.sim.network.Network.close`: it drops
+the pending records along with the processes they would call, so a
+finished run is freed by reference counting instead of waiting, as
+cyclic garbage, for the collector.
 
 Cancellation is a handle-side concern: :meth:`Simulator.schedule` returns
 an :class:`EventHandle` whose ``cancel`` kills the record in place (the
@@ -106,28 +113,34 @@ class Waker:
     disarms itself immediately before calling ``fn``, so ``fn`` may
     re-arm it (the Bloom node tick loop).  This is how a process sleeps:
     no pending wakeup, no heap entry, never polled.
+
+    The wakeup it posts is the plain function :meth:`_fire` with the
+    waker as its argument, not a method bound to the waker: a waker holds
+    no reference to itself, so it lives exactly as long as its owner (and
+    its pending record) and is freed by reference counting, not found
+    later by the cyclic collector with everything ``fn`` reaches.
     """
 
-    __slots__ = ("sim", "delay", "fn", "armed", "_callback")
+    __slots__ = ("sim", "delay", "fn", "armed")
 
     def __init__(self, sim, delay: float, fn: Callable[[], None]) -> None:
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise SimulationError(f"waker delay must be >= 0, got {delay}")
         self.sim = sim
         self.delay = delay
         self.fn = fn
         self.armed = False
-        self._callback = self._fire  # bound once, not per arm
 
     def arm(self) -> None:
         """Schedule the wakeup unless one is already pending."""
         if not self.armed:
             self.armed = True
-            self.sim.post(self.delay, self._callback)
+            self.sim.post(self.delay, Waker._fire, self)
 
-    def _fire(self) -> None:
-        self.armed = False
-        self.fn()
+    @staticmethod  # not module-level: profiles still name it Waker._fire
+    def _fire(waker: "Waker") -> None:
+        waker.armed = False
+        waker.fn()
 
     def __repr__(self) -> str:
         state = "armed" if self.armed else "idle"
@@ -193,7 +206,7 @@ class Simulator:
         Returns a cancellable handle; prefer :meth:`post` on paths that
         never cancel (it skips the handle allocation).
         """
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return EventHandle(self, self._push(self.now + delay, action, ()))
 
@@ -208,7 +221,7 @@ class Simulator:
         into a fresh record and the record into the heap — no closure, no
         handle, and no call between here and ``heappush``.
         """
-        if delay < 0:
+        if not delay >= 0:  # NaN fails too
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1

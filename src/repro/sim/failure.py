@@ -21,14 +21,49 @@ any network exposing the channel contract, simulated or socket-backed.
 
 from __future__ import annotations
 
+import math
+
+from repro.errors import SimulationError
 from repro.sim.faultpolicy import WindowSet, reorder_combine
 from repro.sim.network import LatencyModel, Network, Process
 
-__all__ = ["FailureInjector"]
+__all__ = ["FailureInjector", "check_fault"]
+
+
+def check_fault(
+    at: float,
+    duration: float = 0.0,
+    *,
+    prob: tuple[str, float] | None = None,
+    factor: float | None = None,
+) -> None:
+    """Reject a fault's inputs before anything of it is scheduled.
+
+    ``at`` and ``duration`` must be finite and ``>= 0``, a probability
+    (``(name, value)``) within ``[0, 1]``, and a jitter ``factor`` finite
+    and ``>= 0``; NaN fails every test.  Checked here, a bad input raises
+    :class:`~repro.errors.SimulationError` where the fault is armed (or,
+    through :mod:`repro.chaos.schedule`, where it is declared), not from
+    inside the event loop when its window opens or closes.
+    """
+    for name, value in (("start", at), ("duration", duration)):
+        if not 0.0 <= value < math.inf:  # NaN fails too
+            raise SimulationError(f"fault {name} must be finite and >= 0, got {value}")
+    if prob is not None:
+        name, value = prob
+        if not 0.0 <= value <= 1.0:
+            raise SimulationError(f"fault {name} must be within [0, 1], got {value}")
+    if factor is not None and not 0.0 <= factor < math.inf:
+        raise SimulationError(f"reorder factor must be finite and >= 0, got {factor}")
 
 
 class FailureInjector:
-    """Schedules crashes, loss/dup windows, partitions on a network."""
+    """Schedules crashes, loss/dup windows, partitions on a network.
+
+    Every entry point checks its inputs (:func:`check_fault`) and its
+    process names before it schedules anything, so a call that raises
+    leaves no fault armed.
+    """
 
     def __init__(self, network: Network) -> None:
         self.network = network
@@ -49,16 +84,19 @@ class FailureInjector:
 
     def crash(self, process_name: str, at: float) -> None:
         """Crash ``process_name`` at virtual time ``at``."""
+        check_fault(at)
         process = self.network.process(process_name)
         self.network.sim.post_at(at, self._do_crash, process)
 
     def recover(self, process_name: str, at: float) -> None:
         """Recover ``process_name`` at virtual time ``at``."""
+        check_fault(at)
         process = self.network.process(process_name)
         self.network.sim.post_at(at, self._do_recover, process)
 
     def crash_for(self, process_name: str, at: float, duration: float) -> None:
         """Crash then recover after ``duration``."""
+        check_fault(at, duration)  # before crash() arms anything
         self.crash(process_name, at)
         self.recover(process_name, at + duration)
 
@@ -68,6 +106,7 @@ class FailureInjector:
         Overlapping windows compose: the strongest open window governs,
         and the pre-window probability returns when the last one closes.
         """
+        check_fault(at, duration, prob=("drop_prob", drop_prob))
         network = self.network
         windows = self._loss_windows
 
@@ -85,6 +124,7 @@ class FailureInjector:
 
         Overlap composes like :meth:`loss_window`.
         """
+        check_fault(at, duration, prob=("dup_prob", dup_prob))
         network = self.network
         windows = self._dup_windows
 
@@ -112,6 +152,7 @@ class FailureInjector:
         (reliable kinds are retried until the link heals, modeling TCP).
         ``symmetric=False`` severs only the ``src -> dst`` direction.
         """
+        check_fault(at, duration)
         network = self.network
         # raise early on unknown names, like crash()/recover() do
         network.process(src)
@@ -143,6 +184,7 @@ class FailureInjector:
         retransmitting sessions (reliable kinds crossing a partition),
         whose retry delays are sampled from the live latency model.
         """
+        check_fault(at, duration, factor=factor)
         network = self.network
         windows = self._reorder_windows
 

@@ -111,6 +111,17 @@ class Process:
     def on_start(self) -> None:
         """Hook called when the network starts; default does nothing."""
 
+    def close(self) -> None:
+        """Drop all the state this process holds (see :meth:`Network.close`).
+
+        The process is left as it was built, unregistered: its runtime,
+        timers, adapters and channel tables are gone, and with them every
+        reference back to it.
+        """
+        name = self.name
+        vars(self).clear()
+        Process.__init__(self, name)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 
@@ -183,6 +194,26 @@ class Network:
     @property
     def processes(self) -> tuple[Process, ...]:
         return tuple(self._processes.values())
+
+    def close(self) -> None:
+        """End the run, so that it is freed by reference counting.
+
+        A finished run is one cyclic object graph — the network and its
+        processes point at each other, and so do a node and its waker,
+        runtime and adapters, a task and its router, and the kernel's
+        pending records and the processes they would call — which only
+        the cyclic collector could find, re-traversing all of it on every
+        pass until then.  Every registered process drops its state
+        (:meth:`Process.close`), and the network drops its processes, its
+        observers and the kernel's pending records.  Read what the run is
+        wanted for first: nothing of it survives this call.
+        """
+        for process in self._processes.values():
+            process.close()
+        self._processes.clear()
+        self._unstarted.clear()
+        self._observers.clear()
+        self.sim._queue.clear()
 
     def observe(self, callback: Callable[[Message], None]) -> None:
         """Register a delivery observer (tracing, assertions)."""

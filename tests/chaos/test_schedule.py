@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
 from repro.chaos.schedule import (
@@ -16,10 +19,14 @@ from repro.chaos.schedule import (
     dup_burst,
     loss_burst,
     reorder_burst,
+    schedule_from_dict,
     split_link,
 )
 from repro.errors import SimulationError
 from repro.sim import FailureInjector, Network, Process, Simulator
+
+NAN = math.nan
+INF = math.inf
 
 
 class Echo(Process):
@@ -173,6 +180,46 @@ def test_probability_faults_validate_their_probability():
         Loss(0.1, 0.2, 1.5)
     with pytest.raises(SimulationError, match="dup_prob"):
         Duplicate(0.1, 0.2, -0.5)
+
+
+# NaN and infinity fail construction too, from code or from a JSON spec
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Crash("worker", 0, NAN, 0.2),
+        lambda: Crash("worker", 0, 0.1, NAN),
+        lambda: Crash("worker", 0, 0.1, INF),
+        lambda: Loss(NAN, 0.2, 0.5),
+        lambda: Loss(0.1, NAN, 0.5),
+        lambda: Loss(0.1, 0.2, NAN),
+        lambda: Duplicate(0.1, NAN, 0.5),
+        lambda: Duplicate(INF, 0.2, 0.5),
+        lambda: Partition("a", 0, "b", 0, NAN, 0.1),
+        lambda: Partition("a", 0, "b", 0, 0.1, NAN),
+        lambda: Reorder(0.1, 0.2, NAN),
+        lambda: Reorder(0.1, 0.2, INF),
+        lambda: Reorder(0.1, NAN, 2.0),
+    ],
+)
+def test_dsl_rejects_non_finite_fields(build):
+    with pytest.raises(SimulationError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        '{"kind": "loss", "at": NaN, "duration": 0.1, "drop_prob": 0.2}',
+        '{"kind": "loss", "at": 0.1, "duration": NaN, "drop_prob": 0.2}',
+        '{"kind": "duplicate", "at": 0.1, "duration": 0.2, "dup_prob": NaN}',
+        '{"kind": "reorder", "at": 0.1, "duration": 0.2, "factor": NaN}',
+        '{"kind": "crash", "role": "worker", "index": 0, "at": 0.1, "duration": Infinity}',
+    ],
+)
+def test_json_specs_cannot_carry_nan_or_infinity(fault):
+    spec = json.loads('{"name": "bad", "faults": [%s]}' % fault)
+    with pytest.raises(SimulationError):
+        schedule_from_dict(spec)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import math
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -29,10 +33,14 @@ def test_ties_fire_in_schedule_order():
     assert fired == list("abcde")
 
 
-def test_negative_delay_rejected():
+@pytest.mark.parametrize("delay", [-0.1, math.nan])
+def test_negative_delay_rejected(delay):
+    # NaN is not >= 0 either: it used to slip past ``delay < 0`` and drive
+    # the clock to NaN
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.schedule(-0.1, lambda: None)
+        sim.schedule(delay, lambda: None)
+    assert sim.pending == 0
 
 
 def test_cancelled_events_do_not_fire():
@@ -213,10 +221,12 @@ def test_post_at_absolute_time():
     assert fired == [pytest.approx(4.0)]
 
 
-def test_post_negative_delay_rejected():
+@pytest.mark.parametrize("delay", [-0.1, math.nan])
+def test_post_negative_delay_rejected(delay):
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.post(-0.1, lambda: None)
+        sim.post(delay, lambda: None)
+    assert sim.pending == 0
 
 
 def test_waker_coalesces_arms():
@@ -246,10 +256,36 @@ def test_waker_rearms_from_its_own_fn():
     assert fired == [pytest.approx(t) for t in (1.0, 2.0, 3.0)]
 
 
-def test_waker_negative_delay_rejected():
+@pytest.mark.parametrize("delay", [-1.0, math.nan])
+def test_waker_negative_delay_rejected(delay):
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.waker(-1.0, lambda: None)
+        sim.waker(delay, lambda: None)
+
+
+def test_a_waker_is_freed_by_reference_counting():
+    # it posts a plain function with itself as the argument, so it holds
+    # no bound method of itself: dropping its owner and its pending record
+    # frees it — and what it would call — with the cyclic collector off
+    class Tick:
+        def __call__(self) -> None:
+            pass
+
+    sim = Simulator()
+    tick = Tick()
+    wake = sim.waker(1.0, tick)
+    wake.arm()
+    sim.run()
+    wake.arm()  # pending again: the record is the only other holder
+    ref = weakref.ref(tick)
+    gc.disable()
+    try:
+        del wake, tick
+        assert ref() is not None
+        sim._queue.clear()
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------

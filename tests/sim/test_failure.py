@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
+import pytest
+
+from repro.errors import SimulationError
 from repro.sim import FailureInjector, Network, Process, Simulator
+
+NAN = math.nan
+INF = math.inf
 
 
 class Echo(Process):
@@ -260,3 +268,116 @@ def test_crashed_destination_retries_reliable_kinds_when_enabled():
     assert b.got == ["session"]
     assert network.retried > 0
     assert network.dropped == 1
+
+
+# ----------------------------------------------------------------------
+# inputs are checked where a fault is armed, not inside the event loop:
+# one test per entry point.  Before the checks a NaN drove ``sim.now`` to
+# NaN, a negative duration raised "cannot schedule into the past" only
+# once the window opened, an out-of-range probability passed silently,
+# and ``crash_for`` raised with the crash already armed, so the process
+# stayed down for the rest of the run.
+# ----------------------------------------------------------------------
+def armed():
+    sim, network, _a, _b = build()
+    return sim, network, FailureInjector(network)
+
+
+def assert_no_fault_left(network) -> None:
+    assert not any(process.crashed for process in network.processes)
+    assert (network.drop_prob, network.dup_prob) == (0.0, 0.0)
+    assert not network._blocked_links
+
+
+def assert_nothing_armed(sim, network) -> None:
+    assert sim.pending == 0
+    sim.run()  # nothing fires, nothing raises, the clock stays put
+    assert sim.now == 0.0
+    assert_no_fault_left(network)
+
+
+@pytest.mark.parametrize("at", [-1.0, NAN, INF])
+def test_crash_rejects_a_bad_time(at):
+    sim, network, faults = armed()
+    with pytest.raises(SimulationError):
+        faults.crash("a", at)
+    assert_nothing_armed(sim, network)
+
+
+@pytest.mark.parametrize("at", [-1.0, NAN, INF])
+def test_recover_rejects_a_bad_time(at):
+    sim, network, faults = armed()
+    with pytest.raises(SimulationError):
+        faults.recover("a", at)
+    assert_nothing_armed(sim, network)
+
+
+@pytest.mark.parametrize(
+    "at, duration", [(0.1, -1.0), (0.1, NAN), (0.1, INF), (NAN, 1.0), (-0.1, 1.0)]
+)
+def test_crash_for_rejects_bad_inputs_before_arming_the_crash(at, duration):
+    sim, network, faults = armed()
+    with pytest.raises(SimulationError):
+        faults.crash_for("a", at, duration)
+    assert_nothing_armed(sim, network)
+    assert faults.crashes == []
+
+
+@pytest.mark.parametrize(
+    "at, duration, drop_prob",
+    [(0.1, NAN, 0.5), (0.1, -0.2, 0.5), (NAN, 0.2, 0.5), (0.1, 0.2, 1.5),
+     (0.1, 0.2, -0.1), (0.1, 0.2, NAN)],
+)
+def test_loss_window_rejects_bad_inputs_where_it_is_armed(at, duration, drop_prob):
+    sim, network, faults = armed()
+    with pytest.raises(SimulationError):
+        faults.loss_window(at, duration, drop_prob)
+    assert_nothing_armed(sim, network)
+
+
+@pytest.mark.parametrize(
+    "at, duration, dup_prob",
+    [(0.1, -0.2, 0.5), (0.1, INF, 0.5), (0.1, 0.2, -0.2), (0.1, 0.2, NAN)],
+)
+def test_duplicate_window_rejects_bad_inputs_where_it_is_armed(at, duration, dup_prob):
+    sim, network, faults = armed()
+    with pytest.raises(SimulationError):
+        faults.duplicate_window(at, duration, dup_prob)
+    assert_nothing_armed(sim, network)
+
+
+@pytest.mark.parametrize(
+    "at, duration, factor",
+    [(0.1, 0.2, -3.0), (0.1, 0.2, NAN), (0.1, 0.2, INF), (0.1, -0.2, 2.0)],
+)
+def test_reorder_window_rejects_bad_inputs_where_it_is_armed(at, duration, factor):
+    sim, network, faults = armed()
+    latency = network.latency
+    with pytest.raises(SimulationError):
+        faults.reorder_window(at, duration, factor)
+    assert_nothing_armed(sim, network)
+    assert network.latency is latency
+
+
+@pytest.mark.parametrize("at, duration", [(0.1, -0.2), (0.1, NAN), (NAN, 0.2), (-1.0, 0.2)])
+def test_partition_rejects_bad_inputs_where_it_is_armed(at, duration):
+    sim, network, faults = armed()
+    with pytest.raises(SimulationError):
+        faults.partition("a", "b", at, duration)
+    assert_nothing_armed(sim, network)
+    assert faults.partitions == []
+
+
+def test_valid_windows_still_open_and_close():
+    sim, network, faults = armed()
+    faults.crash_for("a", 0.1, 0.2)
+    faults.loss_window(0.1, 0.2, 1.0)
+    faults.duplicate_window(0.1, 0.2, 0.0)
+    faults.reorder_window(0.1, 0.2, 0.0)
+    faults.partition("a", "b", 0.1, 0.0)
+    latency = network.latency
+    sim.run()
+    assert sim.now == pytest.approx(0.3)
+    assert_no_fault_left(network)
+    assert network.latency == latency
+    assert len(faults.crashes) == len(faults.recoveries) == 1

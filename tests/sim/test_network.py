@@ -201,3 +201,22 @@ def test_the_inlined_draw_is_latency_model_sample():
     expected = sorted((latency.sample(rng), i) for i in range(50))
     assert b.received == expected
     assert sim.rng.getstate() == rng.getstate()
+
+
+def test_close_releases_the_run():
+    sim, network = build(seed=1)
+    a, b = Recorder("a"), Recorder("b")
+    network.register(a)
+    network.register(b)
+    network.observe(lambda msg: None)
+    network.start()
+    a.send("b", "data", 1)
+    sim.run()
+    a.send("b", "data", 2)  # still in flight when the run is closed
+    sent = network.sent
+    network.close()
+    assert network.processes == ()
+    assert network._observers == [] and sim._queue == []
+    # each process is as it was built: unregistered, holding nothing
+    assert vars(b) == {"name": "b", "network": None, "sim": None, "crashed": False}
+    assert network.sent == sent  # the run's counters stay readable
