@@ -568,12 +568,7 @@ class BlazesApp:
         import contextlib
         import time
 
-        from repro.net.context import (
-            NetConfig,
-            note_backend,
-            resolve_backend,
-            socket_backend,
-        )
+        from repro.net.context import NetConfig, resolve_backend, socket_backend
         from repro.net.services import SocketTimeout
 
         if self._runner is None:
@@ -599,8 +594,6 @@ class BlazesApp:
                 stack.enter_context(
                     socket_backend(NetConfig.from_env(timeout=timeout))
                 )
-            else:
-                note_backend("sim")
             started = time.perf_counter()
             if telemetry is not None:
                 stack.enter_context(telemetry.activate())

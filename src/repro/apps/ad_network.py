@@ -40,7 +40,7 @@ from repro.apps.queries import (
     report_observe,
     report_roles,
 )
-from repro.apps.source import PlannedSource
+from repro.apps.source import PlannedSource, check_workload
 from repro.chaos.envelope import order_only_envelope
 from repro.bloom.cluster import INSERT_MSG, ZK_KINDS, BloomCluster, BloomNode
 from repro.bloom.rewrite import SealedInputAdapter, apply_strategy
@@ -75,6 +75,8 @@ CLICK_STREAMS = {"click": "click"}
 SEAL_COLUMNS = {
     name: CLICK_SCHEMA.index(name) for name in ("campaign", "window", "id")
 }
+# The coordination service's time to commit one write.
+ZK_WRITE_SERVICE = 0.003
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,6 +91,9 @@ class AdWorkload:
     ads_per_campaign: int = 5
     requests: int = 12
     report_replicas: int = 3
+
+    def __post_init__(self) -> None:
+        check_workload(self)
 
     @property
     def total_entries(self) -> int:
@@ -146,12 +151,6 @@ def _plan_clicks(
     interleave arbitrarily, so most campaigns can only be sealed near the
     end of the stream.
     """
-    if not campaigns:
-        # emitting nothing would silently break workload.total_entries
-        raise SimulationError(
-            f"ad server {name} produces no campaigns; "
-            f"an independent-seal placement needs campaigns >= ad_servers"
-        )
     rng = random.Random(f"adserver:{name}:{seed}")
     per_campaign = workload.entries_per_server // len(campaigns)
     extra = workload.entries_per_server - per_campaign * len(campaigns)
@@ -179,13 +178,11 @@ class AdNetworkResult:
     completion_time: float
     registry_lookups: int
 
-    def processed_series(
-        self, node: str | None = None, *, bucket: float = 0.25
-    ) -> list[tuple[float, int]]:
-        """Cumulative processed-record count over time (Figures 12-14)."""
-        source = node or self.report_nodes[0]
+    def processed_series(self, *, bucket: float = 0.25) -> list[tuple[float, int]]:
+        """The first replica's cumulative processed-record count over time
+        (Figures 12-14)."""
         return self.cluster.trace.timeline(
-            f"processed:{source}", bucket=bucket, weighted=True
+            f"processed:{self.report_nodes[0]}", bucket=bucket, weighted=True
         )
 
     def processed_count(self, node: str | None = None) -> int:
@@ -246,8 +243,6 @@ def run_ad_network(
     workload_seed: int | None = None,
     query: str = "CAMPAIGN",
     query_kwargs: dict | None = None,
-    zk_write_service: float = 0.003,
-    seal_key: str | None = None,
     reliable_sessions: bool = False,
     max_events: int | None = None,
     chaos: "Callable[[BloomCluster], None] | None" = None,
@@ -260,14 +255,14 @@ def run_ad_network(
     :mod:`repro.bloom.rewrite`.  ``seed`` controls network nondeterminism
     (delivery interleavings); ``workload_seed`` (defaulting to ``seed``)
     controls the generated click log, so two runs can share a workload
-    while exploring different delivery orders.  ``seal_key`` chooses the
-    click column a sealing strategy punctuates on (``campaign`` /
-    ``window`` / ``id`` — the per-query keys of Figure 6; by default the
-    key the strategy declares).  ``reliable_sessions`` models every app
-    session as TCP-backed: click/request/seal traffic is exempt from loss
-    and duplication, retried across partitions, and re-delivered after a
-    crashed peer restarts — the fault envelope of the query-matrix audit,
-    where faults perturb order and timing but never durability.
+    while exploring different delivery orders.  A sealing strategy
+    punctuates on the click column it declares (``campaign`` / ``window``
+    / ``id`` — the per-query keys of Figure 6).  ``reliable_sessions``
+    models every app session as TCP-backed: click/request/seal traffic is
+    exempt from loss and duplication, retried across partitions, and
+    re-delivered after a crashed peer restarts — the fault envelope of the
+    query-matrix audit, where faults perturb order and timing but never
+    durability.
     ``chaos`` receives the built, not-yet-running cluster so
     ``repro.chaos`` schedules can arm fault injection.
     """
@@ -276,13 +271,10 @@ def run_ad_network(
             raise ValueError(f"unknown strategy {strategy!r}; have {STRATEGIES}")
         strategy = APP.strategy_spec(strategy)
     sealed_on = strategy.seals.get("c")
-    if seal_key is None:
-        seal_key = sealed_on[0] if sealed_on else "campaign"
-    elif sealed_on:
-        strategy = dataclasses.replace(strategy, seals={"c": [seal_key]})
+    seal_key = sealed_on[0] if sealed_on else "campaign"
     if seal_key not in SEAL_COLUMNS:
         raise ValueError(
-            f"unknown seal_key {seal_key!r}; have {sorted(SEAL_COLUMNS)}"
+            f"unknown seal column {seal_key!r}; have {sorted(SEAL_COLUMNS)}"
         )
     installed = strategy.installed("Report", REPORT_INPUTS)
     workload = workload or AdWorkload()
@@ -296,10 +288,6 @@ def run_ad_network(
             f"independent-seal needs campaigns >= ad_servers "
             f"(got {workload.campaigns} < {workload.ad_servers})"
         )
-    if independent and seal_key != "campaign":
-        # the independent placement masters *campaigns* at single servers;
-        # sealing a different column would cross ownership boundaries
-        raise SimulationError("independent-seal requires seal_key='campaign'")
     workload_seed = seed if workload_seed is None else workload_seed
     reliable_kinds = ZK_KINDS + (
         (SEAL_DATA, SEAL_PUNCT, INSERT_MSG) if reliable_sessions else ()
@@ -319,7 +307,7 @@ def run_ad_network(
         None
         if isinstance(installed, NoCoordination)
         else install_zookeeper(
-            cluster.network, write_service=zk_write_service, trace=cluster.trace
+            cluster.network, write_service=ZK_WRITE_SERVICE, trace=cluster.trace
         )
     )
 
@@ -390,7 +378,7 @@ def run_ad_network(
                 )
                 for index in range(workload.requests)
             ],
-            ask_spacing=horizon / max(1, workload.requests),
+            ask_spacing=horizon / workload.requests,
         )
     )
 

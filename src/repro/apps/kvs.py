@@ -21,7 +21,7 @@ import random
 from collections.abc import Callable
 
 from repro.api import BlazesApp, StrategySpec, annotate, register
-from repro.apps.source import PlannedSource
+from repro.apps.source import PlannedSource, check_workload
 from repro.bloom.cluster import INSERT_MSG, ZK_KINDS, BloomCluster, BloomNode
 from repro.chaos.envelope import FaultEnvelope
 from repro.bloom.module import BloomModule
@@ -51,6 +51,8 @@ KVS_STRATEGIES = ("uncoordinated", "sealed", "ordered")
 
 KVS_ORDER_TOPIC = "kvs.inputs"
 CLIENT = "client"
+# The coordination service's time to commit one write.
+ZK_WRITE_SERVICE = 0.001
 # The Store component's declared input streams under their runtime
 # names, and the collection the sealable one feeds.
 STORE_INPUTS = {"puts": "kvs.puts", "gets": "kvs.gets"}
@@ -180,6 +182,9 @@ class KvsWorkload:
     batch_size: int = 4
     sleep: float = 0.01
 
+    def __post_init__(self) -> None:
+        check_workload(self)
+
     @property
     def total_writes(self) -> int:
         return self.keys * self.writes_per_key
@@ -187,7 +192,7 @@ class KvsWorkload:
     @property
     def horizon(self) -> float:
         """Approximate virtual time over which the client emits."""
-        bursts = max(1, (self.total_writes + self.batch_size - 1) // self.batch_size)
+        bursts = (self.total_writes + self.batch_size - 1) // self.batch_size
         return bursts * self.sleep
 
     def winners(self) -> dict[str, str]:
@@ -241,7 +246,7 @@ def _kvs_client(
             (f"g{index}", f"k{rng.randrange(workload.keys)}")
             for index in range(workload.gets)
         ],
-        ask_spacing=workload.horizon * 1.2 / max(1, workload.gets),
+        ask_spacing=workload.horizon * 1.2 / workload.gets,
         stream_collections=PUT_STREAMS,
     )
 
@@ -340,7 +345,6 @@ def run_kvs(
     workload: KvsWorkload | None = None,
     seed: int = 0,
     workload_seed: int | None = None,
-    zk_write_service: float = 0.001,
     max_events: int | None = None,
     chaos: Callable[[BloomCluster], None] | None = None,
 ) -> KvsResult:
@@ -374,7 +378,7 @@ def run_kvs(
     # key's whole producer set, so sealing looks nothing up
     zk = (
         install_zookeeper(
-            cluster.network, write_service=zk_write_service, trace=cluster.trace
+            cluster.network, write_service=ZK_WRITE_SERVICE, trace=cluster.trace
         )
         if isinstance(installed, OrderStrategy)
         else None

@@ -9,13 +9,29 @@ knows which coordination strategy is deployed.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from collections.abc import Callable, Sequence
 
 from repro.bloom.rewrite import strategy_producer
 from repro.errors import SimulationError
 from repro.sim.network import Process
 
-__all__ = ["PlannedSource"]
+__all__ = ["PlannedSource", "check_workload"]
+
+
+def check_workload(workload) -> None:
+    """Reject a workload dataclass where it is declared, not inside its run
+    (a negative burst size rescheduled its burst forever): every field is a
+    count or size ``>= 1``, except ``sleep``, finite and ``>= 0``."""
+    name = type(workload).__name__
+    for field in dataclasses.fields(workload):
+        value = getattr(workload, field.name)
+        if field.name == "sleep":
+            if not 0.0 <= value < math.inf:  # NaN fails too
+                raise SimulationError(f"{name}.sleep must be finite and >= 0, got {value}")
+        elif not value >= 1:
+            raise SimulationError(f"{name}.{field.name} must be >= 1, got {value}")
 
 
 class PlannedSource(Process):

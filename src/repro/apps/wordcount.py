@@ -64,6 +64,10 @@ class ZipfVocabulary:
         return self.words[bisect.bisect_left(self._cdf, rng.random())]
 
 
+# Words in one synthetic tweet.
+WORDS_PER_TWEET = 3
+
+
 class TweetSpout(Spout):
     """Emits batches of synthetic tweets; replay-deterministic.
 
@@ -79,14 +83,11 @@ class TweetSpout(Spout):
         *,
         total_batches: int,
         batch_size: int = 50,
-        words_per_tweet: int = 3,
-        vocabulary: ZipfVocabulary | None = None,
         seed: int = 0,
     ) -> None:
         self.total_batches = total_batches
         self.batch_size = batch_size
-        self.words_per_tweet = words_per_tweet
-        self.vocabulary = vocabulary or ZipfVocabulary()
+        self.vocabulary = ZipfVocabulary()
         self.seed = seed
 
     def next_batch(self, batch_id: int) -> list[tuple] | None:
@@ -95,9 +96,7 @@ class TweetSpout(Spout):
         rng = random.Random(f"{self.seed}:{batch_id}")
         batch = []
         for _ in range(self.batch_size):
-            words = [
-                self.vocabulary.sample(rng) for _ in range(self.words_per_tweet)
-            ]
+            words = [self.vocabulary.sample(rng) for _ in range(WORDS_PER_TWEET)]
             batch.append((" ".join(words),))
         return batch
 
@@ -158,7 +157,6 @@ class CommitBolt(Bolt):
     def __init__(self) -> None:
         self.store: dict[tuple[str, int], int] = {}
         self._pending: dict[int, list[tuple]] = {}
-        self.commits = 0
 
     def execute(self, tup, emit) -> None:
         word, batch, count = tup.values
@@ -167,7 +165,6 @@ class CommitBolt(Bolt):
     def finish_batch(self, batch_id: int, emit) -> None:
         for word, batch, count in self._pending.pop(batch_id, []):
             self.store[(word, batch)] = count
-        self.commits += 1
 
     def reset_batch(self, batch_id: int) -> None:
         self._pending.pop(batch_id, None)
@@ -209,21 +206,15 @@ class EagerCommitBolt(Bolt):
 
     def __init__(self) -> None:
         self.store: dict[str, int] = {}
-        self.commits = 0
 
     def execute(self, tup, emit) -> None:
         word, count = tup.values
         self.store[word] = count
 
-    def finish_batch(self, batch_id: int, emit) -> None:
-        self.commits += 1
-
 
 def build_wordcount_topology(
     *,
     workers: int = 5,
-    spouts: int | None = None,
-    committers: int | None = None,
     total_batches: int = 20,
     batch_size: int = 50,
     seed: int = 0,
@@ -236,8 +227,7 @@ def build_wordcount_topology(
     but cumulative counts committed last-writer-wins — the uncoordinated
     deployment whose analysis predicts ``Run``.
     """
-    spouts = spouts if spouts is not None else max(1, workers // 2)
-    committers = committers if committers is not None else max(1, workers // 2)
+    spouts = committers = max(1, workers // 2)
     builder = TopologyBuilder("wordcount-eager" if eager else "wordcount")
     builder.set_spout(
         "tweets",

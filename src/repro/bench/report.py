@@ -28,16 +28,6 @@ def default_output_dir() -> Path:
     return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
 
 
-def _backend_environment() -> dict:
-    """The run backend fields of the environment block (never fatal)."""
-    try:
-        from repro.net.context import report_environment
-
-        return report_environment()
-    except Exception:  # pragma: no cover - reporting must not kill a run
-        return {}
-
-
 class JsonReporter:
     """Writes one ``BENCH_<name>.json`` per report into ``directory``."""
 
@@ -48,6 +38,15 @@ class JsonReporter:
         return self.directory / f"BENCH_{name}.json"
 
     def write(self, report: "BenchReport") -> Path:
+        # which backend carried the cells ("sim"/"socket"), read off their
+        # own params, and for socket cells the transport config
+        params = report.results[0].params if report.results else {}
+        backend = params.get("backend") or "sim"
+        transport = None
+        if backend == "socket":
+            from repro.net.context import NetConfig
+
+            transport = NetConfig.from_env(timeout=params.get("timeout")).to_dict()
         payload = {
             **report.to_dict(),
             "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -55,9 +54,8 @@ class JsonReporter:
                 "python": platform.python_version(),
                 "platform": platform.platform(),
                 "cpu_count": os.cpu_count(),
-                # which backend carried the runs ("sim"/"socket") and, for
-                # socket runs, the transport config they ran under
-                **_backend_environment(),
+                "backend": backend,
+                "transport": transport,
             },
         }
         self.directory.mkdir(parents=True, exist_ok=True)

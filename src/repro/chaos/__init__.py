@@ -40,7 +40,6 @@ from repro.chaos.campaign import (
     audit_to_dict,
     campaign_is_sound,
     campaign_tightness,
-    cell_status_of,
     default_schedules,
     demonstrated_anomalies,
     matrix_apps,
@@ -118,7 +117,6 @@ __all__ = [
     "campaign_is_sound",
     "campaign_tightness",
     "cell_status",
-    "cell_status_of",
     "classify_runs",
     "composite_schedule",
     "composite_schedules",

@@ -58,7 +58,6 @@ __all__ = [
     "audit_to_dict",
     "campaign_is_sound",
     "campaign_tightness",
-    "cell_status_of",
     "default_schedules",
     "demonstrated_anomalies",
     "matrix_apps",
@@ -253,18 +252,6 @@ def audit_cell(
     return Scenario(schedule_cell_name(app, strategy, schedule), params)
 
 
-def cell_status_of(result) -> str:
-    """One cell's ``sound`` / ``unsound`` / ``out-of-envelope`` status.
-
-    Falls back to the soundness bit for cells produced before the status
-    field existed (e.g. replayed reports).
-    """
-    status = result.metrics.get("status")
-    if status is not None:
-        return status
-    return "sound" if result["sound"] else "unsound"
-
-
 def campaign_is_sound(report: BenchReport) -> bool:
     """Did every *in-envelope* cell observe within its predicted label?
 
@@ -272,7 +259,7 @@ def campaign_is_sound(report: BenchReport) -> bool:
     never claimed to tolerate their schedule — so they are excluded
     here, never counted as unsound.
     """
-    return all(cell_status_of(result) != "unsound" for result in report)
+    return all(result["status"] != "unsound" for result in report)
 
 
 def out_of_envelope_cells(report: BenchReport) -> dict[str, list[str]]:
@@ -281,7 +268,7 @@ def out_of_envelope_cells(report: BenchReport) -> dict[str, list[str]]:
     return {
         result.name: list(result.metrics.get("envelope_violations", ()))
         for result in report
-        if cell_status_of(result) == "out-of-envelope"
+        if result["status"] == "out-of-envelope"
     }
 
 
@@ -317,7 +304,7 @@ def audit_to_dict(report: BenchReport) -> dict:
                 "sound": result["sound"],
                 # three-way status: out-of-envelope cells are neither
                 # sound nor unsound — the app never claimed their faults
-                "status": cell_status_of(result),
+                "status": result["status"],
                 "envelope_violations": list(
                     result.metrics.get("envelope_violations", ())
                 ),
@@ -331,7 +318,7 @@ def audit_to_dict(report: BenchReport) -> dict:
             "cells": len(report),
             "sound": campaign_is_sound(report),
             "unsound_cells": sum(
-                1 for result in report if cell_status_of(result) == "unsound"
+                1 for result in report if result["status"] == "unsound"
             ),
             "out_of_envelope": len(outside),
             "tight_cells": tight,
@@ -479,7 +466,7 @@ def render_audit(report: BenchReport, *, evidence: bool = False) -> str:
     lines = [report.table("predicted", "observed", "sound", "tight")]
     anomalies = demonstrated_anomalies(report)
     unsound = [
-        result.name for result in report if cell_status_of(result) == "unsound"
+        result.name for result in report if result["status"] == "unsound"
     ]
     outside = out_of_envelope_cells(report)
     lines.append("")
@@ -612,13 +599,13 @@ class AuditSweep(Sweep):
     sound = staticmethod(campaign_is_sound)
 
     def __post_init__(self) -> None:
-        from repro.net.context import NetConfig, note_backend, resolve_backend
+        from repro.net.context import NetConfig, resolve_backend
 
         named = self.name is not None
         super().__post_init__()
         self.backend = resolve_backend(self.backend)
         if self.backend == "socket":
-            note_backend("socket", NetConfig.from_env(timeout=self.timeout))
+            NetConfig.from_env(timeout=self.timeout)  # a bad setting fails here
             self.cacheable = False
             if not named:
                 self.name += "-socket"

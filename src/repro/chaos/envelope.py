@@ -24,6 +24,7 @@ it shrinks is an in-envelope one the analysis must answer for.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.chaos.schedule import (
     Crash,
@@ -80,6 +81,20 @@ class FaultEnvelope:
             raise SimulationError(
                 f"envelope {self.name!r} names unknown fault kinds "
                 f"{sorted(unknown)}; have {list(FAULT_KINDS)}"
+            )
+        # checked here: NaN fails every comparison, so a NaN ceiling or
+        # deadline would admit every schedule
+        for field in ("max_loss_prob", "max_dup_prob"):
+            value = getattr(self, field)
+            if not 0.0 <= value <= 1.0:
+                raise SimulationError(
+                    f"envelope {self.name!r}: {field} must be within [0, 1], got {value}"
+                )
+        deadline = self.crash_restart_by
+        if deadline is not None and not 0.0 <= deadline < math.inf:
+            raise SimulationError(
+                f"envelope {self.name!r}: crash_restart_by must be finite "
+                f"and >= 0, got {deadline}"
             )
 
     def violations(self, schedule: FaultSchedule) -> tuple[str, ...]:
@@ -185,9 +200,7 @@ def order_only_envelope() -> FaultEnvelope:
     )
 
 
-def reliable_sessions_envelope(
-    *, crash: bool = True, partition: bool = True
-) -> FaultEnvelope:
+def reliable_sessions_envelope() -> FaultEnvelope:
     """TCP-backed sessions: timing faults, plus crash-with-restart.
 
     Sessions are re-established after a peer restart (the
@@ -195,15 +208,10 @@ def reliable_sessions_envelope(
     when the process is back before end of run; partitions delay rather
     than destroy traffic.
     """
-    faults = {"reorder", "duplicate"}
-    if crash:
-        faults.add("crash")
-    if partition:
-        faults.add("partition")
     return FaultEnvelope(
         "reliable-sessions",
-        frozenset(faults),
-        crash_restart_by=1.0 if crash else None,
+        frozenset({"reorder", "duplicate", "crash", "partition"}),
+        crash_restart_by=1.0,
         description=(
             "TCP-backed sessions re-established on restart: faults may "
             "perturb delivery order and timing, never durability"

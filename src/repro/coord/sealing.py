@@ -142,7 +142,6 @@ class SealManager:
         self._producer_sets: dict[Partition, frozenset[str]] = {}
         self._lookups_inflight: set[Partition] = set()
         self.released: set[Partition] = set()
-        self.late_records = 0
         self.registry_lookups = 0
 
     # ------------------------------------------------------------------
@@ -186,9 +185,7 @@ class SealManager:
     def on_data(self, partition: Partition, record: Any, producer: str) -> None:
         """Buffer one record until its partition is complete."""
         if partition in self.released:
-            # At-least-once networks can replay records after release.
-            self.late_records += 1
-            return
+            return  # at-least-once networks can replay records after release
         self._buffers.setdefault(partition, []).append(record)
         self._ensure_producer_set(partition)
 

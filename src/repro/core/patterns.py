@@ -39,6 +39,10 @@ CACHE_OF_NONCONFLUENT = "cache-of-nonconfluent"
 WIDE_SEAL_QUORUM = "wide-seal-quorum"
 REDUNDANT_ORDERING = "redundant-ordering"
 
+# Producers per sealed partition from which a seal's unanimous vote is
+# flagged as wide.
+SEAL_QUORUM_THRESHOLD = 3
+
 
 @dataclasses.dataclass(frozen=True)
 class Finding:
@@ -77,7 +81,6 @@ def lint_dataflow(
     plan: CoordinationPlan | None = None,
     *,
     producers_per_partition: dict[str, int] | None = None,
-    seal_quorum_threshold: int = 3,
 ) -> list[Finding]:
     """Check an analyzed dataflow against the Section X design patterns.
 
@@ -152,7 +155,7 @@ def lint_dataflow(
             continue
         for stream_name, key in strategy.partitions:
             width = producers_per_partition.get(stream_name)
-            if width is not None and width >= seal_quorum_threshold:
+            if width is not None and width >= SEAL_QUORUM_THRESHOLD:
                 findings.append(
                     Finding(
                         WIDE_SEAL_QUORUM,

@@ -24,13 +24,15 @@ __all__ = [
     "BACKENDS",
     "NetConfig",
     "active_config",
-    "note_backend",
-    "report_environment",
     "resolve_backend",
     "socket_backend",
 ]
 
 BACKENDS = ("sim", "socket")
+# Wall seconds between reliable-session retransmit sweeps, and between
+# dial attempts at an unreachable peer.
+RETRANSMIT_INTERVAL = 0.2
+RECONNECT_BACKOFF = 0.05
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,10 +52,6 @@ class NetConfig:
     host: str = "127.0.0.1"
     # wall seconds per virtual time unit
     time_scale: float = 3.0
-    # wall seconds between reliable-session retransmit sweeps
-    retransmit_interval: float = 0.2
-    # wall seconds between dial attempts at an unreachable peer
-    reconnect_backoff: float = 0.05
     # wall-clock budget for one run (None = unbounded)
     timeout: float | None = None
 
@@ -88,18 +86,17 @@ class NetConfig:
         return config
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The transport settings a run goes under, constants included."""
+        return {
+            **dataclasses.asdict(self),
+            "retransmit_interval": RETRANSMIT_INTERVAL,
+            "reconnect_backoff": RECONNECT_BACKOFF,
+        }
 
 
 _ACTIVE: contextvars.ContextVar[NetConfig | None] = contextvars.ContextVar(
     "blazes_net_config", default=None
 )
-
-# The last backend this process ran with, recorded for bench reports'
-# environment block (reporters run after — and sometimes in a different
-# process than — the runs they summarize, so this is deliberately sticky
-# process-global state, not scoped state).
-_LAST: dict = {"backend": "sim", "transport": None}
 
 
 def active_config() -> NetConfig | None:
@@ -115,22 +112,10 @@ def resolve_backend(backend: str | None) -> str:
     return name
 
 
-def note_backend(backend: str, config: NetConfig | None = None) -> None:
-    """Record the backend (and transport config) for bench environments."""
-    _LAST["backend"] = backend
-    _LAST["transport"] = config.to_dict() if config is not None else None
-
-
-def report_environment() -> dict:
-    """The ``backend``/``transport`` fields of a bench environment block."""
-    return dict(_LAST)
-
-
 @contextlib.contextmanager
 def socket_backend(config: NetConfig | None = None):
     """Scope the socket backend: clusters built inside run on sockets."""
     cfg = config if config is not None else NetConfig.from_env()
-    note_backend("socket", cfg)
     token = _ACTIVE.set(cfg)
     try:
         yield cfg

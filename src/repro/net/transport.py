@@ -38,7 +38,7 @@ import collections
 from typing import TYPE_CHECKING
 
 from repro.net import frames
-from repro.net.context import NetConfig
+from repro.net.context import RECONNECT_BACKOFF, RETRANSMIT_INTERVAL, NetConfig
 from repro.sim import faultpolicy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -132,7 +132,7 @@ class TcpTransport:
 
     async def _retransmit_loop(self) -> None:
         while not self.closed:
-            await asyncio.sleep(self.config.retransmit_interval)
+            await asyncio.sleep(RETRANSMIT_INTERVAL)
             for link in list(self.links.values()):
                 link.retransmit_due()
 
@@ -280,10 +280,9 @@ class Link:
         if not self.unacked:
             return
         now = asyncio.get_running_loop().time()
-        interval = self.transport.config.retransmit_interval
         network = self.transport.network
         for seq in sorted(self.unacked):
-            if now - self.sent_wall.get(seq, now) < interval:
+            if now - self.sent_wall.get(seq, now) < RETRANSMIT_INTERVAL:
                 continue
             attempts = self.attempts.get(seq, 0) + 1
             self.attempts[seq] = attempts
@@ -306,7 +305,6 @@ class Link:
     # writer task
     # ------------------------------------------------------------------
     async def _run(self) -> None:
-        config = self.transport.config
         while not self.closed:
             if not self.queue:
                 self._wake.clear()
@@ -316,7 +314,7 @@ class Link:
                 if not await self._connect():
                     self._peer_unreachable()
                     if self.queue or self.unacked:
-                        await asyncio.sleep(config.reconnect_backoff)
+                        await asyncio.sleep(RECONNECT_BACKOFF)
                     continue
             frame = self.queue.popleft()
             seq = frame.get("seq")

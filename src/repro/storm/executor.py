@@ -84,8 +84,7 @@ class _Router:
     destination of a tuple is ``table[key(values)]``.  A fields grouping's
     key is its column projection (so a grouping on an undeclared field is
     a construction-time error) and its table a :class:`_KeyRoutes`; a
-    shuffle's key turns through the consumer's task positions; a global
-    grouping's is always its first task.
+    shuffle's key turns through the consumer's task positions.
     """
 
     def __init__(
@@ -105,10 +104,8 @@ class _Router:
             if grouping.mode == "fields":
                 key = output_fields.projector(grouping.fields)
                 table = _KeyRoutes(cluster.assignment, consumer)
-            elif grouping.mode == "shuffle":
+            else:  # shuffle
                 key, table = _turns(len(names)), names
-            else:  # global
-                key, table = _first_task, names
             self._routes.append((key, table))
 
     def route(self, batch: int, attempt: int, values: tuple) -> None:
@@ -127,10 +124,6 @@ class _Router:
         close_chan = self.task.close_chan
         for name in self.consumer_tasks:
             close_chan(name, batch, attempt)
-
-    @property
-    def has_consumers(self) -> bool:
-        return bool(self.consumer_tasks)
 
 
 class _KeyRoutes(dict):
@@ -160,11 +153,6 @@ def _turns(count: int):
     tuple."""
     positions = itertools.cycle(range(count))
     return lambda values: next(positions)
-
-
-def _first_task(values: tuple) -> int:
-    """A global grouping's key: every tuple goes to the first task."""
-    return 0
 
 
 class _TaskBase(Process):
@@ -311,7 +299,6 @@ class _SpoutTask(_TaskBase):
         self.batch_cache: dict[int, list[tuple]] = {}
         self.replay_timers: dict[int, Any] = {}
         self.replays = 0
-        self.emitted_batches = 0
 
     def on_start(self) -> None:
         self._fill_pipeline()
@@ -322,7 +309,6 @@ class _SpoutTask(_TaskBase):
             contents = self.spout.next_batch(batch)
             if contents is None:
                 self.exhausted = True
-                self.cluster.note_spout_exhausted()
                 break
             self.batch_cache[batch] = contents
             self.attempts[batch] = 0
@@ -345,7 +331,6 @@ class _SpoutTask(_TaskBase):
             for values in contents:
                 self.router.route(batch, attempt, values)
             self.router.broadcast_punct(batch, attempt)
-            self.emitted_batches += 1
             self.cluster.trace.record(self.now, self.name, "batch_emitted", batch)
             if config.replay_timeout is not None:
                 self.replay_timers[batch] = self.after(
@@ -413,15 +398,13 @@ class _SpoutTask(_TaskBase):
 class _BoltTask(_TaskBase):
     """Executes one bolt instance with a single-server service queue."""
 
-    def __init__(self, name: str, cluster: "StormCluster", component: str, index: int):
+    def __init__(self, name: str, cluster: "StormCluster", component: str):
         super().__init__(name, cluster)
         self.component = component
-        self.index = index
         self.bolt = cluster.topology.declaration(component).factory()
         self.router = _Router(self, cluster, component, self.bolt.output_fields)
         self.exec_time = cluster.config.exec_times.get(component, DEFAULT_EXEC_TIME)
-        self.upstream_tasks = cluster.upstream_tasks_of(component)
-        self.is_terminal = not self.router.has_consumers
+        self.is_terminal = not self.router.consumer_tasks
         self.transactional = (
             cluster.config.transactional and self.is_terminal
         )
@@ -442,7 +425,9 @@ class _BoltTask(_TaskBase):
     def recv(self, msg: Message) -> None:
         if msg.kind == CHAN:
             self.handle_chan(msg)
-        elif not (self.transactional and self.cluster.transactional_hook(self, msg)):
+        elif not (
+            self.transactional and self.cluster.coordinator.handle_task_message(self, msg)
+        ):
             raise StormError(
                 f"bolt task {self.name} got unexpected message {msg.kind}"
             )
@@ -533,7 +518,7 @@ class _BoltTask(_TaskBase):
             return
         self._finished.add(batch)
         if self.transactional:
-            self.cluster.coordinator_ready(self, batch)
+            self.cluster.coordinator.mark_ready(self, batch)
         else:
             self.complete_batch(batch, attempt)
 
@@ -649,7 +634,6 @@ class StormCluster:
         )
         self._spout_tasks: list[str] = []
         self._bolt_tasks: dict[str, _BoltTask] = {}
-        self._exhausted_spouts = 0
         self.batches_acked: list[tuple[int, float]] = []
         self._terminal = self._find_terminal()
         self._spout_period = math.lcm(
@@ -683,12 +667,6 @@ class StormCluster:
         self.topology.declaration(component)  # raise on unknown components
         return list(self.assignment.tasks_of(component))
 
-    def upstream_tasks_of(self, component: str) -> frozenset[str]:
-        names: set[str] = set()
-        for grouping in self.topology.declaration(component).groupings:
-            names.update(self.task_names(grouping.source))
-        return frozenset(names)
-
     def expected_punct_tasks(self, component: str, batch: int) -> frozenset[str]:
         """Upstream tasks whose punctuation completes ``batch`` here.
 
@@ -719,8 +697,8 @@ class StormCluster:
                 self.network.register(task)
                 self._spout_tasks.append(name)
         for component in self.topology.bolts:
-            for index, name in enumerate(self.task_names(component)):
-                task = _BoltTask(name, self, component, index)
+            for name in self.task_names(component):
+                task = _BoltTask(name, self, component)
                 self.network.register(task)
                 self._bolt_tasks[name] = task
 
@@ -736,21 +714,9 @@ class StormCluster:
         """The spout task that emitted (and can replay) a batch."""
         return self._spout_tasks[batch % len(self._spout_tasks)]
 
-    def note_spout_exhausted(self) -> None:
-        self._exhausted_spouts += 1
-
     def note_batch_acked(self, batch: int, time: float) -> None:
         self.batches_acked.append((batch, time))
         self.trace.record(time, "cluster", "batch_complete", batch)
-
-    # transactional plumbing (wired by install_transactional)
-    def coordinator_ready(self, task: "_BoltTask", batch: int) -> None:
-        assert self.coordinator is not None
-        self.coordinator.mark_ready(task, batch)
-
-    def transactional_hook(self, task: "_BoltTask", msg: Message) -> bool:
-        assert self.coordinator is not None
-        return self.coordinator.handle_task_message(task, msg)
 
     # ------------------------------------------------------------------
     # running

@@ -1,7 +1,7 @@
 """Topology declaration API, modeled on Storm's ``TopologyBuilder``.
 
 A topology is a dataflow of *spouts* (stream sources) and *bolts*
-(components) wired by *groupings* (shuffle / fields / global).  Bolts may
+(components) wired by *groupings* (shuffle / fields).  Bolts may
 carry Blazes path annotations (the grey-box metadata of paper Section VI-A)
 which the adapter in :mod:`repro.storm.adapter` extracts into an analyzable
 dataflow.
@@ -73,11 +73,11 @@ class Grouping:
     """How tuples from a source component route to a bolt's tasks."""
 
     source: str
-    mode: str  # "shuffle" | "fields" | "global"
+    mode: str  # "shuffle" | "fields"
     fields: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.mode not in ("shuffle", "fields", "global"):
+        if self.mode not in ("shuffle", "fields"):
             raise StormError(f"unknown grouping mode {self.mode!r}")
         if self.mode == "fields" and not self.fields:
             raise StormError("fields grouping requires at least one field")
@@ -104,10 +104,6 @@ class BoltDeclarer:
 
     def fields_grouping(self, source: str, *fields: str) -> "BoltDeclarer":
         self._declaration.groupings.append(Grouping(source, "fields", tuple(fields)))
-        return self
-
-    def global_grouping(self, source: str) -> "BoltDeclarer":
-        self._declaration.groupings.append(Grouping(source, "global"))
         return self
 
 

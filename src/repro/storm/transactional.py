@@ -68,7 +68,6 @@ class CommitCoordinator(Process):
         # a replay, to apply once that task finishes the batch again
         self._owed: set[tuple[str, int]] = set()
         self.committed: set[int] = set()
-        self.commit_count = 0
 
     # ------------------------------------------------------------------
     # messages
@@ -119,7 +118,6 @@ class CommitCoordinator(Process):
             return
         del self._confirmations[batch]
         self.committed.add(batch)
-        self.commit_count += 1
         if self._granted == batch:
             self._granted = None
         self.cluster.trace.record(self.now, self.name, "batch_committed", batch)

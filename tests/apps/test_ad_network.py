@@ -143,6 +143,15 @@ def test_independent_seal_rejects_fewer_campaigns_than_servers():
         run_ad_network("independent-seal", workload=workload)
 
 
+def sealed_on(column: str):
+    """The ``seal`` strategy declaring its seal on another click column."""
+    import dataclasses
+
+    from repro.apps.ad_network import APP
+
+    return dataclasses.replace(APP.strategy_spec("seal"), seals={"c": [column]})
+
+
 class TestSealKeys:
     """Seal strategies generalized over the Figure 6 partition columns."""
 
@@ -161,8 +170,8 @@ class TestSealKeys:
         tables = []
         for seed in (3, 4):
             result = run_ad_network(
-                "seal", workload=self.WORKLOAD, seed=seed, workload_seed=1,
-                query="WINDOW", seal_key="window",
+                sealed_on("window"), workload=self.WORKLOAD, seed=seed,
+                workload_seed=1, query="WINDOW",
             )
             for node in result.report_nodes:
                 assert result.processed_count(node) == self.WORKLOAD.total_entries
@@ -172,8 +181,7 @@ class TestSealKeys:
 
     def test_window_seal_registers_window_partitions(self):
         result = run_ad_network(
-            "seal", workload=self.WORKLOAD, seed=3, query="WINDOW",
-            seal_key="window",
+            sealed_on("window"), workload=self.WORKLOAD, seed=3, query="WINDOW"
         )
         zk = result.cluster.network.process("zookeeper")
         for window in range(4):
@@ -182,8 +190,8 @@ class TestSealKeys:
 
     def test_id_seal_covers_poor_query(self):
         result = run_ad_network(
-            "seal", workload=self.WORKLOAD, seed=3, query="POOR",
-            seal_key="id", query_kwargs={"threshold": 10},
+            sealed_on("id"), workload=self.WORKLOAD, seed=3, query="POOR",
+            query_kwargs={"threshold": 10},
         )
         for node in result.report_nodes:
             assert result.processed_count(node) == self.WORKLOAD.total_entries
@@ -198,16 +206,8 @@ class TestSealKeys:
             assert zk.znode(f"producers/{ad!r}"), ad
 
     def test_unknown_seal_key_rejected(self):
-        with pytest.raises(ValueError, match="seal_key"):
-            run_ad_network("seal", workload=SMALL, seal_key="uid")
-
-    def test_independent_seal_requires_campaign_key(self):
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError, match="seal_key"):
-            run_ad_network(
-                "independent-seal", workload=SMALL, seal_key="window"
-            )
+        with pytest.raises(ValueError, match="unknown seal column 'uid'"):
+            run_ad_network(sealed_on("uid"), workload=SMALL)
 
 
 class TestOrderedDecisionLog:

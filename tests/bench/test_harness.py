@@ -116,6 +116,28 @@ def test_bench_json_environment_records_cpu_count(tmp_path):
     assert payload["environment"]["cpu_count"] == os.cpu_count()
 
 
+def test_bench_json_environment_names_the_backend_of_its_own_cells(
+    tmp_path, monkeypatch
+):
+    """The backend comes from the report's cells, not from what the writing
+    process ran last: a socket record carries its transport block, and a
+    record written after it in the same process still says ``sim``."""
+    for name in ("BLAZES_NET_HOST", "BLAZES_NET_TIME_SCALE"):
+        monkeypatch.delenv(name, raising=False)
+    reporter = JsonReporter(tmp_path)
+    cell = {"backend": "socket", "timeout": 5.0}
+    socket = BenchReport("sock", [ScenarioResult("c", cell, {"ok": True}, 0.0)])
+    environment = json.loads(reporter.write(socket).read_text())["environment"]
+    assert environment["backend"] == "socket"
+    assert environment["transport"] == {
+        "host": "127.0.0.1", "time_scale": 3.0, "timeout": 5.0,
+        "retransmit_interval": 0.2, "reconnect_backoff": 0.05,
+    }
+    sim = BenchReport("sim", [ScenarioResult("c", {}, {"ok": True}, 0.0)])
+    environment = json.loads(reporter.write(sim).read_text())["environment"]
+    assert (environment["backend"], environment["transport"]) == ("sim", None)
+
+
 def test_figure_scripts_reject_unknown_flags(capsys):
     """A typo must not silently run the (much larger) default tier."""
     from benchmarks.bench_fig12_adreport_5servers import main

@@ -233,6 +233,18 @@ def test_unknown_schedule_name_is_an_error():
         harness.schedule_named("meteor-strike")
 
 
+def test_a_schedule_aimed_at_an_undeclared_role_is_an_error():
+    """The armer names the role it cannot resolve and the app's roles."""
+    from repro.chaos.schedule import crash_restart
+
+    harness = harness_for("kvs", smoke=True)
+    with pytest.raises(SimulationError) as raised:
+        harness.observe("uncoordinated", crash_restart("reporter"), seed=7)
+    message = str(raised.value)
+    assert "no role 'reporter'" in message
+    assert "['cache', 'client', 'worker']" in message
+
+
 def test_cells_carry_the_registering_module_for_pool_workers():
     """A fresh pool worker only auto-imports the builtin catalog, so each
     cell records the module whose import registers its app."""
@@ -272,10 +284,7 @@ class TestEnvelopeStatus:
 
     def test_out_of_envelope_cells_never_count_as_unsound(self):
         from repro.bench import BenchReport, ScenarioResult
-        from repro.chaos import (
-            cell_status_of,
-            out_of_envelope_cells,
-        )
+        from repro.chaos import out_of_envelope_cells
         from repro.chaos import audit_to_dict
 
         def cell(name, *, sound, violations):
@@ -309,7 +318,7 @@ class TestEnvelopeStatus:
             ],
         )
         assert campaign_is_sound(report)  # b is excluded, not unsound
-        assert cell_status_of(report.row("b")) == "out-of-envelope"
+        assert report.row("b")["status"] == "out-of-envelope"
         assert out_of_envelope_cells(report) == {"b": ["loss outside"]}
         payload = audit_to_dict(report)
         assert payload["summary"]["sound"] is True
@@ -318,13 +327,6 @@ class TestEnvelopeStatus:
         text = render_audit(report)
         assert "out-of-envelope cells (1, no verdict): b" in text
         assert "all 1 in-envelope cells" in text
-
-    def test_status_falls_back_to_the_sound_bit_for_old_reports(self):
-        from repro.bench import ScenarioResult
-        from repro.chaos import cell_status_of
-
-        legacy = ScenarioResult("old", {}, {"sound": False}, 0.0)
-        assert cell_status_of(legacy) == "unsound"
 
 
 class TestDuplicateScheduleNames:

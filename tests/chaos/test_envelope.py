@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.chaos.envelope import (
@@ -73,6 +75,26 @@ def test_unknown_fault_kind_rejected_at_construction():
         FaultEnvelope("bad", frozenset({"meteor"}))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_loss_prob", math.nan),
+        ("max_loss_prob", -0.1),
+        ("max_dup_prob", 7.0),
+        ("max_dup_prob", math.nan),
+        ("crash_restart_by", math.nan),
+        ("crash_restart_by", math.inf),
+        ("crash_restart_by", -1.0),
+    ],
+)
+def test_envelope_numbers_are_checked_at_declaration(field, value):
+    """A NaN ceiling or deadline fails every comparison ``violations``
+    makes, so it would admit a 0.9 loss window or a crash that never
+    restarts in time: it is refused where the envelope is declared."""
+    with pytest.raises(SimulationError, match=field):
+        FaultEnvelope("bad", frozenset(FAULT_KINDS), **{field: value})
+
+
 def test_envelope_coerces_fault_iterables():
     env = FaultEnvelope("x", {"reorder"})
     assert env.faults == frozenset({"reorder"})
@@ -86,13 +108,10 @@ def test_cell_status_taxonomy():
     assert cell_status(True, ("loss outside",)) == "out-of-envelope"
 
 
-def test_reliable_sessions_envelope_variants():
-    full = reliable_sessions_envelope()
-    assert full.faults == frozenset({"reorder", "duplicate", "crash", "partition"})
-    assert full.crash_restart_by == 1.0
-    crashless = reliable_sessions_envelope(crash=False)
-    assert "crash" not in crashless.faults
-    assert crashless.crash_restart_by is None
+def test_reliable_sessions_envelope():
+    env = reliable_sessions_envelope()
+    assert env.faults == frozenset({"reorder", "duplicate", "crash", "partition"})
+    assert env.crash_restart_by == 1.0
 
 
 def test_to_dict_is_jsonable():

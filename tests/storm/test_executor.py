@@ -153,7 +153,7 @@ class TestReplay:
         )
         assert cluster.total_replays > 0
         assert metrics.batches_acked == 6
-        assert cluster.coordinator.commit_count == 6
+        assert len(cluster.coordinator.committed) == 6
         commits = [r.data for r in cluster.trace.select(event="batch_committed")]
         assert sorted(commits) == list(range(6))
         assert committed_store(cluster) == reference_counts(6, 10, seed=seed)

@@ -66,11 +66,13 @@ def test_fields_grouping_requires_fields():
         Grouping("src", "fields")
 
 
-def test_unknown_grouping_mode_rejected():
+@pytest.mark.parametrize("mode", ["teleport", "global"])
+def test_unknown_grouping_mode_rejected(mode):
+    """Shuffle and fields are the two groupings a topology can declare."""
     from repro.storm.topology import Grouping
 
     with pytest.raises(StormError):
-        Grouping("src", "teleport")
+        Grouping("src", mode)
 
 
 def test_parallelism_must_be_positive():

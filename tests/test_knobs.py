@@ -12,8 +12,8 @@ message hop, so does ``repro.core`` importing the chaos layer built on it,
 so does a CLI flag declared in two places, so does a per-row arity
 check (or a switch) creeping back into the Bloom timestep, so does a
 second scheduler, a polling loop or a cadence option in the socket runtime,
-and so does a setting that every caller leaves at one value coming back as
-a parameter.
+so does a setting that every caller leaves at one value coming back as
+a parameter, and so does an attribute stored that nothing reads.
 """
 
 from __future__ import annotations
@@ -207,15 +207,20 @@ def test_single_valued_settings_are_constants():
     import dataclasses
     import inspect
 
-    from repro.apps.ad_network import AdWorkload
+    from repro.apps.ad_network import AdWorkload, run_ad_network
+    from repro.apps.kvs import run_kvs
     from repro.apps.source import PlannedSource
+    from repro.apps.wordcount import TweetSpout, build_wordcount_topology
     from repro.bloom import rewrite
     from repro.bloom.cluster import BloomCluster
+    from repro.chaos.envelope import reliable_sessions_envelope
     from repro.chaos.search import shrink_schedule
     from repro.coord.assignment import ReplicaAssignment
     from repro.coord.sealing import SealedStreamProducer, SealManager
     from repro.coord.zookeeper import ZkClient, ZookeeperService, install_zookeeper
+    from repro.core.patterns import lint_dataflow
     from repro.exec.pool import WorkerPool
+    from repro.storm.topology import BoltDeclarer
 
     def parameters(function) -> list[str]:
         return list(inspect.signature(function).parameters)
@@ -260,9 +265,30 @@ def test_single_valued_settings_are_constants():
         "ad_servers", "entries_per_server", "batch_size", "sleep", "campaigns",
         "ads_per_campaign", "requests", "report_replicas",
     ]
+    assert parameters(run_ad_network) == [
+        "strategy", "workload", "seed", "workload_seed", "query", "query_kwargs",
+        "reliable_sessions", "max_events", "chaos",
+    ]
+    assert parameters(run_kvs) == [
+        "strategy", "workload", "seed", "workload_seed", "max_events", "chaos",
+    ]
+    assert parameters(TweetSpout.__init__) == [
+        "self", "total_batches", "batch_size", "seed",
+    ]
+    assert parameters(build_wordcount_topology) == [
+        "workers", "total_batches", "batch_size", "seed", "eager",
+    ]
+    assert parameters(reliable_sessions_envelope) == []
+    assert parameters(lint_dataflow) == ["result", "plan", "producers_per_partition"]
+    assert [name for name in vars(BoltDeclarer) if not name.startswith("_")] == [
+        "shuffle_grouping", "fields_grouping",
+    ]
 
     texts = {str(path.relative_to(SRC)): path.read_text() for path in _sources()}
-    for retired in ("seal.frame", "SEAL_FRAME", "producer_replicas", "collapse_single"):
+    for retired in (
+        "seal.frame", "SEAL_FRAME", "producer_replicas", "collapse_single",
+        "note_backend", "report_environment", '"global"',
+    ):
         found = [name for name, text in texts.items() if retired in text]
         assert not found, (retired, found)
     # the seal registry's znode path is written in one place
@@ -380,7 +406,7 @@ def test_the_socket_runtime_is_the_kernel_and_ends_on_event_state():
     from repro.sim.events import Simulator
 
     assert {field.name for field in dataclasses.fields(NetConfig)} == {
-        "host", "time_scale", "retransmit_interval", "reconnect_backoff", "timeout",
+        "host", "time_scale", "timeout",
     }
     assert issubclass(NetSimulator, Simulator)
     inherited = {"schedule", "post", "waker", "pending", "fired", "profiler"}
@@ -402,3 +428,12 @@ def test_the_socket_runtime_is_the_kernel_and_ends_on_event_state():
         for path in sorted((SRC / "repro" / "net").glob("*.py"))
     }
     assert {name: n for name, n in sleeps.items() if n} == {"transport.py": 2}
+
+
+def test_nothing_under_src_is_stored_without_a_reader():
+    """Every attribute ``src/repro`` stores is read somewhere in ``src/``,
+    ``benchmarks/`` or ``tests/``: ``tools/surface.py``'s list (a) is
+    empty, so state nothing reads cannot come back unnoticed."""
+    from tools import surface
+
+    assert surface.unread_attributes() == []
