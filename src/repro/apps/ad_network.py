@@ -157,11 +157,14 @@ def _plan_clicks(
     entries: list[tuple] = []
     for index, campaign in enumerate(campaigns):
         count = per_campaign + (1 if index < extra else 0)
+        # one label string per campaign and per ad, shared by every entry
+        label = f"c{campaign}"
+        ads = [f"ad{campaign}-{k}" for k in range(workload.ads_per_campaign)]
         for _ in range(count):
-            ad = f"ad{campaign}-{rng.randrange(workload.ads_per_campaign)}"
+            ad = ads[rng.randrange(workload.ads_per_campaign)]
             window = rng.randrange(4)
             uid = f"{name}-{len(entries)}"
-            entries.append((f"c{campaign}", window, ad, uid))
+            entries.append((label, window, ad, uid))
     if interleave:
         rng.shuffle(entries)
     return entries
@@ -409,14 +412,13 @@ def _attach_processed_probe(cluster: BloomCluster, node: BloomNode) -> None:
     10k-row table as on an empty one.
     """
     state = {"seen": 0}
+    event = f"processed:{node.name}"
 
     def probe(_outputs) -> None:
         size = node.runtime.count("clicks")
         delta = size - state["seen"]
         if delta > 0:
-            cluster.trace.record(
-                node.now, node.name, f"processed:{node.name}", delta
-            )
+            cluster.trace.record(node.now, node.name, event, delta)
             state["seen"] = size
 
     node.on_tick = probe

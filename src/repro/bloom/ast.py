@@ -164,16 +164,21 @@ def _net(added: set, removed: set) -> Delta:
     return added, removed
 
 
-def _count_step(child: Step, key_of: Callable, groups: dict, width: int) -> Step:
+def _count_step(child: Step, key_of: Callable, width: int) -> Step:
     """A group-by whose every aggregate is ``count``, in streaming form.
 
-    A group's bucket is the set of its child rows, so its count *is*
-    ``len(bucket)`` — exact under duplicates and retractions alike, and
-    its output row is ``key + (count,) * width``, a function of the count.
-    A round notes each touched group's count before its first change; the
-    group's old and new output rows are then built once each, from that
-    count and the bucket's size after the round.
+    A group keeps one integer, the number of its child rows, not the rows
+    themselves: the child's table already holds them.  The integer stays
+    exact because of the invariant :func:`compile_rule` promises of every
+    step — ``added`` is disjoint from the child's previous output and
+    ``removed`` is a subset of it — so each added row is one more row of
+    its group and each removed row one fewer, duplicates and retractions
+    alike (a count is a lattice value, not a set).  A group's output row is
+    ``key + (count,) * width``, a function of the count.  A round notes
+    each touched group's count before its first change; the group's old
+    and new output rows are then built once each.
     """
+    counts: dict[tuple, int] = {}  # key -> its number of child rows
 
     def count_by(base):
         child_added, child_removed = child(base)
@@ -181,33 +186,29 @@ def _count_step(child: Step, key_of: Callable, groups: dict, width: int) -> Step
             # one arrival, so one group's count moves up by one
             (row,) = child_added
             key = key_of(row)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = {row}
+            was = counts.get(key, 0)
+            counts[key] = was + 1
+            if not was:
                 return {key + (1,) * width}, NO_ROWS
-            was = len(bucket)
-            bucket.add(row)
             return {key + (was + 1,) * width}, {key + (was,) * width}
         if not child_added and not child_removed:
             return NO_CHANGE
         before: dict[tuple, int] = {}  # key -> its count before this round
         for row in child_added:
             key = key_of(row)
-            bucket = groups.get(key)
-            if bucket is None:
-                bucket = groups[key] = set()
+            was = counts.get(key, 0)
             if key not in before:
-                before[key] = len(bucket)
-            bucket.add(row)
+                before[key] = was
+            counts[key] = was + 1
         for row in child_removed:
             key = key_of(row)
-            bucket = groups[key]  # a removed row was in its group
+            was = counts[key]  # a removed row was counted in its group
             if key not in before:
-                before[key] = len(bucket)
-            bucket.discard(row)
+                before[key] = was
+            counts[key] = was - 1
         added, removed = set(), set()
         for key, was in before.items():
-            now = len(groups[key])
+            now = counts[key]
             if now == was:
                 continue
             if was:
@@ -215,7 +216,7 @@ def _count_step(child: Step, key_of: Callable, groups: dict, width: int) -> Step
             if now:
                 added.add(key + (now,) * width)
             else:
-                del groups[key]
+                del counts[key]
         return added, removed
 
     return count_by
@@ -747,9 +748,9 @@ class GroupBy(Node):
     def _compile(self, build) -> Step:
         child = build(self.child)
         key_of = _columns([self.child._index(k) for k in self.keys])
-        groups: dict[tuple, set] = {}     # key -> set of child rows
         if all(agg_name == "count" for _out, agg_name, _col in self.aggs):
-            return _count_step(child, key_of, groups, len(self.aggs))
+            return _count_step(child, key_of, len(self.aggs))
+        groups: dict[tuple, set] = {}     # key -> set of child rows
         # Other aggregates (notably float ``sum``) re-aggregate the groups a
         # round touched: an incremental accumulator would drift from the
         # naive engine's recompute.

@@ -80,6 +80,7 @@ class ZookeeperService(Process):
         self.trace = trace if trace is not None else Trace()
         self._subscribers: dict[str, list[str]] = {}
         self._sequences: dict[str, int] = {}
+        self._order_events: dict[str, str] = {}  # topic -> "zk.order:<topic>"
         self._znodes: dict[str, Any] = {}
         self._queue: deque[tuple[str, Message]] = deque()
         self._busy = False
@@ -156,7 +157,10 @@ class ZookeeperService(Process):
             topic, value = msg.payload
             seq = self._sequences.get(topic, 0)
             self._sequences[topic] = seq + 1
-            self.trace.record(self.now, self.name, f"zk.order:{topic}", (seq, value))
+            event = self._order_events.get(topic)
+            if event is None:
+                event = self._order_events[topic] = f"zk.order:{topic}"
+            self.trace.record(self.now, self.name, event, (seq, value))
             delivery = (topic, seq, value)
             for subscriber in self._subscribers.get(topic, ()):
                 self.send(subscriber, DELIVER, delivery)

@@ -17,7 +17,7 @@ through :meth:`Trace.total` and ``timeline(..., weighted=True)``.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable
+import math
 from typing import Any
 
 from repro.errors import SimulationError
@@ -57,23 +57,16 @@ class Trace:
         return (TraceRecord(*row) for row in self._rows)
 
     def select(
-        self,
-        *,
-        event: str | None = None,
-        source: str | None = None,
-        predicate: Callable[[TraceRecord], bool] | None = None,
+        self, *, event: str | None = None, source: str | None = None
     ) -> list[TraceRecord]:
-        """Filter records by event name, source, and/or predicate."""
+        """Filter records by event name and/or source."""
         out = []
         for row in self._rows:
             if event is not None and row[2] != event:
                 continue
             if source is not None and row[1] != source:
                 continue
-            record = TraceRecord(*row)
-            if predicate is not None and not predicate(record):
-                continue
-            out.append(record)
+            out.append(TraceRecord(*row))
         return out
 
     def count(self, event: str) -> int:
@@ -98,10 +91,14 @@ class Trace:
         plotted in the paper's Figures 12-14.  With ``weighted=True`` each
         record contributes its integer ``data`` weight (see :meth:`total`),
         so aggregated probes produce the same series their per-item
-        predecessors did.  ``bucket`` must be positive.
+        predecessors did.  ``bucket`` must be positive and finite.  The
+        series ends at the first edge at or past the last record, so every
+        record is counted, even when one bucket spans them all.
         """
-        if not bucket > 0:
-            raise SimulationError(f"timeline bucket must be > 0, got {bucket}")
+        if not 0 < bucket < math.inf:
+            raise SimulationError(
+                f"timeline bucket must be > 0 and finite, got {bucket}"
+            )
         points = sorted(
             (row[0], _weight(row[3]) if weighted else 1)
             for row in self._rows
@@ -114,12 +111,14 @@ class Trace:
         edge = bucket
         count = 0
         index = 0
-        while edge < horizon + bucket:
-            while index < len(points) and points[index][0] <= edge:
+        while edge < horizon:
+            # the last point lies past this edge, so this loop stops at it
+            while points[index][0] <= edge:
                 count += points[index][1]
                 index += 1
             series.append((edge, count))
             edge += bucket
+        series.append((edge, count + sum(weight for _t, weight in points[index:])))
         return series
 
     def data_series(self, event: str) -> list:

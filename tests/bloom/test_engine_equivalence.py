@@ -13,7 +13,9 @@ ways:
   const, all four merge ops), skips unstratifiable draws, and drives both
   engines through a random multi-tick input schedule;
 * hypothesis-random *schedules* over a fixed adversarial module that
-  mixes recursion, aggregation, antijoin, deferred copy, and deletion.
+  mixes recursion, aggregation, antijoin, deferred copy, and deletion,
+  and over one whose count-only group-by sees a row retracted by ``<-``
+  and re-derived or re-inserted within one tick.
 
 * seeded-random schedules over a module whose rule bodies *reuse node
   objects* (the generator above never does), so the compiled pipeline's
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.queries import QUERY_NAMES, make_report_module
@@ -297,6 +299,52 @@ def test_adversarial_module_equivalent_under_random_schedules(steps):
     module = AdversarialModule()
     plan = [[("edge", rows)] if rows else [] for rows in steps]
     _run_differential(module, plan)
+
+
+class RecountModule(BloomModule):
+    """A count-only group-by over a table that loses a row and regains it
+    in one tick.
+
+    ``link <- drop`` retracts a row at the next boundary, and in that same
+    tick ``link <= keep`` re-derives it (or ``edge`` re-inserts it).  The
+    count keeps one integer per group, so it must be handed the table's net
+    change for the tick — one removal without its re-arrival would leave
+    it one short — and end every tick where the naive recount does.
+    """
+
+    def setup(self) -> None:
+        self.input_interface("edge", ["a", "b"])
+        self.input_interface("drop", ["a", "b"])
+        self.input_interface("pin", ["a", "b"])
+        self.table("link", ["a", "b"])
+        self.table("keep", ["a", "b"])
+        self.output_interface("fan", ["a", "n"])
+
+    def rules(self):
+        return [
+            self.rule("link", "<=", self.scan("edge")),
+            self.rule("keep", "<=", self.scan("pin")),
+            self.rule("link", "<=", self.scan("keep")),
+            self.rule("link", "<-", self.scan("drop")),
+            self.rule(
+                "fan", "<=", self.group_by(self.scan("link"), ["a"], [("n", "count", None)])
+            ),
+        ]
+
+
+RECOUNT_ROW = st.tuples(
+    st.sampled_from(["edge", "drop", "pin"]),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(RECOUNT_ROW, max_size=4), min_size=1, max_size=6))
+@example([[("edge", (0, 1)), ("pin", (0, 1))], [("drop", (0, 1))], []])
+@example([[("edge", (1, 1))], [("drop", (1, 1))], [("edge", (1, 1))]])
+def test_a_count_whose_row_leaves_and_returns_in_one_tick_is_engine_equivalent(steps):
+    plan = [[(collection, [row]) for collection, row in step] for step in steps]
+    _run_differential(RecountModule(), plan)
 
 
 class SharedNodeModule(BloomModule):

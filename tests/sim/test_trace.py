@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -23,7 +25,7 @@ def test_count_and_select():
     assert trace.count("sent") == 1
     assert len(trace.select(source="a")) == 2
     assert len(trace.select(event="processed", source="b")) == 1
-    assert len(trace.select(predicate=lambda r: r.data and r.data > 2)) == 2
+    assert len([r for r in trace if r.data and r.data > 2]) == 2
 
 
 def test_timeline_is_cumulative():
@@ -38,12 +40,30 @@ def test_timeline_empty_event():
     assert make_trace().timeline("nope") == []
 
 
-@pytest.mark.parametrize("bucket", [0, -0.5])
+@pytest.mark.parametrize("bucket", [0, -0.5, math.nan, math.inf])
 def test_timeline_rejects_a_bucket_that_does_not_advance(bucket):
     trace = Trace()
     trace.record(0.5, "a", "processed")
     with pytest.raises(SimulationError, match="bucket must be > 0"):
         trace.timeline("processed", bucket=bucket)
+
+
+@pytest.mark.parametrize("bucket", [10.0, 1e17])
+def test_timeline_one_bucket_spanning_every_record_counts_them_all(bucket):
+    # 4.79 + 1e17 == 1e17 in floating point: the series must still have
+    # its one covering edge instead of no point at all
+    trace = Trace()
+    trace.record(0.5, "a", "processed", 3)
+    trace.record(4.79, "a", "processed", 2)
+    assert trace.timeline("processed", bucket=bucket, weighted=True) == [(bucket, 5)]
+
+
+def test_timeline_ends_at_an_edge_covering_the_last_record():
+    # the record lies just past the first edge, and 0.7 + 0.7 does not
+    # exceed its time plus the bucket: a second edge must still cover it
+    trace = Trace()
+    trace.record(0.7000000000000001, "a", "processed")
+    assert trace.timeline("processed", bucket=0.7) == [(0.7, 0), (1.4, 1)]
 
 
 def test_last():
