@@ -19,9 +19,9 @@ __all__ = ["app_names", "audit_app_names", "get_app", "iter_apps", "register"]
 _REGISTRY: dict[str, BlazesApp] = {}
 
 
-def register(app: BlazesApp, *, replace: bool = False) -> BlazesApp:
-    """Add an app to the registry (``replace=True`` to redefine a name)."""
-    if not replace and app.name in _REGISTRY and _REGISTRY[app.name] is not app:
+def register(app: BlazesApp) -> BlazesApp:
+    """Add an app to the registry; a name is registered once."""
+    if app.name in _REGISTRY and _REGISTRY[app.name] is not app:
         raise ApiError(f"app {app.name!r} is already registered")
     if app.origin_module is None:
         # the caller's module is the one whose import re-registers the app

@@ -22,7 +22,6 @@ from repro.apps.kvs import (
     KvsWorkload,
     LwwKvs,
     SnapshotCache,
-    kvs_dataflow,
     run_kvs,
 )
 from repro.apps.queries import (
@@ -55,7 +54,6 @@ __all__ = [
     "KvsWorkload",
     "LwwKvs",
     "SnapshotCache",
-    "kvs_dataflow",
     "run_kvs",
     "QUERY_MATRIX_APPS",
     "QUERY_NAMES",

@@ -11,7 +11,7 @@ hardens into permanent replica divergence.
 
 :class:`LwwKvs` implements the store as a Bloom module (so the white-box
 analysis applies to it), :class:`SnapshotCache` the downstream cache, and
-:func:`kvs_dataflow` the two-tier dataflow Blazes diagnoses.
+:data:`APP` the two-tier dataflow Blazes diagnoses and runs.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from repro.bloom.rewrite import SealedInputAdapter, apply_strategy
 from repro.coord.sealing import DATA as SEAL_DATA
 from repro.coord.sealing import PUNCT as SEAL_PUNCT
 from repro.coord.zookeeper import install_zookeeper, recorded_order
-from repro.core.annotations import CW
-from repro.core.graph import Dataflow
 from repro.core.strategy import OrderStrategy
 from repro.sim.network import LatencyModel
 
@@ -40,7 +38,6 @@ __all__ = [
     "KVS_ORDER_TOPIC",
     "LwwKvs",
     "SnapshotCache",
-    "kvs_dataflow",
     "KvsWorkload",
     "SealedKvsAdapter",
     "KvsResult",
@@ -135,31 +132,6 @@ class SnapshotCache(BloomModule):
             self.rule("entries", "<=", self.scan("response")),
             self.rule("cached", "<=", self.scan("entries")),
         ]
-
-
-def kvs_dataflow(*, seal_puts_on_key: bool = False) -> Dataflow:
-    """The two-tier dataflow: LWW store feeding a replicated cache tier.
-
-    Annotations for the store come from the white-box analysis; the cache
-    is annotated by hand (a single confluent-write path).  With
-    ``seal_puts_on_key`` the write stream carries ``Seal[key]``, which is
-    compatible with the store's gate and discharges the coordination.
-    """
-    from repro.bloom.analysis import analyze_module, attach_component
-
-    flow = Dataflow("kvs-cache")
-    kvs = LwwKvs()
-    analysis = analyze_module(kvs)
-    attach_component(flow, kvs, name="Store", rep=True, analysis=analysis)
-    cache = flow.add_component("Cache")
-    cache.add_path("response", "cached", CW())
-    flow.add_stream(
-        "puts", dst=("Store", "put"), seal=["key"] if seal_puts_on_key else None
-    )
-    flow.add_stream("gets", dst=("Store", "get"))
-    flow.add_stream("responses", src=("Store", "getr"), dst=("Cache", "response"))
-    flow.add_stream("cached", src=("Cache", "cached"))
-    return flow
 
 
 # ----------------------------------------------------------------------

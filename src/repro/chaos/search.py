@@ -44,7 +44,7 @@ from repro.chaos.schedule import (
     Partition,
     Reorder,
 )
-from repro.errors import SimulationError
+from repro.errors import BlazesError, SimulationError
 
 __all__ = [
     "FrontierSweep",
@@ -366,6 +366,11 @@ class SearchSweep(Sweep):
     sound = staticmethod(search_is_sound)
     render = staticmethod(render_search)
 
+    def __post_init__(self) -> None:
+        if self.budget < 0:
+            raise BlazesError(f"budget must be >= 0, got {self.budget}")
+        super().__post_init__()
+
     def cells(self):
         swept = []
         for app in self.apps:
@@ -499,6 +504,11 @@ class FrontierSweep(Sweep):
     steps: int = 5
     payload = staticmethod(BenchReport.to_dict)
     text = staticmethod(render_frontier)
+
+    def __post_init__(self) -> None:
+        if self.steps < 0:
+            raise BlazesError(f"steps must be >= 0, got {self.steps}")
+        super().__post_init__()
 
     def cells(self):
         pairs = []

@@ -146,17 +146,19 @@ class CellCache:
     def get(self, key: str) -> dict[str, Any] | None:
         """The stored entry for ``key``, or ``None`` (counted as a miss).
 
-        A corrupt or schema-mismatched entry is treated as a miss; the
-        next :meth:`put` overwrites it.
+        A corrupt or schema-mismatched entry — not UTF-8, not JSON, or
+        without a ``metrics`` mapping — is treated as a miss; the next
+        :meth:`put` overwrites it.
         """
         try:
             payload = json.loads(self._path(key).read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # JSONDecodeError, UnicodeDecodeError
             self.misses += 1
             return None
         if (
             not isinstance(payload, dict)
             or payload.get("cache_schema") != CACHE_SCHEMA_VERSION
+            or not isinstance(payload.get("metrics"), dict)
         ):
             self.misses += 1
             return None
@@ -234,13 +236,14 @@ _TOTAL_KEYS = (
 
 
 def read_engine_stats(directory: str | Path | None = None) -> dict[str, Any]:
-    """The persisted cumulative engine counters (empty when none)."""
+    """The persisted cumulative engine counters (empty when none or
+    unreadable)."""
     path = (
         Path(directory) if directory is not None else default_cache_dir()
     ) / STATS_FILE
     try:
         payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # JSONDecodeError, UnicodeDecodeError
         return {}
     return payload if isinstance(payload, dict) else {}
 

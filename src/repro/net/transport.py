@@ -16,8 +16,9 @@ contract exactly (the shared policy lives in
   order, ahead of new traffic), and periodically by the transport's
   retransmit sweep (covering lost acks and crashed receivers under
   ``retry_crashed``);
-* a session gives up after ``retry_limit`` attempts, so a *permanent*
-  crash ends in observable loss instead of a run that never quiesces;
+* a session gives up after ``faultpolicy.RETRY_LIMIT`` attempts, so a
+  *permanent* crash ends in observable loss instead of a run that never
+  quiesces;
 * unreliable frames are written once; an unreachable or crashed peer
   means they are dropped, exactly where the simulator drops them.
 
@@ -286,10 +287,7 @@ class Link:
                 continue
             attempts = self.attempts.get(seq, 0) + 1
             self.attempts[seq] = attempts
-            if (
-                faultpolicy.retry_action(attempts, network.retry_limit)
-                is faultpolicy.DROP
-            ):
+            if faultpolicy.retry_action(attempts) is faultpolicy.DROP:
                 # session timeout: same observable loss as the simulator
                 self._forget(seq)
                 network.dropped += 1

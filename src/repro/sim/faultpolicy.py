@@ -14,7 +14,8 @@ policy and cannot drift:
   links and crashed destinations (reliable kinds model TCP-backed
   sessions: delayed by a partition, not lost; retried across a crash only
   under ``retry_crashed``);
-* :func:`retry_action` — the session-timeout rule bounding those retries;
+* :func:`retry_action` — the session-timeout rule bounding those retries
+  at :data:`RETRY_LIMIT` attempts;
 * :class:`WindowSet` — overlapping fault-window composition: the
   strongest open window governs, and the pre-window baseline returns
   exactly when the last window closes.
@@ -31,6 +32,7 @@ __all__ = [
     "DELIVER",
     "DROP",
     "RETRY",
+    "RETRY_LIMIT",
     "WindowSet",
     "delivery_action",
     "reorder_combine",
@@ -41,6 +43,13 @@ __all__ = [
 DELIVER = "deliver"
 DROP = "drop"
 RETRY = "retry"
+
+# Session timeout: a reliable message retries at most this many times
+# (across partitions and crashed peers) before the session gives up and
+# the message counts as dropped.  Far above any healing window in
+# practice, it exists so a *permanent* crash or partition ends in visible
+# loss instead of a run that never quiesces.
+RETRY_LIMIT = 1000
 
 
 def send_copies(rng, *, reliable: bool, drop_prob: float, dup_prob: float) -> int:
@@ -85,9 +94,9 @@ def delivery_action(
     return DELIVER
 
 
-def retry_action(attempt: int, retry_limit: int) -> str:
-    """Session timeout: give up (``DROP``) past ``retry_limit`` attempts."""
-    return DROP if attempt >= retry_limit else RETRY
+def retry_action(attempt: int) -> str:
+    """Session timeout: give up (``DROP``) past :data:`RETRY_LIMIT` attempts."""
+    return DROP if attempt >= RETRY_LIMIT else RETRY
 
 
 def reorder_combine(base: Any, factors: list, model_cls: Callable) -> Any:

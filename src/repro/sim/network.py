@@ -143,7 +143,6 @@ class Network:
         dup_prob: float = 0.0,
         reliable_kinds: Iterable[str] = (),
         retry_crashed: bool = False,
-        retry_limit: int = 1000,
     ) -> None:
         self.sim = sim
         self.latency = latency or LatencyModel()
@@ -155,13 +154,6 @@ class Network:
         # (e.g. a Zookeeper client session) is re-established when the
         # peer restarts and resumes delivery.
         self.retry_crashed = retry_crashed
-        # Session timeout: a reliable message retries at most this many
-        # times (across partitions and crashed peers) before the session
-        # gives up and the message counts as dropped.  Far above any
-        # healing window in practice, it exists so a *permanent* crash or
-        # partition ends in visible loss instead of a simulator that
-        # never quiesces.
-        self.retry_limit = retry_limit
         self._processes: dict[str, Process] = {}
         self._unstarted: list[Process] = []  # registered, on_start not yet run
         # reference-counted so overlapping partitions on one link don't
@@ -332,7 +324,7 @@ class Network:
         process.recv(msg)
 
     def _retry(self, msg: Message, attempt: int) -> None:
-        if faultpolicy.retry_action(attempt, self.retry_limit) is faultpolicy.DROP:
+        if faultpolicy.retry_action(attempt) is faultpolicy.DROP:
             # session timeout: the peer never came back within the
             # transport's patience — the loss becomes observable
             self.dropped += 1

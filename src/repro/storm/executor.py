@@ -62,7 +62,7 @@ EMIT_TIME = 0.00005
 # Batches a spout task keeps in flight before it waits for an ack.
 MAX_PENDING = 4
 # Re-emissions of one batch before its spout task gives up on it, as
-# ``Network.retry_limit`` bounds a session.  Far above any replay count a
+# ``faultpolicy.RETRY_LIMIT`` bounds a session.  Far above any replay count a
 # healing fault needs (no audit cell replays a batch more than once; a
 # 5 % loss on every message takes up to 162 attempts in the tests), it
 # exists so a replay timeout shorter than a batch's round trip ends with

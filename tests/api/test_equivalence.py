@@ -78,7 +78,7 @@ class TestSpecEquivalence:
 
     @pytest.mark.parametrize("sealed", (False, True))
     def test_kvs_matches_the_legacy_handbuilt_dataflow(self, sealed):
-        from repro.apps.kvs import kvs_dataflow
+        from tests.reference.kvs_ref import kvs_dataflow
 
         legacy = kvs_dataflow(seal_puts_on_key=sealed)
         derived = get_app("kvs").dataflow("sealed" if sealed else "uncoordinated")

@@ -31,14 +31,15 @@ def test_unknown_app_is_a_clean_error():
         get_app("definitely-not-an-app")
 
 
-def test_reregistering_a_name_requires_replace():
+def test_reregistering_a_name_is_an_error():
     name = "tmp-registry-test"
     try:
         first = register(BlazesApp(name, backend="storm"))
         register(first)  # same object: idempotent
         with pytest.raises(ApiError, match="already registered"):
             register(BlazesApp(name, backend="storm"))
-        second = register(BlazesApp(name, backend="bloom"), replace=True)
+        del _REGISTRY[name]  # redefining a name is removing it first
+        second = register(BlazesApp(name, backend="bloom"))
         assert get_app(name) is second
     finally:
         _REGISTRY.pop(name, None)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.kvs import LwwKvs, SnapshotCache, kvs_dataflow, run_kvs
+from repro.apps.kvs import LwwKvs, SnapshotCache, run_kvs
 from repro.bloom.analysis import analyze_module
 from repro.bloom.runtime import BloomRuntime
 from repro.core import LabelKind, OrderStrategy, SealStrategy, analyze, choose_strategies
 from repro.core.annotations import AnnotationKind
+from tests.reference.kvs_ref import kvs_dataflow
 
 writes = st.lists(
     st.tuples(

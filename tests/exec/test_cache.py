@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.chaos.harnesses import harness_for
 from repro.exec import CACHE_SCHEMA_VERSION, CellCache, read_engine_stats
 from repro.exec.cache import kwargs_digest, record_engine_stats, schedule_digest
@@ -78,6 +80,27 @@ def test_corrupt_or_mismatched_entries_read_as_misses(tmp_path):
     path.write_text(json.dumps(payload))
     assert cache.get(key) is None
     assert cache.misses == 2
+
+
+@pytest.mark.parametrize(
+    "stored",
+    (
+        b"\xff\xfe not utf-8",
+        json.dumps({"cache_schema": CACHE_SCHEMA_VERSION}).encode(),
+        json.dumps({"cache_schema": CACHE_SCHEMA_VERSION, "metrics": [1]}).encode(),
+    ),
+    ids=("not-utf8", "no-metrics", "metrics-a-list"),
+)
+def test_an_unreadable_entry_is_a_miss_and_unreadable_stats_are_empty(tmp_path, stored):
+    """Whatever an object file holds, ``get`` serves a metrics mapping or
+    counts a miss, and the stats file reads as a mapping."""
+    cache = CellCache(tmp_path)
+    key = cache.key(FIELDS)
+    cache.put(key, {"score": 1}, wall_seconds=0.1).write_bytes(stored)
+    assert cache.get(key) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    (tmp_path / "stats.json").write_bytes(stored)
+    assert isinstance(read_engine_stats(tmp_path), dict)
 
 
 def test_clear_empties_the_store(tmp_path):

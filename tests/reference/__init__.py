@@ -4,8 +4,9 @@
 the textbook Bloom fixpoint with its from-scratch operator evaluation,
 ``network_ref`` the network hop that asks the fault policy about every
 message, ``telemetry_ref`` the hop telemetry that classified every
-send and derived every span event on the hop, and ``analysis_ref`` the
-label analysis over string-tuple nodes that derived every step afresh.
+send and derived every span event on the hop, ``analysis_ref`` the
+label analysis over string-tuple nodes that derived every step afresh,
+and ``kvs_ref`` the key/value dataflow built by hand.
 None is reachable from ``src/``; the differential suites
 put them in place of the production code from the outside
 (``tests/test_knobs.py`` fails if ``src/`` ever imports them).

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import FailureInjector, Network, Process, Simulator
+from repro.sim import FailureInjector, Network, Process, Simulator, faultpolicy
 
 NAN = math.nan
 INF = math.inf
@@ -235,13 +235,12 @@ def test_reliable_sequencer_submissions_survive_reorder_plus_partition():
     assert network.retried > 0
 
 
-def test_permanent_crash_times_the_session_out_instead_of_hanging():
+def test_permanent_crash_times_the_session_out_instead_of_hanging(monkeypatch):
     """A crash with no recovery must end in visible loss, not a retry
     loop that keeps the simulator from ever quiescing."""
+    monkeypatch.setattr(faultpolicy, "RETRY_LIMIT", 20)
     sim = Simulator(seed=3)
-    network = Network(
-        sim, reliable_kinds=("tcp",), retry_crashed=True, retry_limit=20
-    )
+    network = Network(sim, reliable_kinds=("tcp",), retry_crashed=True)
     a, b = Echo("a"), Echo("b")
     network.register(a)
     network.register(b)

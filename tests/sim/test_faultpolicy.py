@@ -83,11 +83,12 @@ def test_delivery_action_table(
     )
 
 
-def test_retry_action_gives_up_at_limit():
-    assert retry_action(0, 3) is RETRY
-    assert retry_action(2, 3) is RETRY
-    assert retry_action(3, 3) is DROP
-    assert retry_action(10, 3) is DROP
+def test_retry_action_gives_up_at_limit(monkeypatch):
+    monkeypatch.setattr(faultpolicy, "RETRY_LIMIT", 3)
+    assert retry_action(0) is RETRY
+    assert retry_action(2) is RETRY
+    assert retry_action(3) is DROP
+    assert retry_action(10) is DROP
 
 
 # ----------------------------------------------------------------------

@@ -13,10 +13,12 @@ switches, partitions and crashes.
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import LatencyModel, Network, Process, Simulator
+from repro.sim import LatencyModel, Network, Process, Simulator, faultpolicy
 from tests.reference import ReferenceNetwork
 
 NAMES = ("a", "b", "c")
@@ -68,7 +70,6 @@ def _run(network_cls, program, *, seed, jitter, retry_crashed, retry_limit):
         latency=LatencyModel(base=0.01, jitter=jitter),
         reliable_kinds=("ctl",),
         retry_crashed=retry_crashed,
-        retry_limit=retry_limit,
     )
     for name in NAMES:
         network.register(Echo(name))
@@ -76,7 +77,8 @@ def _run(network_cls, program, *, seed, jitter, retry_crashed, retry_limit):
     network.observe(lambda msg: log.append((*msg, sim.now)))
     for at, operation in program:
         sim.post_at(at, _apply, network, operation)
-    sim.run(until=10.0)
+    with mock.patch.object(faultpolicy, "RETRY_LIMIT", retry_limit):
+        sim.run(until=10.0)
     return {
         "log": log,
         "counters": {name: getattr(network, name) for name in COUNTERS},

@@ -310,6 +310,17 @@ def test_adaptive_sweep_of_zero_cells_never_exits_zero(verb, capsys):
     assert "selected no cells" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv", [["audit", "--search", "--budget", "-5"], ["frontier", "--steps", "-1"]]
+)
+def test_a_negative_sweep_bound_is_an_error(argv, capsys):
+    """A negative shrink budget or bisection step count is refused, not
+    recorded beside a run that shrank or bisected nothing."""
+    assert main([*argv, "--smoke", "--apps", "kvs", "--no-cache", "--no-report"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be >= 0" in captured.err
+
+
 def test_matrix_of_zero_cells_is_an_error(monkeypatch):
     import repro.chaos.campaign as campaign
     from repro.errors import BlazesError

@@ -1,11 +1,12 @@
-"""Golden outputs of the ``blazes`` CLI, and its parser as a table.
+"""Golden outputs of the ``blazes`` CLI.
 
 Each golden pins one invocation's exit code, stdout and stderr — the
 sweep verbs the rest of tier-1 never enters (``audit --search``,
 ``frontier``, ``audit --matrix``) and the text forms of the run verbs —
 with wall-clock readings and temporary paths scrubbed, so a refactor of
-``repro.cli`` runs under a net.  The parser table pins every verb's
-flags, defaults, types, choices and help strings.
+``repro.cli`` runs under a net.  The parser itself — every verb's flags,
+defaults, types, choices and help strings — is a section of the
+settable-surface manifest (``tests/goldens/surface.txt``).
 
 Regenerate after an *intended* change and review the diff::
 
@@ -14,7 +15,6 @@ Regenerate after an *intended* change and review the diff::
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import main
 
 GOLDENS = Path(__file__).parent / "goldens" / "cli"
 REGEN = os.environ.get("REPRO_REGEN_DIGESTS") == "1"
@@ -132,49 +132,3 @@ def test_cache_stats_text_is_pinned(tmp_path, capsys):
     assert main(_AUDIT + ["--no-report", "--json"]) == 0  # all hits
     capsys.readouterr()
     _check("cache-stats-text", _invoke(["cache", "stats"], tmp_path, capsys))
-
-
-def parser_table() -> dict:
-    """verb -> its help line and, in declaration order, every argument."""
-    parser = build_parser()
-    (verbs,) = [
-        action
-        for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
-    helps = {choice.dest: choice.help for choice in verbs._choices_actions}
-
-    def arguments(command: argparse.ArgumentParser) -> list[dict]:
-        return [
-            {
-                "flags": list(action.option_strings) or [action.dest],
-                "dest": action.dest,
-                "action": type(action).__name__,
-                "nargs": action.nargs,
-                "default": action.default,
-                "type": getattr(action.type, "__name__", action.type),
-                "choices": None if action.choices is None else list(action.choices),
-                "required": action.required,
-                "metavar": action.metavar,
-                "help": action.help,
-            }
-            for action in command._actions
-            if not isinstance(
-                action, (argparse._HelpAction, argparse._SubParsersAction)
-            )
-        ]
-
-    table = {
-        "blazes": {"help": parser.description, "arguments": arguments(parser)}
-    }
-    for verb, command in verbs.choices.items():
-        table[verb] = {"help": helps[verb], "arguments": arguments(command)}
-    return table
-
-
-def test_parser_table_is_pinned():
-    lines = []
-    for verb, entry in parser_table().items():
-        lines.append(f"[{verb}] {entry['help']}")
-        lines.extend(f"  {json.dumps(argument)}" for argument in entry["arguments"])
-    _check("parser", "\n".join(lines) + "\n")

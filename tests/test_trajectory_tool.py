@@ -49,13 +49,17 @@ def test_every_ledger_row_has_its_columns_and_a_source_of_its_own():
     counts = {m["name"] for m in spec["per_layer"] if m["unit"] == "count"}
     rows = trajectory.read_rows()
     assert rows, "PERF_TRAJECTORY.jsonl holds no row"
+    # the two list counts; every row from the first with the manifest's total carries it too
+    first = next((i for i, row in enumerate(rows) if "settable values" in row["surface"]), len(rows))
     assert len({row["source"] for row in rows}) == len(rows)
-    for row in rows:
+    for i, row in enumerate(rows):
         assert set(row["end_to_end"]) == set(row["counts"]) == workloads
         for workload in workloads:
             assert set(row["counts"][workload]) == counts
             assert {m["name"] for m in spec["end_to_end"]} <= set(row["end_to_end"][workload])
-        assert set(row["lines"]) == {"src", "tests"} and len(row["surface"]) == 2
+        assert set(row["lines"]) == {"src", "tests"}
+        manifest = i >= first
+        assert len(row["surface"]) == 2 + manifest and ("settable values" in row["surface"]) == manifest
 
 
 def test_the_tool_runs_the_benchmark_from_outside():

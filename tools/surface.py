@@ -1,10 +1,11 @@
-"""Which values does ``src/repro`` store, and which options does it offer,
-that nothing uses?  An AST scan that runs in seconds, from the repository
-root::
+"""What does ``src/repro`` let a caller set, and what of it does nothing
+use?  An AST scan that runs in seconds, from the repository root::
 
-    python tools/surface.py
+    python tools/surface.py              # lists (a) and (b) and the total
+    python tools/surface.py --manifest   # the whole settable surface
 
-It prints two lists, each under a header line carrying its count:
+Without a flag it prints two lists and a total, each under a header line
+carrying its count:
 
 (a) attributes stored under ``src/repro`` (an ``obj.name`` assignment
     target, ``+=`` included) that nothing in ``src/``, ``benchmarks/``
@@ -14,22 +15,51 @@ It prints two lists, each under a header line carrying its count:
     ``src/repro``, that no call in ``src/`` or ``benchmarks/`` passes:
     no keyword argument of that name, and no string spelling it as a dict
     key or subscript (parameters that travel in a ``**params`` mapping).
+    An entry kept on purpose carries its reason (:data:`KEPT`);
+``settable values``: the manifest's total.
 
 Names are matched without their owner, so a read of any attribute of
 the same name anywhere keeps an attribute off list (a): the scan can miss
-a write-only attribute, but what it lists nothing reads.  List (b) is a
-reading, not a gate: tests and examples may still set what it lists.
+a write-only attribute, but what it lists nothing reads.
+
+``--manifest`` prints one sorted listing of everything a caller can set,
+each section under a header counting its settable values: the
+parameters and defaults of every public function and of every public
+method (``__init__`` and ``__call__`` included) of every class, with the
+class and its bases; every dataclass and ``NamedTuple`` field; every
+``BLAZES_*``/``REPRO_*`` environment knob; the ``blazes`` parser as a
+table, and each option string as often as ``cli.py`` declares it; then
+lists (a) and (b).  Defaults are rendered from the source with
+``ast.unparse``, so the text holds no object address and does not depend
+on the Python version or the hash seed.  ``tests/goldens/surface.txt``
+is its committed copy and ``tests/test_knobs.py`` diffs against it;
+after an *intended* change regenerate it and review the diff::
+
+    REPRO_REGEN_DIGESTS=1 PYTHONPATH=src python -m pytest tests/test_knobs.py
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import json
+import re
 import sys
 from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
+
+# list (b) entries with a caller outside src/ and benchmarks/, and why they stay
+KEPT = {
+    "lint_dataflow(producers_per_partition=)":
+        "examples/design_patterns.py sets it: the Fig. 14 coordination-locality demo",
+}
+# the dunder methods a caller sets values through
+CALLED_DUNDERS = {"__init__", "__new__", "__call__"}
+# a class decorator or base that makes the class body a list of fields
+RECORD = re.compile(r"(dataclasses\.)?dataclass\b|(typing\.)?NamedTuple$")
 
 
 def _trees(*dirs: Path) -> Iterator[tuple[Path, ast.Module]]:
@@ -98,14 +128,211 @@ def unpassed_keywords(root: Path = ROOT) -> list[tuple[str, int, str]]:
     return sorted(found)
 
 
-def main() -> int:
-    for title, rows in (
+# ----------------------------------------------------------------------
+# the manifest
+# ----------------------------------------------------------------------
+def _parameters(function: ast.FunctionDef | ast.AsyncFunctionDef, bound: bool) -> list[str]:
+    """``function``'s parameters as written (``*`` before keyword-only ones),
+    ``name=default`` where it has one; a bound method's first is left out."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    keyword = list(zip(args.kwonlyargs, args.kw_defaults))
+
+    def spelled(arg: ast.arg, default: ast.expr | None) -> str:
+        return arg.arg if default is None else f"{arg.arg}={ast.unparse(default)}"
+
+    names = [spelled(arg, default) for arg, default in zip(positional, defaults)]
+    if args.vararg:
+        names.append(f"*{args.vararg.arg}")
+    elif keyword:
+        names.append("*")
+    names += [spelled(arg, default) for arg, default in keyword]
+    if args.kwarg:
+        names.append(f"**{args.kwarg.arg}")
+    return names[1:] if bound else names
+
+
+def _callables(
+    module: str, body: list[ast.stmt], owner: str | None = None
+) -> Iterator[tuple[str, str, int]]:
+    """``(name, line, settable values)`` of the public functions, the
+    classes and the methods defined in ``body``."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            name = f"{owner or module}.{node.name}"
+            bases = ", ".join(ast.unparse(base) for base in node.bases + node.keywords)
+            marks = "".join(f"  @{ast.unparse(d)}" for d in node.decorator_list)
+            yield name, f"class {name}({bases}){marks}", 0
+            yield from _callables(module, node.body, name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+            not node.name.startswith("_") or (owner and node.name in CALLED_DUNDERS)
+        ):
+            decorators = [ast.unparse(d) for d in node.decorator_list]
+            bound = owner is not None and "staticmethod" not in decorators
+            parameters = _parameters(node, bound)
+            name = f"{owner or module}.{node.name}"
+            marks = "".join(f"  @{d}" for d in decorators)
+            count = sum(p != "*" for p in parameters)
+            yield name, f"def {name}({', '.join(parameters)}){marks}", count
+
+
+def _record_fields(module: str, tree: ast.Module) -> Iterator[str]:
+    """``Class.field[ = default]`` of each dataclass or ``NamedTuple``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [ast.unparse(d) for d in node.decorator_list] + [ast.unparse(b) for b in node.bases]
+        if not any(RECORD.match(mark) for mark in marks):
+            continue
+        for item in node.body:
+            if (
+                isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and "ClassVar" not in ast.unparse(item.annotation)
+            ):
+                default = "" if item.value is None else f" = {ast.unparse(item.value)}"
+                yield f"{module}.{node.name}.{item.target.id}{default}"
+
+
+def environment_knobs() -> list[str]:
+    """Every ``BLAZES_*``/``REPRO_*`` name ``src/repro`` spells: each read
+    goes through a literal variable name, so a token scan finds them all."""
+    return sorted({
+        token
+        for path in SRC.rglob("*.py")
+        for token in re.findall(r"\b(?:BLAZES|REPRO)_[A-Z_]+", path.read_text())
+        if not token.endswith("_")  # "BLAZES_NET_*" names the family
+    })
+
+
+def parser_table() -> dict:
+    """verb -> its help line and, in declaration order, every argument."""
+    if str(SRC.parent) not in sys.path:
+        sys.path.insert(0, str(SRC.parent))
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    (verbs,) = [
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    helps = {choice.dest: choice.help for choice in verbs._choices_actions}
+
+    def arguments(command: argparse.ArgumentParser) -> list[dict]:
+        return [
+            {
+                "flags": list(action.option_strings) or [action.dest],
+                "dest": action.dest,
+                "action": type(action).__name__,
+                "nargs": action.nargs,
+                "default": action.default,
+                "type": getattr(action.type, "__name__", action.type),
+                "choices": None if action.choices is None else list(action.choices),
+                "required": action.required,
+                "metavar": action.metavar,
+                "help": action.help,
+            }
+            for action in command._actions
+            if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+        ]
+
+    table = {"blazes": {"help": parser.description, "arguments": arguments(parser)}}
+    for verb, command in verbs.choices.items():
+        table[verb] = {"help": helps[verb], "arguments": arguments(command)}
+    return table
+
+
+def declared_options() -> list[str]:
+    """Each ``--option`` string as often as ``cli.py`` declares it: a key of
+    its flag table or an ``add_argument`` call (verbs only *name* flags)."""
+
+    def options(nodes) -> list[str]:
+        return [
+            node.value
+            for node in nodes
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and re.fullmatch(r"--[a-z][a-z-]*", node.value)
+        ]
+
+    declared = []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.Dict):  # a table entry: flag -> keywords
+            declared += options(
+                key
+                for key, value in zip(node.keys, node.values)
+                if isinstance(value, (ast.Dict, ast.Call))
+            )
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "add_argument":
+                declared += options(node.args)
+    return sorted(declared)
+
+
+def _kept(name: str) -> str:
+    return f"  ({KEPT[name]})" if name in KEPT else ""
+
+
+def _settable() -> tuple[int, list[tuple[str, int, list[str]]]]:
+    """The manifest's total and its sections before lists (a) and (b)."""
+    callables, fields, parameters = [], [], 0
+    for path, tree in _trees(SRC):
+        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for name, line, count in _callables(module, tree.body):
+            callables.append((name, line))
+            parameters += count
+        fields += _record_fields(module, tree)
+    table = parser_table()
+    cli = []
+    for verb, entry in table.items():
+        cli.append(f"[{verb}] {entry['help']}")
+        cli += [f"  {json.dumps(argument)}" for argument in entry["arguments"]]
+    knobs = environment_knobs()
+    arguments = sum(len(entry["arguments"]) for entry in table.values())
+    declared = declared_options()
+    sections = [
+        ("parameters of public functions and methods", parameters,
+         [line for _name, line in sorted(callables)]),
+        ("dataclass and NamedTuple fields", len(fields), sorted(fields)),
+        ("environment knobs", len(knobs), knobs),
+        ("arguments of the blazes parser", arguments, cli),
+        ("option strings cli.py declares", len(declared), declared),
+    ]
+    return parameters + len(fields) + len(knobs) + arguments, sections
+
+
+def _lists() -> list[tuple[str, list[tuple[str, int, str]]]]:
+    return [
         ("attributes stored and never read", unread_attributes()),
         ("keyword-only defaults no src/ or benchmarks/ call passes", unpassed_keywords()),
-    ):
+    ]
+
+
+def manifest() -> str:
+    """The settable surface of ``src/repro`` as one text, total first."""
+    total, sections = _settable()
+    for title, rows in _lists():
+        listed = [f"{path}  {name}{_kept(name)}" for path, _line, name in rows]
+        sections.append((title, len(rows), listed))
+    lines = [f"settable values: {total}"]
+    for title, count, rows in sections:
+        lines.append(f"{title}: {count}")
+        lines += [f"  {row}" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--manifest", action="store_true", help="print the whole settable surface")
+    if parser.parse_args(argv).manifest:
+        sys.stdout.write(manifest())
+        return 0
+    for title, rows in _lists():
         print(f"{title}: {len(rows)}")
         for path, line, name in rows:
-            print(f"  {path}:{line}  {name}")
+            print(f"  {path}:{line}  {name}{_kept(name)}")
+    print(f"settable values: {_settable()[0]}")
     return 0
 
 

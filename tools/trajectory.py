@@ -14,7 +14,8 @@ A row holds, for the checkout it measures:
   each gated workload;
 * ``lines``: physical lines of the ``*.py`` files under ``src/`` and
   ``tests/``;
-* ``surface``: the two counts ``tools/surface.py`` prints;
+* ``surface``: the header counts ``tools/surface.py`` prints (lists (a)
+  and (b), and the settable-value total);
 * ``tier1``: how many tier-1 tests passed and failed.
 
 A row is keyed on ``source``, the sha256 of the files its numbers depend
@@ -86,7 +87,7 @@ def physical_lines(checkout: Path, top: str) -> int:
 
 
 def surface_counts(checkout: Path) -> dict[str, int]:
-    """The two header counts ``tools/surface.py`` prints."""
+    """The header counts ``tools/surface.py`` prints."""
     done = subprocess.run(
         [sys.executable, "tools/surface.py"], cwd=checkout, stdout=subprocess.PIPE, text=True, check=True
     )
