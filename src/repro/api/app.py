@@ -565,17 +565,16 @@ class BlazesApp:
         in wall seconds — on expiry the services tear down cleanly and
         :class:`repro.net.services.SocketTimeout` is raised.
         """
-        import contextlib
         import time
 
-        from repro.net.context import NetConfig, resolve_backend, socket_backend
+        from repro.net.context import net_config
         from repro.net.services import SocketTimeout
+        from repro.sim.events import run_scope
 
         if self._runner is None:
             raise ApiError(f"app {self.name!r} declares no runner")
-        exec_backend = resolve_backend(backend)
-        if timeout is not None and exec_backend != "socket":
-            raise ApiError("timeout applies to the socket backend only")
+        config = net_config(backend, timeout)
+        exec_backend = "sim" if config is None else "socket"
         spec = self.strategy_spec(strategy)
         params: dict[str, Any] = dict(self._defaults)
         if smoke:
@@ -589,41 +588,35 @@ class BlazesApp:
                 telemetry, exec_backend,
             )
 
-        with contextlib.ExitStack() as stack:
-            if exec_backend == "socket":
-                stack.enter_context(
-                    socket_backend(NetConfig.from_env(timeout=timeout))
-                )
-            started = time.perf_counter()
-            if telemetry is not None:
-                stack.enter_context(telemetry.activate())
-            try:
+        started = time.perf_counter()
+        try:
+            with run_scope(telemetry, config):
                 metrics, result, cluster = self._runner(spec, seed=seed, **params)
-            except SocketTimeout as exc:
-                # what the torn-down run can still attest to: its identity
-                # and how far it got before the budget hit
-                exc.outcome = outcome(
-                    {
-                        "timed_out": True,
-                        "timeout": exc.timeout,
-                        "virtual_time": exc.virtual_time,
-                        "events_fired": exc.fired,
-                        "events_pending": exc.pending,
-                    }
-                )
-                raise
-            elapsed = time.perf_counter() - started
-            metrics = dict(metrics)
-            if telemetry is not None:
-                from repro.obs.coordcost import coordcost_report
+        except SocketTimeout as exc:
+            # what the torn-down run can still attest to: its identity
+            # and how far it got before the budget hit
+            exc.outcome = outcome(
+                {
+                    "timed_out": True,
+                    "timeout": exc.timeout,
+                    "virtual_time": exc.virtual_time,
+                    "events_fired": exc.fired,
+                    "events_pending": exc.pending,
+                }
+            )
+            raise
+        elapsed = time.perf_counter() - started
+        metrics = dict(metrics)
+        if telemetry is not None:
+            from repro.obs.coordcost import coordcost_report
 
-                network = getattr(cluster, "network", None)
-                sent = network.sent if network is not None else None
-                metrics["coordcost"] = coordcost_report(telemetry, messages_sent=sent)
-                if telemetry.profiler is not None:
-                    telemetry.profiler.wall_seconds += elapsed
-                    metrics["profile"] = telemetry.profiler.snapshot()
-        if exec_backend == "socket":
+            network = getattr(cluster, "network", None)
+            sent = network.sent if network is not None else None
+            metrics["coordcost"] = coordcost_report(telemetry, messages_sent=sent)
+            if telemetry.profiler is not None:
+                telemetry.profiler.wall_seconds += elapsed
+                metrics["profile"] = telemetry.profiler.snapshot()
+        if config is not None:
             summary = getattr(
                 getattr(cluster, "network", None), "transport_summary", None
             )

@@ -40,7 +40,7 @@ from repro.apps.queries import (
     report_observe,
     report_roles,
 )
-from repro.apps.source import PlannedSource, check_workload
+from repro.apps.source import PlannedSource, check_workload, runner_workload
 from repro.chaos.envelope import order_only_envelope
 from repro.bloom.cluster import INSERT_MSG, ZK_KINDS, BloomCluster, BloomNode
 from repro.bloom.rewrite import SealedInputAdapter, apply_strategy
@@ -280,7 +280,7 @@ def run_ad_network(
             f"unknown seal column {seal_key!r}; have {sorted(SEAL_COLUMNS)}"
         )
     installed = strategy.installed("Report", REPORT_INPUTS)
-    workload = workload or AdWorkload()
+    workload = runner_workload(workload, AdWorkload)
     # app semantics, not delivery: the independent-seal deployment masters
     # each campaign at one server (campaign c at server c % ad_servers)
     independent = strategy.name == "independent-seal"

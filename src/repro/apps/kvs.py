@@ -21,7 +21,7 @@ import random
 from collections.abc import Callable
 
 from repro.api import BlazesApp, StrategySpec, annotate, register
-from repro.apps.source import PlannedSource, check_workload
+from repro.apps.source import PlannedSource, check_workload, runner_workload
 from repro.bloom.cluster import INSERT_MSG, ZK_KINDS, BloomCluster, BloomNode
 from repro.chaos.envelope import FaultEnvelope
 from repro.bloom.module import BloomModule
@@ -339,7 +339,7 @@ def run_kvs(
             raise ValueError(f"unknown strategy {strategy!r}; have {KVS_STRATEGIES}")
         strategy = APP.strategy_spec(strategy)
     installed = strategy.installed("Store", STORE_INPUTS)
-    workload = workload or KvsWorkload()
+    workload = runner_workload(workload, KvsWorkload)
     workload_seed = seed if workload_seed is None else workload_seed
     cluster = BloomCluster(
         seed=seed,

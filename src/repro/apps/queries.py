@@ -241,10 +241,12 @@ def _query_runner(query: str):
         query_kwargs: dict | None = None,
         **kwargs,
     ):
-        from repro.apps.ad_network import run_ad_network
+        from repro.apps.ad_network import AdWorkload, run_ad_network
+        from repro.apps.source import runner_workload
 
         if workload is None:
             workload = _matrix_workload(query, False)
+        workload = runner_workload(workload, AdWorkload)
         if query_kwargs is None:
             query_kwargs = default_query_kwargs(query, workload)
         result = run_ad_network(

@@ -17,7 +17,7 @@ from repro.bloom.rewrite import strategy_producer
 from repro.errors import SimulationError
 from repro.sim.network import Process
 
-__all__ = ["PlannedSource", "check_workload"]
+__all__ = ["PlannedSource", "check_workload", "runner_workload"]
 
 
 def check_workload(workload) -> None:
@@ -32,6 +32,17 @@ def check_workload(workload) -> None:
                 raise SimulationError(f"{name}.sleep must be finite and >= 0, got {value}")
         elif not value >= 1:
             raise SimulationError(f"{name}.{field.name} must be >= 1, got {value}")
+
+
+def runner_workload(workload, cls):
+    """The workload a runner was handed: a default ``cls()`` for ``None``,
+    else a ``cls`` instance (``--set workload=3`` is an error here, not an
+    AttributeError inside the run)."""
+    if workload is None:
+        return cls()
+    if not isinstance(workload, cls):
+        raise SimulationError(f"workload must be an instance of {cls.__name__}, got {workload!r}")
+    return workload
 
 
 class PlannedSource(Process):

@@ -15,6 +15,8 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.errors import BenchError
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bench.runner import BenchReport
 
@@ -38,15 +40,14 @@ class JsonReporter:
         return self.directory / f"BENCH_{name}.json"
 
     def write(self, report: "BenchReport") -> Path:
+        from repro.net.context import net_config
+
         # which backend carried the cells ("sim"/"socket"), read off their
         # own params, and for socket cells the transport config
         params = report.results[0].params if report.results else {}
-        backend = params.get("backend") or "sim"
-        transport = None
-        if backend == "socket":
-            from repro.net.context import NetConfig
-
-            transport = NetConfig.from_env(timeout=params.get("timeout")).to_dict()
+        config = net_config(params.get("backend"), params.get("timeout"))
+        backend = "sim" if config is None else "socket"
+        transport = None if config is None else config.to_dict()
         payload = {
             **report.to_dict(),
             "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -58,7 +59,10 @@ class JsonReporter:
                 "transport": transport,
             },
         }
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(report.name)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise BenchError(f"cannot write {path}: {exc.strerror}") from exc
         return path

@@ -599,13 +599,14 @@ class AuditSweep(Sweep):
     sound = staticmethod(campaign_is_sound)
 
     def __post_init__(self) -> None:
-        from repro.net.context import NetConfig, resolve_backend
+        from repro.net.context import net_config
 
         named = self.name is not None
         super().__post_init__()
-        self.backend = resolve_backend(self.backend)
-        if self.backend == "socket":
-            NetConfig.from_env(timeout=self.timeout)  # a bad setting fails here
+        # a bad backend, timeout or BLAZES_NET_* setting fails here
+        socket = net_config(self.backend, self.timeout) is not None
+        self.backend = "socket" if socket else "sim"
+        if socket:
             self.cacheable = False
             if not named:
                 self.name += "-socket"

@@ -31,7 +31,7 @@ from typing import Any
 from repro.coord.ordering import OrderedInbox
 from repro.coord.zookeeper import ZkClient
 from repro.errors import SimulationError
-from repro.obs.telemetry import current as _telemetry
+from repro.sim.events import RUN_SCOPE
 from repro.wire import SEAL_DATA as DATA, SEAL_PUNCT as PUNCT
 
 __all__ = ["SealedStreamProducer", "SealManager", "DATA", "PUNCT", "registry_path"]
@@ -193,7 +193,7 @@ class SealManager:
         """Record one producer's punctuation and release if unanimous."""
         if partition in self.released:
             return
-        hub = _telemetry()
+        hub = RUN_SCOPE.get()[0]
         if hub is not None:
             hub.note_decision("seal_vote", topic=f"seal:{self.stream}")
         self._seals.setdefault(partition, set()).add(producer)
@@ -213,7 +213,7 @@ class SealManager:
     def _ensure_producer_set(self, partition: Partition) -> None:
         if partition in self._producer_sets or partition in self._lookups_inflight:
             return
-        hub = _telemetry()
+        hub = RUN_SCOPE.get()[0]
         if hub is not None:
             hub.note_decision("registry_lookup", topic=f"seal:{self.stream}")
         if self._producers_for is not None:
@@ -249,7 +249,7 @@ class SealManager:
         self.released.add(partition)
         records = self._buffers.pop(partition, [])
         self._seals.pop(partition, None)
-        hub = _telemetry()
+        hub = RUN_SCOPE.get()[0]
         if hub is not None:
             part = (
                 f"part:{partition}"

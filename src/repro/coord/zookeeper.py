@@ -33,8 +33,6 @@ from repro.wire import (
     ZK_GET as GET,
     ZK_GET_REPLY as GET_REPLY,
     ZK_KINDS,
-    ZK_SET as SET,
-    ZK_SET_REPLY as SET_REPLY,
     ZK_SUBMIT as SUBMIT,
 )
 
@@ -102,22 +100,11 @@ class ZookeeperService(Process):
         """Read a znode synchronously (assertions only; no cost modeled)."""
         return self._znodes.get(path)
 
-    def committed_order(self, topic: str) -> tuple:
-        """The total order the sequencer committed for one topic.
-
-        This is the run's *decision log*: a different run of the same
-        workload commits a different (but equally valid) order, which is
-        why cross-run comparisons of ordered deployments must condition
-        on it (see :func:`repro.chaos.oracle.classify_runs`).  It is read
-        back from the service's ``zk.order:<topic>`` trace events.
-        """
-        return recorded_order(self.trace, topic)
-
     # ------------------------------------------------------------------
     # message handling
     # ------------------------------------------------------------------
     def recv(self, msg: Message) -> None:
-        if msg.kind not in (SUBMIT, SET, GET):
+        if msg.kind not in (SUBMIT, GET):
             raise SimulationError(f"zookeeper got unexpected message {msg.kind}")
         self._queue.append((msg.kind, msg))
         self._pump()
@@ -145,10 +132,6 @@ class ZookeeperService(Process):
                     time=self.now,
                     detail=f"seq={self._sequences.get(msg.payload[0], 0)}",
                 )
-            elif kind == SET:
-                telemetry.note_decision(
-                    "zk_write", topic=str(msg.payload[0]), overhead=self.write_service
-                )
             else:
                 telemetry.note_decision(
                     "zk_read", topic=str(msg.payload), overhead=READ_SERVICE
@@ -164,11 +147,7 @@ class ZookeeperService(Process):
             delivery = (topic, seq, value)
             for subscriber in self._subscribers.get(topic, ()):
                 self.send(subscriber, DELIVER, delivery)
-        elif kind == SET:
-            path, value = msg.payload
-            self._znodes[path] = value
-            self.send(msg.src, SET_REPLY, path)
-        elif kind == GET:
+        else:  # GET
             path = msg.payload
             self.send(msg.src, GET_REPLY, (path, self._znodes.get(path)))
         self._busy = False
@@ -186,23 +165,10 @@ class ZkClient:
     def __init__(self, process: Process) -> None:
         self.process = process
         self._get_callbacks: dict[str, list[Callable[[Any], None]]] = {}
-        self._set_callbacks: dict[str, list[Callable[[], None]]] = {}
 
     def submit(self, topic: str, value: Any) -> None:
         """Submit a value for total-order broadcast on ``topic``."""
         self.process.send(SERVICE_NAME, SUBMIT, (topic, value))
-
-    def set_znode(
-        self, path: str, value: Any, callback: Callable[[], None] | None = None
-    ) -> None:
-        """Asynchronously write a znode; ``callback`` fires on the ack.
-
-        The simulated network is unordered, so a read racing a write may
-        see the old value; sequence dependent operations through the ack.
-        """
-        if callback is not None:
-            self._set_callbacks.setdefault(path, []).append(callback)
-        self.process.send(SERVICE_NAME, SET, (path, value))
 
     def get_znode(self, path: str, callback: Callable[[Any], None]) -> None:
         """Asynchronously read a znode; ``callback`` gets its value."""
@@ -216,11 +182,6 @@ class ZkClient:
             callbacks = self._get_callbacks.get(path, [])
             if callbacks:
                 callbacks.pop(0)(value)
-            return True
-        if msg.kind == SET_REPLY:
-            callbacks = self._set_callbacks.get(msg.payload, [])
-            if callbacks:
-                callbacks.pop(0)()
             return True
         return False
 

@@ -38,6 +38,7 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
+from repro.errors import ExecError
 from repro.exec.canon import canonical, content_digest
 
 __all__ = [
@@ -100,8 +101,11 @@ def schedule_digest(schedule) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    except OSError as exc:
+        raise ExecError(f"cannot write the cell cache at {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -5,8 +5,9 @@ against the abstract channel interface of :mod:`repro.sim.network`
 (``Process.send``/``recv``/``on_start`` + the ``Network`` routing
 contract).  This package slots a *real* runtime in behind that contract:
 
-* :mod:`repro.net.context` — backend selection (`socket_backend()`
-  scopes a run onto sockets) and the transport configuration;
+* :mod:`repro.net.context` — backend selection
+  (:func:`~repro.net.context.net_config` checks a run's backend and
+  timeout) and the transport configuration;
 * :mod:`repro.net.frames` — the wire format: length-prefixed frames of
   tagged JSON;
 * :mod:`repro.net.transport` — the asyncio TCP transport: per-peer
@@ -26,7 +27,7 @@ committed state and the oracle/soundness verdict must not depend on
 which transport carried the messages (see ``docs/transport.md``).
 """
 
-from repro.net.context import NetConfig, active_config, socket_backend
+from repro.net.context import NetConfig
 from repro.net.services import SocketTimeout
 
-__all__ = ["NetConfig", "SocketTimeout", "active_config", "socket_backend"]
+__all__ = ["NetConfig", "SocketTimeout"]

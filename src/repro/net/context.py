@@ -1,32 +1,22 @@
 """Backend selection and transport configuration.
 
-Kept dependency-free (no asyncio, no socket imports): the simulator
-construction funnel (:func:`repro.sim.events.make_simulator`) consults
-:func:`active_config` on every call, and must stay cheap for the
-overwhelmingly common simulated case.
-
-``socket_backend()`` scopes the socket backend over a ``with`` block the
-way telemetry hubs are scoped: every cluster substrate built inside the
-block lands on a :class:`~repro.net.services.NetSimulator` and a real
-TCP transport instead of the discrete-event kernel.
+Kept dependency-free (no asyncio, no socket imports): every run checks
+its ``(backend, timeout)`` pair here (:func:`net_config`), and the
+simulated case must not pay for the socket runtime.  A run that gets a
+:class:`NetConfig` back scopes it with
+:func:`repro.sim.events.run_scope`: every cluster substrate built inside
+lands on a :class:`~repro.net.services.NetSimulator` and a real TCP
+transport instead of the discrete-event kernel.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import dataclasses
 import os
 
 from repro.errors import SimulationError
 
-__all__ = [
-    "BACKENDS",
-    "NetConfig",
-    "active_config",
-    "resolve_backend",
-    "socket_backend",
-]
+__all__ = ["BACKENDS", "NetConfig", "net_config"]
 
 BACKENDS = ("sim", "socket")
 # Wall seconds between reliable-session retransmit sweeps, and between
@@ -55,36 +45,6 @@ class NetConfig:
     # wall-clock budget for one run (None = unbounded)
     timeout: float | None = None
 
-    @classmethod
-    def from_env(cls, **overrides) -> "NetConfig":
-        """A config from ``BLAZES_NET_*`` variables plus overrides.
-
-        ``None``-valued overrides are ignored, so call sites can pass
-        optional CLI flags straight through.
-        """
-        env = os.environ
-        fields: dict = {}
-        for key, name, cast in (
-            ("host", "BLAZES_NET_HOST", str),
-            ("time_scale", "BLAZES_NET_TIME_SCALE", float),
-        ):
-            if name in env:
-                try:
-                    fields[key] = cast(env[name])
-                except ValueError as exc:
-                    raise SimulationError(
-                        f"{name}={env[name]!r} is not a number"
-                    ) from exc
-        fields.update(
-            {key: value for key, value in overrides.items() if value is not None}
-        )
-        config = cls(**fields)
-        if config.time_scale <= 0:
-            raise SimulationError(
-                f"time_scale must be positive, got {config.time_scale}"
-            )
-        return config
-
     def to_dict(self) -> dict:
         """The transport settings a run goes under, constants included."""
         return {
@@ -94,30 +54,33 @@ class NetConfig:
         }
 
 
-_ACTIVE: contextvars.ContextVar[NetConfig | None] = contextvars.ContextVar(
-    "blazes_net_config", default=None
-)
-
-
-def active_config() -> NetConfig | None:
-    """The scoped socket config, or ``None`` when simulating."""
-    return _ACTIVE.get()
-
-
-def resolve_backend(backend: str | None) -> str:
-    """Normalize a backend name (``None`` is the simulator)."""
+def net_config(backend: str | None, timeout: float | None) -> NetConfig | None:
+    """Check a run's ``(backend, timeout)`` pair: the socket backend's
+    :class:`NetConfig` (``BLAZES_NET_*`` variables plus ``timeout``), or
+    ``None`` for the simulator (``backend`` ``None`` or ``"sim"``)."""
     name = backend or "sim"
     if name not in BACKENDS:
         raise SimulationError(f"unknown backend {name!r}; have {BACKENDS}")
-    return name
-
-
-@contextlib.contextmanager
-def socket_backend(config: NetConfig | None = None):
-    """Scope the socket backend: clusters built inside run on sockets."""
-    cfg = config if config is not None else NetConfig.from_env()
-    token = _ACTIVE.set(cfg)
-    try:
-        yield cfg
-    finally:
-        _ACTIVE.reset(token)
+    if name == "sim":
+        if timeout is not None:
+            raise SimulationError("timeout applies to the socket backend only")
+        return None
+    env = os.environ
+    fields: dict = {"timeout": timeout}
+    for key, variable, cast in (
+        ("host", "BLAZES_NET_HOST", str),
+        ("time_scale", "BLAZES_NET_TIME_SCALE", float),
+    ):
+        if variable in env:
+            try:
+                fields[key] = cast(env[variable])
+            except ValueError as exc:
+                raise SimulationError(
+                    f"{variable}={env[variable]!r} is not a number"
+                ) from exc
+    config = NetConfig(**fields)
+    if config.time_scale <= 0:
+        raise SimulationError(
+            f"time_scale must be positive, got {config.time_scale}"
+        )
+    return config

@@ -15,18 +15,16 @@ from repro.obs.coordcost import (
 )
 from repro.obs.rundir import RUNDIR_SCHEMA_VERSION, validate_rundir, write_rundir
 from repro.obs.spans import SpanTracker, divergence_explain
-from repro.obs.telemetry import Telemetry, activate, current
+from repro.obs.telemetry import Telemetry
 
 __all__ = [
     "PLANES",
     "RUNDIR_SCHEMA_VERSION",
     "SpanTracker",
     "Telemetry",
-    "activate",
     "aggregate_coordcost",
     "classify_message",
     "coordcost_report",
-    "current",
     "divergence_explain",
     "validate_rundir",
     "write_rundir",

@@ -47,8 +47,6 @@ from repro.wire import (
     ZK_DELIVER,
     ZK_GET,
     ZK_GET_REPLY,
-    ZK_SET,
-    ZK_SET_REPLY,
     ZK_SUBMIT,
 )
 
@@ -71,7 +69,7 @@ PLANES = (PLANE_DATA, PLANE_COORDINATION, PLANE_DELIVERY)
 TALLIES = ("planes", "kinds", "topics", "decisions", "decision_topics")
 
 
-_ZK_ZNODE_KINDS = frozenset({ZK_SET, ZK_GET, ZK_GET_REPLY, ZK_SET_REPLY})
+_ZK_ZNODE_KINDS = frozenset({ZK_GET, ZK_GET_REPLY})
 
 # The only kinds whose classification reads the payload, and it reads
 # nothing but ``payload[0]`` (the topic): a hub may tally sends by kind,
@@ -111,7 +109,7 @@ def classify_message(kind: str, payload: Any) -> tuple[str, str]:
 # belong to the coordination plane; everything else (replays, retries,
 # punctuation broadcasts) is fault-tolerance/delivery machinery.
 COORDINATION_DECISIONS = frozenset(
-    {"sequencer", "seal_vote", "seal_release", "registry_lookup", "zk_read", "zk_write"}
+    {"sequencer", "seal_vote", "seal_release", "registry_lookup", "zk_read"}
 )
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import shutil
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
@@ -97,10 +98,13 @@ def write_rundir(directory: str | Path, outcome, telemetry=None) -> Path:
     if timed_out:
         outcome = outcome.outcome
     target = Path(directory)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    path = Path(
-        tempfile.mkdtemp(dir=target.parent, prefix=f".{target.name or 'run'}.")
-    )
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        path = Path(
+            tempfile.mkdtemp(dir=target.parent, prefix=f".{target.name or 'run'}.")
+        )
+    except OSError as exc:
+        raise ObsError(f"cannot write run directory {target}: {exc.strerror}") from exc
     hub = telemetry if telemetry is not None else outcome.telemetry
     cluster = outcome.cluster
     sim = getattr(cluster, "sim", None)
@@ -169,7 +173,10 @@ def write_rundir(directory: str | Path, outcome, telemetry=None) -> Path:
             return candidate
         except OSError as exc:
             if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
-                raise
+                shutil.rmtree(path, ignore_errors=True)
+                raise ObsError(
+                    f"cannot write run directory {candidate}: {exc.strerror}"
+                ) from exc
             candidate = target.with_name(f"{target.name}-{suffix}")
             suffix += 1
 

@@ -17,7 +17,7 @@ Lineage vocabulary:
 ``part:<p>``      a sealed-stream partition (records, votes, releases)
 ``topic:<t>``     a sequencer topic (submissions, ordered deliveries)
 ``chan:<c>``      a bloom channel or collection insert
-``znode``         registry reads/writes
+``znode``         registry reads
 
 While tracing, every data row seen inside a frame, sealed record,
 sequencer value, or bloom insert is indexed to its lineage, so

@@ -4,14 +4,13 @@ A :class:`Telemetry` hub tallies the structured notes the simulated
 runtime emits (message sends, deliveries, coordination decisions) into
 the fields of the ``coordcost`` block
 (:func:`repro.obs.coordcost.coordcost_report`).  Hubs are **opt-in
-and context-scoped**: :meth:`Telemetry.activate` (used by
-``BlazesApp.run(telemetry=...)``) pushes the hub onto a module-level
-stack, and :func:`repro.sim.events.make_simulator` attaches
-:func:`current` to every simulator built inside the block.  When no hub
-is active, every instrumentation site in the runtime reduces to one
-attribute load and a ``None`` check — the kernel's inner event loop is
-never touched — so disabled telemetry is free and traces are
-byte-identical either way.
+and run-scoped**: ``BlazesApp.run(telemetry=...)`` sets the run's scope
+(:func:`repro.sim.events.run_scope`) to exactly its own hub, and
+:func:`repro.sim.events.make_simulator` attaches that hub to every
+simulator built inside it.  When a run has no hub, every
+instrumentation site in the runtime reduces to one attribute load and a
+``None`` check — the kernel's inner event loop is never touched — so
+disabled telemetry is free and traces are byte-identical either way.
 
 The two per-message notes are **recorded on the hop and derived on first
 read**: ``note_send`` bumps one tally entry that is folded into the
@@ -29,34 +28,13 @@ real-transport backend reports through exactly the same ``note_send`` /
 
 from __future__ import annotations
 
-import contextlib
 from collections import Counter
 from typing import Any
 
 from repro.obs.coordcost import TALLIES, TOPIC_KINDS, classify_message
 from repro.obs.spans import SpanTracker
 
-__all__ = ["Telemetry", "activate", "current"]
-
-# The active-hub stack.  A list (not a single slot) so nested runs — an
-# audit cell spawning per-seed runs, a stats sweep inside a profiled
-# run — each see their own innermost hub.
-_ACTIVE: list["Telemetry"] = []
-
-
-def current() -> "Telemetry | None":
-    """The innermost active hub, or ``None`` when telemetry is disabled."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextlib.contextmanager
-def activate(hub: "Telemetry"):
-    """Scope ``hub`` as the active hub for the block."""
-    _ACTIVE.append(hub)
-    try:
-        yield hub
-    finally:
-        _ACTIVE.pop()
+__all__ = ["Telemetry"]
 
 
 class Telemetry:
@@ -159,7 +137,3 @@ class Telemetry:
             self.sim_time_overhead += overhead
         if lineage is not None and self.spans is not None:
             self.spans.note_event(time, lineage, name, node, detail)
-
-    def activate(self):
-        """Scope this hub as the active hub for a ``with`` block."""
-        return activate(self)

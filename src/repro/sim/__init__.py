@@ -7,13 +7,14 @@ injection.  All higher substrates (:mod:`repro.coord`, :mod:`repro.storm`,
 :mod:`repro.bloom`) run on top of it.
 
 There is one kernel, :mod:`repro.sim.events`, and every cluster builds its
-simulator through :func:`make_simulator`.  The seed scheduler it replaced
-lives on as a test-only oracle in ``tests/reference/``; the differential
-suite in ``tests/sim/test_kernel_equivalence.py`` holds the two to
-identical traces.
+simulator through :func:`make_simulator`, inside the run's
+:func:`run_scope`.  The seed scheduler it replaced lives on as a
+test-only oracle in ``tests/reference/``; the differential suite in
+``tests/sim/test_kernel_equivalence.py`` holds the two to identical
+traces.
 """
 
-from repro.sim.events import EventHandle, Simulator, Waker, make_simulator
+from repro.sim.events import EventHandle, Simulator, Waker, make_simulator, run_scope
 from repro.sim.failure import FailureInjector
 from repro.sim.network import LatencyModel, Message, Network, Process
 from repro.sim.profile import SimProfiler
@@ -24,6 +25,7 @@ __all__ = [
     "Simulator",
     "Waker",
     "make_simulator",
+    "run_scope",
     "SimProfiler",
     "FailureInjector",
     "LatencyModel",

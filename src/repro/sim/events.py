@@ -48,10 +48,18 @@ Profiling (:mod:`repro.sim.profile`) attaches via
 check per event.  :attr:`Simulator.watched` is the message hop's one
 check: it turns on when a profiler, a telemetry hub or a delivery
 observer first attaches, and never turns off.
+
+A run's context — the telemetry hub it reports to and the socket
+transport it runs on — is one context variable, set by :func:`run_scope`
+and read by :func:`make_simulator` when a cluster builds its kernel.  A
+context variable is per thread and per asyncio task, so concurrent runs
+never see each other's hub.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import random
 import sys
@@ -65,6 +73,7 @@ __all__ = [
     "Simulator",
     "Waker",
     "make_simulator",
+    "run_scope",
 ]
 
 # Event records are plain lists so heapq compares them at C speed:
@@ -312,35 +321,47 @@ class Simulator:
         return f"{type(self).__name__}(now={self.now:.6f}, pending={self.pending})"
 
 
+# The current run's (telemetry hub, socket NetConfig); (None, None) is an
+# uninstrumented simulated run.  Read by make_simulator and coord/sealing.
+RUN_SCOPE: contextvars.ContextVar[tuple] = contextvars.ContextVar(
+    "blazes_run_scope", default=(None, None)
+)
+
+
+@contextlib.contextmanager
+def run_scope(telemetry=None, net_config=None):
+    """Scope one run: every simulator built inside the block reports to
+    ``telemetry`` and, given a :class:`~repro.net.context.NetConfig`,
+    runs on the socket transport.  An enclosing scope does not leak in:
+    the block sees exactly these two values."""
+    token = RUN_SCOPE.set((telemetry, net_config))
+    try:
+        yield
+    finally:
+        RUN_SCOPE.reset(token)
+
+
 def make_simulator(seed: int = 0):
     """Build the simulator a cluster runs on.
 
     Every cluster substrate (:class:`~repro.bloom.cluster.BloomCluster`,
     :class:`~repro.storm.executor.StormCluster`) builds its simulator
-    here: the discrete-event :class:`Simulator`, unless a socket backend
-    is scoped (``repro.net.context.socket_backend``) — inside that
-    ``with`` block this funnel returns its wall-clock subclass
-    :class:`~repro.net.services.NetSimulator` instead (the same heap,
-    fired when the wall deadline passes), and the whole run lands on
-    real TCP transport behind the same channel contract.
+    here, from the scoped run (:func:`run_scope`): the discrete-event
+    :class:`Simulator`, or — when the scope carries a ``NetConfig`` — its
+    wall-clock subclass :class:`~repro.net.services.NetSimulator` (the
+    same heap, fired when the wall deadline passes), so the whole run
+    lands on real TCP transport behind the same channel contract.  The
+    scope's telemetry hub is attached with its profiler; with no hub the
+    attribute stays ``None`` and every instrumentation site is a single
+    pointer check.
     """
-    from repro.net.context import active_config
-
-    net_config = active_config()
+    hub, net_config = RUN_SCOPE.get()
     if net_config is not None:
         from repro.net.services import NetSimulator
 
         sim = NetSimulator(seed=seed, config=net_config)
     else:
         sim = Simulator(seed=seed)
-    # Attach the active telemetry hub (repro.obs), when one is scoped —
-    # e.g. BlazesApp.run(telemetry=...) — along with its profiler, so
-    # every cluster built inside the block reports through it.  With no
-    # active hub the attribute stays None and every instrumentation site
-    # is a single pointer check.
-    from repro.obs.telemetry import current
-
-    hub = current()
     if hub is not None:
         sim.telemetry = hub
         sim.watched = True

@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from collections.abc import Mapping
 from functools import partial
 from typing import Any
 
@@ -580,6 +581,15 @@ class ClusterConfig:
         frame_size: int = 1,
         parallelism: dict[str, int] | None = None,
     ) -> None:
+        # a wrongly typed setting (a ``--set`` value) is an error here, not
+        # a TypeError from the first comparison that meets it
+        for setting, value in (("exec_times", exec_times), ("parallelism", parallelism)):
+            if value is not None and not isinstance(value, Mapping):
+                raise StormError(f"{setting} must map component names, got {value!r}")
+        if not isinstance(frame_size, (int, float)):
+            raise StormError(f"frame_size must be a number, got {frame_size!r}")
+        if not isinstance(replay_timeout, (int, float, type(None))):
+            raise StormError(f"replay_timeout must be a number, got {replay_timeout!r}")
         if frame_size < 1:
             raise StormError(f"frame_size must be >= 1, got {frame_size}")
         # checked here, not discovered from inside the event loop: a

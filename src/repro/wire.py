@@ -28,13 +28,11 @@ SEAL_PUNCT = "seal.punct"
 ZK_PREFIX = "zk."
 ZK_SUBMIT = "zk.submit"
 ZK_DELIVER = "zk.deliver"
-ZK_SET = "zk.set"
 ZK_GET = "zk.get"
 ZK_GET_REPLY = "zk.get_reply"
-ZK_SET_REPLY = "zk.set_reply"
 # Zookeeper sessions are TCP-backed in real deployments, so networks list
 # every kind of the protocol as reliable.
-ZK_KINDS = (ZK_SUBMIT, ZK_DELIVER, ZK_SET, ZK_GET, ZK_GET_REPLY, ZK_SET_REPLY)
+ZK_KINDS = (ZK_SUBMIT, ZK_DELIVER, ZK_GET, ZK_GET_REPLY)
 
 # Bloom clusters: channel rows and external inserts
 BLOOM_CHAN = "bloom.chan"

@@ -4,6 +4,7 @@ and JSON output."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -84,6 +85,14 @@ def test_json_reporter_honors_env_dir(tmp_path, monkeypatch):
     reporter = JsonReporter()
     evaluate("figY", [Scenario("only", {})], lambda: {"ok": True}, reporter=reporter)
     assert (tmp_path / "out" / "BENCH_figY.json").exists()
+
+
+def test_a_bench_dir_that_is_a_file_is_a_bench_error(tmp_path, monkeypatch):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("REPRO_BENCH_DIR", str(blocker))
+    with pytest.raises(BenchError, match=re.escape(f"cannot write {blocker}")):
+        evaluate("figZ", [Scenario("only", {})], lambda: {"ok": True}, reporter=JsonReporter())
 
 
 def test_scenario_result_is_json_round_trippable():

@@ -7,7 +7,7 @@ import pytest
 from repro.coord import SealManager, SealedStreamProducer, ZkClient, install_zookeeper
 from repro.errors import SimulationError
 from repro.obs.telemetry import Telemetry
-from repro.sim import LatencyModel, Network, Process, Simulator, make_simulator
+from repro.sim import LatencyModel, Network, Process, Simulator, make_simulator, run_scope
 
 
 class Producer(Process):
@@ -163,7 +163,7 @@ def test_duplicated_network_releases_each_partition_once():
 
 
 def test_zk_registry_lookup_once_per_partition():
-    with Telemetry().activate():
+    with run_scope(Telemetry()):
         sim = make_simulator()
     network = Network(sim, latency=LatencyModel(0.001, 0.002))
     zk = install_zookeeper(network)

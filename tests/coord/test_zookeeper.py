@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from repro.coord import ZkClient, install_zookeeper
-from repro.coord.zookeeper import DELIVER
+from repro.coord.zookeeper import DELIVER, recorded_order
 from repro.obs.telemetry import Telemetry
-from repro.sim import LatencyModel, Network, Process, make_simulator
+from repro.sim import LatencyModel, Network, Process, make_simulator, run_scope
 
 
 class Subscriber(Process):
@@ -35,7 +35,7 @@ class Client(Process):
 def build(seed=0):
     """A service on a network whose simulator reports to a telemetry hub
     (``sim.telemetry``)."""
-    with Telemetry().activate():
+    with run_scope(Telemetry()):
         sim = make_simulator(seed=seed)
     network = Network(sim, latency=LatencyModel(0.001, 0.002))
     zk = install_zookeeper(network)
@@ -54,7 +54,7 @@ def test_sequencer_assigns_dense_sequence_numbers():
     seqs = sorted(seq for _, seq, _ in sub.deliveries)
     assert seqs == list(range(5))
     # each value sequenced once, in the order the trace recorded
-    assert sorted(zk.committed_order("t")) == [f"v{i}" for i in range(5)]
+    assert sorted(recorded_order(zk.trace, "t")) == [f"v{i}" for i in range(5)]
     assert [seq for seq, _ in zk.trace.data_series("zk.order:t")] == list(range(5))
     tallies = sim.telemetry.tallies()
     assert tallies["decisions"]["sequencer"] == 5
@@ -106,27 +106,6 @@ def test_writes_serialize_through_the_leader():
     sim.schedule(0.0, lambda: [client.zk.submit("t", i) for i in range(n)])
     finish = sim.run()
     assert finish >= n * zk.write_service
-
-
-def test_znode_get_set_round_trip():
-    sim, network, zk = build()
-    client = Client("c1")
-    network.register(client)
-
-    def kick():
-        # the network is unordered: sequence the read through the write ack
-        client.zk.set_znode(
-            "path/x",
-            [1, 2, 3],
-            callback=lambda: client.zk.get_znode("path/x", client.got.append),
-        )
-
-    sim.schedule(0.0, kick)
-    sim.run()
-    assert client.got == [[1, 2, 3]]
-    decisions = sim.telemetry.tallies()["decisions"]
-    assert decisions["zk_read"] == 1
-    assert decisions["zk_write"] == 1
 
 
 def test_get_of_missing_znode_returns_none():

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.chaos.harnesses import harness_for
+from repro.errors import ExecError
 from repro.exec import CACHE_SCHEMA_VERSION, CellCache, read_engine_stats
 from repro.exec.cache import kwargs_digest, record_engine_stats, schedule_digest
 
@@ -67,6 +69,14 @@ def test_put_get_roundtrip_counts_hits_and_misses(tmp_path):
     assert entry["wall_seconds"] == 0.5
     assert entry["fields"]["app"] == "wordcount"
     assert (cache.hits, cache.misses) == (1, 1)
+
+
+def test_a_cache_directory_that_is_a_file_is_an_exec_error(tmp_path):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    cache = CellCache(blocker)
+    with pytest.raises(ExecError, match=re.escape(f"cannot write the cell cache at {blocker}")):
+        cache.put(cache.key(FIELDS), {"score": 1}, wall_seconds=0.1)
 
 
 def test_corrupt_or_mismatched_entries_read_as_misses(tmp_path):

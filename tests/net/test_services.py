@@ -8,9 +8,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.net import frames
-from repro.net.context import NetConfig, socket_backend
+from repro.net.context import NetConfig
 from repro.net.services import NetSimulator, SocketTimeout
-from repro.sim.events import make_simulator
 from repro.sim.network import LatencyModel, Process, make_network
 
 CFG = NetConfig(time_scale=0.5)
@@ -42,12 +41,6 @@ def build(config=CFG, **net_kwargs):
         sim, latency=LatencyModel(base=0.002, jitter=0.003), **net_kwargs
     )
     return sim, net
-
-
-def test_make_simulator_respects_socket_scope():
-    with socket_backend(CFG):
-        assert isinstance(make_simulator(seed=1), NetSimulator)
-    assert not isinstance(make_simulator(seed=1), NetSimulator)
 
 
 def test_run_to_quiescence_delivers_everything():

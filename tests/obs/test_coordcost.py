@@ -23,10 +23,8 @@ from repro.obs.telemetry import Telemetry
         ("seal.punct", ("clicks", 3, "c0", "server0"), PLANE_COORDINATION, "seal:clicks"),
         ("zk.submit", ("orders", ("row",)), PLANE_COORDINATION, "order:orders"),
         ("zk.deliver", ("orders", 0, ("row",)), PLANE_COORDINATION, "order:orders"),
-        ("zk.set", ("producers/x", ["a"]), PLANE_COORDINATION, "znode"),
         ("zk.get", "producers/x", PLANE_COORDINATION, "znode"),
         ("zk.get_reply", ("producers/x", ["a"]), PLANE_COORDINATION, "znode"),
-        ("zk.set_reply", "producers/x", PLANE_COORDINATION, "znode"),
         ("txn.ready", 3, PLANE_COORDINATION, "txn"),
         ("txn.committed", 3, PLANE_COORDINATION, "txn"),
         ("st.ack", 3, PLANE_DELIVERY, ""),

@@ -80,7 +80,7 @@ DELIVERIES = (
     ("zk.deliver", ("orders", 0, ("tbl", ("r4",)))),
     ("bloom.insert", ("req", [("q0", "ad0"), ("q1", "ad1")])),
     ("st.ack", 1),
-    ("zk.set", ("k", "v")),
+    ("zk.get_reply", ("k", "v")),
     ("txn.commit", 1),
     ("custom", None),
 )
@@ -132,7 +132,7 @@ SENDS = (
     ("zk.submit", None),
     ("zk.deliver", (("tuple", "topic"), 0, None)),
     ("zk.deliver", []),
-    ("zk.set", None),
+    ("zk.get", None),
     ("zk.get_reply", ("k",)),
     ("txn.commit", 4),
     ("st.ack", 4),

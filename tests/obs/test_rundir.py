@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -33,6 +34,18 @@ def test_write_validate_roundtrip(tmp_path, sealed_outcome):
     # every artifact is strict JSON
     for name in ("meta.json", "metrics.json", "coordcost.json"):
         json.loads((rundir / name).read_text())
+
+
+@pytest.mark.parametrize("under", ["", "sub/run"])
+def test_a_location_that_cannot_hold_a_run_is_an_obs_error(tmp_path, sealed_outcome, under):
+    """An existing file, or a path below one, names itself in the error
+    and leaves no private temporary directory behind."""
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    target = blocker / under if under else blocker
+    with pytest.raises(ObsError, match=re.escape(f"cannot write run directory {target}")):
+        write_rundir(target, sealed_outcome[0])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
 
 
 def test_missing_artifact_is_rejected(tmp_path, sealed_outcome):

@@ -1,9 +1,9 @@
-"""The telemetry hub: the ledger's tallies, scoping, and runtime attachment."""
+"""The telemetry hub: the ledger's tallies and runtime attachment."""
 
 from __future__ import annotations
 
-from repro.obs.telemetry import Telemetry, activate, current
-from repro.sim import make_simulator
+from repro.obs.telemetry import Telemetry
+from repro.sim import make_simulator, run_scope
 from repro.sim.network import LatencyModel, Network, Process
 
 
@@ -43,48 +43,9 @@ def test_tallies():
     assert hub.sim_time_overhead == 0.0
 
 
-def test_current_is_none_by_default_and_nests():
-    assert current() is None
-    outer, inner = Telemetry(), Telemetry()
-    with activate(outer):
-        assert current() is outer
-        with inner.activate():
-            assert current() is inner
-        assert current() is outer
-    assert current() is None
-
-
-def test_activation_survives_exceptions():
-    hub = Telemetry()
-    try:
-        with hub.activate():
-            raise RuntimeError("boom")
-    except RuntimeError:
-        pass
-    assert current() is None
-
-
-def test_make_simulator_attaches_active_hub():
-    assert make_simulator(seed=0).telemetry is None
-    hub = Telemetry()
-    with hub.activate():
-        sim = make_simulator(seed=0)
-    assert sim.telemetry is hub
-    # attachment is by reference at build time, not re-resolved later
-    assert make_simulator(seed=0).telemetry is None
-
-
-def test_profiler_rides_the_hub_onto_the_simulator():
-    profiler_marker = object()
-    hub = Telemetry(profiler=profiler_marker)
-    with hub.activate():
-        sim = make_simulator(seed=0)
-    assert sim.profiler is profiler_marker
-
-
 def test_network_reports_sends_and_deliveries_through_the_hub():
     hub = Telemetry(spans=True)
-    with hub.activate():
+    with run_scope(hub):
         sim = make_simulator(seed=0)
     net = Network(sim, latency=LatencyModel(base=0.001, jitter=0.0))
     net.register(_Sink("a"))

@@ -190,7 +190,7 @@ def test_reliable_sequencer_submissions_survive_reorder_plus_partition():
     zk submissions crossing a partitioned link *during* a reorder burst
     are delayed (retried with the inflated latency), never lost, and the
     sequencer still assigns every value exactly one slot."""
-    from repro.coord.zookeeper import install_zookeeper
+    from repro.coord.zookeeper import install_zookeeper, recorded_order
     from repro.sim import LatencyModel, Network, Process, Simulator
 
     class Submitter(Process):
@@ -231,7 +231,7 @@ def test_reliable_sequencer_submissions_survive_reorder_plus_partition():
     assert len(zk.trace.data_series("zk.order:t")) == 20
     seqs = sorted(seq for _topic, seq, _value in subscriber.deliveries)
     assert seqs == list(range(20))
-    assert sorted(zk.committed_order("t")) == list(range(20))
+    assert sorted(recorded_order(zk.trace, "t")) == list(range(20))
     assert network.retried > 0
 
 

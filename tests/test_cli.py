@@ -237,6 +237,42 @@ def test_run_unknown_override_key_is_a_clean_error(capsys):
     assert err.startswith("error:") and "bogus" in err
 
 
+@pytest.mark.parametrize(
+    "app,override,named",
+    [
+        ("kvs", "workload=3", "KvsWorkload"),
+        ("adnet", "workload=3", "AdWorkload"),
+        ("q-poor", "workload=3", "AdWorkload"),
+        ("wordcount", "parallelism=3", "parallelism"),
+        ("wordcount", 'frame_size="a"', "frame_size"),
+        ("wordcount", 'replay_timeout="x"', "replay_timeout"),
+    ],
+)
+def test_run_override_of_the_wrong_type_is_a_clean_error(app, override, named, capsys):
+    assert main(["run", app, "--smoke", "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("where", ["rundir", "rundir-parent", "cache", "bench"])
+def test_an_unusable_output_location_is_a_clean_error(where, tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    argv = ["audit", "--smoke", "--apps", "kvs", "--schedules", "baseline", "--seeds", "1"]
+    if where == "cache":
+        monkeypatch.setenv("BLAZES_CACHE_DIR", str(blocker))
+        argv.append("--no-report")
+    elif where == "bench":
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(blocker))
+        argv.append("--no-cache")
+    else:
+        rundir = blocker if where == "rundir" else blocker / "sub" / "run"
+        argv = ["run", "kvs", "--smoke", "--rundir", str(rundir)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: cannot write" in err and str(blocker) in err and "Traceback" not in err
+
+
 def test_analyze_json_includes_derivations_when_asked(capsys):
     assert main(["analyze", "wordcount", "--json", "--derivations"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -562,3 +598,58 @@ def test_stats_engine_reports_cumulative_counters(capsys):
 def test_stats_without_app_or_engine_is_a_clean_error(capsys):
     assert main(["stats"]) == 1
     assert "--engine" in capsys.readouterr().err
+
+
+def _underpredicting_app(name):
+    """The kvs deployment declared with confluent annotations everywhere:
+    its uncoordinated replicas diverge, but it predicts ``Async``."""
+    from repro.api import BlazesApp
+    from repro.apps import kvs
+
+    profile = kvs.APP.audit_spec
+    confluent = [{"from": "put", "to": "getr", "label": "CR"}, {"from": "get", "to": "getr", "label": "CR"}]
+    return (
+        BlazesApp(name, backend="bloom", runner=kvs._run_app)
+        .component("Store", annotations=confluent)
+        .component("Cache", annotations=[{"from": "response", "to": "cached", "label": "CR"}])
+        .stream("puts", to="Store.put")
+        .stream("gets", to="Store.get")
+        .stream("responses", frm="Store.getr", to="Cache.response")
+        .stream("cached", frm="Cache.cached")
+        .strategy("uncoordinated", default=True)
+        .audit_profile(
+            strategies=("uncoordinated",), horizon=profile.horizon,
+            schedules=profile.schedules, run_params=profile.run_params, roles=profile.roles,
+            observe=profile.observe, workload_seed=profile.workload_seed, envelope=profile.envelope,
+        )
+    )
+
+
+EXIT_CASES = {
+    0: lambda spec: ["analyze", spec(sealed=True)],
+    1: lambda spec: ["run", "no-such-app"],
+    2: lambda spec: ["analyze", spec(sealed=False)],
+    3: lambda spec: ["lint", "adnet", "--strategy", "ordered"],
+    4: lambda spec: ["audit", "--smoke", "--apps", "under-predicts", "--seeds", "1", "--no-report"],
+    5: lambda spec: ["run", "kvs", "--backend", "socket", "--smoke", "--timeout", "0.01"],
+}
+
+
+@pytest.mark.parametrize("code", sorted(EXIT_CASES))
+def test_every_documented_exit_code(code, spec_file, capsys):
+    from pathlib import Path
+
+    from repro.api import register
+    from repro.api.registry import _REGISTRY
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"\n| {code} | " in readme, f"exit code {code} is not in README's table"
+    register(_underpredicting_app("under-predicts"))
+    try:
+        assert main(EXIT_CASES[code](spec_file)) == code
+    finally:
+        _REGISTRY.pop("under-predicts", None)
+    if code == 2:  # the collision the table notes: a usage error exits 2 too
+        with pytest.raises(SystemExit) as usage:
+            main(["no-such-verb"])
+        assert usage.value.code == 2

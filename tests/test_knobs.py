@@ -133,14 +133,14 @@ def test_retired_private_names_stay_gone():
         "repro/sim": ("_pool", "_recycle", "_POOL_LIMIT"),
         "repro/core": ("lru_cache", "functools.cache"),
         "repro/core/analysis.py": ("_interface_graph", "_Node", "_component_replicated", "_inputs_for"),
-        "repro": ("seal.frame", "SEAL_FRAME", '"global"'),
+        "repro": ("seal.frame", "SEAL_FRAME", '"global"', "_ACTIVE", "activate", "active_config"),
+        "repro/net": ("socket_backend", "resolve_backend", "from_env"),
     }
     for under, names in retired.items():
         paths = _sources(under) if (SRC / under).is_dir() else [SRC / under]
         found = [(p.name, n) for p in paths for n in names if n in p.read_text()]
         assert not found, found
-    for query in (Dataflow.streams_into, Dataflow.streams_from):
-        assert "_streams" not in inspect.getsource(query)
+    assert not any("_streams" in inspect.getsource(q) for q in (Dataflow.streams_into, Dataflow.streams_from))
     spelled = {str(p.relative_to(SRC)): p.read_text().count("producers/") for p in _sources()}
     assert {name: n for name, n in spelled.items() if n} == {"repro/coord/sealing.py": 1}
 
