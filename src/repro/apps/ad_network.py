@@ -316,10 +316,11 @@ def run_ad_network(
 
     # Reporting replicas with their delivery policy.
     adapters = []
+    probes = []
     for name in report_nodes:
         module = make_report_module(query, **(query_kwargs or {}))
         node = cluster.add_node(name, module)
-        _attach_processed_probe(cluster, node)
+        probes.append(_attach_processed_probe(cluster, node))
         adapters.append(
             apply_strategy(node, installed, zk=zk, stream_collections=CLICK_STREAMS)
         )
@@ -394,7 +395,7 @@ def run_ad_network(
         workload=workload,
         cluster=cluster,
         report_nodes=report_nodes,
-        completion_time=_completion_time(cluster, report_nodes, workload),
+        completion_time=_completion_time(cluster, probes),
         registry_lookups=sum(
             adapter.manager.registry_lookups
             for adapter in adapters
@@ -403,36 +404,37 @@ def run_ad_network(
     )
 
 
-def _attach_processed_probe(cluster: BloomCluster, node: BloomNode) -> None:
+def _attach_processed_probe(cluster: BloomCluster, node: BloomNode) -> dict:
     """Record the click records that became visible, one event per tick.
 
     The record's ``data`` is the tick's *delta* (an integer weight — see
     :meth:`repro.sim.trace.Trace.total`), and the table size comes from
     the runtime's O(1) cardinality, so the probe costs the same on a
-    10k-row table as on an empty one.
+    10k-row table as on an empty one.  Returns the probe's state, whose
+    ``at`` is the time of its latest record (``None`` before the first).
     """
-    state = {"seen": 0}
+    state = {"seen": 0, "at": None}
     event = f"processed:{node.name}"
 
     def probe(_outputs) -> None:
         size = node.runtime.count("clicks")
         delta = size - state["seen"]
         if delta > 0:
-            cluster.trace.record(node.now, node.name, event, delta)
-            state["seen"] = size
+            now = node.now
+            cluster.trace.record(now, node.name, event, delta)
+            state["seen"], state["at"] = size, now
 
     node.on_tick = probe
+    return state
 
 
-def _completion_time(
-    cluster: BloomCluster, report_nodes: list[str], workload: AdWorkload
-) -> float:
-    """Virtual time at which the slowest replica finished processing."""
-    times = []
-    for node in report_nodes:
-        last = cluster.trace.last(f"processed:{node}")
-        times.append(last.time if last is not None else cluster.sim.now)
-    return max(times) if times else cluster.sim.now
+def _completion_time(cluster: BloomCluster, probes: list[dict]) -> float:
+    """Virtual time at which the slowest replica finished processing: the
+    latest ``processed:`` record of each replica, as its probe kept it
+    (the current time for a replica that processed nothing), so no pass
+    over the trace is needed."""
+    now = cluster.sim.now
+    return max((now if probe["at"] is None else probe["at"] for probe in probes), default=now)
 
 
 # ----------------------------------------------------------------------

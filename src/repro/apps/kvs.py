@@ -238,14 +238,13 @@ class SealedKvsAdapter(SealedInputAdapter):
     def __init__(self, node: BloomNode, stream: str, collection: str, **kwargs) -> None:
         super().__init__(node, stream, collection, **kwargs)
         self._deferred_gets: dict[str, list[tuple]] = {}
-        node.add_plugin(self._gate_gets)
+        node.route(INSERT_MSG, self._gate_gets)
 
-    def _gate_gets(self, msg) -> bool:
-        if msg.kind != INSERT_MSG:
-            return False
+    def _gate_gets(self, msg) -> None:
         collection, rows = msg.payload
         if collection != "get":
-            return False
+            self.node.insert(collection, rows)
+            return
         ready: list[tuple] = []
         for row in rows:
             key = row[1]
@@ -255,7 +254,6 @@ class SealedKvsAdapter(SealedInputAdapter):
                 self._deferred_gets.setdefault(key, []).append(tuple(row))
         if ready:
             self.node.insert("get", ready)
-        return True
 
     def _release(self, partition, records: list) -> None:
         super()._release(partition, records)

@@ -10,7 +10,10 @@ re-running the fixpoint at all.
 Input *delivery policies* implement the coordination strategies the
 analyzer synthesizes (see :mod:`repro.bloom.rewrite`): plain asynchronous
 delivery, totally ordered delivery through the sequencer, or seal-based
-partition buffering.
+partition buffering.  A node dispatches each message by its kind to one
+handler: channel rows and inserts by default, and whatever kinds a
+delivery policy routes to itself (:meth:`BloomNode.route`) when it is
+wired.
 """
 
 from __future__ import annotations
@@ -50,32 +53,37 @@ class BloomNode(Process):
         }
         self._last_outputs: dict[str, frozenset[tuple]] = {}
         self._wake = None
-        self._plugins: list[Callable[[Message], bool]] = []
+        self._routes: dict[str, Callable[[Message], None]] = {
+            CHANNEL_MSG: self._channel_row,
+            INSERT_MSG: self._insert_rows,
+        }
         self.on_tick: Callable[[dict[str, frozenset[tuple]]], None] | None = None
-
-    # ------------------------------------------------------------------
-    # plugins (coordination adapters intercept messages before default)
-    # ------------------------------------------------------------------
-    def add_plugin(self, handler: Callable[[Message], bool]) -> None:
-        """Register a message interceptor; first handler returning True wins."""
-        self._plugins.append(handler)
 
     # ------------------------------------------------------------------
     # messaging
     # ------------------------------------------------------------------
+    def route(self, kind: str, handler: Callable[[Message], None]) -> None:
+        """Hand every message of ``kind`` to ``handler`` from now on.
+
+        A coordination adapter routes the kinds it takes when it is wired;
+        a kind has one handler, so routing it again replaces the last.
+        """
+        self._routes[kind] = handler
+
     def recv(self, msg: Message) -> None:
-        for plugin in self._plugins:
-            if plugin(msg):
-                return
-        kind = msg.kind
-        if kind == CHANNEL_MSG:
-            channel, row = msg.payload
-            self.runtime.deliver(channel, row)
-        elif kind == INSERT_MSG:
-            collection, rows = msg.payload
-            self.runtime.insert(collection, rows)
-        else:
-            raise BloomError(f"node {self.name} got unexpected message {kind}")
+        handler = self._routes.get(msg.kind)
+        if handler is None:
+            raise BloomError(f"node {self.name} got unexpected message {msg.kind}")
+        handler(msg)
+
+    def _channel_row(self, msg: Message) -> None:
+        channel, row = msg.payload
+        self.runtime.deliver(channel, row)
+        self.schedule_tick()
+
+    def _insert_rows(self, msg: Message) -> None:
+        collection, rows = msg.payload
+        self.runtime.insert(collection, rows)
         self.schedule_tick()
 
     def _channel_send(self, channel: str, address: str, row: tuple) -> None:
@@ -107,20 +115,24 @@ class BloomNode(Process):
             # pending input was redundant (e.g. duplicated deliveries of
             # rows a table already holds) without running the fixpoint
             return
-        last, self._last_outputs = self._last_outputs, outputs
-        if outputs is not last:  # the same dict holds only logged sets
-            for name, rows in outputs.items():
-                if rows is last.get(name):
-                    continue  # the very set already logged: nothing is fresh
-                fresh = rows - self.outputs_log[name]
-                if fresh and self.trace is not None:
-                    for row in sorted(fresh):
-                        self.trace.record(self.now, self.name, f"output:{name}", row)
-                self.outputs_log[name] |= fresh
+        if outputs is not self._last_outputs:  # the same dict holds only logged sets
+            self._log_outputs(outputs)
         if self.on_tick is not None:
             self.on_tick(outputs)
         if runtime.has_pending_input:
             self.schedule_tick()
+
+    def _log_outputs(self, outputs: dict[str, frozenset[tuple]]) -> None:
+        """Add what a tick's outputs hold beyond the log to it (and trace it)."""
+        last, self._last_outputs = self._last_outputs, outputs
+        for name, rows in outputs.items():
+            if rows is last.get(name):
+                continue  # the very set already logged: nothing is fresh
+            fresh = rows - self.outputs_log[name]
+            if fresh and self.trace is not None:
+                for row in sorted(fresh):
+                    self.trace.record(self.now, self.name, f"output:{name}", row)
+            self.outputs_log[name] |= fresh
 
     # ------------------------------------------------------------------
     # inspection

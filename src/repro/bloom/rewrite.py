@@ -28,12 +28,13 @@ from collections import deque
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.bloom.cluster import INSERT_MSG, TICK_DELAY, BloomNode
-from repro.coord.ordering import OrderedConsumer
+from repro.coord.ordering import OrderedInbox
 from repro.coord.sealing import SealedStreamProducer, SealManager
 from repro.coord.zookeeper import ZkClient, ZookeeperService
 from repro.core.strategy import NoCoordination, OrderStrategy, SealStrategy
 from repro.errors import BloomError
 from repro.sim.network import Message, Process
+from repro.wire import SEAL_DATA, SEAL_PUNCT, ZK_DELIVER, ZK_GET_REPLY
 
 __all__ = [
     "OrderedInputAdapter",
@@ -46,10 +47,10 @@ __all__ = [
 class OrderedInputAdapter:
     """Consumer-side ordering: apply sequencer deliveries in order.
 
-    Installed as a node plugin; every ``(collection, row)`` the sequencer
-    delivers is inserted into the runtime in sequence order, so all
-    replicas process identical input sequences — state-machine
-    replication.
+    The node routes the sequencer's deliveries on ``topic`` here; every
+    ``(collection, row)`` it delivers is inserted into the runtime in
+    sequence order, so all replicas process identical input sequences —
+    state-machine replication.
 
     Sequence order alone is not enough for replica agreement: Bloom nodes
     batch whatever input is pending into one timestep, so a replica whose
@@ -64,12 +65,18 @@ class OrderedInputAdapter:
 
     def __init__(self, node: BloomNode, topic: str) -> None:
         self.node = node
-        # only the node's plugin holds the consumer (and the inbox that
-        # calls back into this adapter): with no way back to them, the
-        # adapter leaves no cycle once a closed node drops its plugins
-        consumer = OrderedConsumer()
-        consumer.on_topic(topic, self._enqueue)
-        node.add_plugin(consumer.handle)
+        # only the node's route holds the inbox (which calls back into this
+        # adapter): with no way back to it, the adapter leaves no cycle
+        # once a closed node drops its routes
+        inbox = OrderedInbox(self._enqueue)
+
+        def deliver(msg: Message) -> None:
+            delivered, seq, value = msg.payload
+            if delivered != topic:
+                raise BloomError(f"{msg.dst} got a delivery on topic {delivered!r}")
+            inbox.offer(seq, value)
+
+        node.route(ZK_DELIVER, deliver)
         self.applied = 0
         self._queue: deque[tuple[str, tuple]] = deque()
         self._draining = False  # a released value's step is still ahead
@@ -107,6 +114,8 @@ class SealedInputAdapter:
     timestep, which is what makes the nonmonotonic component deterministic
     without global coordination.  A partition's producer set comes from
     ``producers_for`` or, without it, from one znode read per partition.
+    The node routes the stream's records and punctuations (and the znode
+    replies) straight to the manager, so a node takes one sealed stream.
     """
 
     def __init__(
@@ -118,23 +127,18 @@ class SealedInputAdapter:
         producers_for: Callable[[object], frozenset[str]] | None = None,
     ) -> None:
         # the manager and the adapter call each other back, a cycle that
-        # outlives the node's plugins: the way from it to the node is weak,
+        # outlives the node's routes: the way from it to the node is weak,
         # so a closed run's node is in no cycle and is freed at once
         self.node = weakref.proxy(node)
         self.collection = collection
-        self._zk_client = ZkClient(self.node) if producers_for is None else None
+        zk_client = ZkClient(self.node) if producers_for is None else None
         self.manager = SealManager(
-            stream,
-            self._release,
-            producers_for=producers_for,
-            zk_client=self._zk_client,
+            stream, self._release, producers_for=producers_for, zk_client=zk_client
         )
-        node.add_plugin(self._handle)
-
-    def _handle(self, msg) -> bool:
-        if self._zk_client is not None and self._zk_client.handle(msg):
-            return True
-        return self.manager.handle(msg)
+        node.route(SEAL_DATA, self.manager.record)
+        node.route(SEAL_PUNCT, self.manager.punctuate)
+        if zk_client is not None:
+            node.route(ZK_GET_REPLY, zk_client.handle)
 
     def _release(self, partition, records: list) -> None:
         self.node.insert(self.collection, [tuple(r) for r in records])
@@ -158,9 +162,10 @@ def apply_strategy(
     Returns the adapter (or ``None`` for :class:`NoCoordination`).  An
     :class:`OrderStrategy` subscribes the node to its sequencer topic on
     ``zk``, the deployment's coordination service.  For a
-    :class:`SealStrategy`, ``stream_collections`` maps sealed stream names
-    to the runtime collections their records target; ``producers_for``
-    is the adapters' static producer-set lookup.
+    :class:`SealStrategy` — of one sealed stream: a node takes one —
+    ``stream_collections`` maps the stream's name to the runtime
+    collection its records target; ``producers_for`` is the adapter's
+    static producer-set lookup.
     """
     if isinstance(strategy, NoCoordination):
         return None
@@ -170,18 +175,15 @@ def apply_strategy(
             zk.subscribe(topic, node.name)
         return OrderedInputAdapter(node, topic)
     if isinstance(strategy, SealStrategy):
-        stream_collections = stream_collections or {}
-        adapters = []
-        for stream, _key in strategy.partitions:
-            collection = stream_collections.get(stream)
-            if collection is None:
-                raise BloomError(
-                    f"no collection mapping for sealed stream {stream!r}"
-                )
-            adapters.append(
-                sealed_adapter(node, stream, collection, producers_for=producers_for)
+        if len(strategy.partitions) != 1:
+            raise BloomError(
+                f"a node takes one sealed stream, not {len(strategy.partitions)}"
             )
-        return adapters if len(adapters) != 1 else adapters[0]
+        ((stream, _key),) = strategy.partitions
+        collection = (stream_collections or {}).get(stream)
+        if collection is None:
+            raise BloomError(f"no collection mapping for sealed stream {stream!r}")
+        return sealed_adapter(node, stream, collection, producers_for=producers_for)
     raise BloomError(f"unknown strategy {strategy!r}")
 
 

@@ -31,8 +31,10 @@ idiom (``t <- old_row; t <+ new_row``) relies on it;
 keeps a materialized output and a pipeline compiled once from its body
 (:func:`repro.bloom.ast.compile_rule`: per-operator hash indexes held in
 closures); a map from each collection to the rules that scan it, built at
-construction, hands every published change to exactly those rules, so a
-wave is "the dirty rules of this stratum" and nothing is polled.  A tick
+construction, hands every published change to exactly those rules, and a
+rule that was clean joins its stratum's *worklist*.  A stratum runs in
+waves, each taking the whole worklist, so a wave is "the dirty rules of
+this stratum" and nothing is polled or scanned.  A tick
 costs O(|delta|) — what arrived, what the rules derive from it, and the
 re-assertion of those rule-written transients that are not standing sinks
 — never O(|database|), and nothing at all for an unchanged output.  The
@@ -90,17 +92,18 @@ class _RuleState:
     the rule's materialized output — kept exactly equal to the body
     evaluated from scratch over current storage (``naive_eval`` in
     ``tests/reference``) by delta propagation.  ``inbox`` is the net change
-    of each scanned collection published since the rule last fired;
-    ``dirty`` says the rule must fire: it never has, its inbox filled, or
-    it must ``reassert`` its output into a target that lost rows
-    (``standing``: the target is a standing sink, which never does).
-    ``level`` is the rule's stratum (``None`` for an end-of-step rule).  The
-    body's width is checked here, once, and not per derived row.
+    of each scanned collection published since the rule last fired, and
+    ``None`` while the rule is clean: a rule is dirty — it never fired, its
+    inbox filled, or it must ``reassert`` its output into a target that
+    lost rows (``standing``: the target is a standing sink, which never
+    does) — exactly while its inbox is a dict, and exactly then it sits on
+    ``work``, its stratum's worklist (the end-of-step rules share one).
+    The body's width is checked here, once, and not per derived row.
     """
 
     __slots__ = (
         "rule", "lhs", "scans", "negated", "decl",
-        "step", "out", "inbox", "dirty", "reassert", "standing", "level",
+        "step", "out", "inbox", "reassert", "standing", "work",
     )
 
     def __init__(self, rule: Rule, decl: CollectionDecl) -> None:
@@ -113,10 +116,9 @@ class _RuleState:
         self.decl = decl
         self.step: Step | None = None
         self.out: set[tuple] = set()
-        self.inbox: dict[str, Delta] = {}
-        self.dirty = True
+        self.inbox: dict[str, Delta] | None = {}  # dirty: the first firing is due
         self.reassert = False
-        self.level = None
+        self.work: list[_RuleState] = []
 
 
 class BloomRuntime:
@@ -142,24 +144,27 @@ class BloomRuntime:
       eval(env)`` without rescanning;
     * waves are iteration-aligned: every rule fired in a wave sees the
       same start-of-wave contents (additions are staged and applied at
-      the wave boundary), mirroring the naive per-iteration snapshot;
+      the wave boundary), mirroring the naive per-iteration snapshot — so
+      the order in which a wave fires its rules cannot be observed;
     * a standing sink (module docstring) is never read, so applying its
       writers' net changes in place ends every step on the contents the
       naive clear-and-re-derive computes.
 
     Change tracking is push, not poll: every published change lands in
-    the inbox of each rule that scans the collection and marks it dirty,
-    and both the inboxes and the pipelines' indexes persist across ticks.
-    One aliasing rule keeps publishing copy-free: a set that has been
-    published (handed to ``_record``) is never mutated afterwards, and a
-    storage set — which *is* mutated in place — is never a published one.
+    the inbox of each rule that scans the collection, and a rule whose
+    inbox was empty joins its stratum's worklist; both the inboxes and the
+    pipelines' indexes persist across ticks.  A stratum is evaluated by
+    waves drawn from its worklist — never by a scan of its rules — and a
+    wave of one rule publishes its rows straight away (there is no other
+    rule in the wave to hide them from).  One aliasing rule keeps
+    publishing copy-free: a set that has been published (handed to
+    ``_record``) is never mutated afterwards, and a storage set — which
+    *is* mutated in place — is never a published one.
 
     The bookkeeping is as sparse as the delta.  The boundary visits the
     collections with pending input and the transients that hold rows
     (``_filled``, kept exact: a transient enters it when it gains rows and
-    leaves it at the boundary that clears it), and nothing else.  A
-    stratum is evaluated only while it is in ``_dirty``, the set of strata
-    holding a dirty rule, which every mark of a rule as dirty updates.
+    leaves it at the boundary that clears it), and nothing else.
     """
 
     def __init__(
@@ -186,20 +191,23 @@ class BloomRuntime:
             _RuleState(rule, module.declaration(rule.lhs)) for rule in module.program
         ]
         self._strata = _stratify(module, rules)
-        for level, stratum in enumerate(self._strata):
-            for state in stratum:
-                state.level = level
+        # every rule starts on a worklist: its first firing materializes it
+        self._work = [list(stratum) for stratum in self._strata]
+        for work in self._work:
+            for state in work:
+                state.work = work
         self._end_rules = tuple(
             state for state in rules if not state.rule.instantaneous
         )
+        self._ended = list(self._end_rules)
+        for state in self._end_rules:
+            state.work = self._ended
         # change routing, fixed for the runtime's life: the rules that scan
-        # each collection with the strata they sit in, and the instantaneous
-        # rules that derive each collection
-        self._readers = {}
-        for name in self.storage:
-            readers = tuple(state for state in rules if name in state.scans)
-            levels = frozenset(s.level for s in readers if s.level is not None)
-            self._readers[name] = readers, levels
+        # each collection, and the instantaneous rules that derive it
+        self._readers = {
+            name: tuple(state for state in rules if name in state.scans)
+            for name in self.storage
+        }
         self._writers = {
             name: tuple(s for s in rules if s.lhs == name and s.rule.instantaneous)
             for name in self.storage
@@ -209,7 +217,7 @@ class BloomRuntime:
         deferred_into = {state.lhs for state in self._end_rules}
         self._standing = frozenset(
             name for name in self._output_names
-            if not self._readers[name][0] and name not in deferred_into
+            if not self._readers[name] and name not in deferred_into
         )
         for state in rules:
             state.standing = state.rule.instantaneous and state.lhs in self._standing
@@ -217,7 +225,11 @@ class BloomRuntime:
             decl.name for decl in module.declarations if decl.transient
         ) - self._standing
         self._filled: set[str] = set()
-        self._dirty = set(range(len(self._strata)))
+        # transients no instantaneous rule derives: their storage set is
+        # never mutated in place, only replaced at the boundary
+        self._unwritten = frozenset(
+            name for name in self._transient if not self._writers[name]
+        )
         self._lingering: dict[str, set[tuple]] = {}
         # tick()'s result; ``_stale`` names the snapshots to retake (always
         # the outputs that are not standing: they are re-derived every tick)
@@ -259,10 +271,10 @@ class BloomRuntime:
     @property
     def has_pending_input(self) -> bool:
         """True when queued inserts/deletes will affect the next step."""
-        inserts, deletes = self._pending_inserts, self._pending_deletes
-        if inserts or deletes:  # after a tick both are usually drained dicts
-            return any(inserts.values()) or any(deletes.values())
-        return False
+        # after a tick both are usually empty dicts: the first test answers
+        return bool(self._pending_inserts or self._pending_deletes) and (
+            any(self._pending_inserts.values()) or any(self._pending_deletes.values())
+        )
 
     # ------------------------------------------------------------------
     # evaluation
@@ -282,12 +294,8 @@ class BloomRuntime:
         ``Const``-only rules).  Skipping such a tick is exactly equivalent
         to running it.
         """
-        storage = self.storage
         inserts, deletes = self._pending_inserts, self._pending_deletes
-        if inserts:
-            self._pending_inserts = {}
-        if deletes:
-            self._pending_deletes = {}
+        self._pending_inserts, self._pending_deletes = {}, {}
         if (
             not self._filled
             and self.tick_count
@@ -301,62 +309,40 @@ class BloomRuntime:
         self._apply_boundary(inserts, deletes)
 
         # 2. instantaneous strata to fixpoint, wave-aligned: a wave fires
-        # the rules of the stratum that are dirty when it starts (firing
-        # dirties nothing; only publishing does, at the wave boundary).
-        dirty, filled, transient = self._dirty, self._filled, self._transient
-        for level, stratum in enumerate(self._strata):
-            if level not in dirty:
-                continue
+        # the rules on the stratum's worklist when it starts; what they
+        # publish at its end puts rules on this and higher worklists.
+        for work in self._work:
             first_wave = True
-            while True:
-                dirty.discard(level)
-                staging = {}  # target -> rows this wave adds to it
-                for state in stratum:
-                    if not state.dirty:
-                        continue
-                    base = state.inbox
-                    if base and state.step is not None:
-                        # _fire's common case, inlined: consume the inbox
-                        state.dirty = False
-                        state.inbox = {}
-                        added, removed = state.step(base)
-                        if removed:
-                            state.out -= removed
-                        if added:
-                            state.out |= added
-                    else:
-                        added, removed = self._fire(state)
-                    if state.standing:
-                        if added or removed:
-                            self._update_sink(state, added, removed, first_wave)
-                        continue
-                    if state.reassert:
-                        state.reassert = False
-                        added = state.out
-                    if added:
-                        lhs = state.lhs
-                        fresh = added - storage[lhs]
-                        if fresh:
-                            staging[lhs] = staging[lhs] | fresh if lhs in staging else fresh
-                if not staging:
-                    break  # nothing published: no rule here went dirty
-                # wave boundary: publish this wave's additions at once,
-                # exactly like naive evaluation's per-iteration snapshot
-                for name, rows in staging.items():
-                    storage[name] |= rows
-                    if name in transient:
-                        filled.add(name)
-                    self._record(name, rows, NO_ROWS)
-                if level not in dirty:
-                    break
+            while work:
+                if len(work) == 1:  # nothing else in the wave to stage for
+                    rows = self._fire_in_wave(state := work.pop(), first_wave)
+                    if rows:
+                        self._add(state.lhs, rows)
+                else:
+                    self._wave(work, first_wave)
                 first_wave = False
 
         # 3. end of step: deferred / deletion / async rules evaluate
         # against the fixpoint and emit their full materialized output
         # every tick (pending queues were drained; async re-sends).
+        if self._end_rules:
+            self._end_step()
+
+        self.tick_count += 1
+        if self._stale:
+            fresh = {name: frozenset(self.storage[name]) for name in self._stale}
+            self._outputs = self._outputs | fresh
+            self._stale = set(self._volatile)
+        return self._outputs
+
+    def _end_step(self) -> None:
+        """Fire the dirty end-of-step rules, then emit every one's output."""
+        ended = self._ended
+        while ended:
+            state = ended.pop()
+            base, state.inbox = state.inbox, None
+            self._fire(state, base)
         for state in self._end_rules:
-            if state.dirty:
-                self._fire(state)
             rule = state.rule
             if rule.deferred:
                 self._pending_inserts.setdefault(rule.lhs, set()).update(state.out)
@@ -367,12 +353,48 @@ class BloomRuntime:
                 # transport/kind checks raise even for an empty output
                 self._send_async(rule.lhs, state.out)
 
-        self.tick_count += 1
-        if self._stale:
-            fresh = {name: frozenset(storage[name]) for name in self._stale}
-            self._outputs = self._outputs | fresh
-            self._stale = set(self._volatile)
-        return self._outputs
+    def _wave(self, work: list[_RuleState], first_wave: bool) -> None:
+        """Fire every rule on ``work`` against the same start-of-wave
+        contents, then publish what they added, merged per target."""
+        wave = work.copy()
+        work.clear()
+        staging: dict[str, set[tuple]] = {}
+        for state in wave:
+            rows = self._fire_in_wave(state, first_wave)
+            if rows:
+                lhs = state.lhs
+                if lhs in staging:
+                    staging[lhs] |= rows  # a fresh set: never published
+                else:
+                    staging[lhs] = rows
+        for name, rows in staging.items():
+            self._add(name, rows)
+
+    def _fire_in_wave(self, state: _RuleState, first_wave: bool):
+        """Fire one rule of a wave; returns the rows it adds to its target,
+        not yet published (none for a standing sink, updated in place)."""
+        base, state.inbox = state.inbox, None
+        if base and (step := state.step) is not None:  # _fire's common case, inlined
+            added, removed = step(base)
+            state.out -= removed
+            state.out |= added
+        else:
+            added, removed = self._fire(state, base)
+        if state.standing:
+            if added or removed:
+                self._update_sink(state, added, removed, first_wave)
+            return NO_ROWS
+        if state.reassert:
+            state.reassert = False
+            added = state.out
+        return added - self.storage[state.lhs] if added else NO_ROWS
+
+    def _add(self, name: str, rows: set[tuple]) -> None:
+        """Publish rows a wave added to an instantaneous rule's target."""
+        self.storage[name] |= rows
+        if name in self._transient:
+            self._filled.add(name)
+        self._record(name, rows, NO_ROWS)
 
     def _quiet(self, inserts, deletes) -> bool:
         """Would a boundary with this pending input change nothing?  Asked
@@ -389,28 +411,29 @@ class BloomRuntime:
     def _record(self, name: str, added, removed) -> None:
         """Publish one change to the rules that scan the collection.
 
-        A lone change is handed on as-is; a second one for the same
-        collection before the rule fires folds into the net change.
+        A clean rule takes the change as its whole inbox and joins its
+        worklist; a second change for the same collection before the rule
+        fires folds into the net change.
         """
-        readers, levels = self._readers[name]
-        self._dirty.update(levels)
-        for state in readers:
-            state.dirty = True
-            inbox = state.inbox
-            earlier = inbox.get(name)
-            if earlier is None:
-                inbox[name] = (added, removed)
-                continue
-            was_added, was_removed = earlier
-            net_added = (was_added - removed) | (added - was_removed)
-            net_removed = (was_removed - added) | (removed - was_added)
-            if net_added or net_removed:
-                inbox[name] = (net_added, net_removed)
+        for state in self._readers[name]:
+            if state.inbox is None:
+                state.inbox = {name: (added, removed)}
+                state.work.append(state)
+            elif name not in state.inbox:
+                state.inbox[name] = (added, removed)
             else:
-                del inbox[name]
+                inbox = state.inbox
+                was_added, was_removed = inbox[name]
+                net_added = (was_added - removed) | (added - was_removed)
+                net_removed = (was_removed - added) | (removed - was_added)
+                if net_added or net_removed:
+                    inbox[name] = (net_added, net_removed)
+                else:
+                    del inbox[name]
 
-    def _fire(self, state: _RuleState) -> Delta:
-        """Bring the rule's materialized output up to date.
+    def _fire(self, state: _RuleState, base: dict[str, Delta]) -> Delta:
+        """Bring the rule's materialized output up to date from ``base``,
+        the inbox the caller took off it.
 
         Returns the net change of the output.  The first firing compiles
         the body and materializes it (every scanned collection's live
@@ -418,8 +441,6 @@ class BloomRuntime:
         when nothing arrived; later firings consume only the inbox, and one
         with an empty inbox changes nothing (a re-assert still follows it).
         """
-        state.dirty = False
-        base, state.inbox = state.inbox, {}
         step = state.step
         if step is None:
             step = state.step = compile_rule(state.rule.rhs)
@@ -472,15 +493,18 @@ class BloomRuntime:
             if rows:
                 storage[name] = rows
                 self._filled.add(name)
-                self._publish(name, rows - current, current - rows)
+                if len(rows) == 1 == len(current) and rows != current and name in self._unwritten:
+                    # a one-row swap: both sets are beyond mutation now
+                    self._record(name, rows, current)
+                else:
+                    self._publish(name, rows - current, current - rows)
             else:
                 storage[name] = set()
                 self._publish(name, NO_ROWS, current)
-        transient = self._transient
         for name, rows in inserts.items():
             if not rows:
                 continue
-            if name in transient:  # an empty one: it was not filled
+            if name in self._transient:  # an empty one: it was not filled
                 storage[name] = set(rows)
                 self._filled.add(name)
                 self._publish(name, rows, NO_ROWS)
@@ -495,7 +519,7 @@ class BloomRuntime:
             current |= added
             self._publish(name, added, removed)
         for name, rows in deletes.items():
-            if rows and name not in transient:
+            if rows and name not in self._transient:
                 removed = rows & storage[name]
                 storage[name] -= removed
                 self._publish(name, NO_ROWS, removed)
@@ -510,8 +534,10 @@ class BloomRuntime:
         if removed:
             for state in self._writers[name]:
                 if state.out:
-                    state.reassert = state.dirty = True
-                    self._dirty.add(state.level)
+                    state.reassert = True
+                    if state.inbox is None:
+                        state.inbox = {}
+                        state.work.append(state)
 
     def _send_async(self, channel: str, rows: Iterable[tuple]) -> None:
         decl = self.module.declaration(channel)
@@ -547,8 +573,10 @@ class BloomRuntime:
         per-tick probes over large tables (the fig12 processed-records
         probe) need the O(1) answer.
         """
-        self.module.declaration(collection)
-        return len(self.storage[collection])
+        rows = self.storage.get(collection)
+        if rows is None:
+            self.module.declaration(collection)  # an unknown name raises here
+        return len(rows)
 
     def strata(self) -> tuple[tuple[Rule, ...], ...]:
         """The stratified instantaneous program (for tests/inspection)."""

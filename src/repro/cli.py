@@ -398,7 +398,7 @@ def _cmd_run(args) -> int:
         # an unknown --set key surfaces as an unexpected-keyword TypeError
         # deep in the runner; translate it into the CLI's clean error shape
         # only when the rejected keyword really came from a --set flag
-        match = re.search(r"unexpected keyword argument '(\w+)'", str(exc))
+        match = re.search(r"unexpected keyword argument '([^']+)'", str(exc))
         if match and match.group(1) in overrides:
             raise BlazesError(f"bad --set override: {exc}") from exc
         raise

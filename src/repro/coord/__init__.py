@@ -7,14 +7,13 @@ punctuations.
 """
 
 from repro.coord.assignment import ReplicaAssignment, stable_hash
-from repro.coord.ordering import OrderedConsumer, OrderedInbox
+from repro.coord.ordering import OrderedInbox
 from repro.coord.sealing import DATA, PUNCT, SealManager, SealedStreamProducer
 from repro.coord.zookeeper import ZkClient, ZookeeperService, install_zookeeper
 
 __all__ = [
     "ReplicaAssignment",
     "stable_hash",
-    "OrderedConsumer",
     "OrderedInbox",
     "DATA",
     "PUNCT",

@@ -14,10 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
-from repro.sim.network import Message
-from repro.wire import ZK_DELIVER as DELIVER
-
-__all__ = ["OrderedInbox", "OrderedConsumer"]
+__all__ = ["OrderedInbox"]
 
 
 class OrderedInbox:
@@ -38,23 +35,29 @@ class OrderedInbox:
 
     def offer(self, seq: int, value: Any) -> int:
         """Accept one delivery; returns how many values were released."""
-        pending = self._pending
         if seq != self._next_seq:
-            if seq < self._next_seq or seq in pending:
+            if seq < self._next_seq or seq in self._pending:
                 self.duplicates += 1
             else:
-                pending[seq] = value
+                self._pending[seq] = value
             return 0
         # in order: release it, then whatever it was holding back
+        self._next_seq = seq + 1
+        self.applied += 1
+        self.handler(value)
+        return 1 + self._release_held() if self._pending else 1
+
+    def _release_held(self) -> int:
+        """Release the held deliveries the last release made contiguous."""
+        pending = self._pending
         released = 0
-        while True:
+        while self._next_seq in pending:
+            value = pending.pop(self._next_seq)
             self._next_seq += 1
             self.applied += 1
             released += 1
             self.handler(value)
-            if self._next_seq not in pending:
-                return released
-            value = pending.pop(self._next_seq)
+        return released
 
     @property
     def next_seq(self) -> int:
@@ -65,30 +68,3 @@ class OrderedInbox:
     def buffered(self) -> int:
         """Deliveries held back by gaps."""
         return len(self._pending)
-
-
-class OrderedConsumer:
-    """Per-process demultiplexer for sequencer deliveries.
-
-    A process that subscribes to several topics registers one handler per
-    topic and forwards every ``zk.deliver`` message here.
-    """
-
-    def __init__(self) -> None:
-        self._inboxes: dict[str, OrderedInbox] = {}
-
-    def on_topic(self, topic: str, handler: Callable[[Any], None]) -> OrderedInbox:
-        """Register the in-order handler for one topic."""
-        inbox = OrderedInbox(handler)
-        self._inboxes[topic] = inbox
-        return inbox
-
-    def handle(self, msg: Message) -> bool:
-        """Route a delivery; returns True when the message was one."""
-        if msg.kind != DELIVER:
-            return False
-        topic, seq, value = msg.payload
-        inbox = self._inboxes.get(topic)
-        if inbox is not None:
-            inbox.offer(seq, value)
-        return True

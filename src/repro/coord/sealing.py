@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable
 from typing import Any
 
-from repro.coord.ordering import OrderedInbox
 from repro.coord.zookeeper import ZkClient
 from repro.errors import SimulationError
 from repro.sim.events import RUN_SCOPE
@@ -64,11 +63,6 @@ class SealedStreamProducer:
         self._open: set[Partition] = set()
         self._chan_seq: dict[str, int] = {}
 
-    def _next_seq(self, dst: str) -> int:
-        seq = self._chan_seq.get(dst, 0)
-        self._chan_seq[dst] = seq + 1
-        return seq
-
     def send_record(self, dst: str, partition: Partition, record: Any) -> None:
         """Send one data record within a partition."""
         if partition in self._sealed:
@@ -77,21 +71,17 @@ class SealedStreamProducer:
                 f"{partition!r} on stream {self.stream}"
             )
         self._open.add(partition)
-        self.process.send(
-            dst,
-            DATA,
-            (self.stream, self._next_seq(dst), partition, record, self.process.name),
-        )
+        seq = self._chan_seq.get(dst, 0)
+        self._chan_seq[dst] = seq + 1
+        self.process.send(dst, DATA, (self.stream, seq, partition, record, self.process.name))
 
     def seal(self, dst: str, partition: Partition) -> None:
         """Punctuate: promise no more records for ``partition``."""
         self._sealed.add(partition)
         self._open.discard(partition)
-        self.process.send(
-            dst,
-            PUNCT,
-            (self.stream, self._next_seq(dst), partition, self.process.name),
-        )
+        seq = self._chan_seq.get(dst, 0)
+        self._chan_seq[dst] = seq + 1
+        self.process.send(dst, PUNCT, (self.stream, seq, partition, self.process.name))
 
     def seal_all(self, dst: str) -> None:
         """Punctuate every partition this producer has touched."""
@@ -136,7 +126,10 @@ class SealManager:
         self.on_complete = on_complete
         self._producers_for = producers_for
         self._zk = zk_client
-        self._channels: dict[str, OrderedInbox] = {}
+        # channel reassembly: each producer's next sequence number, and, for
+        # a producer with a gap, the messages that arrived ahead of it
+        self._expected: dict[str, int] = {}
+        self._early: dict[str, dict[int, tuple[Partition, Any]]] = {}
         self._buffers: dict[Partition, list[Any]] = {}
         self._seals: dict[Partition, set[str]] = {}
         self._producer_sets: dict[Partition, frozenset[str]] = {}
@@ -148,39 +141,68 @@ class SealManager:
     # message handling
     # ------------------------------------------------------------------
     def handle(self, msg) -> bool:
-        """Route a network message; returns True when it belonged here.
-
-        Messages from each producer are reassembled in channel-sequence
-        order before the protocol sees them, so a punctuation can never
-        overtake the data records it covers.
-        """
-        if msg.kind == DATA:
-            stream, seq, partition, record, producer = msg.payload
-            if stream != self.stream:
-                return False
-            self._channel(producer).offer(seq, (partition, record, producer))
-            return True
-        if msg.kind == PUNCT:
-            stream, seq, partition, producer = msg.payload
-            if stream != self.stream:
-                return False
-            self._channel(producer).offer(seq, (partition, _SEAL_MARK, producer))
-            return True
-        return False
-
-    def _channel(self, producer: str) -> "OrderedInbox":
-        inbox = self._channels.get(producer)
-        if inbox is None:
-            inbox = OrderedInbox(self._apply_in_order)
-            self._channels[producer] = inbox
-        return inbox
-
-    def _apply_in_order(self, item: tuple[Partition, Any, str]) -> None:
-        partition, record, producer = item
-        if record is _SEAL_MARK:
-            self.on_seal(partition, producer)
+        """Route a network message; returns True when it belonged here
+        (a ``seal.data`` or ``seal.punct`` message of this stream)."""
+        kind = msg.kind
+        if kind not in (DATA, PUNCT) or msg.payload[0] != self.stream:
+            return False
+        if kind == DATA:
+            self.record(msg)
         else:
+            self.punctuate(msg)
+        return True
+
+    def record(self, msg) -> None:
+        """Take one ``seal.data`` message of this stream.
+
+        Messages from each producer apply in channel-sequence order, so a
+        punctuation can never overtake the data records it covers: one
+        that arrives ahead of a gap is held until the gap fills, and a
+        replayed one is dropped.
+        """
+        stream, seq, partition, record, producer = msg.payload
+        if stream == self.stream and seq == self._expected.get(producer, 0):
+            self._expected[producer] = seq + 1
             self.on_data(partition, record, producer)
+            if producer in self._early:
+                self._catch_up(producer)
+        else:
+            self._hold(stream, producer, seq, (partition, record))
+
+    def punctuate(self, msg) -> None:
+        """Take one ``seal.punct`` message of this stream, in channel order
+        like :meth:`record`."""
+        stream, seq, partition, producer = msg.payload
+        if stream == self.stream and seq == self._expected.get(producer, 0):
+            self._expected[producer] = seq + 1
+            self.on_seal(partition, producer)
+            if producer in self._early:
+                self._catch_up(producer)
+        else:
+            self._hold(stream, producer, seq, (partition, _SEAL_MARK))
+
+    def _hold(self, stream: str, producer: str, seq: int, item: tuple) -> None:
+        """Keep a message that arrived ahead of a gap in its channel."""
+        if stream != self.stream:
+            raise SimulationError(
+                f"the seal manager of stream {self.stream!r} got a message "
+                f"of stream {stream!r}"
+            )
+        if seq > self._expected.get(producer, 0):  # below it: a replay
+            self._early.setdefault(producer, {}).setdefault(seq, item)
+
+    def _catch_up(self, producer: str) -> None:
+        """Apply the held messages the last one made contiguous."""
+        held, expected = self._early[producer], self._expected
+        while (item := held.pop(expected[producer], None)) is not None:
+            expected[producer] += 1
+            partition, record = item
+            if record is _SEAL_MARK:
+                self.on_seal(partition, producer)
+            else:
+                self.on_data(partition, record, producer)
+        if not held:
+            del self._early[producer]
 
     def on_data(self, partition: Partition, record: Any, producer: str) -> None:
         """Buffer one record until its partition is complete."""

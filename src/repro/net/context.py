@@ -79,8 +79,9 @@ def net_config(backend: str | None, timeout: float | None) -> NetConfig | None:
                     f"{variable}={env[variable]!r} is not a number"
                 ) from exc
     config = NetConfig(**fields)
-    if config.time_scale <= 0:
-        raise SimulationError(
-            f"time_scale must be positive, got {config.time_scale}"
-        )
+    # ``not > 0`` so that NaN, which compares false both ways, fails too
+    if not config.time_scale > 0:
+        raise SimulationError(f"time_scale must be positive, got {config.time_scale}")
+    if timeout is not None and not timeout > 0:
+        raise SimulationError(f"timeout must be positive, got {timeout}")
     return config

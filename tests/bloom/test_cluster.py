@@ -18,7 +18,8 @@ from repro.coord.sealing import DATA, PUNCT, SealedStreamProducer
 from repro.coord.zookeeper import SUBMIT, install_zookeeper
 from repro.core.strategy import NoCoordination, OrderStrategy, SealStrategy
 from repro.errors import BloomError
-from repro.sim.network import Process
+from repro.sim.network import Message, Process
+from repro.wire import ZK_DELIVER
 
 
 class Pinger(BloomModule):
@@ -130,6 +131,15 @@ def test_ordered_adapter_applies_identical_sequences():
     assert all(adapter.applied == 20 for adapter in adapters)
 
 
+def test_a_delivery_on_another_topic_is_a_wiring_error():
+    cluster = BloomCluster(seed=0)
+    node = cluster.add_node("r0", Accumulator())
+    OrderedInputAdapter(node, "ops")
+    stray = Message("zookeeper", "r0", ZK_DELIVER, ("other", 0, ("inp", ("v",))), 0.0, 0)
+    with pytest.raises(BloomError, match="topic 'other'"):
+        node.recv(stray)
+
+
 def test_sealed_adapter_buffers_until_punctuated():
     cluster = BloomCluster(seed=5)
     node = cluster.add_node("r0", Accumulator())
@@ -174,6 +184,9 @@ def test_apply_strategy_dispatch():
     assert isinstance(seal, SealedInputAdapter)
     with pytest.raises(BloomError):
         apply_strategy(node, SEAL_ON_K)
+    two_streams = SealStrategy("n", (("s", frozenset({"k"})), ("t", frozenset({"k"}))), ())
+    with pytest.raises(BloomError, match="one sealed stream"):
+        apply_strategy(node, two_streams, stream_collections={"s": "inp", "t": "inp"})
     with pytest.raises(BloomError):
         apply_strategy(node, "ordered")
 

@@ -21,6 +21,10 @@ ways:
   objects* (the generator above never does), so the compiled pipeline's
   once-per-round answer for a shared node is held to the reference too.
 
+* hypothesis-random arrival orders over a module whose first stratum
+  holds rules fed by distinct inputs, so the order in which rules join
+  a wave's worklist varies and is held to the reference too.
+
 * one-row schedules — exactly one row into one input per tick, the shape
   of the ordered strategy's sequenced timesteps — over the four Figure 6
   report modules (thresholds their counts cross mid-run) and both modules
@@ -345,6 +349,65 @@ RECOUNT_ROW = st.tuples(
 def test_a_count_whose_row_leaves_and_returns_in_one_tick_is_engine_equivalent(steps):
     plan = [[(collection, [row]) for collection, row in step] for step in steps]
     _run_differential(RecountModule(), plan)
+
+
+class WaveOrderModule(BloomModule):
+    """One stratum of rules, each fed by an input of its own.
+
+    The order in which a tick's inputs arrive is the order in which their
+    rules join the stratum's worklist.  Three rules write ``t``, three
+    share the standing sink ``seen`` (one of them joining two inputs), and
+    a scratch hands ``t`` more rows in a second wave, so one wave fires
+    several rules into the same targets; ``<-`` retracts from ``t`` and a
+    count over it sits a stratum above.
+    """
+
+    def setup(self) -> None:
+        for name in ("in0", "in1", "in2", "drop"):
+            self.input_interface(name, ["a", "b"])
+        self.table("t", ["a", "b"])
+        self.scratch("s", ["a", "b"])
+        self.output_interface("seen", ["a", "b"])
+        self.output_interface("fan", ["a", "n"])
+
+    def rules(self):
+        both = self.join(
+            self.scan("in0"),
+            self.project(self.scan("in2"), [("a", "x"), ("b", "y")]),
+            on=[("a", "x")],
+        )
+        return [
+            self.rule("t", "<=", self.scan("in0")),
+            self.rule("t", "<=", self.project(self.scan("in1"), [("b", "a"), ("a", "b")])),
+            self.rule("s", "<=", self.scan("in2")),
+            self.rule("t", "<=", self.scan("s")),
+            self.rule("seen", "<=", self.scan("in0")),
+            self.rule("seen", "<=", self.scan("in1")),
+            self.rule("seen", "<=", self.project(both, ["a", ("y", "b")])),
+            self.rule("t", "<-", self.scan("drop")),
+            self.rule(
+                "fan", "<=", self.group_by(self.scan("t"), ["a"], [("n", "count", None)])
+            ),
+        ]
+
+
+WAVE_ROW = st.tuples(
+    st.sampled_from(["in0", "in1", "in2", "drop"]),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(WAVE_ROW, max_size=6), min_size=1, max_size=6))
+@example([[("in0", (0, 1)), ("in1", (1, 0)), ("in2", (0, 2))], [("drop", (0, 1))]])
+def test_the_order_rules_join_a_wave_in_cannot_be_observed(steps):
+    """Each tick's rows arrive one at a time, in the drawn order and in the
+    reverse order; both runs match the naive engine tick for tick."""
+    module = WaveOrderModule()
+    assert len(BloomRuntime(module).strata()[0]) >= 3
+    plan = [[(collection, [row]) for collection, row in step] for step in steps]
+    forward = _run_differential(module, plan)
+    assert forward == _run_differential(module, [step[::-1] for step in plan])
 
 
 class SharedNodeModule(BloomModule):

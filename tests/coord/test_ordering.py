@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from repro.coord import OrderedConsumer, OrderedInbox, ZkClient, install_zookeeper
+from repro.coord import OrderedInbox, ZkClient, install_zookeeper
 from repro.sim import LatencyModel, Network, Process, Simulator
 
 
@@ -56,12 +56,13 @@ class Replica(Process):
 
     def __init__(self, name):
         super().__init__(name)
-        self.consumer = OrderedConsumer()
         self.log = []
-        self.consumer.on_topic("ops", self.log.append)
+        self.inbox = OrderedInbox(self.log.append)
 
     def recv(self, msg):
-        self.consumer.handle(msg)
+        topic, seq, value = msg.payload
+        assert topic == "ops"
+        self.inbox.offer(seq, value)
 
 
 class Producer(Process):

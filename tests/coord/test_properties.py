@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coord.ordering import OrderedInbox
-from repro.coord.sealing import SealManager
+from repro.coord.sealing import DATA, PUNCT, SealManager
+from repro.sim.network import Message
 
 
 class TestOrderedInboxProperties:
@@ -106,3 +107,44 @@ class TestSealManagerProperties:
             assert released == []
         manager.on_seal("k", producers[-1])
         assert released == ["k"]
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(min_value=1, max_value=3),   # producers
+        st.integers(min_value=1, max_value=3),   # partitions
+        st.integers(min_value=0, max_value=3),   # records per (prod, part)
+        st.randoms(use_true_random=False),
+    )
+    def test_channel_messages_apply_in_sequence_despite_reorder_and_replay(
+        self, n_producers, n_partitions, per_pair, rng
+    ):
+        """Each producer's messages arrive shuffled among everyone's, some
+        twice; every partition still releases once, holding each record
+        once and each producer's records in the order it sent them."""
+        producers = [f"p{i}" for i in range(n_producers)]
+        released: dict = {}
+        manager = SealManager(
+            "s",
+            lambda partition, records: released.__setitem__(partition, records),
+            producers_for=lambda partition: frozenset(producers),
+        )
+        messages = []
+        for producer in producers:
+            seq = 0
+            for partition in range(n_partitions):
+                for record in range(per_pair):
+                    payload = ("s", seq, partition, (producer, record), producer)
+                    messages.append(Message(producer, "c", DATA, payload, 0.0, 0))
+                    seq += 1
+                payload = ("s", seq, partition, producer)
+                messages.append(Message(producer, "c", PUNCT, payload, 0.0, 0))
+                seq += 1
+        deliveries = messages + rng.sample(messages, len(messages) // 2)
+        rng.shuffle(deliveries)
+        for msg in deliveries:
+            assert manager.handle(msg)
+        assert set(released) == set(range(n_partitions))
+        for records in released.values():
+            for producer in producers:
+                mine = [record for who, record in records if who == producer]
+                assert mine == list(range(per_pair))

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.coord import SealManager, SealedStreamProducer, ZkClient, install_zookeeper
+from repro.coord import DATA, SealManager, SealedStreamProducer, ZkClient, install_zookeeper
 from repro.errors import SimulationError
 from repro.obs.telemetry import Telemetry
 from repro.sim import LatencyModel, Network, Process, Simulator, make_simulator, run_scope
+from repro.sim.network import Message
 
 
 class Producer(Process):
@@ -203,3 +204,11 @@ def test_missing_registry_entry_raises():
 def test_manager_requires_exactly_one_registry_mode():
     with pytest.raises(SimulationError):
         SealManager("s", lambda p, r: None)
+
+
+def test_a_message_of_another_stream_is_not_the_managers():
+    manager = SealManager("c", lambda *_: None, producers_for=lambda _: frozenset({"p"}))
+    foreign = Message("p", "cons", DATA, ("other", 0, "k", "r", "p"), 0.0, 0)
+    assert not manager.handle(foreign)
+    with pytest.raises(SimulationError, match="stream 'other'"):
+        manager.record(foreign)  # routed here by a node, it is a wiring error

@@ -48,6 +48,29 @@ def test_timeout_exits_five_with_partial_rundir(tmp_path, capsys):
     assert meta["transport"] == "socket"
 
 
+@pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
+def test_a_socket_budget_that_is_not_positive_is_an_error(timeout, capsys):
+    assert main(["run", "kvs", "--backend", "socket", "--smoke", "--timeout", timeout]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "timeout must be positive" in err
+
+
+@pytest.mark.parametrize("scale", ["nan", "0", "-2"])
+def test_a_time_scale_that_is_not_positive_is_an_error(scale, monkeypatch, capsys):
+    monkeypatch.setenv("BLAZES_NET_TIME_SCALE", scale)
+    assert main(["run", "kvs", "--backend", "socket", "--smoke"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "time_scale must be positive" in err
+
+
+def test_an_app_run_checks_its_socket_budget_before_it_starts():
+    from repro.api import get_app
+    from repro.errors import SimulationError
+
+    with pytest.raises(SimulationError, match="timeout must be positive"):
+        get_app("kvs").run(smoke=True, backend="socket", timeout=float("nan"))
+
+
 def test_malformed_time_scale_is_a_typed_error(monkeypatch, capsys):
     monkeypatch.setenv("BLAZES_NET_TIME_SCALE", "abc")
     assert main(["run", "kvs", "--backend", "socket", "--smoke"]) == 1

@@ -237,6 +237,14 @@ def test_run_unknown_override_key_is_a_clean_error(capsys):
     assert err.startswith("error:") and "bogus" in err
 
 
+@pytest.mark.parametrize("key", ["workload.requests", "batch-size"])
+def test_an_unknown_override_key_with_any_characters_is_a_clean_error(key, capsys):
+    assert main(["run", "adnet", "--smoke", "--set", f"{key}=3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --set override") and key in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "app,override,named",
     [

@@ -128,12 +128,12 @@ def test_the_socket_runtime_is_the_kernel_and_ends_on_event_state():
 def test_retired_private_names_stay_gone():
     """Names no signature shows; the queries are lookups; one spelling of the znode path."""
     retired = {
-        "repro/bloom": ("_versions", "eval_delta", "DeltaContext", "def eval("),
+        "repro/bloom": ("_versions", "eval_delta", "DeltaContext", "def eval(", "_dirty", "plugin"),
         "repro/storm/executor.py": ("OrderedInbox",),
         "repro/sim": ("_pool", "_recycle", "_POOL_LIMIT"),
         "repro/core": ("lru_cache", "functools.cache"),
         "repro/core/analysis.py": ("_interface_graph", "_Node", "_component_replicated", "_inputs_for"),
-        "repro": ("seal.frame", "SEAL_FRAME", '"global"', "_ACTIVE", "activate", "active_config"),
+        "repro": ("seal.frame", "SEAL_FRAME", '"global"', "_ACTIVE", "activate", "active_config", "_apply_in_order"),
         "repro/net": ("socket_backend", "resolve_backend", "from_env"),
     }
     for under, names in retired.items():

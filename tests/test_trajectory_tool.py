@@ -27,12 +27,16 @@ def test_the_source_digest_follows_the_source_and_ignores_what_a_run_leaves(tmp_
     assert trajectory.source_digest(tmp_path) != before
 
 
+AUDIT = {"cells": 78, "sound": 78, "tight": 12, "unsound": 0}
+
+
 def test_check_compares_the_count_columns_and_not_the_timings():
     row = {
         "counts": {"adnet-paper": {"bloom.ticks": 5}},
         "lines": {"src": 10, "tests": 20},
         "surface": {"a": 0},
         "tier1": {"passed": 3, "failed": 0},
+        "audit": AUDIT,
         "end_to_end": {"adnet-paper": {"wall_s": 1.0}},
     }
     fresh = {**row, "end_to_end": {"adnet-paper": {"wall_s": 2.0}}}
@@ -40,6 +44,16 @@ def test_check_compares_the_count_columns_and_not_the_timings():
     fresh["lines"] = {"src": 11, "tests": 20}
     assert trajectory.mismatches(row, fresh) == [
         "  lines: recorded {'src': 10, 'tests': 20} recomputed {'src': 11, 'tests': 20}"
+    ]
+    fresh = {**row, "audit": {**AUDIT, "tight": 11}}
+    assert [line.split(":")[0] for line in trajectory.mismatches(row, fresh)] == ["  audit"]
+
+
+def test_a_row_older_than_the_audit_column_is_checked_on_the_others():
+    row = {"counts": {}, "lines": {}, "surface": {}, "tier1": {}}
+    assert trajectory.mismatches(row, {**row, "audit": AUDIT}) == []
+    assert trajectory.mismatches(row, {**row, "audit": AUDIT, "tier1": {"passed": 1}}) == [
+        "  tier1: recorded {} recomputed {'passed': 1}"
     ]
 
 
@@ -51,8 +65,12 @@ def test_every_ledger_row_has_its_columns_and_a_source_of_its_own():
     assert rows, "PERF_TRAJECTORY.jsonl holds no row"
     # the two list counts; every row from the first with the manifest's total carries it too
     first = next((i for i, row in enumerate(rows) if "settable values" in row["surface"]), len(rows))
+    # likewise the audit column, from the first row that has one
+    audited = next((i for i, row in enumerate(rows) if "audit" in row), len(rows))
     assert len({row["source"] for row in rows}) == len(rows)
     for i, row in enumerate(rows):
+        assert ("audit" in row) == (i >= audited)
+        assert i < audited or set(row["audit"]) == set(AUDIT)
         assert set(row["end_to_end"]) == set(row["counts"]) == workloads
         for workload in workloads:
             assert set(row["counts"][workload]) == counts

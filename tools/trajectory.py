@@ -16,7 +16,9 @@ A row holds, for the checkout it measures:
   ``tests/``;
 * ``surface``: the header counts ``tools/surface.py`` prints (lists (a)
   and (b), and the settable-value total);
-* ``tier1``: how many tier-1 tests passed and failed.
+* ``tier1``: how many tier-1 tests passed and failed;
+* ``audit``: how many cells ``blazes audit --smoke --no-cache --json``
+  sweeps, and how many of them are sound, tight and unsound.
 
 A row is keyed on ``source``, the sha256 of the files its numbers depend
 on (``src/``, ``tests/``, ``tools/``, ``benchmarks/`` and
@@ -25,8 +27,9 @@ commit exists; ``commit`` names the commit it was measured at and
 ``edited`` whether those files differed from it.  Measuring a checkout
 whose source already has a row replaces that row.  ``--check`` finds the
 row of this checkout's source, recomputes its count columns (``counts``,
-``lines``, ``surface``, ``tier1``) and exits 1 on any mismatch; the timed
-columns are readings, not facts, and are not compared.
+``lines``, ``surface``, ``tier1``, ``audit``) and exits 1 on any mismatch;
+a row written before the ``audit`` column existed is checked on the
+others.  The timed columns are readings, not facts, and are not compared.
 
 Like ``tools/pairs.py`` it runs the benchmark as a subprocess; it imports
 nothing from ``benchmarks/perf`` and writes nothing there.
@@ -56,7 +59,9 @@ SEED = 7
 SOURCE = ("src", "tests", "tools", "benchmarks", "BENCHMARK.json")
 # what running the checkout leaves beside its files (.gitignore lists them)
 LEFT_BEHIND = {"__pycache__", ".pytest_cache", ".hypothesis"}
-COUNT_COLUMNS = ("counts", "lines", "surface", "tier1")
+COUNT_COLUMNS = ("counts", "lines", "surface", "tier1", "audit")
+# count columns added after the ledger's first rows, which lack them
+LATER_COLUMNS = frozenset({"audit"})
 
 
 def source_digest(checkout: Path) -> str:
@@ -110,6 +115,23 @@ def tier1(checkout: Path) -> dict[str, int]:
     }
 
 
+def audit_counts(checkout: Path) -> dict[str, int]:
+    """Cells, sound, tight and unsound cells of the smoke audit, uncached."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "audit", "--smoke", "--no-cache", "--no-report", "--json"],
+        cwd=checkout, env={**os.environ, "PYTHONPATH": "src"}, stdout=subprocess.PIPE, text=True,
+    )
+    if done.returncode not in (0, 4):  # 4: the audit found an unsound cell
+        raise SystemExit(f"blazes audit in {checkout} exited with {done.returncode}")
+    payload = json.loads(done.stdout)
+    return {
+        "cells": len(payload["cells"]),
+        "sound": sum(cell["sound"] is True for cell in payload["cells"]),
+        "tight": payload["summary"]["tight_cells"],
+        "unsound": payload["summary"]["unsound_cells"],
+    }
+
+
 def count_columns(checkout: Path, spec: dict) -> dict:
     """The columns a rerun must reproduce exactly."""
     names = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
@@ -120,12 +142,13 @@ def count_columns(checkout: Path, spec: dict) -> dict:
             checkout, spec["command"], workload=workload, seed=SEED, seconds=1, trace=1
         )
         counts[workload] = {name: metrics[name]["value"] for name in names}
-    print("running tier-1", file=sys.stderr, flush=True)
+    print("running tier-1 and the smoke audit", file=sys.stderr, flush=True)
     return {
         "counts": counts,
         "lines": {top: physical_lines(checkout, top) for top in ("src", "tests")},
         "surface": surface_counts(checkout),
         "tier1": tier1(checkout),
+        "audit": audit_counts(checkout),
     }
 
 
@@ -160,11 +183,12 @@ def read_rows() -> list[dict]:
 
 
 def mismatches(row: dict, fresh: dict) -> list[str]:
-    """One line per count column whose recomputed value differs."""
+    """One line per count column whose recomputed value differs (a later
+    column a row predates is not compared)."""
     return [
         f"  {column}: recorded {row.get(column)} recomputed {fresh[column]}"
         for column in COUNT_COLUMNS
-        if row.get(column) != fresh[column]
+        if (column in row or column not in LATER_COLUMNS) and row.get(column) != fresh[column]
     ]
 
 
