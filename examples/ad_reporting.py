@@ -9,7 +9,7 @@ Run:  python examples/ad_reporting.py
 """
 
 from repro.api import get_app
-from repro.apps.ad_network import STRATEGIES, AdWorkload
+from repro.apps.ad_network import AdWorkload
 
 
 def sparkline(series, total, width=48):
@@ -41,7 +41,7 @@ def main() -> None:
     print(f"  {'strategy':<18} {'completion':>11} {'replicas agree':>15}   progress")
     app = get_app("adnet")
     results = {}
-    for strategy in STRATEGIES:
+    for strategy in app.strategies:
         result = app.run(strategy, seed=7, workload=workload).result
         results[strategy] = result
         series = result.processed_series(bucket=result.completion_time / 40 or 0.1)

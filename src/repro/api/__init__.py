@@ -10,7 +10,6 @@ Python and derives every stage of the paper's loop from it::
     result = app.analyze("sealed")        # label analysis
     plan = app.plan("sealed")             # synthesized coordination
     outcome = app.run("sealed", seed=7)   # simulated execution
-    report = app.audit(smoke=True)        # fault-injection audit
 
 Components are annotated in place with :func:`annotate` (Storm bolts,
 grey-box classes) or analyzed white-box (Bloom modules, cross-checked

@@ -14,8 +14,8 @@ from that single declaration:
 * ``app.run(strategy)`` — execution on the matching simulator backend;
   the runner receives the resolved :class:`StrategySpec` and installs
   what it declares (:meth:`StrategySpec.installed`);
-* ``app.audit()`` — the fault-injection campaign of
-  :mod:`repro.chaos.campaign`, fed by the app's audit profile.
+* ``app.audit_spec`` — the :class:`AuditProfile` the fault-injection
+  campaign of :mod:`repro.chaos.campaign` sweeps the app by.
 
 Apps are registered (:func:`repro.api.register`) so the CLI, the
 benchmarks, and the audit enumerate one catalog instead of hardcoding
@@ -532,7 +532,7 @@ class BlazesApp:
         return label
 
     # ------------------------------------------------------------------
-    # execution and audit
+    # execution
     # ------------------------------------------------------------------
     def run(
         self,
@@ -623,47 +623,6 @@ class BlazesApp:
             if summary is not None:
                 metrics["transport"] = summary()
         return outcome(metrics, result, cluster)
-
-    def audit(
-        self,
-        *,
-        smoke: bool = False,
-        seeds: Sequence[int] | None = None,
-        schedules: Sequence[str] | None = None,
-        jobs: int = 1,
-        name: str | None = None,
-        reporter: Any | None = None,
-        backend: str | None = None,
-        timeout: float | None = None,
-    ):
-        """Run this app's fault-injection campaign (:mod:`repro.chaos`)."""
-        from repro.chaos.campaign import audit_campaign
-
-        if self.audit_spec is None:
-            raise ApiError(f"app {self.name!r} has no audit profile")
-        return audit_campaign(
-            (self.name,),
-            smoke=smoke,
-            seeds=seeds,
-            schedules=schedules,
-            name=name or f"audit-{self.name}",
-            reporter=reporter,
-            jobs=jobs,
-            backend=backend,
-            timeout=timeout,
-        )
-
-    def harness(
-        self,
-        *,
-        smoke: bool = False,
-        backend: str = "sim",
-        timeout: float | None = None,
-    ):
-        """The generic audit harness over this app's profile."""
-        from repro.chaos.harnesses import AppHarness
-
-        return AppHarness(self, smoke=smoke, backend=backend, timeout=timeout)
 
     def __repr__(self) -> str:
         return (

@@ -10,14 +10,12 @@
 """
 
 from repro.apps.ad_network import (
-    STRATEGIES,
     AdNetworkResult,
     AdWorkload,
     ad_network_dataflow,
     run_ad_network,
 )
 from repro.apps.kvs import (
-    KVS_STRATEGIES,
     KvsResult,
     KvsWorkload,
     LwwKvs,
@@ -44,12 +42,10 @@ from repro.apps.wordcount import (
 )
 
 __all__ = [
-    "STRATEGIES",
     "AdNetworkResult",
     "AdWorkload",
     "ad_network_dataflow",
     "run_ad_network",
-    "KVS_STRATEGIES",
     "KvsResult",
     "KvsWorkload",
     "LwwKvs",

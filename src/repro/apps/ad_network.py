@@ -49,20 +49,17 @@ from repro.coord.sealing import PUNCT as SEAL_PUNCT
 from repro.coord.sealing import registry_path
 from repro.coord.zookeeper import install_zookeeper, recorded_order
 from repro.core.strategy import NoCoordination, SealStrategy
-from repro.errors import SimulationError
+from repro.errors import BloomError, SimulationError
 from repro.sim.network import LatencyModel
 
 __all__ = [
     "APP",
-    "STRATEGIES",
     "AdWorkload",
     "AdNetworkResult",
     "CacheTier",
     "run_ad_network",
     "ad_network_dataflow",
 ]
-
-STRATEGIES = ("uncoordinated", "ordered", "seal", "independent-seal")
 
 # The Report component's declared input streams under their runtime
 # names, and the collection the sealable one feeds.
@@ -119,7 +116,7 @@ def ad_network_dataflow(query: str, *, seal: list[str] | None = None):
         "CAMPAIGN": OR("id", "campaign"),
     }
     if query not in queries:
-        raise ValueError(f"unknown query {query!r}; have {sorted(queries)}")
+        raise BloomError(f"unknown query {query!r}; have {sorted(queries)}")
     flow = Dataflow(f"ad-network-{query}")
     report = flow.add_component("Report", rep=True)
     report.add_path("click", "response", CW())
@@ -270,8 +267,6 @@ def run_ad_network(
     ``repro.chaos`` schedules can arm fault injection.
     """
     if isinstance(strategy, str):
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; have {STRATEGIES}")
         strategy = APP.strategy_spec(strategy)
     sealed_on = strategy.seals.get("c")
     seal_key = sealed_on[0] if sealed_on else "campaign"

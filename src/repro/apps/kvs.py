@@ -34,7 +34,6 @@ from repro.sim.network import LatencyModel
 
 __all__ = [
     "APP",
-    "KVS_STRATEGIES",
     "KVS_ORDER_TOPIC",
     "LwwKvs",
     "SnapshotCache",
@@ -43,8 +42,6 @@ __all__ = [
     "KvsResult",
     "run_kvs",
 ]
-
-KVS_STRATEGIES = ("uncoordinated", "sealed", "ordered")
 
 KVS_ORDER_TOPIC = "kvs.inputs"
 CLIENT = "client"
@@ -100,17 +97,6 @@ class LwwKvs(BloomModule):
                 self.join(self.scan("get"), answers, on=[("key", "key")]),
             ),
         ]
-
-    def current_value(self, runtime, key):
-        """The store's winning value for ``key`` (test/debug helper)."""
-        best = None
-        for row_key, val, ts in runtime.read("writes"):
-            if row_key != key:
-                continue
-            rank = (ts, val)
-            if best is None or rank > best:
-                best = rank
-        return best[1] if best is not None else None
 
 
 @annotate(frm="response", to="cached", label="CW")
@@ -333,8 +319,6 @@ def run_kvs(
     runs.
     """
     if isinstance(strategy, str):
-        if strategy not in KVS_STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; have {KVS_STRATEGIES}")
         strategy = APP.strategy_spec(strategy)
     installed = strategy.installed("Store", STORE_INPUTS)
     workload = runner_workload(workload, KvsWorkload)

@@ -31,9 +31,12 @@ matrix empirically (``blazes audit --matrix``).
 
 from __future__ import annotations
 
+import inspect
+
 from repro.api import BlazesApp, annotate, register
 from repro.bloom.module import BloomModule
 from repro.chaos.envelope import reliable_sessions_envelope
+from repro.errors import BloomError
 
 __all__ = [
     "QUERY_NAMES",
@@ -167,10 +170,14 @@ _REGISTRY = {
 
 def make_report_module(query: str, **kwargs) -> BloomModule:
     """Instantiate the reporting module for one Figure 6 query."""
-    try:
-        factory = _REGISTRY[query.upper()]
-    except KeyError:
-        raise ValueError(f"unknown query {query!r}; have {QUERY_NAMES}") from None
+    factory = _REGISTRY.get(str(query).upper())
+    if factory is None:
+        raise BloomError(f"unknown query {query!r}; have {QUERY_NAMES}")
+    if kwargs:
+        try:
+            inspect.signature(factory).bind(**kwargs)
+        except TypeError as exc:
+            raise BloomError(f"query {query!r}: {exc}") from None
     return factory(**kwargs)
 
 

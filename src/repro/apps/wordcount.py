@@ -17,8 +17,8 @@ from collections.abc import Callable
 
 from repro.api import BlazesApp, annotate, register
 from repro.chaos.envelope import replay_envelope
-from repro.core.analysis import AnalysisResult, analyze
 from repro.core.graph import Dataflow
+from repro.errors import StormError
 from repro.storm.adapter import topology_to_dataflow
 from repro.storm.executor import ClusterConfig, StormCluster
 from repro.storm.metrics import RunMetrics, collect_metrics
@@ -35,7 +35,6 @@ __all__ = [
     "EagerCommitBolt",
     "build_wordcount_topology",
     "wordcount_dataflow",
-    "analyze_wordcount",
     "run_wordcount",
     "reference_counts",
     "eager_reference_totals",
@@ -257,11 +256,6 @@ def wordcount_dataflow(*, sealed: bool, eager: bool = False) -> Dataflow:
     return topology_to_dataflow(topology, seals=seals)
 
 
-def analyze_wordcount(*, sealed: bool, eager: bool = False) -> AnalysisResult:
-    """Run the Blazes analysis on the word-count dataflow."""
-    return analyze(wordcount_dataflow(sealed=sealed, eager=eager))
-
-
 def reference_counts(
     total_batches: int, batch_size: int, seed: int = 0
 ) -> dict[tuple[str, int], int]:
@@ -346,6 +340,9 @@ def run_wordcount(
     so several ``seed`` values can explore delivery interleavings of one
     workload — the cross-run comparison the chaos oracle performs.
     """
+    for name, value in (("batch_size", batch_size), ("total_batches", total_batches)):
+        if not value >= 1:  # NaN fails too
+            raise StormError(f"{name} must be >= 1, got {value}")
     workload_seed = seed if workload_seed is None else workload_seed
     topology = build_wordcount_topology(
         workers=workers,

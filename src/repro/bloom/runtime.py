@@ -578,12 +578,6 @@ class BloomRuntime:
             self.module.declaration(collection)  # an unknown name raises here
         return len(rows)
 
-    def strata(self) -> tuple[tuple[Rule, ...], ...]:
-        """The stratified instantaneous program (for tests/inspection)."""
-        return tuple(
-            tuple(state.rule for state in stratum) for stratum in self._strata
-        )
-
     def __repr__(self) -> str:
         return f"BloomRuntime({self.module.name!r}, ticks={self.tick_count})"
 

@@ -40,7 +40,6 @@ from repro.chaos.campaign import (
     audit_to_dict,
     campaign_is_sound,
     campaign_tightness,
-    default_schedules,
     demonstrated_anomalies,
     matrix_apps,
     matrix_campaign,
@@ -57,7 +56,6 @@ from repro.chaos.envelope import (
     order_only_envelope,
     reliable_sessions_envelope,
     replay_envelope,
-    unrestricted_envelope,
 )
 from repro.chaos.harnesses import AppHarness, audit_apps, harness_for
 from repro.chaos.oracle import (
@@ -92,7 +90,6 @@ from repro.chaos.search import (
     frontier_campaign,
     render_frontier,
     render_search,
-    search_campaign,
     search_is_sound,
     shrink_schedule,
 )
@@ -121,7 +118,6 @@ __all__ = [
     "composite_schedule",
     "composite_schedules",
     "crash_restart",
-    "default_schedules",
     "demonstrated_anomalies",
     "dup_burst",
     "fault_from_dict",
@@ -146,9 +142,7 @@ __all__ = [
     "schedule_cell_name",
     "schedule_from_dict",
     "schedule_to_dict",
-    "search_campaign",
     "search_is_sound",
     "shrink_schedule",
     "split_link",
-    "unrestricted_envelope",
 ]

@@ -58,7 +58,6 @@ __all__ = [
     "audit_to_dict",
     "campaign_is_sound",
     "campaign_tightness",
-    "default_schedules",
     "demonstrated_anomalies",
     "matrix_apps",
     "matrix_campaign",
@@ -78,11 +77,6 @@ DEFAULT_SMOKE_SEEDS = (7, 11)
 # or below Async — the paper's "correct without (further) coordination"
 # judgment, orthogonal to soundness (observed <= predicted).
 _CONSISTENT_SEVERITY = ObservedLabel.ASYNC.severity
-
-
-def default_schedules(app: str, *, smoke: bool = False) -> tuple[FaultSchedule, ...]:
-    """The fault schedules an app's campaign sweeps by default."""
-    return harness_for(app, smoke=smoke).schedules
 
 
 def _cell_schedule(

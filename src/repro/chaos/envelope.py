@@ -42,7 +42,6 @@ __all__ = [
     "order_only_envelope",
     "reliable_sessions_envelope",
     "replay_envelope",
-    "unrestricted_envelope",
 ]
 
 FAULT_KINDS = ("crash", "loss", "duplicate", "partition", "reorder")
@@ -135,10 +134,6 @@ class FaultEnvelope:
                 )
         return tuple(found)
 
-    def admits(self, schedule: FaultSchedule) -> bool:
-        """Is ``schedule`` entirely inside this envelope?"""
-        return not self.violations(schedule)
-
     def to_dict(self) -> dict:
         """The JSON-able view (for reports and ``blazes apps --json``)."""
         return {
@@ -164,15 +159,6 @@ def cell_status(sound: bool, violations: tuple[str, ...] | list[str]) -> str:
 # ----------------------------------------------------------------------
 # the canonical envelopes the reference apps declare
 # ----------------------------------------------------------------------
-def unrestricted_envelope() -> FaultEnvelope:
-    """Every fault kind admitted — the implicit pre-envelope behavior."""
-    return FaultEnvelope(
-        "unrestricted",
-        frozenset(FAULT_KINDS),
-        description="no declared fault-tolerance assumptions",
-    )
-
-
 def replay_envelope() -> FaultEnvelope:
     """Replay-based fault tolerance: the full menu, but crashes restart."""
     return FaultEnvelope(

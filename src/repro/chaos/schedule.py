@@ -14,11 +14,10 @@ Primitives mirror the injector: :class:`Crash` (crash/recover),
 :class:`Loss` and :class:`Duplicate` (probability windows),
 :class:`Partition` (severed links), :class:`Reorder` (latency-jitter
 bursts).  Schedules compose with ``+`` and transform with
-:meth:`FaultSchedule.scaled` / :meth:`FaultSchedule.shifted` /
-:meth:`FaultSchedule.with_intensity`.  Every fault validates its window
-at construction time (so ``shifted`` with a too-negative offset raises
-:class:`~repro.errors.SimulationError` instead of minting a fault that
-arms in the past), and schedules round-trip through plain dicts
+:meth:`FaultSchedule.scaled` / :meth:`FaultSchedule.with_intensity`.
+Every fault validates its window at construction time (a fault that
+would arm in the past raises :class:`~repro.errors.SimulationError`
+where it is built), and schedules round-trip through plain dicts
 (:func:`schedule_to_dict` / :func:`schedule_from_dict`) so the search
 layer can ship them through JSON scenario parameters.
 """
@@ -60,13 +59,12 @@ def _check(fault, **values) -> None:
     """Reject faults that would arm in the past, run backwards, or carry a
     value the injector would refuse (:func:`repro.sim.failure.check_fault`).
 
-    Construction-time validation: ``rescaled`` goes through
-    ``dataclasses.replace`` (which re-runs ``__post_init__``), so a
-    ``shifted`` with an offset larger than a fault's ``at`` raises here
-    instead of producing a fault the injector schedules before t=0 —
-    the sim kernels would raise at arm time, and the socket backend
-    would silently clamp it, both far from the buggy call site.  A NaN
-    fails here too, including one read from a JSON spec.
+    Construction-time validation (``rescaled`` goes through
+    ``dataclasses.replace``, which re-runs ``__post_init__``): a fault the
+    injector would schedule before t=0 raises here, not at arm time in a
+    sim kernel or silently clamped by the socket backend, far from the
+    buggy call site.  A NaN fails here too, including one read from a
+    JSON spec.
     """
     if fault.at < 0:
         raise SimulationError(
@@ -86,10 +84,8 @@ class _Window:
     order, ``schedule_digest`` and every cache key — stays the fault's.
     """
 
-    def rescaled(self, factor: float, offset: float):
-        return dataclasses.replace(
-            self, at=self.at * factor + offset, duration=self.duration * factor
-        )
+    def rescaled(self, factor: float):
+        return dataclasses.replace(self, at=self.at * factor, duration=self.duration * factor)
 
     @property
     def end(self) -> float:
@@ -265,19 +261,7 @@ class FaultSchedule:
         if factor <= 0:
             raise SimulationError(f"schedule scale factor must be > 0, got {factor}")
         return FaultSchedule(
-            self.name, tuple(f.rescaled(factor, 0.0) for f in self.faults)
-        )
-
-    def shifted(self, offset: float) -> "FaultSchedule":
-        """Delay every fault by ``offset`` time units.
-
-        A negative offset moves faults earlier; one that would push any
-        fault before t=0 raises :class:`~repro.errors.SimulationError`
-        (the fault's own window validation) instead of producing a
-        schedule that arms in the past.
-        """
-        return FaultSchedule(
-            self.name, tuple(f.rescaled(1.0, offset) for f in self.faults)
+            self.name, tuple(f.rescaled(factor) for f in self.faults)
         )
 
     def with_intensity(self, lam: float) -> "FaultSchedule":

@@ -12,7 +12,7 @@ property-based-testing tradition:
 * :func:`shrink_schedule` — a delta-debugging shrinker that removes
   faults and bisects windows/intensities downward until the schedule is
   **1-minimal**: dropping any remaining fault loses the anomaly;
-* :class:`SearchSweep` (:func:`search_campaign`) — candidate sweep, then
+* :class:`SearchSweep` — candidate sweep, then
   shrink every anomalous cell, one batch per shrink step;
 * :class:`FrontierSweep` (:func:`frontier_campaign`) — bisect the
   intensity (:meth:`FaultSchedule.with_intensity`) of each app's fault
@@ -55,7 +55,6 @@ __all__ = [
     "frontier_campaign",
     "render_frontier",
     "render_search",
-    "search_campaign",
     "search_is_sound",
     "shrink_schedule",
 ]
@@ -428,25 +427,6 @@ class SearchSweep(Sweep):
 
     def record(self, payload, reports: list[BenchReport]) -> BenchReport:
         return reports[0]
-
-
-def search_campaign(
-    apps: Sequence[str] | None = None,
-    *,
-    smoke: bool = False,
-    seeds: Sequence[int] | None = None,
-    candidates: int = 4,
-    budget: int = 64,
-    seed: int = 0,
-    jobs: int = 1,
-    cache=None,
-    reporter=None,
-) -> dict:
-    """Run the :class:`SearchSweep` and return its payload."""
-    return SearchSweep(
-        apps=apps, smoke=smoke, seeds=seeds, candidates=candidates,
-        budget=budget, seed=seed,
-    ).run(jobs=jobs, cache=cache, reporter=reporter)
 
 
 # ----------------------------------------------------------------------

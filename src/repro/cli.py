@@ -313,7 +313,7 @@ def _cmd_analyze(args) -> int:
         payload = report_to_dict(result, derivations=args.derivations)
         print(json.dumps(payload, indent=2))
     else:
-        print(render_report(result, derivations=False))
+        print(render_report(result))
         if args.derivations:
             print(f"\n{render_all(result)}")
     return 0 if result.is_consistent else 2
@@ -474,22 +474,29 @@ def _names(text: str | None) -> tuple[str, ...] | None:
     return tuple(name for name in text.split(",") if name) if text else None
 
 
-def _reject_mixed_sweeps(args) -> None:
+# The audit flags each sweep reads, beyond those every sweep reads (--smoke,
+# --seeds, --jobs, --no-cache, --json, --no-report): --matrix chooses its own
+# apps, --search generates its schedules, and both run on the simulator.
+_SWEEP_READS = {
+    "audit": ("--apps", "--schedules", "--backend", "--timeout", "--evidence"),
+    "audit --matrix": ("--matrix", "--schedules", "--evidence"),
+    "audit --search": ("--search", "--apps", "--candidates", "--budget", "--search-seed"),
+}
+
+
+def _reject_unread_flags(args) -> None:
+    """A flag the chosen sweep does not read, given a value other than its
+    default, is an error rather than silently ignored."""
     if args.command == "frontier":
-        return  # takes none of the audit's sweep-choosing flags
-    if args.matrix and args.apps:
-        raise BlazesError("--matrix chooses its own apps; drop --apps")
-    if args.matrix and args.backend == "socket":
-        raise BlazesError("--matrix runs on the simulator; drop --backend")
-    if args.search and args.matrix:
-        raise BlazesError("--search and --matrix are separate sweeps")
-    if args.search and args.backend == "socket":
-        raise BlazesError(
-            "--search needs deterministic, cacheable cells; it runs on "
-            "the simulator only"
-        )
-    if args.search and args.schedules:
-        raise BlazesError("--search generates its schedules; drop --schedules")
+        return  # its parser declares only the flags it reads
+    sweep = "audit --search" if args.search else "audit --matrix" if args.matrix else "audit"
+    flags = {flag for read in _SWEEP_READS.values() for flag in read}
+    for flag in sorted(flags - set(_SWEEP_READS[sweep])):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if flag == "--backend" and value == "sim":
+            continue  # names the simulator, which every sweep runs on
+        if value != _FLAGS[flag].get("default", False):
+            raise BlazesError(f"{sweep} does not read {flag}; drop it")
 
 
 def _cmd_sweep(args) -> int:
@@ -502,7 +509,7 @@ def _cmd_sweep(args) -> int:
     from repro.exec import CellCache, resolve_jobs
     from repro.net.services import SocketTimeout
 
-    _reject_mixed_sweeps(args)
+    _reject_unread_flags(args)
     common = dict(apps=_names(args.apps), smoke=args.smoke, seeds=args.seeds)
     if args.command == "frontier":
         sweep = FrontierSweep(steps=args.steps, **common)
@@ -512,7 +519,9 @@ def _cmd_sweep(args) -> int:
             **common,
         )
     elif args.matrix:
-        sweep = MatrixSweep(evidence=args.evidence, **common)
+        sweep = MatrixSweep(
+            schedules=_names(args.schedules), evidence=args.evidence, **common
+        )
     else:
         sweep = AuditSweep(
             schedules=_names(args.schedules), backend=args.backend,

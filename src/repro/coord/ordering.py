@@ -28,21 +28,20 @@ class OrderedInbox:
 
     def __init__(self, handler: Callable[[Any], None]) -> None:
         self.handler = handler
-        self._next_seq = 0
         self._pending: dict[int, Any] = {}
+        # values released so far, which is also the next sequence number due
         self.applied = 0
         self.duplicates = 0
 
     def offer(self, seq: int, value: Any) -> int:
         """Accept one delivery; returns how many values were released."""
-        if seq != self._next_seq:
-            if seq < self._next_seq or seq in self._pending:
+        if seq != self.applied:
+            if seq < self.applied or seq in self._pending:
                 self.duplicates += 1
             else:
                 self._pending[seq] = value
             return 0
         # in order: release it, then whatever it was holding back
-        self._next_seq = seq + 1
         self.applied += 1
         self.handler(value)
         return 1 + self._release_held() if self._pending else 1
@@ -51,18 +50,12 @@ class OrderedInbox:
         """Release the held deliveries the last release made contiguous."""
         pending = self._pending
         released = 0
-        while self._next_seq in pending:
-            value = pending.pop(self._next_seq)
-            self._next_seq += 1
+        while self.applied in pending:
+            value = pending.pop(self.applied)
             self.applied += 1
             released += 1
             self.handler(value)
         return released
-
-    @property
-    def next_seq(self) -> int:
-        """The sequence number the inbox is waiting for."""
-        return self._next_seq
 
     @property
     def buffered(self) -> int:

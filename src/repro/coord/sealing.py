@@ -60,7 +60,6 @@ class SealedStreamProducer:
         self.process = process
         self.stream = stream
         self._sealed: set[Partition] = set()
-        self._open: set[Partition] = set()
         self._chan_seq: dict[str, int] = {}
 
     def send_record(self, dst: str, partition: Partition, record: Any) -> None:
@@ -70,7 +69,6 @@ class SealedStreamProducer:
                 f"producer {self.process.name} already sealed partition "
                 f"{partition!r} on stream {self.stream}"
             )
-        self._open.add(partition)
         seq = self._chan_seq.get(dst, 0)
         self._chan_seq[dst] = seq + 1
         self.process.send(dst, DATA, (self.stream, seq, partition, record, self.process.name))
@@ -78,19 +76,10 @@ class SealedStreamProducer:
     def seal(self, dst: str, partition: Partition) -> None:
         """Punctuate: promise no more records for ``partition``."""
         self._sealed.add(partition)
-        self._open.discard(partition)
         seq = self._chan_seq.get(dst, 0)
         self._chan_seq[dst] = seq + 1
         self.process.send(dst, PUNCT, (self.stream, seq, partition, self.process.name))
 
-    def seal_all(self, dst: str) -> None:
-        """Punctuate every partition this producer has touched."""
-        for partition in sorted(self._open, key=repr):
-            self.seal(dst, partition)
-
-    @property
-    def sealed_partitions(self) -> frozenset[Partition]:
-        return frozenset(self._sealed)
 
 
 class SealManager:
@@ -288,15 +277,3 @@ class SealManager:
                 f"{len(records)} records",
             )
         self.on_complete(partition, records)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def pending_partitions(self) -> frozenset[Partition]:
-        """Partitions with buffered data not yet released."""
-        return frozenset(self._buffers)
-
-    def buffered_count(self, partition: Partition) -> int:
-        """Number of records currently buffered for one partition."""
-        return len(self._buffers.get(partition, ()))

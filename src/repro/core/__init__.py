@@ -21,8 +21,7 @@ from repro.core.annotations import (
     PathAnnotation,
     parse_annotation,
 )
-from repro.core.compare import dataflow_isomorphic, isomorphism_mismatch
-from repro.core.derivation import render_all, render_chain, render_output
+from repro.core.derivation import render_all, render_output
 from repro.core.fd import FD, FDSet, compatible
 from repro.core.graph import Component, Dataflow, Path, Stream
 from repro.core.inference import DerivationStep, derive_path
@@ -66,7 +65,6 @@ __all__ = [
     "PathAnnotation",
     "parse_annotation",
     "render_all",
-    "render_chain",
     "render_output",
     "FD",
     "FDSet",
@@ -75,8 +73,6 @@ __all__ = [
     "Dataflow",
     "Path",
     "Stream",
-    "dataflow_isomorphic",
-    "isomorphism_mismatch",
     "DerivationStep",
     "derive_path",
     "Async",

@@ -13,11 +13,11 @@ by the ``rep`` (replication) annotation, not by duplicating nodes
 (paper Section II distinguishes logical dataflows from physical ones).
 
 The graph keeps its adjacency: :meth:`Dataflow.add_stream`, the only place
-a stream enters a graph, files it under its destination and its source,
-each by component and by ``(component, interface)``, in declaration order.
-:meth:`Dataflow.streams_into` / :meth:`Dataflow.streams_from` are lookups,
-so everything that walks the graph (analysis, strategy synthesis, lints,
-derivation rendering) is linear in components + streams + paths.
+a stream enters a graph, files it under its destination, by component and
+by ``(component, interface)``, in declaration order.
+:meth:`Dataflow.streams_into` is a lookup, so everything that walks the
+graph (analysis, strategy synthesis, lints) is linear in components +
+streams + paths.
 """
 
 from __future__ import annotations
@@ -89,14 +89,6 @@ class Component:
         """Output interface names, in declaration order."""
         return tuple(dict.fromkeys(to_iface for _, to_iface in self._paths))
 
-    def paths_into(self, out_iface: str) -> tuple[Path, ...]:
-        """All paths that terminate at ``out_iface``."""
-        return tuple(p for p in self._paths.values() if p.to_iface == out_iface)
-
-    def paths_from(self, in_iface: str) -> tuple[Path, ...]:
-        """All paths that originate at ``in_iface``."""
-        return tuple(p for p in self._paths.values() if p.from_iface == in_iface)
-
     def __repr__(self) -> str:
         rep = ", rep" if self.rep else ""
         return f"Component({self.name}{rep}, paths={len(self._paths)})"
@@ -165,11 +157,10 @@ class Dataflow:
         self.name = name
         self._components: dict[str, Component] = {}
         self._streams: dict[str, Stream] = {}
-        # adjacency, one dict per direction: the streams touching a component
-        # (keyed by its name) and one of its interfaces (keyed by the
-        # endpoint pair), appended by add_stream in declaration order
+        # adjacency: the streams into a component (keyed by its name) and
+        # into one of its interfaces (keyed by the endpoint pair), appended
+        # by add_stream in declaration order
         self._into: dict[str | tuple[str, str], list[Stream]] = {}
-        self._from: dict[str | tuple[str, str], list[Stream]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -224,16 +215,14 @@ class Dataflow:
                 raise DataflowError(f"stream {name!r}: a seal key must be non-empty")
         stream = Stream(name, src, dst, seal_key=seal_key, rep=rep, label=label)
         self._streams[name] = stream
-        for index, endpoint in ((self._from, src), (self._into, dst)):
-            if endpoint is None:
-                continue
-            for key in (endpoint[0], endpoint):
-                if key in index:
-                    index[key].append(stream)
+        if dst is not None:
+            for key in (dst[0], dst):
+                if key in self._into:
+                    self._into[key].append(stream)
                 else:
                     # most keys hold one stream, and a literal is allocated
                     # for exactly one (an append to [] reserves four slots)
-                    index[key] = [stream]
+                    self._into[key] = [stream]
         return stream
 
     # ------------------------------------------------------------------
@@ -265,16 +254,6 @@ class Dataflow:
         """Streams whose destination is ``component`` (and optionally iface)."""
         key = component if in_iface is None else (component, in_iface)
         return tuple(self._into.get(key, ()))
-
-    def streams_from(self, component: str, out_iface: str | None = None) -> tuple[Stream, ...]:
-        """Streams whose source is ``component`` (and optionally iface)."""
-        key = component if out_iface is None else (component, out_iface)
-        return tuple(self._from.get(key, ()))
-
-    @property
-    def external_inputs(self) -> tuple[Stream, ...]:
-        """Streams that enter the dataflow from outside."""
-        return tuple(s for s in self._streams.values() if s.is_external_input)
 
     @property
     def external_outputs(self) -> tuple[Stream, ...]:

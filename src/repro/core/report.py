@@ -1,9 +1,11 @@
 """Analysis reports: human-readable text and machine-readable JSON.
 
-:func:`render_report` combines stream labels, anomaly classes, per-output
-derivations, and the synthesized coordination plan into the text report the
-``blazes analyze`` CLI prints.  :func:`report_to_dict` serializes the same
-content as a JSON-able mapping — the shared format behind
+:func:`render_report` combines stream labels, anomaly classes, the verdict
+and the synthesized coordination plan into the text report the ``blazes
+analyze`` CLI prints (``--derivations`` appends
+:func:`repro.core.derivation.render_all`).  :func:`report_to_dict`
+serializes the same content, derivations included on request, as a
+JSON-able mapping — the shared format behind
 ``blazes analyze --json`` / ``blazes plan --json``, so CI and the audit
 can diff predictions without scraping text (the audit campaign's own
 serializer, ``audit_to_dict``, sits beside the campaign, not here).
@@ -34,12 +36,7 @@ _ANOMALY_GLOSS = {
 }
 
 
-def render_report(
-    result: AnalysisResult,
-    plan: CoordinationPlan | None = None,
-    *,
-    derivations: bool = False,
-) -> str:
+def render_report(result: AnalysisResult, plan: CoordinationPlan | None = None) -> str:
     """Render a complete text report for one analysis."""
     plan = plan if plan is not None else choose_strategies(result)
     lines: list[str] = []
@@ -76,16 +73,6 @@ def render_report(
     push("-----------------")
     for line in plan.describe().splitlines():
         push(f"  {line}")
-
-    if derivations:
-        push("")
-        push("Derivations")
-        push("-----------")
-        for record in result.outputs.values():
-            push("")
-            for line in render_output(record).splitlines():
-                push(f"  {line}")
-
     return "\n".join(lines)
 
 

@@ -14,7 +14,7 @@ from repro.exec.cache import (
     default_cache_dir,
     read_engine_stats,
 )
-from repro.exec.canon import canonical, canonical_json, content_digest, report_digest
+from repro.exec.canon import canonical, canonical_json, content_digest
 from repro.exec.engine import JOBS_ENV, bench_cache_fields, evaluate, resolve_jobs
 from repro.exec.pool import (
     PoolStats,
@@ -36,7 +36,6 @@ __all__ = [
     "default_cache_dir",
     "evaluate",
     "read_engine_stats",
-    "report_digest",
     "resolve_jobs",
     "shared_pool",
     "shutdown_shared_pool",

@@ -1,15 +1,11 @@
-"""Canonical forms: hash-stable JSON for cache keys and differential checks.
+"""Canonical forms: hash-stable JSON for cache keys.
 
-The evaluation engine addresses cells by *content* and the parallel
-correctness tests compare reports across execution modes; both need one
+The evaluation engine addresses cells by *content*, which needs one
 canonical rendering that is independent of dict insertion order, container
 flavor (tuple vs list, set vs sorted list), and float formatting noise.
 :func:`canonical` produces that rendering as plain JSON-able data,
 :func:`canonical_json` serializes it deterministically, and
-:func:`content_digest` hashes it.  :func:`report_digest` applies the same
-treatment to a whole :class:`~repro.bench.BenchReport`, ignoring the
-volatile wall/cpu timings so a serial run, a pooled run, and a cache-served
-run of the same cells all digest identically.
+:func:`content_digest` hashes it.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ import hashlib
 import json
 from typing import Any
 
-__all__ = ["canonical", "canonical_json", "content_digest", "report_digest"]
+__all__ = ["canonical", "canonical_json", "content_digest"]
 
 
 def canonical(value: Any) -> Any:
@@ -45,18 +41,3 @@ def canonical_json(value: Any) -> str:
 def content_digest(value: Any) -> str:
     """A sha256 hex digest of the canonical JSON rendering."""
     return hashlib.sha256(canonical_json(value).encode()).hexdigest()
-
-
-def report_digest(report) -> str:
-    """One digest over a report's (name, params, metrics) cells.
-
-    Wall-clock and CPU timings are deliberately excluded: two runs of the
-    same deterministic cells must digest identically regardless of how
-    (serially, on a pool, from the cache) they were produced.
-    """
-    return content_digest(
-        [
-            {"name": result.name, "params": result.params, "metrics": result.metrics}
-            for result in report
-        ]
-    )

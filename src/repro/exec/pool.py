@@ -163,10 +163,6 @@ class WorkerPool:
         self.spawned = 0
         self.last: PoolStats | None = None
 
-    @property
-    def alive(self) -> bool:
-        return self._executor is not None
-
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
             context = multiprocessing.get_context(_start_method())

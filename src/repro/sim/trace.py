@@ -131,11 +131,3 @@ class Trace:
         """
         return [row[3] for row in self._rows if row[2] == event]
 
-    def last(self, event: str) -> TraceRecord | None:
-        """Latest record with the given event name, if any."""
-        best = None
-        for row in self._rows:
-            if row[2] == event and (best is None or row[0] > best[0]):
-                best = row
-        return TraceRecord(*best) if best is not None else None
-

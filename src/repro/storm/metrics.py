@@ -37,13 +37,6 @@ class RunMetrics:
         return self.tuples_emitted / self.duration
 
     @property
-    def batch_rate(self) -> float:
-        """Batches acknowledged per simulated second."""
-        if self.duration <= 0:
-            return 0.0
-        return self.batches_acked / self.duration
-
-    @property
     def batching_factor(self) -> float:
         """Items per channel frame actually achieved (0.0 when no frames)."""
         if self.frames_sent <= 0:

@@ -118,17 +118,19 @@ class TestExecution:
             app.run()
 
     def test_harness_requires_an_audit_profile(self):
+        from repro.chaos.harnesses import AppHarness
         from repro.errors import BlazesError
 
         app = BlazesApp("tmp", backend="bloom")
         with pytest.raises(BlazesError, match="no audit profile"):
-            app.harness()
+            AppHarness(app)
 
-    def test_audit_sweeps_only_this_app(self):
-        report = get_app("wordcount").audit(
-            smoke=True, seeds=(7,), schedules=("baseline", "dup-burst")
+    def test_audit_sweeps_only_the_apps_named(self):
+        from repro.chaos.campaign import audit_campaign
+
+        report = audit_campaign(
+            ("wordcount",), smoke=True, seeds=(7,), schedules=("baseline", "dup-burst")
         )
-        assert report.name == "audit-wordcount"
         assert [result.name for result in report] == [
             "wordcount/sealed/baseline",
             "wordcount/sealed/dup-burst",
@@ -139,6 +141,14 @@ class TestExecution:
         assert {result.params["seeds"][0] for result in report} == {7}
 
     def test_audit_requires_an_audit_profile(self):
-        app = BlazesApp("tmp", backend="bloom")
-        with pytest.raises(ApiError, match="no audit profile"):
-            app.audit()
+        from repro.api import register
+        from repro.api.registry import _REGISTRY
+        from repro.chaos.campaign import audit_campaign
+        from repro.errors import BlazesError
+
+        register(BlazesApp("tmp-unaudited", backend="bloom"))
+        try:
+            with pytest.raises(BlazesError, match="no audit profile"):
+                audit_campaign(("tmp-unaudited",), smoke=True)
+        finally:
+            _REGISTRY.pop("tmp-unaudited", None)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps.ad_network import AdWorkload, run_ad_network
 from repro.coord.sealing import registry_path
+from repro.errors import ApiError
 
 SMALL = AdWorkload(
     ad_servers=2,
@@ -130,7 +131,7 @@ def test_doubling_servers_hurts_ordered_more_than_uncoordinated():
 
 
 def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ApiError, match="no strategy 'chaos'"):
         run_ad_network("chaos", workload=SMALL)
 
 

@@ -11,6 +11,7 @@ from repro.bloom.analysis import analyze_module
 from repro.bloom.runtime import BloomRuntime
 from repro.core import LabelKind, OrderStrategy, SealStrategy, analyze, choose_strategies
 from repro.core.annotations import AnnotationKind
+from repro.errors import ApiError
 from tests.reference.kvs_ref import kvs_dataflow
 
 writes = st.lists(
@@ -33,11 +34,11 @@ def final_store(rows, *, one_per_tick: bool) -> dict:
     else:
         runtime.insert("put", rows)
         runtime.tick()
-    module = runtime.module
-    return {
-        key: module.current_value(runtime, key)
-        for key in {row[0] for row in rows}
-    }
+    # last writer wins: per key, the value of the greatest (ts, value)
+    best: dict = {}
+    for key, value, ts in runtime.read("writes"):
+        best[key] = max(best.get(key, (ts, value)), (ts, value))
+    return {key: value for key, (_ts, value) in best.items()}
 
 
 class TestConvergence:
@@ -136,7 +137,7 @@ class TestKvsCluster:
             assert val == winners[key], (reqid, key)
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ApiError, match="no strategy 'chaotic'"):
             run_kvs("chaotic")
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps.queries import QUERY_NAMES, make_report_module
 from repro.bloom.runtime import BloomRuntime
+from repro.errors import BloomError
 
 
 def clicks_for(ad: str, n: int, campaign="c1", window=0):
@@ -83,8 +84,10 @@ def test_every_query_module_builds(query):
 
 
 def test_unknown_query_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(BloomError, match="unknown query 'MEDIAN'"):
         make_report_module("MEDIAN")
+    with pytest.raises(BloomError, match="nope"):
+        make_report_module("CAMPAIGN", nope=1)
 
 
 class TestRegisteredQueryApps:

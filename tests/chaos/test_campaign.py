@@ -10,7 +10,6 @@ from repro.chaos import (
     audit_campaign,
     campaign_is_sound,
     campaign_tightness,
-    default_schedules,
     demonstrated_anomalies,
     harness_for,
     matrix_apps,
@@ -221,7 +220,7 @@ def test_render_audit_summarizes():
 
 
 def test_default_schedules_exposed_per_app():
-    names = [s.name for s in default_schedules("wordcount", smoke=True)]
+    names = [s.name for s in harness_for("wordcount", smoke=True).schedules]
     assert "baseline" in names and "crash-restart" in names
     with pytest.raises(SimulationError):
         harness_for("nope")

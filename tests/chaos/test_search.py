@@ -241,13 +241,13 @@ class TestCompositeGenerator:
 
         env = order_only_envelope()
         for schedule in composite_schedules(6, seed=5, envelope=env):
-            assert env.admits(schedule)
+            assert env.violations(schedule) == ()
             assert {type(f) for f in schedule.faults} <= {Reorder, Duplicate}
         capped = FaultEnvelope(
             "capped", frozenset({"loss", "reorder"}), max_loss_prob=0.25
         )
         for schedule in composite_schedules(6, seed=5, envelope=capped):
-            assert capped.admits(schedule)
+            assert capped.violations(schedule) == ()
 
     def test_no_roles_means_no_role_addressed_faults(self):
         for schedule in composite_schedules(6, seed=7, roles=()):
@@ -268,22 +268,11 @@ class TestCompositeGenerator:
 # ----------------------------------------------------------------------
 class TestSearchCampaign:
     def test_smoke_search_finds_minimal_reproducing_anomalies(self, tmp_path):
-        from repro.chaos.search import (
-            render_search,
-            search_campaign,
-            search_is_sound,
-        )
+        from repro.chaos.search import SearchSweep, render_search, search_is_sound
         from repro.exec.cache import CellCache
 
-        payload = search_campaign(
-            ["wordcount"],
-            smoke=True,
-            candidates=2,
-            budget=24,
-            seed=0,
-            jobs=1,
-            cache=CellCache(tmp_path / "cache"),
-        )
+        sweep = SearchSweep(apps=["wordcount"], smoke=True, candidates=2, budget=24)
+        payload = sweep.run(cache=CellCache(tmp_path / "cache"))
         assert payload["cells"] and len(payload["cells"]) == 2 * 2  # 2 strategies
         assert search_is_sound(payload)  # wordcount's labels are sound
         # the eager strategy's Run anomaly must be found and minimized
@@ -299,18 +288,14 @@ class TestSearchCampaign:
         assert "search cache:" in text and "minimized anomalies" in text
 
     def test_search_cells_hit_cache_across_runs(self, tmp_path):
-        from repro.chaos.search import search_campaign
+        from repro.chaos.search import SearchSweep
         from repro.exec.cache import CellCache
 
-        kwargs = dict(
-            smoke=True, candidates=2, budget=24, seed=0, jobs=1
-        )
-        cold = search_campaign(
-            ["wordcount"], cache=CellCache(tmp_path / "cache"), **kwargs
-        )
-        warm = search_campaign(
-            ["wordcount"], cache=CellCache(tmp_path / "cache"), **kwargs
-        )
+        def search():
+            sweep = SearchSweep(apps=["wordcount"], smoke=True, candidates=2, budget=24)
+            return sweep.run(cache=CellCache(tmp_path / "cache"))
+
+        cold, warm = search(), search()
         assert warm["engine"]["hit_rate"] == 1.0
         assert warm["findings"] == cold["findings"]
 
@@ -411,16 +396,16 @@ def test_adaptive_sweeps_do_not_depend_on_jobs(sweep, options):
     """The loop owns the fan-out: the golden search and frontier give the
     same payload serially and on a two-worker pool."""
     from repro.bench import BenchReport
-    from repro.chaos.search import frontier_campaign, search_campaign
+    from repro.chaos.search import FrontierSweep, SearchSweep
     from repro.exec import shutdown_shared_pool
 
-    campaign, to_dict = {
-        "search": (search_campaign, dict),
-        "frontier": (frontier_campaign, BenchReport.to_dict),
+    kind, to_dict = {
+        "search": (SearchSweep, dict),
+        "frontier": (FrontierSweep, BenchReport.to_dict),
     }[sweep]
     try:
-        serial = to_dict(campaign(smoke=True, jobs=1, cache=None, **options))
-        pooled = to_dict(campaign(smoke=True, jobs=2, cache=None, **options))
+        serial = to_dict(kind(smoke=True, **options).run(jobs=1))
+        pooled = to_dict(kind(smoke=True, **options).run(jobs=2))
     finally:
         shutdown_shared_pool()
     assert pooled["engine"]["jobs"] == 2

@@ -38,7 +38,7 @@ class TestOrderedInboxProperties:
         expected = 0
         while expected in distinct:
             expected += 1
-        assert inbox.next_seq == expected
+        assert inbox.applied == expected
 
     @given(st.permutations(list(range(20))), st.integers(0, 2**16))
     def test_release_count_sums_to_total(self, seqs, _salt):
@@ -90,7 +90,7 @@ class TestSealManagerProperties:
         assert set(released) == set(range(n_partitions))
         for partition, records in released.items():
             assert len(records) == n_producers * per_pair
-        assert manager.pending_partitions == frozenset()
+        assert manager._buffers == {}
 
     @given(st.integers(min_value=2, max_value=5))
     def test_no_release_before_unanimity(self, n_producers):

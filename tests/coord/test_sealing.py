@@ -106,8 +106,7 @@ def test_partitions_release_independently():
     sim.schedule(0.0, drive)
     sim.run()
     assert [p for p, _ in consumer.completed] == ["b"]
-    assert consumer.seals.pending_partitions == frozenset({"a"})
-    assert consumer.seals.buffered_count("a") == 1
+    assert consumer.seals._buffers == {"a": [1]}
 
 
 def test_producer_cannot_send_after_sealing():
@@ -126,24 +125,6 @@ def test_producer_cannot_send_after_sealing():
     sim.run()
 
 
-def test_seal_all_punctuates_every_open_partition():
-    sim, network = build()
-    producer = Producer("p0")
-    consumer = Consumer("cons", producers_for=lambda partition: frozenset({"p0"}))
-    network.register(producer)
-    network.register(consumer)
-
-    def drive():
-        producer.out.send_record("cons", "a", 1)
-        producer.out.send_record("cons", "b", 2)
-        producer.out.seal_all("cons")
-
-    sim.schedule(0.0, drive)
-    sim.run()
-    assert sorted(p for p, _ in consumer.completed) == ["a", "b"]
-    assert producer.out.sealed_partitions == frozenset({"a", "b"})
-
-
 def test_duplicated_network_releases_each_partition_once():
     sim, network = build(seed=3, dup_prob=0.4)
     producer = Producer("p0")
@@ -154,7 +135,8 @@ def test_duplicated_network_releases_each_partition_once():
     def drive():
         for i in range(20):
             producer.out.send_record("cons", i % 4, i)
-        producer.out.seal_all("cons")
+        for partition in range(4):
+            producer.out.seal("cons", partition)
 
     sim.schedule(0.0, drive)
     sim.run()
@@ -179,7 +161,8 @@ def test_zk_registry_lookup_once_per_partition():
         for i in range(10):
             producer.out.send_record("cons", "k1", i)
         producer.out.send_record("cons", "k2", "x")
-        producer.out.seal_all("cons")
+        producer.out.seal("cons", "k1")
+        producer.out.seal("cons", "k2")
 
     sim.schedule(0.0, drive)
     sim.run()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core import analyze, choose_strategies, render_report
-from repro.core.derivation import render_all, render_chain, render_output
+from repro.core.derivation import render_all, render_output
 from tests.integration.test_case_studies import (
     ad_network_dataflow,
     wordcount_dataflow,
@@ -24,21 +24,6 @@ def test_render_output_marks_replication():
     assert "=> Inst" in block
 
 
-def test_render_chain_walks_upstream_components():
-    result = analyze(wordcount_dataflow(sealed=True))
-    chain = render_chain(result, "db")
-    # all three components appear, source first
-    assert chain.index("Splitter.words") < chain.index("Count.counts")
-    assert chain.index("Count.counts") < chain.index("Commit.db")
-    assert "sink db => Async" in chain
-
-
-def test_render_chain_on_external_input():
-    result = analyze(wordcount_dataflow(sealed=True))
-    text = render_chain(result, "tweets")
-    assert "external input" in text
-
-
 def test_render_all_has_one_block_per_output():
     result = analyze(wordcount_dataflow(sealed=False))
     blocks = render_all(result).split("\n\n")
@@ -56,11 +41,9 @@ def test_report_contains_labels_verdict_and_plan():
     assert "Collapsed cycles" in report  # the cache self-edge
 
 
-def test_report_with_derivations_section():
+def test_derivations_name_the_rule_applied():
     result = analyze(wordcount_dataflow(sealed=True))
-    report = render_report(result, derivations=True)
-    assert "Derivations" in report
-    assert "(p)" in report
+    assert "(p)" in render_all(result)
 
 
 def test_report_consistent_verdict():

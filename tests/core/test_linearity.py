@@ -1,4 +1,4 @@
-"""Verdict, plan, lint and explain are linear — pinned as a count.
+"""Verdict, plan, lint and derivations are linear — pinned as a count.
 
 A ``sys.settrace`` line counter (``tools/unexecuted.py``'s tracer)
 restricted to ``repro/core`` repeats exactly from run to run, so the
@@ -11,13 +11,11 @@ output, and a wide one with as many outputs as paths.
 from __future__ import annotations
 
 import random
-import sys
 from pathlib import Path
 
 import pytest
 
 import repro.core
-from repro.apps.ad_network import ad_network_dataflow
 from repro.core import (
     CR,
     CW,
@@ -27,7 +25,7 @@ from repro.core import (
     choose_strategies,
     lint_dataflow,
     ordered_plan,
-    render_chain,
+    render_all,
 )
 from tools.unexecuted import count_lines
 
@@ -105,7 +103,7 @@ def verdict_to_explanation(flow: Dataflow) -> str:
     plan = choose_strategies(result)
     ordered_plan(result)
     lint_dataflow(result, plan)
-    return render_chain(result, "sink")
+    return render_all(result)
 
 
 def core_lines(call, *args) -> int:
@@ -121,29 +119,3 @@ def test_executed_core_lines_grow_linearly_with_the_graph(shape):
     assert grown <= 4.5 * base, (shape.__name__, base, grown, grown / base)
     assert core_lines(verdict_to_explanation, small) == base  # a count, not a timing
 
-
-def _blocks(text: str) -> list[str]:
-    return [block.splitlines()[-1].split(" => ")[0] for block in text.split("\n\n")]
-
-
-def test_render_chain_returns_on_the_papers_figure_4():
-    text = render_chain(analyze(ad_network_dataflow("CAMPAIGN")), "answers")
-    assert sorted(_blocks(text)) == [
-        "Cache.request",
-        "Cache.response (cycle collapsed)",
-        "Report.response",
-        "sink answers",
-    ]
-
-
-def test_render_chain_lists_every_gossip_pair_once():
-    flow = cycles(200, random.Random(0))
-    blocks = _blocks(render_chain(analyze(flow), "sink"))
-    expected = {f"{member}{i}.out (cycle collapsed)" for member in "ab" for i in range(100)}
-    assert len(blocks) == 201 and set(blocks[:-1]) == expected
-
-
-def test_render_chain_is_not_bounded_by_the_recursion_limit():
-    depth = max(3_000, 2 * sys.getrecursionlimit())
-    blocks = _blocks(render_chain(analyze(chain(depth, random.Random(0))), "sink"))
-    assert blocks == [f"c{i}.out" for i in range(depth)] + ["sink sink"]

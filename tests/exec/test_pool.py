@@ -57,7 +57,7 @@ def test_pool_resize_respawns_with_new_worker_count():
     try:
         pool.run(square, [{"x": 1}])
         pool.resize(2)
-        assert not pool.alive  # respawn deferred to the next dispatch
+        assert pool._executor is None  # respawn deferred to the next dispatch
         rows = pool.run(square, [{"x": 2}, {"x": 3}])
         assert pool.spawned == 2
         assert pool.jobs == 2
@@ -127,4 +127,4 @@ def test_shared_pool_is_one_pool_resized_on_demand():
 def test_pool_empty_dispatch_is_a_noop():
     pool = WorkerPool(2)
     assert pool.run(square, []) == []
-    assert not pool.alive  # nothing to do: no workers were spawned
+    assert pool._executor is None  # nothing to do: no workers were spawned

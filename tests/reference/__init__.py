@@ -6,7 +6,8 @@ the textbook Bloom fixpoint with its from-scratch operator evaluation,
 message, ``telemetry_ref`` the hop telemetry that classified every
 send and derived every span event on the hop, ``analysis_ref`` the
 label analysis over string-tuple nodes that derived every step afresh,
-and ``kvs_ref`` the key/value dataflow built by hand.
+``kvs_ref`` the key/value dataflow built by hand, and ``compare`` the
+dataflow isomorphism the spec-equivalence tests check.
 None is reachable from ``src/``; the differential suites
 put them in place of the production code from the outside
 (``tests/test_knobs.py`` fails if ``src/`` ever imports them).

@@ -48,7 +48,7 @@ def analyze(dataflow: Dataflow, fds: FDSet | None = None) -> AnalysisResult:
 
     stream_labels: dict[str, Label] = {}
     stream_rep: dict[str, bool] = {}
-    for stream in dataflow.external_inputs:
+    for stream in (s for s in dataflow.streams if s.is_external_input):
         stream_labels[stream.name] = _external_label(stream)
         stream_rep[stream.name] = stream.rep
 
@@ -236,6 +236,14 @@ def _component_replicated(dataflow: Dataflow, component: Component) -> bool:
     )
 
 
+def _paths_into(component: Component, out_iface: str) -> list:
+    return [path for path in component.paths if path.to_iface == out_iface]
+
+
+def _streams_from(dataflow: Dataflow, component: str, out_iface: str) -> list[Stream]:
+    return [stream for stream in dataflow.streams if stream.src == (component, out_iface)]
+
+
 def _process_output(
     dataflow: Dataflow,
     component_name: str,
@@ -248,7 +256,7 @@ def _process_output(
     component = dataflow.component(component_name)
     steps: list[DerivationStep] = []
     labels: list[Label] = []
-    for path in component.paths_into(out_iface):
+    for path in _paths_into(component, out_iface):
         for _stream, label, _rep in _inputs_for(
             dataflow, component_name, path.from_iface, stream_labels, stream_rep
         ):
@@ -268,7 +276,7 @@ def _process_output(
     # Stream replication is the producing component's Rep flag (or the
     # stream's own annotation); consumer-side replication does not make the
     # produced stream replicated.
-    for stream in dataflow.streams_from(component_name, out_iface):
+    for stream in _streams_from(dataflow, component_name, out_iface):
         stream_labels[stream.name] = result.merged
         stream_rep[stream.name] = stream.rep or component.rep
 
@@ -318,7 +326,7 @@ def _process_cycle(
     internal_feed: list[Label] = []
     for comp_name, out_iface in sorted(out_nodes):
         component = dataflow.component(comp_name)
-        for path in component.paths_into(out_iface):
+        for path in _paths_into(component, out_iface):
             if (comp_name, path.from_iface) in in_nodes:
                 continue  # a cycle path: one of the cycle's annotations
             for _stream, label, _rep in _inputs_for(
@@ -356,7 +364,7 @@ def _process_cycle(
         # as in _process_output: a stream leaving the cycle is replicated iff
         # its own producer is, whatever the other members are
         producer_rep = dataflow.component(comp_name).rep
-        for stream in dataflow.streams_from(comp_name, out_iface):
+        for stream in _streams_from(dataflow, comp_name, out_iface):
             stream_labels[stream.name] = result.merged
             stream_rep[stream.name] = stream.rep or producer_rep
 

@@ -1,16 +1,17 @@
-"""Structural comparison of dataflows.
+"""Structural comparison of dataflows, the oracle of the spec-equivalence
+tests (``tests/api/test_equivalence.py``).
 
 Two notions of sameness matter in practice:
 
 * **equality** — :meth:`repro.core.graph.Dataflow.signature` (and ``==``):
   identical components, identical named streams.  This is the round-trip
   identity ``loads_spec(dump_spec(df)) == df`` preserves.
-* **isomorphism** — :func:`dataflow_isomorphic`: identical components and
-  identical *wiring*, ignoring what the streams are called.  Specs
-  written by hand name streams after the data (``tweets``); dataflows
-  extracted from a Storm topology name them after the edge
-  (``tweets->Splitter``).  The analysis outcome depends only on the
-  wiring, which is what this predicate compares.
+* **isomorphism** — :func:`isomorphism_mismatch` is ``None``: identical
+  components and identical *wiring*, ignoring what the streams are
+  called.  Specs written by hand name streams after the data
+  (``tweets``); dataflows extracted from a Storm topology name them
+  after the edge (``tweets->Splitter``).  The analysis outcome depends
+  only on the wiring, which is what this predicate compares.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import Counter
 
 from repro.core.graph import Dataflow
 
-__all__ = ["dataflow_isomorphic", "isomorphism_mismatch"]
+__all__ = ["isomorphism_mismatch"]
 
 
 def _component_table(dataflow: Dataflow) -> dict[str, tuple]:
@@ -61,8 +62,3 @@ def isomorphism_mismatch(a: Dataflow, b: Dataflow) -> str | None:
         only_b = edges_b - edges_a
         return f"wiring differs: {sorted(only_a)!r} vs {sorted(only_b)!r}"
     return None
-
-
-def dataflow_isomorphic(a: Dataflow, b: Dataflow) -> bool:
-    """True when the graphs agree up to stream renaming."""
-    return isomorphism_mismatch(a, b) is None

@@ -22,6 +22,7 @@ from contextlib import nullcontext
 import pytest
 
 from repro.api.registry import app_names, audit_app_names, get_app
+from repro.chaos.harnesses import AppHarness
 from repro.chaos.oracle import classify_runs
 from repro.chaos.schedule import (
     Crash,
@@ -100,7 +101,7 @@ def test_audit_observation_identical_across_kernels(
     observations = {}
     for name in KERNELS:
         with kernel(name):
-            harness = app.harness(smoke=True)
+            harness = AppHarness(app, smoke=True)
             observations[name] = harness.observe(strategy, schedule, seed=11)
     assert observations["fast"] == observations["ref"]
 
@@ -114,7 +115,7 @@ def test_oracle_verdict_identical_across_kernels(app_name):
     verdicts = {}
     for name in KERNELS:
         with kernel(name):
-            harness = app.harness(smoke=True)
+            harness = AppHarness(app, smoke=True)
             runs = [harness.observe(strategy, schedule, seed=s) for s in (1, 2)]
         verdicts[name] = classify_runs(runs)
     assert verdicts["fast"] == verdicts["ref"]
@@ -158,7 +159,7 @@ def test_random_fault_schedules_run_identically(app_name, schedule_seed):
     observations = {}
     for name in KERNELS:
         with kernel(name):
-            harness = app.harness(smoke=True)
+            harness = AppHarness(app, smoke=True)
             observations[name] = harness.observe(
                 strategy, schedule, seed=schedule_seed
             )
@@ -209,7 +210,7 @@ def test_baseline_schedule_is_equivalence_smoke():
     observations = {}
     for name in KERNELS:
         with kernel(name):
-            harness = app.harness(smoke=True)
+            harness = AppHarness(app, smoke=True)
             observations[name] = harness.observe(
                 app.audit_spec.strategies[0], baseline(), seed=3
             )

@@ -66,12 +66,6 @@ def test_timeline_ends_at_an_edge_covering_the_last_record():
     assert trace.timeline("processed", bucket=0.7) == [(0.7, 0), (1.4, 1)]
 
 
-def test_last():
-    trace = make_trace()
-    assert trace.last("processed").data == 3
-    assert trace.last("nope") is None
-
-
 def test_total_weights_integer_data():
     trace = Trace()
     trace.record(0.1, "probe", "processed", 50)  # aggregated: 50 items

@@ -4,21 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps.wordcount import analyze_wordcount, build_wordcount_topology
+from repro.apps.wordcount import build_wordcount_topology, wordcount_dataflow
 from repro.core import LabelKind, analyze, choose_strategies, SealStrategy, OrderStrategy
 from repro.errors import StormError
 from repro.storm import Bolt, Fields, Spout, TopologyBuilder, topology_to_dataflow
 
 
 def test_wordcount_extraction_matches_manual_dataflow():
-    result = analyze_wordcount(sealed=False)
+    result = analyze(wordcount_dataflow(sealed=False))
     assert result.label_of("Commit->sink").kind is LabelKind.RUN
     plan = choose_strategies(result)
     assert isinstance(plan.strategy_for("Count"), OrderStrategy)
 
 
 def test_sealed_extraction_is_consistent():
-    result = analyze_wordcount(sealed=True)
+    result = analyze(wordcount_dataflow(sealed=True))
     assert result.label_of("Commit->sink").kind is LabelKind.ASYNC
     plan = choose_strategies(result)
     assert isinstance(plan.strategy_for("Count"), SealStrategy)

@@ -22,7 +22,6 @@ def test_collect_metrics_on_cluster_that_never_ran():
     assert metrics.tuples_emitted == 0
     assert metrics.mean_batch_latency == 0.0
     assert metrics.throughput == 0.0
-    assert metrics.batch_rate == 0.0
     assert metrics.batching_factor == 0.0
 
 
@@ -35,7 +34,6 @@ def test_zero_duration_rates_are_zero():
         mean_batch_latency=0.0,
     )
     assert metrics.throughput == 0.0
-    assert metrics.batch_rate == 0.0
 
 
 def test_batching_factor_guards_empty_frames():

@@ -254,6 +254,12 @@ def test_an_unknown_override_key_with_any_characters_is_a_clean_error(key, capsy
         ("wordcount", "parallelism=3", "parallelism"),
         ("wordcount", 'frame_size="a"', "frame_size"),
         ("wordcount", 'replay_timeout="x"', "replay_timeout"),
+        # an unknown report query or keyword, a word count that sends nothing
+        ("adnet", "query=NOPE", "unknown query 'NOPE'"),
+        ("adnet", 'query_kwargs={"nope": 1}', "'nope'"),
+        ("wordcount", "batch_size=0", "batch_size must be >= 1, got 0"),
+        ("wordcount", "total_batches=-1", "total_batches must be >= 1, got -1"),
+        ("wordcount", "batch_size=NaN", "batch_size must be >= 1, got nan"),
     ],
 )
 def test_run_override_of_the_wrong_type_is_a_clean_error(app, override, named, capsys):
@@ -325,9 +331,40 @@ def test_audit_matrix_subcommand(tmp_path, monkeypatch, capsys):
     assert "consistent" in report
 
 
-def test_audit_matrix_rejects_apps_flag(capsys):
-    assert main(["audit", "--matrix", "--apps", "kvs"]) == 1
-    assert "--matrix" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv,sweep,flag",
+    [
+        (["--matrix", "--apps", "kvs"], "audit --matrix", "--apps"),
+        (["--matrix", "--timeout", "5"], "audit --matrix", "--timeout"),
+        (["--search", "--apps", "kvs", "--candidates", "1", "--timeout", "5"], "audit --search", "--timeout"),
+        (["--search", "--apps", "kvs", "--candidates", "1", "--evidence"], "audit --search", "--evidence"),
+        (["--apps", "kvs", "--candidates", "3"], "audit", "--candidates"),
+        (["--apps", "kvs", "--budget", "8"], "audit", "--budget"),
+        (["--apps", "kvs", "--search-seed", "1"], "audit", "--search-seed"),
+        (["--matrix", "--backend", "socket"], "audit --matrix", "--backend"),
+        (["--search", "--apps", "kvs", "--backend", "socket"], "audit --search", "--backend"),
+    ],
+)
+def test_a_flag_the_sweep_does_not_read_is_an_error(argv, sweep, flag, capsys):
+    assert main(["audit", "--smoke", *argv, "--no-cache", "--no-report"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {sweep} does not read {flag}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--matrix"], ["--search", "--apps", "kvs"]])
+def test_backend_sim_names_the_simulator_every_sweep_runs_on(argv):
+    from repro.cli import _reject_unread_flags
+
+    _reject_unread_flags(build_parser().parse_args(["audit", *argv, "--backend", "sim"]))
+
+
+def test_audit_matrix_sweeps_only_the_schedules_named(capsys):
+    assert main([
+        "audit", "--matrix", "--smoke", "--schedules", "baseline", "--no-cache",
+        "--no-report", "--json",
+    ]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert len(cells) == 12 and {cell["name"].rsplit("/", 1)[1] for cell in cells} == {"baseline"}
 
 
 def test_audit_misspelt_schedule_is_not_vacuously_sound(capsys):

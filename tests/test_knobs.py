@@ -138,13 +138,13 @@ def test_retired_private_names_stay_gone():
     }
     for under, names in retired.items():
         paths = _sources(under) if (SRC / under).is_dir() else [SRC / under]
-        found = [(p.name, n) for p in paths for n in names if n in p.read_text()]
-        assert not found, found
-    assert not any("_streams" in inspect.getsource(q) for q in (Dataflow.streams_into, Dataflow.streams_from))
+        assert not (found := [(p.name, n) for p in paths for n in names if n in p.read_text()]), found
+    assert "_streams" not in inspect.getsource(Dataflow.streams_into)
     spelled = {str(p.relative_to(SRC)): p.read_text().count("producers/") for p in _sources()}
     assert {name: n for name, n in spelled.items() if n} == {"repro/coord/sealing.py": 1}
 
 
-def test_nothing_under_src_is_stored_without_a_reader():
-    """``tools/surface.py``'s list (a): state nothing reads cannot come back."""
+def test_nothing_under_src_is_unread_or_called_only_by_tests_without_a_reason():
+    """``tools/surface.py``'s lists (a) and (c) stay empty but for definitions kept with a reason."""
     assert surface.unread_attributes() == []
+    assert [row for row in surface.definitions_only_tests_call() if row[2] not in surface.KEPT] == []

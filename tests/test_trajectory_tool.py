@@ -28,6 +28,8 @@ def test_the_source_digest_follows_the_source_and_ignores_what_a_run_leaves(tmp_
 
 
 AUDIT = {"cells": 78, "sound": 78, "tight": 12, "unsound": 0}
+# the header of tools/surface.py's list (c)
+LIST_C = "public definitions nothing outside tests/ refers to"
 
 
 def test_check_compares_the_count_columns_and_not_the_timings():
@@ -63,8 +65,10 @@ def test_every_ledger_row_has_its_columns_and_a_source_of_its_own():
     counts = {m["name"] for m in spec["per_layer"] if m["unit"] == "count"}
     rows = trajectory.read_rows()
     assert rows, "PERF_TRAJECTORY.jsonl holds no row"
-    # the two list counts; every row from the first with the manifest's total carries it too
+    # the two list counts; every row from the first with the manifest's total carries it
+    # too, and every row from the first with list (c), definitions only tests call, that
     first = next((i for i, row in enumerate(rows) if "settable values" in row["surface"]), len(rows))
+    listed = next((i for i, row in enumerate(rows) if LIST_C in row["surface"]), len(rows))
     # likewise the audit column, from the first row that has one
     audited = next((i for i, row in enumerate(rows) if "audit" in row), len(rows))
     assert len({row["source"] for row in rows}) == len(rows)
@@ -76,8 +80,9 @@ def test_every_ledger_row_has_its_columns_and_a_source_of_its_own():
             assert set(row["counts"][workload]) == counts
             assert {m["name"] for m in spec["end_to_end"]} <= set(row["end_to_end"][workload])
         assert set(row["lines"]) == {"src", "tests"}
-        manifest = i >= first
-        assert len(row["surface"]) == 2 + manifest and ("settable values" in row["surface"]) == manifest
+        manifest, test_only = i >= first, i >= listed
+        assert len(row["surface"]) == 2 + manifest + test_only
+        assert ("settable values" in row["surface"]) == manifest and (LIST_C in row["surface"]) == test_only
 
 
 def test_the_tool_runs_the_benchmark_from_outside():

@@ -1,10 +1,10 @@
 """What does ``src/repro`` let a caller set, and what of it does nothing
 use?  An AST scan that runs in seconds, from the repository root::
 
-    python tools/surface.py              # lists (a) and (b) and the total
+    python tools/surface.py              # lists (a), (b) and (c) and the total
     python tools/surface.py --manifest   # the whole settable surface
 
-Without a flag it prints two lists and a total, each under a header line
+Without a flag it prints three lists and a total, each under a header line
 carrying its count:
 
 (a) attributes stored under ``src/repro`` (an ``obj.name`` assignment
@@ -14,13 +14,20 @@ carrying its count:
 (b) keyword-only parameters with a default, of functions under
     ``src/repro``, that no call in ``src/`` or ``benchmarks/`` passes:
     no keyword argument of that name, and no string spelling it as a dict
-    key or subscript (parameters that travel in a ``**params`` mapping).
-    An entry kept on purpose carries its reason (:data:`KEPT`);
+    key or subscript (parameters that travel in a ``**params`` mapping);
+(c) public functions, methods and classes under ``src/repro`` that
+    nothing outside ``tests/`` refers to: no ``Name``, ``Attribute``,
+    imported name or identifier string in ``src/``, ``benchmarks/``,
+    ``tools/`` or ``examples/`` spells them, where an ``__init__.py``
+    import (a re-export) and an ``__all__`` list do not count;
 ``settable values``: the manifest's total.
 
-Names are matched without their owner, so a read of any attribute of
-the same name anywhere keeps an attribute off list (a): the scan can miss
-a write-only attribute, but what it lists nothing reads.
+An entry of list (b) or (c) kept on purpose carries its reason
+(:data:`KEPT`).  Names are matched without their owner, so a use of any
+attribute or definition of the same name anywhere keeps an entry off
+lists (a) and (c): the scan can miss a write-only attribute or a
+definition only tests call, but what it lists nothing outside the tests
+uses.
 
 ``--manifest`` prints one sorted listing of everything a caller can set,
 each section under a header counting its settable values: the
@@ -29,7 +36,7 @@ method (``__init__`` and ``__call__`` included) of every class, with the
 class and its bases; every dataclass and ``NamedTuple`` field; every
 ``BLAZES_*``/``REPRO_*`` environment knob; the ``blazes`` parser as a
 table, and each option string as often as ``cli.py`` declares it; then
-lists (a) and (b).  Defaults are rendered from the source with
+lists (a), (b) and (c).  Defaults are rendered from the source with
 ``ast.unparse``, so the text holds no object address and does not depend
 on the Python version or the hash seed.  ``tests/goldens/surface.txt``
 is its committed copy and ``tests/test_knobs.py`` diffs against it;
@@ -51,11 +58,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 
-# list (b) entries with a caller outside src/ and benchmarks/, and why they stay
+# entries of lists (b) and (c) kept on purpose, and why they stay
 KEPT = {
     "lint_dataflow(producers_per_partition=)":
         "examples/design_patterns.py sets it: the Fig. 14 coordination-locality demo",
+    "BloomModule.notin()": "the Bloom language's antijoin: no app negates, the engine tests do",
+    "FDSet.injectively_determines()":
+        "Sec. V-A1's injectivefd whole, closure included: the FD tests fail on a lost "
+        "non-injective FD, which compatible(), what the analysis asks, cannot see",
+    "digest_cells()": "regenerates the seed pins, seed_digests.json, through the pool",
+    "validate_rundir()": "the schema check of a run directory docs/observability.md documents",
 }
+# the trees whose references keep a definition off list (c)
+CALLERS = ("src", "benchmarks", "tools", "examples")
 # the dunder methods a caller sets values through
 CALLED_DUNDERS = {"__init__", "__new__", "__call__"}
 # a class decorator or base that makes the class body a list of fields
@@ -126,6 +141,58 @@ def unpassed_keywords(root: Path = ROOT) -> list[tuple[str, int, str]]:
                         (str(path.relative_to(root)), node.lineno, f"{node.name}({arg.arg}=)")
                     )
     return sorted(found)
+
+
+def _referred(root: Path) -> set[str]:
+    """Every name :data:`CALLERS` refer to, but for re-exports."""
+    names: set[str] = set()
+    for path, tree in _trees(*(root / top for top in CALLERS)):
+        exported = {
+            id(node)
+            for statement in tree.body
+            if isinstance(statement, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in statement.targets)
+            for node in ast.walk(statement)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias) and path.name != "__init__.py":
+                names.add(node.name.rpartition(".")[2])
+            elif (
+                isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.isidentifier() and id(node) not in exported
+            ):
+                names.add(node.value)
+    return names
+
+
+def _definitions(body: list[ast.stmt], owner: str = "") -> Iterator[tuple[ast.stmt, str]]:
+    """``(node, "Owner.name")`` of the functions and classes in ``body``
+    and, in every class, of its methods."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, f"{owner}{node.name}"
+        if isinstance(node, ast.ClassDef):
+            yield from _definitions(node.body, f"{owner}{node.name}.")
+
+
+def definitions_only_tests_call(root: Path = ROOT) -> list[tuple[str, int, str]]:
+    """``(path, line, "name()")`` of each public function or method, and
+    ``"class Name"`` of each public class, under ``src/repro`` that nothing
+    outside ``tests/`` refers to."""
+    referred = _referred(root)
+    return sorted(
+        (
+            str(path.relative_to(root)), node.lineno,
+            f"class {name}" if isinstance(node, ast.ClassDef) else f"{name}()",
+        )
+        for path, tree in _trees(root / "src" / "repro")
+        for node, name in _definitions(tree.body)
+        if not node.name.startswith("_") and node.name not in referred
+    )
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +341,7 @@ def _kept(name: str) -> str:
 
 
 def _settable() -> tuple[int, list[tuple[str, int, list[str]]]]:
-    """The manifest's total and its sections before lists (a) and (b)."""
+    """The manifest's total and its sections before lists (a), (b) and (c)."""
     callables, fields, parameters = [], [], 0
     for path, tree in _trees(SRC):
         module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
@@ -306,6 +373,7 @@ def _lists() -> list[tuple[str, list[tuple[str, int, str]]]]:
     return [
         ("attributes stored and never read", unread_attributes()),
         ("keyword-only defaults no src/ or benchmarks/ call passes", unpassed_keywords()),
+        ("public definitions nothing outside tests/ refers to", definitions_only_tests_call()),
     ]
 
 

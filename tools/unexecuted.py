@@ -88,44 +88,49 @@ def executable_lines(path: Path) -> set[int]:
 
 
 class Unexecuted:
-    """The run's table of executed ``(file, line)`` pairs."""
+    """The run's table of the lines each traced code object has yet to run.
+
+    One local trace function serves every frame, and a line event only
+    discards from a set: past a code object's first call the tracer
+    allocates nothing, so a test measuring its own allocations
+    (``tracemalloc``) does not count the tracer's.
+    """
 
     def __init__(self, root: Path) -> None:
         self.root = root
-        self.hits: dict[str, set[int]] = {}
         # per code object, the lines still unseen: a function whose lines
         # have all run is no longer traced, which is most of the speed
         self._todo: dict[CodeType, set[int]] = {}
-        self._prefix = str(root)
-
-    def _on_call(self, frame, event, arg):
-        code = frame.f_code
-        if not code.co_filename.startswith(self._prefix):
-            return None
-        todo = self._todo.get(code)
-        if todo is None:
-            todo = self._todo[code] = own_lines(code)
-        if not todo:
-            return None
-        seen = self.hits.setdefault(code.co_filename, set())
+        prefix, todo = str(root), self._todo
 
         def local(frame, event, arg):
             if event == "line":
-                todo.discard(frame.f_lineno)
-                seen.add(frame.f_lineno)
+                todo[frame.f_code].discard(frame.f_lineno)
             return local
 
-        return local
+        def on_call(frame, event, arg):
+            code = frame.f_code
+            if not code.co_filename.startswith(prefix):
+                return None
+            lines = todo.get(code)
+            if lines is None:
+                lines = todo[code] = own_lines(code)
+            return local if lines else None
+
+        self._on_call = on_call
 
     def arm(self) -> None:
         sys.settrace(self._on_call)
 
     def report(self) -> list[tuple[str, int, list[int]]]:
         """``(relative path, executable lines, unexecuted lines)`` per file."""
+        hits: dict[str, set[int]] = {}
+        for code, unseen in self._todo.items():
+            hits.setdefault(code.co_filename, set()).update(own_lines(code) - unseen)
         rows = []
         for path in sorted(self.root.rglob("*.py")):
             lines = executable_lines(path)
-            missed = sorted(lines - self.hits.get(str(path), set()))
+            missed = sorted(lines - hits.get(str(path), set()))
             rows.append((str(path.relative_to(self.root)), len(lines), missed))
         return rows
 
