@@ -334,8 +334,8 @@ def run_wordcount(
 
     ``eager`` runs the unsealed, order-sensitive topology variant, and
     ``chaos`` is the fault-injection hook: it receives the built (not yet
-    running) cluster, so ``repro.chaos`` schedules can arm a
-    :class:`~repro.sim.failure.FailureInjector` before the first event.
+    running) cluster, so a ``repro.chaos`` schedule can arm its faults on
+    the cluster's network before the first event.
     ``workload_seed`` (defaulting to ``seed``) pins the generated tweets,
     so several ``seed`` values can explore delivery interleavings of one
     workload — the cross-run comparison the chaos oracle performs.

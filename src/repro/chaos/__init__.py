@@ -7,7 +7,7 @@ in the spirit of the paper's Section VII evaluation:
 
 * :mod:`repro.chaos.schedule` — a declarative, composable fault-schedule
   DSL (crash/recover, loss and duplication windows, link partitions,
-  reorder bursts) compiled onto :class:`repro.sim.failure.FailureInjector`;
+  reorder bursts) whose faults each arm themselves on a network;
 * :mod:`repro.chaos.oracle` — consistency oracles that classify a *set*
   of seeded runs into the Figure 8 severity lattice by comparing committed
   outputs across seeds (``Run``), across replicas after quiescence

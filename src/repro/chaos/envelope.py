@@ -31,6 +31,7 @@ from repro.chaos.schedule import (
     Duplicate,
     FaultSchedule,
     Loss,
+    _FAULT_TYPES,
     fault_kind,
 )
 from repro.errors import SimulationError
@@ -44,7 +45,8 @@ __all__ = [
     "replay_envelope",
 ]
 
-FAULT_KINDS = ("crash", "loss", "duplicate", "partition", "reorder")
+# the schedule DSL's fault kinds, in its order
+FAULT_KINDS = tuple(_FAULT_TYPES)
 
 # the campaign's cell taxonomy: sound / unsound applies only inside the
 # envelope; outside it the verdict is withheld

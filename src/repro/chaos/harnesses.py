@@ -26,7 +26,6 @@ from repro.chaos.oracle import RunObservation
 from repro.chaos.schedule import FaultSchedule
 from repro.core.labels import Label
 from repro.errors import ApiError, SimulationError
-from repro.sim.failure import FailureInjector
 
 __all__ = ["AppHarness", "audit_apps", "harness_for"]
 
@@ -151,7 +150,7 @@ class AppHarness:
                     ) from None
                 return names[index % len(names)]
 
-            scaled.apply(FailureInjector(cluster.network), resolve)
+            scaled.apply(cluster.network, resolve)
 
         return arm
 

@@ -4,31 +4,36 @@ A :class:`FaultSchedule` is an immutable value describing *what goes wrong
 when*, in normalized time (fractions of a run's horizon) and in terms of
 symbolic *roles* ("worker", "source", "client") rather than concrete
 process names.  At run time the campaign scales the schedule to the app's
-virtual-time horizon and compiles it onto a
-:class:`repro.sim.failure.FailureInjector`, resolving roles through the
-app harness.  The same "crash worker 0 at 20% for 30%" schedule therefore
-applies to a Storm count task, a Bloom reporting replica, or a KVS store
-node.
+virtual-time horizon and arms it on the cluster's network
+(:meth:`FaultSchedule.apply`), resolving roles through the app harness.
+The same "crash worker 0 at 20% for 30%" schedule therefore applies to a
+Storm count task, a Bloom reporting replica, or a KVS store node, on the
+simulated network or the socket-backed one.
 
-Primitives mirror the injector: :class:`Crash` (crash/recover),
-:class:`Loss` and :class:`Duplicate` (probability windows),
-:class:`Partition` (severed links), :class:`Reorder` (latency-jitter
-bursts).  Schedules compose with ``+`` and transform with
-:meth:`FaultSchedule.scaled` / :meth:`FaultSchedule.with_intensity`.
-Every fault validates its window at construction time (a fault that
-would arm in the past raises :class:`~repro.errors.SimulationError`
-where it is built), and schedules round-trip through plain dicts
-(:func:`schedule_to_dict` / :func:`schedule_from_dict`) so the search
-layer can ship them through JSON scenario parameters.
+The primitives are the fault layer itself, each armed in one place:
+:class:`Crash` (a process down for a window), :class:`Loss` and
+:class:`Duplicate` (probability windows), :class:`Partition` (severed
+links), :class:`Reorder` (latency-jitter bursts).  What a fault *means*
+to a message, and how overlapping windows compose, is
+:mod:`repro.sim.faultpolicy`'s.  Schedules compose with ``+`` and
+transform with :meth:`FaultSchedule.scaled` /
+:meth:`FaultSchedule.with_intensity`.  Every fault validates its inputs
+at construction time (a fault that would arm in the past raises
+:class:`~repro.errors.SimulationError` where it is built), and schedules
+round-trip through plain dicts (:func:`schedule_to_dict` /
+:func:`schedule_from_dict`) so the search layer can ship them through
+JSON scenario parameters.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Callable
 
 from repro.errors import SimulationError
-from repro.sim.failure import FailureInjector, check_fault
+from repro.sim.faultpolicy import WindowSet, reorder_combine
+from repro.sim.network import LatencyModel, Network
 
 __all__ = [
     "Crash",
@@ -55,25 +60,51 @@ __all__ = [
 ResolveRole = Callable[[str, int], str]
 
 
-def _check(fault, **values) -> None:
-    """Reject faults that would arm in the past, run backwards, or carry a
-    value the injector would refuse (:func:`repro.sim.failure.check_fault`).
+def _check(fault, *, prob: tuple[str, float] | None = None, factor: float | None = None) -> None:
+    """Reject a fault before anything of it can be armed.
 
-    Construction-time validation (``rescaled`` goes through
-    ``dataclasses.replace``, which re-runs ``__post_init__``): a fault the
-    injector would schedule before t=0 raises here, not at arm time in a
-    sim kernel or silently clamped by the socket backend, far from the
-    buggy call site.  A NaN fails here too, including one read from a
-    JSON spec.
+    ``at`` and ``duration`` must be finite and ``>= 0``, a probability
+    (``(name, value)``) within ``[0, 1]``, and a jitter ``factor`` finite
+    and ``>= 0``; NaN fails every test.  Checked at construction
+    (``rescaled`` goes through ``dataclasses.replace``, which re-runs
+    ``__post_init__``), a bad fault raises where it is built, a JSON spec
+    included, not from inside the event loop when its window opens.
     """
     if fault.at < 0:
-        raise SimulationError(
-            f"fault begins before t=0 (negative offset?): {fault!r}"
-        )
-    try:
-        check_fault(fault.at, fault.duration, **values)
-    except SimulationError as exc:
-        raise SimulationError(f"{exc}: {fault!r}") from None
+        raise SimulationError(f"fault begins before t=0 (negative offset?): {fault!r}")
+    problems = [
+        f"fault {name} must be finite and >= 0, got {value}"
+        for name, value in (("start", fault.at), ("duration", fault.duration))
+        if not 0.0 <= value < math.inf  # NaN fails too
+    ]
+    if prob is not None and not 0.0 <= prob[1] <= 1.0:
+        problems.append(f"fault {prob[0]} must be within [0, 1], got {prob[1]}")
+    if factor is not None and not 0.0 <= factor < math.inf:
+        problems.append(f"reorder factor must be finite and >= 0, got {factor}")
+    if problems:
+        raise SimulationError(f"{problems[0]}: {fault!r}")
+
+
+def _arm_window(
+    network: Network, windows: dict, attr: str, at: float, duration: float, value
+) -> None:
+    """Hold the network parameter ``attr`` under ``value`` during ``[at, at + duration)``.
+
+    Each window joins ``attr``'s :class:`~repro.sim.faultpolicy.WindowSet`
+    when it opens and leaves it when it closes, and the parameter is
+    recomputed from the windows still open, so overlapping windows compose
+    and the pre-window value returns when the last one closes.
+    """
+    window = windows[attr]
+
+    def begin() -> None:
+        setattr(network, attr, window.begin(value, getattr(network, attr)))
+        network.sim.schedule(duration, end)
+
+    def end() -> None:
+        setattr(network, attr, window.end(value))
+
+    network.sim.schedule_at(at, begin)
 
 
 class _Window:
@@ -94,7 +125,12 @@ class _Window:
 
 @dataclasses.dataclass(frozen=True)
 class Crash(_Window):
-    """Crash one process at ``at``, recover ``duration`` later."""
+    """Crash one process at ``at``, recover ``duration`` later.
+
+    A crashed process silently drops its deliveries.  It stays down while
+    any of its crash windows is open, so an inner window closing early
+    does not bring it back.
+    """
 
     role: str
     index: int
@@ -104,8 +140,21 @@ class Crash(_Window):
     def __post_init__(self) -> None:
         _check(self)
 
-    def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
-        injector.crash_for(resolve(self.role, self.index), self.at, self.duration)
+    def _arm(self, network: Network, resolve: ResolveRole, windows: dict) -> None:
+        process = network.process(resolve(self.role, self.index))
+        # down while any window is open, up when the last one closes
+        window = windows.setdefault(
+            ("crashed", process.name), WindowSet(lambda _up, open_: bool(open_))
+        )
+
+        def crash() -> None:
+            process.crashed = window.begin(True, process.crashed)
+
+        def recover() -> None:
+            process.crashed = window.end(True)
+
+        network.sim.post_at(self.at, crash)
+        network.sim.post_at(self.at + self.duration, recover)
 
     def with_intensity(self, lam: float) -> "Crash":
         return dataclasses.replace(self, duration=self.duration * lam)
@@ -122,8 +171,8 @@ class Loss(_Window):
     def __post_init__(self) -> None:
         _check(self, prob=("drop_prob", self.drop_prob))
 
-    def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
-        injector.loss_window(self.at, self.duration, self.drop_prob)
+    def _arm(self, network: Network, resolve: ResolveRole, windows: dict) -> None:
+        _arm_window(network, windows, "drop_prob", self.at, self.duration, self.drop_prob)
 
     def with_intensity(self, lam: float) -> "Loss":
         return dataclasses.replace(self, drop_prob=self.drop_prob * lam)
@@ -140,8 +189,8 @@ class Duplicate(_Window):
     def __post_init__(self) -> None:
         _check(self, prob=("dup_prob", self.dup_prob))
 
-    def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
-        injector.duplicate_window(self.at, self.duration, self.dup_prob)
+    def _arm(self, network: Network, resolve: ResolveRole, windows: dict) -> None:
+        _arm_window(network, windows, "dup_prob", self.at, self.duration, self.dup_prob)
 
     def with_intensity(self, lam: float) -> "Duplicate":
         return dataclasses.replace(self, dup_prob=self.dup_prob * lam)
@@ -149,7 +198,13 @@ class Duplicate(_Window):
 
 @dataclasses.dataclass(frozen=True)
 class Partition(_Window):
-    """Sever the link between two role-addressed processes for a window."""
+    """Sever the link between two role-addressed processes for a window.
+
+    Messages crossing a severed link are dropped (reliable kinds are
+    retried until the link heals, modeling TCP).  ``symmetric=False``
+    severs only the ``src -> dst`` direction.  Links are blocked by
+    reference count, so overlapping partitions do not heal early.
+    """
 
     src_role: str
     src_index: int
@@ -162,14 +217,23 @@ class Partition(_Window):
     def __post_init__(self) -> None:
         _check(self)
 
-    def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
-        injector.partition(
-            resolve(self.src_role, self.src_index),
-            resolve(self.dst_role, self.dst_index),
-            self.at,
-            self.duration,
-            symmetric=self.symmetric,
-        )
+    def _arm(self, network: Network, resolve: ResolveRole, windows: dict) -> None:
+        src = resolve(self.src_role, self.src_index)
+        dst = resolve(self.dst_role, self.dst_index)
+        network.process(src)  # unknown names raise before anything is armed
+        network.process(dst)
+        links = [(src, dst)] + ([(dst, src)] if self.symmetric else [])
+
+        def begin() -> None:
+            for a, b in links:
+                network.block_link(a, b)
+            network.sim.schedule(self.duration, heal)
+
+        def heal() -> None:
+            for a, b in links:
+                network.unblock_link(a, b)
+
+        network.sim.schedule_at(self.at, begin)
 
     def with_intensity(self, lam: float) -> "Partition":
         return dataclasses.replace(self, duration=self.duration * lam)
@@ -177,7 +241,16 @@ class Partition(_Window):
 
 @dataclasses.dataclass(frozen=True)
 class Reorder(_Window):
-    """Inflate latency jitter by ``factor`` during a window (reorder burst)."""
+    """Inflate latency jitter by ``factor`` during a window (reorder burst).
+
+    Higher jitter widens the delivery-time spread of back-to-back
+    messages, so more pairs arrive out of order — nondeterminism without
+    loss, the fault class the Blazes labels are really about.  Overlapping
+    windows inflate the *pre-window* jitter by the largest open factor,
+    and the baseline latency model returns exactly when the last window
+    closes (retransmitting sessions sample their retry delays from the
+    live model, so they follow too).
+    """
 
     at: float
     duration: float
@@ -186,8 +259,8 @@ class Reorder(_Window):
     def __post_init__(self) -> None:
         _check(self, factor=self.factor)
 
-    def compile(self, injector: FailureInjector, resolve: ResolveRole) -> None:
-        injector.reorder_window(self.at, self.duration, self.factor)
+    def _arm(self, network: Network, resolve: ResolveRole, windows: dict) -> None:
+        _arm_window(network, windows, "latency", self.at, self.duration, self.factor)
 
     def with_intensity(self, lam: float) -> "Reorder":
         # interpolate toward the neutral jitter multiplier 1, not 0: a
@@ -302,10 +375,22 @@ class FaultSchedule:
                     names.add(value)
         return frozenset(names)
 
-    def apply(self, injector: FailureInjector, resolve: ResolveRole) -> None:
-        """Compile every fault onto ``injector``, resolving roles."""
+    def apply(self, network: Network, resolve: ResolveRole) -> None:
+        """Arm every fault on ``network``, resolving roles.
+
+        The application keeps one :class:`~repro.sim.faultpolicy.WindowSet`
+        per network parameter (and one per crashed process), so the
+        schedule's overlapping windows compose.
+        """
+        windows = {
+            "drop_prob": WindowSet(),
+            "dup_prob": WindowSet(),
+            "latency": WindowSet(
+                lambda base, factors: reorder_combine(base, factors, LatencyModel)
+            ),
+        }
         for fault in self.faults:
-            fault.compile(injector, resolve)
+            fault._arm(network, resolve, windows)
 
     def describe(self) -> str:
         if not self.faults:

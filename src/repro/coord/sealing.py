@@ -31,7 +31,7 @@ from typing import Any
 from repro.coord.zookeeper import ZkClient
 from repro.errors import SimulationError
 from repro.sim.events import RUN_SCOPE
-from repro.wire import SEAL_DATA as DATA, SEAL_PUNCT as PUNCT
+from repro.wire import SEAL_DATA as DATA, SEAL_PUNCT as PUNCT, part_lineage
 
 __all__ = ["SealedStreamProducer", "SealManager", "DATA", "PUNCT", "registry_path"]
 
@@ -262,15 +262,10 @@ class SealManager:
         self._seals.pop(partition, None)
         hub = RUN_SCOPE.get()[0]
         if hub is not None:
-            part = (
-                f"part:{partition}"
-                if isinstance(partition, str)
-                else f"part:{partition!r}"
-            )
             hub.note_decision(
                 "seal_release",
                 topic=f"seal:{self.stream}",
-                lineage=part,
+                lineage=part_lineage(partition),
                 node=self.stream,
                 time=self._clock(),
                 detail=f"unanimous over {len(producers)} producers, "

@@ -19,7 +19,7 @@ contract).  This package slots a *real* runtime in behind that contract:
   empty heap and an idle transport — and crashes are actuated between
   callbacks), and :class:`~repro.net.services.SocketNetwork`, the
   ``Network`` subclass that puts messages on the wire.  Faults come from
-  the *same* fault-schedule DSL, injector and shared policy
+  the *same* fault-schedule DSL and shared policy
   (:mod:`repro.sim.faultpolicy`) as the simulator.
 
 The load-bearing invariant: for every registered app x strategy, the

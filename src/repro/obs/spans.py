@@ -43,6 +43,7 @@ from repro.wire import (
     ZK_DELIVER,
     ZK_PREFIX,
     ZK_SUBMIT,
+    part_lineage,
 )
 
 __all__ = ["SpanTracker", "divergence_explain"]
@@ -51,10 +52,6 @@ __all__ = ["SpanTracker", "divergence_explain"]
 _MAX_EVENTS = 250_000  # hard cap; beyond it events are counted, not kept
 _MAX_SLICE_ROWS = 2  # disputed rows explained per verdict
 _SLICE_LIMIT = 10  # span events shown per slice (head + tail)
-
-
-def _part(partition: Any) -> str:
-    return f"part:{partition}" if isinstance(partition, str) else f"part:{partition!r}"
 
 
 class SpanTracker:
@@ -148,12 +145,12 @@ class SpanTracker:
             keep((time, f"batch:{payload}", "ack", node, f"from={msg.src}"))
         elif kind == SEAL_DATA:
             _stream, seq, partition, record, producer = payload
-            lineage = _part(partition)
+            lineage = part_lineage(partition)
             self._index(record, lineage)
             keep((time, lineage, "seal-data", node, f"producer={producer} seq={seq}"))
         elif kind == SEAL_PUNCT:
             _stream, seq, partition, producer = payload
-            keep((time, _part(partition), "seal-vote", node, f"producer={producer}"))
+            keep((time, part_lineage(partition), "seal-vote", node, f"producer={producer}"))
         elif kind == ZK_SUBMIT:
             topic, value = payload
             self._index(value, f"topic:{topic}")

@@ -2,8 +2,9 @@
 
 This package stands in for the paper's EC2 testbed (see DESIGN.md section
 3): it provides a seeded event kernel, an asynchronous unordered network
-with configurable latency/loss/duplication, execution traces, and fault
-injection.  All higher substrates (:mod:`repro.coord`, :mod:`repro.storm`,
+with configurable latency/loss/duplication, execution traces, and the
+fault hooks (crashed processes, blocked links) that :mod:`repro.chaos`
+schedules arm.  All higher substrates (:mod:`repro.coord`, :mod:`repro.storm`,
 :mod:`repro.bloom`) run on top of it.
 
 There is one kernel, :mod:`repro.sim.events`, and every cluster builds its
@@ -15,7 +16,6 @@ traces.
 """
 
 from repro.sim.events import EventHandle, Simulator, Waker, make_simulator, run_scope
-from repro.sim.failure import FailureInjector
 from repro.sim.network import LatencyModel, Message, Network, Process
 from repro.sim.profile import SimProfiler
 from repro.sim.trace import Trace, TraceRecord
@@ -27,7 +27,6 @@ __all__ = [
     "make_simulator",
     "run_scope",
     "SimProfiler",
-    "FailureInjector",
     "LatencyModel",
     "Message",
     "Network",

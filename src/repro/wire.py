@@ -4,7 +4,8 @@ An import-free leaf.  The modules that speak a protocol import its kinds
 from here under their local names (``CHAN``, ``DATA``, ``SUBMIT``, ...);
 the observers that classify traffic by kind (:mod:`repro.obs.coordcost`,
 :mod:`repro.obs.spans`) import the same constants, so there is no second
-spelling to drift.
+spelling to drift.  So does the ``part:`` lineage id (:func:`part_lineage`)
+that a seal release and the records it releases are traced under.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ TXN_KINDS = (TXN_READY, TXN_COMMITTED, TXN_REACK)
 SEAL_DATA = "seal.data"
 SEAL_PUNCT = "seal.punct"
 
+
 # the Zookeeper service: sequencer topics and the znode registry
 ZK_PREFIX = "zk."
 ZK_SUBMIT = "zk.submit"
@@ -37,3 +39,8 @@ ZK_KINDS = (ZK_SUBMIT, ZK_DELIVER, ZK_GET, ZK_GET_REPLY)
 # Bloom clusters: channel rows and external inserts
 BLOOM_CHAN = "bloom.chan"
 BLOOM_INSERT = "bloom.insert"
+
+
+def part_lineage(partition: object) -> str:
+    """The span lineage id of a sealed-stream partition: ``part:<p>``."""
+    return f"part:{partition}" if isinstance(partition, str) else f"part:{partition!r}"

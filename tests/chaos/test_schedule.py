@@ -23,7 +23,7 @@ from repro.chaos.schedule import (
     split_link,
 )
 from repro.errors import SimulationError
-from repro.sim import FailureInjector, Network, Process, Simulator
+from repro.sim import Network, Process, Simulator
 
 NAN = math.nan
 INF = math.inf
@@ -38,12 +38,12 @@ class Echo(Process):
         self.got.append(msg.payload)
 
 
-def build_injector():
+def build_network():
     sim = Simulator(seed=1)
     network = Network(sim)
     for name in ("w0", "w1", "s0"):
         network.register(Echo(name))
-    return sim, network, FailureInjector(network)
+    return sim, network
 
 
 def resolve(role, index):
@@ -85,30 +85,34 @@ def test_horizon_and_roles():
     assert baseline().roles == frozenset()
 
 
-def test_apply_compiles_onto_injector():
-    sim, network, injector = build_injector()
+def test_apply_arms_every_fault_on_the_network():
+    sim, network = build_network()
     schedule = (
         crash_restart("worker", 1, at=1.0, duration=1.0)
         + split_link("source", 0, "worker", 0, at=1.0, duration=1.0)
     )
-    schedule.apply(injector, resolve)
+    schedule.apply(network, resolve)
+    w1 = network.process("w1")
+    seen = {}
+    for t in (0.5, 1.5, 2.5):
+        sim.schedule_at(
+            t, lambda t=t: seen.setdefault(t, (w1.crashed, network.link_blocked("s0", "w0")))
+        )
     sim.run()
-    assert ("w1" in {name for _t, name in injector.crashes})
-    assert any((src, dst) == ("s0", "w0") for _t, src, dst in injector.partitions)
-    assert injector.recoveries and injector.heals
+    assert seen == {0.5: (False, False), 1.5: (True, True), 2.5: (False, False)}
 
 
 def test_apply_baseline_is_a_noop():
-    sim, network, injector = build_injector()
-    baseline().apply(injector, resolve)
+    sim, network = build_network()
+    baseline().apply(network, resolve)
     assert sim.pending == 0
 
 
 def test_unknown_role_is_an_error_at_apply_time():
-    sim, network, injector = build_injector()
+    sim, network = build_network()
     schedule = crash_restart("replica", 0)
     with pytest.raises(KeyError):
-        schedule.apply(injector, resolve)
+        schedule.apply(network, resolve)
 
 
 def test_describe_lists_faults():

@@ -7,11 +7,12 @@ relative to loopback jitter.
 
 from __future__ import annotations
 
+from repro.chaos.schedule import Crash, Loss, Partition
 from repro.net.context import NetConfig
 from repro.net.services import NetSimulator
 from repro.net.transport import TcpTransport
-from repro.sim.failure import FailureInjector
 from repro.sim.network import LatencyModel, Process, make_network
+from tests.sim.test_failure import arm
 
 CFG = NetConfig(time_scale=1.0)
 
@@ -84,8 +85,7 @@ def test_partition_heals_with_no_residual_loss():
     sim, net = build(reliable_kinds=("data",))
     net.register(Streamer("a", "b", 25, gap=0.005))
     b = net.register(Sink("b"))
-    chaos = FailureInjector(net)
-    chaos.partition("a", "b", at=0.03, duration=0.06)
+    arm(net, Partition("a", 0, "b", 0, at=0.03, duration=0.06))
     net.start()
     sim.run()
     assert sorted(b.got) == list(range(25))
@@ -98,8 +98,7 @@ def test_partition_drops_unreliable_traffic():
     sim, net = build()
     net.register(Streamer("a", "b", 25, gap=0.005))
     b = net.register(Sink("b"))
-    chaos = FailureInjector(net)
-    chaos.partition("a", "b", at=0.03, duration=0.06)
+    arm(net, Partition("a", 0, "b", 0, at=0.03, duration=0.06))
     net.start()
     sim.run()
     assert 0 < len(b.got) < 25  # the window ate the middle of the stream
@@ -117,8 +116,7 @@ def test_crash_restart_redelivers_exactly_once():
     sim, net = build(reliable_kinds=("data",), retry_crashed=True)
     net.register(Streamer("a", "b", 20, gap=0.006))
     b = net.register(Sink("b"))
-    chaos = FailureInjector(net)
-    chaos.crash_for("b", at=0.04, duration=0.05)
+    arm(net, Crash("b", 0, at=0.04, duration=0.05))
     net.start()
     sim.run()
     assert sorted(b.got) == list(range(20))
@@ -142,9 +140,7 @@ def test_crashes_of_two_milliseconds_still_restart_the_endpoint(monkeypatch):
     sim, net = build(reliable_kinds=("data",), retry_crashed=True)
     net.register(Streamer("a", "b", 20, gap=0.006))
     b = net.register(Sink("b"))
-    chaos = FailureInjector(net)
-    for at in (0.03, 0.05, 0.07):
-        chaos.crash_for("b", at=at, duration=0.002)
+    arm(net, *(Crash("b", 0, at=at, duration=0.002) for at in (0.03, 0.05, 0.07)))
     net.start()
     sim.run()
     assert actuated == [("pause_node", "b"), ("resume_node", "b")] * 3
@@ -158,8 +154,7 @@ def test_crash_without_retry_sessions_loses_in_flight():
     sim, net = build(retry_crashed=False)
     net.register(Streamer("a", "b", 20, gap=0.006))
     b = net.register(Sink("b"))
-    chaos = FailureInjector(net)
-    chaos.crash_for("b", at=0.04, duration=0.05)
+    arm(net, Crash("b", 0, at=0.04, duration=0.05))
     net.start()
     sim.run()
     # Frames sitting in a TCP buffer when the endpoint aborts vanish
@@ -174,8 +169,7 @@ def test_loss_window_compiled_to_wall_clock():
     sim, net = build()
     net.register(Streamer("a", "b", 30, gap=0.004))
     b = net.register(Sink("b"))
-    chaos = FailureInjector(net)
-    chaos.loss_window(at=0.03, duration=0.05, drop_prob=1.0)
+    arm(net, Loss(at=0.03, duration=0.05, drop_prob=1.0))
     net.start()
     sim.run()
     assert 0 < len(b.got) < 30

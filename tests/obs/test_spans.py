@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from repro.api import get_app
 from repro.chaos.harnesses import harness_for
 from repro.chaos.oracle import ObservedLabel, RunObservation, classify_runs
 from repro.obs.spans import SpanTracker, divergence_explain, format_slice
+from repro.obs.telemetry import Telemetry
 from repro.sim.network import Message
 
 
@@ -50,6 +52,17 @@ def test_seal_and_sequencer_lineages():
         "seal-data",
         "seal-vote",
     ]
+
+
+def test_a_seal_release_shares_the_lineage_of_its_records():
+    """The seal manager's release span and the tracker's seal-data spans
+    spell a partition's ``part:`` lineage with one function."""
+    hub = Telemetry(spans=True)
+    get_app("adnet").run("seal", seed=1, smoke=True, telemetry=hub)
+    lineages: dict[str, set[str]] = {}
+    for _time, lineage, event, _node, _detail in hub.spans.events:
+        lineages.setdefault(event, set()).add(lineage)
+    assert lineages["seal_release"] and lineages["seal_release"] <= lineages["seal-data"]
 
 
 def test_lineage_of_strips_a_leading_tag():

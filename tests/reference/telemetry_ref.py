@@ -21,7 +21,6 @@ from typing import Any
 
 from repro.obs import spans
 from repro.obs.coordcost import classify_message
-from repro.obs.spans import _part
 from repro.obs.telemetry import Telemetry
 from repro.wire import (
     BLOOM_CHAN,
@@ -34,6 +33,7 @@ from repro.wire import (
     ZK_DELIVER,
     ZK_PREFIX,
     ZK_SUBMIT,
+    part_lineage,
 )
 
 __all__ = ["EagerSpanTracker", "EagerTelemetry"]
@@ -85,7 +85,7 @@ class EagerSpanTracker:
             self.note_event(time, f"batch:{payload}", "ack", node, f"from={msg.src}")
         elif kind == SEAL_DATA:
             _stream, seq, partition, record, producer = payload
-            lineage = _part(partition)
+            lineage = part_lineage(partition)
             self._index(record, lineage)
             self.note_event(
                 time, lineage, "seal-data", node, f"producer={producer} seq={seq}"
@@ -93,7 +93,7 @@ class EagerSpanTracker:
         elif kind == SEAL_PUNCT:
             _stream, seq, partition, producer = payload
             self.note_event(
-                time, _part(partition), "seal-vote", node, f"producer={producer}"
+                time, part_lineage(partition), "seal-vote", node, f"producer={producer}"
             )
         elif kind == ZK_SUBMIT:
             topic, value = payload

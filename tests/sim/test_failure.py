@@ -1,4 +1,4 @@
-"""Unit tests for fault injection."""
+"""Unit tests for fault injection: schedule faults armed on a network."""
 
 from __future__ import annotations
 
@@ -6,11 +6,26 @@ import math
 
 import pytest
 
+from repro.chaos.schedule import Crash, Duplicate, FaultSchedule, Loss, Partition, Reorder
 from repro.errors import SimulationError
-from repro.sim import FailureInjector, Network, Process, Simulator, faultpolicy
+from repro.sim import Network, Process, Simulator, faultpolicy
 
 NAN = math.nan
 INF = math.inf
+
+
+def arm(network, *faults) -> None:
+    """Arm ``faults`` on ``network`` as one schedule; a fault's role is
+    the name of its process (the index is ignored)."""
+    FaultSchedule("test", faults).apply(network, lambda name, _index: name)
+
+
+def probe(sim, times, read):
+    """Record ``read()`` at each virtual time in ``times``."""
+    seen = {}
+    for t in times:
+        sim.schedule_at(t, lambda t=t: seen.setdefault(t, read()))
+    return seen
 
 
 class Echo(Process):
@@ -33,21 +48,33 @@ def build():
 
 def test_crash_window_drops_messages():
     sim, network, a, b = build()
-    injector = FailureInjector(network)
-    injector.crash_for("b", at=1.0, duration=2.0)
+    arm(network, Crash("b", 0, at=1.0, duration=2.0))
     for t in (0.5, 1.5, 2.5, 3.5):
         sim.schedule_at(t, lambda t=t: a.send("b", "data", t))
+    down = probe(sim, (0.5, 1.5, 2.5, 3.5), lambda: b.crashed)
     sim.run()
     # messages sent at 1.5 and 2.5 land inside the crash window
     assert all(p < 1.0 or p > 3.0 for p in b.got)
     assert len(b.got) == 2
-    assert injector.crashes and injector.recoveries
+    assert down == {0.5: False, 1.5: True, 2.5: True, 3.5: False}
+
+
+def test_overlapping_crashes_keep_the_process_down():
+    """A process stays down while any of its crash windows is open: the
+    inner window closing at 0.3 must not bring it back before 0.6."""
+    sim, network, a, b = build()
+    arm(network, Crash("b", 0, at=0.1, duration=0.5), Crash("b", 0, at=0.2, duration=0.1))
+    for t in (0.4, 0.7):
+        sim.schedule_at(t, lambda t=t: a.send("b", "data", t))
+    down = probe(sim, (0.15, 0.25, 0.4, 0.55, 0.7), lambda: b.crashed)
+    sim.run()
+    assert down == {0.15: True, 0.25: True, 0.4: True, 0.55: True, 0.7: False}
+    assert b.got == [0.7]
 
 
 def test_loss_window_restores_previous_probability():
     sim, network, a, b = build()
-    injector = FailureInjector(network)
-    injector.loss_window(at=1.0, duration=1.0, drop_prob=1.0)
+    arm(network, Loss(at=1.0, duration=1.0, drop_prob=1.0))
     sim.schedule_at(0.5, lambda: a.send("b", "data", "before"))
     sim.schedule_at(1.5, lambda: a.send("b", "data", "during"))
     sim.schedule_at(3.0, lambda: a.send("b", "data", "after"))
@@ -60,8 +87,7 @@ def test_loss_window_restores_previous_probability():
 
 def test_duplicate_window_restores_previous_probability():
     sim, network, a, b = build()
-    injector = FailureInjector(network)
-    injector.duplicate_window(at=1.0, duration=1.0, dup_prob=1.0)
+    arm(network, Duplicate(at=1.0, duration=1.0, dup_prob=1.0))
     sim.schedule_at(0.5, lambda: a.send("b", "data", "before"))
     sim.schedule_at(1.5, lambda: a.send("b", "data", "during"))
     sim.schedule_at(3.0, lambda: a.send("b", "data", "after"))
@@ -75,24 +101,23 @@ def test_duplicate_window_restores_previous_probability():
 
 def test_partition_drops_messages_then_heals():
     sim, network, a, b = build()
-    injector = FailureInjector(network)
-    injector.partition("a", "b", at=1.0, duration=2.0)
+    arm(network, Partition("a", 0, "b", 0, at=1.0, duration=2.0))
     for t in (0.5, 1.5, 2.5, 3.5):
         sim.schedule_at(t, lambda t=t: a.send("b", "data", t))
         sim.schedule_at(t, lambda t=t: b.send("a", "data", -t))
+    blocked = probe(
+        sim, (0.5, 1.5, 3.5), lambda: (network.link_blocked("a", "b"), network.link_blocked("b", "a"))
+    )
     sim.run()
     # messages sent at 1.5 and 2.5 cross the severed link, both ways
     assert sorted(b.got) == [0.5, 3.5]
     assert sorted(a.got) == [-3.5, -0.5]
-    assert injector.partitions and injector.heals
-    assert not network.link_blocked("a", "b")
-    assert not network.link_blocked("b", "a")
+    assert blocked == {0.5: (False, False), 1.5: (True, True), 3.5: (False, False)}
 
 
 def test_asymmetric_partition_blocks_one_direction():
     sim, network, a, b = build()
-    injector = FailureInjector(network)
-    injector.partition("a", "b", at=1.0, duration=2.0, symmetric=False)
+    arm(network, Partition("a", 0, "b", 0, at=1.0, duration=2.0, symmetric=False))
     sim.schedule_at(1.5, lambda: a.send("b", "data", "a->b"))
     sim.schedule_at(1.5, lambda: b.send("a", "data", "b->a"))
     sim.run()
@@ -102,9 +127,11 @@ def test_asymmetric_partition_blocks_one_direction():
 
 def test_overlapping_partitions_do_not_heal_early():
     sim, network, a, b = build()
-    injector = FailureInjector(network)
-    injector.partition("a", "b", at=1.0, duration=2.0)
-    injector.partition("a", "b", at=1.5, duration=0.5)  # ends at 2.0
+    arm(
+        network,
+        Partition("a", 0, "b", 0, at=1.0, duration=2.0),
+        Partition("a", 0, "b", 0, at=1.5, duration=0.5),  # ends at 2.0
+    )
     for t in (2.5, 3.5):
         sim.schedule_at(t, lambda t=t: a.send("b", "data", t))
     sim.run()
@@ -119,8 +146,7 @@ def test_partition_retries_reliable_kinds_until_heal():
     a, b = Echo("a"), Echo("b")
     network.register(a)
     network.register(b)
-    injector = FailureInjector(network)
-    injector.partition("a", "b", at=0.0, duration=1.0)
+    arm(network, Partition("a", 0, "b", 0, at=0.0, duration=1.0))
     sim.schedule_at(0.5, lambda: a.send("b", "tcp", "session"))
     sim.schedule_at(0.5, lambda: a.send("b", "data", "datagram"))
     sim.run()
@@ -133,14 +159,11 @@ def test_partition_retries_reliable_kinds_until_heal():
 def test_reorder_window_scales_and_restores_jitter():
     sim, network, a, b = build()
     baseline = network.latency
-    injector = FailureInjector(network)
-    injector.reorder_window(at=1.0, duration=1.0, factor=50.0)
-    observed = {}
-    sim.schedule_at(1.5, lambda: observed.setdefault("during", network.latency))
-    sim.schedule_at(3.0, lambda: observed.setdefault("after", network.latency))
+    arm(network, Reorder(at=1.0, duration=1.0, factor=50.0))
+    observed = probe(sim, (1.5, 3.0), lambda: network.latency)
     sim.run()
-    assert observed["during"].jitter == baseline.jitter * 50.0
-    assert observed["after"] == baseline
+    assert observed[1.5].jitter == baseline.jitter * 50.0
+    assert observed[3.0] == baseline
 
 
 def test_overlapping_reorder_windows_restore_baseline():
@@ -148,39 +171,32 @@ def test_overlapping_reorder_windows_restore_baseline():
     first window's inflation forever once a second window overlapped."""
     sim, network, a, b = build()
     baseline = network.latency
-    injector = FailureInjector(network)
-    injector.reorder_window(at=1.0, duration=2.0, factor=10.0)  # [1, 3)
-    injector.reorder_window(at=2.0, duration=2.0, factor=4.0)  # [2, 4)
-    observed = {}
-    sim.schedule_at(2.5, lambda: observed.setdefault("both", network.latency))
-    sim.schedule_at(3.5, lambda: observed.setdefault("second", network.latency))
-    sim.schedule_at(4.5, lambda: observed.setdefault("after", network.latency))
+    arm(
+        network,
+        Reorder(at=1.0, duration=2.0, factor=10.0),  # [1, 3)
+        Reorder(at=2.0, duration=2.0, factor=4.0),  # [2, 4)
+    )
+    observed = probe(sim, (2.5, 3.5, 4.5), lambda: network.latency)
     sim.run()
     # the strongest open window governs, relative to the *baseline*
-    assert observed["both"].jitter == baseline.jitter * 10.0
-    assert observed["second"].jitter == baseline.jitter * 4.0
-    assert observed["after"] == baseline
+    assert observed[2.5].jitter == baseline.jitter * 10.0
+    assert observed[3.5].jitter == baseline.jitter * 4.0
+    assert observed[4.5] == baseline
 
 
 def test_overlapping_loss_and_dup_windows_restore_baseline():
     sim, network, a, b = build()
-    injector = FailureInjector(network)
-    injector.loss_window(at=1.0, duration=2.0, drop_prob=1.0)
-    injector.loss_window(at=2.0, duration=2.0, drop_prob=0.5)
-    injector.duplicate_window(at=1.0, duration=2.0, dup_prob=1.0)
-    injector.duplicate_window(at=2.0, duration=2.0, dup_prob=0.5)
-    observed = {}
-    sim.schedule_at(
-        2.5,
-        lambda: observed.setdefault("both", (network.drop_prob, network.dup_prob)),
+    arm(
+        network,
+        Loss(at=1.0, duration=2.0, drop_prob=1.0),
+        Loss(at=2.0, duration=2.0, drop_prob=0.5),
+        Duplicate(at=1.0, duration=2.0, dup_prob=1.0),
+        Duplicate(at=2.0, duration=2.0, dup_prob=0.5),
     )
-    sim.schedule_at(
-        3.5,
-        lambda: observed.setdefault("second", (network.drop_prob, network.dup_prob)),
-    )
+    observed = probe(sim, (2.5, 3.5), lambda: (network.drop_prob, network.dup_prob))
     sim.run()
-    assert observed["both"] == (1.0, 1.0)
-    assert observed["second"] == (0.5, 0.5)
+    assert observed[2.5] == (1.0, 1.0)
+    assert observed[3.5] == (0.5, 0.5)
     assert network.drop_prob == 0.0
     assert network.dup_prob == 0.0
 
@@ -191,7 +207,7 @@ def test_reliable_sequencer_submissions_survive_reorder_plus_partition():
     are delayed (retried with the inflated latency), never lost, and the
     sequencer still assigns every value exactly one slot."""
     from repro.coord.zookeeper import install_zookeeper, recorded_order
-    from repro.sim import LatencyModel, Network, Process, Simulator
+    from repro.sim import LatencyModel
 
     class Submitter(Process):
         def recv(self, msg):
@@ -217,9 +233,11 @@ def test_reliable_sequencer_submissions_survive_reorder_plus_partition():
     network.register(submitter)
     network.register(subscriber)
     zk.subscribe("t", "replica")
-    injector = FailureInjector(network)
-    injector.reorder_window(at=0.0, duration=0.3, factor=25.0)
-    injector.partition("client", "zookeeper", at=0.05, duration=0.2)
+    arm(
+        network,
+        Reorder(at=0.0, duration=0.3, factor=25.0),
+        Partition("client", 0, "zookeeper", 0, at=0.05, duration=0.2),
+    )
     for index in range(20):
         sim.schedule_at(
             0.01 * index,
@@ -244,7 +262,7 @@ def test_permanent_crash_times_the_session_out_instead_of_hanging(monkeypatch):
     a, b = Echo("a"), Echo("b")
     network.register(a)
     network.register(b)
-    FailureInjector(network).crash("b", at=0.0)  # never recovers
+    b.crashed = True  # never recovers
     sim.schedule_at(0.5, lambda: a.send("b", "tcp", "session"))
     sim.run()  # terminates
     assert b.got == []
@@ -258,8 +276,7 @@ def test_crashed_destination_retries_reliable_kinds_when_enabled():
     a, b = Echo("a"), Echo("b")
     network.register(a)
     network.register(b)
-    injector = FailureInjector(network)
-    injector.crash_for("b", at=0.0, duration=1.0)
+    arm(network, Crash("b", 0, at=0.0, duration=1.0))
     sim.schedule_at(0.5, lambda: a.send("b", "tcp", "session"))
     sim.schedule_at(0.5, lambda: a.send("b", "data", "datagram"))
     sim.run()
@@ -270,56 +287,46 @@ def test_crashed_destination_retries_reliable_kinds_when_enabled():
 
 
 # ----------------------------------------------------------------------
-# inputs are checked where a fault is armed, not inside the event loop:
-# one test per entry point.  Before the checks a NaN drove ``sim.now`` to
-# NaN, a negative duration raised "cannot schedule into the past" only
-# once the window opened, an out-of-range probability passed silently,
-# and ``crash_for`` raised with the crash already armed, so the process
-# stayed down for the rest of the run.
+# inputs are checked where a fault is built, so a bad one never reaches
+# the event loop: one test per fault kind.  Unchecked, a NaN drove
+# ``sim.now`` to NaN, a negative duration raised "cannot schedule into
+# the past" only once the window opened, and an out-of-range
+# probability passed silently.
 # ----------------------------------------------------------------------
-def armed():
-    sim, network, _a, _b = build()
-    return sim, network, FailureInjector(network)
-
-
 def assert_no_fault_left(network) -> None:
     assert not any(process.crashed for process in network.processes)
     assert (network.drop_prob, network.dup_prob) == (0.0, 0.0)
     assert not network._blocked_links
 
 
-def assert_nothing_armed(sim, network) -> None:
+def assert_rejected(build_fault) -> None:
+    """Building the fault raises, and nothing is armed or left behind."""
+    sim, network, _a, _b = build()
+    latency = network.latency
+    with pytest.raises(SimulationError):
+        arm(network, build_fault())
     assert sim.pending == 0
     sim.run()  # nothing fires, nothing raises, the clock stays put
     assert sim.now == 0.0
     assert_no_fault_left(network)
+    assert network.latency is latency
 
 
 @pytest.mark.parametrize("at", [-1.0, NAN, INF])
 def test_crash_rejects_a_bad_time(at):
-    sim, network, faults = armed()
-    with pytest.raises(SimulationError):
-        faults.crash("a", at)
-    assert_nothing_armed(sim, network)
+    assert_rejected(lambda: Crash("a", 0, at, 0.0))
 
 
-@pytest.mark.parametrize("at", [-1.0, NAN, INF])
-def test_recover_rejects_a_bad_time(at):
-    sim, network, faults = armed()
-    with pytest.raises(SimulationError):
-        faults.recover("a", at)
-    assert_nothing_armed(sim, network)
+@pytest.mark.parametrize("duration", [-1.0, NAN, INF])
+def test_crash_rejects_a_bad_recovery_time(duration):
+    assert_rejected(lambda: Crash("a", 0, 0.1, duration))
 
 
 @pytest.mark.parametrize(
     "at, duration", [(0.1, -1.0), (0.1, NAN), (0.1, INF), (NAN, 1.0), (-0.1, 1.0)]
 )
-def test_crash_for_rejects_bad_inputs_before_arming_the_crash(at, duration):
-    sim, network, faults = armed()
-    with pytest.raises(SimulationError):
-        faults.crash_for("a", at, duration)
-    assert_nothing_armed(sim, network)
-    assert faults.crashes == []
+def test_crash_rejects_bad_inputs_where_it_is_built(at, duration):
+    assert_rejected(lambda: Crash("a", 0, at, duration))
 
 
 @pytest.mark.parametrize(
@@ -327,56 +334,45 @@ def test_crash_for_rejects_bad_inputs_before_arming_the_crash(at, duration):
     [(0.1, NAN, 0.5), (0.1, -0.2, 0.5), (NAN, 0.2, 0.5), (0.1, 0.2, 1.5),
      (0.1, 0.2, -0.1), (0.1, 0.2, NAN)],
 )
-def test_loss_window_rejects_bad_inputs_where_it_is_armed(at, duration, drop_prob):
-    sim, network, faults = armed()
-    with pytest.raises(SimulationError):
-        faults.loss_window(at, duration, drop_prob)
-    assert_nothing_armed(sim, network)
+def test_loss_rejects_bad_inputs_where_it_is_built(at, duration, drop_prob):
+    assert_rejected(lambda: Loss(at, duration, drop_prob))
 
 
 @pytest.mark.parametrize(
     "at, duration, dup_prob",
     [(0.1, -0.2, 0.5), (0.1, INF, 0.5), (0.1, 0.2, -0.2), (0.1, 0.2, NAN)],
 )
-def test_duplicate_window_rejects_bad_inputs_where_it_is_armed(at, duration, dup_prob):
-    sim, network, faults = armed()
-    with pytest.raises(SimulationError):
-        faults.duplicate_window(at, duration, dup_prob)
-    assert_nothing_armed(sim, network)
+def test_duplicate_rejects_bad_inputs_where_it_is_built(at, duration, dup_prob):
+    assert_rejected(lambda: Duplicate(at, duration, dup_prob))
 
 
 @pytest.mark.parametrize(
     "at, duration, factor",
     [(0.1, 0.2, -3.0), (0.1, 0.2, NAN), (0.1, 0.2, INF), (0.1, -0.2, 2.0)],
 )
-def test_reorder_window_rejects_bad_inputs_where_it_is_armed(at, duration, factor):
-    sim, network, faults = armed()
-    latency = network.latency
-    with pytest.raises(SimulationError):
-        faults.reorder_window(at, duration, factor)
-    assert_nothing_armed(sim, network)
-    assert network.latency is latency
+def test_reorder_rejects_bad_inputs_where_it_is_built(at, duration, factor):
+    assert_rejected(lambda: Reorder(at, duration, factor))
 
 
 @pytest.mark.parametrize("at, duration", [(0.1, -0.2), (0.1, NAN), (NAN, 0.2), (-1.0, 0.2)])
-def test_partition_rejects_bad_inputs_where_it_is_armed(at, duration):
-    sim, network, faults = armed()
-    with pytest.raises(SimulationError):
-        faults.partition("a", "b", at, duration)
-    assert_nothing_armed(sim, network)
-    assert faults.partitions == []
+def test_partition_rejects_bad_inputs_where_it_is_built(at, duration):
+    assert_rejected(lambda: Partition("a", 0, "b", 0, at, duration))
 
 
 def test_valid_windows_still_open_and_close():
-    sim, network, faults = armed()
-    faults.crash_for("a", 0.1, 0.2)
-    faults.loss_window(0.1, 0.2, 1.0)
-    faults.duplicate_window(0.1, 0.2, 0.0)
-    faults.reorder_window(0.1, 0.2, 0.0)
-    faults.partition("a", "b", 0.1, 0.0)
+    sim, network, a, _b = build()
     latency = network.latency
+    arm(
+        network,
+        Crash("a", 0, 0.1, 0.2),
+        Loss(0.1, 0.2, 1.0),
+        Duplicate(0.1, 0.2, 0.0),
+        Reorder(0.1, 0.2, 0.0),
+        Partition("a", 0, "b", 0, 0.1, 0.0),
+    )
+    down = probe(sim, (0.2,), lambda: a.crashed)
     sim.run()
     assert sim.now == pytest.approx(0.3)
     assert_no_fault_left(network)
     assert network.latency == latency
-    assert len(faults.crashes) == len(faults.recoveries) == 1
+    assert down == {0.2: True}

@@ -22,10 +22,12 @@ from repro.apps.wordcount import (
     reference_counts,
     run_wordcount,
 )
+from repro.chaos.schedule import Duplicate
 from repro.coord.ordering import OrderedInbox
-from repro.sim import FailureInjector, LatencyModel, Message, faultpolicy
+from repro.sim import LatencyModel, Message, faultpolicy
 from repro.storm import ClusterConfig, StormCluster
 from repro.storm.executor import CHAN, _BoltTask, _TaskBase
+from tests.sim.test_failure import arm
 
 
 class RecordingTask(_TaskBase):
@@ -169,7 +171,7 @@ def test_a_frame_copied_after_its_attempt_closed_is_not_executed_again():
     _, clean = run_wordcount(**shape)
 
     def duplicate_everything(cluster: StormCluster) -> None:
-        FailureInjector(cluster.network).duplicate_window(0.0, 1000.0, 1.0)
+        arm(cluster.network, Duplicate(0.0, 1000.0, 1.0))
 
     metrics, cluster = run_wordcount(**shape, chaos=duplicate_everything)
     assert metrics.batches_acked == 6

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from repro.apps.wordcount import build_wordcount_topology
-from repro.sim import FailureInjector
+from repro.chaos.schedule import Crash, Loss
 from repro.storm import ClusterConfig, StormCluster
+from tests.sim.test_failure import arm
 from tests.storm.test_executor import committed_store, reference_counts
 
 
@@ -14,8 +15,7 @@ def run_with_crash(crash_task: str, *, at: float, duration: float):
     )
     config = ClusterConfig(seed=2, replay_timeout=1.0)
     cluster = StormCluster(topology, config)
-    injector = FailureInjector(cluster.network)
-    injector.crash_for(crash_task, at=at, duration=duration)
+    arm(cluster.network, Crash(crash_task, 0, at=at, duration=duration))
     cluster.run(max_events=2_000_000)
     return cluster
 
@@ -45,8 +45,7 @@ def test_loss_window_recovers():
     )
     config = ClusterConfig(seed=4, replay_timeout=0.8)
     cluster = StormCluster(topology, config)
-    injector = FailureInjector(cluster.network)
-    injector.loss_window(at=0.005, duration=0.05, drop_prob=0.8)
+    arm(cluster.network, Loss(at=0.005, duration=0.05, drop_prob=0.8))
     cluster.run(max_events=2_000_000)
     assert len(cluster.batches_acked) == 4
     assert committed_store(cluster) == reference_counts(4, 10, seed=4)

@@ -133,7 +133,9 @@ def test_retired_private_names_stay_gone():
         "repro/sim": ("_pool", "_recycle", "_POOL_LIMIT"),
         "repro/core": ("lru_cache", "functools.cache"),
         "repro/core/analysis.py": ("_interface_graph", "_Node", "_component_replicated", "_inputs_for"),
-        "repro": ("seal.frame", "SEAL_FRAME", '"global"', "_ACTIVE", "activate", "active_config", "_apply_in_order"),
+        "repro": ("seal.frame", "SEAL_FRAME", '"global"', "_ACTIVE", "activate", "active_config", "_apply_in_order",
+                  "FailureInjector", "check_fault"),
+        "repro/chaos/schedule.py": ("def compile(",),
         "repro/net": ("socket_backend", "resolve_backend", "from_env"),
     }
     for under, names in retired.items():

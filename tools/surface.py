@@ -38,9 +38,11 @@ class and its bases; every dataclass and ``NamedTuple`` field; every
 table, and each option string as often as ``cli.py`` declares it; then
 lists (a), (b) and (c).  Defaults are rendered from the source with
 ``ast.unparse``, so the text holds no object address and does not depend
-on the Python version or the hash seed.  ``tests/goldens/surface.txt``
-is its committed copy and ``tests/test_knobs.py`` diffs against it;
-after an *intended* change regenerate it and review the diff::
+on the Python version or the hash seed.  Each list is scanned once per
+process and cached, so a caller reading one again pays nothing.
+``tests/goldens/surface.txt`` is its committed copy and
+``tests/test_knobs.py`` diffs against it; after an *intended* change
+regenerate it and review the diff::
 
     REPRO_REGEN_DIGESTS=1 PYTHONPATH=src python -m pytest tests/test_knobs.py
 """
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import re
 import sys
@@ -89,6 +92,7 @@ def _strings(tree: ast.AST) -> Iterator[str]:
             yield node.value
 
 
+@functools.cache
 def unread_attributes(root: Path = ROOT) -> list[tuple[str, int, str]]:
     """``(path, line, name)`` of each attribute stored under ``src/repro``
     that nothing in ``src/``, ``benchmarks/`` or ``tests/`` reads."""
@@ -112,6 +116,7 @@ def unread_attributes(root: Path = ROOT) -> list[tuple[str, int, str]]:
     )
 
 
+@functools.cache
 def unpassed_keywords(root: Path = ROOT) -> list[tuple[str, int, str]]:
     """``(path, line, "function(name=)")`` of each keyword-only parameter
     with a default under ``src/repro`` that no ``src/`` or ``benchmarks/``
@@ -179,6 +184,7 @@ def _definitions(body: list[ast.stmt], owner: str = "") -> Iterator[tuple[ast.st
             yield from _definitions(node.body, f"{owner}{node.name}.")
 
 
+@functools.cache
 def definitions_only_tests_call(root: Path = ROOT) -> list[tuple[str, int, str]]:
     """``(path, line, "name()")`` of each public function or method, and
     ``"class Name"`` of each public class, under ``src/repro`` that nothing
