@@ -144,9 +144,10 @@ class AuditProfile:
     """How the fault-injection campaign drives one app.
 
     ``strategies`` are the regimes the audit sweeps (at least one
-    coordinated and one uncoordinated); ``schedules(smoke)`` the fault
-    schedules inside the app's fault-tolerance envelope; ``horizon`` the
-    virtual-time scale normalized schedules stretch over;
+    coordinated and one uncoordinated); ``schedules`` the fault
+    schedules inside the app's fault-tolerance envelope (the same at
+    every tier); ``horizon`` the virtual-time scale normalized schedules
+    stretch over;
     ``run_params(smoke)`` the workload kwargs for ``app.run``;
     ``roles(cluster)`` resolves the schedule role vocabulary (``worker`` /
     ``source`` / ``client`` / ...) to process names on a built cluster;
@@ -164,7 +165,7 @@ class AuditProfile:
 
     strategies: tuple[str, ...]
     horizon: float
-    schedules: Callable[[bool], tuple]
+    schedules: tuple
     run_params: Callable[[bool], dict[str, Any]]
     roles: Callable[[Any], dict[str, list[str]]]
     observe: Callable[[RunOutcome, dict[str, Any]], Any]
@@ -346,22 +347,27 @@ class BlazesApp:
 
     def audit_profile(self, **kwargs: Any) -> "BlazesApp":
         """Attach the audit profile (see :class:`AuditProfile`)."""
-        profile = AuditProfile(**kwargs)
+        schedules = kwargs.get("schedules")
+        if not isinstance(schedules, (tuple, list)):
+            raise ApiError(
+                f"app {self.name!r}: audit schedules must be a tuple or list "
+                f"of fault schedules, got {type(schedules).__name__}"
+            )
+        profile = AuditProfile(**{**kwargs, "schedules": tuple(schedules)})
         for strategy in profile.strategies:
             self.strategy_spec(strategy)  # validates the names
         if profile.envelope is not None:
             # the default sweep must audit inside the app's own model:
             # a declared schedule outside the declared envelope is a
             # profile bug, caught at declaration time
-            for smoke in (False, True):
-                for schedule in profile.schedules(smoke):
-                    broken = profile.envelope.violations(schedule)
-                    if broken:
-                        raise ApiError(
-                            f"app {self.name!r}: default schedule "
-                            f"{schedule.name!r} violates the declared "
-                            f"envelope: {broken[0]}"
-                        )
+            for schedule in profile.schedules:
+                broken = profile.envelope.violations(schedule)
+                if broken:
+                    raise ApiError(
+                        f"app {self.name!r}: default schedule "
+                        f"{schedule.name!r} violates the declared "
+                        f"envelope: {broken[0]}"
+                    )
         self.audit_spec = profile
         return self
 

@@ -42,6 +42,7 @@ from repro.apps.queries import (
 )
 from repro.apps.source import PlannedSource, check_workload, runner_workload
 from repro.chaos.envelope import order_only_envelope
+from repro.chaos.schedule import baseline, dup_burst, reorder_burst
 from repro.bloom.cluster import INSERT_MSG, ZK_KINDS, BloomCluster, BloomNode
 from repro.bloom.rewrite import SealedInputAdapter, apply_strategy
 from repro.coord.sealing import DATA as SEAL_DATA
@@ -453,13 +454,10 @@ def _audit_workload(smoke: bool) -> AdWorkload:
     )
 
 
-def _audit_schedules(_smoke: bool):
-    from repro.chaos.schedule import baseline, dup_burst, reorder_burst
-
-    # No retransmit layer exists here, so the envelope is order-perturbing
-    # faults only: reorder bursts and duplication (declared as the
-    # order_only_envelope below; anything else audits as out-of-envelope).
-    return (baseline(), reorder_burst(), dup_burst())
+# No retransmit layer exists here, so the envelope is order-perturbing
+# faults only: reorder bursts and duplication (declared as the
+# order_only_envelope below; anything else audits as out-of-envelope).
+_AUDIT_SCHEDULES = (baseline(), reorder_burst(), dup_burst())
 
 
 def _audit_run_params(smoke: bool) -> dict:
@@ -504,7 +502,7 @@ APP = register(
     .audit_profile(
         strategies=("uncoordinated", "seal", "ordered"),
         horizon=0.4,
-        schedules=_audit_schedules,
+        schedules=_AUDIT_SCHEDULES,
         run_params=_audit_run_params,
         roles=report_roles,
         observe=report_observe,

@@ -24,6 +24,7 @@ from repro.api import BlazesApp, StrategySpec, annotate, register
 from repro.apps.source import PlannedSource, check_workload, runner_workload
 from repro.bloom.cluster import INSERT_MSG, ZK_KINDS, BloomCluster, BloomNode
 from repro.chaos.envelope import FaultEnvelope
+from repro.chaos.schedule import baseline, reorder_burst, split_link
 from repro.bloom.module import BloomModule
 from repro.bloom.rewrite import SealedInputAdapter, apply_strategy
 from repro.coord.sealing import DATA as SEAL_DATA
@@ -394,19 +395,12 @@ def _run_app(strategy: StrategySpec, *, seed: int = 0, **kwargs):
     return summary, result, result.cluster
 
 
-def _audit_schedules(_smoke: bool):
-    from repro.chaos.schedule import baseline, reorder_burst, split_link
-
-    # Every client session rides reliable (TCP-like) channels: partitions
-    # delay traffic rather than destroying or duplicating it, so all
-    # divergence here is *order*-driven.  (No dup-burst: the network
-    # exempts reliable kinds from duplication, so the cell would silently
-    # reduce to baseline.)
-    return (
-        baseline(),
-        reorder_burst(),
-        split_link("client", 0, "worker", 0),
-    )
+# Every client session rides reliable (TCP-like) channels: partitions
+# delay traffic rather than destroying or duplicating it, so all
+# divergence here is *order*-driven.  (No dup-burst: the network
+# exempts reliable kinds from duplication, so the cell would silently
+# reduce to baseline.)
+_AUDIT_SCHEDULES = (baseline(), reorder_burst(), split_link("client", 0, "worker", 0))
 
 
 def _audit_run_params(smoke: bool) -> dict:
@@ -483,7 +477,7 @@ APP = register(
     .audit_profile(
         strategies=("uncoordinated", "sealed", "ordered"),
         horizon=0.12,
-        schedules=_audit_schedules,
+        schedules=_AUDIT_SCHEDULES,
         run_params=_audit_run_params,
         roles=_audit_roles,
         observe=_audit_observe,

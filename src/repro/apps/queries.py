@@ -36,6 +36,7 @@ import inspect
 from repro.api import BlazesApp, annotate, register
 from repro.bloom.module import BloomModule
 from repro.chaos.envelope import reliable_sessions_envelope
+from repro.chaos.schedule import baseline, crash_restart, dup_burst, reorder_burst
 from repro.errors import BloomError
 
 __all__ = [
@@ -316,21 +317,13 @@ def _matrix_run_params(query: str):
     return run_params
 
 
-def _matrix_schedules(_smoke: bool):
-    from repro.chaos.schedule import (
-        baseline,
-        crash_restart,
-        dup_burst,
-        reorder_burst,
-    )
-
-    # Every session is TCP-backed (reliable_sessions=True below) and
-    # re-established after a peer restart, so the envelope includes a
-    # replica crash: faults perturb delivery order and timing, never
-    # durability.  The dup burst only touches kinds outside the reliable
-    # set — for these apps it is the control cell asserting exactly-once
-    # stays exact.
-    return (baseline(), reorder_burst(), dup_burst(), crash_restart("worker"))
+# Every session is TCP-backed (reliable_sessions=True below) and
+# re-established after a peer restart, so the envelope includes a
+# replica crash: faults perturb delivery order and timing, never
+# durability.  The dup burst only touches kinds outside the reliable
+# set — for these apps it is the control cell asserting exactly-once
+# stays exact.
+_MATRIX_SCHEDULES = (baseline(), reorder_burst(), dup_burst(), crash_restart("worker"))
 
 
 def report_roles(cluster) -> dict[str, list[str]]:
@@ -392,7 +385,7 @@ def _build_query_app(name: str, query: str) -> BlazesApp:
         .audit_profile(
             strategies=MATRIX_STRATEGIES,
             horizon=0.3,
-            schedules=_matrix_schedules,
+            schedules=_MATRIX_SCHEDULES,
             run_params=_matrix_run_params(query),
             roles=report_roles,
             observe=report_observe,

@@ -17,6 +17,14 @@ from collections.abc import Callable
 
 from repro.api import BlazesApp, annotate, register
 from repro.chaos.envelope import replay_envelope
+from repro.chaos.schedule import (
+    baseline,
+    crash_restart,
+    dup_burst,
+    loss_burst,
+    reorder_burst,
+    split_link,
+)
 from repro.core.graph import Dataflow
 from repro.errors import StormError
 from repro.storm.adapter import topology_to_dataflow
@@ -388,27 +396,17 @@ def _run_app(_strategy: str, *, seed: int = 0, **kwargs):
     return summary, metrics, cluster
 
 
-def _audit_schedules(_smoke: bool):
-    from repro.chaos.schedule import (
-        baseline,
-        crash_restart,
-        dup_burst,
-        loss_burst,
-        reorder_burst,
-        split_link,
-    )
-
-    # Replay-based fault tolerance is on, so the full chaos menu applies:
-    # crashes, loss, duplication, partitions, and reorder bursts are all
-    # healed by batch replay — for the sealed topology.
-    return (
-        baseline(),
-        reorder_burst(),
-        dup_burst(),
-        crash_restart("worker", 0),
-        loss_burst(),
-        split_link("splitter", 0, "worker", 0),
-    )
+# Replay-based fault tolerance is on, so the full chaos menu applies:
+# crashes, loss, duplication, partitions, and reorder bursts are all
+# healed by batch replay — for the sealed topology.
+_AUDIT_SCHEDULES = (
+    baseline(),
+    reorder_burst(),
+    dup_burst(),
+    crash_restart("worker", 0),
+    loss_burst(),
+    split_link("splitter", 0, "worker", 0),
+)
 
 
 def _audit_run_params(smoke: bool) -> dict:
@@ -497,7 +495,7 @@ APP = register(
     .audit_profile(
         strategies=("sealed", "eager"),
         horizon=0.03,
-        schedules=_audit_schedules,
+        schedules=_AUDIT_SCHEDULES,
         run_params=_audit_run_params,
         roles=_audit_roles,
         observe=_audit_observe,

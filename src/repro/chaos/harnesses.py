@@ -55,9 +55,7 @@ class AppHarness:
             for name in self.profile.strategies
             if app.strategy_spec(name).coordinated
         )
-        self.schedules: tuple[FaultSchedule, ...] = tuple(
-            self.profile.schedules(smoke)
-        )
+        self.schedules: tuple[FaultSchedule, ...] = self.profile.schedules
         self.horizon: float = self.profile.horizon
 
     @property

@@ -19,7 +19,6 @@ registry — the same catalog the benchmarks and the audit campaign use
     Run the app with telemetry attached and print the per-strategy
     coordination-cost breakdown, or — with causal span tracing — the
     busiest lineage ids or one lineage's timeline (``--id``).
-    ``stats --engine`` prints the evaluation engine's cumulative counters.
 ``audit``
     The fault-injection campaign: every (app, strategy, fault schedule)
     cell runs for several seeds and the observed anomaly is checked
@@ -34,7 +33,8 @@ registry — the same catalog the benchmarks and the audit campaign use
     Per (app, strategy), bisect the intensity of the app's composed fault
     envelope to the smallest one whose observed anomaly exceeds ``Async``.
 ``cache stats|clear``
-    Inspect or empty the evaluation engine's cell cache.
+    Print the evaluation engine's cell cache and its cumulative ledger
+    (``stats.json``: runs, cells, hits, misses, pool work), or empty both.
 
 ``--json`` prints the machine-readable form of whatever the verb prints,
 so CI and the audit can diff predictions without scraping text.
@@ -95,10 +95,6 @@ _FLAGS: dict[str, dict[str, Any]] = {
     ),
     "--backend": dict(choices=("sim", "socket"), default=None),
     "--timeout": dict(type=float, default=None, metavar="SECS"),
-    "--engine": dict(
-        action="store_true",
-        help="print the evaluation engine's cumulative counters instead",
-    ),
     "--id": dict(
         dest="lineage", default=None, metavar="LINEAGE",
         help="print one lineage's causal timeline (e.g. batch:3, part:c0)",
@@ -202,14 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("--timeout", "wall-clock budget for a socket run; on expiry the "
          "services tear down cleanly and the exit code is 5"),
     )
-    optional_app = dict(
-        nargs="?", default=None,
-        help="a registered app name (see `blazes apps`); omit with --engine",
-    )
     verb(
         "stats", _cmd_stats, "per-strategy coordination-cost breakdown",
-        ("app", optional_app), ("--strategy", "one strategy only (all otherwise)"),
-        "--seed", smoke_run, "--engine",
+        "app", ("--strategy", "one strategy only (all otherwise)"),
+        "--seed", smoke_run,
         ("--json", "machine-readable coordcost blocks"),
     )
     verb(
@@ -414,20 +406,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_stats(args) -> int:
     from repro.api import get_app
-    from repro.obs.render import render_engine, render_stats
+    from repro.obs.render import render_stats
     from repro.obs.telemetry import Telemetry
 
-    if args.engine:
-        from repro.exec import read_engine_stats
-
-        stats = read_engine_stats()
-        if args.json:
-            print(json.dumps(stats, indent=2, sort_keys=True))
-        else:
-            print(render_engine(stats))
-        return 0
-    if args.app is None:
-        raise BlazesError("blazes stats needs an app name (or --engine)")
     app = get_app(args.app)
     if args.strategy is None:
         strategies = tuple(app.strategies)
@@ -545,6 +526,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_cache(args) -> int:
     from repro.exec import CellCache, read_engine_stats
+    from repro.obs.render import render_engine
 
     cache = CellCache()
     if args.action == "clear":
@@ -552,22 +534,14 @@ def _cmd_cache(args) -> int:
         print(f"cleared {removed} cached cells from {cache.directory}")
         return 0
     stats = cache.stats()
+    engine = read_engine_stats(cache.directory)
     if args.json:
-        payload = {**stats, "engine": read_engine_stats(cache.directory)}
-        payload.pop("hits", None)
-        payload.pop("misses", None)
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps({**stats, "engine": engine}, indent=2, sort_keys=True))
         return 0
     print(f"cache directory : {stats['directory']}")
     print(f"cached cells    : {stats['entries']:,}")
     print(f"size            : {stats['size_bytes']:,} bytes")
-    totals = read_engine_stats(cache.directory).get("totals") or {}
-    if totals:
-        print(
-            f"lifetime        : {totals.get('cache_hits', 0):,} hits, "
-            f"{totals.get('cache_misses', 0):,} misses over "
-            f"{totals.get('runs', 0):,} runs"
-        )
+    print(render_engine(engine))
     return 0
 
 

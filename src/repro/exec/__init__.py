@@ -16,18 +16,12 @@ from repro.exec.cache import (
 )
 from repro.exec.canon import canonical, canonical_json, content_digest
 from repro.exec.engine import JOBS_ENV, bench_cache_fields, evaluate, resolve_jobs
-from repro.exec.pool import (
-    PoolStats,
-    WorkerPool,
-    shared_pool,
-    shutdown_shared_pool,
-)
+from repro.exec.pool import WorkerPool, shared_pool, shutdown_shared_pool
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CellCache",
     "JOBS_ENV",
-    "PoolStats",
     "WorkerPool",
     "bench_cache_fields",
     "canonical",

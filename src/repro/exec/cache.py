@@ -19,9 +19,10 @@ original wall/cpu cost of computing the cell (so a warm ``BENCH_*.json``
 still reports true compute cost), and are written atomically
 (temp file + ``os.replace``) so concurrent writers never corrupt an
 entry.  ``blazes cache clear`` (or :meth:`CellCache.clear`) empties the
-store; ``BLAZES_CACHE_DIR`` relocates it.  Cumulative engine counters
-persist next to the objects in ``stats.json`` for ``blazes stats
---engine``.
+store; ``BLAZES_CACHE_DIR`` relocates it.  The cache counts nothing
+itself: :func:`repro.exec.evaluate` counts hits and misses, and folds its
+cumulative counters into ``stats.json`` next to the objects, which
+``blazes cache stats`` prints.
 """
 
 from __future__ import annotations
@@ -125,8 +126,6 @@ class CellCache:
         self.directory = (
             Path(directory) if directory is not None else default_cache_dir()
         )
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     # addressing
@@ -148,7 +147,7 @@ class CellCache:
     # store
     # ------------------------------------------------------------------
     def get(self, key: str) -> dict[str, Any] | None:
-        """The stored entry for ``key``, or ``None`` (counted as a miss).
+        """The stored entry for ``key``, or ``None`` on a miss.
 
         A corrupt or schema-mismatched entry — not UTF-8, not JSON, or
         without a ``metrics`` mapping — is treated as a miss; the next
@@ -157,16 +156,13 @@ class CellCache:
         try:
             payload = json.loads(self._path(key).read_text())
         except (OSError, ValueError):  # JSONDecodeError, UnicodeDecodeError
-            self.misses += 1
             return None
         if (
             not isinstance(payload, dict)
             or payload.get("cache_schema") != CACHE_SCHEMA_VERSION
             or not isinstance(payload.get("metrics"), dict)
         ):
-            self.misses += 1
             return None
-        self.hits += 1
         return payload
 
     def put(
@@ -212,19 +208,17 @@ class CellCache:
         return removed
 
     def stats(self) -> dict[str, Any]:
-        """This instance's counters plus the on-disk store summary."""
+        """The on-disk store summary."""
         entries = self.entries()
         return {
             "directory": str(self.directory),
             "entries": len(entries),
             "size_bytes": sum(path.stat().st_size for path in entries),
-            "hits": self.hits,
-            "misses": self.misses,
         }
 
 
 # ----------------------------------------------------------------------
-# cumulative engine counters (``blazes stats --engine``)
+# cumulative engine counters (``blazes cache stats``)
 # ----------------------------------------------------------------------
 _TOTAL_KEYS = (
     "runs",

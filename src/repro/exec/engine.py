@@ -13,10 +13,12 @@ plus the module-level measurement function and
 3. merges everything back **in scenario order** into a standard
    :class:`~repro.bench.BenchReport`, indistinguishable from a serial
    uncached run, and
-4. attaches an ``engine`` accounting block (cells, hits, misses, pool
-   utilization, per-worker throughput) to the report and folds it into
-   the cache directory's cumulative ``stats.json`` for
-   ``blazes stats --engine``.
+4. attaches an ``engine`` accounting block (cells, hits, misses, the
+   pool's dispatch block) to the report and folds it into the cache
+   directory's cumulative ``stats.json`` for ``blazes cache stats``.
+
+It is the one counter of cache hits and misses, and it times a serial
+cell with the function the pool workers use (:func:`~repro.exec.pool.time_cell`).
 
 ``resolve_jobs`` maps the CLI convention onto a worker count: an
 explicit ``--jobs`` wins, else ``BLAZES_JOBS``, else serial.
@@ -30,10 +32,9 @@ from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
 from repro.bench.runner import BenchReport, assemble_report
-from repro.bench.timing import timed_detail
 from repro.errors import ExecError
 from repro.exec.cache import CellCache, record_engine_stats
-from repro.exec.pool import shared_pool
+from repro.exec.pool import shared_pool, time_cell
 
 __all__ = ["JOBS_ENV", "bench_cache_fields", "evaluate", "resolve_jobs"]
 
@@ -122,15 +123,13 @@ def evaluate(
                 continue
         pending.append(index)
 
-    pool_stats = None
+    pool = None
     if pending:
         params_list = [dict(scenarios[index].params) for index in pending]
         if jobs > 1:
-            pool = shared_pool(jobs)
-            computed = pool.run(fn, params_list)
-            pool_stats = pool.last
+            computed, pool = shared_pool(jobs).run(fn, params_list)
         else:
-            computed = [timed_detail(fn, **params) for params in params_list]
+            computed = [time_cell(fn, params) for params in params_list]
         for index, outcome in zip(pending, computed):
             outcomes[index] = outcome
             if cache is not None and keys[index] is not None:
@@ -152,7 +151,7 @@ def evaluate(
         "cache_hits": hits,
         "cache_misses": len(pending) if cache is not None else 0,
         "wall_seconds": time.perf_counter() - start,
-        "pool": pool_stats.to_dict() if pool_stats is not None else None,
+        "pool": pool,
         "cache": cache.stats() if cache is not None else None,
     }
     if cache is not None:

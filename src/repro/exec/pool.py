@@ -15,8 +15,13 @@ keeps ONE pool per process:
   and results are placed by index as chunks complete, so the returned
   list is always in input order no matter which worker finished first —
   a pooled run is indistinguishable from a serial one;
-* every dispatch records :class:`PoolStats` (utilization, per-worker
-  busy time and events/sec), surfaced through ``blazes stats --engine``.
+* every dispatch returns its accounting block beside its rows (chunks,
+  utilization, per-worker busy time and events/sec), built from what
+  the workers report; :func:`repro.exec.evaluate` folds it into the
+  cache's ``stats.json`` (``blazes cache stats``);
+* a worker that dies mid-dispatch breaks only that dispatch: it raises
+  :class:`~repro.errors.ExecError` and the next dispatch respawns the
+  pool.
 
 The start method is ``fork`` where available (workers inherit the warm
 parent image outright) and ``spawn`` elsewhere; cells are self-contained
@@ -27,19 +32,17 @@ either method.
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import importlib
 import multiprocessing
 import os
 import time
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from typing import Any
 
-from repro.bench.timing import timed_detail
 from repro.errors import ExecError
 
-__all__ = ["PRELOAD", "PoolStats", "WorkerPool", "shared_pool", "shutdown_shared_pool"]
+__all__ = ["PRELOAD", "WorkerPool", "shared_pool", "shutdown_shared_pool", "time_cell"]
 
 # Modules every worker imports on spawn: the library root plus the
 # registries the campaign and the benchmarks resolve apps through.
@@ -56,6 +59,19 @@ def _warm_worker(modules: Sequence[str]) -> None:
         importlib.import_module(name)
 
 
+def time_cell(fn: Callable[..., Any], params: Mapping[str, Any]) -> tuple[Any, float, float]:
+    """Call ``fn(**params)`` and return ``(result, wall_seconds, cpu_seconds)``.
+
+    ``cpu_seconds`` is this process's CPU time (``time.process_time``):
+    on a loaded or oversubscribed machine it separates "the cell got
+    slower" from "the cell got less CPU", which wall clock alone cannot.
+    """
+    wall_start = time.perf_counter()
+    cpu_start = time.process_time()
+    result = fn(**params)
+    return result, time.perf_counter() - wall_start, time.process_time() - cpu_start
+
+
 def _run_chunk(fn, tasks):
     """Worker side: one chunk of ``(index, params)`` tasks.
 
@@ -66,83 +82,49 @@ def _run_chunk(fn, tasks):
     pid = os.getpid()
     rows = []
     for index, params in tasks:
-        metrics, wall, cpu = timed_detail(fn, **params)
+        metrics, wall, cpu = time_cell(fn, params)
         events = metrics.get("events") if isinstance(metrics, Mapping) else None
-        rows.append((index, metrics, wall, cpu, pid, events))
+        rows.append((index, metrics, wall, cpu, pid, events or 0))
     return rows
 
 
-@dataclasses.dataclass
-class PoolStats:
-    """One dispatch's accounting.
+def _block(jobs: int, chunks: int, wall: float, rows) -> dict[str, Any]:
+    """One dispatch's accounting, from the workers' ``_run_chunk`` rows.
 
     The ``tasks``, ``busy_seconds`` and ``events`` totals are sums of the
     per-worker rows; what a pool did over its lifetime is the sum of its
-    dispatches, kept in the cache's ``stats.json`` (``blazes stats
-    --engine``).
+    dispatches, kept in the cache's ``stats.json``.
     """
-
-    jobs: int
-    chunks: int = 0
-    wall_seconds: float = 0.0
-    cpu_seconds: float = 0.0
-    workers: dict[int, dict[str, float]] = dataclasses.field(default_factory=dict)
-
-    def _total(self, field: str, zero: float = 0):
-        return sum((worker[field] for worker in self.workers.values()), zero)
-
-    @property
-    def tasks(self) -> int:
-        return self._total("tasks")
-
-    @property
-    def busy_seconds(self) -> float:
-        return self._total("busy_seconds", 0.0)
-
-    @property
-    def events(self) -> int:
-        return self._total("events")
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of the pool's capacity the dispatch actually used."""
-        if self.wall_seconds <= 0.0 or self.jobs <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / (self.wall_seconds * self.jobs))
-
-    def note_task(self, pid: int, wall: float, cpu: float, events: int | None) -> None:
-        self.cpu_seconds += cpu
-        worker = self.workers.setdefault(
-            pid, {"tasks": 0, "busy_seconds": 0.0, "events": 0}
-        )
+    workers: dict[int, dict[str, float]] = {}
+    cpu_seconds = 0.0
+    for _index, _metrics, busy, cpu, pid, events in rows:
+        worker = workers.setdefault(pid, {"tasks": 0, "busy_seconds": 0.0, "events": 0})
         worker["tasks"] += 1
-        worker["busy_seconds"] += wall
-        if events:
-            worker["events"] += events
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "jobs": self.jobs,
-            "tasks": self.tasks,
-            "chunks": self.chunks,
-            "dispatches": 1,  # one record per dispatch
-            "wall_seconds": self.wall_seconds,
-            "busy_seconds": self.busy_seconds,
-            "cpu_seconds": self.cpu_seconds,
-            "events": self.events,
-            "utilization": self.utilization,
-            "workers": {
-                str(pid): {
-                    **worker,
-                    "events_per_second": (
-                        worker["events"] / worker["busy_seconds"]
-                        if worker["busy_seconds"] > 0
-                        else 0.0
-                    ),
-                }
-                for pid, worker in sorted(self.workers.items())
-            },
-        }
+        worker["busy_seconds"] += busy
+        worker["events"] += events
+        cpu_seconds += cpu
+    busy_seconds = sum((worker["busy_seconds"] for worker in workers.values()), 0.0)
+    return {
+        "jobs": jobs,
+        "tasks": len(rows),
+        "chunks": chunks,
+        "dispatches": 1,  # one record per dispatch
+        "wall_seconds": wall,
+        "busy_seconds": busy_seconds,
+        "cpu_seconds": cpu_seconds,
+        "events": sum(worker["events"] for worker in workers.values()),
+        # the fraction of the pool's capacity the dispatch actually used
+        "utilization": min(1.0, busy_seconds / (wall * jobs)) if wall > 0.0 else 0.0,
+        "workers": {
+            str(pid): {
+                **worker,
+                "events_per_second": (
+                    worker["events"] / worker["busy_seconds"] if worker["busy_seconds"] > 0 else 0.0
+                ),
+            }
+            for pid, worker in sorted(workers.items())
+        },
+    }
 
 
 class WorkerPool:
@@ -161,7 +143,6 @@ class WorkerPool:
         self.jobs = jobs
         self._executor: ProcessPoolExecutor | None = None
         self.spawned = 0
-        self.last: PoolStats | None = None
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -195,33 +176,40 @@ class WorkerPool:
         param_list: Sequence[Mapping[str, Any]],
         *,
         chunksize: int | None = None,
-    ) -> list[tuple[Any, float, float]]:
+    ) -> tuple[list[tuple[Any, float, float]], dict[str, Any]]:
         """Evaluate ``fn(**params)`` for every mapping, in input order.
 
-        Returns ``(metrics, wall_seconds, cpu_seconds)`` per task.
+        Returns ``(rows, block)``: ``(metrics, wall_seconds, cpu_seconds)``
+        per task, and the dispatch's accounting block (:func:`_block`).
         Worker exceptions propagate to the caller, as they would serially.
+        A worker that dies takes the executor with it: the pool drops it,
+        so the next dispatch respawns, and raises :class:`ExecError`.
         """
         tasks = list(enumerate(param_list))
-        stats = PoolStats(jobs=self.jobs)
         if not tasks:
-            self.last = stats
-            return []
-        executor = self._ensure()
+            return [], _block(self.jobs, 0, 0.0, [])
         # ~4 chunks per worker: large enough to amortize IPC, small
         # enough that a straggler chunk cannot idle the rest of the pool
         size = chunksize or max(1, -(-len(tasks) // (self.jobs * 4)))
         chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
         start = time.perf_counter()
-        rows: list[tuple[Any, float, float] | None] = [None] * len(tasks)
-        futures = [executor.submit(_run_chunk, fn, chunk) for chunk in chunks]
-        for future in as_completed(futures):
-            for index, metrics, wall, cpu, pid, events in future.result():
-                rows[index] = (metrics, wall, cpu)
-                stats.note_task(pid, wall, cpu, events)
-        stats.chunks = len(chunks)
-        stats.wall_seconds = time.perf_counter() - start
-        self.last = stats
-        return rows  # type: ignore[return-value]
+        done = []
+        executor = self._ensure()
+        try:
+            futures = [executor.submit(_run_chunk, fn, chunk) for chunk in chunks]
+            for future in as_completed(futures):
+                done.extend(future.result())
+        except BrokenExecutor as exc:
+            self.shutdown()
+            raise ExecError(
+                f"the worker pool lost a worker mid-dispatch ({exc}); "
+                "the next dispatch respawns it"
+            ) from exc
+        wall = time.perf_counter() - start
+        rows: list[Any] = [None] * len(tasks)
+        for index, metrics, busy, cpu, _pid, _events in done:
+            rows[index] = (metrics, busy, cpu)
+        return rows, _block(self.jobs, len(chunks), wall, done)
 
 
 _SHARED: WorkerPool | None = None

@@ -3,7 +3,8 @@
 ``blazes run`` prints one outcome (with the coordcost line and the
 profiler snapshot of an instrumented run); ``blazes stats`` the
 per-strategy coordination-cost table; ``blazes trace`` the lineage
-summary and per-id causal timelines.
+summary and per-id causal timelines; the sweeps one engine line and
+``blazes cache stats`` the engine's cumulative ledger.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ def engine_line(engine: dict[str, Any]) -> str:
 
 
 def render_engine(stats: dict[str, Any]) -> str:
-    """The ``blazes stats --engine`` section: cumulative engine counters."""
+    """The ledger ``blazes cache stats`` prints: the cumulative engine
+    counters of ``stats.json`` and the last run's workers."""
     totals = stats.get("totals") or {}
     if not totals:
         return "no engine runs recorded (run an audit or benchmark with caching on)"

@@ -20,8 +20,8 @@ depends on the simulator:
     One JSON object per captured span event (empty file when the run was
     not traced).
 
-:func:`validate_rundir` is the schema gate CI's ``obs-smoke`` job runs
-against every artifact.
+:func:`validate_rundir` is the schema check of every artifact; the tests
+run it on the run directories they write.
 """
 
 from __future__ import annotations

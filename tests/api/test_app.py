@@ -44,11 +44,27 @@ class TestDeclaration:
             app.audit_profile(
                 strategies=("only", "missing"),
                 horizon=1.0,
-                schedules=lambda smoke: (),
+                schedules=(),
                 run_params=lambda smoke: {},
                 roles=lambda cluster: {},
                 observe=lambda outcome, params: None,
             )
+
+    def test_audit_profile_schedules_are_a_sequence_kept_as_a_tuple(self):
+        app = BlazesApp("tmp", backend="bloom")
+        app.strategy("only")
+        profile = dict(
+            strategies=("only",),
+            horizon=1.0,
+            run_params=lambda smoke: {},
+            roles=lambda cluster: {},
+            observe=lambda outcome, params: None,
+        )
+        for schedules in (lambda smoke: (), iter(())):
+            with pytest.raises(ApiError, match="tuple or list"):
+                app.audit_profile(schedules=schedules, **profile)
+        app.audit_profile(schedules=[], **profile)
+        assert app.audit_spec.schedules == ()
 
 
 class TestDerivation:

@@ -14,10 +14,10 @@ from repro.bench import (
     Scenario,
     ScenarioResult,
     sweep,
-    timed_detail,
 )
 from repro.errors import BenchError
 from repro.exec import evaluate
+from repro.exec.pool import time_cell
 
 
 def toy_measure(*, x: int, y: int = 1) -> dict:
@@ -100,8 +100,8 @@ def test_scenario_result_is_json_round_trippable():
     assert json.loads(json.dumps(result.metrics)) == {"m": 2.5}
 
 
-def test_timed_detail_measures_wall_and_cpu():
-    value, wall, cpu = timed_detail(lambda a: sum(range(a)), 10_000)
+def test_time_cell_measures_wall_and_cpu():
+    value, wall, cpu = time_cell(lambda a: sum(range(a)), {"a": 10_000})
     assert value == sum(range(10_000))
     assert wall >= 0.0 and cpu >= 0.0
 

@@ -342,10 +342,7 @@ class TestDuplicateScheduleNames:
         # two *different* loss bursts, both named "loss-burst"
         doubled = dataclasses.replace(
             original,
-            schedules=lambda smoke: (
-                loss_burst(drop_prob=0.2),
-                loss_burst(drop_prob=0.6),
-            ),
+            schedules=(loss_burst(drop_prob=0.2), loss_burst(drop_prob=0.6)),
         )
         app.audit_spec = doubled
         try:

@@ -58,7 +58,7 @@ def test_source_digest_covers_paths_and_contents(tmp_path):
     assert len(source_digest()) == 64  # the installed package, hashed once
 
 
-def test_put_get_roundtrip_counts_hits_and_misses(tmp_path):
+def test_put_get_roundtrip(tmp_path):
     cache = CellCache(tmp_path)
     key = cache.key(FIELDS)
     assert cache.get(key) is None
@@ -68,7 +68,6 @@ def test_put_get_roundtrip_counts_hits_and_misses(tmp_path):
     assert entry["metrics"] == {"score": 3, "pair": [1, 2]}
     assert entry["wall_seconds"] == 0.5
     assert entry["fields"]["app"] == "wordcount"
-    assert (cache.hits, cache.misses) == (1, 1)
 
 
 def test_a_cache_directory_that_is_a_file_is_an_exec_error(tmp_path):
@@ -89,7 +88,6 @@ def test_corrupt_or_mismatched_entries_read_as_misses(tmp_path):
     payload = {"cache_schema": CACHE_SCHEMA_VERSION + 1, "metrics": {"score": 1}}
     path.write_text(json.dumps(payload))
     assert cache.get(key) is None
-    assert cache.misses == 2
 
 
 @pytest.mark.parametrize(
@@ -108,7 +106,6 @@ def test_an_unreadable_entry_is_a_miss_and_unreadable_stats_are_empty(tmp_path, 
     key = cache.key(FIELDS)
     cache.put(key, {"score": 1}, wall_seconds=0.1).write_bytes(stored)
     assert cache.get(key) is None
-    assert (cache.hits, cache.misses) == (0, 1)
     (tmp_path / "stats.json").write_bytes(stored)
     assert isinstance(read_engine_stats(tmp_path), dict)
 

@@ -1,12 +1,16 @@
-"""The warm worker pool: ordered merges, warm reuse, and accounting."""
+"""The warm worker pool: ordered merges, warm reuse, accounting, and a
+worker that dies."""
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
 from repro.errors import ExecError
-from repro.exec import PoolStats, WorkerPool, shared_pool, shutdown_shared_pool
+from repro.exec import WorkerPool, shared_pool, shutdown_shared_pool
 from repro.exec.cache import read_engine_stats, record_engine_stats
+from repro.exec.pool import _block, _run_chunk
 
 
 @pytest.fixture(autouse=True)
@@ -21,14 +25,22 @@ def square(*, x: int) -> dict:
     return {"square": x * x, "events": x}
 
 
+def no_events(*, x: int) -> dict:
+    return {"square": x * x}
+
+
 def explode(*, x: int) -> dict:
     raise ValueError(f"cell {x} exploded")
+
+
+def die(*, x: int) -> dict:
+    os._exit(3)
 
 
 def test_pool_runs_in_input_order():
     pool = WorkerPool(2)
     try:
-        rows = pool.run(square, [{"x": x} for x in (3, 1, 4, 1, 5)])
+        rows, _ = pool.run(square, [{"x": x} for x in (3, 1, 4, 1, 5)])
     finally:
         pool.shutdown()
     assert [metrics["square"] for metrics, _, _ in rows] == [9, 1, 16, 1, 25]
@@ -40,8 +52,8 @@ def test_pool_workers_stay_warm_across_dispatches(tmp_path):
     pool = WorkerPool(2)
     try:
         for params in ([{"x": 1}, {"x": 2}], [{"x": 3}, {"x": 4}]):
-            pool.run(square, params)
-            record_engine_stats({"pool": pool.last.to_dict()}, tmp_path)
+            _rows, block = pool.run(square, params)
+            record_engine_stats({"pool": block}, tmp_path)
         assert pool.spawned == 1  # the second dispatch reused the workers
     finally:
         pool.shutdown()
@@ -58,7 +70,7 @@ def test_pool_resize_respawns_with_new_worker_count():
         pool.run(square, [{"x": 1}])
         pool.resize(2)
         assert pool._executor is None  # respawn deferred to the next dispatch
-        rows = pool.run(square, [{"x": 2}, {"x": 3}])
+        rows, _ = pool.run(square, [{"x": 2}, {"x": 3}])
         assert pool.spawned == 2
         assert pool.jobs == 2
         assert [m["square"] for m, _, _ in rows] == [4, 9]
@@ -66,36 +78,52 @@ def test_pool_resize_respawns_with_new_worker_count():
         pool.shutdown()
 
 
-def test_pool_stats_count_tasks_events_and_utilization():
+def test_pool_block_counts_tasks_events_and_utilization():
     pool = WorkerPool(2)
     try:
-        pool.run(square, [{"x": x} for x in range(1, 9)])
+        _rows, block = pool.run(square, [{"x": x} for x in range(1, 9)])
     finally:
         pool.shutdown()
-    stats = pool.last
-    assert stats.tasks == 8
-    assert stats.events == sum(range(1, 9))
-    assert 1 <= stats.chunks <= 8
-    assert 0.0 <= stats.utilization <= 1.0
-    payload = stats.to_dict()
-    assert payload["tasks"] == 8
-    for worker in payload["workers"].values():
+    assert block["tasks"] == 8
+    assert block["events"] == sum(range(1, 9))
+    assert 1 <= block["chunks"] <= 8
+    assert 0.0 <= block["utilization"] <= 1.0
+    for worker in block["workers"].values():
         assert worker["events_per_second"] >= 0.0
 
 
-def test_pool_stats_totals_sum_the_worker_rows():
-    stats = PoolStats(jobs=2)
-    assert (stats.tasks, stats.busy_seconds, stats.events) == (0, 0.0, 0)
-    stats.note_task(101, wall=0.5, cpu=0.4, events=10)
-    stats.note_task(102, wall=0.25, cpu=0.2, events=5)
-    stats.note_task(101, wall=0.75, cpu=0.1, events=None)
-    assert stats.tasks == 3
-    assert stats.events == 15
-    assert stats.busy_seconds == pytest.approx(1.5)
-    assert stats.cpu_seconds == pytest.approx(0.7)
-    assert stats.workers[101] == {"tasks": 2, "busy_seconds": 1.25, "events": 10}
-    payload = stats.to_dict()
-    assert payload["tasks"] == 3 and payload["dispatches"] == 1
+def test_pool_block_totals_sum_the_worker_rows():
+    empty = _block(2, 0, 0.0, [])
+    assert (empty["tasks"], empty["busy_seconds"], empty["events"], empty["utilization"]) == (0, 0.0, 0, 0.0)
+    # _run_chunk rows: (index, metrics, wall, cpu, pid, events)
+    rows = [(0, {}, 0.5, 0.4, 101, 10), (1, {}, 0.25, 0.2, 102, 5), (2, {}, 0.75, 0.1, 101, 0)]
+    block = _block(2, 2, 1.0, rows)
+    assert block["tasks"] == 3
+    assert block["events"] == 15
+    assert block["busy_seconds"] == pytest.approx(1.5)
+    assert block["cpu_seconds"] == pytest.approx(0.7)
+    assert block["utilization"] == pytest.approx(0.75)
+    assert block["workers"]["101"] == {
+        "tasks": 2, "busy_seconds": 1.25, "events": 10, "events_per_second": 8.0,
+    }
+    assert block["chunks"] == 2 and block["dispatches"] == 1
+
+
+def test_pool_counts_a_cell_without_events_as_a_task_with_zero_events():
+    """A cell whose result carries no ``events`` key, or is no mapping at
+    all (the perf harness dispatches ``os.getpid``), still counts as a
+    task and adds 0 events."""
+    rows = _run_chunk(no_events, [(0, {"x": 2}), (1, {"x": 3})])
+    assert [row[5] for row in rows] == [0, 0]
+    pool = WorkerPool(2)
+    try:
+        rows, block = pool.run(no_events, [{"x": x} for x in (1, 2, 3)])
+        assert [metrics["square"] for metrics, _, _ in rows] == [1, 4, 9]
+        assert (block["tasks"], block["events"]) == (3, 0)
+        _rows, block = pool.run(os.getpid, [{}, {}], chunksize=1)
+        assert (block["tasks"], block["events"]) == (2, 0)
+    finally:
+        pool.shutdown()
 
 
 def test_pool_propagates_worker_exceptions():
@@ -126,5 +154,23 @@ def test_shared_pool_is_one_pool_resized_on_demand():
 
 def test_pool_empty_dispatch_is_a_noop():
     pool = WorkerPool(2)
-    assert pool.run(square, []) == []
+    rows, block = pool.run(square, [])
+    assert rows == [] and block["tasks"] == 0
     assert pool._executor is None  # nothing to do: no workers were spawned
+
+
+def test_a_dead_worker_fails_one_dispatch_and_the_pool_respawns():
+    """A cell that kills its worker raises ``ExecError``, not the executor's
+    ``BrokenProcessPool``; the broken executor is dropped, so the next
+    dispatch on the same pool respawns it and computes correctly."""
+    pool = WorkerPool(2)
+    try:
+        pool.run(square, [{"x": 1}])
+        with pytest.raises(ExecError, match="lost a worker"):
+            pool.run(die, [{"x": 1}, {"x": 2}])
+        rows, block = pool.run(square, [{"x": x} for x in (2, 3)])
+        assert [metrics["square"] for metrics, _, _ in rows] == [4, 9]
+        assert block["tasks"] == 2
+        assert pool.spawned == 2
+    finally:
+        pool.shutdown()

@@ -87,7 +87,7 @@ def _profile_cells() -> list[tuple[str, str, int]]:
     for name in audit_app_names():
         app = get_app(name)
         for strategy in app.audit_spec.strategies:
-            for index in range(len(app.audit_spec.schedules(True))):
+            for index in range(len(app.audit_spec.schedules)):
                 cells.append((name, strategy, index))
     return cells
 
@@ -97,7 +97,7 @@ def test_audit_observation_identical_across_kernels(
     app_name, strategy, schedule_index
 ):
     app = get_app(app_name)
-    schedule = app.audit_spec.schedules(True)[schedule_index]
+    schedule = app.audit_spec.schedules[schedule_index]
     observations = {}
     for name in KERNELS:
         with kernel(name):
@@ -111,7 +111,7 @@ def test_oracle_verdict_identical_across_kernels(app_name):
     """The whole classify pipeline — multiple seeds per kernel — agrees."""
     app = get_app(app_name)
     strategy = app.audit_spec.strategies[0]
-    schedule = app.audit_spec.schedules(True)[0]
+    schedule = app.audit_spec.schedules[0]
     verdicts = {}
     for name in KERNELS:
         with kernel(name):

@@ -616,7 +616,7 @@ def test_cache_subcommand_stats_and_clear(capsys):
     _audit_payload(capsys)  # populate
     assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
-    assert "cached cells" in out and "lifetime" in out
+    assert "cached cells" in out and "evaluation engine — cumulative" in out
     assert main(["cache", "stats", "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["entries"] > 0
@@ -627,22 +627,28 @@ def test_cache_subcommand_stats_and_clear(capsys):
     assert json.loads(capsys.readouterr().out)["entries"] == 0
 
 
-def test_stats_engine_reports_cumulative_counters(capsys):
-    assert main(["stats", "--engine"]) == 0
+def test_cache_stats_reports_cumulative_counters(capsys):
+    assert main(["cache", "stats"]) == 0
     assert "no engine runs recorded" in capsys.readouterr().out
     _audit_payload(capsys)
-    assert main(["stats", "--engine"]) == 0
+    assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
     assert "evaluation engine — cumulative" in out
     assert "cache misses" in out
-    assert main(["stats", "--engine", "--json"]) == 0
+    assert main(["cache", "stats", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["totals"]["runs"] >= 1
+    assert payload["engine"]["totals"]["runs"] >= 1
+    assert "hits" not in payload and "misses" not in payload  # evaluate counts them
 
 
-def test_stats_without_app_or_engine_is_a_clean_error(capsys):
-    assert main(["stats"]) == 1
-    assert "--engine" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", (["stats"], ["stats", "--engine"]), ids=("no-app", "engine"))
+def test_stats_needs_an_app_and_has_no_engine_flag(argv, capsys):
+    """The ledger has one reader, ``blazes cache stats``: ``blazes stats``
+    is the coordination-cost table of one app, a usage error without it."""
+    with pytest.raises(SystemExit) as usage:
+        main(argv)
+    assert usage.value.code == 2
+    assert "app" in capsys.readouterr().err
 
 
 def _underpredicting_app(name):

@@ -42,6 +42,11 @@ _AUDIT = ["audit", "--smoke", "--apps", "wordcount", "--seeds", "7"]
 INVOCATIONS = {
     "search-json": (_SEARCH + ["--no-report", "--json"], 0),
     "search-text": (_SEARCH, 0),
+    # every app at the default --candidates/--budget: the composite cells
+    # (q-poor and q-campaign at x0.2 among them) the one-app goldens miss
+    "search-all-json": (
+        ["audit", "--search", "--smoke", "--no-cache", "--no-report", "--json"], 0
+    ),
     "frontier-text": (_FRONTIER, 0),
     "frontier-json": (_FRONTIER + ["--json"], 0),
     "matrix-json": (_MATRIX + ["--json"], 0),

@@ -134,13 +134,16 @@ def test_retired_private_names_stay_gone():
         "repro/core": ("lru_cache", "functools.cache"),
         "repro/core/analysis.py": ("_interface_graph", "_Node", "_component_replicated", "_inputs_for"),
         "repro": ("seal.frame", "SEAL_FRAME", '"global"', "_ACTIVE", "activate", "active_config", "_apply_in_order",
-                  "FailureInjector", "check_fault"),
+                  "FailureInjector", "check_fault", "timed_detail", "PoolStats", '"--engine"'),
         "repro/chaos/schedule.py": ("def compile(",),
+        "repro/exec/pool.py": (".last",),
+        "repro/exec/cache.py": (".hits", ".misses"),
         "repro/net": ("socket_backend", "resolve_backend", "from_env"),
     }
     for under, names in retired.items():
         paths = _sources(under) if (SRC / under).is_dir() else [SRC / under]
         assert not (found := [(p.name, n) for p in paths for n in names if n in p.read_text()]), found
+    assert not (SRC / "repro" / "bench" / "timing.py").exists()
     assert "_streams" not in inspect.getsource(Dataflow.streams_into)
     spelled = {str(p.relative_to(SRC)): p.read_text().count("producers/") for p in _sources()}
     assert {name: n for name, n in spelled.items() if n} == {"repro/coord/sealing.py": 1}
