@@ -117,5 +117,4 @@ class PlannedSource(Process):
             self.after(self.sleep, self._burst)
 
     def recv(self, msg) -> None:
-        if not self.out.handle(msg):
-            raise SimulationError(f"source {self.name} got unexpected {msg.kind}")
+        raise SimulationError(f"source {self.name} got unexpected {msg.kind}")

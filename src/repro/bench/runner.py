@@ -113,10 +113,6 @@ class BenchReport:
             )
         return matches[0]
 
-    def column(self, metric: str, **params: Any) -> list[Any]:
-        """One metric across the (filtered) scenarios, in run order."""
-        return [result.metrics[metric] for result in self.select(**params)]
-
     def to_dict(self) -> dict[str, Any]:
         payload = {
             "bench": self.name,

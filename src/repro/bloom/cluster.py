@@ -108,13 +108,7 @@ class BloomNode(Process):
 
     def _do_tick(self) -> None:
         runtime = self.runtime
-        evaluated = runtime.tick_count
         outputs = runtime.tick()
-        if runtime.tick_count == evaluated:
-            # quiescence fast path: the runtime consumed a tick whose only
-            # pending input was redundant (e.g. duplicated deliveries of
-            # rows a table already holds) without running the fixpoint
-            return
         if outputs is not self._last_outputs:  # the same dict holds only logged sets
             self._log_outputs(outputs)
         if self.on_tick is not None:
@@ -137,11 +131,6 @@ class BloomNode(Process):
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    @property
-    def ticks_skipped(self) -> int:
-        """Scheduled ticks consumed by the quiescence fast path."""
-        return self.runtime.ticks_skipped
-
     def read(self, collection: str) -> frozenset[tuple]:
         return self.runtime.read(collection)
 

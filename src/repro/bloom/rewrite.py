@@ -202,10 +202,6 @@ class _BroadcastProducer:
     def seal(self, partition) -> None:
         """Promise no more rows for ``partition`` (sealed delivery only)."""
 
-    def handle(self, msg: Message) -> bool:
-        """Route a coordination-service reply; True when it was one."""
-        return False
-
 
 class _SequencedProducer(_BroadcastProducer):
     """Every row is submitted to the sequencer topic the consumers ride."""
@@ -217,9 +213,6 @@ class _SequencedProducer(_BroadcastProducer):
 
     def emit(self, collection: str, row: tuple, partition=None) -> None:
         self._zk.submit(self.topic, (collection, row))
-
-    def handle(self, msg: Message) -> bool:
-        return self._zk.handle(msg)
 
 
 class _SealedProducer(_BroadcastProducer):
@@ -261,9 +254,10 @@ def strategy_producer(
 ):
     """The producer half: how ``process`` ships rows under a strategy.
 
-    The returned object has ``emit(collection, row, partition)``,
-    ``seal(partition)`` and ``handle(msg)``; which of broadcast, sealed or
-    sequenced delivery they perform is fixed here.
+    The returned object has ``emit(collection, row, partition)`` and
+    ``seal(partition)``; which of broadcast, sealed or sequenced delivery
+    they perform is fixed here.  All three only send: nothing replies to
+    a producer, so the process owning one receives no message for it.
     ``stream_collections`` names the streams this process produces that a
     :class:`SealStrategy` may cover (stream -> collection, the mapping
     :func:`apply_strategy` takes); a process producing none of the sealed

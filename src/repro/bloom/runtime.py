@@ -237,7 +237,6 @@ class BloomRuntime:
         self._volatile = frozenset(self._output_names) - self._standing
         self._stale = set(self._volatile)
         self.tick_count = 0
-        self.ticks_skipped = 0
 
     # ------------------------------------------------------------------
     # external input
@@ -283,27 +282,13 @@ class BloomRuntime:
         """Run one timestep; returns the contents of output interfaces
         (the *same* frozenset object for an output that did not change).
 
-        A timestep that would leave no trace is consumed at the door: its
-        pending input is dropped, :attr:`ticks_skipped` counts it and
-        :attr:`tick_count` does not.  That is the case when the boundary
-        would change nothing — no pending deletes, every pending insert
-        targets a table that already holds the row (e.g. a duplicated
-        network delivery), every transient is empty — and the module has
-        no deferred/deletion/async rules (those emit every tick regardless
-        of change); the first tick always runs (it materializes
-        ``Const``-only rules).  Skipping such a tick is exactly equivalent
-        to running it.
+        Every call is a timestep that :attr:`tick_count` counts, one whose
+        pending input changes nothing (a duplicated delivery of a row a
+        table holds) included: such input dirties no rule, so the strata
+        below have no work and return at once.
         """
         inserts, deletes = self._pending_inserts, self._pending_deletes
         self._pending_inserts, self._pending_deletes = {}, {}
-        if (
-            not self._filled
-            and self.tick_count
-            and not self._end_rules
-            and self._quiet(inserts, deletes)
-        ):
-            self.ticks_skipped += 1
-            return self._outputs
 
         # 1. boundary: clear transients, apply deletes then inserts.
         self._apply_boundary(inserts, deletes)
@@ -395,17 +380,6 @@ class BloomRuntime:
         if name in self._transient:
             self._filled.add(name)
         self._record(name, rows, NO_ROWS)
-
-    def _quiet(self, inserts, deletes) -> bool:
-        """Would a boundary with this pending input change nothing?  Asked
-        only while no transient outside the standing sinks holds rows."""
-        if any(deletes.values()):
-            return False
-        storage, transient = self.storage, self._transient
-        for name, rows in inserts.items():
-            if rows and (name in transient or not rows <= storage[name]):
-                return False
-        return not any(storage[name] for name in self._standing)
 
     # -- change tracking ------------------------------------------------
     def _record(self, name: str, added, removed) -> None:

@@ -136,16 +136,6 @@ class FaultEnvelope:
                 )
         return tuple(found)
 
-    def to_dict(self) -> dict:
-        """The JSON-able view (for reports and ``blazes apps --json``)."""
-        return {
-            "name": self.name,
-            "faults": sorted(self.faults),
-            "crash_restart_by": self.crash_restart_by,
-            "max_loss_prob": self.max_loss_prob,
-            "max_dup_prob": self.max_dup_prob,
-        }
-
 
 def cell_status(sound: bool, violations: tuple[str, ...] | list[str]) -> str:
     """Fold one cell's soundness and envelope check into its status.

@@ -127,11 +127,6 @@ class OracleVerdict:
         """The soundness check: observed severity within the prediction."""
         return self.observed.severity <= predicted.severity
 
-    def describe(self) -> str:
-        lines = [f"observed {self.observed}"]
-        lines.extend(f"  - {item}" for item in self.evidence)
-        return "\n".join(lines)
-
 
 def classify_runs(observations: Iterable[RunObservation]) -> OracleVerdict:
     """Classify a set of seeded runs into the Figure 8 lattice.

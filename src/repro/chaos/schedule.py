@@ -360,11 +360,6 @@ class FaultSchedule:
         return FaultSchedule(self.name, faults)
 
     @property
-    def horizon(self) -> float:
-        """Virtual time by which every fault has begun and ended."""
-        return max((f.end for f in self.faults), default=0.0)
-
-    @property
     def roles(self) -> frozenset[str]:
         """Every symbolic role the schedule targets (for harness checks)."""
         names: set[str] = set()

@@ -31,15 +31,13 @@ class OrderedInbox:
         self._pending: dict[int, Any] = {}
         # values released so far, which is also the next sequence number due
         self.applied = 0
-        self.duplicates = 0
 
     def offer(self, seq: int, value: Any) -> int:
         """Accept one delivery; returns how many values were released."""
         if seq != self.applied:
-            if seq < self.applied or seq in self._pending:
-                self.duplicates += 1
-            else:
-                self._pending[seq] = value
+            # ahead of a gap: hold it (once); behind: a duplicate
+            if seq > self.applied:
+                self._pending.setdefault(seq, value)
             return 0
         # in order: release it, then whatever it was holding back
         self.applied += 1
@@ -56,8 +54,3 @@ class OrderedInbox:
             released += 1
             self.handler(value)
         return released
-
-    @property
-    def buffered(self) -> int:
-        """Deliveries held back by gaps."""
-        return len(self._pending)

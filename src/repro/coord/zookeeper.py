@@ -96,10 +96,6 @@ class ZookeeperService(Process):
         """Populate a znode before the run starts (test/bench setup)."""
         self._znodes[path] = value
 
-    def znode(self, path: str) -> Any:
-        """Read a znode synchronously (assertions only; no cost modeled)."""
-        return self._znodes.get(path)
-
     # ------------------------------------------------------------------
     # message handling
     # ------------------------------------------------------------------

@@ -261,50 +261,6 @@ class Dataflow:
         return tuple(s for s in self._streams.values() if s.is_external_output)
 
     # ------------------------------------------------------------------
-    # structural identity
-    # ------------------------------------------------------------------
-    def signature(self) -> tuple:
-        """A canonical, hashable rendering of the graph's structure.
-
-        Two dataflows with equal signatures declare the same components
-        (name, replication, annotated paths in order) and the same named
-        streams (endpoints, seal keys, replication, label overrides) —
-        the identity ``dump_spec``/``loads_spec`` round-trips preserve.
-        """
-        components = tuple(
-            (
-                component.name,
-                component.rep,
-                tuple(
-                    (path.from_iface, path.to_iface, str(path.annotation))
-                    for path in component.paths
-                ),
-            )
-            for component in self.components
-        )
-        streams = tuple(
-            (
-                stream.name,
-                stream.src,
-                stream.dst,
-                tuple(sorted(stream.seal_key)) if stream.seal_key else None,
-                stream.rep,
-                str(stream.label) if stream.label is not None else None,
-            )
-            for stream in self.streams
-        )
-        return (self.name, components, streams)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dataflow):
-            return NotImplemented
-        return self.signature() == other.signature()
-
-    # structural __eq__ with identity hash: Dataflow is mutable, so it
-    # must not be used as a key across equal-but-distinct instances
-    __hash__ = object.__hash__
-
-    # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
     def validate(self) -> None:

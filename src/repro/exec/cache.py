@@ -120,12 +120,19 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 class CellCache:
-    """One content-addressed store of finished cell results."""
+    """One content-addressed store of finished cell results.
+
+    :meth:`stats` lists the store once per cache object and keeps the
+    summary current for the :meth:`put` and :meth:`clear` calls made
+    through it, so a sweep that evaluates batch after batch does not
+    re-read a store that only it writes.
+    """
 
     def __init__(self, directory: str | Path | None = None) -> None:
         self.directory = (
             Path(directory) if directory is not None else default_cache_dir()
         )
+        self._sizes: dict[Path, int] | None = None  # entry -> bytes, once listed
 
     # ------------------------------------------------------------------
     # addressing
@@ -185,7 +192,10 @@ class CellCache:
             "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
         path = self._path(key)
-        _atomic_write(path, json.dumps(payload, sort_keys=True, default=repr) + "\n")
+        text = json.dumps(payload, sort_keys=True, default=repr) + "\n"
+        _atomic_write(path, text)
+        if self._sizes is not None:
+            self._sizes[path] = len(text)  # ASCII: json.dumps escapes the rest
         return path
 
     # ------------------------------------------------------------------
@@ -201,6 +211,7 @@ class CellCache:
         """Remove every entry (and the persisted stats); returns the count."""
         removed = len(self.entries())
         shutil.rmtree(self.directory / "objects", ignore_errors=True)
+        self._sizes = {}
         try:
             (self.directory / STATS_FILE).unlink()
         except OSError:
@@ -209,11 +220,12 @@ class CellCache:
 
     def stats(self) -> dict[str, Any]:
         """The on-disk store summary."""
-        entries = self.entries()
+        if self._sizes is None:
+            self._sizes = {path: path.stat().st_size for path in self.entries()}
         return {
             "directory": str(self.directory),
-            "entries": len(entries),
-            "size_bytes": sum(path.stat().st_size for path in entries),
+            "entries": len(self._sizes),
+            "size_bytes": sum(self._sizes.values()),
         }
 
 

@@ -128,10 +128,6 @@ class WindowSet:
         self._open: list = []
         self._base: Any = None
 
-    @property
-    def active(self) -> bool:
-        return bool(self._open)
-
     def begin(self, value: Any, current: Any) -> Any:
         """Open one window; returns the new effective parameter.
 

@@ -69,10 +69,6 @@ class Trace:
             out.append(TraceRecord(*row))
         return out
 
-    def count(self, event: str) -> int:
-        """Number of records with the given event name."""
-        return sum(1 for row in self._rows if row[2] == event)
-
     def total(self, event: str) -> int:
         """Sum of record weights for ``event``.
 

@@ -188,9 +188,10 @@ class _TaskBase(Process):
     frames it orders, and state kept to the end of the run would be what
     the cyclic collector keeps re-traversing.  The reassembly rule —
     release the contiguous prefix, apply a duplicate once — is the one
-    :mod:`repro.coord.ordering` applies, with an inbox object per channel,
-    to sealing and the sequencer: a handful of long-lived channels
-    carrying thousands of messages each, the opposite traffic.
+    :mod:`repro.coord.ordering`'s inbox applies, with an object per
+    channel, to the sequencer: a handful of long-lived channels carrying
+    thousands of messages each, the opposite traffic.  (Sealing
+    reassembles its channels inline in :mod:`repro.coord.sealing`.)
     """
 
     def __init__(self, name: str, cluster: "StormCluster") -> None:
@@ -417,7 +418,6 @@ class _BoltTask(_TaskBase):
         # batch -> the emit bound to its current attempt (one per attempt)
         self._emits: dict[int, partial] = {}
         self.processed_tuples = 0
-        self.stale_items_dropped = 0
         self.bolt.prepare(self)
 
     # ------------------------------------------------------------------
@@ -434,13 +434,6 @@ class _BoltTask(_TaskBase):
             )
 
     def on_item(self, src: str, batch: int, attempt: int, item: tuple) -> None:
-        # quiescence fast path: an item of a superseded attempt can never
-        # be serviced (``_service`` would discard it after paying the full
-        # service time), so drop it before it occupies the queue at all
-        current = self._batch_attempt.get(batch)
-        if current is not None and attempt < current:
-            self.stale_items_dropped += 1
-            return
         if self._busy:
             self._queue.append((src, batch, attempt, item))
             return
@@ -462,7 +455,7 @@ class _BoltTask(_TaskBase):
         current = self._batch_attempt.get(batch)
         if current != attempt:
             if current is not None and attempt < current:
-                # superseded while it waited in the queue
+                # an item of a superseded attempt: never executed
                 self._pump()
                 return
             self._ensure_attempt(batch, attempt)

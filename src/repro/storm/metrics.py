@@ -36,13 +36,6 @@ class RunMetrics:
             return 0.0
         return self.tuples_emitted / self.duration
 
-    @property
-    def batching_factor(self) -> float:
-        """Items per channel frame actually achieved (0.0 when no frames)."""
-        if self.frames_sent <= 0:
-            return 0.0
-        return self.items_sent / self.frames_sent
-
 
 def collect_metrics(cluster: StormCluster, batch_size: int) -> RunMetrics:
     """Compute run metrics from a finished cluster."""

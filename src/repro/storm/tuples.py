@@ -37,10 +37,6 @@ class Fields:
             return lambda values: (values[position],)
         return itemgetter(*positions) if positions else lambda values: ()
 
-    def project(self, values: tuple, names: tuple[str, ...]) -> tuple:
-        """Extract the named fields from a value tuple."""
-        return self.projector(names)(values)
-
     def __len__(self) -> int:
         return len(self.names)
 

@@ -186,7 +186,7 @@ class TestSealKeys:
         )
         zk = result.cluster.network.process("zookeeper")
         for window in range(4):
-            producers = zk.znode(f"producers/{window!r}")
+            producers = zk._znodes.get(f"producers/{window!r}")
             assert producers == ["adserver0", "adserver1"], window
 
     def test_id_seal_covers_poor_query(self):
@@ -204,7 +204,7 @@ class TestSealKeys:
         for name in ("adserver0", "adserver1"):
             produced |= result.cluster.network.process(name).seal_partitions
         for ad in produced:
-            assert zk.znode(f"producers/{ad!r}"), ad
+            assert zk._znodes.get(f"producers/{ad!r}"), ad
 
     def test_unknown_seal_key_rejected(self):
         with pytest.raises(ValueError, match="unknown seal column 'uid'"):
@@ -268,9 +268,9 @@ class TestProducerReplicas:
         zk = result.cluster.network.process("zookeeper")
         servers = [f"adserver{i}" for i in range(self.REPLICATED.ad_servers)]
         for campaign in range(self.REPLICATED.campaigns):
-            assert zk.znode(registry_path(f"c{campaign}")) == servers
+            assert zk._znodes.get(registry_path(f"c{campaign}")) == servers
 
     def test_single_replica_layout_matches_seed_behavior(self):
         result = run_ad_network("seal", workload=SMALL, seed=1)
         zk = result.cluster.network.process("zookeeper")
-        assert zk.znode(registry_path("c0")) == ["adserver0", "adserver1"]
+        assert zk._znodes.get(registry_path("c0")) == ["adserver0", "adserver1"]

@@ -39,11 +39,11 @@ def test_evaluate_collects_metrics_and_wall_time():
     assert row.wall_seconds >= 0.0
 
 
-def test_report_select_one_and_column():
+def test_report_select_and_one():
     report = evaluate("toy", sweep("x{x}-y{y}", {"x": (1, 2), "y": (5,)}), toy_measure)
     assert len(report.select(y=5)) == 2
     assert report.one(x=2)["product"] == 10
-    assert report.column("product", y=5) == [5, 10]
+    assert [row["product"] for row in report.select(y=5)] == [5, 10]
     with pytest.raises(BenchError):
         report.one(y=5)  # two matches
     with pytest.raises(BenchError):

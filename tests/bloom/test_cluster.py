@@ -15,9 +15,9 @@ from repro.bloom.rewrite import (
     strategy_producer,
 )
 from repro.coord.sealing import DATA, PUNCT, SealedStreamProducer
-from repro.coord.zookeeper import SUBMIT, install_zookeeper
+from repro.coord.zookeeper import GET_REPLY, SUBMIT, install_zookeeper
 from repro.core.strategy import NoCoordination, OrderStrategy, SealStrategy
-from repro.errors import BloomError
+from repro.errors import BloomError, SimulationError
 from repro.sim.network import Message, Process
 from repro.wire import ZK_DELIVER
 
@@ -167,6 +167,7 @@ def test_sealed_adapter_buffers_until_punctuated():
 
 
 SEAL_ON_K = SealStrategy("n", (("s", frozenset({"k"})),), (frozenset({"k"}),))
+ORDER_ON_OPS = OrderStrategy("n", ("inp", "ask"), topic="ops")
 
 
 def test_apply_strategy_dispatch():
@@ -287,8 +288,7 @@ class TestProducerHalf:
 
     def test_sequenced(self):
         rows = [("a", 1), ("b", 2), ("a", 3), ("b", 4), ("c", 5)]
-        strategy = OrderStrategy("n", ("inp", "ask"), topic="ops")
-        assert _wire_of(strategy) == [
+        assert _wire_of(ORDER_ON_OPS) == [
             ("zookeeper", SUBMIT, ("ops", ("inp", row))) for row in rows
         ] + [("zookeeper", SUBMIT, ("ops", ("ask", ("q",))))]
 
@@ -325,9 +325,17 @@ class TestProducerHalf:
         with pytest.raises(BloomError):
             strategy_producer(Process("p"), "sealed", ["r0"])
 
+    @pytest.mark.parametrize("strategy", [NoCoordination("n"), SEAL_ON_K, ORDER_ON_OPS])
+    def test_a_source_takes_no_message_not_even_a_service_reply(self, strategy):
+        """Every producer only sends, so whatever reaches a source is an
+        error, a zookeeper reply to a sequenced one included."""
+        reply = Message("zookeeper", "src", GET_REPLY, ("path", None), 0.0, 0)
+        with pytest.raises(SimulationError, match="source src got unexpected"):
+            RecordingSource(strategy).recv(reply)
+
 
 class SinkModule(BloomModule):
-    """A bare table sink: quiescent ticks are skippable."""
+    """A bare table sink."""
 
     def setup(self):
         self.input_interface("inp", ["v"])
@@ -337,8 +345,9 @@ class SinkModule(BloomModule):
         return [self.rule("t", "<=", self.scan("inp"))]
 
 
-def test_duplicate_delivery_skips_the_tick():
-    """The quiescence fast path: redundant input never re-runs the fixpoint."""
+def test_a_duplicate_delivery_is_a_tick_that_changes_nothing():
+    """Redundant input is a timestep like any other: counted, and leaving
+    the table as the first delivery did."""
     cluster = BloomCluster(seed=3)
     node = cluster.add_node("sink", SinkModule())
 
@@ -354,8 +363,7 @@ def test_duplicate_delivery_skips_the_tick():
     cluster.network.register(Feeder("feeder"))
     cluster.run()
     assert node.read("t") == {(1,)}
-    assert node.ticks_skipped >= 1
-    assert node.runtime.tick_count + node.runtime.ticks_skipped >= 3
+    assert node.runtime.tick_count == 3
 
 
 class OneClick(Process):

@@ -112,15 +112,6 @@ def test_reliable_sessions_envelope():
     assert env.crash_restart_by == 1.0
 
 
-def test_to_dict_is_jsonable():
-    import json
-
-    payload = json.loads(json.dumps(replay_envelope().to_dict()))
-    assert payload["name"] == "replay"
-    assert payload["faults"] == sorted(FAULT_KINDS)
-    assert payload["crash_restart_by"] == 1.0
-
-
 def test_registered_apps_declare_envelopes_their_defaults_satisfy():
     # the declaration-time check in BlazesApp.audit_profile guarantees
     # this, but assert it end-to-end for every registered audit app

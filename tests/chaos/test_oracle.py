@@ -115,11 +115,11 @@ def test_soundness_is_the_lattice_order():
     assert exact.sound_for(Async())
 
 
-def test_describe_renders_evidence():
+def test_verdict_carries_evidence():
     runs = [obs(7, {"r0": ROWS, "r1": frozenset()})]
-    text = classify_runs(runs).describe()
-    assert text.startswith("observed Diverge")
-    assert "seed 7" in text
+    verdict = classify_runs(runs)
+    assert str(verdict.observed).startswith("Diverge")
+    assert any("seed 7" in item for item in verdict.evidence)
 
 
 class TestOrderConditionedComparison:

@@ -79,9 +79,9 @@ def test_horizon_and_roles():
         + split_link("source", 0, "worker", 0, at=0.2, duration=0.2)
         + reorder_burst(at=0.0, duration=0.9, factor=4.0)
     )
-    assert schedule.horizon == pytest.approx(0.9)
+    assert max(fault.end for fault in schedule.faults) == pytest.approx(0.9)
     assert schedule.roles == frozenset({"worker", "source"})
-    assert baseline().horizon == 0.0
+    assert baseline().faults == ()
     assert baseline().roles == frozenset()
 
 

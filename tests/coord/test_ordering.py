@@ -22,7 +22,7 @@ class TestOrderedInbox:
         inbox.offer(1, "b")
         inbox.offer(2, "c")
         assert out == []
-        assert inbox.buffered == 2
+        assert len(inbox._pending) == 2
         released = inbox.offer(0, "a")
         assert released == 3
         assert out == ["a", "b", "c"]
@@ -35,7 +35,7 @@ class TestOrderedInbox:
         inbox.offer(1, "b")
         inbox.offer(1, "b")
         assert out == ["a", "b"]
-        assert inbox.duplicates == 2
+        assert inbox.applied == 2 and not inbox._pending
 
     def test_random_permutation_always_releases_in_order(self):
         rng = random.Random(9)
@@ -48,7 +48,7 @@ class TestOrderedInbox:
             for seq in seqs:
                 inbox.offer(seq, seq)
             assert out == list(range(n))
-            assert inbox.buffered == 0
+            assert len(inbox._pending) == 0
 
 
 class Replica(Process):

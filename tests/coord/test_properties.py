@@ -20,7 +20,7 @@ class TestOrderedInboxProperties:
         for seq in seqs:
             inbox.offer(seq, seq)
         assert out == sorted(seqs)
-        assert inbox.buffered == 0
+        assert len(inbox._pending) == 0
         assert inbox.applied == len(seqs)
 
     @given(

@@ -125,4 +125,4 @@ def test_preload_znode_visible_to_clients():
     sim.schedule(0.0, lambda: client.zk.get_znode("producers/p1", client.got.append))
     sim.run()
     assert client.got == [["a", "b"]]
-    assert zk.znode("producers/p1") == ["a", "b"]
+    assert zk._znodes.get("producers/p1") == ["a", "b"]

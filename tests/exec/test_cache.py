@@ -7,9 +7,16 @@ import re
 
 import pytest
 
+from repro.bench import sweep
 from repro.chaos.harnesses import harness_for
 from repro.errors import ExecError
-from repro.exec import CACHE_SCHEMA_VERSION, CellCache, read_engine_stats
+from repro.exec import (
+    CACHE_SCHEMA_VERSION,
+    CellCache,
+    bench_cache_fields,
+    evaluate,
+    read_engine_stats,
+)
 from repro.exec.cache import kwargs_digest, record_engine_stats, schedule_digest
 
 FIELDS = {"kind": "test", "app": "wordcount", "strategy": "sealed", "seed": 7}
@@ -127,6 +134,35 @@ def test_stats_summarize_the_store(tmp_path):
     assert stats["directory"] == str(tmp_path)
     assert stats["entries"] == 1
     assert stats["size_bytes"] > 0
+
+
+def test_the_engine_lists_the_store_once_per_cache(tmp_path, monkeypatch):
+    """``evaluate`` reports the store's summary on every call; one cache
+    lists its store once and keeps that summary exact through its own
+    puts, overwrites and clears, while a fresh cache reads the disk."""
+    monkeypatch.delenv("BLAZES_JOBS", raising=False)
+    listings = []
+    entries = CellCache.entries
+    monkeypatch.setattr(CellCache, "entries", lambda self: listings.append(self) or entries(self))
+    cache = CellCache(tmp_path)
+    cache.put(cache.key(FIELDS), {"score": 1}, wall_seconds=0.1)  # already on disk
+
+    def cell(*, a: int) -> dict:
+        return {"a": a, "events": a}
+
+    for first in (1, 2, 3):  # overlapping batches: hits and misses
+        scenarios = sweep("a{a}", {"a": (first, first + 1)})
+        report = evaluate("toy", scenarios, cell, cache=cache, cache_fields=bench_cache_fields("toy"))
+    assert len(listings) == 1
+    assert report.engine["cache"] == CellCache(tmp_path).stats()
+    assert report.engine["cache"]["entries"] == 5
+    cache.put(cache.key(FIELDS), {"score": "a longer value"}, wall_seconds=0.1)
+    assert cache.stats() == CellCache(tmp_path).stats()
+    cache.clear()
+    assert cache.stats() == CellCache(tmp_path).stats() == {
+        "directory": str(tmp_path), "entries": 0, "size_bytes": 0,
+    }
+    assert len(listings) == 5  # the two fresh caches' listings and clear's
 
 
 def test_schedule_digest_tracks_compiled_faults_not_names():

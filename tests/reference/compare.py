@@ -3,9 +3,10 @@ tests (``tests/api/test_equivalence.py``).
 
 Two notions of sameness matter in practice:
 
-* **equality** — :meth:`repro.core.graph.Dataflow.signature` (and ``==``):
-  identical components, identical named streams.  This is the round-trip
-  identity ``loads_spec(dump_spec(df)) == df`` preserves.
+* **equality** — :func:`signature`: identical components, identical
+  named streams.  This is the round-trip identity
+  ``signature(loads_spec(dump_spec(df))) == signature(df)`` preserves.
+  ``Dataflow`` itself compares by identity: it is mutable.
 * **isomorphism** — :func:`isomorphism_mismatch` is ``None``: identical
   components and identical *wiring*, ignoring what the streams are
   called.  Specs written by hand name streams after the data
@@ -20,7 +21,42 @@ from collections import Counter
 
 from repro.core.graph import Dataflow
 
-__all__ = ["isomorphism_mismatch"]
+__all__ = ["isomorphism_mismatch", "signature"]
+
+
+def signature(dataflow: Dataflow) -> tuple:
+    """A canonical, hashable rendering of the graph's structure.
+
+    Two dataflows with equal signatures declare the same components
+    (name, replication, annotated paths in order) and the same named
+    streams (endpoints, seal keys, replication, label overrides).
+    """
+    components = tuple(
+        (
+            component.name,
+            component.rep,
+            tuple(
+                (path.from_iface, path.to_iface, str(path.annotation))
+                for path in component.paths
+            ),
+        )
+        for component in dataflow.components
+    )
+    streams = tuple(
+        (stream.name, *_stream_shape(stream)) for stream in dataflow.streams
+    )
+    return (dataflow.name, components, streams)
+
+
+def _stream_shape(stream) -> tuple:
+    """What a stream is, apart from its name."""
+    return (
+        stream.src,
+        stream.dst,
+        tuple(sorted(stream.seal_key)) if stream.seal_key else None,
+        stream.rep,
+        str(stream.label) if stream.label is not None else None,
+    )
 
 
 def _component_table(dataflow: Dataflow) -> dict[str, tuple]:
@@ -37,16 +73,7 @@ def _component_table(dataflow: Dataflow) -> dict[str, tuple]:
 
 
 def _edge_multiset(dataflow: Dataflow) -> Counter:
-    return Counter(
-        (
-            stream.src,
-            stream.dst,
-            tuple(sorted(stream.seal_key)) if stream.seal_key else None,
-            stream.rep,
-            str(stream.label) if stream.label is not None else None,
-        )
-        for stream in dataflow.streams
-    )
+    return Counter(_stream_shape(stream) for stream in dataflow.streams)
 
 
 def isomorphism_mismatch(a: Dataflow, b: Dataflow) -> str | None:

@@ -105,7 +105,7 @@ def test_windowset_restores_baseline_after_overlap():
     assert value == 0.3
     value = windows.end(0.3)
     assert value == 0.1  # baseline restored when the last window closes
-    assert not windows.active
+    assert not windows._open
 
 
 def test_reorder_combine_scales_jitter():

@@ -19,10 +19,10 @@ def make_trace():
     return trace
 
 
-def test_count_and_select():
+def test_select_filters_by_event_and_source():
     trace = make_trace()
-    assert trace.count("processed") == 3
-    assert trace.count("sent") == 1
+    assert len(trace.select(event="processed")) == 3
+    assert len(trace.select(event="sent")) == 1
     assert len(trace.select(source="a")) == 2
     assert len(trace.select(event="processed", source="b")) == 1
     assert len([r for r in trace if r.data and r.data > 2]) == 2
@@ -73,7 +73,7 @@ def test_total_weights_integer_data():
     trace.record(0.3, "probe", "processed", ("row",))  # non-int: weight 1
     trace.record(0.4, "probe", "processed")  # None: weight 1
     assert trace.total("processed") == 82
-    assert trace.count("processed") == 4
+    assert len(trace.select(event="processed")) == 4
     # bools and floats are not aggregation weights
     trace.record(0.5, "probe", "other", True)
     trace.record(0.6, "probe", "other", 2.5)

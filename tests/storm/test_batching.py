@@ -197,30 +197,36 @@ class TestBatchedReplay:
         assert committed_store(cluster) == reference_counts(6, 20)
 
 
-class TestStaleAttemptFastPath:
-    def test_stale_attempt_items_dropped_before_service(self):
-        """Items of a superseded attempt are dropped at arrival — they
-        never enter the service queue, so no service time is paid."""
+class TestSupersededAttempts:
+    def test_a_stale_item_is_never_executed_by_an_idle_or_a_busy_bolt(self):
+        """An item of a superseded attempt reaches ``_service`` and is
+        discarded there, whether it found the bolt idle (straight into
+        service) or busy (queued behind a current item); later attempts
+        still flow."""
         topology = build_wordcount_topology(
             workers=2, total_batches=2, batch_size=10
         )
         cluster = StormCluster(topology, ClusterConfig())
         task = cluster.bolt_task(cluster.task_names("Count")[0])
-        # the bolt has seen attempt 2 of batch 5
-        task._ensure_attempt(5, 2)
-        before = len(task._queue)
-        task.on_item("splitter-0", 5, 1, ("tuple", ("w", 5)))
-        assert len(task._queue) == before          # never queued
-        assert task.stale_items_dropped == 1
-        # current and future attempts still flow through
-        task.on_item("splitter-0", 5, 2, ("tuple", ("w", 5)))
-        task.on_item("splitter-0", 5, 3, ("tuple", ("w", 5)))
-        assert len(task._queue) >= before + 1
-        assert task.stale_items_dropped == 1
+        word = ("tuple", ("w",))
+        task._ensure_attempt(5, 2)  # the bolt has seen attempt 2 of batch 5
+        # idle: the stale item goes into service, which drops it
+        task.on_item("splitter-0", 5, 1, word)
+        assert task._busy
+        cluster.sim.run()
+        assert task.processed_tuples == 0 and not task._busy
+        # busy: a current item is in service, the stale one waits behind it
+        task.on_item("splitter-0", 5, 2, word)
+        task.on_item("splitter-0", 5, 1, word)
+        task.on_item("splitter-0", 5, 3, word)
+        assert len(task._queue) == 2
+        cluster.sim.run()
+        assert task.processed_tuples == 2  # attempts 2 and 3, never 1
+        assert task._batch_attempt[5] == 3 and not task._busy
 
     def test_replay_storms_still_commit_exact_counts(self):
-        """Aggressive replay timeouts (attempts racing each other) with
-        the fast path in place must not change committed results."""
+        """Aggressive replay timeouts (attempts racing each other) must
+        not change committed results."""
         for seed in range(4):
             metrics, cluster = run_wordcount(
                 workers=2,

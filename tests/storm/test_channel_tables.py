@@ -86,7 +86,7 @@ def test_reassembly_is_the_ordered_inbox_rule(case):
     assert task.log == reference
     for key, inbox in inboxes.items():
         assert task._recv_seq.get(key, 0) == inbox.applied
-        assert len(task._held.get(key, ())) == inbox.buffered
+        assert len(task._held.get(key, ())) == len(inbox._pending)
     # a channel is in the held table only while it has a gap open
     assert all(task._held.values())
 

@@ -22,7 +22,7 @@ def test_collect_metrics_on_cluster_that_never_ran():
     assert metrics.tuples_emitted == 0
     assert metrics.mean_batch_latency == 0.0
     assert metrics.throughput == 0.0
-    assert metrics.batching_factor == 0.0
+    assert metrics.frames_sent == metrics.items_sent == 0
 
 
 def test_zero_duration_rates_are_zero():
@@ -34,29 +34,6 @@ def test_zero_duration_rates_are_zero():
         mean_batch_latency=0.0,
     )
     assert metrics.throughput == 0.0
-
-
-def test_batching_factor_guards_empty_frames():
-    metrics = RunMetrics(
-        duration=1.0,
-        batches_acked=1,
-        tuples_emitted=10,
-        replays=0,
-        mean_batch_latency=0.1,
-        frames_sent=0,
-        items_sent=0,
-    )
-    assert metrics.batching_factor == 0.0
-    framed = RunMetrics(
-        duration=1.0,
-        batches_acked=1,
-        tuples_emitted=10,
-        replays=0,
-        mean_batch_latency=0.1,
-        frames_sent=4,
-        items_sent=10,
-    )
-    assert framed.batching_factor == 2.5
 
 
 def test_profiler_events_per_second_with_no_wall_clock():

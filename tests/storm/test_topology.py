@@ -83,7 +83,7 @@ def test_parallelism_must_be_positive():
 
 def test_fields_schema_projection():
     fields = Fields("a", "b", "c")
-    assert fields.project((1, 2, 3), ("c", "a")) == (3, 1)
+    assert fields.projector(("c", "a"))((1, 2, 3)) == (3, 1)
     with pytest.raises(StormError):
         fields.index_of("z")
     with pytest.raises(StormError):

@@ -129,12 +129,15 @@ def test_retired_private_names_stay_gone():
     """Names no signature shows; the queries are lookups; one spelling of the znode path."""
     retired = {
         "repro/bloom": ("_versions", "eval_delta", "DeltaContext", "def eval(", "_dirty", "plugin"),
+        "repro/bloom/rewrite.py": ("def handle",),
+        "repro/core/graph.py": ("def signature",),
         "repro/storm/executor.py": ("OrderedInbox",),
         "repro/sim": ("_pool", "_recycle", "_POOL_LIMIT"),
         "repro/core": ("lru_cache", "functools.cache"),
         "repro/core/analysis.py": ("_interface_graph", "_Node", "_component_replicated", "_inputs_for"),
         "repro": ("seal.frame", "SEAL_FRAME", '"global"', "_ACTIVE", "activate", "active_config", "_apply_in_order",
-                  "FailureInjector", "check_fault", "timed_detail", "PoolStats", '"--engine"'),
+                  "FailureInjector", "check_fault", "timed_detail", "PoolStats", '"--engine"',
+                  "_quiet", "ticks_skipped", "stale_items_dropped"),
         "repro/chaos/schedule.py": ("def compile(",),
         "repro/exec/pool.py": (".last",),
         "repro/exec/cache.py": (".hits", ".misses"),
