@@ -224,7 +224,6 @@ class BlazesApp:
         self._topology_factory: Callable[[str], Any] | None = None
         self._components: list[_ComponentDecl] = []
         self._streams: list[_StreamDecl] = []
-        self._fd_entries: list[tuple[list[str], list[str], bool]] = []
         self._strategies: dict[str, StrategySpec] = {}
         self._default_strategy: str | None = None
         self.audit_spec: AuditProfile | None = None
@@ -303,13 +302,6 @@ class BlazesApp:
                 rep,
             )
         )
-        return self
-
-    def fd(
-        self, by: Iterable[str], determines: Iterable[str], *, injective: bool = True
-    ) -> "BlazesApp":
-        """Declare a functional dependency used by seal compatibility."""
-        self._fd_entries.append((list(by), list(determines), injective))
         return self
 
     def strategy(
@@ -485,10 +477,9 @@ class BlazesApp:
                 )
 
     def fds(self) -> FDSet:
-        """Functional dependencies: declared plus white-box identity FDs."""
+        """Functional dependencies: the white-box identity FDs of the
+        components (a grey-box spec declares its own, ``core/spec.py``)."""
         fds = FDSet()
-        for by, determines, injective in self._fd_entries:
-            fds.add(by, determines, injective=injective)
         for decl in self._components:
             _instance, analysis = self._component_instance(decl)
             if analysis is not None:

@@ -507,12 +507,12 @@ class Sweep:
     ``cells()`` yields batches of :func:`audit_cell` scenarios and receives
     each batch's results, in input order, at the ``yield``.  ``reduce(found,
     reports, engine)`` turns what it returned, the batches' reports and
-    their folded engine accounting into the sweep's value — what its
-    campaign function returns, and what ``payload`` (``--json``), ``sound``
-    (the verdict), ``render`` (the console text) and ``record`` (the
-    ``BENCH_<name>.json`` report) read.  ``seeds`` and ``name`` default per
-    tier (smoke: two seeds, a ``<kind>-smoke`` record); ``apps`` to every
-    app with an audit profile.
+    the fold of their engine blocks into the sweep's value, which carries
+    that fold as its ``engine`` — what its campaign function returns, and
+    what ``payload`` (``--json``), ``sound`` (the verdict), ``render`` (the
+    console text) and ``record`` (the ``BENCH_<name>.json`` report) read.
+    ``seeds`` (distinct) and ``name`` default per tier (smoke: two seeds, a
+    ``<kind>-smoke`` record); ``apps`` to every app with an audit profile.
     """
 
     kind: ClassVar[str]
@@ -524,14 +524,17 @@ class Sweep:
 
     def __post_init__(self) -> None:
         self.seeds = tuple(self.seeds or (DEFAULT_SMOKE_SEEDS if self.smoke else DEFAULT_SEEDS))
+        if len(set(self.seeds)) < len(self.seeds):
+            raise BlazesError(f"seeds must be distinct, got {' '.join(map(str, self.seeds))}")
         self.name = self.name or (f"{self.kind}-smoke" if self.smoke else self.kind)
         self.apps = tuple(audit_apps() if self.apps is None else self.apps)
 
     def run(self, *, jobs: int = 1, cache=None, reporter=None):
         """The one loop over audit cells: each batch is deduplicated by cell
         name, evaluated through the engine and fanned back out in input
-        order.  An empty first batch is an error: nothing is not sound."""
-        from repro.exec.engine import evaluate
+        order; the sweep is one engine run, recorded once.  An empty first
+        batch is an error: nothing is not sound."""
+        from repro.exec.engine import _evaluate, fold, record_engine_stats
 
         cache = cache if self.cacheable else None
         cells, reports, results = self.cells(), [], None
@@ -543,21 +546,17 @@ class Sweep:
                         f"the {self.kind} selected no cells: nothing to give a verdict on"
                     )
                 unique = {cell.name: cell for cell in batch}
-                report = evaluate(
-                    self.name, list(unique.values()), _cell_metrics,
-                    jobs=jobs, cache=cache, cache_fields=_cell_cache_fields,
+                report = _evaluate(
+                    self.name, unique.values(), _cell_metrics, jobs, cache, _cell_cache_fields
                 )
                 reports.append(report)
                 by_name = {result.name: result for result in report}
                 results = [by_name[cell.name] for cell in batch]
         except StopIteration as stop:
             found = stop.value
-        keys = ("cells", "computed", "cache_hits", "cache_misses", "wall_seconds")
-        engine = {key: sum(report.engine[key] for report in reports) for key in keys}
-        engine.update(
-            batches=len(reports), jobs=jobs, cache_enabled=cache is not None,
-            hit_rate=engine["cache_hits"] / engine["cells"] if engine["cells"] else 0.0,
-        )
+        engine = fold([report.engine for report in reports])
+        if cache is not None:
+            record_engine_stats(engine, cache.directory)
         value = self.reduce(found, reports, engine)
         if reporter is not None:
             reporter.write(self.record(value, reports))
@@ -566,10 +565,11 @@ class Sweep:
     def record(self, value, reports: list[BenchReport]) -> BenchReport:
         return value
 
-    def render(self, report: BenchReport) -> str:
+    def render(self, value) -> str:
         from repro.obs.render import engine_line
 
-        return f"{self.text(report)}\n\n{engine_line(report.engine)}"
+        engine = value["engine"] if isinstance(value, dict) else value.engine
+        return f"{self.text(value)}\n\n{engine_line(engine)}"
 
 
 @dataclasses.dataclass(kw_only=True)
@@ -638,7 +638,9 @@ class AuditSweep(Sweep):
         yield scenarios
 
     def reduce(self, found, reports, engine) -> BenchReport:
-        return reports[0]
+        (report,) = reports
+        report.engine = engine
+        return report
 
     def text(self, report: BenchReport) -> str:
         return render_audit(report, evidence=self.evidence)

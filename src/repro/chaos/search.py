@@ -298,8 +298,7 @@ def search_is_sound(payload: dict) -> bool:
 
 
 def render_search(payload: dict) -> str:
-    """The human-readable search report."""
-    engine = payload["engine"]
+    """The human-readable search report (the sweep adds its engine line)."""
     lines = [
         f"chaos search: {payload['candidates']} composite schedules "
         f"(seed {payload['seed']}) x {len(payload['cells'])} cells over "
@@ -334,13 +333,6 @@ def render_search(payload: dict) -> str:
         lines.append(
             f"UNSOUND searched cells ({len(unsound)}): " + ", ".join(unsound)
         )
-    lines.append("")
-    lines.append(
-        f"search cache: {engine['cache_hits']}/{engine['cells']} cells "
-        f"served from cache ({engine['hit_rate']:.0%}) across "
-        f"{engine['batches']} engine batches, "
-        f"{engine['wall_seconds']:.2f}s"
-    )
     return "\n".join(lines)
 
 
@@ -363,9 +355,11 @@ class SearchSweep(Sweep):
     seed: int = 0
     payload = staticmethod(dict)
     sound = staticmethod(search_is_sound)
-    render = staticmethod(render_search)
+    text = staticmethod(render_search)
 
     def __post_init__(self) -> None:
+        if self.candidates < 1:
+            raise BlazesError(f"candidates must be >= 1, got {self.candidates}")
         if self.budget < 0:
             raise BlazesError(f"budget must be >= 0, got {self.budget}")
         super().__post_init__()

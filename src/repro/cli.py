@@ -34,7 +34,8 @@ registry — the same catalog the benchmarks and the audit campaign use
     envelope to the smallest one whose observed anomaly exceeds ``Async``.
 ``cache stats|clear``
     Print the evaluation engine's cell cache and its cumulative ledger
-    (``stats.json``: runs, cells, hits, misses, pool work), or empty both.
+    (``stats.json``: every run's block folded, their count, the last run), or
+    empty both.
 
 ``--json`` prints the machine-readable form of whatever the verb prints,
 so CI and the audit can diff predictions without scraping text.

@@ -8,14 +8,9 @@ pool of warm workers, and the merged report is byte-identical to a serial
 uncached run.  See ``docs/performance.md``.
 """
 
-from repro.exec.cache import (
-    CACHE_SCHEMA_VERSION,
-    CellCache,
-    default_cache_dir,
-    read_engine_stats,
-)
+from repro.exec.cache import CACHE_SCHEMA_VERSION, CellCache, default_cache_dir
 from repro.exec.canon import canonical, canonical_json, content_digest
-from repro.exec.engine import JOBS_ENV, bench_cache_fields, evaluate, resolve_jobs
+from repro.exec.engine import JOBS_ENV, bench_cache_fields, evaluate, read_engine_stats, resolve_jobs
 from repro.exec.pool import WorkerPool, shared_pool, shutdown_shared_pool
 
 __all__ = [

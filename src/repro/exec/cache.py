@@ -20,9 +20,10 @@ still reports true compute cost), and are written atomically
 (temp file + ``os.replace``) so concurrent writers never corrupt an
 entry.  ``blazes cache clear`` (or :meth:`CellCache.clear`) empties the
 store; ``BLAZES_CACHE_DIR`` relocates it.  The cache counts nothing
-itself: :func:`repro.exec.evaluate` counts hits and misses, and folds its
-cumulative counters into ``stats.json`` next to the objects, which
-``blazes cache stats`` prints.
+itself: :func:`repro.exec.evaluate` counts hits and misses, and keeps its
+ledger, ``stats.json``, next to the objects
+(:func:`repro.exec.engine.record_engine_stats`), which ``blazes cache
+stats`` prints.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ __all__ = [
     "CellCache",
     "default_cache_dir",
     "kwargs_digest",
-    "read_engine_stats",
-    "record_engine_stats",
     "schedule_digest",
     "source_digest",
 ]
@@ -227,68 +226,3 @@ class CellCache:
             "entries": len(self._sizes),
             "size_bytes": sum(self._sizes.values()),
         }
-
-
-# ----------------------------------------------------------------------
-# cumulative engine counters (``blazes cache stats``)
-# ----------------------------------------------------------------------
-_TOTAL_KEYS = (
-    "runs",
-    "cells",
-    "computed",
-    "cache_hits",
-    "cache_misses",
-    "pool_tasks",
-    "pool_busy_seconds",
-    "pool_wall_seconds",
-    "events",
-)
-
-
-def read_engine_stats(directory: str | Path | None = None) -> dict[str, Any]:
-    """The persisted cumulative engine counters (empty when none or
-    unreadable)."""
-    path = (
-        Path(directory) if directory is not None else default_cache_dir()
-    ) / STATS_FILE
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):  # JSONDecodeError, UnicodeDecodeError
-        return {}
-    return payload if isinstance(payload, dict) else {}
-
-
-def record_engine_stats(
-    engine: Mapping[str, Any], directory: str | Path | None = None
-) -> None:
-    """Fold one engine run into the cumulative ``stats.json``.
-
-    Best-effort read-modify-write with an atomic replace: concurrent
-    writers may drop each other's increment but can never corrupt the
-    file.
-    """
-    base = Path(directory) if directory is not None else default_cache_dir()
-    current = read_engine_stats(base)
-    totals = current.get("totals") or {}
-    pool = engine.get("pool") or {}
-    increments = {
-        "runs": 1,
-        "cells": engine.get("cells", 0),
-        "computed": engine.get("computed", 0),
-        "cache_hits": engine.get("cache_hits", 0),
-        "cache_misses": engine.get("cache_misses", 0),
-        "pool_tasks": pool.get("tasks", 0),
-        "pool_busy_seconds": pool.get("busy_seconds", 0.0),
-        "pool_wall_seconds": pool.get("wall_seconds", 0.0),
-        "events": pool.get("events", 0),
-    }
-    for key in _TOTAL_KEYS:
-        totals[key] = totals.get(key, 0) + increments[key]
-    payload = {
-        "totals": totals,
-        "last": canonical(dict(engine)),
-        "updated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    _atomic_write(
-        base / STATS_FILE, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )

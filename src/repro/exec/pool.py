@@ -1,10 +1,8 @@
 """The persistent warm worker pool behind every parallel cell evaluation.
 
-The previous parallel path (``audit_campaign(jobs=N)``) created a fresh
-``ProcessPoolExecutor`` per call, so every invocation re-paid worker
-spawn plus a full ``import repro`` in each worker — dwarfing the cells
-themselves now that the PR-6 kernel made single cells fast.  This module
-keeps ONE pool per process:
+A fresh executor per sweep would re-pay worker spawn and a full ``import
+repro`` per worker, more than a smoke cell costs, so this module keeps ONE
+pool per process:
 
 * workers are spawned once (:func:`shared_pool`) and **pre-import** the
   library and its app registry (:data:`PRELOAD`), so a dispatched cell
@@ -17,8 +15,8 @@ keeps ONE pool per process:
   a pooled run is indistinguishable from a serial one;
 * every dispatch returns its accounting block beside its rows (chunks,
   utilization, per-worker busy time and events/sec), built from what
-  the workers report; :func:`repro.exec.evaluate` folds it into the
-  cache's ``stats.json`` (``blazes cache stats``);
+  the workers report; ``_fold_dispatches`` folds several into one block
+  of the same shape (how :func:`repro.exec.engine.fold` folds ``pool``);
 * a worker that dies mid-dispatch breaks only that dispatch: it raises
   :class:`~repro.errors.ExecError` and the next dispatch respawns the
   pool.
@@ -72,59 +70,63 @@ def time_cell(fn: Callable[..., Any], params: Mapping[str, Any]) -> tuple[Any, f
     return result, time.perf_counter() - wall_start, time.process_time() - cpu_start
 
 
+def _events(metrics: Any) -> int:
+    """A cell's simulated-event count: its ``events`` metric, else 0 (a
+    result that is no mapping, or carries no count)."""
+    return (metrics.get("events") if isinstance(metrics, Mapping) else None) or 0
+
+
 def _run_chunk(fn, tasks):
     """Worker side: one chunk of ``(index, params)`` tasks.
 
-    Returns ``(index, metrics, wall, cpu, pid, events)`` per task;
-    ``events`` is the cell's simulated-event count when its metric
-    mapping carries one (feeds the per-worker events/sec telemetry).
+    Returns ``(index, metrics, wall, cpu, pid, events)`` per task
+    (``events`` feeds the per-worker events/sec telemetry).
     """
     pid = os.getpid()
     rows = []
     for index, params in tasks:
         metrics, wall, cpu = time_cell(fn, params)
-        events = metrics.get("events") if isinstance(metrics, Mapping) else None
-        rows.append((index, metrics, wall, cpu, pid, events or 0))
+        rows.append((index, metrics, wall, cpu, pid, _events(metrics)))
     return rows
 
 
 def _block(jobs: int, chunks: int, wall: float, rows) -> dict[str, Any]:
-    """One dispatch's accounting, from the workers' ``_run_chunk`` rows.
-
-    The ``tasks``, ``busy_seconds`` and ``events`` totals are sums of the
-    per-worker rows; what a pool did over its lifetime is the sum of its
-    dispatches, kept in the cache's ``stats.json``.
-    """
-    workers: dict[int, dict[str, float]] = {}
-    cpu_seconds = 0.0
-    for _index, _metrics, busy, cpu, pid, events in rows:
-        worker = workers.setdefault(pid, {"tasks": 0, "busy_seconds": 0.0, "events": 0})
+    """One dispatch's accounting, from the workers' ``_run_chunk`` rows:
+    the fold of one.  Events live in the per-worker split only; the
+    engine's block totals them over every computed cell, pooled or not."""
+    workers: dict[str, dict[str, Any]] = {}
+    for _index, _metrics, busy, _cpu, pid, events in rows:
+        worker = workers.setdefault(str(pid), {"tasks": 0, "busy_seconds": 0.0, "events": 0})
         worker["tasks"] += 1
         worker["busy_seconds"] += busy
         worker["events"] += events
-        cpu_seconds += cpu
-    busy_seconds = sum((worker["busy_seconds"] for worker in workers.values()), 0.0)
-    return {
-        "jobs": jobs,
-        "tasks": len(rows),
-        "chunks": chunks,
-        "dispatches": 1,  # one record per dispatch
-        "wall_seconds": wall,
-        "busy_seconds": busy_seconds,
-        "cpu_seconds": cpu_seconds,
-        "events": sum(worker["events"] for worker in workers.values()),
-        # the fraction of the pool's capacity the dispatch actually used
-        "utilization": min(1.0, busy_seconds / (wall * jobs)) if wall > 0.0 else 0.0,
-        "workers": {
-            str(pid): {
-                **worker,
-                "events_per_second": (
-                    worker["events"] / worker["busy_seconds"] if worker["busy_seconds"] > 0 else 0.0
-                ),
-            }
-            for pid, worker in sorted(workers.items())
-        },
-    }
+    busy = sum((worker["busy_seconds"] for worker in workers.values()), 0.0)
+    cpu = sum((row[3] for row in rows), 0.0)
+    return _fold_dispatches([{
+        "jobs": jobs, "tasks": len(rows), "chunks": chunks, "dispatches": 1,
+        "wall_seconds": wall, "busy_seconds": busy, "cpu_seconds": cpu, "workers": workers,
+    }])
+
+
+def _fold_dispatches(blocks: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
+    """Dispatch blocks as one of the same shape: counts and times summed,
+    workers merged by pid, the ratios re-derived, ``jobs`` the last's."""
+    workers: dict[str, dict[str, Any]] = {}
+    for block in blocks:
+        for pid, worker in block["workers"].items():
+            total = workers.setdefault(pid, {"tasks": 0, "busy_seconds": 0.0, "events": 0})
+            for key in total:
+                total[key] += worker[key]
+    summed = ("tasks", "chunks", "dispatches", "wall_seconds", "busy_seconds", "cpu_seconds")
+    folded = {"jobs": blocks[-1]["jobs"], **{key: sum(block[key] for block in blocks) for key in summed}}
+    capacity = folded["wall_seconds"] * folded["jobs"]
+    # the fraction of the pool's capacity the dispatches actually used
+    folded["utilization"] = min(1.0, folded["busy_seconds"] / capacity) if capacity > 0.0 else 0.0
+    folded["workers"] = {}
+    for pid, worker in sorted(workers.items(), key=lambda item: int(item[0])):
+        busy = worker["busy_seconds"]
+        folded["workers"][pid] = {**worker, "events_per_second": worker["events"] / busy if busy > 0 else 0.0}
+    return folded
 
 
 class WorkerPool:

@@ -59,57 +59,44 @@ def render_outcome(outcome) -> str:
 
 
 def engine_line(engine: dict[str, Any]) -> str:
-    """A one-line summary of one evaluation-engine run."""
-    parts = [
-        f"engine: {engine.get('cells', 0)} cells",
-        f"{engine.get('computed', 0)} computed",
-    ]
-    if engine.get("cache_enabled"):
-        parts.append(
-            f"cache {engine.get('cache_hits', 0)} hit/"
-            f"{engine.get('cache_misses', 0)} miss"
-        )
-    pool = engine.get("pool")
+    """A one-line summary of one evaluation-engine run (a sweep's is the
+    fold of its batches)."""
+    parts = [f"engine: {engine['cells']} cells", f"{engine['computed']} computed"]
+    if engine["cache_enabled"]:
+        parts.append(f"cache {engine['cache_hits']} hit/{engine['cache_misses']} miss")
+    pool = engine["pool"]
     if pool:
-        parts.append(
-            f"pool jobs={pool.get('jobs', 0)} "
-            f"util={pool.get('utilization', 0.0):.0%}"
-        )
-    parts.append(f"{engine.get('wall_seconds', 0.0):.2f}s")
+        parts.append(f"pool jobs={pool['jobs']} util={pool['utilization']:.0%}")
+    parts.append(f"{engine['wall_seconds']:.2f}s")
     return ", ".join(parts)
 
 
 def render_engine(stats: dict[str, Any]) -> str:
-    """The ledger ``blazes cache stats`` prints: the cumulative engine
-    counters of ``stats.json`` and the last run's workers."""
+    """The ledger ``blazes cache stats`` prints: the totals of
+    ``stats.json``, then the last run's workers and engine line."""
     totals = stats.get("totals") or {}
     if not totals:
         return "no engine runs recorded (run an audit or benchmark with caching on)"
-    lines = [
-        "evaluation engine — cumulative",
-        f"  runs            : {totals.get('runs', 0):,}",
-        f"  cells           : {totals.get('cells', 0):,}",
-        f"  computed        : {totals.get('computed', 0):,}",
-        f"  cache hits      : {totals.get('cache_hits', 0):,}",
-        f"  cache misses    : {totals.get('cache_misses', 0):,}",
-        f"  pool tasks      : {totals.get('pool_tasks', 0):,}",
-        f"  pool busy (s)   : {totals.get('pool_busy_seconds', 0.0):.2f}",
-        f"  pool wall (s)   : {totals.get('pool_wall_seconds', 0.0):.2f}",
-        f"  events          : {totals.get('events', 0):,}",
+    lines = ["evaluation engine — cumulative"]
+    for key in ("runs", "batches", "cells", "computed", "cache_hits", "cache_misses", "events"):
+        lines.append(f"  {key.replace('_', ' '):<16}: {totals[key]:,}")
+    pool = totals["pool"] or {}
+    lines += [
+        f"  pool tasks      : {pool.get('tasks', 0):,}",
+        f"  pool busy (s)   : {pool.get('busy_seconds', 0.0):.2f}",
+        f"  pool wall (s)   : {pool.get('wall_seconds', 0.0):.2f}",
     ]
-    last = stats.get("last") or {}
-    pool = last.get("pool") or {}
-    workers = pool.get("workers") or {}
+    last = stats["last"]
+    workers = last["pool"]["workers"] if last["pool"] else {}
     if workers:
         lines.append("  last run workers:")
         for pid, worker in sorted(workers.items()):
             lines.append(
-                f"    pid {pid}: {worker.get('tasks', 0)} tasks, "
-                f"{worker.get('busy_seconds', 0.0):.2f}s busy, "
-                f"{worker.get('events_per_second', 0.0):,.0f} events/s"
+                f"    pid {pid}: {worker['tasks']} tasks, "
+                f"{worker['busy_seconds']:.2f}s busy, "
+                f"{worker['events_per_second']:,.0f} events/s"
             )
-    if last:
-        lines.append(f"  last run: {engine_line(last)}")
+    lines.append(f"  last run: {engine_line(last)}")
     return "\n".join(lines)
 
 

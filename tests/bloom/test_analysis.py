@@ -11,7 +11,7 @@ from repro.apps.queries import (
 from repro.bloom.analysis import analyze_module, attach_component
 from repro.bloom.catalog import Catalog
 from repro.bloom.module import BloomModule
-from repro.core.annotations import STAR, AnnotationKind
+from repro.core.annotations import OR, STAR, AnnotationKind
 from repro.core.graph import Dataflow
 
 
@@ -138,3 +138,79 @@ class TestComposition:
         assert component.rep
         assert set(component.input_interfaces) == {"click", "request"}
         assert component.output_interfaces == ("response",)
+
+
+class TestGates:
+    """The gate of a nonmonotonic statement, and of the paths through it."""
+
+    @staticmethod
+    def gate_of(analysis, lhs):
+        (statement,) = [s for s in analysis.statements if s.rule.lhs == lhs]
+        return statement.gate
+
+    def test_an_antijoin_gates_on_its_theta_columns_traced_to_the_input(self):
+        class Cancellable(BloomModule):
+            def setup(self):
+                self.input_interface("request", ["order", "v"])
+                self.input_interface("cancel", ["ref"])
+                self.table("pending", ["id", "v"])
+                self.table("cancelled", ["ref"])
+                self.output_interface("live", ["id", "v"])
+
+            def rules(self):
+                return [
+                    self.rule("pending", "<=", self.project(self.scan("request"), [("order", "id"), "v"])),
+                    self.rule("cancelled", "<=", self.scan("cancel")),
+                    self.rule(
+                        "live", "<=",
+                        self.notin(self.scan("pending"), self.scan("cancelled"), [("id", "ref")]),
+                    ),
+                ]
+
+        analysis = analyze_module(Cancellable())
+        # pending.id is request.order renamed: the catalog chases it back
+        assert self.gate_of(analysis, "live") == frozenset({"order"})
+        assert analysis.annotation_for("request", "live") == OR("order")
+        assert analysis.annotation_for("cancel", "live") == OR("order")
+
+    def test_a_group_key_read_straight_off_an_input_is_the_gate(self):
+        class Tally(BloomModule):
+            def setup(self):
+                self.input_interface("inp", ["k", "v"])
+                self.output_interface("out", ["k", "n"])
+
+            def rules(self):
+                counts = self.group_by(self.scan("inp"), ["k"], [("n", "count", None)])
+                return [self.rule("out", "<=", counts)]
+
+        analysis = analyze_module(Tally())
+        assert self.gate_of(analysis, "out") == frozenset({"k"})
+        assert analysis.annotation_for("inp", "out") == OR("k")
+
+    def test_distinct_gates_between_one_input_and_output_intersect_or_fall_to_star(self):
+        class TwoLevels(BloomModule):
+            def setup(self):
+                self.input_interface("inp", ["a", "b", "v"])
+                self.scratch("pairs", ["a", "b", "n"])
+                self.scratch("by_a", ["a", "n"])
+                self.scratch("by_b", ["b", "n"])
+                self.output_interface("nested", ["a", "m"])
+                self.output_interface("either", ["k", "n"])
+
+            def rules(self):
+                inp = self.scan("inp")
+                return [
+                    # one route, gates {a, b} then {a}: their intersection
+                    self.rule("pairs", "<=", self.group_by(inp, ["a", "b"], [("n", "count", None)])),
+                    self.rule("nested", "<=", self.group_by(self.scan("pairs"), ["a"], [("m", "sum", "n")])),
+                    # two routes, gates {a} and {b}: nothing in common
+                    self.rule("by_a", "<=", self.group_by(inp, ["a"], [("n", "count", None)])),
+                    self.rule("by_b", "<=", self.group_by(inp, ["b"], [("n", "count", None)])),
+                    self.rule("either", "<=", self.project(self.scan("by_a"), [("a", "k"), "n"])),
+                    self.rule("either", "<=", self.project(self.scan("by_b"), [("b", "k"), "n"])),
+                ]
+
+        analysis = analyze_module(TwoLevels())
+        assert analysis.annotation_for("inp", "nested") == OR("a")
+        either = analysis.annotation_for("inp", "either")
+        assert either.kind is AnnotationKind.OR and either.gate is STAR

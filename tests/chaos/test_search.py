@@ -268,8 +268,9 @@ class TestCompositeGenerator:
 # ----------------------------------------------------------------------
 class TestSearchCampaign:
     def test_smoke_search_finds_minimal_reproducing_anomalies(self, tmp_path):
-        from repro.chaos.search import SearchSweep, render_search, search_is_sound
-        from repro.exec.cache import CellCache
+        from repro.chaos.search import SearchSweep, search_is_sound
+        from repro.exec import CellCache, read_engine_stats
+        from repro.obs.render import engine_line
 
         sweep = SearchSweep(apps=["wordcount"], smoke=True, candidates=2, budget=24)
         payload = sweep.run(cache=CellCache(tmp_path / "cache"))
@@ -284,8 +285,13 @@ class TestSearchCampaign:
             assert finding["minimal_faults"] <= finding["original_faults"]
         engine = payload["engine"]
         assert engine["cells"] == engine["cache_hits"] + engine["cache_misses"]
-        text = render_search(payload)
-        assert "search cache:" in text and "minimized anomalies" in text
+        assert engine["batches"] > 1 and engine["events"] > 0
+        # the sweep is one engine run: its fold is the one ledger entry
+        ledger = read_engine_stats(tmp_path / "cache")
+        assert ledger["totals"]["runs"] == 1 and ledger["last"] == engine
+        text = sweep.render(payload)
+        assert "minimized anomalies" in text
+        assert text.endswith(f"\n\n{engine_line(engine)}")
 
     def test_search_cells_hit_cache_across_runs(self, tmp_path):
         from repro.chaos.search import SearchSweep
@@ -296,7 +302,8 @@ class TestSearchCampaign:
             return sweep.run(cache=CellCache(tmp_path / "cache"))
 
         cold, warm = search(), search()
-        assert warm["engine"]["hit_rate"] == 1.0
+        assert warm["engine"]["cache_hits"] == warm["engine"]["cells"] == cold["engine"]["cells"]
+        assert (warm["engine"]["computed"], warm["engine"]["events"]) == (0, 0)
         assert warm["findings"] == cold["findings"]
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core import CR, CW, OR, OW, Dataflow, analyze
+from repro.core import CR, CW, OR, OW, CoordinationPlan, Dataflow, OrderStrategy, analyze
 from repro.core.patterns import (
     CACHE_OF_NONCONFLUENT,
     REDUNDANT_ORDERING,
@@ -26,6 +26,19 @@ def test_replicated_nonconfluent_component_flagged():
     findings = lint_dataflow(analyze(flow))
     assert REPLICATED_NONCONFLUENT in kinds(findings)
     assert any("Agg" == f.component for f in findings)
+
+
+def test_ordering_a_confluent_component_is_flagged_redundant():
+    """A plan that orders a component the analysis found confluent pays
+    for coordination that prevents nothing."""
+    flow = Dataflow("over-ordered")
+    flow.add_component("Log").add_path("in", "out", CR())
+    flow.add_stream("in", dst=("Log", "in"))
+    flow.add_stream("out", src=("Log", "out"))
+    result = analyze(flow)
+    assert lint_dataflow(result) == []  # the chosen plan orders nothing
+    findings = lint_dataflow(result, CoordinationPlan({"Log": OrderStrategy("Log", ("in",))}))
+    assert [(f.kind, f.component) for f in findings] == [(REDUNDANT_ORDERING, "Log")]
 
 
 def test_replicated_confluent_component_clean():

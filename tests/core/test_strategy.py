@@ -62,6 +62,22 @@ def test_unsealed_order_sensitive_falls_back_to_ordering():
     assert "C" in plan.coordinated_components
 
 
+def test_a_seal_on_another_input_leaves_the_state_tainted_so_the_plan_orders():
+    """A compatible seal on the confluent input's stream passes the key
+    check, but the order-sensitive write's own stream is unsealed: the
+    output's state stays tainted, so sealing is rejected and the plan
+    orders both streams."""
+    flow = Dataflow("two-inputs")
+    comp = flow.add_component("C", rep=True)
+    comp.add_path("a", "out", OW("k"))
+    comp.add_path("b", "out", CW())
+    flow.add_stream("sa", dst=("C", "a"))
+    flow.add_stream("sb", dst=("C", "b"), seal=["k"])
+    flow.add_stream("out", src=("C", "out"))
+    strategy = choose_strategies(analyze(flow)).strategy_for("C")
+    assert strategy == OrderStrategy("C", ("sa", "sb"), "output out still exhibits tainted state")
+
+
 def test_star_gate_reports_reason():
     result = analyze(one_component_flow(OW()))
     strategy = choose_strategies(result).strategy_for("C")

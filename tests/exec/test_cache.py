@@ -17,7 +17,9 @@ from repro.exec import (
     evaluate,
     read_engine_stats,
 )
-from repro.exec.cache import kwargs_digest, record_engine_stats, schedule_digest
+from repro.exec.cache import kwargs_digest, schedule_digest
+from repro.exec.engine import record_engine_stats
+from repro.exec.pool import _block
 
 FIELDS = {"kind": "test", "app": "wordcount", "strategy": "sealed", "seed": 7}
 
@@ -188,22 +190,46 @@ def test_kwargs_digest_covers_non_json_values():
     assert kwargs_digest(base) != kwargs_digest({**base, "workers": 5})
 
 
-def test_engine_stats_accumulate_across_runs(tmp_path):
-    engine = {
-        "cells": 10,
-        "computed": 6,
-        "cache_hits": 4,
-        "cache_misses": 6,
-        "pool": {"tasks": 6, "busy_seconds": 1.0, "wall_seconds": 0.5, "events": 100},
+def _engine(**fields) -> dict:
+    """One engine block, as ``evaluate`` builds it, of a pooled run."""
+    pool = _block(2, 3, 0.5, [(0, {}, 0.5, 0.4, 101, 60), (1, {}, 0.25, 0.2, 102, 40)])
+    return {
+        "name": "toy", "jobs": 2, "cells": 10, "computed": 6, "cache_enabled": True,
+        "cache_hits": 4, "cache_misses": 6, "events": 100, "batches": 3,
+        "wall_seconds": 1.0, "pool": pool, "cache": None, **fields,
     }
+
+
+def test_engine_stats_accumulate_across_runs(tmp_path):
+    """The ledger's totals are the fold of every recorded run, in the
+    block's own shape, beside their count; ``last`` is the last block."""
+    engine = _engine()
     record_engine_stats(engine, tmp_path)
+    record_engine_stats(_engine(pool=None), tmp_path)
     record_engine_stats(engine, tmp_path)
     stats = read_engine_stats(tmp_path)
-    assert stats["totals"]["runs"] == 2
-    assert stats["totals"]["cells"] == 20
-    assert stats["totals"]["cache_hits"] == 8
-    assert stats["totals"]["events"] == 200
-    assert stats["last"]["cells"] == 10
+    totals = stats["totals"]
+    assert set(stats) == {"totals", "last"}
+    assert set(totals) == {"runs", *engine}
+    assert (totals["runs"], totals["batches"], totals["cells"]) == (3, 9, 30)
+    assert (totals["cache_hits"], totals["events"]) == (12, 300)
+    assert (totals["pool"]["tasks"], totals["pool"]["dispatches"]) == (4, 2)
+    assert totals["pool"]["busy_seconds"] == pytest.approx(1.5)
+    assert totals["pool"]["workers"] == {}  # a pid names nothing after its command
+    assert stats["last"] == engine
+
+
+def test_a_ledger_in_the_flat_layout_is_started_afresh(tmp_path):
+    """A ``stats.json`` with flat ``pool_*`` totals and no ``batches``
+    reads as empty, and the next run starts new totals, not summed into
+    the old ones."""
+    flat = {"runs": 18, "cells": 44, "computed": 44, "cache_hits": 0, "cache_misses": 44,
+            "pool_tasks": 0, "pool_busy_seconds": 0.0, "pool_wall_seconds": 0.0, "events": 0}
+    (tmp_path / "stats.json").write_text(json.dumps({"totals": flat, "last": {"cells": 1}}))
+    assert read_engine_stats(tmp_path) == {}
+    record_engine_stats(_engine(), tmp_path)
+    totals = read_engine_stats(tmp_path)["totals"]
+    assert (totals["runs"], totals["cells"], totals["events"]) == (1, 10, 100)
 
 
 def test_engine_stats_read_is_empty_when_absent(tmp_path):

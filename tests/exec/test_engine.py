@@ -56,6 +56,18 @@ def test_serial_and_pooled_runs_are_identical():
     assert pooled.engine["pool"]["tasks"] == len(SCENARIOS)
 
 
+def test_events_count_every_computed_cell_serial_or_pooled(tmp_path):
+    """The block's ``events`` sum the cells' own counts once, whichever
+    way they ran; a cell served from the cache ran nothing."""
+    events = sum(scenario.params["a"] for scenario in SCENARIOS)
+    assert evaluate("toy", SCENARIOS, cell).engine["events"] == events
+    assert evaluate("toy", SCENARIOS, cell, jobs=2).engine["events"] == events
+    cache = CellCache(tmp_path)
+    fields = bench_cache_fields("toy")
+    assert evaluate("toy", SCENARIOS[:2], cell, cache=cache, cache_fields=fields).engine["events"] == 2
+    assert evaluate("toy", SCENARIOS, cell, cache=cache, cache_fields=fields).engine["events"] == events - 2
+
+
 def test_engine_block_shape_on_a_serial_uncached_run():
     report = evaluate("toy", SCENARIOS, cell)
     engine = report.engine

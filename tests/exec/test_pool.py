@@ -9,8 +9,7 @@ import pytest
 
 from repro.errors import ExecError
 from repro.exec import WorkerPool, shared_pool, shutdown_shared_pool
-from repro.exec.cache import read_engine_stats, record_engine_stats
-from repro.exec.pool import _block, _run_chunk
+from repro.exec.pool import _block, _fold_dispatches, _run_chunk
 
 
 @pytest.fixture(autouse=True)
@@ -48,20 +47,24 @@ def test_pool_runs_in_input_order():
     assert all(wall >= 0.0 and cpu >= 0.0 for _, wall, cpu in rows)
 
 
-def test_pool_workers_stay_warm_across_dispatches(tmp_path):
+def _events(block) -> int:
+    return sum(worker["events"] for worker in block["workers"].values())
+
+
+def test_pool_workers_stay_warm_across_dispatches():
     pool = WorkerPool(2)
+    blocks = []
     try:
         for params in ([{"x": 1}, {"x": 2}], [{"x": 3}, {"x": 4}]):
             _rows, block = pool.run(square, params)
-            record_engine_stats({"pool": block}, tmp_path)
+            blocks.append(block)
         assert pool.spawned == 1  # the second dispatch reused the workers
     finally:
         pool.shutdown()
-    # the lifetime record is the sum of the dispatches in stats.json
-    totals = read_engine_stats(tmp_path)["totals"]
-    assert totals["runs"] == 2
-    assert totals["pool_tasks"] == 4
-    assert totals["events"] == 1 + 2 + 3 + 4
+    # what the pool did over both is the fold of the dispatches
+    folded = _fold_dispatches(blocks)
+    assert (folded["tasks"], folded["dispatches"]) == (4, 2)
+    assert _events(folded) == 1 + 2 + 3 + 4
 
 
 def test_pool_resize_respawns_with_new_worker_count():
@@ -85,7 +88,8 @@ def test_pool_block_counts_tasks_events_and_utilization():
     finally:
         pool.shutdown()
     assert block["tasks"] == 8
-    assert block["events"] == sum(range(1, 9))
+    assert "events" not in block  # the engine block totals them, once
+    assert _events(block) == sum(range(1, 9))
     assert 1 <= block["chunks"] <= 8
     assert 0.0 <= block["utilization"] <= 1.0
     for worker in block["workers"].values():
@@ -94,12 +98,12 @@ def test_pool_block_counts_tasks_events_and_utilization():
 
 def test_pool_block_totals_sum_the_worker_rows():
     empty = _block(2, 0, 0.0, [])
-    assert (empty["tasks"], empty["busy_seconds"], empty["events"], empty["utilization"]) == (0, 0.0, 0, 0.0)
+    assert (empty["tasks"], empty["busy_seconds"], empty["workers"], empty["utilization"]) == (0, 0.0, {}, 0.0)
     # _run_chunk rows: (index, metrics, wall, cpu, pid, events)
     rows = [(0, {}, 0.5, 0.4, 101, 10), (1, {}, 0.25, 0.2, 102, 5), (2, {}, 0.75, 0.1, 101, 0)]
     block = _block(2, 2, 1.0, rows)
     assert block["tasks"] == 3
-    assert block["events"] == 15
+    assert _events(block) == 15
     assert block["busy_seconds"] == pytest.approx(1.5)
     assert block["cpu_seconds"] == pytest.approx(0.7)
     assert block["utilization"] == pytest.approx(0.75)
@@ -107,6 +111,22 @@ def test_pool_block_totals_sum_the_worker_rows():
         "tasks": 2, "busy_seconds": 1.25, "events": 10, "events_per_second": 8.0,
     }
     assert block["chunks"] == 2 and block["dispatches"] == 1
+
+
+def test_folded_dispatches_merge_workers_and_rederive_ratios():
+    first = _block(2, 2, 1.0, [(0, {}, 0.5, 0.4, 101, 10), (1, {}, 0.25, 0.2, 102, 5)])
+    second = _block(2, 1, 0.5, [(0, {}, 0.25, 0.1, 101, 2)])
+    assert _fold_dispatches([first]) == first  # one dispatch folds to itself
+    folded = _fold_dispatches([first, second])
+    assert (folded["tasks"], folded["chunks"], folded["dispatches"]) == (3, 3, 2)
+    assert folded["wall_seconds"] == pytest.approx(1.5)
+    assert folded["busy_seconds"] == pytest.approx(1.0)
+    # 1.0 s busy of 2 workers x 1.5 s, not a mean of the two dispatches' ratios
+    assert folded["utilization"] == pytest.approx(1.0 / 3.0)
+    assert folded["workers"]["101"] == {
+        "tasks": 2, "busy_seconds": 0.75, "events": 12, "events_per_second": 16.0,
+    }
+    assert list(folded["workers"]) == ["101", "102"]
 
 
 def test_pool_counts_a_cell_without_events_as_a_task_with_zero_events():
@@ -119,9 +139,9 @@ def test_pool_counts_a_cell_without_events_as_a_task_with_zero_events():
     try:
         rows, block = pool.run(no_events, [{"x": x} for x in (1, 2, 3)])
         assert [metrics["square"] for metrics, _, _ in rows] == [1, 4, 9]
-        assert (block["tasks"], block["events"]) == (3, 0)
+        assert (block["tasks"], _events(block)) == (3, 0)
         _rows, block = pool.run(os.getpid, [{}, {}], chunksize=1)
-        assert (block["tasks"], block["events"]) == (2, 0)
+        assert (block["tasks"], _events(block)) == (2, 0)
     finally:
         pool.shutdown()
 

@@ -402,6 +402,24 @@ def test_a_negative_sweep_bound_is_an_error(argv, capsys):
     assert captured.out == "" and "must be >= 0" in captured.err
 
 
+def test_a_repeated_seed_is_an_error(capsys):
+    """``--seeds 7 7`` would run seed 7 twice per cell and let the
+    cross-run check compare a run with itself."""
+    argv = ["audit", "--smoke", "--apps", "kvs", "--seeds", "7", "7", "--no-cache", "--no-report"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: seeds must be distinct, got 7 7\n"
+
+
+def test_a_search_of_no_candidates_is_an_error(capsys):
+    """A candidate count below one names the flag, rather than ending in
+    "the search selected no cells"."""
+    argv = ["audit", "--search", "--smoke", "--apps", "kvs", "--candidates", "-1", "--no-cache", "--no-report"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: candidates must be >= 1, got -1\n"
+
+
 def test_matrix_of_zero_cells_is_an_error(monkeypatch):
     import repro.chaos.campaign as campaign
     from repro.errors import BlazesError
@@ -639,6 +657,51 @@ def test_cache_stats_reports_cumulative_counters(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["engine"]["totals"]["runs"] >= 1
     assert "hits" not in payload and "misses" not in payload  # evaluate counts them
+
+
+def test_every_sweep_prints_one_engine_block_shape(capsys):
+    """The audit, the matrix, the search and the frontier each print the
+    fold of their batches, in the block ``evaluate`` builds."""
+    from repro.exec import evaluate
+
+    common = ["--smoke", "--seeds", "7", "--no-cache", "--no-report", "--json"]
+    sweeps = (
+        ["audit", "--apps", "kvs", "--schedules", "baseline"],
+        ["audit", "--matrix", "--schedules", "baseline"],
+        ["audit", "--search", "--apps", "kvs", "--candidates", "1", "--budget", "0"],
+        ["frontier", "--apps", "kvs", "--steps", "0"],
+    )
+    shapes = []
+    for argv in sweeps:
+        assert main([*argv, *common]) == 0
+        shapes.append(list(json.loads(capsys.readouterr().out)["engine"]))
+    assert shapes == [list(evaluate("toy", [], dict).engine)] * len(sweeps)
+
+
+def test_a_sweep_is_one_ledger_run(capsys):
+    """An adaptive sweep records the fold of its batches once: one run,
+    every batch and cell in it, and its block as the last run."""
+    argv = [
+        "audit", "--search", "--smoke", "--apps", "wordcount", "--candidates", "2",
+        "--budget", "8", "--no-report", "--json",
+    ]
+    assert main(argv) == 0
+    engine = json.loads(capsys.readouterr().out)["engine"]
+    assert main(["cache", "stats", "--json"]) == 0
+    ledger = json.loads(capsys.readouterr().out)["engine"]
+    assert ledger["last"] == engine and engine["batches"] > 1
+    totals = ledger["totals"]
+    assert (totals["runs"], totals["batches"], totals["cells"]) == (1, engine["batches"], engine["cells"])
+
+
+def test_a_serial_audit_records_its_cells_events(tmp_path):
+    from repro.chaos.campaign import audit_campaign
+    from repro.exec import CellCache, read_engine_stats
+
+    report = audit_campaign(["kvs"], smoke=True, seeds=(7,), cache=CellCache(tmp_path))
+    totals = read_engine_stats(tmp_path)["totals"]
+    assert totals["runs"] == 1
+    assert totals["events"] == report.engine["events"] == sum(r["events"] for r in report) > 0
 
 
 @pytest.mark.parametrize("argv", (["stats"], ["stats", "--engine"]), ids=("no-app", "engine"))

@@ -27,7 +27,10 @@ An entry of list (b) or (c) kept on purpose carries its reason
 attribute or definition of the same name anywhere keeps an entry off
 lists (a) and (c): the scan can miss a write-only attribute or a
 definition only tests call, but what it lists nothing outside the tests
-uses.
+uses.  List (c) is the view by name; the view by owner is the list of
+functions no test entered that ``tools/unexecuted.py`` prints after its
+line table, each under its ``code.co_qualname`` (``Class.method``), so a
+method that hides behind a same-named definition shows up there.
 
 ``--manifest`` prints one sorted listing of everything a caller can set,
 each section under a header counting its settable values: the

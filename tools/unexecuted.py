@@ -11,7 +11,10 @@ or clears the hook does not blind the rest of the run — and prints, after
 the test summary, each file's executable lines (every line some code object
 of the file maps an instruction to, by ``code.co_lines()``) and the ones no
 test reached.  The executable-line total is a size reading that
-reformatting, comments and docstrings cannot move.
+reformatting, comments and docstrings cannot move.  Then it lists every
+function no test entered by its owner-qualified name (``code.co_qualname``,
+Python >= 3.11), so a method shadowed by a same-named method of another
+class, which a match by bare name misses, is listed under its class.
 
 Lines that only run inside the evaluation engine's forked pool workers are
 not seen: the workers trace into their own copy of the table.  The run is
@@ -21,6 +24,7 @@ a change and not a CI job.
 
 from __future__ import annotations
 
+import inspect
 import sys
 from collections.abc import Callable, Iterator
 from pathlib import Path
@@ -81,10 +85,13 @@ def own_lines(code: CodeType) -> set[int]:
     return {line for _start, _end, line in code.co_lines() if line}
 
 
+def _compiled(path: Path) -> list[CodeType]:
+    return list(code_objects(compile(path.read_text(), str(path), "exec")))
+
+
 def executable_lines(path: Path) -> set[int]:
     """Every line of ``path`` that some instruction maps to."""
-    module = compile(path.read_text(), str(path), "exec")
-    return set().union(*(own_lines(code) for code in code_objects(module)))
+    return set().union(*(own_lines(code) for code in _compiled(path)))
 
 
 class Unexecuted:
@@ -134,6 +141,20 @@ class Unexecuted:
             rows.append((str(path.relative_to(self.root)), len(lines), missed))
         return rows
 
+    def unentered(self) -> list[tuple[str, str]]:
+        """``(relative path, qualified name)`` of every ``def`` no call
+        entered: a function's code object, not a module, class body,
+        lambda or comprehension."""
+        entered = {(code.co_filename, code.co_firstlineno, code.co_qualname) for code in self._todo}
+        return [
+            (str(path.relative_to(self.root)), code.co_qualname)
+            for path in sorted(self.root.rglob("*.py"))
+            for code in _compiled(path)
+            if code.co_flags & inspect.CO_NEWLOCALS
+            and not code.co_name.startswith("<")
+            and (str(path), code.co_firstlineno, code.co_qualname) not in entered
+        ]
+
 
 def _ranges(lines: list[int]) -> str:
     spans: list[list[int]] = []
@@ -171,3 +192,8 @@ def pytest_terminal_summary(terminalreporter) -> None:
         f"{sum(executable for _n, executable, _m in rows)} executable lines "
         f"unexecuted in {len(rows)} files"
     )
+    functions = _TABLE.unentered()
+    terminalreporter.section("src/repro functions no test entered")
+    for name, qualname in functions:
+        write(f"{name}: {qualname}")
+    write(f"total: {len(functions)} functions")
