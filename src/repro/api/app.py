@@ -25,7 +25,7 @@ names.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 from repro.api.annotate import crosscheck_module, declared_annotations
@@ -42,9 +42,8 @@ __all__ = ["AuditProfile", "BlazesApp", "RunOutcome", "StrategySpec"]
 class StrategySpec:
     """One deployment regime of an app.
 
-    ``seals`` overrides stream seal annotations for the analysis side
-    (stream name -> seal key attributes, or ``None`` to strip a declared
-    seal); for Storm-backed apps the keys are spout names, matching
+    ``seals`` seals streams for the analysis side (stream name -> seal
+    key attributes); for Storm-backed apps the keys are spout names, matching
     :func:`repro.storm.adapter.topology_to_dataflow`.  ``run_params`` are
     extra keyword arguments merged into every ``app.run`` call under this
     strategy — the declarative encoding of what the strategy changes about
@@ -65,9 +64,7 @@ class StrategySpec:
     name: str
     coordinated: bool = False
     ordered: bool = False
-    seals: Mapping[str, Sequence[str] | None] = dataclasses.field(
-        default_factory=dict
-    )
+    seals: Mapping[str, Sequence[str]] = dataclasses.field(default_factory=dict)
     run_params: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     description: str = ""
     order_topic: str = ""
@@ -178,7 +175,6 @@ class _ComponentDecl:
     name: str
     factory: Callable[[], Any] | None
     rep: bool
-    annotations: tuple[dict[str, Any], ...] | None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,8 +182,6 @@ class _StreamDecl:
     name: str
     src: tuple[str, str] | None
     dst: tuple[str, str] | None
-    seal: tuple[str, ...] | None
-    rep: bool
 
 
 def _endpoint(value: Any, stream: str, side: str) -> tuple[str, str] | None:
@@ -256,10 +250,9 @@ class BlazesApp:
     def component(
         self,
         name: str,
-        factory: Callable[[], Any] | None = None,
+        factory: Callable[[], Any],
         *,
         rep: bool = False,
-        annotations: Iterable[Mapping[str, Any]] | None = None,
     ) -> "BlazesApp":
         """Declare one component of a bloom/grey-box dataflow.
 
@@ -267,18 +260,10 @@ class BlazesApp:
         :class:`~repro.bloom.module.BloomModule` is analyzed white-box
         (and cross-checked against any ``@annotate`` declarations on it);
         anything else contributes its ``@annotate`` annotations directly.
-        ``annotations`` supplies explicit spec-syntax entries for
-        components with no class to decorate.
         """
         if any(decl.name == name for decl in self._components):
             raise ApiError(f"app {self.name!r}: duplicate component {name!r}")
-        entries = tuple(dict(item) for item in annotations) if annotations else None
-        if factory is None and entries is None:
-            raise ApiError(
-                f"app {self.name!r}: component {name!r} needs a factory or "
-                f"explicit annotations"
-            )
-        self._components.append(_ComponentDecl(name, factory, rep, entries))
+        self._components.append(_ComponentDecl(name, factory, rep))
         return self
 
     def stream(
@@ -287,20 +272,13 @@ class BlazesApp:
         *,
         frm: Any = None,
         to: Any = None,
-        seal: Iterable[str] | None = None,
-        rep: bool = False,
     ) -> "BlazesApp":
-        """Declare one stream; endpoints are ``"Component.interface"``."""
+        """Declare one stream; endpoints are ``"Component.interface"``.
+        A strategy's ``seals`` seals it."""
         if any(decl.name == name for decl in self._streams):
             raise ApiError(f"app {self.name!r}: duplicate stream {name!r}")
         self._streams.append(
-            _StreamDecl(
-                name,
-                _endpoint(frm, name, "from"),
-                _endpoint(to, name, "to"),
-                tuple(seal) if seal is not None else None,
-                rep,
-            )
+            _StreamDecl(name, _endpoint(frm, name, "from"), _endpoint(to, name, "to"))
         )
         return self
 
@@ -310,7 +288,7 @@ class BlazesApp:
         *,
         coordinated: bool = False,
         ordered: bool = False,
-        seals: Mapping[str, Sequence[str] | None] | None = None,
+        seals: Mapping[str, Sequence[str]] | None = None,
         run_params: Mapping[str, Any] | None = None,
         default: bool = False,
         description: str = "",
@@ -403,11 +381,7 @@ class BlazesApp:
         if self._topology_factory is not None:
             from repro.storm.adapter import topology_to_dataflow
 
-            seals = {
-                spout: list(key)
-                for spout, key in spec.seals.items()
-                if key is not None
-            }
+            seals = {spout: list(key) for spout, key in spec.seals.items()}
             return topology_to_dataflow(
                 self._topology_factory(spec.name), seals=seals
             )
@@ -418,12 +392,8 @@ class BlazesApp:
         flow = Dataflow(self.name)
         self._attach_components(flow)
         for decl in self._streams:
-            seal = decl.seal
-            if decl.name in spec.seals:
-                override = spec.seals[decl.name]
-                seal = tuple(override) if override is not None else None
             flow.add_stream(
-                decl.name, src=decl.src, dst=decl.dst, seal=seal, rep=decl.rep
+                decl.name, src=decl.src, dst=decl.dst, seal=spec.seals.get(decl.name)
             )
         flow.validate()
         return flow
@@ -438,7 +408,7 @@ class BlazesApp:
         if decl.name not in self._instances:
             from repro.bloom.module import BloomModule
 
-            instance = decl.factory() if decl.factory is not None else None
+            instance = decl.factory()
             analysis = None
             if isinstance(instance, BloomModule):
                 from repro.bloom.analysis import analyze_module
@@ -458,15 +428,11 @@ class BlazesApp:
                     flow, instance, name=decl.name, rep=decl.rep, analysis=analysis
                 )
                 continue
-            entries = (
-                list(decl.annotations)
-                if decl.annotations is not None
-                else declared_annotations(instance)
-            )
+            entries = declared_annotations(instance)
             if not entries:
                 raise ApiError(
                     f"app {self.name!r}: component {decl.name!r} carries no "
-                    f"annotations (use @annotate or pass annotations=...)"
+                    f"annotations (use @annotate)"
                 )
             component = flow.add_component(decl.name, rep=decl.rep)
             for entry in entries:

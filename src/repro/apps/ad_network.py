@@ -186,9 +186,9 @@ class AdNetworkResult:
             f"processed:{self.report_nodes[0]}", bucket=bucket, weighted=True
         )
 
-    def processed_count(self, node: str | None = None) -> int:
-        source = node or self.report_nodes[0]
-        return self.cluster.trace.total(f"processed:{source}")
+    def processed_count(self) -> int:
+        """The first replica's processed-record count."""
+        return self.cluster.trace.total(f"processed:{self.report_nodes[0]}")
 
     def responses(self, node: str) -> frozenset[tuple]:
         """Every response a replica ever emitted."""

@@ -124,22 +124,23 @@ class SnapshotCache(BloomModule):
 # ----------------------------------------------------------------------
 # the runnable two-tier deployment (chaos-audit workload)
 # ----------------------------------------------------------------------
+# each of the store nodes receives every put and get; a store node's GET
+# responses feed its *own* cache replica (replica ``i`` is the
+# ``store{i}``/``cache{i}`` pair), which is how transient snapshot
+# disagreement between stores hardens into cache divergence
+STORE_REPLICAS = 2
+# the client sends its writes in bursts of BATCH_SIZE, SLEEP apart
+BATCH_SIZE = 4
+SLEEP = 0.01
+
+
 @dataclasses.dataclass(frozen=True)
 class KvsWorkload:
-    """Parameters for one simulated KVS deployment.
-
-    Each of ``store_replicas`` store nodes receives every put and get; a
-    store node's GET responses feed its *own* cache replica (replica ``i``
-    is the ``store{i}``/``cache{i}`` pair), which is how transient
-    snapshot disagreement between stores hardens into cache divergence.
-    """
+    """Parameters for one simulated KVS deployment."""
 
     keys: int = 6
     writes_per_key: int = 6
     gets: int = 16
-    store_replicas: int = 2
-    batch_size: int = 4
-    sleep: float = 0.01
 
     def __post_init__(self) -> None:
         check_workload(self)
@@ -151,8 +152,8 @@ class KvsWorkload:
     @property
     def horizon(self) -> float:
         """Approximate virtual time over which the client emits."""
-        bursts = (self.total_writes + self.batch_size - 1) // self.batch_size
-        return bursts * self.sleep
+        bursts = (self.total_writes + BATCH_SIZE - 1) // BATCH_SIZE
+        return bursts * SLEEP
 
     def winners(self) -> dict[str, str]:
         """Ground truth: the LWW winner per key (max timestamp wins)."""
@@ -198,8 +199,8 @@ def _kvs_client(
         collection="put",
         rows=writes,
         partition_of=lambda row: row[0],
-        batch_size=workload.batch_size,
-        sleep=workload.sleep,
+        batch_size=BATCH_SIZE,
+        sleep=SLEEP,
         ask_collection="get",
         asks=[
             (f"g{index}", f"k{rng.randrange(workload.keys)}")
@@ -338,8 +339,8 @@ def run_kvs(
         if isinstance(installed, OrderStrategy)
         else None
     )
-    store_nodes = [f"store{i}" for i in range(workload.store_replicas)]
-    cache_nodes = [f"cache{i}" for i in range(workload.store_replicas)]
+    store_nodes = [f"store{i}" for i in range(STORE_REPLICAS)]
+    cache_nodes = [f"cache{i}" for i in range(STORE_REPLICAS)]
     for store_name, cache_name in zip(store_nodes, cache_nodes):
         store = cluster.add_node(store_name, LwwKvs())
         cluster.add_node(cache_name, SnapshotCache())
@@ -400,7 +401,7 @@ def _run_app(strategy: StrategySpec, *, seed: int = 0, **kwargs):
 # divergence here is *order*-driven.  (No dup-burst: the network
 # exempts reliable kinds from duplication, so the cell would silently
 # reduce to baseline.)
-_AUDIT_SCHEDULES = (baseline(), reorder_burst(), split_link("client", 0, "worker", 0))
+_AUDIT_SCHEDULES = (baseline(), reorder_burst(), split_link("client"))
 
 
 def _audit_run_params(smoke: bool) -> dict:

@@ -323,7 +323,7 @@ def _matrix_run_params(query: str):
 # durability.  The dup burst only touches kinds outside the reliable
 # set — for these apps it is the control cell asserting exactly-once
 # stays exact.
-_MATRIX_SCHEDULES = (baseline(), reorder_burst(), dup_burst(), crash_restart("worker"))
+_MATRIX_SCHEDULES = (baseline(), reorder_burst(), dup_burst(), crash_restart())
 
 
 def report_roles(cluster) -> dict[str, list[str]]:

@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 
+# the synthetic vocabulary's size and Zipf exponent
+VOCABULARY_SIZE = 500
+ZIPF_S = 1.1
+
+
 class ZipfVocabulary:
     """A Zipf(s) distribution over a synthetic vocabulary.
 
@@ -57,10 +62,10 @@ class ZipfVocabulary:
     usual heavy-tailed shape of natural-language word frequencies.
     """
 
-    def __init__(self, size: int = 500, s: float = 1.1) -> None:
-        weights = [1.0 / (i + 1) ** s for i in range(size)]
+    def __init__(self) -> None:
+        weights = [1.0 / (i + 1) ** ZIPF_S for i in range(VOCABULARY_SIZE)]
         total = sum(weights)
-        self.words = [f"w{i}" for i in range(size)]
+        self.words = [f"w{i}" for i in range(VOCABULARY_SIZE)]
         self._cdf: list[float] = []
         cumulative = 0.0
         for weight in weights:
@@ -257,9 +262,9 @@ def build_wordcount_topology(
     return builder.build()
 
 
-def wordcount_dataflow(*, sealed: bool, eager: bool = False) -> Dataflow:
+def wordcount_dataflow(*, sealed: bool) -> Dataflow:
     """The grey-box dataflow of the word-count topology."""
-    topology = build_wordcount_topology(workers=1, total_batches=1, eager=eager)
+    topology = build_wordcount_topology(workers=1, total_batches=1)
     seals = {"tweets": ["batch"]} if sealed else None
     return topology_to_dataflow(topology, seals=seals)
 
@@ -403,9 +408,9 @@ _AUDIT_SCHEDULES = (
     baseline(),
     reorder_burst(),
     dup_burst(),
-    crash_restart("worker", 0),
+    crash_restart(),
     loss_burst(),
-    split_link("splitter", 0, "worker", 0),
+    split_link("splitter"),
 )
 
 

@@ -2,10 +2,9 @@
 
 A :class:`BloomNode` hosts one runtime; channel tuples route over the
 simulated network by their location-specifier column.  Nodes tick lazily —
-whenever input is pending — so virtual time advances with message flow,
-and a scheduled tick whose pending input turns out to be a no-op (see
-:meth:`~repro.bloom.runtime.BloomRuntime.tick`) is skipped without
-re-running the fixpoint at all.
+whenever input is pending — so virtual time advances with message flow;
+every scheduled tick is a timestep (see
+:meth:`~repro.bloom.runtime.BloomRuntime.tick`), a no-op one included.
 
 Input *delivery policies* implement the coordination strategies the
 analyzer synthesizes (see :mod:`repro.bloom.rewrite`): plain asynchronous

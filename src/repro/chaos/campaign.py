@@ -657,14 +657,12 @@ def audit_campaign(
     jobs: int = 1,
     cache=None,
     backend: str | None = None,
-    timeout: float | None = None,
 ) -> BenchReport:
     """Run the :class:`AuditSweep`: one report row per cell, carrying the
     predicted and observed labels, their severities, the soundness verdict
     and the oracle's evidence, plus the engine's accounting block."""
     return AuditSweep(
-        apps=apps, smoke=smoke, seeds=seeds, schedules=schedules, name=name,
-        backend=backend, timeout=timeout,
+        apps=apps, smoke=smoke, seeds=seeds, schedules=schedules, name=name, backend=backend,
     ).run(jobs=jobs, cache=cache, reporter=reporter)
 
 
@@ -689,14 +687,7 @@ class MatrixSweep(AuditSweep):
 
 
 def matrix_campaign(
-    *,
-    smoke: bool = False,
-    seeds: Sequence[int] | None = None,
-    jobs: int = 1,
-    cache=None,
-    name: str | None = None,
-    reporter=None,
+    *, smoke: bool = False, jobs: int = 1, cache=None, reporter=None
 ) -> BenchReport:
     """Run the :class:`MatrixSweep` and return its audit report."""
-    sweep = MatrixSweep(smoke=smoke, seeds=seeds, name=name)
-    return sweep.run(jobs=jobs, cache=cache, reporter=reporter)
+    return MatrixSweep(smoke=smoke).run(jobs=jobs, cache=cache, reporter=reporter)

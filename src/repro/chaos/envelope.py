@@ -10,9 +10,8 @@ resulting anomaly "unsound" would indict the analysis for a promise it
 never made.
 
 :class:`FaultEnvelope` makes the assumptions explicit and checkable: an
-allowed set of fault kinds, an optional crash-restart deadline (a crash
-whose recovery lands after it is a crash-*without*-restart), and
-probability ceilings for the loss/duplication windows.  The campaign
+allowed set of fault kinds and an optional crash-restart deadline (a
+crash whose recovery lands after it is a crash-*without*-restart).  The campaign
 checks every cell's schedule against its app's envelope
 (:attr:`repro.api.AuditProfile.envelope`) and classifies out-of-envelope
 cells as ``out-of-envelope`` — reported, but never counted as unsound.
@@ -28,9 +27,7 @@ import math
 
 from repro.chaos.schedule import (
     Crash,
-    Duplicate,
     FaultSchedule,
-    Loss,
     _FAULT_TYPES,
     fault_kind,
 )
@@ -64,15 +61,12 @@ class FaultEnvelope:
     only when crashes are allowed — is the *normalized* time (same [0, 1]
     convention as schedules) by which a crashed process must be back: a
     crash window ending later is a crash-without-restart and therefore
-    out of envelope.  ``max_loss_prob`` / ``max_dup_prob`` bound the
-    loss/duplication windows the app's delivery layer was designed for.
+    out of envelope.
     """
 
     name: str
     faults: frozenset[str]
     crash_restart_by: float | None = None
-    max_loss_prob: float = 1.0
-    max_dup_prob: float = 1.0
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -83,14 +77,8 @@ class FaultEnvelope:
                 f"envelope {self.name!r} names unknown fault kinds "
                 f"{sorted(unknown)}; have {list(FAULT_KINDS)}"
             )
-        # checked here: NaN fails every comparison, so a NaN ceiling or
-        # deadline would admit every schedule
-        for field in ("max_loss_prob", "max_dup_prob"):
-            value = getattr(self, field)
-            if not 0.0 <= value <= 1.0:
-                raise SimulationError(
-                    f"envelope {self.name!r}: {field} must be within [0, 1], got {value}"
-                )
+        # checked here: NaN fails every comparison, so a NaN deadline would
+        # admit every crash
         deadline = self.crash_restart_by
         if deadline is not None and not 0.0 <= deadline < math.inf:
             raise SimulationError(
@@ -123,16 +111,6 @@ class FaultEnvelope:
                     f"crash-without-restart: recovery at {fault.end:g} is "
                     f"after the {self.crash_restart_by:g} restart deadline: "
                     f"{fault!r}"
-                )
-            elif isinstance(fault, Loss) and fault.drop_prob > self.max_loss_prob:
-                found.append(
-                    f"loss probability {fault.drop_prob:g} exceeds the "
-                    f"envelope ceiling {self.max_loss_prob:g}: {fault!r}"
-                )
-            elif isinstance(fault, Duplicate) and fault.dup_prob > self.max_dup_prob:
-                found.append(
-                    f"duplication probability {fault.dup_prob:g} exceeds the "
-                    f"envelope ceiling {self.max_dup_prob:g}: {fault!r}"
                 )
         return tuple(found)
 

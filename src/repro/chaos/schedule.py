@@ -429,45 +429,26 @@ def baseline() -> FaultSchedule:
     return FaultSchedule("baseline")
 
 
-def crash_restart(
-    role: str = "worker", index: int = 0, *, at: float = 0.15, duration: float = 0.3
-) -> FaultSchedule:
-    """Crash one process mid-run and bring it back."""
-    return FaultSchedule("crash-restart", (Crash(role, index, at, duration),))
+def crash_restart() -> FaultSchedule:
+    """Crash worker 0 mid-run and bring it back."""
+    return FaultSchedule("crash-restart", (Crash("worker", 0, 0.15, 0.3),))
 
 
-def loss_burst(
-    *, at: float = 0.1, duration: float = 0.25, drop_prob: float = 0.4
-) -> FaultSchedule:
+def loss_burst() -> FaultSchedule:
     """A transient spike of message loss."""
-    return FaultSchedule("loss-burst", (Loss(at, duration, drop_prob),))
+    return FaultSchedule("loss-burst", (Loss(0.1, 0.25, 0.4),))
 
 
-def dup_burst(
-    *, at: float = 0.1, duration: float = 0.4, dup_prob: float = 0.5
-) -> FaultSchedule:
+def dup_burst() -> FaultSchedule:
     """A transient spike of at-least-once duplication."""
-    return FaultSchedule("dup-burst", (Duplicate(at, duration, dup_prob),))
+    return FaultSchedule("dup-burst", (Duplicate(0.1, 0.4, 0.5),))
 
 
-def reorder_burst(
-    *, at: float = 0.05, duration: float = 0.6, factor: float = 8.0
-) -> FaultSchedule:
+def reorder_burst() -> FaultSchedule:
     """A sustained latency-jitter inflation: heavy reordering, no loss."""
-    return FaultSchedule("reorder-burst", (Reorder(at, duration, factor),))
+    return FaultSchedule("reorder-burst", (Reorder(0.05, 0.6, 8.0),))
 
 
-def split_link(
-    src_role: str = "source",
-    src_index: int = 0,
-    dst_role: str = "worker",
-    dst_index: int = 0,
-    *,
-    at: float = 0.15,
-    duration: float = 0.3,
-) -> FaultSchedule:
-    """Partition one producer/consumer pair, then heal."""
-    return FaultSchedule(
-        "split-link",
-        (Partition(src_role, src_index, dst_role, dst_index, at, duration),),
-    )
+def split_link(src_role: str) -> FaultSchedule:
+    """Partition producer ``src_role`` 0 from worker 0, then heal."""
+    return FaultSchedule("split-link", (Partition(src_role, 0, "worker", 0, 0.15, 0.3),))

@@ -75,7 +75,6 @@ def composite_schedule(
     index: int = 0,
     envelope=None,
     roles: Sequence[str] = (),
-    name: str | None = None,
 ) -> FaultSchedule:
     """One seeded random composite schedule (normalized time).
 
@@ -84,7 +83,7 @@ def composite_schedule(
     during a reorder burst, loss overlapping a partition — the
     interleavings a hand-written one-fault library never exercises.
     Faults are drawn from ``envelope``'s allowed kinds only (all kinds
-    when ``None``), probabilities respect its ceilings, and crashes
+    when ``None``), and crashes
     recover before its restart deadline; crash/partition targets come
     from ``roles`` (skipped when empty).  Generation is deterministic in
     ``(seed, index)`` across processes and platforms.
@@ -100,8 +99,6 @@ def composite_schedule(
             f"(allowed={sorted(envelope.faults) if envelope else []}, "
             f"roles={list(role_pool)})"
         )
-    max_loss = envelope.max_loss_prob if envelope is not None else 1.0
-    max_dup = envelope.max_dup_prob if envelope is not None else 1.0
     restart_by = 1.0
     if envelope is not None and envelope.crash_restart_by is not None:
         restart_by = envelope.crash_restart_by
@@ -110,11 +107,9 @@ def composite_schedule(
         if kind == "reorder":
             return Reorder(at, duration, round(rng.uniform(2.0, 12.0), 1))
         if kind == "loss":
-            return Loss(at, duration, round(rng.uniform(0.1, min(0.6, max_loss)), 2))
+            return Loss(at, duration, round(rng.uniform(0.1, 0.6), 2))
         if kind == "duplicate":
-            return Duplicate(
-                at, duration, round(rng.uniform(0.1, min(0.7, max_dup)), 2)
-            )
+            return Duplicate(at, duration, round(rng.uniform(0.1, 0.7), 2))
         if kind == "crash":
             role = rng.choice(role_pool)
             duration = min(duration, max(restart_by - at - 0.01, 0.02))
@@ -135,7 +130,7 @@ def composite_schedule(
         extra_at = round(rng.uniform(at, at + duration * 0.8), 3)
         extra_duration = round(rng.uniform(0.05, duration), 3)
         faults.append(make(kind, extra_at, extra_duration))
-    return FaultSchedule(name or f"x{seed}.{index}", tuple(faults))
+    return FaultSchedule(f"x{seed}.{index}", tuple(faults))
 
 
 def composite_schedules(
@@ -553,15 +548,7 @@ class FrontierSweep(Sweep):
 
 
 def frontier_campaign(
-    apps: Sequence[str] | None = None,
-    *,
-    smoke: bool = False,
-    seeds: Sequence[int] | None = None,
-    steps: int = 5,
-    jobs: int = 1,
-    cache=None,
-    reporter=None,
+    *, smoke: bool = False, steps: int = 5, jobs: int = 1, cache=None, reporter=None
 ) -> BenchReport:
     """Run the :class:`FrontierSweep` and return its per-pair report."""
-    sweep = FrontierSweep(apps=apps, smoke=smoke, seeds=seeds, steps=steps)
-    return sweep.run(jobs=jobs, cache=cache, reporter=reporter)
+    return FrontierSweep(smoke=smoke, steps=steps).run(jobs=jobs, cache=cache, reporter=reporter)

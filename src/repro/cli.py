@@ -301,12 +301,12 @@ def _cmd_apps(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    result, _plan = _resolve(args.target, args.strategy)
+    result, plan = _resolve(args.target, args.strategy)
     if args.json:
-        payload = report_to_dict(result, derivations=args.derivations)
+        payload = report_to_dict(result, plan, derivations=args.derivations)
         print(json.dumps(payload, indent=2))
     else:
-        print(render_report(result))
+        print(render_report(result, plan))
         if args.derivations:
             print(f"\n{render_all(result)}")
     return 0 if result.is_consistent else 2

@@ -13,8 +13,8 @@ by the ``rep`` (replication) annotation, not by duplicating nodes
 (paper Section II distinguishes logical dataflows from physical ones).
 
 The graph keeps its adjacency: :meth:`Dataflow.add_stream`, the only place
-a stream enters a graph, files it under its destination, by component and
-by ``(component, interface)``, in declaration order.
+a stream enters a graph, files it under its destination component, in
+declaration order.
 :meth:`Dataflow.streams_into` is a lookup, so everything that walks the
 graph (analysis, strategy synthesis, lints) is linear in components +
 streams + paths.
@@ -157,10 +157,9 @@ class Dataflow:
         self.name = name
         self._components: dict[str, Component] = {}
         self._streams: dict[str, Stream] = {}
-        # adjacency: the streams into a component (keyed by its name) and
-        # into one of its interfaces (keyed by the endpoint pair), appended
-        # by add_stream in declaration order
-        self._into: dict[str | tuple[str, str], list[Stream]] = {}
+        # adjacency: the streams into a component, keyed by its name and
+        # appended by add_stream in declaration order
+        self._into: dict[str, list[Stream]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -216,13 +215,12 @@ class Dataflow:
         stream = Stream(name, src, dst, seal_key=seal_key, rep=rep, label=label)
         self._streams[name] = stream
         if dst is not None:
-            for key in (dst[0], dst):
-                if key in self._into:
-                    self._into[key].append(stream)
-                else:
-                    # most keys hold one stream, and a literal is allocated
-                    # for exactly one (an append to [] reserves four slots)
-                    self._into[key] = [stream]
+            if dst[0] in self._into:
+                self._into[dst[0]].append(stream)
+            else:
+                # most keys hold one stream, and a literal is allocated
+                # for exactly one (an append to [] reserves four slots)
+                self._into[dst[0]] = [stream]
         return stream
 
     # ------------------------------------------------------------------
@@ -250,10 +248,9 @@ class Dataflow:
         except KeyError:
             raise DataflowError(f"unknown stream {name!r}") from None
 
-    def streams_into(self, component: str, in_iface: str | None = None) -> tuple[Stream, ...]:
-        """Streams whose destination is ``component`` (and optionally iface)."""
-        key = component if in_iface is None else (component, in_iface)
-        return tuple(self._into.get(key, ()))
+    def streams_into(self, component: str) -> tuple[Stream, ...]:
+        """Streams whose destination is ``component``."""
+        return tuple(self._into.get(component, ()))
 
     @property
     def external_outputs(self) -> tuple[Stream, ...]:
@@ -288,9 +285,10 @@ class Dataflow:
                         f"stream {stream.name!r}: {comp_name!r} has no {side} "
                         f"interface {iface!r}"
                     )
+        fed = {stream.dst for stream in self._streams.values()}
         for component in self._components.values():
             for in_iface in component.input_interfaces:
-                if (component.name, in_iface) not in self._into:
+                if (component.name, in_iface) not in fed:
                     raise DataflowError(
                         f"input interface {component.name}.{in_iface} is not fed "
                         f"by any stream"

@@ -73,13 +73,12 @@ def _sanitize(value: Any) -> Any:
     return repr(value)
 
 
-def write_rundir(directory: str | Path, outcome, telemetry=None) -> Path:
+def write_rundir(directory: str | Path, outcome) -> Path:
     """Archive one :class:`~repro.api.RunOutcome` as a run directory.
 
-    ``telemetry`` defaults to the hub the outcome was run with
-    (``outcome.telemetry``); its coordcost block lands in
-    ``coordcost.json`` and its span tracker (when tracing) in
-    ``spans.jsonl``.  Handed the
+    The coordcost block of the hub the outcome was run with
+    (``outcome.telemetry``) lands in ``coordcost.json`` and its span
+    tracker (when tracing) in ``spans.jsonl``.  Handed the
     :class:`~repro.net.services.SocketTimeout` of a socket run torn down
     at its wall-clock budget instead, it archives the partial outcome the
     exception carries — how far the run got — and marks ``meta.json``
@@ -105,7 +104,7 @@ def write_rundir(directory: str | Path, outcome, telemetry=None) -> Path:
         )
     except OSError as exc:
         raise ObsError(f"cannot write run directory {target}: {exc.strerror}") from exc
-    hub = telemetry if telemetry is not None else outcome.telemetry
+    hub = outcome.telemetry
     cluster = outcome.cluster
     sim = getattr(cluster, "sim", None)
 

@@ -284,7 +284,7 @@ def _disputed_rows(observation) -> list:
     return sorted(rows, key=repr)
 
 
-def divergence_explain(observation, *, limit: int = _SLICE_LIMIT) -> tuple[str, ...]:
+def divergence_explain(observation) -> tuple[str, ...]:
     """The minimal causal slice behind one run's inconsistency.
 
     Given a :class:`~repro.chaos.oracle.RunObservation` whose ``spans``
@@ -306,7 +306,7 @@ def divergence_explain(observation, *, limit: int = _SLICE_LIMIT) -> tuple[str, 
         lineage = spans.lineage_of(row)
         if lineage is None or lineage in explained:
             continue
-        rendered = format_slice(spans, lineage, limit=limit)
+        rendered = format_slice(spans, lineage)
         if not rendered:
             continue
         explained.add(lineage)

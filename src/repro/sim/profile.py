@@ -34,6 +34,9 @@ from contextlib import contextmanager
 
 __all__ = ["SimProfiler"]
 
+# the entries of each histogram a snapshot keeps
+SNAPSHOT_TOP = 10
+
 
 class SimProfiler:
     """Counters the kernel and network fill in while attached."""
@@ -91,15 +94,15 @@ class SimProfiler:
             self.wall_seconds += time.perf_counter() - start
             sim.profiler = previous
 
-    def snapshot(self, top: int = 10) -> dict:
-        """A JSON-friendly summary (top-N histograms, headline rates)."""
+    def snapshot(self) -> dict:
+        """A JSON-friendly summary (top-10 histograms, headline rates)."""
         return {
             "events": self.events,
             "wall_seconds": self.wall_seconds,
             "events_per_second": self.events_per_second,
             "heap_watermark": self.heap_watermark,
-            "event_kinds": dict(self.kinds.most_common(top)),
-            "message_kinds": dict(self.message_kinds.most_common(top)),
+            "event_kinds": dict(self.kinds.most_common(SNAPSHOT_TOP)),
+            "message_kinds": dict(self.message_kinds.most_common(SNAPSHOT_TOP)),
         }
 
     def __repr__(self) -> str:

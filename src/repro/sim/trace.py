@@ -73,8 +73,8 @@ class Trace:
         """Sum of record weights for ``event``.
 
         A record whose ``data`` is an integer stands for that many items
-        (an aggregated batch); any other record counts as one.  For
-        unweighted events this equals :meth:`count`.
+        (an aggregated batch); any other record counts as one, so for
+        unweighted events this is the number of records.
         """
         return sum(_weight(row[3]) for row in self._rows if row[2] == event)
 

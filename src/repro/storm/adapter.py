@@ -25,16 +25,13 @@ def topology_to_dataflow(
     topology: Topology,
     *,
     seals: dict[str, Iterable[str]] | None = None,
-    replicated: Iterable[str] = (),
 ) -> Dataflow:
     """Build the logical dataflow of a topology.
 
     ``seals`` maps spout names to seal keys (stream annotations the
-    programmer asserts about the sources); ``replicated`` names components
-    carrying the ``Rep`` annotation.
+    programmer asserts about the sources).
     """
     seals = seals or {}
-    replicated_set = set(replicated)
     dataflow = Dataflow(topology.name)
 
     # Interface names: a component's input interface is named after the
@@ -43,7 +40,7 @@ def topology_to_dataflow(
     for bolt_name in topology.bolts:
         declaration = topology.declaration(bolt_name)
         bolt = declaration.factory()
-        component = dataflow.add_component(bolt_name, rep=bolt_name in replicated_set)
+        component = dataflow.add_component(bolt_name)
         annotations = getattr(bolt, "blazes_annotations", None)
         if not annotations:
             raise StormError(
@@ -57,8 +54,6 @@ def topology_to_dataflow(
     # Spouts are sources: their output streams enter the dataflow from
     # outside, carrying any declared seal.
     for spout_name in topology.spouts:
-        if spout_name in replicated_set:
-            raise StormError("spout streams cannot carry Rep in this adapter")
         for consumer, _grouping in topology.consumers_of(spout_name):
             dataflow.add_stream(
                 f"{spout_name}->{consumer}",

@@ -60,6 +60,8 @@ __all__ = ["StormCluster", "ClusterConfig", "stable_hash"]
 DEFAULT_EXEC_TIME = 0.0002
 PUNCT_TIME = 0.00001
 EMIT_TIME = 0.00005
+# Every channel's latency: 0.5 ms plus an exponential 1 ms mean of jitter.
+LATENCY = LatencyModel(base=0.0005, jitter=0.001)
 # Batches a spout task keeps in flight before it waits for an ack.
 MAX_PENDING = 4
 # Re-emissions of one batch before its spout task gives up on it, as
@@ -566,7 +568,6 @@ class ClusterConfig:
         self,
         *,
         seed: int = 0,
-        latency: LatencyModel | None = None,
         drop_prob: float = 0.0,
         exec_times: dict[str, float] | None = None,
         replay_timeout: float | None = None,
@@ -596,7 +597,6 @@ class ClusterConfig:
                     f"exec_times[{component!r}] must be >= 0, got {exec_time}"
                 )
         self.seed = seed
-        self.latency = latency or LatencyModel(base=0.0005, jitter=0.001)
         self.drop_prob = drop_prob
         self.exec_times = exec_times or {}
         self.replay_timeout = replay_timeout
@@ -618,7 +618,7 @@ class StormCluster:
         reliable = ZK_KINDS + TXN_KINDS
         self.network = make_network(
             self.sim,
-            latency=self.config.latency,
+            latency=LATENCY,
             drop_prob=self.config.drop_prob,
             reliable_kinds=reliable,
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import BlazesApp, RunOutcome, get_app
+from repro.api import BlazesApp, RunOutcome, annotate, get_app
 from repro.core import SealStrategy, analyze, loads_spec
 from repro.core.labels import LabelKind
 from repro.errors import ApiError
@@ -22,10 +22,14 @@ class TestDeclaration:
         assert get_app("kvs").default_strategy == "sealed"
 
     def test_duplicate_declarations_are_rejected(self):
+        @annotate(frm="i", to="o", label="CR")
+        class Confluent:
+            pass
+
         app = BlazesApp("tmp", backend="bloom")
-        app.component("C", annotations=[{"from": "i", "to": "o", "label": "CR"}])
+        app.component("C", Confluent)
         with pytest.raises(ApiError, match="duplicate component"):
-            app.component("C", annotations=[{"from": "i", "to": "o", "label": "CR"}])
+            app.component("C", Confluent)
         app.stream("s", to="C.i")
         with pytest.raises(ApiError, match="duplicate stream"):
             app.stream("s", to="C.i")

@@ -32,7 +32,7 @@ def runs():
 def test_every_strategy_processes_all_records(runs):
     for strategy, result in runs.items():
         for node in result.report_nodes:
-            assert result.processed_count(node) == SMALL.total_entries, strategy
+            assert result.cluster.trace.total(f"processed:{node}") == SMALL.total_entries, strategy
 
 
 def test_ordered_is_slowest(runs):
@@ -175,7 +175,8 @@ class TestSealKeys:
                 workload_seed=1, query="WINDOW",
             )
             for node in result.report_nodes:
-                assert result.processed_count(node) == self.WORKLOAD.total_entries
+                processed = result.cluster.trace.total(f"processed:{node}")
+                assert processed == self.WORKLOAD.total_entries
             assert result.replicas_agree
             tables.append(result.cluster.node("report0").read("clicks"))
         assert tables[0] == tables[1]
@@ -195,7 +196,7 @@ class TestSealKeys:
             query_kwargs={"threshold": 10},
         )
         for node in result.report_nodes:
-            assert result.processed_count(node) == self.WORKLOAD.total_entries
+            assert result.cluster.trace.total(f"processed:{node}") == self.WORKLOAD.total_entries
         assert result.replicas_agree
         # the registry holds only ads that are actually produced, and
         # only by the servers that produce them
@@ -257,7 +258,7 @@ class TestProducerReplicas:
             result = run_ad_network(strategy, workload=self.REPLICATED, seed=4)
             for node in result.report_nodes:
                 assert (
-                    result.processed_count(node) == self.REPLICATED.total_entries
+                    result.cluster.trace.total(f"processed:{node}") == self.REPLICATED.total_entries
                 ), strategy
             assert result.replicas_agree, strategy
 

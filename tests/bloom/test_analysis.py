@@ -173,6 +173,33 @@ class TestGates:
         assert analysis.annotation_for("request", "live") == OR("order")
         assert analysis.annotation_for("cancel", "live") == OR("order")
 
+    def test_a_key_traced_through_an_antijoin_s_output_reaches_the_input(self):
+        """A scratch fed by an antijoin keeps its left side's lineage, so a
+        grouping over it, or a second antijoin on it, gates on the input
+        column behind the key."""
+
+        class LiveTotals(BloomModule):
+            def setup(self):
+                self.input_interface("request", ["order", "v"])
+                self.input_interface("cancel", ["ref"])
+                self.scratch("live", ["id", "v"])
+                self.output_interface("totals", ["id", "n"])
+                self.output_interface("unseen", ["id", "v"])
+
+            def rules(self):
+                request = self.project(self.scan("request"), [("order", "id"), "v"])
+                live, cancel = self.scan("live"), self.scan("cancel")
+                return [
+                    self.rule("live", "<=", self.notin(request, cancel, [("id", "ref")])),
+                    self.rule("totals", "<=", self.group_by(live, ["id"], [("n", "count", None)])),
+                    self.rule("unseen", "<=", self.notin(live, cancel, [("id", "ref")])),
+                ]
+
+        analysis = analyze_module(LiveTotals())
+        assert self.gate_of(analysis, "totals") == frozenset({"order"})
+        assert self.gate_of(analysis, "unseen") == frozenset({"order"})
+        assert analysis.annotation_for("request", "totals") == OR("order")
+
     def test_a_group_key_read_straight_off_an_input_is_the_gate(self):
         class Tally(BloomModule):
             def setup(self):

@@ -234,11 +234,12 @@ def test_unknown_schedule_name_is_an_error():
 
 def test_a_schedule_aimed_at_an_undeclared_role_is_an_error():
     """The armer names the role it cannot resolve and the app's roles."""
-    from repro.chaos.schedule import crash_restart
+    from repro.chaos.schedule import Crash, FaultSchedule
 
     harness = harness_for("kvs", smoke=True)
     with pytest.raises(SimulationError) as raised:
-        harness.observe("uncoordinated", crash_restart("reporter"), seed=7)
+        schedule = FaultSchedule("crash", (Crash("reporter", 0, 0.15, 0.3),))
+        harness.observe("uncoordinated", schedule, seed=7)
     message = str(raised.value)
     assert "no role 'reporter'" in message
     assert "['cache', 'client', 'worker']" in message
@@ -335,14 +336,16 @@ class TestDuplicateScheduleNames:
         import dataclasses
 
         from repro.api import get_app
-        from repro.chaos.schedule import loss_burst
+        from repro.chaos.schedule import FaultSchedule, Loss
 
         app = get_app("wordcount")
         original = app.audit_spec
         # two *different* loss bursts, both named "loss-burst"
         doubled = dataclasses.replace(
             original,
-            schedules=(loss_burst(drop_prob=0.2), loss_burst(drop_prob=0.6)),
+            schedules=tuple(
+                FaultSchedule("loss-burst", (Loss(0.1, 0.25, p),)) for p in (0.2, 0.6)
+            ),
         )
         app.audit_spec = doubled
         try:

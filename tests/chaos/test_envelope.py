@@ -15,6 +15,8 @@ from repro.chaos.envelope import (
     replay_envelope,
 )
 from repro.chaos.schedule import (
+    Crash,
+    FaultSchedule,
     crash_restart,
     dup_burst,
     loss_burst,
@@ -31,7 +33,7 @@ def test_an_envelope_of_every_kind_admits_everything():
         + loss_burst()
         + dup_burst()
         + reorder_burst()
-        + split_link()
+        + split_link("source")
     )
     assert env.violations(everything) == ()
 
@@ -48,24 +50,13 @@ def test_disallowed_kind_is_a_violation():
 
 def test_crash_restart_deadline():
     env = replay_envelope()
-    assert env.violations(crash_restart(at=0.15, duration=0.3)) == ()
-    broken = env.violations(crash_restart(at=0.8, duration=0.5))
+    assert env.violations(crash_restart()) == ()
+    broken = env.violations(FaultSchedule("late", (Crash("worker", 0, 0.8, 0.5),)))
     assert len(broken) == 1
     assert "crash-without-restart" in broken[0]
     # no deadline declared -> any crash duration is fine
     lenient = FaultEnvelope("x", frozenset({"crash"}))
-    assert lenient.violations(crash_restart(at=0.8, duration=5.0)) == ()
-
-
-def test_probability_ceilings():
-    env = FaultEnvelope(
-        "lossy", frozenset({"loss", "duplicate"}),
-        max_loss_prob=0.3, max_dup_prob=0.5,
-    )
-    assert env.violations(loss_burst(drop_prob=0.3)) == ()
-    assert env.violations(loss_burst(drop_prob=0.31))
-    assert env.violations(dup_burst(dup_prob=0.8))
-    assert "ceiling" in env.violations(dup_burst(dup_prob=0.8))[0]
+    assert lenient.violations(FaultSchedule("long", (Crash("worker", 0, 0.8, 5.0),))) == ()
 
 
 def test_unknown_fault_kind_rejected_at_construction():
@@ -76,19 +67,15 @@ def test_unknown_fault_kind_rejected_at_construction():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("max_loss_prob", math.nan),
-        ("max_loss_prob", -0.1),
-        ("max_dup_prob", 7.0),
-        ("max_dup_prob", math.nan),
         ("crash_restart_by", math.nan),
         ("crash_restart_by", math.inf),
         ("crash_restart_by", -1.0),
     ],
 )
 def test_envelope_numbers_are_checked_at_declaration(field, value):
-    """A NaN ceiling or deadline fails every comparison ``violations``
-    makes, so it would admit a 0.9 loss window or a crash that never
-    restarts in time: it is refused where the envelope is declared."""
+    """A NaN deadline fails every comparison ``violations`` makes, so it
+    would admit a crash that never restarts in time: it is refused where
+    the envelope is declared."""
     with pytest.raises(SimulationError, match=field):
         FaultEnvelope("bad", frozenset(FAULT_KINDS), **{field: value})
 

@@ -74,10 +74,13 @@ def test_scaled_rejects_nonpositive_factor():
 
 
 def test_horizon_and_roles():
-    schedule = (
-        crash_restart("worker", 1, at=0.1, duration=0.4)
-        + split_link("source", 0, "worker", 0, at=0.2, duration=0.2)
-        + reorder_burst(at=0.0, duration=0.9, factor=4.0)
+    schedule = FaultSchedule(
+        "mix",
+        (
+            Crash("worker", 1, 0.1, 0.4),
+            Partition("source", 0, "worker", 0, 0.2, 0.2),
+            Reorder(0.0, 0.9, 4.0),
+        ),
     )
     assert max(fault.end for fault in schedule.faults) == pytest.approx(0.9)
     assert schedule.roles == frozenset({"worker", "source"})
@@ -87,9 +90,8 @@ def test_horizon_and_roles():
 
 def test_apply_arms_every_fault_on_the_network():
     sim, network = build_network()
-    schedule = (
-        crash_restart("worker", 1, at=1.0, duration=1.0)
-        + split_link("source", 0, "worker", 0, at=1.0, duration=1.0)
+    schedule = FaultSchedule(
+        "mix", (Crash("worker", 1, 1.0, 1.0), Partition("source", 0, "worker", 0, 1.0, 1.0))
     )
     schedule.apply(network, resolve)
     w1 = network.process("w1")
@@ -110,7 +112,7 @@ def test_apply_baseline_is_a_noop():
 
 def test_unknown_role_is_an_error_at_apply_time():
     sim, network = build_network()
-    schedule = crash_restart("replica", 0)
+    schedule = FaultSchedule("crash", (Crash("replica", 0, 0.15, 0.3),))
     with pytest.raises(KeyError):
         schedule.apply(network, resolve)
 
@@ -202,11 +204,7 @@ def test_json_specs_cannot_carry_nan_or_infinity(fault):
 # intensity scaling (the severity-frontier axis)
 # ----------------------------------------------------------------------
 def test_with_intensity_endpoints():
-    schedule = (
-        crash_restart(at=0.1, duration=0.4)
-        + loss_burst(drop_prob=0.4)
-        + reorder_burst(factor=8.0)
-    )
+    schedule = crash_restart() + loss_burst() + reorder_burst()
     full = schedule.with_intensity(1.0)
     assert [f.end for f in full.faults] == [
         pytest.approx(f.end) for f in schedule.faults
@@ -253,8 +251,10 @@ def test_schedule_round_trips_through_dict():
     from repro.chaos.schedule import schedule_from_dict, schedule_to_dict
 
     schedule = (
-        crash_restart("worker", 1, at=0.1, duration=0.4)
-        + split_link("source", 0, "worker", 0, at=0.2, duration=0.2)
+        FaultSchedule(
+            "mix", (Crash("worker", 1, 0.1, 0.4), Partition("source", 0, "worker", 0, 0.2, 0.2))
+        )
+        + split_link("source")
         + loss_burst()
         + dup_burst()
         + reorder_burst()

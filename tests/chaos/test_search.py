@@ -243,11 +243,15 @@ class TestCompositeGenerator:
         for schedule in composite_schedules(6, seed=5, envelope=env):
             assert env.violations(schedule) == ()
             assert {type(f) for f in schedule.faults} <= {Reorder, Duplicate}
-        capped = FaultEnvelope(
-            "capped", frozenset({"loss", "reorder"}), max_loss_prob=0.25
-        )
-        for schedule in composite_schedules(6, seed=5, envelope=capped):
-            assert capped.violations(schedule) == ()
+        # the generator's own ceilings: loss under 0.6, duplication under 0.7
+        lossy = FaultEnvelope("lossy", frozenset({"loss", "duplicate"}))
+        probs = [
+            (type(f), f.drop_prob if isinstance(f, Loss) else f.dup_prob)
+            for schedule in composite_schedules(12, seed=5, envelope=lossy)
+            for f in schedule.faults
+        ]
+        assert {kind for kind, _ in probs} == {Loss, Duplicate}
+        assert all(0.1 <= p <= (0.6 if kind is Loss else 0.7) for kind, p in probs)
 
     def test_no_roles_means_no_role_addressed_faults(self):
         for schedule in composite_schedules(6, seed=7, roles=()):
@@ -309,15 +313,11 @@ class TestSearchCampaign:
 
 class TestFrontierCampaign:
     def test_smoke_frontier_on_wordcount(self, tmp_path):
-        from repro.chaos.search import frontier_campaign, render_frontier
+        from repro.chaos.search import FrontierSweep, render_frontier
         from repro.exec.cache import CellCache
 
-        report = frontier_campaign(
-            ["wordcount"],
-            smoke=True,
-            steps=2,
-            jobs=1,
-            cache=CellCache(tmp_path / "cache"),
+        report = FrontierSweep(apps=["wordcount"], smoke=True, steps=2).run(
+            jobs=1, cache=CellCache(tmp_path / "cache")
         )
         assert {r.name for r in report} == {
             "wordcount/sealed",
@@ -343,7 +343,7 @@ class TestFrontierCampaign:
         reorder factor (8 at full intensity, interpolated toward 1)."""
         import repro.chaos.campaign as campaign
         from repro.chaos.schedule import Reorder, schedule_from_dict
-        from repro.chaos.search import frontier_campaign
+        from repro.chaos.search import FrontierSweep
 
         flips_at = {"uncoordinated": 0.3, "sealed": 0.7}
 
@@ -364,7 +364,7 @@ class TestFrontierCampaign:
             }
 
         monkeypatch.setattr(campaign, "_cell_metrics", fake_cell)
-        report = frontier_campaign(["kvs"], smoke=True, steps=3, jobs=1, cache=None)
+        report = FrontierSweep(apps=["kvs"], smoke=True, steps=3).run(jobs=1, cache=None)
         pinned = {
             r.name: (r["frontier"], r["probes"], r["holds"]) for r in report
         }

@@ -135,10 +135,6 @@ def _check_index_is_the_scan(flow: Dataflow) -> None:
         assert flow.streams_into(component) == tuple(
             s for s in flow.streams if s.dst is not None and s.dst[0] == component
         )
-        for iface in ("i0", "i1", "i2", "o0", "o1", "ghost"):
-            assert flow.streams_into(component, iface) == tuple(
-                s for s in flow.streams if s.dst == (component, iface)
-            )
 
 
 @given(st.data())

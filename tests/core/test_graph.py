@@ -35,8 +35,8 @@ def test_external_endpoints():
 def test_streams_into():
     flow = small_flow()
     assert [s.name for s in flow.streams_into("B")] == ["mid"]
-    assert [s.name for s in flow.streams_into("B", "in")] == ["mid"]
-    assert flow.streams_into("A", "nope") == ()
+    assert [s.name for s in flow.streams_into("A")] == ["src"]
+    assert flow.streams_into("ghost") == ()
 
 
 def test_duplicate_names_rejected():
@@ -124,5 +124,5 @@ def test_list_endpoint_is_normalised_to_a_tuple():
     flow = small_flow()
     stream = flow.add_stream("extra", src=["A", "out"], dst=["B", "in"])
     assert stream.src == ("A", "out") and stream.dst == ("B", "in")
-    assert stream in flow.streams_into("B", "in") and stream in flow.streams_into("B")
+    assert stream in flow.streams_into("B")
     flow.validate()

@@ -15,14 +15,12 @@ from repro.obs.telemetry import Telemetry
 
 @pytest.fixture(scope="module")
 def sealed_outcome():
-    hub = Telemetry(spans=True)
-    outcome = get_app("adnet").run("seal", seed=1, smoke=True, telemetry=hub)
-    return outcome, hub
+    return get_app("adnet").run("seal", seed=1, smoke=True, telemetry=Telemetry(spans=True))
 
 
 def test_write_validate_roundtrip(tmp_path, sealed_outcome):
-    outcome, hub = sealed_outcome
-    rundir = write_rundir(tmp_path / "run", outcome, telemetry=hub)
+    outcome = sealed_outcome
+    rundir = write_rundir(tmp_path / "run", outcome)
     assert sorted(p.name for p in rundir.iterdir()) == sorted(ARTIFACTS)
     info = validate_rundir(rundir)
     assert info["meta"]["app"] == "adnet"
@@ -44,21 +42,21 @@ def test_a_location_that_cannot_hold_a_run_is_an_obs_error(tmp_path, sealed_outc
     blocker.write_text("")
     target = blocker / under if under else blocker
     with pytest.raises(ObsError, match=re.escape(f"cannot write run directory {target}")):
-        write_rundir(target, sealed_outcome[0])
+        write_rundir(target, sealed_outcome)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
 
 
 def test_missing_artifact_is_rejected(tmp_path, sealed_outcome):
-    outcome, hub = sealed_outcome
-    rundir = write_rundir(tmp_path / "run", outcome, telemetry=hub)
+    outcome = sealed_outcome
+    rundir = write_rundir(tmp_path / "run", outcome)
     (rundir / "coordcost.json").unlink()
     with pytest.raises(ObsError, match="missing coordcost.json"):
         validate_rundir(rundir)
 
 
 def test_schema_version_mismatch_is_rejected(tmp_path, sealed_outcome):
-    outcome, hub = sealed_outcome
-    rundir = write_rundir(tmp_path / "run", outcome, telemetry=hub)
+    outcome = sealed_outcome
+    rundir = write_rundir(tmp_path / "run", outcome)
     meta = json.loads((rundir / "meta.json").read_text())
     meta["schema_version"] = 99
     (rundir / "meta.json").write_text(json.dumps(meta))
@@ -67,8 +65,8 @@ def test_schema_version_mismatch_is_rejected(tmp_path, sealed_outcome):
 
 
 def test_missing_meta_field_is_rejected(tmp_path, sealed_outcome):
-    outcome, hub = sealed_outcome
-    rundir = write_rundir(tmp_path / "run", outcome, telemetry=hub)
+    outcome = sealed_outcome
+    rundir = write_rundir(tmp_path / "run", outcome)
     meta = json.loads((rundir / "meta.json").read_text())
     del meta["strategy"]
     (rundir / "meta.json").write_text(json.dumps(meta))
@@ -77,8 +75,8 @@ def test_missing_meta_field_is_rejected(tmp_path, sealed_outcome):
 
 
 def test_malformed_jsonl_line_is_rejected(tmp_path, sealed_outcome):
-    outcome, hub = sealed_outcome
-    rundir = write_rundir(tmp_path / "run", outcome, telemetry=hub)
+    outcome = sealed_outcome
+    rundir = write_rundir(tmp_path / "run", outcome)
     with (rundir / "trace.jsonl").open("a") as handle:
         handle.write("not json\n")
     with pytest.raises(ObsError, match="trace.jsonl"):
@@ -91,10 +89,10 @@ def test_nonexistent_directory_is_rejected(tmp_path):
 
 
 def test_rundir_collision_lands_on_suffixed_sibling(tmp_path, sealed_outcome):
-    outcome, hub = sealed_outcome
-    first = write_rundir(tmp_path / "run", outcome, telemetry=hub)
-    second = write_rundir(tmp_path / "run", outcome, telemetry=hub)
-    third = write_rundir(tmp_path / "run", outcome, telemetry=hub)
+    outcome = sealed_outcome
+    first = write_rundir(tmp_path / "run", outcome)
+    second = write_rundir(tmp_path / "run", outcome)
+    third = write_rundir(tmp_path / "run", outcome)
     assert first == tmp_path / "run"
     assert second == tmp_path / "run-2"
     assert third == tmp_path / "run-3"
@@ -110,10 +108,10 @@ def test_rundir_concurrent_writers_never_collide(tmp_path, sealed_outcome):
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    outcome, hub = sealed_outcome
+    outcome = sealed_outcome
     with ThreadPoolExecutor(max_workers=8) as pool:
         futures = [
-            pool.submit(write_rundir, tmp_path / "run", outcome, hub)
+            pool.submit(write_rundir, tmp_path / "run", outcome)
             for _ in range(8)
         ]
         paths = [future.result() for future in futures]

@@ -211,7 +211,9 @@ def _inputs_for(
     stream_rep: dict[str, bool],
 ) -> list[tuple[Stream, Label, bool]]:
     inputs = []
-    for stream in dataflow.streams_into(component, in_iface):
+    for stream in dataflow.streams_into(component):
+        if stream.dst != (component, in_iface):
+            continue
         if stream.name not in stream_labels:
             raise AnalysisError(
                 f"stream {stream.name!r} feeding {component}.{in_iface} has no "
@@ -308,7 +310,9 @@ def _process_cycle(
     # that belong to the cycle...
     entry_labels: list[Label] = []
     for comp, iface in sorted(in_nodes):
-        for stream in dataflow.streams_into(comp, iface):
+        for stream in dataflow.streams_into(comp):
+            if stream.dst != (comp, iface):
+                continue
             if stream.src is not None and (stream.src[0], stream.src[1]) in out_nodes:
                 continue  # intra-cycle stream: labeled when the cycle resolves
             if stream.name not in stream_labels:

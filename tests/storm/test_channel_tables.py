@@ -145,9 +145,8 @@ def test_channel_tables_are_empty_after_a_run(jitter, frame_size):
     the attempt completes, and what is left is one tombstone per batch
     attempt at each bolt task."""
     topology = build_wordcount_topology(workers=4, total_batches=6, batch_size=20)
-    latency = LatencyModel(base=0.0005, jitter=jitter)
-    config = ClusterConfig(seed=3, latency=latency, frame_size=frame_size)
-    cluster = StormCluster(topology, config)
+    cluster = StormCluster(topology, ClusterConfig(seed=3, frame_size=frame_size))
+    cluster.network.latency = LatencyModel(base=0.0005, jitter=jitter)
     cluster.run()
     assert len(cluster.batches_acked) == 6
     for task in _tasks(cluster):

@@ -160,6 +160,26 @@ def test_analyze_json_report(capsys):
     assert "Store" in report["components_needing_coordination"]
 
 
+def test_analyze_reports_the_sequencer_an_ordered_app_imposes(capsys):
+    """The report's plan is the app's own: under ``ordered``, the sequencer
+    on the app's topic, not a synthesized fallback."""
+    main(["analyze", "kvs", "--strategy", "ordered"])
+    out = capsys.readouterr().out
+    plan = out.split("Coordination plan")[1]
+    assert "sequencer-ordered delivery installed at Store" in plan
+    assert "topic 'kvs.inputs'" in plan
+    assert "no input stream is sealed" not in plan
+
+
+@pytest.mark.parametrize("app", ["kvs", "adnet", "q-campaign", "q-poor", "q-window"])
+def test_analyze_json_plan_is_the_plan_verb_s(app, capsys):
+    main(["analyze", app, "--strategy", "ordered", "--json"])
+    analyzed = json.loads(capsys.readouterr().out)["plan"]
+    assert main(["plan", app, "--strategy", "ordered", "--json"]) == 0
+    assert analyzed == json.loads(capsys.readouterr().out)
+    assert {s["kind"] for s in analyzed["strategies"]} >= {"ordered"}
+
+
 def test_plan_json_report(capsys):
     assert main(["plan", "kvs", "--strategy", "sealed", "--json"]) == 0
     plan = json.loads(capsys.readouterr().out)
@@ -625,6 +645,26 @@ def test_audit_text_mode_prints_engine_line(tmp_path, monkeypatch, capsys):
     assert "engine:" in out and "cache" in out
 
 
+def test_a_pooled_audit_prints_its_pool_and_the_ledger_its_workers(tmp_path, monkeypatch, capsys):
+    """The text a pooled sweep ends in, and the ledger after it: the
+    pool's part of the engine line and the last run's worker rows."""
+    from repro.exec import shutdown_shared_pool
+
+    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+    try:
+        argv = ["audit", "--smoke", "--apps", "kvs", "--jobs", "2", "--seeds", "7", "--no-report"]
+        assert main(argv) == 0
+    finally:
+        shutdown_shared_pool()
+    last = capsys.readouterr().out.rstrip().splitlines()[-1]
+    assert last.startswith("engine: ") and "pool jobs=2 util=" in last
+    assert main(["cache", "stats"]) == 0
+    ledger = capsys.readouterr().out.splitlines()
+    rows = ledger[ledger.index("  last run workers:") + 1:]
+    assert rows[0].startswith("    pid ") and rows[0].endswith(" events/s")
+    assert "pool jobs=2 util=" in ledger[-1]
+
+
 def test_audit_bad_jobs_is_a_clean_error(capsys):
     assert main(AUDIT_ARGS + ["--jobs", "0"]) == 1
     assert "jobs" in capsys.readouterr().err
@@ -717,15 +757,23 @@ def test_stats_needs_an_app_and_has_no_engine_flag(argv, capsys):
 def _underpredicting_app(name):
     """The kvs deployment declared with confluent annotations everywhere:
     its uncoordinated replicas diverge, but it predicts ``Async``."""
-    from repro.api import BlazesApp
+    from repro.api import BlazesApp, annotate
     from repro.apps import kvs
 
+    @annotate(frm="put", to="getr", label="CR")
+    @annotate(frm="get", to="getr", label="CR")
+    class Store:
+        pass
+
+    @annotate(frm="response", to="cached", label="CR")
+    class Cache:
+        pass
+
     profile = kvs.APP.audit_spec
-    confluent = [{"from": "put", "to": "getr", "label": "CR"}, {"from": "get", "to": "getr", "label": "CR"}]
     return (
         BlazesApp(name, backend="bloom", runner=kvs._run_app)
-        .component("Store", annotations=confluent)
-        .component("Cache", annotations=[{"from": "response", "to": "cached", "label": "CR"}])
+        .component("Store", Store)
+        .component("Cache", Cache)
         .stream("puts", to="Store.put")
         .stream("gets", to="Store.get")
         .stream("responses", frm="Store.getr", to="Cache.response")

@@ -156,3 +156,41 @@ def test_nothing_under_src_is_unread_or_called_only_by_tests_without_a_reason():
     """``tools/surface.py``'s lists (a) and (c) stay empty but for definitions kept with a reason."""
     assert surface.unread_attributes() == []
     assert [row for row in surface.definitions_only_tests_call() if row[2] not in surface.KEPT] == []
+
+
+def test_a_default_every_caller_sets_to_one_value_is_a_constant_or_kept_with_a_reason():
+    """List (b) holds only entries kept with a reason, and every kept entry is still listed."""
+    listed = surface.one_value_defaults() + surface.definitions_only_tests_call()
+    assert [row for row in surface.one_value_defaults() if row[2] not in surface.KEPT] == []
+    assert sorted(surface.KEPT) == sorted(row[2] for row in listed)
+
+
+def test_list_b_counts_each_call_by_the_value_it_passes(tmp_path):
+    """Literals and left-out arguments are values; a name or a splat is a second value."""
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "mod.py").write_text(
+        "import dataclasses\n"
+        "def f(a, b=1, *, c=2, d=3, e=4): ...\n"
+        "class Base:\n"
+        "    def __init__(self, x=0, y=0): ...\n"
+        "class Sub(Base):\n"
+        "    def __init__(self):\n"
+        "        super().__init__(5)\n"
+        "class Kid(Base): ...\n"
+        "@dataclasses.dataclass\n"
+        "class Rec:\n"
+        "    p: int = 0\n"
+        "    q: int = 0\n"
+        "    r: int = dataclasses.field(default=0, init=False)\n"
+    )
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "use.py").write_text(
+        "f(0, 1, c=2)\n"
+        "f(0, d=n)\n"
+        "f(0, **kw)\n"
+        "Kid(x=5, y=1)\n"
+        "r = Rec(1)\n"
+        "dataclasses.replace(r, q=2)\n"
+    )
+    rows = surface.one_value_defaults.__wrapped__(tmp_path)
+    assert [name for _path, _line, name in rows] == ["Base(x=)", "Rec.p"]

@@ -11,10 +11,16 @@ carrying its count:
     target, ``+=`` included) that nothing in ``src/``, ``benchmarks/``
     or ``tests/`` reads: no attribute load of that name, and no string
     constant spelling it (``getattr(obj, "name")``);
-(b) keyword-only parameters with a default, of functions under
-    ``src/repro``, that no call in ``src/`` or ``benchmarks/`` passes:
-    no keyword argument of that name, and no string spelling it as a dict
-    key or subscript (parameters that travel in a ``**params`` mapping);
+(b) defaulted parameters of public functions and methods (``__init__``
+    included), and defaulted record fields, under ``src/repro``, whose
+    calls in ``src/``, ``benchmarks/``, ``examples/`` and ``tools/`` use
+    one value.  A call is matched by the callee's name: ``f(...)``,
+    ``x.f(...)``, the class name (or a subclass's, or ``super().__init__``
+    in one) for ``__init__`` parameters and record fields, and
+    ``dataclasses.replace(x, field=...)`` for fields.  A call uses the
+    literal it passes (``ast.literal_eval``), or the default when it
+    leaves the argument out; a non-literal argument, or a ``*``/``**``
+    splat, counts as a second value;
 (c) public functions, methods and classes under ``src/repro`` that
     nothing outside ``tests/`` refers to: no ``Name``, ``Attribute``,
     imported name or identifier string in ``src/``, ``benchmarks/``,
@@ -25,9 +31,10 @@ carrying its count:
 An entry of list (b) or (c) kept on purpose carries its reason
 (:data:`KEPT`).  Names are matched without their owner, so a use of any
 attribute or definition of the same name anywhere keeps an entry off
-lists (a) and (c): the scan can miss a write-only attribute or a
-definition only tests call, but what it lists nothing outside the tests
-uses.  List (c) is the view by name; the view by owner is the list of
+lists (a) and (c), and every call of the same name counts toward list (b):
+the scan can miss a write-only attribute, a definition only tests call or
+a one-value default, but what it lists nothing outside the tests uses, or
+sets to a second value.  List (c) is the view by name; the view by owner is the list of
 functions no test entered that ``tools/unexecuted.py`` prints after its
 line table, each under its ``code.co_qualname`` (``Class.method``), so a
 method that hides behind a same-named definition shows up there.
@@ -41,8 +48,9 @@ class and its bases; every dataclass and ``NamedTuple`` field; every
 table, and each option string as often as ``cli.py`` declares it; then
 lists (a), (b) and (c).  Defaults are rendered from the source with
 ``ast.unparse``, so the text holds no object address and does not depend
-on the Python version or the hash seed.  Each list is scanned once per
-process and cached, so a caller reading one again pays nothing.
+on the Python version or the hash seed.  Each file is parsed and walked
+once per process, every list reads from that one parse, and each list is
+cached, so a caller reading one again pays nothing.
 ``tests/goldens/surface.txt`` is its committed copy and
 ``tests/test_knobs.py`` diffs against it; after an *intended* change
 regenerate it and review the diff::
@@ -55,19 +63,26 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
+import itertools
 import json
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 
 # entries of lists (b) and (c) kept on purpose, and why they stay
 KEPT = {
-    "lint_dataflow(producers_per_partition=)":
-        "examples/design_patterns.py sets it: the Fig. 14 coordination-locality demo",
+    "BlazesApp.spec(strategy=)":
+        "every derivation method takes a strategy, and this one should match",
+    "JsonReporter(directory=)": "an output path",
+    "Partition.symmetric": "schedule dicts, payload goldens and cache keys all spell it",
+    "Trace.timeline(weighted=)":
+        "weighting sums int data, and other events use int data for batch ids",
+    "Node.where(refs=)": "rule data, not a setting",
     "BloomModule.notin()": "the Bloom language's antijoin: no app negates, the engine tests do",
     "FDSet.injectively_determines()":
         "Sec. V-A1's injectivefd whole, closure included: the FD tests fail on a lost "
@@ -75,7 +90,7 @@ KEPT = {
     "digest_cells()": "regenerates the seed pins, seed_digests.json, through the pool",
     "validate_rundir()": "the schema check of a run directory docs/observability.md documents",
 }
-# the trees whose references keep a definition off list (c)
+# the trees whose calls and references lists (b) and (c) read
 CALLERS = ("src", "benchmarks", "tools", "examples")
 # the dunder methods a caller sets values through
 CALLED_DUNDERS = {"__init__", "__new__", "__call__"}
@@ -83,16 +98,23 @@ CALLED_DUNDERS = {"__init__", "__new__", "__call__"}
 RECORD = re.compile(r"(dataclasses\.)?dataclass\b|(typing\.)?NamedTuple$")
 
 
+@functools.cache
+def _parse(path: Path) -> tuple[ast.Module, tuple[ast.AST, ...]]:
+    """``path``'s tree and every node of it, parsed and walked once per process."""
+    tree = ast.parse(path.read_text(), str(path))
+    return tree, tuple(ast.walk(tree))
+
+
 def _trees(*dirs: Path) -> Iterator[tuple[Path, ast.Module]]:
     for directory in dirs:
         for path in sorted(directory.rglob("*.py")):
-            yield path, ast.parse(path.read_text(), str(path))
+            yield path, _parse(path)[0]
 
 
-def _strings(tree: ast.AST) -> Iterator[str]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+def _nodes(*dirs: Path) -> Iterator[tuple[Path, tuple[ast.AST, ...]]]:
+    for directory in dirs:
+        for path in sorted(directory.rglob("*.py")):
+            yield path, _parse(path)[1]
 
 
 @functools.cache
@@ -100,8 +122,8 @@ def unread_attributes(root: Path = ROOT) -> list[tuple[str, int, str]]:
     """``(path, line, name)`` of each attribute stored under ``src/repro``
     that nothing in ``src/``, ``benchmarks/`` or ``tests/`` reads."""
     stores: dict[str, tuple[str, int]] = {}
-    for path, tree in _trees(root / "src" / "repro"):
-        for node in ast.walk(tree):
+    for path, nodes in _nodes(root / "src" / "repro"):
+        for node in nodes:
             if (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.ctx, ast.Store)
@@ -109,46 +131,194 @@ def unread_attributes(root: Path = ROOT) -> list[tuple[str, int, str]]:
             ):
                 stores.setdefault(node.attr, (str(path.relative_to(root)), node.lineno))
     read: set[str] = set()
-    for _path, tree in _trees(root / "src", root / "benchmarks", root / "tests"):
-        for node in ast.walk(tree):
+    for _path, nodes in _nodes(root / "src", root / "benchmarks", root / "tests"):
+        for node in nodes:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-        read.update(_strings(tree))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
     return sorted(
         (path, line, name) for name, (path, line) in stores.items() if name not in read
     )
 
 
+class _Param(NamedTuple):
+    name: str
+    positional: bool
+    key: tuple[str, int, str] | None  # the entry of a defaulted parameter or field
+
+
+def _signature(
+    function: ast.FunctionDef | ast.AsyncFunctionDef, bound: bool, entry: Callable
+) -> list[_Param]:
+    """``function``'s parameters; ``entry(arg, default)`` keys a defaulted one."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    params = [
+        _Param(arg.arg, True, None if default is None else entry(arg.arg, default))
+        for arg, default in zip(positional, defaults)
+    ][1 if bound else 0:]
+    return params + [
+        _Param(arg.arg, False, None if default is None else entry(arg.arg, default))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+    ]
+
+
+def _record(node: ast.ClassDef) -> bool:
+    marks = [ast.unparse(d) for d in node.decorator_list] + [ast.unparse(b) for b in node.bases]
+    return any(RECORD.match(mark) for mark in marks)
+
+
+def _fields(node: ast.ClassDef) -> Iterator[tuple[str, ast.expr | None, bool]]:
+    """``(name, default, settable)`` of each field a record class declares."""
+    for item in node.body:
+        if (
+            isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)
+            and "ClassVar" not in ast.unparse(item.annotation)
+        ):
+            default, settable = item.value, True
+            if isinstance(default, ast.Call) and ast.unparse(default.func).endswith("field"):
+                options = {k.arg: k.value for k in default.keywords}
+                settable = ast.unparse(options.get("init", ast.Constant(True))) != "False"
+                default = options.get("default", options.get("default_factory"))
+            yield item.target.id, default, settable
+
+
+def _value(node: ast.expr) -> tuple[str, str] | None:
+    """The literal ``node`` spells, as its type and ``repr``; ``None`` if it is none."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        return None
+    return type(value).__name__, repr(value)
+
+
 @functools.cache
-def unpassed_keywords(root: Path = ROOT) -> list[tuple[str, int, str]]:
-    """``(path, line, "function(name=)")`` of each keyword-only parameter
-    with a default under ``src/repro`` that no ``src/`` or ``benchmarks/``
-    call passes."""
-    passed: set[str] = set()
-    for _path, tree in _trees(root / "src", root / "benchmarks"):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                passed.update(k.arg for k in node.keywords if k.arg is not None)
-            elif isinstance(node, ast.Dict):
-                passed.update(
-                    key.value
-                    for key in node.keys
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
+def one_value_defaults(root: Path = ROOT) -> list[tuple[str, int, str]]:
+    """``(path, line, name)`` of each defaulted parameter of a public function
+    or method (``__init__`` included), ``"f(p=)"``, ``"Owner.f(p=)"`` or
+    ``"Owner(p=)"``, and of each defaulted record field, ``"Owner.field"``,
+    under ``src/repro``, that every call in :data:`CALLERS` sets to one value."""
+    defaults: dict[tuple[str, int, str], ast.expr] = {}
+    signatures: dict[str, list[list[_Param]]] = {}
+    fields: dict[str, list[tuple[str, int, str]]] = {}  # field name -> its entries
+    classes: dict[str, tuple[list[str], list[_Param] | None, list[_Param] | None]] = {}
+
+    def entry(path: Path, line: int, label: str) -> Callable:
+        """Keys a defaulted parameter ``arg`` as ``label.format(arg)``."""
+        def key(arg: str, default: ast.expr) -> tuple[str, int, str]:
+            key = (str(path.relative_to(root)), line, label.format(arg))
+            defaults[key] = default
+            return key
+        return key
+
+    def scan(path: Path, body: list[ast.stmt], owner: str | None) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                scan(path, node.body, node.name)
+                declared = None
+                if _record(node):
+                    kw_only = "kw_only=True" in "".join(map(ast.unparse, node.decorator_list))
+                    declared = []
+                    for name, default, settable in _fields(node):
+                        key = None
+                        if default is not None and settable:
+                            key = (str(path.relative_to(root)), node.lineno, f"{node.name}.{name}")
+                            defaults[key] = default
+                            fields.setdefault(name, []).append(key)
+                        if settable:
+                            declared.append(_Param(name, not kw_only, key))
+                init = next(
+                    (item for item in node.body
+                     if isinstance(item, ast.FunctionDef) and item.name == "__init__"), None,
                 )
-            elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
-                passed.add(node.slice.value)
-    found = []
+                if init is not None:
+                    init = _signature(init, True, entry(path, init.lineno, f"{node.name}({{}}=)"))
+                bases = [ast.unparse(base).rpartition(".")[2] for base in node.bases]
+                classes[node.name] = (bases, init, declared)
+            elif (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+            ):
+                decorators = [ast.unparse(d) for d in node.decorator_list]
+                if "property" in decorators or any(d.endswith(".setter") for d in decorators):
+                    continue
+                bound = owner is not None and "staticmethod" not in decorators
+                label = f"{owner}.{node.name}({{}}=)" if owner else f"{node.name}({{}}=)"
+                signatures.setdefault(node.name, []).append(
+                    _signature(node, bound, entry(path, node.lineno, label))
+                )
+
     for path, tree in _trees(root / "src" / "repro"):
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scan(path, tree.body, None)
+
+    def constructor(name: str, seen: frozenset = frozenset()) -> list[_Param] | None:
+        """What a call of class ``name`` sets: its ``__init__`` or its fields,
+        a record's after those of its record bases, else its first base's."""
+        if name not in classes or name in seen:
+            return None
+        bases, init, declared = classes[name]
+        if init is not None:
+            return init
+        inherited = [constructor(base, seen | {name}) for base in bases]
+        if declared is None:
+            return next((params for params in inherited if params is not None), None)
+        params = [p for base in inherited if base for p in base]
+        own = {p.name for p in declared}
+        return [p for p in params if p.name not in own] + declared
+
+    for name in classes:
+        if (params := constructor(name)) is not None:
+            signatures.setdefault(name, []).append(params)
+
+    values: dict[tuple[str, int, str], set] = {key: set() for key in defaults}
+    open_ = set()  # entries some call sets to a non-literal, or through a splat
+
+    def set_(key: tuple[str, int, str], node: ast.expr) -> None:
+        value = _value(node)
+        if value is None and node is not defaults[key]:
+            open_.add(key)
+        values[key].add(value)
+
+    for _path, nodes in _nodes(*(root / top for top in CALLERS)):
+        # ``super().__init__(...)`` in a class body calls its first base
+        supers = {
+            id(call): ast.unparse(node.bases[0]).rpartition(".")[2]
+            for node in nodes if isinstance(node, ast.ClassDef) and node.bases
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "super().__init__"
+        }
+        for call in nodes:
+            if not isinstance(call, ast.Call):
                 continue
-            args = node.args
-            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                if default is not None and arg.arg not in passed:
-                    found.append(
-                        (str(path.relative_to(root)), node.lineno, f"{node.name}({arg.arg}=)")
-                    )
-    return sorted(found)
+            func = call.func
+            callee = supers.get(id(call)) or (
+                func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            )
+            splat = any(k.arg is None for k in call.keywords)
+            if callee in ("replace", "_replace"):
+                for keyword in call.keywords:
+                    for key in fields.get(keyword.arg, ()) if keyword.arg else ():
+                        set_(key, keyword.value)
+                if splat:
+                    open_.update(key for keys in fields.values() for key in keys)
+            args = list(itertools.takewhile(lambda a: not isinstance(a, ast.Starred), call.args))
+            splat = splat or len(args) < len(call.args)
+            passed = {k.arg: k.value for k in call.keywords if k.arg is not None}
+            for params in signatures.get(callee, ()):
+                passed_at = dict(zip((p.name for p in params if p.positional), args))
+                for param in params:
+                    if param.key is None:
+                        continue
+                    if param.name in passed or param.name in passed_at:
+                        set_(param.key, passed.get(param.name, passed_at.get(param.name)))
+                    elif splat:
+                        open_.add(param.key)
+                    else:
+                        set_(param.key, defaults[param.key])
+    return sorted(key for key, seen in values.items() if len(seen) == 1 and key not in open_)
 
 
 def _referred(root: Path) -> set[str]:
@@ -162,7 +332,7 @@ def _referred(root: Path) -> set[str]:
             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in statement.targets)
             for node in ast.walk(statement)
         }
-        for node in ast.walk(tree):
+        for node in _parse(path)[1]:
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -256,10 +426,7 @@ def _callables(
 def _record_fields(module: str, tree: ast.Module) -> Iterator[str]:
     """``Class.field[ = default]`` of each dataclass or ``NamedTuple``."""
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        marks = [ast.unparse(d) for d in node.decorator_list] + [ast.unparse(b) for b in node.bases]
-        if not any(RECORD.match(mark) for mark in marks):
+        if not isinstance(node, ast.ClassDef) or not _record(node):
             continue
         for item in node.body:
             if (
@@ -332,7 +499,7 @@ def declared_options() -> list[str]:
         ]
 
     declared = []
-    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+    for node in _parse(SRC / "cli.py")[1]:
         if isinstance(node, ast.Dict):  # a table entry: flag -> keywords
             declared += options(
                 key
@@ -381,7 +548,7 @@ def _settable() -> tuple[int, list[tuple[str, int, list[str]]]]:
 def _lists() -> list[tuple[str, list[tuple[str, int, str]]]]:
     return [
         ("attributes stored and never read", unread_attributes()),
-        ("keyword-only defaults no src/ or benchmarks/ call passes", unpassed_keywords()),
+        ("defaults every call outside tests/ sets to one value", one_value_defaults()),
         ("public definitions nothing outside tests/ refers to", definitions_only_tests_call()),
     ]
 
