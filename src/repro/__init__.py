@@ -17,31 +17,22 @@ A reproduction of Alvaro, Conway, Hellerstein and Maier's Blazes system:
   count and the ad-tracking network.
 """
 
-from repro.core import (
-    AnalysisResult,
-    CoordinationPlan,
-    Dataflow,
-    FDSet,
-    Label,
-    analyze,
-    choose_strategies,
-    load_spec,
-    loads_spec,
-    render_report,
-)
+from repro._lazy import _lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnalysisResult",
-    "CoordinationPlan",
-    "Dataflow",
-    "FDSet",
-    "Label",
-    "analyze",
-    "choose_strategies",
-    "load_spec",
-    "loads_spec",
-    "render_report",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".core": (
+        "AnalysisResult",
+        "CoordinationPlan",
+        "Dataflow",
+        "FDSet",
+        "Label",
+        "analyze",
+        "choose_strategies",
+        "load_spec",
+        "loads_spec",
+        "render_report",
+    ),
+})
+__all__.append("__version__")

@@ -33,7 +33,7 @@ from repro.core.annotations import parse_annotation
 from repro.core.fd import FDSet
 from repro.core.graph import Dataflow
 from repro.core.labels import Label, max_label
-from repro.errors import ApiError
+from repro.errors import ApiError, SocketTimeout
 
 __all__ = ["AuditProfile", "BlazesApp", "RunOutcome", "StrategySpec"]
 
@@ -526,12 +526,11 @@ class BlazesApp:
         discrete-event kernel, the default) or ``"socket"`` (the real TCP
         transport of :mod:`repro.net`).  ``timeout`` bounds a socket run
         in wall seconds — on expiry the services tear down cleanly and
-        :class:`repro.net.services.SocketTimeout` is raised.
+        :class:`repro.errors.SocketTimeout` is raised.
         """
         import time
 
         from repro.net.context import net_config
-        from repro.net.services import SocketTimeout
         from repro.sim.events import run_scope
 
         if self._runner is None:

@@ -35,114 +35,28 @@ See ``docs/chaos.md`` for the observed-vs-predicted mapping to paper
 Figure 8 and Section VII.
 """
 
-from repro.chaos.campaign import (
-    audit_campaign,
-    audit_to_dict,
-    campaign_is_sound,
-    campaign_tightness,
-    demonstrated_anomalies,
-    matrix_apps,
-    matrix_campaign,
-    matrix_is_expected,
-    matrix_summary,
-    out_of_envelope_cells,
-    render_audit,
-    render_matrix,
-    schedule_cell_name,
-)
-from repro.chaos.envelope import (
-    FaultEnvelope,
-    cell_status,
-    order_only_envelope,
-    reliable_sessions_envelope,
-    replay_envelope,
-)
-from repro.chaos.harnesses import AppHarness, audit_apps, harness_for
-from repro.chaos.oracle import (
-    ObservedLabel,
-    OracleVerdict,
-    RunObservation,
-    classify_runs,
-)
-from repro.chaos.schedule import (
-    Crash,
-    Duplicate,
-    FaultSchedule,
-    Loss,
-    Partition,
-    Reorder,
-    baseline,
-    crash_restart,
-    dup_burst,
-    fault_from_dict,
-    fault_kind,
-    fault_to_dict,
-    loss_burst,
-    reorder_burst,
-    schedule_from_dict,
-    schedule_to_dict,
-    split_link,
-)
-from repro.chaos.search import (
-    ShrinkOutcome,
-    composite_schedule,
-    composite_schedules,
-    frontier_campaign,
-    render_frontier,
-    render_search,
-    search_is_sound,
-    shrink_schedule,
-)
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "AppHarness",
-    "Crash",
-    "Duplicate",
-    "FaultEnvelope",
-    "FaultSchedule",
-    "Loss",
-    "ObservedLabel",
-    "OracleVerdict",
-    "Partition",
-    "Reorder",
-    "RunObservation",
-    "ShrinkOutcome",
-    "audit_apps",
-    "audit_campaign",
-    "audit_to_dict",
-    "baseline",
-    "campaign_is_sound",
-    "campaign_tightness",
-    "cell_status",
-    "classify_runs",
-    "composite_schedule",
-    "composite_schedules",
-    "crash_restart",
-    "demonstrated_anomalies",
-    "dup_burst",
-    "fault_from_dict",
-    "fault_kind",
-    "fault_to_dict",
-    "frontier_campaign",
-    "harness_for",
-    "loss_burst",
-    "matrix_apps",
-    "matrix_campaign",
-    "matrix_is_expected",
-    "matrix_summary",
-    "order_only_envelope",
-    "out_of_envelope_cells",
-    "reliable_sessions_envelope",
-    "render_audit",
-    "render_frontier",
-    "render_matrix",
-    "render_search",
-    "reorder_burst",
-    "replay_envelope",
-    "schedule_cell_name",
-    "schedule_from_dict",
-    "schedule_to_dict",
-    "search_is_sound",
-    "shrink_schedule",
-    "split_link",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".campaign": (
+        "audit_campaign", "audit_to_dict", "campaign_is_sound", "campaign_tightness",
+        "demonstrated_anomalies", "matrix_apps", "matrix_campaign", "matrix_is_expected",
+        "matrix_summary", "out_of_envelope_cells", "render_audit", "render_matrix",
+        "schedule_cell_name",
+    ),
+    ".envelope": (
+        "FaultEnvelope", "cell_status", "order_only_envelope", "reliable_sessions_envelope",
+        "replay_envelope",
+    ),
+    ".harnesses": ("AppHarness", "audit_apps", "harness_for"),
+    ".oracle": ("ObservedLabel", "OracleVerdict", "RunObservation", "classify_runs"),
+    ".schedule": (
+        "Crash", "Duplicate", "FaultSchedule", "Loss", "Partition", "Reorder", "baseline",
+        "crash_restart", "dup_burst", "fault_from_dict", "fault_kind", "fault_to_dict",
+        "loss_burst", "reorder_burst", "schedule_from_dict", "schedule_to_dict", "split_link",
+    ),
+    ".search": (
+        "ShrinkOutcome", "composite_schedule", "composite_schedules", "frontier_campaign",
+        "render_frontier", "render_search", "search_is_sound", "shrink_schedule",
+    ),
+})

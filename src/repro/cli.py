@@ -66,7 +66,7 @@ from repro.core import (
     report_to_dict,
 )
 from repro.core.derivation import render_all
-from repro.errors import BlazesError
+from repro.errors import BlazesError, SocketTimeout
 
 __all__ = ["main", "build_parser"]
 
@@ -363,7 +363,6 @@ def _run_app(args, strategy, hub, **runner):
 
 
 def _cmd_run(args) -> int:
-    from repro.net.services import SocketTimeout
     from repro.obs.render import render_outcome
     from repro.obs.rundir import write_rundir
 
@@ -489,7 +488,6 @@ def _cmd_sweep(args) -> int:
     from repro.chaos.campaign import AuditSweep, MatrixSweep
     from repro.chaos.search import FrontierSweep, SearchSweep
     from repro.exec import CellCache, resolve_jobs
-    from repro.net.services import SocketTimeout
 
     _reject_unread_flags(args)
     common = dict(apps=_names(args.apps), smoke=args.smoke, seeds=args.seeds)

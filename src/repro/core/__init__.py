@@ -10,99 +10,27 @@ coordination analysis.  The typical flow is::
     plan = choose_strategies(result)
 """
 
-from repro.core.analysis import AnalysisResult, OutputAnalysis, analyze
-from repro.core.annotations import (
-    CR,
-    CW,
-    OR,
-    OW,
-    STAR,
-    AnnotationKind,
-    PathAnnotation,
-    parse_annotation,
-)
-from repro.core.derivation import render_all, render_output
-from repro.core.fd import FD, FDSet, compatible
-from repro.core.graph import Component, Dataflow, Path, Stream
-from repro.core.inference import DerivationStep, derive_path
-from repro.core.labels import (
-    Async,
-    Diverge,
-    Inst,
-    Label,
-    LabelKind,
-    NDRead,
-    Run,
-    Seal,
-    Taint,
-    max_label,
-    merge_labels,
-)
-from repro.core.patterns import Finding, lint_dataflow
-from repro.core.reconciliation import ReconciliationResult, is_protected, reconcile
-from repro.core.report import plan_to_dict, render_report, report_to_dict
-from repro.core.spec import build_dataflow, dump_spec, load_spec, loads_spec
-from repro.core.strategy import (
-    CoordinationPlan,
-    NoCoordination,
-    OrderStrategy,
-    SealStrategy,
-    choose_strategies,
-    label_under_ordering,
-    ordered_plan,
-)
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "AnalysisResult",
-    "OutputAnalysis",
-    "analyze",
-    "CR",
-    "CW",
-    "OR",
-    "OW",
-    "STAR",
-    "AnnotationKind",
-    "PathAnnotation",
-    "parse_annotation",
-    "render_all",
-    "render_output",
-    "FD",
-    "FDSet",
-    "compatible",
-    "Component",
-    "Dataflow",
-    "Path",
-    "Stream",
-    "DerivationStep",
-    "derive_path",
-    "Async",
-    "Diverge",
-    "Inst",
-    "Label",
-    "LabelKind",
-    "NDRead",
-    "Run",
-    "Seal",
-    "Taint",
-    "max_label",
-    "merge_labels",
-    "Finding",
-    "lint_dataflow",
-    "ReconciliationResult",
-    "is_protected",
-    "reconcile",
-    "plan_to_dict",
-    "render_report",
-    "report_to_dict",
-    "build_dataflow",
-    "dump_spec",
-    "load_spec",
-    "loads_spec",
-    "CoordinationPlan",
-    "NoCoordination",
-    "OrderStrategy",
-    "SealStrategy",
-    "choose_strategies",
-    "label_under_ordering",
-    "ordered_plan",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".analysis": ("AnalysisResult", "OutputAnalysis", "analyze"),
+    ".annotations": (
+        "CR", "CW", "OR", "OW", "STAR", "AnnotationKind", "PathAnnotation", "parse_annotation",
+    ),
+    ".derivation": ("render_all", "render_output"),
+    ".fd": ("FD", "FDSet", "compatible"),
+    ".graph": ("Component", "Dataflow", "Path", "Stream"),
+    ".inference": ("DerivationStep", "derive_path"),
+    ".labels": (
+        "Async", "Diverge", "Inst", "Label", "LabelKind", "NDRead", "Run", "Seal", "Taint",
+        "max_label", "merge_labels",
+    ),
+    ".patterns": ("Finding", "lint_dataflow"),
+    ".reconciliation": ("ReconciliationResult", "is_protected", "reconcile"),
+    ".report": ("plan_to_dict", "render_report", "report_to_dict"),
+    ".spec": ("build_dataflow", "dump_spec", "load_spec", "loads_spec"),
+    ".strategy": (
+        "CoordinationPlan", "NoCoordination", "OrderStrategy", "SealStrategy", "choose_strategies",
+        "label_under_ordering", "ordered_plan",
+    ),
+})

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from typing import Any
 
-import yaml
-
 from repro.core.annotations import parse_annotation
 from repro.core.fd import FDSet
 from repro.core.graph import Dataflow
@@ -51,14 +49,21 @@ _STREAM_LABELS = {
 
 __all__ = ["load_spec", "loads_spec", "dump_spec", "build_dataflow", "parse_endpoint"]
 
-# libyaml's loader (10x faster) when PyYAML has it: the documents are equal
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+def _loader() -> type:
+    """libyaml's loader (10x faster) when PyYAML has it: the documents are
+    equal.  PyYAML is imported here, at its first use, not with the module."""
+    import yaml
+
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def loads_spec(text: str) -> tuple[Dataflow, FDSet]:
     """Parse a spec document from a string."""
+    import yaml
+
     try:
-        document = yaml.load(text, Loader=_LOADER)
+        document = yaml.load(text, Loader=_loader())
     except yaml.YAMLError as exc:
         raise SpecError(f"invalid YAML: {exc}") from exc
     if not isinstance(document, dict):
@@ -213,6 +218,8 @@ def _dump_endpoint(endpoint: tuple[str, str]) -> Any:
 
 def dump_spec(dataflow: Dataflow, fds: FDSet | None = None) -> str:
     """Serialize a dataflow (and optional FDs) back to spec YAML."""
+    import yaml
+
     components: dict[str, Any] = {}
     for component in dataflow.components:
         annotations = []

@@ -34,6 +34,24 @@ class SimulationError(BlazesError):
     """The discrete-event simulator was driven into an invalid state."""
 
 
+class SocketTimeout(SimulationError):
+    """A socket run exceeded its wall-clock budget and was torn down."""
+
+    def __init__(
+        self, *, timeout: float, virtual_time: float, fired: int, pending: int
+    ) -> None:
+        super().__init__(
+            f"socket run exceeded its {timeout}s wall-clock budget "
+            f"(virtual time {virtual_time:.4f}, {fired} events fired, "
+            f"{pending} timers pending)"
+        )
+        self.timeout = timeout
+        self.virtual_time = virtual_time
+        self.fired = fired
+        self.pending = pending
+        self.outcome = None  # the partial RunOutcome; BlazesApp.run attaches it
+
+
 class BloomError(BlazesError):
     """A Bloom program is malformed (unknown collection, arity mismatch,
     illegal merge operator, and so on)."""

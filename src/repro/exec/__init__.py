@@ -8,24 +8,11 @@ pool of warm workers, and the merged report is byte-identical to a serial
 uncached run.  See ``docs/performance.md``.
 """
 
-from repro.exec.cache import CACHE_SCHEMA_VERSION, CellCache, default_cache_dir
-from repro.exec.canon import canonical, canonical_json, content_digest
-from repro.exec.engine import JOBS_ENV, bench_cache_fields, evaluate, read_engine_stats, resolve_jobs
-from repro.exec.pool import WorkerPool, shared_pool, shutdown_shared_pool
+from repro._lazy import _lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "CellCache",
-    "JOBS_ENV",
-    "WorkerPool",
-    "bench_cache_fields",
-    "canonical",
-    "canonical_json",
-    "content_digest",
-    "default_cache_dir",
-    "evaluate",
-    "read_engine_stats",
-    "resolve_jobs",
-    "shared_pool",
-    "shutdown_shared_pool",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".cache": ("CACHE_SCHEMA_VERSION", "CellCache", "default_cache_dir"),
+    ".canon": ("canonical", "canonical_json", "content_digest"),
+    ".engine": ("JOBS_ENV", "bench_cache_fields", "evaluate", "read_engine_stats", "resolve_jobs"),
+    ".pool": ("WorkerPool", "shared_pool", "shutdown_shared_pool"),
+})

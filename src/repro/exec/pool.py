@@ -24,31 +24,30 @@ pool per process:
 The start method is ``fork`` where available (workers inherit the warm
 parent image outright) and ``spawn`` elsewhere; cells are self-contained
 and re-seed their own simulated clusters, so results are identical under
-either method.
+either method.  ``multiprocessing`` and ``concurrent.futures`` are
+imported where the pool is built and driven, so a process that never
+dispatches to a pool never loads them.
 """
 
 from __future__ import annotations
 
 import atexit
 import importlib
-import multiprocessing
 import os
 import time
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ExecError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["PRELOAD", "WorkerPool", "shared_pool", "shutdown_shared_pool", "time_cell"]
 
 # Modules every worker imports on spawn: the library root plus the
 # registries the campaign and the benchmarks resolve apps through.
 PRELOAD = ("repro", "repro.apps", "repro.chaos.campaign")
-
-
-def _start_method() -> str:
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 def _warm_worker(modules: Sequence[str]) -> None:
@@ -148,7 +147,11 @@ class WorkerPool:
 
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            context = multiprocessing.get_context(_start_method())
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+            context = multiprocessing.get_context(method)
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=context,
@@ -187,6 +190,8 @@ class WorkerPool:
         A worker that dies takes the executor with it: the pool drops it,
         so the next dispatch respawns, and raises :class:`ExecError`.
         """
+        from concurrent.futures import BrokenExecutor, as_completed
+
         tasks = list(enumerate(param_list))
         if not tasks:
             return [], _block(self.jobs, 0, 0.0, [])

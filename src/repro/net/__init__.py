@@ -28,6 +28,6 @@ which transport carried the messages (see ``docs/transport.md``).
 """
 
 from repro.net.context import NetConfig
-from repro.net.services import SocketTimeout
+from repro.errors import SocketTimeout
 
 __all__ = ["NetConfig", "SocketTimeout"]

@@ -36,7 +36,7 @@ class NetConfig:
     the sampled per-message latencies (a few ms) far above loopback
     jitter.  ``timeout`` is the wall-clock budget for one run; on expiry
     the services tear down cleanly and
-    :class:`~repro.net.services.SocketTimeout` is raised.
+    :class:`~repro.errors.SocketTimeout` is raised.
     """
 
     host: str = "127.0.0.1"

@@ -41,7 +41,7 @@ import math
 from collections.abc import Callable
 from typing import Any
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SocketTimeout
 from repro.net import frames
 from repro.net.context import NetConfig
 from repro.net.transport import TcpTransport
@@ -50,24 +50,6 @@ from repro.sim.events import _TIME, EventHandle, Simulator
 from repro.sim.network import Message, Network
 
 __all__ = ["NetSimulator", "SocketNetwork", "SocketTimeout"]
-
-
-class SocketTimeout(SimulationError):
-    """A socket run exceeded its wall-clock budget and was torn down."""
-
-    def __init__(
-        self, *, timeout: float, virtual_time: float, fired: int, pending: int
-    ) -> None:
-        super().__init__(
-            f"socket run exceeded its {timeout}s wall-clock budget "
-            f"(virtual time {virtual_time:.4f}, {fired} events fired, "
-            f"{pending} timers pending)"
-        )
-        self.timeout = timeout
-        self.virtual_time = virtual_time
-        self.fired = fired
-        self.pending = pending
-        self.outcome = None  # the partial RunOutcome; BlazesApp.run attaches it
 
 
 class NetSimulator(Simulator):

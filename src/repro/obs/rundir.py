@@ -79,7 +79,7 @@ def write_rundir(directory: str | Path, outcome) -> Path:
     The coordcost block of the hub the outcome was run with
     (``outcome.telemetry``) lands in ``coordcost.json`` and its span
     tracker (when tracing) in ``spans.jsonl``.  Handed the
-    :class:`~repro.net.services.SocketTimeout` of a socket run torn down
+    :class:`~repro.errors.SocketTimeout` of a socket run torn down
     at its wall-clock budget instead, it archives the partial outcome the
     exception carries — how far the run got — and marks ``meta.json``
     ``timed_out``.

@@ -146,7 +146,7 @@ def test_the_c_loader_and_the_python_loader_parse_every_dumped_spec_alike():
     from repro.core import CW, OW, Dataflow
     from repro.core import spec as spec_module
 
-    assert spec_module._LOADER is yaml.CSafeLoader
+    assert spec_module._loader() is yaml.CSafeLoader
     texts = [
         get_app(name).spec(strategy)
         for name in app_names()

@@ -194,3 +194,18 @@ def test_list_b_counts_each_call_by_the_value_it_passes(tmp_path):
     )
     rows = surface.one_value_defaults.__wrapped__(tmp_path)
     assert [name for _path, _line, name in rows] == ["Base(x=)", "Rec.p"]
+
+
+def test_list_c_does_not_count_a_lazy_packages_reexport_table(tmp_path):
+    """The names a lazy ``__init__`` re-exports are not uses, as an ``__all__`` list is not."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from repro._lazy import _lazy_exports\n"
+        "__all__, __getattr__, __dir__ = _lazy_exports(__name__, {'.mod': ('only_tests', 'used')})\n"
+    )
+    (package / "mod.py").write_text("def only_tests(): ...\ndef used(): ...\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "use.py").write_text("from repro import used\n")
+    rows = surface.definitions_only_tests_call.__wrapped__(tmp_path)
+    assert [name for _path, _line, name in rows] == ["only_tests()"]

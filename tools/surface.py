@@ -25,7 +25,8 @@ carrying its count:
     nothing outside ``tests/`` refers to: no ``Name``, ``Attribute``,
     imported name or identifier string in ``src/``, ``benchmarks/``,
     ``tools/`` or ``examples/`` spells them, where an ``__init__.py``
-    import (a re-export) and an ``__all__`` list do not count;
+    import (a re-export) and the statement assigning ``__all__`` (a list,
+    or a lazy package's re-export table) do not count;
 ``settable values``: the manifest's total.
 
 An entry of list (b) or (c) kept on purpose carries its reason
@@ -329,7 +330,11 @@ def _referred(root: Path) -> set[str]:
             id(node)
             for statement in tree.body
             if isinstance(statement, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in statement.targets)
+            and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for target in statement.targets
+                for t in ast.walk(target)
+            )
             for node in ast.walk(statement)
         }
         for node in _parse(path)[1]:
