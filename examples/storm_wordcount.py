@@ -12,13 +12,6 @@ Run:  python examples/storm_wordcount.py
 from repro.api import get_app
 
 
-def committed_store(cluster):
-    store = {}
-    for name in cluster.acker_tasks:
-        store.update(cluster.bolt_task(name).bolt.store)
-    return store
-
-
 def main() -> None:
     app = get_app("wordcount")
     print("Blazes verdict for the sealed topology:")
@@ -38,10 +31,11 @@ def main() -> None:
     sealed, sealed_cluster = sealed_outcome.result, sealed_outcome.cluster
     txn, txn_cluster = txn_outcome.result, txn_outcome.cluster
 
-    assert committed_store(sealed_cluster) == committed_store(txn_cluster), (
+    committed = sealed_cluster.committed_store()
+    assert committed == txn_cluster.committed_store(), (
         "both deployments must commit identical counts"
     )
-    print(f"  committed (word, batch) pairs: {len(committed_store(sealed_cluster))}"
+    print(f"  committed (word, batch) pairs: {len(committed)}"
           f" — identical in both deployments")
     print()
     print(f"  {'deployment':<16} {'sim time':>10} {'throughput':>14} {'latency':>10}")

@@ -144,14 +144,22 @@ class AuditProfile:
     coordinated and one uncoordinated); ``schedules`` the fault
     schedules inside the app's fault-tolerance envelope (the same at
     every tier); ``horizon`` the virtual-time scale normalized schedules
-    stretch over;
-    ``run_params(smoke)`` the workload kwargs for ``app.run``;
-    ``roles(cluster)`` resolves the schedule role vocabulary (``worker`` /
-    ``source`` / ``client`` / ...) to process names on a built cluster;
-    ``observe(outcome, params)`` extracts the
-    :class:`~repro.chaos.oracle.RunObservation` the oracle classifies.
-    ``workload_seed`` pins the generated workload so different network
-    seeds explore delivery interleavings of one input set.
+    stretch over; ``run_params(smoke)`` the workload kwargs for
+    ``app.run``, with the ``workload_seed`` that pins the generated
+    workload so different network seeds explore delivery interleavings
+    of one input set.
+
+    What a run is observed by is declared (:mod:`repro.chaos.harnesses`
+    reads it): ``roles`` maps the schedule role vocabulary (``worker`` /
+    ``source`` / ``client`` / ...) to a process name, bare or indexed
+    (``"analyst"`` names ``analyst``, ``"report"`` names ``report0``,
+    ``report1``, ..., ``"Count"`` the Storm tasks ``Count#0``, ...); a
+    Bloom app declares ``committed = (role, {table: tag})``, the tables
+    each of the role's processes commits, each row prefixed by its tag
+    (``None``: kept as is), and ``emitted = (role, output_interface)``,
+    whose history each emits.  A Storm app declares neither: its one
+    replica is its terminal bolt's merged store.  ``truth(outcome, params)``
+    is the ground-truth committed set (``None``: no exactly-once contract).
 
     ``envelope`` declares the app's fault-tolerance assumptions as a
     :class:`~repro.chaos.envelope.FaultEnvelope`; the campaign classifies
@@ -164,9 +172,10 @@ class AuditProfile:
     horizon: float
     schedules: tuple
     run_params: Callable[[bool], dict[str, Any]]
-    roles: Callable[[Any], dict[str, list[str]]]
-    observe: Callable[[RunOutcome, dict[str, Any]], Any]
-    workload_seed: int = 0
+    roles: Mapping[str, str]
+    truth: Callable[[RunOutcome, dict[str, Any]], Any]
+    committed: tuple[str, Mapping[str, str | None]] | None = None
+    emitted: tuple[str, str] | None = None
     envelope: Any = None
 
 
@@ -324,6 +333,15 @@ class BlazesApp:
                 f"of fault schedules, got {type(schedules).__name__}"
             )
         profile = AuditProfile(**{**kwargs, "schedules": tuple(schedules)})
+        # a Bloom profile declares both; a Storm one neither (its replica is one store)
+        declared = [d for d in (profile.committed, profile.emitted) if d is not None]
+        if len(declared) != 2 * (self.backend == "bloom") or any(
+            role not in profile.roles for role, _ in declared
+        ):
+            raise ApiError(
+                f"app {self.name!r}: a Bloom audit profile, and only a Bloom one, "
+                f"declares what a role's replicas commit and emit (committed=, emitted=)"
+            )
         for strategy in profile.strategies:
             self.strategy_spec(strategy)  # validates the names
         if profile.envelope is not None:

@@ -36,9 +36,8 @@ from repro.apps.queries import (
     CacheTier,
     default_query_kwargs,
     figure4_app,
+    REPORT_OBSERVED,
     make_report_module,
-    report_observe,
-    report_roles,
 )
 from repro.apps.source import PlannedSource, check_workload, runner_workload
 from repro.chaos.envelope import order_only_envelope
@@ -48,7 +47,7 @@ from repro.bloom.rewrite import SealedInputAdapter, apply_strategy
 from repro.coord.sealing import DATA as SEAL_DATA
 from repro.coord.sealing import PUNCT as SEAL_PUNCT
 from repro.coord.sealing import registry_path
-from repro.coord.zookeeper import install_zookeeper, recorded_order
+from repro.coord.zookeeper import install_zookeeper
 from repro.core.strategy import NoCoordination, SealStrategy
 from repro.errors import BloomError, SimulationError
 from repro.sim.network import LatencyModel
@@ -208,32 +207,6 @@ class AdNetworkResult:
             "completion_time": self.completion_time,
             "replicas_agree": self.replicas_agree,
         }
-
-    # ------------------------------------------------------------------
-    # chaos-audit hooks: quiescent state, ground truth, decision log
-    # ------------------------------------------------------------------
-    def sequencer_order(self) -> tuple:
-        """The recorded sequencer order (empty unless the run was ordered):
-        the decision log the order-conditioned oracle conditions cross-run
-        comparisons on."""
-        return recorded_order(self.cluster.trace, ORDER_TOPIC)
-
-    def committed_state(self, node: str) -> frozenset[tuple]:
-        """A replica's durable state at quiescence, tagged by table."""
-        replica = self.cluster.node(node)
-        return frozenset(
-            {("click", *row) for row in replica.read("clicks")}
-            | {("request", *row) for row in replica.read("requests")}
-        )
-
-    def ground_truth_state(self) -> frozenset[tuple]:
-        """What every replica *should* have committed: all planned input."""
-        rows: set[tuple] = set()
-        for process in self.cluster.network.processes:
-            if isinstance(process, PlannedSource):
-                rows.update(("click", *row) for row in process.rows)
-                rows.update(("request", *row) for row in process.asks)
-        return frozenset(rows)
 
 
 def run_ad_network(
@@ -465,6 +438,7 @@ def _audit_run_params(smoke: bool) -> dict:
     return {
         "workload": workload,
         "query_kwargs": default_query_kwargs("CAMPAIGN", workload),
+        "workload_seed": 7,
     }
 
 
@@ -504,9 +478,7 @@ APP = register(
         horizon=0.4,
         schedules=_AUDIT_SCHEDULES,
         run_params=_audit_run_params,
-        roles=report_roles,
-        observe=report_observe,
-        workload_seed=7,
         envelope=order_only_envelope(),
+        **REPORT_OBSERVED,
     )
 )

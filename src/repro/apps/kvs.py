@@ -29,7 +29,7 @@ from repro.bloom.module import BloomModule
 from repro.bloom.rewrite import SealedInputAdapter, apply_strategy
 from repro.coord.sealing import DATA as SEAL_DATA
 from repro.coord.sealing import PUNCT as SEAL_PUNCT
-from repro.coord.zookeeper import install_zookeeper, recorded_order
+from repro.coord.zookeeper import install_zookeeper
 from repro.core.strategy import OrderStrategy
 from repro.sim.network import LatencyModel
 
@@ -252,7 +252,7 @@ class SealedKvsAdapter(SealedInputAdapter):
 
 @dataclasses.dataclass
 class KvsResult:
-    """Outcome of one KVS run (chaos-audit hooks included)."""
+    """Outcome of one KVS run."""
 
     strategy: str
     workload: KvsWorkload
@@ -268,10 +268,6 @@ class KvsResult:
         """A store replica's accumulated write set at quiescence."""
         return self.cluster.node(node).read("writes")
 
-    def responses(self, node: str) -> frozenset[tuple]:
-        """Every GET response a store replica ever emitted."""
-        return self.cluster.node(node).output_history("getr")
-
     @property
     def stores_converged(self) -> bool:
         """LWW convergence: do the store replicas hold one write set?"""
@@ -283,18 +279,6 @@ class KvsResult:
         """Confluence: did the cache replicas pin the same responses?"""
         sets = [self.cache_entries(node) for node in self.cache_nodes]
         return all(s == sets[0] for s in sets[1:])
-
-    def ground_truth_cache(self) -> frozenset[tuple]:
-        """Deterministic expectation: every get answered with the final
-        LWW winner of its key (what the sealed deployment commits)."""
-        winners = self.workload.winners()
-        client = self.cluster.network.process(CLIENT)
-        assert isinstance(client, PlannedSource)
-        return frozenset((reqid, key, winners[key]) for reqid, key in client.asks)
-
-    def sequencer_order(self) -> tuple:
-        """The recorded sequencer order (empty unless the run was ordered)."""
-        return recorded_order(self.cluster.trace, KVS_ORDER_TOPIC)
 
 
 def run_kvs(
@@ -410,38 +394,17 @@ def _audit_run_params(smoke: bool) -> dict:
             keys=4 if smoke else 6,
             writes_per_key=5 if smoke else 6,
             gets=10 if smoke else 16,
-        )
+        ),
+        "workload_seed": 7,
     }
 
 
-def _audit_roles(cluster: BloomCluster) -> dict[str, list[str]]:
-    names = sorted(process.name for process in cluster.network.processes)
-    return {
-        "worker": [n for n in names if n.startswith("store")],
-        "cache": [n for n in names if n.startswith("cache")],
-        "client": [n for n in names if n == CLIENT],
-    }
-
-
-def _audit_observe(outcome, _params: dict):
-    from repro.chaos.oracle import RunObservation
-
-    result: KvsResult = outcome.result
-    # Replica ``i`` is the store{i}/cache{i} pair: its committed state is
-    # what the cache pinned, its emitted history the store's GET responses.
-    return RunObservation(
-        seed=outcome.seed,
-        committed={
-            f"replica{i}": result.cache_entries(cache)
-            for i, cache in enumerate(result.cache_nodes)
-        },
-        emitted={
-            f"replica{i}": result.responses(store)
-            for i, store in enumerate(result.store_nodes)
-        },
-        truth=result.ground_truth_cache(),
-        order=result.sequencer_order() or None,
-    )
+def _audit_truth(outcome, _params: dict) -> frozenset:
+    """Every get answered with the final LWW winner of its key: what the
+    sealed deployment pins in each cache."""
+    winners = outcome.result.workload.winners()
+    client = outcome.cluster.network.process(CLIENT)
+    return frozenset((reqid, key, winners[key]) for reqid, key in client.asks)
 
 
 APP = register(
@@ -480,9 +443,12 @@ APP = register(
         horizon=0.12,
         schedules=_AUDIT_SCHEDULES,
         run_params=_audit_run_params,
-        roles=_audit_roles,
-        observe=_audit_observe,
-        workload_seed=7,
+        roles={"worker": "store", "cache": "cache", "client": CLIENT},
+        # replica i is the store{i}/cache{i} pair: what the cache pinned,
+        # and the store's GET responses
+        committed=("cache", {"entries": None}),
+        emitted=("worker", "getr"),
+        truth=_audit_truth,
         # reliable (TCP-like) sessions with no crash recovery path: only
         # order-perturbing faults and healing partitions are in scope —
         # duplication is exempted by the reliable channels themselves and

@@ -34,6 +34,7 @@ from __future__ import annotations
 import inspect
 
 from repro.api import BlazesApp, annotate, register
+from repro.apps.source import PlannedSource
 from repro.bloom.module import BloomModule
 from repro.chaos.envelope import reliable_sessions_envelope
 from repro.chaos.schedule import baseline, crash_restart, dup_burst, reorder_burst
@@ -312,6 +313,7 @@ def _matrix_run_params(query: str):
         return {
             "workload": workload,
             "query_kwargs": default_query_kwargs(query, workload),
+            "workload_seed": 7,
         }
 
     return run_params
@@ -326,30 +328,26 @@ def _matrix_run_params(query: str):
 _MATRIX_SCHEDULES = (baseline(), reorder_burst(), dup_burst(), crash_restart())
 
 
-def report_roles(cluster) -> dict[str, list[str]]:
-    """Audit roles of an ad-network deployment, by process name."""
-    names = sorted(process.name for process in cluster.network.processes)
-    return {
-        "worker": [n for n in names if n.startswith("report")],
-        "source": [n for n in names if n.startswith("adserver")],
-        "client": [n for n in names if n == "analyst"],
-    }
+def _planned_input(outcome, _params: dict) -> frozenset:
+    """What every report replica should commit: all planned input, tagged
+    as the replicas' tables are (``REPORT_OBSERVED``)."""
+    rows: set[tuple] = set()
+    for process in outcome.cluster.network.processes:
+        if isinstance(process, PlannedSource):
+            rows.update(("click", *row) for row in process.rows)
+            rows.update(("request", *row) for row in process.asks)
+    return frozenset(rows)
 
 
-def report_observe(outcome, _params: dict):
-    """The oracle's view of one ad-network run (an ``AdNetworkResult``)."""
-    from repro.chaos.oracle import RunObservation
-
-    result = outcome.result
-    return RunObservation(
-        seed=outcome.seed,
-        committed={
-            node: result.committed_state(node) for node in result.report_nodes
-        },
-        emitted={node: result.responses(node) for node in result.report_nodes},
-        truth=result.ground_truth_state(),
-        order=result.sequencer_order() or None,
-    )
+# How the audit observes an ad-network deployment (adnet and the q-apps):
+# each report replica commits its click and request logs and emits its
+# responses; the ground truth is every planned input row.
+REPORT_OBSERVED = {
+    "roles": {"worker": "report", "source": "adserver", "client": "analyst"},
+    "committed": ("worker", {"clicks": "click", "requests": "request"}),
+    "emitted": ("worker", "response"),
+    "truth": _planned_input,
+}
 
 
 def _build_query_app(name: str, query: str) -> BlazesApp:
@@ -387,10 +385,8 @@ def _build_query_app(name: str, query: str) -> BlazesApp:
             horizon=0.3,
             schedules=_MATRIX_SCHEDULES,
             run_params=_matrix_run_params(query),
-            roles=report_roles,
-            observe=report_observe,
-            workload_seed=7,
             envelope=reliable_sessions_envelope(),
+            **REPORT_OBSERVED,
         )
     )
 

@@ -46,7 +46,6 @@ __all__ = [
     "run_wordcount",
     "reference_counts",
     "eager_reference_totals",
-    "committed_store",
 ]
 
 
@@ -299,25 +298,6 @@ def eager_reference_totals(
     return totals
 
 
-def committed_store(cluster: StormCluster) -> dict:
-    """Merge the terminal bolt's per-task stores (quiescence hook).
-
-    Works for both variants: keys are ``(word, batch)`` for the sealed
-    topology and bare ``word`` for the eager one.  Key spaces must be
-    disjoint across tasks (fields grouping guarantees it).
-    """
-    store: dict = {}
-    for name in cluster.acker_tasks:
-        task = cluster.bolt_task(name)
-        overlap = set(store) & set(task.bolt.store)
-        if overlap:
-            raise AssertionError(
-                f"same key committed on two tasks: {sorted(overlap)[:5]}"
-            )
-        store.update(task.bolt.store)
-    return store
-
-
 def run_wordcount(
     *,
     workers: int = 5,
@@ -421,47 +401,19 @@ def _audit_run_params(smoke: bool) -> dict:
         "batch_size": 10 if smoke else 12,
         "replay_timeout": 0.6,
         "max_events": 2_000_000,
+        "workload_seed": 0,
     }
 
 
-def _audit_roles(cluster: StormCluster) -> dict[str, list[str]]:
-    return {
-        "source": list(cluster.task_names("tweets")),
-        "splitter": list(cluster.task_names("Splitter")),
-        "worker": list(cluster.task_names("Count")),
-        "sink": list(cluster.task_names("Commit")),
-    }
-
-
-def _audit_observe(outcome, params: dict):
-    from repro.chaos.oracle import RunObservation
-
-    store = committed_store(outcome.cluster)
-    total_batches = params["total_batches"]
-    batch_size = params["batch_size"]
-    workload_seed = params["workload_seed"]
+def _audit_truth(outcome, params: dict) -> frozenset:
+    """What an exactly-once run commits, as the rows the harness reads off
+    the store: ``(word, batch, count)``, or ``(word, total)`` when eager."""
+    workload = params["total_batches"], params["batch_size"], params["workload_seed"]
     if outcome.strategy == "eager":
-        rows = frozenset(store.items())
-        truth = frozenset(
-            eager_reference_totals(total_batches, batch_size, workload_seed).items()
-        )
-    else:
-        rows = frozenset(
-            (word, batch, count) for (word, batch), count in store.items()
-        )
-        truth = frozenset(
-            (word, batch, count)
-            for (word, batch), count in reference_counts(
-                total_batches, batch_size, workload_seed
-            ).items()
-        )
-    # one logical store (sharded, not replicated): replica checks are
-    # vacuous; the oracle's cross-run and ground-truth checks carry it
-    return RunObservation(
-        seed=outcome.seed,
-        committed={"store": rows},
-        emitted={"store": rows},
-        truth=truth,
+        return frozenset(eager_reference_totals(*workload).items())
+    return frozenset(
+        (word, batch, count)
+        for (word, batch), count in reference_counts(*workload).items()
     )
 
 
@@ -502,9 +454,8 @@ APP = register(
         horizon=0.03,
         schedules=_AUDIT_SCHEDULES,
         run_params=_audit_run_params,
-        roles=_audit_roles,
-        observe=_audit_observe,
-        workload_seed=0,
+        roles={"source": "tweets", "splitter": "Splitter", "worker": "Count", "sink": "Commit"},
+        truth=_audit_truth,
         envelope=replay_envelope(),
     )
 )

@@ -171,10 +171,10 @@ def _cell_cache_fields(scenario: Scenario) -> dict:
     """The content-address fields of one audit cell.
 
     The schedule enters as the digest of its *compiled* (horizon-scaled)
-    faults, and the harness's runner kwargs (run params + workload seed)
-    as their own digest — so renaming a schedule does not invalidate the
-    cache, while changing any fault timing, the horizon, or the workload
-    does.  Inline (searched/composite) schedules digest identically to
+    faults, and the harness's runner kwargs (its run params, the workload
+    seed among them) as their own digest — so renaming a schedule does
+    not invalidate the cache, while changing any fault timing, the
+    horizon, or the workload does.  Inline (searched/composite) schedules digest identically to
     library ones with the same faults, so shrink steps that revisit a
     schedule — or rediscover a library schedule — hit the same entries.
     """
@@ -183,8 +183,6 @@ def _cell_cache_fields(scenario: Scenario) -> dict:
     params = scenario.params
     harness = harness_for(params["app"], smoke=params["smoke"])
     sched = _cell_schedule(harness, params["schedule"], params.get("schedule_spec"))
-    run_params = dict(harness.profile.run_params(params["smoke"]))
-    run_params["workload_seed"] = harness.profile.workload_seed
     return {
         "kind": "audit-cell",
         "app": params["app"],
@@ -193,7 +191,7 @@ def _cell_cache_fields(scenario: Scenario) -> dict:
         "horizon": harness.horizon,
         "smoke": params["smoke"],
         "seeds": list(params["seeds"]),
-        "runner": kwargs_digest(run_params),
+        "runner": kwargs_digest(harness.profile.run_params(params["smoke"])),
         "backend": params.get("backend", "sim"),
     }
 

@@ -9,12 +9,16 @@ adapter left: it reads the app's :class:`~repro.api.AuditProfile` and
 * takes **predictions** from ``app.analyze(strategy)`` — the same label
   analysis ``blazes analyze`` prints, on the same derived dataflow;
 * **executes** one (strategy, schedule, seed) cell through ``app.run``,
-  arming the fault schedule via the runner's ``chaos`` hook with roles
-  resolved by the profile (``worker`` is a stateful processing replica,
-  ``source`` a producer, ``client`` the request driver, ``splitter`` /
-  ``sink`` / ``cache`` app-specific stages);
-* **observes** the finished run through the profile's extractor, yielding
-  the :class:`~repro.chaos.oracle.RunObservation` the oracle classifies.
+  arming the fault schedule via the runner's ``chaos`` hook with each
+  role it targets (``worker`` is a stateful processing replica, ``source``
+  a producer, ``client`` the request driver, ``splitter`` / ``sink`` /
+  ``cache`` app-specific stages) resolved once per run through the
+  profile's ``roles``;
+* **observes** the finished run through the profile's declarations
+  (:func:`replicas`, which takes a cluster, not an app), the app's
+  ``truth`` and, for an ordered strategy, the sequencer order recorded on
+  its ``order_topic``, yielding the
+  :class:`~repro.chaos.oracle.RunObservation` the oracle classifies.
 
 ``harness_for(name)`` resolves the app registry, so the campaign sweeps
 whatever is registered — no per-app code lives here anymore.
@@ -22,12 +26,15 @@ whatever is registered — no per-app code lives here anymore.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from repro.chaos.oracle import RunObservation
 from repro.chaos.schedule import FaultSchedule
+from repro.coord.zookeeper import recorded_order
 from repro.core.labels import Label
 from repro.errors import ApiError, SimulationError
 
-__all__ = ["AppHarness", "audit_apps", "harness_for"]
+__all__ = ["AppHarness", "audit_apps", "harness_for", "replicas"]
 
 
 class AppHarness:
@@ -101,12 +108,9 @@ class AppHarness:
         (the oracle uses it to attach causal slices to anomaly verdicts)
         and the outcome's metrics embed the run's ``coordcost`` block.
         """
-        import dataclasses
-
         from repro.obs.telemetry import Telemetry
 
-        params = dict(self.profile.run_params(self.smoke))
-        params["workload_seed"] = self.profile.workload_seed
+        params = self.profile.run_params(self.smoke)
         hub = Telemetry(spans=True)
         outcome = self.app.run(
             strategy,
@@ -117,9 +121,15 @@ class AppHarness:
             timeout=self.timeout,
             **params,
         )
-        observation = self.profile.observe(outcome, params)
-        if observation.spans is None:
-            observation = dataclasses.replace(observation, spans=hub.spans)
+        spec = self.app.strategy_spec(strategy)
+        order = spec.ordered and recorded_order(outcome.cluster.trace, spec.order_topic)
+        observation = RunObservation(
+            seed,
+            *replicas(outcome.cluster, self.profile),
+            truth=self.profile.truth(outcome, params),
+            order=order or None,
+            spans=hub.spans,
+        )
         return observation, outcome
 
     def schedule_named(self, name: str) -> FaultSchedule:
@@ -136,21 +146,79 @@ class AppHarness:
         scaled = schedule.scaled(self.horizon)
 
         def arm(cluster) -> None:
-            roles = self.profile.roles(cluster)
+            # each declared role resolved once per run, not once per fault
+            processes = {r: _processes(cluster, n) for r, n in self.profile.roles.items()}
 
             def resolve(role: str, index: int) -> str:
                 try:
-                    names = roles[role]
+                    names = processes[role]
                 except KeyError:
                     raise SimulationError(
                         f"harness {self.name!r} has no role {role!r}; "
-                        f"have {sorted(roles)}"
+                        f"have {sorted(processes)}"
                     ) from None
                 return names[index % len(names)]
 
             scaled.apply(cluster.network, resolve)
 
         return arm
+
+
+def _processes(cluster, name: str) -> list[str]:
+    """The processes a role's declared ``name`` names: the process called
+    ``name``, else ``name0``, ``name1``, ... (or ``name#0``, ...) by index."""
+    names = [process.name for process in cluster.network.processes]
+    if name in names:
+        return [name]
+    indexed = []
+    for process in names:
+        if process.startswith(name):
+            index = process[len(name):].removeprefix("#")
+            if index.isdigit():
+                indexed.append((int(index), process))
+    if not indexed:
+        raise SimulationError(f"no process is named {name!r} or {name!r} + index")
+    return [process for _index, process in sorted(indexed)]
+
+
+def _tagged(node, tables: Mapping[str, str | None]) -> frozenset:
+    """A Bloom node's committed rows: each table's rows under its tag."""
+    return frozenset(
+        row if tag is None else (tag, *row)
+        for table, tag in tables.items()
+        for row in node.read(table)
+    )
+
+
+def replicas(cluster, profile) -> tuple[dict[str, frozenset], dict[str, frozenset]]:
+    """``(committed, emitted)`` rows per replica of a finished run, read
+    off ``cluster`` through ``profile``'s ``roles``, ``committed`` and
+    ``emitted`` (see :class:`~repro.api.AuditProfile`).
+
+    A process is its own replica when one role holds both; otherwise
+    replica ``i`` pairs the two roles' ``i``-th processes.  Without a
+    ``committed`` declaration the cluster is a Storm one: its one replica,
+    ``store``, is the terminal bolt's merged store, ``key -> count`` read
+    as the row ``(*key, count)``.
+    """
+    if profile.committed is None:
+        rows = frozenset(
+            (*key, count) if isinstance(key, tuple) else (key, count)
+            for key, count in cluster.committed_store().items()
+        )
+        return {"store": rows}, {"store": rows}
+    (holding, tables), (emitting, interface) = profile.committed, profile.emitted
+
+    def named(role: str) -> dict[str, str]:
+        processes = _processes(cluster, profile.roles[role])
+        if holding == emitting:
+            return dict(zip(processes, processes))
+        return {f"replica{i}": process for i, process in enumerate(processes)}
+
+    return (
+        {name: _tagged(cluster.node(p), tables) for name, p in named(holding).items()},
+        {name: cluster.node(p).output_history(interface) for name, p in named(emitting).items()},
+    )
 
 
 def audit_apps() -> tuple[str, ...]:

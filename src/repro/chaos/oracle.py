@@ -82,9 +82,10 @@ class RunObservation:
     """What one seeded run committed, emitted, and should have produced.
 
     ``committed`` maps each replica to its durable state at quiescence;
-    ``emitted`` maps each replica to everything it ever output (its
-    observable history).  ``truth`` is the app's ground-truth committed
-    set, or ``None`` when no exactly-once contract applies.
+    ``emitted`` maps the same replicas to everything each ever output
+    (its observable history); there is at least one replica.  ``truth``
+    is the app's ground-truth committed set, or ``None`` when no
+    exactly-once contract applies.
 
     ``order`` is the run's recorded *decision log* — the total order a
     sequencer committed for the run (``None`` when the deployment uses no
@@ -109,6 +110,14 @@ class RunObservation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "committed", dict(self.committed))
         object.__setattr__(self, "emitted", dict(self.emitted))
+        # no replica would pass every check vacuously: a wrong "sound"
+        if not self.committed:
+            raise ValueError(f"seed {self.seed}: an observation needs a replica")
+        if self.emitted.keys() != self.committed.keys():
+            raise ValueError(
+                f"seed {self.seed}: emitted replicas {sorted(self.emitted)} "
+                f"are not the committed ones {sorted(self.committed)}"
+            )
         if self.order is not None:
             object.__setattr__(self, "order", tuple(self.order))
 

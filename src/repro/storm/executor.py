@@ -732,6 +732,23 @@ class StormCluster:
     def bolt_task(self, name: str) -> _BoltTask:
         return self._bolt_tasks[name]
 
+    def committed_store(self) -> dict:
+        """The terminal bolt's per-task ``store`` dicts, merged at quiescence.
+
+        Fields grouping keeps the tasks' key spaces disjoint; a key
+        committed on two tasks is an executor bug, raised as such.
+        """
+        store: dict = {}
+        for name in self.acker_tasks:
+            own = self.bolt_task(name).bolt.store
+            overlap = store.keys() & own.keys()
+            if overlap:
+                raise StormError(
+                    f"same key committed on two tasks: {sorted(overlap)[:5]}"
+                )
+            store.update(own)
+        return store
+
     @property
     def total_replays(self) -> int:
         return sum(

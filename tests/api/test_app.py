@@ -9,6 +9,17 @@ from repro.core import SealStrategy, analyze, loads_spec
 from repro.core.labels import LabelKind
 from repro.errors import ApiError
 
+# the declarations a Bloom app's audit profile needs beside its strategies
+# and schedules: a role, what its processes commit and emit, and the truth
+_BLOOM_PROFILE = dict(
+    horizon=1.0,
+    run_params=lambda smoke: {},
+    roles={"worker": "node"},
+    committed=("worker", {"log": None}),
+    emitted=("worker", "out"),
+    truth=lambda outcome, params: None,
+)
+
 
 class TestDeclaration:
     def test_unknown_strategy_is_a_clean_error(self):
@@ -46,29 +57,49 @@ class TestDeclaration:
         app.strategy("only")
         with pytest.raises(ApiError, match="no strategy"):
             app.audit_profile(
-                strategies=("only", "missing"),
-                horizon=1.0,
-                schedules=(),
-                run_params=lambda smoke: {},
-                roles=lambda cluster: {},
-                observe=lambda outcome, params: None,
+                strategies=("only", "missing"), schedules=(), **_BLOOM_PROFILE
             )
 
     def test_audit_profile_schedules_are_a_sequence_kept_as_a_tuple(self):
         app = BlazesApp("tmp", backend="bloom")
         app.strategy("only")
-        profile = dict(
-            strategies=("only",),
-            horizon=1.0,
-            run_params=lambda smoke: {},
-            roles=lambda cluster: {},
-            observe=lambda outcome, params: None,
-        )
         for schedules in (lambda smoke: (), iter(())):
             with pytest.raises(ApiError, match="tuple or list"):
-                app.audit_profile(schedules=schedules, **profile)
-        app.audit_profile(schedules=[], **profile)
+                app.audit_profile(
+                    strategies=("only",), schedules=schedules, **_BLOOM_PROFILE
+                )
+        app.audit_profile(strategies=("only",), schedules=[], **_BLOOM_PROFILE)
         assert app.audit_spec.schedules == ()
+
+    @pytest.mark.parametrize(
+        "backend, declared",
+        [
+            ("bloom", {"committed": None}),
+            ("bloom", {"emitted": None}),
+            ("bloom", {"committed": ("reader", {"log": None})}),  # no such role
+            ("bloom", {"emitted": ("reader", "out")}),
+            ("storm", {"emitted": None}),  # a Storm replica is its bolt's store
+            ("storm", {"committed": None}),
+        ],
+        ids=[
+            "bloom-without-committed",
+            "bloom-without-emitted",
+            "bloom-committed-by-an-undeclared-role",
+            "bloom-emitted-by-an-undeclared-role",
+            "storm-with-committed",
+            "storm-with-emitted",
+        ],
+    )
+    def test_a_bloom_audit_profile_declares_what_replicas_commit_and_emit(
+        self, backend, declared
+    ):
+        app = BlazesApp("tmp", backend=backend)
+        app.strategy("only")
+        with pytest.raises(ApiError, match="commit and emit"):
+            app.audit_profile(
+                strategies=("only",), schedules=(), **{**_BLOOM_PROFILE, **declared}
+            )
+        assert app.audit_spec is None
 
 
 class TestDerivation:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.ad_network import AdWorkload, run_ad_network
+from repro.apps.queries import ORDER_TOPIC
 from repro.coord.sealing import registry_path
+from repro.coord.zookeeper import recorded_order
 from repro.errors import ApiError
 
 SMALL = AdWorkload(
@@ -217,14 +219,14 @@ class TestOrderedDecisionLog:
 
     def test_order_recorded_and_complete(self):
         result = run_ad_network("ordered", workload=SMALL, seed=1)
-        order = result.sequencer_order()
+        order = recorded_order(result.cluster.trace, ORDER_TOPIC)
         assert len(order) == SMALL.total_entries + SMALL.requests
         kinds = {kind for kind, _row in order}
         assert kinds == {"click", "request"}
 
     def test_other_strategies_record_nothing(self):
         result = run_ad_network("seal", workload=SMALL, seed=1)
-        assert result.sequencer_order() == ()
+        assert recorded_order(result.cluster.trace, ORDER_TOPIC) == ()
 
     def test_replicas_share_emitted_history_under_threshold_crossing(self):
         """Per-item timesteps: ordered replicas emit identical response

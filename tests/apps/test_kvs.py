@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.kvs import LwwKvs, SnapshotCache, run_kvs
+from repro.apps.kvs import APP, KVS_ORDER_TOPIC, LwwKvs, SnapshotCache, run_kvs
 from repro.bloom.analysis import analyze_module
 from repro.bloom.runtime import BloomRuntime
+from repro.chaos.harnesses import replicas
+from repro.coord.zookeeper import recorded_order
 from repro.core import LabelKind, OrderStrategy, SealStrategy, analyze, choose_strategies
 from repro.core.annotations import AnnotationKind
 from repro.errors import ApiError
@@ -118,10 +120,11 @@ class TestKvsCluster:
     """The runnable two-tier deployment (chaos-audit workload)."""
 
     def test_sealed_run_is_exactly_once_and_deterministic(self):
-        results = [run_kvs("sealed", seed=seed, workload_seed=7) for seed in (7, 11)]
-        for result in results:
-            assert result.caches_agree
-            assert result.cache_entries("cache0") == result.ground_truth_cache()
+        for seed in (7, 11):
+            outcome = APP.run("sealed", seed=seed, workload_seed=7)
+            assert outcome.result.caches_agree
+            truth = APP.audit_spec.truth(outcome, {})
+            assert outcome.result.cache_entries("cache0") == truth
 
     def test_uncoordinated_stores_converge_but_caches_diverge(self):
         result = run_kvs("uncoordinated", seed=7, workload_seed=7)
@@ -148,15 +151,17 @@ class TestOrderedKvs:
         result = run_kvs("ordered", seed=7, workload_seed=7)
         assert result.stores_converged
         assert result.caches_agree
-        histories = {result.responses(node) for node in result.store_nodes}
-        assert len(histories) == 1
+        _committed, emitted = replicas(result.cluster, APP.audit_spec)
+        assert len(emitted) == len(result.store_nodes)
+        assert len(set(emitted.values())) == 1
 
     def test_ordered_answers_reflect_the_recorded_order_not_final_winners(self):
         """Consistent but not exactly-once: gets sequenced mid-stream read
         the winner *at their slot*, so the committed cache deviates from
         the final-winner ground truth — the Async residue of ordering."""
-        result = run_kvs("ordered", seed=7, workload_seed=7)
-        order = result.sequencer_order()
+        outcome = APP.run("ordered", seed=7, workload_seed=7)
+        result = outcome.result
+        order = recorded_order(result.cluster.trace, KVS_ORDER_TOPIC)
         assert len(order) == result.workload.total_writes + result.workload.gets
         winners: dict = {}
         expected = set()
@@ -171,11 +176,14 @@ class TestOrderedKvs:
                     expected.add((reqid, key, winners[key][1]))
         for cache in result.cache_nodes:
             assert result.cache_entries(cache) == frozenset(expected)
-        assert frozenset(expected) != result.ground_truth_cache()
+        assert frozenset(expected) != APP.audit_spec.truth(outcome, {})
 
     def test_different_seeds_pick_different_orders(self):
         orders = {
-            run_kvs("ordered", seed=seed, workload_seed=7).sequencer_order()
+            recorded_order(
+                run_kvs("ordered", seed=seed, workload_seed=7).cluster.trace,
+                KVS_ORDER_TOPIC,
+            )
             for seed in (7, 11)
         }
         assert len(orders) == 2

@@ -40,8 +40,9 @@ from pathlib import Path
 import repro
 import repro.bloom
 from repro.apps.ad_network import AdWorkload, run_ad_network
-from repro.apps.queries import make_report_module
+from repro.apps.queries import ORDER_TOPIC, make_report_module
 from repro.bloom.cluster import BloomCluster
+from repro.coord.zookeeper import recorded_order
 from tools.unexecuted import count_lines
 
 BLOOM = str(Path(repro.bloom.__file__).parent)
@@ -98,7 +99,7 @@ def small_network_lines(strategy: str):
 def test_a_sequenced_value_costs_each_replica_a_bounded_number_of_lines():
     workload = SMALL_NETWORK
     lines, result = small_network_lines("ordered")
-    values = len(result.sequencer_order())
+    values = len(recorded_order(result.cluster.trace, ORDER_TOPIC))
     assert values == workload.total_entries + workload.requests
     for name in result.report_nodes:  # one timestep per sequenced value
         assert result.cluster.node(name).runtime.tick_count == values

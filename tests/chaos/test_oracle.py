@@ -176,3 +176,16 @@ class TestOrderConditionedComparison:
     def test_order_normalized_to_tuple(self):
         run = obs(7, {"r0": ROWS}, order=["a", "b"])
         assert run.order == ("a", "b")
+
+
+def test_an_observation_without_replicas_is_an_error():
+    """No replica would pass every check vacuously: a silent "sound"."""
+    with pytest.raises(ValueError, match="needs a replica"):
+        RunObservation(seed=1, committed={}, emitted={}, truth=frozenset({("a",)}))
+
+
+def test_emitted_replicas_must_be_the_committed_ones():
+    with pytest.raises(ValueError, match="not the committed ones"):
+        RunObservation(seed=1, committed={"r0": ROWS}, emitted={"r1": ROWS})
+    with pytest.raises(ValueError, match="not the committed ones"):
+        RunObservation(seed=1, committed={"r0": ROWS, "r1": ROWS}, emitted={"r0": ROWS})

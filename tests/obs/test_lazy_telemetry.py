@@ -55,8 +55,7 @@ def test_a_faulted_run_reads_the_same_as_the_eager_hop(app_name, strategy):
     harness = harness_for(app_name, smoke=True)
     # the last schedule of each app's smoke library is its most disruptive
     schedule = harness.schedules[-1]
-    params = dict(harness.profile.run_params(True))
-    params["workload_seed"] = harness.profile.workload_seed
+    params = harness.profile.run_params(True)
     seen = {}
     for name, hub in (("eager", EagerTelemetry(spans=True)), ("lazy", Telemetry(spans=True))):
         get_app(app_name).run(

@@ -22,7 +22,7 @@ from contextlib import nullcontext
 import pytest
 
 from repro.api.registry import app_names, audit_app_names, get_app
-from repro.chaos.harnesses import AppHarness
+from repro.chaos.harnesses import AppHarness, replicas
 from repro.chaos.oracle import classify_runs
 from repro.chaos.schedule import (
     Crash,
@@ -194,9 +194,7 @@ def test_replicated_adnet_runs_identically(strategy):
                 "agree": result.replicas_agree,
             },
         )
-        prints[name]["committed"] = {
-            node: result.committed_state(node) for node in result.report_nodes
-        }
+        prints[name]["committed"] = replicas(result.cluster, get_app("adnet").audit_spec)[0]
     assert prints["fast"] == prints["ref"]
     # every click lands and the replicas agree
     metrics = prints["fast"]["metrics"]

@@ -18,7 +18,7 @@ from repro.errors import StormError
 from repro.storm import ClusterConfig, StormCluster
 from repro.storm.executor import CHAN
 
-from tests.storm.test_executor import committed_store, reference_counts
+from tests.storm.test_executor import reference_counts
 
 PARALLELISM = {"Splitter": 4, "Count": 6}
 
@@ -91,7 +91,7 @@ class TestFrameDelivery:
                 parallelism=PARALLELISM,
             )
             assert metrics.batches_acked == 5
-            assert committed_store(cluster) == reference_counts(5, 30)
+            assert cluster.committed_store() == reference_counts(5, 30)
 
     def test_same_seed_same_frame_size_is_deterministic(self):
         runs = [
@@ -123,7 +123,7 @@ class TestMessageReduction:
         batched, batched_cluster = run_wordcount(
             workers=4, total_batches=6, batch_size=120, frame_size=16,
         )
-        assert committed_store(batched_cluster) == committed_store(base_cluster)
+        assert batched_cluster.committed_store() == base_cluster.committed_store()
         assert batched.batches_acked == base.batches_acked
         assert batched.items_sent == base.items_sent
         assert base.messages_sent / batched.messages_sent >= 5.0
@@ -154,7 +154,7 @@ class TestBatchedReplay:
             seed=seed,
         )
         assert metrics.batches_acked == 4
-        assert committed_store(cluster) == reference_counts(4, 24, seed=seed)
+        assert cluster.committed_store() == reference_counts(4, 24, seed=seed)
 
     def test_replays_do_occur_under_loss(self):
         """A dropped frame stalls its whole attempt, so replay must fire."""
@@ -194,7 +194,7 @@ class TestBatchedReplay:
             for record in cluster.trace.select(event="batch_committed")
         ]
         assert sorted(commits) == list(range(6))
-        assert committed_store(cluster) == reference_counts(6, 20)
+        assert cluster.committed_store() == reference_counts(6, 20)
 
 
 class TestSupersededAttempts:
@@ -237,4 +237,4 @@ class TestSupersededAttempts:
                 seed=seed,
             )
             assert metrics.batches_acked == 3
-            assert committed_store(cluster) == reference_counts(3, 24, seed=seed)
+            assert cluster.committed_store() == reference_counts(3, 24, seed=seed)

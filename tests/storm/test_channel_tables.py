@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.apps.wordcount import (
     build_wordcount_topology,
-    committed_store,
     reference_counts,
     run_wordcount,
 )
@@ -175,5 +174,5 @@ def test_a_frame_copied_after_its_attempt_closed_is_not_executed_again():
     metrics, cluster = run_wordcount(**shape, chaos=duplicate_everything)
     assert metrics.batches_acked == 6
     assert cluster.network.duplicated == cluster.network.sent  # no reliable kinds
-    assert committed_store(cluster) == reference_counts(6, 20, seed=5)
+    assert cluster.committed_store() == reference_counts(6, 20, seed=5)
     assert _processed(cluster) == _processed(clean)

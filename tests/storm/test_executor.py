@@ -7,7 +7,6 @@ import pytest
 from repro.apps.wordcount import (
     TweetSpout,
     build_wordcount_topology,
-    committed_store,
     reference_counts,
     run_wordcount,
 )
@@ -34,7 +33,7 @@ class TestUncoordinatedRun:
             workers=3, total_batches=6, batch_size=20, transactional=False
         )
         assert metrics.batches_acked == 6
-        assert committed_store(cluster) == reference_counts(6, 20)
+        assert cluster.committed_store() == reference_counts(6, 20)
 
     def test_results_identical_across_seeds(self):
         """Different delivery interleavings, same committed store —
@@ -46,8 +45,8 @@ class TestUncoordinatedRun:
                 seed=seed,
             )
             # workload depends on seed; compare to per-seed ground truth
-            assert committed_store(cluster) == reference_counts(4, 15, seed=seed)
-            stores.append(committed_store(cluster))
+            assert cluster.committed_store() == reference_counts(4, 15, seed=seed)
+            stores.append(cluster.committed_store())
 
     def test_same_seed_is_fully_deterministic(self):
         runs = [
@@ -55,7 +54,7 @@ class TestUncoordinatedRun:
             for _ in range(2)
         ]
         assert runs[0][0] == runs[1][0]
-        assert committed_store(runs[0][1]) == committed_store(runs[1][1])
+        assert runs[0][1].committed_store() == runs[1][1].committed_store()
 
 
 class TestTransactionalRun:
@@ -64,7 +63,7 @@ class TestTransactionalRun:
             workers=3, total_batches=6, batch_size=20, transactional=True
         )
         assert metrics.batches_acked == 6
-        assert committed_store(cluster) == reference_counts(6, 20)
+        assert cluster.committed_store() == reference_counts(6, 20)
 
     def test_commits_occur_in_serial_batch_order(self):
         _, cluster = run_wordcount(
@@ -102,7 +101,7 @@ class TestReplay:
             seed=3,
         )
         assert metrics.batches_acked == 4
-        assert committed_store(cluster) == reference_counts(4, 10, seed=3)
+        assert cluster.committed_store() == reference_counts(4, 10, seed=3)
 
     @pytest.mark.parametrize("seed", [1, 5])
     def test_replayed_batches_do_not_double_count(self, seed):
@@ -116,7 +115,7 @@ class TestReplay:
             seed=seed,
         )
         assert metrics.batches_acked == 5
-        assert committed_store(cluster) == reference_counts(5, 12, seed=seed)
+        assert cluster.committed_store() == reference_counts(5, 12, seed=seed)
 
     def test_transactional_replay_is_at_most_once(self):
         metrics, cluster = run_wordcount(
@@ -129,7 +128,7 @@ class TestReplay:
             seed=11,
         )
         assert metrics.batches_acked == 4
-        assert committed_store(cluster) == reference_counts(4, 10, seed=11)
+        assert cluster.committed_store() == reference_counts(4, 10, seed=11)
         # each batch committed exactly once despite replays
         commits = [
             r.data for r in cluster.trace.select(event="batch_committed")
@@ -156,7 +155,18 @@ class TestReplay:
         assert len(cluster.coordinator.committed) == 6
         commits = [r.data for r in cluster.trace.select(event="batch_committed")]
         assert sorted(commits) == list(range(6))
-        assert committed_store(cluster) == reference_counts(6, 10, seed=seed)
+        assert cluster.committed_store() == reference_counts(6, 10, seed=seed)
+
+
+def test_a_key_committed_on_two_tasks_is_an_executor_error():
+    _metrics, cluster = run_wordcount(
+        workers=2, total_batches=2, batch_size=10, parallelism={"Commit": 2}
+    )
+    first, second = (cluster.bolt_task(name).bolt.store for name in cluster.acker_tasks)
+    key = next(iter(first))
+    second[key] = first[key]
+    with pytest.raises(StormError, match="same key committed on two tasks"):
+        cluster.committed_store()
 
 
 def test_topology_scaling_increases_throughput():

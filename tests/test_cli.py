@@ -782,7 +782,8 @@ def _underpredicting_app(name):
         .audit_profile(
             strategies=("uncoordinated",), horizon=profile.horizon,
             schedules=profile.schedules, run_params=profile.run_params, roles=profile.roles,
-            observe=profile.observe, workload_seed=profile.workload_seed, envelope=profile.envelope,
+            committed=profile.committed, emitted=profile.emitted, truth=profile.truth,
+            envelope=profile.envelope,
         )
     )
 

@@ -52,6 +52,11 @@ INVOCATIONS = {
     "matrix-json": (_MATRIX + ["--json"], 0),
     "matrix-text": (_MATRIX, 0),
     "audit-text": (_AUDIT + ["--no-cache"], 0),
+    # every app's evidence lines: kvs's replica pairs, wordcount's store,
+    # and the unexpected/missing counts only the truth functions produce
+    "audit-json": (
+        ["audit", "--smoke", "--no-cache", "--no-report", "--json"], 0
+    ),
     "run-text": (["run", "wordcount", "--smoke"], 0),
     "run-rundir-text": (
         ["run", "adnet", "--strategy", "seal", "--smoke", "--rundir", "{tmp}/run"],
