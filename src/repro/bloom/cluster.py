@@ -2,8 +2,9 @@
 
 A :class:`BloomNode` hosts one runtime; channel tuples route over the
 simulated network by their location-specifier column.  Nodes tick lazily —
-whenever input is pending — so virtual time advances with message flow;
-every scheduled tick is a timestep (see
+whenever input is pending, until a step would replay the last (see
+:attr:`~repro.bloom.runtime.BloomRuntime.quiescent`) — so virtual time
+advances with message flow; every scheduled tick is a timestep (see
 :meth:`~repro.bloom.runtime.BloomRuntime.tick`), a no-op one included.
 
 Input *delivery policies* implement the coordination strategies the
@@ -112,7 +113,7 @@ class BloomNode(Process):
             self._log_outputs(outputs)
         if self.on_tick is not None:
             self.on_tick(outputs)
-        if runtime.has_pending_input:
+        if runtime.has_pending_input and not runtime.quiescent:
             self.schedule_tick()
 
     def _log_outputs(self, outputs: dict[str, frozenset[tuple]]) -> None:

@@ -27,6 +27,15 @@ behavior — insertion wins a same-boundary race — and the "replace a row"
 idiom (``t <- old_row; t <+ new_row``) relies on it;
 ``test_simultaneous_deferred_insert_and_delete`` pins it.
 
+**Quiescence.**  End-of-step rules re-queue their whole output every
+step, so a program with ``<+``/``<-`` rules keeps input pending after its
+last external row.  A step that consumed exactly what it queued, and left
+every collection as the step before it did, is a fixed point: the next
+step would replay it.  :attr:`BloomRuntime.quiescent` says so, and a node
+schedules no tick on it (nor re-sends its ``<~`` rows, which only such a
+replay would).  The check copies the collections once per step, in
+modules with end-of-step rules only.
+
 **Evaluation.**  The fixpoint is semi-naive and event-driven.  Every rule
 keeps a materialized output and a pipeline compiled once from its body
 (:func:`repro.bloom.ast.compile_rule`: per-operator hash indexes held in
@@ -237,6 +246,10 @@ class BloomRuntime:
         self._volatile = frozenset(self._output_names) - self._standing
         self._stale = set(self._volatile)
         self.tick_count = 0
+        # whether the next step would replay the last (modules with
+        # end-of-step rules only: the others queue nothing for it)
+        self.quiescent = False
+        self._left: tuple[frozenset, frozenset] | None = None
 
     # ------------------------------------------------------------------
     # external input
@@ -289,6 +302,8 @@ class BloomRuntime:
         """
         inserts, deletes = self._pending_inserts, self._pending_deletes
         self._pending_inserts, self._pending_deletes = {}, {}
+        if self._end_rules:
+            consumed = _frozen(inserts), _frozen(deletes)
 
         # 1. boundary: clear transients, apply deletes then inserts.
         self._apply_boundary(inserts, deletes)
@@ -311,7 +326,7 @@ class BloomRuntime:
         # against the fixpoint and emit their full materialized output
         # every tick (pending queues were drained; async re-sends).
         if self._end_rules:
-            self._end_step()
+            self._end_step(consumed)
 
         self.tick_count += 1
         if self._stale:
@@ -320,8 +335,9 @@ class BloomRuntime:
             self._stale = set(self._volatile)
         return self._outputs
 
-    def _end_step(self) -> None:
-        """Fire the dirty end-of-step rules, then emit every one's output."""
+    def _end_step(self, consumed: tuple[frozenset, frozenset]) -> None:
+        """Fire the dirty end-of-step rules, then emit every one's output;
+        ``consumed`` is the step's input, frozen by :func:`_frozen`."""
         ended = self._ended
         while ended:
             state = ended.pop()
@@ -337,6 +353,12 @@ class BloomRuntime:
                 # unconditionally, matching the naive reference: the
                 # transport/kind checks raise even for an empty output
                 self._send_async(rule.lhs, state.out)
+        # a step that consumed what it queued, and left every collection as
+        # the step before it did, is a fixed point: the next one replays it
+        left = _frozen(self.storage), _frozen(self._lingering)
+        queued = _frozen(self._pending_inserts), _frozen(self._pending_deletes)
+        self.quiescent = consumed == queued and left == self._left
+        self._left = left
 
     def _wave(self, work: list[_RuleState], first_wave: bool) -> None:
         """Fire every rule on ``work`` against the same start-of-wave
@@ -554,6 +576,11 @@ class BloomRuntime:
 
     def __repr__(self) -> str:
         return f"BloomRuntime({self.module.name!r}, ticks={self.tick_count})"
+
+
+def _frozen(collections: dict[str, set[tuple]]) -> frozenset:
+    """Named row sets as one comparable value (an empty set adds nothing)."""
+    return frozenset((name, frozenset(rows)) for name, rows in collections.items() if rows)
 
 
 def _negated_scans(node) -> frozenset[str]:

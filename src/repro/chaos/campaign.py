@@ -160,14 +160,14 @@ def _cell_metrics(
         "consistent": verdict.observed.severity <= _CONSISTENT_SEVERITY,
         "coordinated": strategy in harness.coordinated,
         "runs": len(observations),
-        # total simulated events fired across the cell's runs: feeds the
-        # engine's per-worker events/sec telemetry
+        # total simulated events fired across the cell's runs: the engine
+        # block totals them
         "events": events,
         "evidence": list(verdict.evidence),
     }
 
 
-def _cell_cache_fields(scenario: Scenario) -> dict:
+def _cell_cache_fields(scenario: Scenario) -> dict | None:
     """The content-address fields of one audit cell.
 
     The schedule enters as the digest of its *compiled* (horizon-scaled)
@@ -177,11 +177,17 @@ def _cell_cache_fields(scenario: Scenario) -> dict:
     horizon, or the workload does.  Inline (searched/composite) schedules digest identically to
     library ones with the same faults, so shrink steps that revisit a
     schedule — or rediscover a library schedule — hit the same entries.
+
+    A cell of an app registered outside ``repro`` has none (it is computed,
+    never stored): the key's source digest covers only ``repro``, so an
+    edit to that app's code would be served its old verdict.
     """
     from repro.exec.cache import kwargs_digest, schedule_digest
 
     params = scenario.params
     harness = harness_for(params["app"], smoke=params["smoke"])
+    if not (harness.app.origin_module or "").startswith("repro."):
+        return None
     sched = _cell_schedule(harness, params["schedule"], params.get("schedule_spec"))
     return {
         "kind": "audit-cell",
@@ -530,9 +536,9 @@ class Sweep:
     def run(self, *, jobs: int = 1, cache=None, reporter=None):
         """The one loop over audit cells: each batch is deduplicated by cell
         name, evaluated through the engine and fanned back out in input
-        order; the sweep is one engine run, recorded once.  An empty first
-        batch is an error: nothing is not sound."""
-        from repro.exec.engine import _evaluate, fold, record_engine_stats
+        order; the sweep is one engine run, the fold of its batches.  An
+        empty first batch is an error: nothing is not sound."""
+        from repro.exec.engine import evaluate, fold
 
         cache = cache if self.cacheable else None
         cells, reports, results = self.cells(), [], None
@@ -544,8 +550,9 @@ class Sweep:
                         f"the {self.kind} selected no cells: nothing to give a verdict on"
                     )
                 unique = {cell.name: cell for cell in batch}
-                report = _evaluate(
-                    self.name, unique.values(), _cell_metrics, jobs, cache, _cell_cache_fields
+                report = evaluate(
+                    self.name, unique.values(), _cell_metrics,
+                    jobs=jobs, cache=cache, cache_fields=_cell_cache_fields,
                 )
                 reports.append(report)
                 by_name = {result.name: result for result in report}
@@ -553,8 +560,6 @@ class Sweep:
         except StopIteration as stop:
             found = stop.value
         engine = fold([report.engine for report in reports])
-        if cache is not None:
-            record_engine_stats(engine, cache.directory)
         value = self.reduce(found, reports, engine)
         if reporter is not None:
             reporter.write(self.record(value, reports))

@@ -33,9 +33,8 @@ registry — the same catalog the benchmarks and the audit campaign use
     Per (app, strategy), bisect the intensity of the app's composed fault
     envelope to the smallest one whose observed anomaly exceeds ``Async``.
 ``cache stats|clear``
-    Print the evaluation engine's cell cache and its cumulative ledger
-    (``stats.json``: every run's block folded, their count, the last run), or
-    empty both.
+    Print the evaluation engine's cell cache (its directory, entries and
+    size), or empty it.
 
 ``--json`` prints the machine-readable form of whatever the verb prints,
 so CI and the audit can diff predictions without scraping text.
@@ -524,8 +523,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.exec import CellCache, read_engine_stats
-    from repro.obs.render import render_engine
+    from repro.exec import CellCache
 
     cache = CellCache()
     if args.action == "clear":
@@ -533,14 +531,12 @@ def _cmd_cache(args) -> int:
         print(f"cleared {removed} cached cells from {cache.directory}")
         return 0
     stats = cache.stats()
-    engine = read_engine_stats(cache.directory)
     if args.json:
-        print(json.dumps({**stats, "engine": engine}, indent=2, sort_keys=True))
+        print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
     print(f"cache directory : {stats['directory']}")
     print(f"cached cells    : {stats['entries']:,}")
     print(f"size            : {stats['size_bytes']:,} bytes")
-    print(render_engine(engine))
     return 0
 
 

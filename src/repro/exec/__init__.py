@@ -13,6 +13,6 @@ from repro._lazy import _lazy_exports
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ".cache": ("CACHE_SCHEMA_VERSION", "CellCache", "default_cache_dir"),
     ".canon": ("canonical", "canonical_json", "content_digest"),
-    ".engine": ("JOBS_ENV", "bench_cache_fields", "evaluate", "read_engine_stats", "resolve_jobs"),
+    ".engine": ("JOBS_ENV", "bench_cache_fields", "evaluate", "resolve_jobs"),
     ".pool": ("WorkerPool", "shared_pool", "shutdown_shared_pool"),
 })

@@ -20,10 +20,8 @@ still reports true compute cost), and are written atomically
 (temp file + ``os.replace``) so concurrent writers never corrupt an
 entry.  ``blazes cache clear`` (or :meth:`CellCache.clear`) empties the
 store; ``BLAZES_CACHE_DIR`` relocates it.  The cache counts nothing
-itself: :func:`repro.exec.evaluate` counts hits and misses, and keeps its
-ledger, ``stats.json``, next to the objects
-(:func:`repro.exec.engine.record_engine_stats`), which ``blazes cache
-stats`` prints.
+itself: :func:`repro.exec.evaluate` counts a run's hits and misses in
+its engine block, and ``blazes cache stats`` prints only the store.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ __all__ = [
 # (status / in_envelope / envelope_violations)
 CACHE_SCHEMA_VERSION = 2
 CACHE_DIR_ENV = "BLAZES_CACHE_DIR"
-STATS_FILE = "stats.json"
 
 
 def default_cache_dir() -> Path:
@@ -207,14 +204,10 @@ class CellCache:
         return sorted(objects.glob("*/*.json"))
 
     def clear(self) -> int:
-        """Remove every entry (and the persisted stats); returns the count."""
+        """Remove every entry; returns the count."""
         removed = len(self.entries())
         shutil.rmtree(self.directory / "objects", ignore_errors=True)
         self._sizes = {}
-        try:
-            (self.directory / STATS_FILE).unlink()
-        except OSError:
-            pass
         return removed
 
     def stats(self) -> dict[str, Any]:

@@ -15,15 +15,14 @@ plus the module-level measurement function and
    uncached run, and
 4. attaches an ``engine`` accounting block (cells, hits, misses, the
    events of every computed cell, the pool's dispatch block) to the
-   report and folds it into the cache directory's ledger, ``stats.json``,
-   which ``blazes cache stats`` prints.
+   report.
 
 It is the one counter of cache hits and misses, and it times a serial
 cell with the function the pool workers use (:func:`~repro.exec.pool.time_cell`).
 
-A block is one engine run: a sweep (:meth:`repro.chaos.campaign.Sweep.run`)
-records the :func:`fold` of its batches' blocks once, and the ledger's
-``totals`` are the fold of every recorded run beside their count ``runs``.
+A block is one engine run, and the engine's only account of it: a sweep
+(:meth:`repro.chaos.campaign.Sweep.run`) evaluates batch after batch and
+reports the :func:`fold` of their blocks.  Nothing is kept across runs.
 
 ``resolve_jobs`` maps the CLI convention onto a worker count: an
 explicit ``--jobs`` wins, else ``BLAZES_JOBS``, else serial.
@@ -31,30 +30,26 @@ explicit ``--jobs`` wins, else ``BLAZES_JOBS``, else serial.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from pathlib import Path
 from typing import Any
 
 from repro.bench.runner import BenchReport, assemble_report
 from repro.errors import ExecError
-from repro.exec.cache import STATS_FILE, CellCache, _atomic_write, default_cache_dir
-from repro.exec.pool import _events, _fold_dispatches, shared_pool, time_cell
+from repro.exec.cache import CellCache
+from repro.exec.pool import _fold_dispatches, shared_pool, time_cell
 
 __all__ = [
     "JOBS_ENV",
     "bench_cache_fields",
     "evaluate",
     "fold",
-    "read_engine_stats",
-    "record_engine_stats",
     "resolve_jobs",
 ]
 
 JOBS_ENV = "BLAZES_JOBS"
-# the fields of a block that add up over runs; the rest are as the last run saw them
+# the fields of a block that add up over batches; the rest are as the last batch saw them
 _SUMMED = ("cells", "computed", "cache_hits", "cache_misses", "events", "batches", "wall_seconds")
 
 
@@ -107,7 +102,8 @@ def evaluate(
     module-level (picklable).  Pass a :class:`~repro.bench.JsonReporter`
     as ``reporter`` to also write ``BENCH_<name>.json``.
     ``cache_fields`` maps a scenario to the key fields that make its
-    result content-addressable; without it (or without ``cache``) every
+    result content-addressable, or to ``None`` for a cell that is computed
+    and never stored (a miss); without it (or without ``cache``) every
     cell is computed.  Cached metrics round-trip through JSON, so tuples
     come back as lists — measurement functions return JSON-shaped
     metrics already (they feed ``BENCH_*.json``).
@@ -115,17 +111,6 @@ def evaluate(
     Returns the assembled :class:`~repro.bench.BenchReport` with the
     engine accounting block attached as ``report.engine``.
     """
-    report = _evaluate(name, scenarios, fn, jobs, cache, cache_fields)
-    if cache is not None:
-        record_engine_stats(report.engine, cache.directory)
-    if reporter is not None:
-        reporter.write(report)
-    return report
-
-
-def _evaluate(name, scenarios, fn, jobs, cache, cache_fields) -> BenchReport:
-    """:func:`evaluate` without recording or writing the report: one batch
-    of a sweep, which records the fold of its batches once."""
     jobs = resolve_jobs(jobs)
     scenarios = list(scenarios)
     start = time.perf_counter()
@@ -138,9 +123,9 @@ def _evaluate(name, scenarios, fn, jobs, cache, cache_fields) -> BenchReport:
     for index, scenario in enumerate(scenarios):
         if cache is not None and cache_fields is not None:
             fields[index] = cache_fields(scenario)
-            key = cache.key(fields[index])
-            keys[index] = key
-            entry = cache.get(key)
+        if fields[index] is not None:
+            keys[index] = cache.key(fields[index])
+            entry = cache.get(keys[index])
             if entry is not None:
                 outcomes[index] = (
                     entry["metrics"],
@@ -162,7 +147,7 @@ def _evaluate(name, scenarios, fn, jobs, cache, cache_fields) -> BenchReport:
         for index, outcome in zip(pending, computed):
             outcomes[index] = outcome
             events += _events(outcome[0])
-            if cache is not None and keys[index] is not None:
+            if keys[index] is not None:
                 metrics, wall, cpu = outcome
                 cache.put(
                     keys[index],
@@ -188,7 +173,15 @@ def _evaluate(name, scenarios, fn, jobs, cache, cache_fields) -> BenchReport:
     }
     report = assemble_report(name, scenarios, outcomes)
     report.engine = engine
+    if reporter is not None:
+        reporter.write(report)
     return report
+
+
+def _events(metrics: Any) -> int:
+    """A cell's simulated-event count: its ``events`` metric, else 0 (a
+    result that is no mapping, or carries no count)."""
+    return (metrics.get("events") if isinstance(metrics, Mapping) else None) or 0
 
 
 def fold(blocks: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
@@ -200,32 +193,3 @@ def fold(blocks: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     pools = [block["pool"] for block in blocks if block["pool"]]
     folded["pool"] = _fold_dispatches(pools) if pools else None
     return folded
-
-
-def read_engine_stats(directory: str | Path | None = None) -> dict[str, Any]:
-    """The ledger ``blazes cache stats`` prints: ``totals`` and ``last``.
-    Empty when absent, unreadable, or of an older layout (started afresh,
-    never summed into)."""
-    path = (Path(directory) if directory is not None else default_cache_dir()) / STATS_FILE
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):  # JSONDecodeError, UnicodeDecodeError
-        return {}
-    totals = payload.get("totals") if isinstance(payload, dict) else None
-    if not isinstance(totals, dict) or not {"runs", "pool", *_SUMMED} <= totals.keys():
-        return {}
-    return payload
-
-
-def record_engine_stats(engine: Mapping[str, Any], directory: str | Path | None = None) -> None:
-    """Fold one engine run into the ledger: a best-effort read-modify-write
-    whose atomic replace may drop a concurrent run but never corrupts the
-    file.  The totals keep no per-worker split: a pid outlives no command."""
-    base = Path(directory) if directory is not None else default_cache_dir()
-    totals = read_engine_stats(base).get("totals")
-    runs = (totals["runs"] if totals else 0) + 1
-    folded = {"runs": runs, **fold([totals, engine] if totals else [engine])}
-    if folded["pool"]:
-        folded["pool"]["workers"] = {}
-    payload = {"totals": folded, "last": engine}
-    _atomic_write(base / STATS_FILE, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -13,10 +13,10 @@ pool per process:
   and results are placed by index as chunks complete, so the returned
   list is always in input order no matter which worker finished first —
   a pooled run is indistinguishable from a serial one;
-* every dispatch returns its accounting block beside its rows (chunks,
-  utilization, per-worker busy time and events/sec), built from what
-  the workers report; ``_fold_dispatches`` folds several into one block
-  of the same shape (how :func:`repro.exec.engine.fold` folds ``pool``);
+* every dispatch returns its accounting block beside its rows (tasks,
+  chunks, busy and CPU time, utilization), built from what the workers
+  report; ``_fold_dispatches`` folds several into one block of the same
+  shape (how :func:`repro.exec.engine.fold` folds ``pool``);
 * a worker that dies mid-dispatch breaks only that dispatch: it raises
   :class:`~repro.errors.ExecError` and the next dispatch respawns the
   pool.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import atexit
 import importlib
-import os
 import time
 from collections.abc import Callable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
@@ -69,62 +68,30 @@ def time_cell(fn: Callable[..., Any], params: Mapping[str, Any]) -> tuple[Any, f
     return result, time.perf_counter() - wall_start, time.process_time() - cpu_start
 
 
-def _events(metrics: Any) -> int:
-    """A cell's simulated-event count: its ``events`` metric, else 0 (a
-    result that is no mapping, or carries no count)."""
-    return (metrics.get("events") if isinstance(metrics, Mapping) else None) or 0
-
-
 def _run_chunk(fn, tasks):
-    """Worker side: one chunk of ``(index, params)`` tasks.
-
-    Returns ``(index, metrics, wall, cpu, pid, events)`` per task
-    (``events`` feeds the per-worker events/sec telemetry).
-    """
-    pid = os.getpid()
-    rows = []
-    for index, params in tasks:
-        metrics, wall, cpu = time_cell(fn, params)
-        rows.append((index, metrics, wall, cpu, pid, _events(metrics)))
-    return rows
+    """Worker side: one chunk of ``(index, params)`` tasks, as
+    ``(index, metrics, wall, cpu)`` rows."""
+    return [(index, *time_cell(fn, params)) for index, params in tasks]
 
 
 def _block(jobs: int, chunks: int, wall: float, rows) -> dict[str, Any]:
     """One dispatch's accounting, from the workers' ``_run_chunk`` rows:
-    the fold of one.  Events live in the per-worker split only; the
-    engine's block totals them over every computed cell, pooled or not."""
-    workers: dict[str, dict[str, Any]] = {}
-    for _index, _metrics, busy, _cpu, pid, events in rows:
-        worker = workers.setdefault(str(pid), {"tasks": 0, "busy_seconds": 0.0, "events": 0})
-        worker["tasks"] += 1
-        worker["busy_seconds"] += busy
-        worker["events"] += events
-    busy = sum((worker["busy_seconds"] for worker in workers.values()), 0.0)
-    cpu = sum((row[3] for row in rows), 0.0)
+    the fold of one.  The engine's block totals the cells' events."""
     return _fold_dispatches([{
-        "jobs": jobs, "tasks": len(rows), "chunks": chunks, "dispatches": 1,
-        "wall_seconds": wall, "busy_seconds": busy, "cpu_seconds": cpu, "workers": workers,
+        "jobs": jobs, "tasks": len(rows), "chunks": chunks, "dispatches": 1, "wall_seconds": wall,
+        "busy_seconds": sum((row[2] for row in rows), 0.0),
+        "cpu_seconds": sum((row[3] for row in rows), 0.0),
     }])
 
 
 def _fold_dispatches(blocks: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     """Dispatch blocks as one of the same shape: counts and times summed,
-    workers merged by pid, the ratios re-derived, ``jobs`` the last's."""
-    workers: dict[str, dict[str, Any]] = {}
-    for block in blocks:
-        for pid, worker in block["workers"].items():
-            total = workers.setdefault(pid, {"tasks": 0, "busy_seconds": 0.0, "events": 0})
-            for key in total:
-                total[key] += worker[key]
+    the utilization re-derived, ``jobs`` the last's."""
     summed = ("tasks", "chunks", "dispatches", "wall_seconds", "busy_seconds", "cpu_seconds")
     folded = {"jobs": blocks[-1]["jobs"], **{key: sum(block[key] for block in blocks) for key in summed}}
     capacity = folded["wall_seconds"] * folded["jobs"]
     # the fraction of the pool's capacity the dispatches actually used
     folded["utilization"] = min(1.0, folded["busy_seconds"] / capacity) if capacity > 0.0 else 0.0
-    folded["workers"] = {}
-    for pid, worker in sorted(workers.items(), key=lambda item: int(item[0])):
-        busy = worker["busy_seconds"]
-        folded["workers"][pid] = {**worker, "events_per_second": worker["events"] / busy if busy > 0 else 0.0}
     return folded
 
 
@@ -214,7 +181,7 @@ class WorkerPool:
             ) from exc
         wall = time.perf_counter() - start
         rows: list[Any] = [None] * len(tasks)
-        for index, metrics, busy, cpu, _pid, _events in done:
+        for index, metrics, busy, cpu in done:
             rows[index] = (metrics, busy, cpu)
         return rows, _block(self.jobs, len(chunks), wall, done)
 

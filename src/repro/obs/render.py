@@ -3,8 +3,7 @@
 ``blazes run`` prints one outcome (with the coordcost line and the
 profiler snapshot of an instrumented run); ``blazes stats`` the
 per-strategy coordination-cost table; ``blazes trace`` the lineage
-summary and per-id causal timelines; the sweeps one engine line and
-``blazes cache stats`` the engine's cumulative ledger.
+summary and per-id causal timelines; the sweeps one engine line.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from repro.obs.spans import SpanTracker, format_slice
 __all__ = [
     "coordcost_line",
     "engine_line",
-    "render_engine",
     "render_lineages",
     "render_outcome",
     "render_profile",
@@ -69,35 +67,6 @@ def engine_line(engine: dict[str, Any]) -> str:
         parts.append(f"pool jobs={pool['jobs']} util={pool['utilization']:.0%}")
     parts.append(f"{engine['wall_seconds']:.2f}s")
     return ", ".join(parts)
-
-
-def render_engine(stats: dict[str, Any]) -> str:
-    """The ledger ``blazes cache stats`` prints: the totals of
-    ``stats.json``, then the last run's workers and engine line."""
-    totals = stats.get("totals") or {}
-    if not totals:
-        return "no engine runs recorded (run an audit or benchmark with caching on)"
-    lines = ["evaluation engine — cumulative"]
-    for key in ("runs", "batches", "cells", "computed", "cache_hits", "cache_misses", "events"):
-        lines.append(f"  {key.replace('_', ' '):<16}: {totals[key]:,}")
-    pool = totals["pool"] or {}
-    lines += [
-        f"  pool tasks      : {pool.get('tasks', 0):,}",
-        f"  pool busy (s)   : {pool.get('busy_seconds', 0.0):.2f}",
-        f"  pool wall (s)   : {pool.get('wall_seconds', 0.0):.2f}",
-    ]
-    last = stats["last"]
-    workers = last["pool"]["workers"] if last["pool"] else {}
-    if workers:
-        lines.append("  last run workers:")
-        for pid, worker in sorted(workers.items()):
-            lines.append(
-                f"    pid {pid}: {worker['tasks']} tasks, "
-                f"{worker['busy_seconds']:.2f}s busy, "
-                f"{worker['events_per_second']:,.0f} events/s"
-            )
-    lines.append(f"  last run: {engine_line(last)}")
-    return "\n".join(lines)
 
 
 def render_stats(app_name: str, rows: list[tuple[str, dict[str, Any]]]) -> str:

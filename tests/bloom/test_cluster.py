@@ -20,6 +20,7 @@ from repro.core.strategy import NoCoordination, OrderStrategy, SealStrategy
 from repro.errors import BloomError, SimulationError
 from repro.sim.network import Message, Process
 from repro.wire import ZK_DELIVER
+from tests.bloom.test_engine_equivalence import RandomModule, _schedule
 
 
 class Pinger(BloomModule):
@@ -364,6 +365,71 @@ def test_a_duplicate_delivery_is_a_tick_that_changes_nothing():
     cluster.run()
     assert node.read("t") == {(1,)}
     assert node.runtime.tick_count == 3
+
+
+# stratifiable generated programs whose deferred rules keep queuing rows
+# after their input stops, rows that change nothing
+IDLE_DEFERRED_SEEDS = (1, 3, 4, 9, 10, 15, 16, 18, 20, 25, 32, 33, 34, 36, 38, 39)
+
+
+def _planned_node(seed):
+    """One node running ``RandomModule(seed)``, fed one planned step per timer."""
+    cluster = BloomCluster(seed=1)
+    node = cluster.add_node("n0", RandomModule(seed))
+    for step, inserts in enumerate(_schedule(seed)):
+        for collection, rows in inserts:
+            node.after(0.01 * (step + 1), lambda c=collection, r=rows: node.insert(c, r))
+    return cluster, node
+
+
+def _storage(node) -> dict:
+    return {decl.name: node.read(decl.name) for decl in node.module.declarations}
+
+
+@pytest.mark.parametrize("seed", IDLE_DEFERRED_SEEDS)
+def test_a_node_whose_deferred_rules_change_nothing_stops_ticking(seed):
+    """An unbounded run ends, its deferred rows still queued, on the
+    storage a bounded run reaches; a further step would change nothing."""
+    cluster, node = _planned_node(seed)
+    cluster.run(max_events=10_000)
+    assert cluster.sim.pending == 0  # it ended, not the guard
+    assert node.runtime.has_pending_input
+    bounded_cluster, bounded = _planned_node(seed)
+    bounded_cluster.run(until=0.4)
+    assert _storage(node) == _storage(bounded)
+    node.runtime.tick()
+    assert _storage(node) == _storage(bounded)
+
+
+class ClearedInput(BloomModule):
+    """A deferred copy that never changes ``t``, and a table that fills
+    only once ``inp`` is cleared."""
+
+    def setup(self):
+        self.input_interface("inp", ["v"])
+        self.table("t", ["v"])
+        self.table("missed", ["v"])
+
+    def rules(self):
+        return [
+            self.rule("t", "<+", self.scan("t")),
+            self.rule("missed", "<=", self.notin(self.scan("t"), self.scan("inp"), on=[("v", "v")])),
+        ]
+
+
+def test_a_step_fed_the_same_input_again_is_not_a_fixed_point():
+    """The second step consumes ``inp``'s row again and leaves every
+    collection as the first did, but the step after it, fed nothing,
+    clears ``inp``: the node ticks on until a step replays its own input."""
+    cluster = BloomCluster(seed=1)
+    node = cluster.add_node("n0", ClearedInput())
+    node.after(0.01, lambda: node.insert("t", [(1,)]))
+    node.after(0.01, lambda: node.insert("inp", [(1,)]))
+    node.after(0.0107, lambda: node.insert("inp", [(1,)]))  # joins the second step
+    cluster.run(max_events=1_000)
+    assert cluster.sim.pending == 0
+    assert node.read("missed") == {(1,)}
+    assert node.runtime.tick_count == 4  # fed, fed again, cleared, replayed
 
 
 class OneClick(Process):

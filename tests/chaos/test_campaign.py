@@ -370,3 +370,54 @@ class TestDuplicateScheduleNames:
         )
         assert all("#" not in r.name for r in report)
         assert all("schedule_spec" not in r.params for r in report)
+
+
+def _kvs_audited_against(name, truth):
+    """kvs's sealed deployment under another name, its audit checking the
+    committed rows against ``truth``."""
+    from repro.api import BlazesApp
+    from repro.apps import kvs
+
+    profile = kvs.APP.audit_spec
+    return (
+        BlazesApp(name, backend="bloom", runner=kvs._run_app)
+        .component("Store", kvs.LwwKvs, rep=True)
+        .component("Cache", kvs.SnapshotCache)
+        .stream("puts", to="Store.put")
+        .stream("gets", to="Store.get")
+        .stream("responses", frm="Store.getr", to="Cache.response")
+        .stream("cached", frm="Cache.cached")
+        .strategy("sealed", coordinated=True, seals={"puts": ["key"]}, default=True)
+        .audit_profile(
+            strategies=("sealed",), horizon=profile.horizon, schedules=profile.schedules,
+            run_params=profile.run_params, roles=profile.roles, committed=profile.committed,
+            emitted=profile.emitted, truth=truth, envelope=profile.envelope,
+        )
+    )
+
+
+def test_an_app_registered_outside_repro_is_never_served_a_cached_verdict(tmp_path):
+    """The cache key digests only ``repro``'s source, so a cell of an app
+    registered elsewhere is computed on every run (a miss), and an edit to
+    that app's code shows in the next audit's verdict."""
+    from repro.api import register
+    from repro.api.registry import _REGISTRY
+    from repro.apps import kvs
+    from repro.exec import CellCache
+
+    def audit(truth):
+        register(_kvs_audited_against("kvs-elsewhere", truth))
+        try:
+            return audit_campaign(
+                ["kvs-elsewhere"], smoke=True, seeds=(7,), schedules=("baseline",),
+                cache=CellCache(tmp_path),
+            )
+        finally:
+            _REGISTRY.pop("kvs-elsewhere", None)
+
+    exact = audit(kvs._audit_truth)
+    assert [result["observed"] for result in exact] == [str(ObservedLabel.EXACT)]
+    edited = audit(lambda outcome, params: frozenset())  # nothing is the truth now
+    assert [result["observed"] for result in edited] == [str(ObservedLabel.ASYNC)]
+    assert (edited.engine["cache_hits"], edited.engine["cache_misses"]) == (0, 1)
+    assert CellCache(tmp_path).entries() == []

@@ -37,7 +37,7 @@ def _declared(**declarations) -> AuditProfile:
 def _random_cluster(nodes: int = 3) -> BloomCluster:
     """``nodes`` stratifiable generated programs, ``n0``, ``n1``, ...,
     each fed its own random schedule, one planned step per timer, and run
-    for a bounded virtual time (a deferred rule can tick forever)."""
+    until every node is quiescent."""
     cluster = BloomCluster(seed=1)
     seed = 0
     while len(cluster.nodes) < nodes:
@@ -51,7 +51,7 @@ def _random_cluster(nodes: int = 3) -> BloomCluster:
                 node.after(
                     0.01 * (step + 1), lambda n=node, c=collection, r=rows: n.insert(c, r)
                 )
-    cluster.run(until=0.1)
+    cluster.run()
     return cluster
 
 

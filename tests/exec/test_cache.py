@@ -10,16 +10,8 @@ import pytest
 from repro.bench import sweep
 from repro.chaos.harnesses import harness_for
 from repro.errors import ExecError
-from repro.exec import (
-    CACHE_SCHEMA_VERSION,
-    CellCache,
-    bench_cache_fields,
-    evaluate,
-    read_engine_stats,
-)
+from repro.exec import CACHE_SCHEMA_VERSION, CellCache, bench_cache_fields, evaluate
 from repro.exec.cache import kwargs_digest, schedule_digest
-from repro.exec.engine import record_engine_stats
-from repro.exec.pool import _block
 
 FIELDS = {"kind": "test", "app": "wordcount", "strategy": "sealed", "seed": 7}
 
@@ -108,15 +100,13 @@ def test_corrupt_or_mismatched_entries_read_as_misses(tmp_path):
     ),
     ids=("not-utf8", "no-metrics", "metrics-a-list"),
 )
-def test_an_unreadable_entry_is_a_miss_and_unreadable_stats_are_empty(tmp_path, stored):
+def test_an_unreadable_entry_is_a_miss(tmp_path, stored):
     """Whatever an object file holds, ``get`` serves a metrics mapping or
-    counts a miss, and the stats file reads as a mapping."""
+    counts a miss."""
     cache = CellCache(tmp_path)
     key = cache.key(FIELDS)
     cache.put(key, {"score": 1}, wall_seconds=0.1).write_bytes(stored)
     assert cache.get(key) is None
-    (tmp_path / "stats.json").write_bytes(stored)
-    assert isinstance(read_engine_stats(tmp_path), dict)
 
 
 def test_clear_empties_the_store(tmp_path):
@@ -189,48 +179,3 @@ def test_kwargs_digest_covers_non_json_values():
     assert kwargs_digest(base) == kwargs_digest(dict(base))
     assert kwargs_digest(base) != kwargs_digest({**base, "workers": 5})
 
-
-def _engine(**fields) -> dict:
-    """One engine block, as ``evaluate`` builds it, of a pooled run."""
-    pool = _block(2, 3, 0.5, [(0, {}, 0.5, 0.4, 101, 60), (1, {}, 0.25, 0.2, 102, 40)])
-    return {
-        "name": "toy", "jobs": 2, "cells": 10, "computed": 6, "cache_enabled": True,
-        "cache_hits": 4, "cache_misses": 6, "events": 100, "batches": 3,
-        "wall_seconds": 1.0, "pool": pool, "cache": None, **fields,
-    }
-
-
-def test_engine_stats_accumulate_across_runs(tmp_path):
-    """The ledger's totals are the fold of every recorded run, in the
-    block's own shape, beside their count; ``last`` is the last block."""
-    engine = _engine()
-    record_engine_stats(engine, tmp_path)
-    record_engine_stats(_engine(pool=None), tmp_path)
-    record_engine_stats(engine, tmp_path)
-    stats = read_engine_stats(tmp_path)
-    totals = stats["totals"]
-    assert set(stats) == {"totals", "last"}
-    assert set(totals) == {"runs", *engine}
-    assert (totals["runs"], totals["batches"], totals["cells"]) == (3, 9, 30)
-    assert (totals["cache_hits"], totals["events"]) == (12, 300)
-    assert (totals["pool"]["tasks"], totals["pool"]["dispatches"]) == (4, 2)
-    assert totals["pool"]["busy_seconds"] == pytest.approx(1.5)
-    assert totals["pool"]["workers"] == {}  # a pid names nothing after its command
-    assert stats["last"] == engine
-
-
-def test_a_ledger_in_the_flat_layout_is_started_afresh(tmp_path):
-    """A ``stats.json`` with flat ``pool_*`` totals and no ``batches``
-    reads as empty, and the next run starts new totals, not summed into
-    the old ones."""
-    flat = {"runs": 18, "cells": 44, "computed": 44, "cache_hits": 0, "cache_misses": 44,
-            "pool_tasks": 0, "pool_busy_seconds": 0.0, "pool_wall_seconds": 0.0, "events": 0}
-    (tmp_path / "stats.json").write_text(json.dumps({"totals": flat, "last": {"cells": 1}}))
-    assert read_engine_stats(tmp_path) == {}
-    record_engine_stats(_engine(), tmp_path)
-    totals = read_engine_stats(tmp_path)["totals"]
-    assert (totals["runs"], totals["cells"], totals["events"]) == (1, 10, 100)
-
-
-def test_engine_stats_read_is_empty_when_absent(tmp_path):
-    assert read_engine_stats(tmp_path / "nope") == {}

@@ -13,6 +13,8 @@ from repro.exec import (
     resolve_jobs,
     shutdown_shared_pool,
 )
+from repro.exec.engine import fold
+from repro.exec.pool import _block as _dispatch
 
 SCENARIOS = sweep("a{a}-b{b}", {"a": (1, 2, 3), "b": (10, 20)})
 
@@ -62,6 +64,7 @@ def test_events_count_every_computed_cell_serial_or_pooled(tmp_path):
     events = sum(scenario.params["a"] for scenario in SCENARIOS)
     assert evaluate("toy", SCENARIOS, cell).engine["events"] == events
     assert evaluate("toy", SCENARIOS, cell, jobs=2).engine["events"] == events
+    assert evaluate("toy", SCENARIOS, dict).engine["events"] == 0  # a cell that counts none
     cache = CellCache(tmp_path)
     fields = bench_cache_fields("toy")
     assert evaluate("toy", SCENARIOS[:2], cell, cache=cache, cache_fields=fields).engine["events"] == 2
@@ -118,17 +121,53 @@ def test_no_cache_computes_every_cell(tmp_path):
     assert len(cache.entries()) == len(SCENARIOS)  # the store is untouched
 
 
-def test_engine_run_updates_cumulative_stats(tmp_path):
-    from repro.exec import read_engine_stats
-
+def test_a_cached_run_keeps_no_books_beside_its_objects(tmp_path):
+    """A run's engine block is its only account: the cache directory holds
+    the cell objects and nothing else, and each block counts its own run."""
     cache = CellCache(tmp_path)
     fields = bench_cache_fields("toy")
     evaluate("toy", SCENARIOS, cell, cache=cache, cache_fields=fields)
+    warm = evaluate("toy", SCENARIOS, cell, cache=cache, cache_fields=fields)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["objects"]
+    assert (warm.engine["cells"], warm.engine["cache_hits"]) == (len(SCENARIOS), len(SCENARIOS))
+
+
+def test_a_cell_without_cache_fields_is_computed_and_never_stored(tmp_path):
+    cache = CellCache(tmp_path)
+
+    def fields(scenario):
+        return None if scenario.params["a"] == 1 else bench_cache_fields("toy")(scenario)
+
     evaluate("toy", SCENARIOS, cell, cache=cache, cache_fields=fields)
-    totals = read_engine_stats(tmp_path)["totals"]
-    assert totals["runs"] == 2
-    assert totals["cells"] == 2 * len(SCENARIOS)
-    assert totals["cache_hits"] == len(SCENARIOS)
+    warm = evaluate("toy", SCENARIOS, cell, cache=cache, cache_fields=fields)
+    assert len(cache.entries()) == len(SCENARIOS) - 2
+    assert (warm.engine["computed"], warm.engine["cache_misses"]) == (2, 2)
+    assert warm.engine["cache_hits"] == len(SCENARIOS) - 2
+    assert warm.engine["events"] == 2  # the two uncached a=1 cells ran
+
+
+def _block(**fields) -> dict:
+    """One engine block, as ``evaluate`` builds it, of a pooled run."""
+    pool = _dispatch(2, 3, 0.5, [(0, {}, 0.5, 0.4), (1, {}, 0.25, 0.2)])
+    return {
+        "name": "toy", "jobs": 2, "cells": 10, "computed": 6, "cache_enabled": True,
+        "cache_hits": 4, "cache_misses": 6, "events": 100, "batches": 3,
+        "wall_seconds": 1.0, "pool": pool, "cache": None, **fields,
+    }
+
+
+def test_fold_is_a_block_of_the_same_shape():
+    """Counts and walls summed, the pool's dispatches folded (a block
+    without a pool adds none), the rest as the last block saw them."""
+    first, last = _block(), _block(name="last", jobs=3, cache={"entries": 1})
+    folded = fold([first, _block(pool=None), last])
+    assert set(folded) == set(first)
+    assert (folded["batches"], folded["cells"], folded["cache_hits"], folded["events"]) == (9, 30, 12, 300)
+    assert folded["wall_seconds"] == pytest.approx(3.0)
+    assert (folded["name"], folded["jobs"], folded["cache"]) == ("last", 3, {"entries": 1})
+    assert (folded["pool"]["tasks"], folded["pool"]["dispatches"]) == (4, 2)
+    assert folded["pool"]["busy_seconds"] == pytest.approx(1.5)
+    assert fold([_block(pool=None)])["pool"] is None
 
 
 def test_audit_cell_cache_fields_track_seeds_and_schedules():

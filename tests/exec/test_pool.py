@@ -47,10 +47,6 @@ def test_pool_runs_in_input_order():
     assert all(wall >= 0.0 and cpu >= 0.0 for _, wall, cpu in rows)
 
 
-def _events(block) -> int:
-    return sum(worker["events"] for worker in block["workers"].values())
-
-
 def test_pool_workers_stay_warm_across_dispatches():
     pool = WorkerPool(2)
     blocks = []
@@ -64,7 +60,8 @@ def test_pool_workers_stay_warm_across_dispatches():
     # what the pool did over both is the fold of the dispatches
     folded = _fold_dispatches(blocks)
     assert (folded["tasks"], folded["dispatches"]) == (4, 2)
-    assert _events(folded) == 1 + 2 + 3 + 4
+    assert folded["chunks"] == sum(block["chunks"] for block in blocks)
+    assert 0.0 <= folded["utilization"] <= 1.0
 
 
 def test_pool_resize_respawns_with_new_worker_count():
@@ -81,41 +78,38 @@ def test_pool_resize_respawns_with_new_worker_count():
         pool.shutdown()
 
 
-def test_pool_block_counts_tasks_events_and_utilization():
+def test_pool_block_counts_tasks_chunks_and_utilization():
     pool = WorkerPool(2)
     try:
         _rows, block = pool.run(square, [{"x": x} for x in range(1, 9)])
     finally:
         pool.shutdown()
+    # no events and no per-worker split: the engine block totals the events, once
+    assert set(block) == {
+        "jobs", "tasks", "chunks", "dispatches", "wall_seconds", "busy_seconds",
+        "cpu_seconds", "utilization",
+    }
     assert block["tasks"] == 8
-    assert "events" not in block  # the engine block totals them, once
-    assert _events(block) == sum(range(1, 9))
     assert 1 <= block["chunks"] <= 8
     assert 0.0 <= block["utilization"] <= 1.0
-    for worker in block["workers"].values():
-        assert worker["events_per_second"] >= 0.0
 
 
 def test_pool_block_totals_sum_the_worker_rows():
     empty = _block(2, 0, 0.0, [])
-    assert (empty["tasks"], empty["busy_seconds"], empty["workers"], empty["utilization"]) == (0, 0.0, {}, 0.0)
-    # _run_chunk rows: (index, metrics, wall, cpu, pid, events)
-    rows = [(0, {}, 0.5, 0.4, 101, 10), (1, {}, 0.25, 0.2, 102, 5), (2, {}, 0.75, 0.1, 101, 0)]
+    assert (empty["tasks"], empty["busy_seconds"], empty["utilization"]) == (0, 0.0, 0.0)
+    # _run_chunk rows: (index, metrics, wall, cpu)
+    rows = [(0, {}, 0.5, 0.4), (1, {}, 0.25, 0.2), (2, {}, 0.75, 0.1)]
     block = _block(2, 2, 1.0, rows)
     assert block["tasks"] == 3
-    assert _events(block) == 15
     assert block["busy_seconds"] == pytest.approx(1.5)
     assert block["cpu_seconds"] == pytest.approx(0.7)
     assert block["utilization"] == pytest.approx(0.75)
-    assert block["workers"]["101"] == {
-        "tasks": 2, "busy_seconds": 1.25, "events": 10, "events_per_second": 8.0,
-    }
     assert block["chunks"] == 2 and block["dispatches"] == 1
 
 
-def test_folded_dispatches_merge_workers_and_rederive_ratios():
-    first = _block(2, 2, 1.0, [(0, {}, 0.5, 0.4, 101, 10), (1, {}, 0.25, 0.2, 102, 5)])
-    second = _block(2, 1, 0.5, [(0, {}, 0.25, 0.1, 101, 2)])
+def test_folded_dispatches_sum_and_rederive_utilization():
+    first = _block(2, 2, 1.0, [(0, {}, 0.5, 0.4), (1, {}, 0.25, 0.2)])
+    second = _block(2, 1, 0.5, [(0, {}, 0.25, 0.1)])
     assert _fold_dispatches([first]) == first  # one dispatch folds to itself
     folded = _fold_dispatches([first, second])
     assert (folded["tasks"], folded["chunks"], folded["dispatches"]) == (3, 3, 2)
@@ -123,25 +117,21 @@ def test_folded_dispatches_merge_workers_and_rederive_ratios():
     assert folded["busy_seconds"] == pytest.approx(1.0)
     # 1.0 s busy of 2 workers x 1.5 s, not a mean of the two dispatches' ratios
     assert folded["utilization"] == pytest.approx(1.0 / 3.0)
-    assert folded["workers"]["101"] == {
-        "tasks": 2, "busy_seconds": 0.75, "events": 12, "events_per_second": 16.0,
-    }
-    assert list(folded["workers"]) == ["101", "102"]
 
 
-def test_pool_counts_a_cell_without_events_as_a_task_with_zero_events():
+def test_pool_counts_a_cell_without_events_as_a_task():
     """A cell whose result carries no ``events`` key, or is no mapping at
     all (the perf harness dispatches ``os.getpid``), still counts as a
-    task and adds 0 events."""
+    task."""
     rows = _run_chunk(no_events, [(0, {"x": 2}), (1, {"x": 3})])
-    assert [row[5] for row in rows] == [0, 0]
+    assert [row[:2] for row in rows] == [(0, {"square": 4}), (1, {"square": 9})]
     pool = WorkerPool(2)
     try:
         rows, block = pool.run(no_events, [{"x": x} for x in (1, 2, 3)])
         assert [metrics["square"] for metrics, _, _ in rows] == [1, 4, 9]
-        assert (block["tasks"], _events(block)) == (3, 0)
+        assert block["tasks"] == 3
         _rows, block = pool.run(os.getpid, [{}, {}], chunksize=1)
-        assert (block["tasks"], _events(block)) == (2, 0)
+        assert (block["tasks"], block["chunks"]) == (2, 2)
     finally:
         pool.shutdown()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -645,9 +646,8 @@ def test_audit_text_mode_prints_engine_line(tmp_path, monkeypatch, capsys):
     assert "engine:" in out and "cache" in out
 
 
-def test_a_pooled_audit_prints_its_pool_and_the_ledger_its_workers(tmp_path, monkeypatch, capsys):
-    """The text a pooled sweep ends in, and the ledger after it: the
-    pool's part of the engine line and the last run's worker rows."""
+def test_a_pooled_audit_prints_its_pool(tmp_path, monkeypatch, capsys):
+    """The text a pooled sweep ends in: the pool's part of the engine line."""
     from repro.exec import shutdown_shared_pool
 
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
@@ -658,11 +658,6 @@ def test_a_pooled_audit_prints_its_pool_and_the_ledger_its_workers(tmp_path, mon
         shutdown_shared_pool()
     last = capsys.readouterr().out.rstrip().splitlines()[-1]
     assert last.startswith("engine: ") and "pool jobs=2 util=" in last
-    assert main(["cache", "stats"]) == 0
-    ledger = capsys.readouterr().out.splitlines()
-    rows = ledger[ledger.index("  last run workers:") + 1:]
-    assert rows[0].startswith("    pid ") and rows[0].endswith(" events/s")
-    assert "pool jobs=2 util=" in ledger[-1]
 
 
 def test_audit_bad_jobs_is_a_clean_error(capsys):
@@ -671,32 +666,21 @@ def test_audit_bad_jobs_is_a_clean_error(capsys):
 
 
 def test_cache_subcommand_stats_and_clear(capsys):
+    """``cache stats`` prints the store and nothing else: a cached audit
+    leaves only its cell objects, and the run counted its own hits."""
     _audit_payload(capsys)  # populate
     assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
-    assert "cached cells" in out and "evaluation engine — cumulative" in out
+    assert "cached cells" in out and "engine" not in out
     assert main(["cache", "stats", "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
+    assert set(stats) == {"directory", "entries", "size_bytes"}
     assert stats["entries"] > 0
-    assert stats["engine"]["totals"]["runs"] >= 1
+    assert [path.name for path in Path(stats["directory"]).iterdir()] == ["objects"]
     assert main(["cache", "clear"]) == 0
     assert "cleared" in capsys.readouterr().out
     assert main(["cache", "stats", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["entries"] == 0
-
-
-def test_cache_stats_reports_cumulative_counters(capsys):
-    assert main(["cache", "stats"]) == 0
-    assert "no engine runs recorded" in capsys.readouterr().out
-    _audit_payload(capsys)
-    assert main(["cache", "stats"]) == 0
-    out = capsys.readouterr().out
-    assert "evaluation engine — cumulative" in out
-    assert "cache misses" in out
-    assert main(["cache", "stats", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["engine"]["totals"]["runs"] >= 1
-    assert "hits" not in payload and "misses" not in payload  # evaluate counts them
 
 
 def test_every_sweep_prints_one_engine_block_shape(capsys):
@@ -718,36 +702,43 @@ def test_every_sweep_prints_one_engine_block_shape(capsys):
     assert shapes == [list(evaluate("toy", [], dict).engine)] * len(sweeps)
 
 
-def test_a_sweep_is_one_ledger_run(capsys):
-    """An adaptive sweep records the fold of its batches once: one run,
-    every batch and cell in it, and its block as the last run."""
+def test_a_sweep_prints_the_fold_of_its_batches(monkeypatch, capsys):
+    """An adaptive sweep evaluates batch after batch, and its engine block
+    is the fold of their blocks: every batch and cell in it."""
+    from repro.exec import engine as engine_module
+
+    batches, real = [], engine_module.evaluate
+
+    def evaluate(*args, **kwargs):
+        report = real(*args, **kwargs)
+        batches.append(report.engine)
+        return report
+
+    monkeypatch.setattr(engine_module, "evaluate", evaluate)
     argv = [
         "audit", "--search", "--smoke", "--apps", "wordcount", "--candidates", "2",
         "--budget", "8", "--no-report", "--json",
     ]
     assert main(argv) == 0
     engine = json.loads(capsys.readouterr().out)["engine"]
-    assert main(["cache", "stats", "--json"]) == 0
-    ledger = json.loads(capsys.readouterr().out)["engine"]
-    assert ledger["last"] == engine and engine["batches"] > 1
-    totals = ledger["totals"]
-    assert (totals["runs"], totals["batches"], totals["cells"]) == (1, engine["batches"], engine["cells"])
+    assert engine["batches"] == len(batches) > 1
+    assert engine["cells"] == sum(block["cells"] for block in batches)
+    assert json.loads(json.dumps(engine_module.fold(batches))) == engine
 
 
-def test_a_serial_audit_records_its_cells_events(tmp_path):
+def test_a_serial_audit_counts_its_cells_events(tmp_path):
     from repro.chaos.campaign import audit_campaign
-    from repro.exec import CellCache, read_engine_stats
+    from repro.exec import CellCache
 
     report = audit_campaign(["kvs"], smoke=True, seeds=(7,), cache=CellCache(tmp_path))
-    totals = read_engine_stats(tmp_path)["totals"]
-    assert totals["runs"] == 1
-    assert totals["events"] == report.engine["events"] == sum(r["events"] for r in report) > 0
+    assert report.engine["events"] == sum(r["events"] for r in report) > 0
+    assert [path.name for path in tmp_path.iterdir()] == ["objects"]
 
 
 @pytest.mark.parametrize("argv", (["stats"], ["stats", "--engine"]), ids=("no-app", "engine"))
 def test_stats_needs_an_app_and_has_no_engine_flag(argv, capsys):
-    """The ledger has one reader, ``blazes cache stats``: ``blazes stats``
-    is the coordination-cost table of one app, a usage error without it."""
+    """``blazes stats`` is the coordination-cost table of one app, a usage
+    error without it."""
     with pytest.raises(SystemExit) as usage:
         main(argv)
     assert usage.value.code == 2
@@ -800,8 +791,6 @@ EXIT_CASES = {
 
 @pytest.mark.parametrize("code", sorted(EXIT_CASES))
 def test_every_documented_exit_code(code, spec_file, capsys):
-    from pathlib import Path
-
     from repro.api import register
     from repro.api.registry import _REGISTRY
 
