@@ -5,6 +5,8 @@ Producers submit values to the sequencer; every subscriber receives
 network, so the consumer side holds an :class:`OrderedInbox` that buffers
 deliveries and releases the contiguous prefix.  All replicas therefore
 apply exactly the same sequence of values — state-machine replication.
+A seal manager (:mod:`repro.coord.sealing`) reassembles each producer's
+channel with one too.
 
 See ``docs/architecture.md`` for the full paper-section-to-module map.
 """

@@ -25,17 +25,18 @@ paper-section-to-module map.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Hashable
+from functools import partial
 from typing import Any
 
+from repro.coord.ordering import OrderedInbox
 from repro.coord.zookeeper import ZkClient
 from repro.errors import SimulationError
 from repro.sim.events import RUN_SCOPE
 from repro.wire import SEAL_DATA as DATA, SEAL_PUNCT as PUNCT, part_lineage
 
 __all__ = ["SealedStreamProducer", "SealManager", "DATA", "PUNCT", "registry_path"]
-
-_SEAL_MARK = object()
 
 Partition = Hashable
 
@@ -115,10 +116,10 @@ class SealManager:
         self.on_complete = on_complete
         self._producers_for = producers_for
         self._zk = zk_client
-        # channel reassembly: each producer's next sequence number, and, for
-        # a producer with a gap, the messages that arrived ahead of it
-        self._expected: dict[str, int] = {}
-        self._early: dict[str, dict[int, tuple[Partition, Any]]] = {}
+        # channel reassembly: one inbox per producer, holding the call that
+        # applies each message until its turn; keyed with the stream, so a
+        # message of another stream misses and is refused by _open
+        self._channels: dict[tuple[str, str], OrderedInbox] = {}
         self._buffers: dict[Partition, list[Any]] = {}
         self._seals: dict[Partition, set[str]] = {}
         self._producer_sets: dict[Partition, frozenset[str]] = {}
@@ -150,48 +151,25 @@ class SealManager:
         replayed one is dropped.
         """
         stream, seq, partition, record, producer = msg.payload
-        if stream == self.stream and seq == self._expected.get(producer, 0):
-            self._expected[producer] = seq + 1
-            self.on_data(partition, record, producer)
-            if producer in self._early:
-                self._catch_up(producer)
-        else:
-            self._hold(stream, producer, seq, (partition, record))
+        inbox = self._channels.get((stream, producer)) or self._open(stream, producer)
+        inbox.offer(seq, partial(self.on_data, partition, record, producer))
 
     def punctuate(self, msg) -> None:
         """Take one ``seal.punct`` message of this stream, in channel order
         like :meth:`record`."""
         stream, seq, partition, producer = msg.payload
-        if stream == self.stream and seq == self._expected.get(producer, 0):
-            self._expected[producer] = seq + 1
-            self.on_seal(partition, producer)
-            if producer in self._early:
-                self._catch_up(producer)
-        else:
-            self._hold(stream, producer, seq, (partition, _SEAL_MARK))
+        inbox = self._channels.get((stream, producer)) or self._open(stream, producer)
+        inbox.offer(seq, partial(self.on_seal, partition, producer))
 
-    def _hold(self, stream: str, producer: str, seq: int, item: tuple) -> None:
-        """Keep a message that arrived ahead of a gap in its channel."""
+    def _open(self, stream: str, producer: str) -> OrderedInbox:
+        """Open the channel of ``producer``'s first message."""
         if stream != self.stream:
             raise SimulationError(
                 f"the seal manager of stream {self.stream!r} got a message "
                 f"of stream {stream!r}"
             )
-        if seq > self._expected.get(producer, 0):  # below it: a replay
-            self._early.setdefault(producer, {}).setdefault(seq, item)
-
-    def _catch_up(self, producer: str) -> None:
-        """Apply the held messages the last one made contiguous."""
-        held, expected = self._early[producer], self._expected
-        while (item := held.pop(expected[producer], None)) is not None:
-            expected[producer] += 1
-            partition, record = item
-            if record is _SEAL_MARK:
-                self.on_seal(partition, producer)
-            else:
-                self.on_data(partition, record, producer)
-        if not held:
-            del self._early[producer]
+        inbox = self._channels[stream, producer] = OrderedInbox(operator.call)
+        return inbox
 
     def on_data(self, partition: Partition, record: Any, producer: str) -> None:
         """Buffer one record until its partition is complete."""

@@ -3,8 +3,9 @@ causal spans, and machine-readable run directories.
 
 See ``docs/observability.md`` for the full model.  The package is
 deliberately free of simulator assumptions: a hub only ever receives
-``note_send`` / ``note_delivery`` / ``note_decision`` calls, so any
-backend speaking the same wire vocabulary reports through it unchanged.
+``note_send`` / ``note_decision`` calls (and its span tracker the
+delivered messages), so any backend speaking the same wire vocabulary
+reports through it unchanged.
 """
 
 from repro.obs.coordcost import (

@@ -1,8 +1,7 @@
 """The telemetry hub: the coordination-cost ledger the runtime reports to.
 
 A :class:`Telemetry` hub tallies the structured notes the simulated
-runtime emits (message sends, deliveries, coordination decisions) into
-the fields of the ``coordcost`` block
+runtime emits (message sends and coordination decisions) into the fields of the ``coordcost`` block
 (:func:`repro.obs.coordcost.coordcost_report`).  Hubs are **opt-in
 and run-scoped**: ``BlazesApp.run(telemetry=...)`` sets the run's scope
 (:func:`repro.sim.events.run_scope`) to exactly its own hub, and
@@ -12,18 +11,19 @@ instrumentation site in the runtime reduces to one attribute load and a
 ``None`` check — the kernel's inner event loop is never touched — so
 disabled telemetry is free and traces are byte-identical either way.
 
-The two per-message notes are **recorded on the hop and derived on first
-read**: ``note_send`` bumps one tally entry that is folded into the
-plane/kind/topic tallies when they are first read, and
-``note_delivery`` appends the message to the span tracker's raw log
-(:class:`~repro.obs.spans.SpanTracker`).  A reader sees the counts and
-spans an eager hub would have built; a run nobody reads pays for the
-tallies and appends only.
+Per-message work is **recorded on the hop and derived on first read**:
+``note_send`` bumps one tally entry that is folded into the
+plane/kind/topic tallies when they are first read, and a hub that traces
+spans has ``make_simulator`` add its span tracker
+(:class:`~repro.obs.spans.SpanTracker`) to the kernel's delivery
+observers, which append each delivered message to its raw log.  A reader
+sees the counts and spans an eager hub would have built; a run nobody
+reads pays for the tallies and appends only, and a hub without spans
+pays nothing per delivery.
 
 The hub itself is backend-agnostic: nothing here assumes a simulator.  A
 real-transport backend reports through exactly the same ``note_send`` /
-``note_delivery`` / ``note_decision`` surface (see
-``docs/observability.md``).
+``note_decision`` surface (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class Telemetry:
     The ledger is five tallies (see :meth:`tallies`), the simulated-time
     overhead of the coordination services, and — with ``spans=True`` — a
     :class:`~repro.obs.spans.SpanTracker` that derives causal lineage from
-    delivered messages.  ``profiler`` carries a
+    the delivered messages ``make_simulator`` feeds it.  ``profiler`` carries a
     :class:`~repro.sim.profile.SimProfiler` that ``make_simulator``
     attaches to the built kernel (the ``--profile`` path).
     """
@@ -109,11 +109,6 @@ class Telemetry:
             kinds[kind] += sent
             if topic:
                 topics[topic] += sent
-
-    def note_delivery(self, msg: Any, time: float) -> None:
-        """Feed one delivered message to the span tracker, if tracing."""
-        if self.spans is not None:
-            self.spans.note_delivery(msg, time)
 
     def note_decision(
         self,

@@ -43,11 +43,13 @@ heap lazily discards it), while the fire-and-forget :meth:`Simulator.post`
 skips handle allocation entirely.  :attr:`Simulator.pending` counts live
 events only — cancelled records awaiting lazy removal are not pending.
 
-Profiling (:mod:`repro.sim.profile`) attaches via
-:attr:`Simulator.profiler`; when detached the hot loop pays one ``None``
-check per event.  :attr:`Simulator.watched` is the message hop's one
-check: it turns on when a profiler, a telemetry hub or a delivery
-observer first attaches, and never turns off.
+A run is instrumented at two hooks on the kernel.  :attr:`Simulator.profiler`
+is the per-event one (:mod:`repro.sim.profile`): when detached the hot
+loop pays one ``None`` check per event.  :attr:`Simulator.observers` is
+the run's one delivery-observer list: the network calls each entry with
+every delivered message, so span capture, a profiler's message count and
+a test's callback are entries of it, and an unwatched run's hop loops
+over an empty list.
 
 A run's context — the telemetry hub it reports to and the socket
 transport it runs on — is one context variable, set by :func:`run_scope`
@@ -176,14 +178,13 @@ class Simulator:
         self._seq = 0  # records pushed
         self._fired = 0
         self._cancelled = 0
-        self._profiler = None
+        # the attached repro.sim.profile.SimProfiler, if any
+        self.profiler = None
         # The attached telemetry hub (repro.obs), read by message-level
         # instrumentation sites; the event loop itself never consults it.
         self.telemetry = None
-        # Set once a profiler, a telemetry hub or a network's delivery
-        # observer attaches, never cleared: a delivery looks past this one
-        # flag only on a run that something watches (or once watched).
-        self.watched = False
+        # called with each delivered message (Network._deliver)
+        self.observers: list[Callable] = []
 
     @property
     def pending(self) -> int:
@@ -204,7 +205,7 @@ class Simulator:
         rec = [time, seq, fn, args]
         queue = self._queue
         heappush(queue, rec)
-        profiler = self._profiler
+        profiler = self.profiler
         if profiler is not None and len(queue) > profiler.heap_watermark:
             profiler.heap_watermark = len(queue)
         return rec
@@ -236,7 +237,7 @@ class Simulator:
         self._seq = seq + 1
         queue = self._queue
         heappush(queue, [self.now + delay, seq, fn, args])
-        profiler = self._profiler
+        profiler = self.profiler
         if profiler is not None and len(queue) > profiler.heap_watermark:
             profiler.heap_watermark = len(queue)
 
@@ -294,28 +295,14 @@ class Simulator:
                 self.now = time
                 rec[_FN] = None  # fired: a late EventHandle.cancel no-ops
                 fired += 1
-                if self._profiler is not None:
-                    self._profiler._note_fire(fn, len(queue))
+                if self.profiler is not None:
+                    self.profiler._note_fire(fn, len(queue))
                 fn(*rec[_ARGS])
         finally:
             self._fired += fired
         if until is not None and self.now < until and not queue:
             self.now = until
         return self.now
-
-    # ------------------------------------------------------------------
-    # profiling
-    # ------------------------------------------------------------------
-    @property
-    def profiler(self):
-        """The attached :class:`repro.sim.profile.SimProfiler`, if any."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-        if value is not None:
-            self.watched = True
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(now={self.now:.6f}, pending={self.pending})"
@@ -351,9 +338,11 @@ def make_simulator(seed: int = 0):
     wall-clock subclass :class:`~repro.net.services.NetSimulator` (the
     same heap, fired when the wall deadline passes), so the whole run
     lands on real TCP transport behind the same channel contract.  The
-    scope's telemetry hub is attached with its profiler; with no hub the
-    attribute stays ``None`` and every instrumentation site is a single
-    pointer check.
+    scope's telemetry hub is attached with its instruments: a span
+    tracker captures each delivery as a delivery observer, and a profiler
+    attaches for the kernel's whole life.  With no hub the attribute
+    stays ``None``, every instrumentation site is a single pointer check
+    and the delivery-observer list stays empty.
     """
     hub, net_config = RUN_SCOPE.get()
     if net_config is not None:
@@ -364,7 +353,11 @@ def make_simulator(seed: int = 0):
         sim = Simulator(seed=seed)
     if hub is not None:
         sim.telemetry = hub
-        sim.watched = True
-        if hub.profiler is not None:
-            sim.profiler = hub.profiler
+        spans = hub.spans
+        if spans is not None:
+            sim.observers.append(lambda msg: spans.note_delivery(msg, sim.now))
+        profiler = hub.profiler
+        if profiler is not None:
+            sim.profiler = profiler
+            sim.observers.append(profiler._count_message)
     return sim

@@ -15,11 +15,11 @@ result **and** its RNG draw count are already determined: ``send`` asks
 ``send_copies`` only while a loss or duplication probability is positive
 (otherwise: one copy, no draw), and ``_deliver`` asks ``delivery_action``
 only while some link is blocked or the destination is unknown or crashed
-(otherwise: deliver).  A delivery then reports to the profiler, the
-telemetry hub and the observers only once ``Simulator.watched`` says one
-of them ever attached.  ``tests/reference/network_ref.py`` keeps the
-unguarded hop, and the differential suite holds the two to identical
-deliveries, counters and RNG state.
+(otherwise: deliver).  A delivery then calls each of the kernel's
+delivery observers (``Simulator.observers``) and nothing else.
+``tests/reference/network_ref.py`` keeps the unguarded hop, and the
+differential suite holds the two to identical deliveries, counters and
+RNG state.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class Network:
     """Routes messages between registered processes with simulated latency.
 
     ``drop_prob`` and ``dup_prob`` inject loss and duplication;
-    ``on_deliver`` observers (used by traces and tests) see every delivered
+    :meth:`observe` adds a delivery observer, which sees every delivered
     message.
     """
 
@@ -160,7 +160,6 @@ class Network:
         # heal early when the first window closes
         self._blocked_links: dict[tuple[str, str], int] = {}
         self._uid = 0
-        self._observers: list[Callable[[Message], None]] = []
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -196,21 +195,21 @@ class Network:
         pending records and the processes they would call — which only
         the cyclic collector could find, re-traversing all of it on every
         pass until then.  Every registered process drops its state
-        (:meth:`Process.close`), and the network drops its processes, its
-        observers and the kernel's pending records.  Read what the run is
-        wanted for first: nothing of it survives this call.
+        (:meth:`Process.close`), and the network drops its processes and
+        the kernel's delivery observers and pending records.  Read what
+        the run is wanted for first: nothing of it survives this call.
         """
         for process in self._processes.values():
             process.close()
         self._processes.clear()
         self._unstarted.clear()
-        self._observers.clear()
+        self.sim.observers.clear()
         self.sim._queue.clear()
 
     def observe(self, callback: Callable[[Message], None]) -> None:
-        """Register a delivery observer (tracing, assertions)."""
-        self._observers.append(callback)
-        self.sim.watched = True
+        """Register a delivery observer (tracing, assertions) on the
+        kernel's one list (``Simulator.observers``)."""
+        self.sim.observers.append(callback)
 
     # ------------------------------------------------------------------
     # link partitions
@@ -311,16 +310,8 @@ class Network:
                 self.dropped += 1
                 return
         self.delivered += 1
-        sim = self.sim
-        if sim.watched:  # a profiler, a telemetry hub or an observer
-            profiler = sim._profiler
-            if profiler is not None:
-                profiler._note_message(msg.kind)
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.note_delivery(msg, sim.now)
-            for observer in self._observers:
-                observer(msg)
+        for observer in self.sim.observers:
+            observer(msg)
         process.recv(msg)
 
     def _retry(self, msg: Message, attempt: int) -> None:

@@ -1,14 +1,16 @@
 """Kernel profiling: events/sec, per-kind histograms, heap watermarks.
 
-A :class:`SimProfiler` attaches to a simulator through
-:attr:`Simulator.profiler` and observes the event loop from inside:
+A :class:`SimProfiler` attaches to a simulator at its two hooks: the
+per-event :attr:`Simulator.profiler` and the delivery-observer list
+:attr:`Simulator.observers`:
 
 * every fired event increments a per-callable histogram (keyed by the
   callable's qualified name, so ``Network._deliver`` and
   ``BloomNode._do_tick`` show up as distinct rows);
-* the :class:`~repro.sim.network.Network` reports each delivered
-  message's ``kind`` while a profiler is attached, giving a per-protocol
-  breakdown (``bloom.insert`` vs ``seal.data`` vs retries);
+* its message count, one of the kernel's delivery observers while the
+  profiler is attached, tallies each delivered message's ``kind``,
+  giving a per-protocol breakdown (``bloom.insert`` vs ``seal.data`` vs
+  retries);
 * the kernel notes the deepest the heap ever got — the watermark bounds
   the simulator's working set and is the first thing to look at when a
   run is slower than its event count predicts.
@@ -61,9 +63,9 @@ class SimProfiler:
         if heap_depth > self.heap_watermark:
             self.heap_watermark = heap_depth
 
-    # Called by Network._deliver for every delivered message.
-    def _note_message(self, kind: str) -> None:
-        self.message_kinds[kind] += 1
+    # A delivery observer (Simulator.observers) while attached.
+    def _count_message(self, msg) -> None:
+        self.message_kinds[msg.kind] += 1
 
     @property
     def events(self) -> int:
@@ -83,16 +85,17 @@ class SimProfiler:
 
         Nested/multiple ``observe`` blocks accumulate: counters keep
         growing and wall time sums, so one profiler can span a sweep of
-        runs.
+        runs.  Of nested profilers only the innermost counts: it stands
+        in for the one it nests in until its block ends.
         """
         previous = sim.profiler
-        sim.profiler = self
+        _hand_over(sim, previous, self)
         start = time.perf_counter()
         try:
             yield self
         finally:
             self.wall_seconds += time.perf_counter() - start
-            sim.profiler = previous
+            _hand_over(sim, self, previous)
 
     def snapshot(self) -> dict:
         """A JSON-friendly summary (top-10 histograms, headline rates)."""
@@ -111,3 +114,15 @@ class SimProfiler:
             f"eps={self.events_per_second:.0f}, "
             f"watermark={self.heap_watermark})"
         )
+
+
+def _hand_over(sim, old: SimProfiler | None, new: SimProfiler | None) -> None:
+    """Attach ``new`` to ``sim`` in place of ``old`` (either may be None)."""
+    sim.profiler = new
+    observers = sim.observers
+    if old is not None:
+        if old._count_message not in observers:
+            return  # the run was closed: it keeps no observer
+        observers.remove(old._count_message)
+    if new is not None:
+        observers.append(new._count_message)

@@ -192,8 +192,9 @@ class _TaskBase(Process):
     release the contiguous prefix, apply a duplicate once — is the one
     :mod:`repro.coord.ordering`'s inbox applies, with an object per
     channel, to the sequencer: a handful of long-lived channels carrying
-    thousands of messages each, the opposite traffic.  (Sealing
-    reassembles its channels inline in :mod:`repro.coord.sealing`.)
+    thousands of messages each, the opposite traffic.  (A seal manager's
+    producer channels are of the inbox's kind, so
+    :mod:`repro.coord.sealing` reassembles each with one.)
     """
 
     def __init__(self, name: str, cluster: "StormCluster") -> None:

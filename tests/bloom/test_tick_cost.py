@@ -27,10 +27,11 @@ cost:
   and a completion time read by one trace scan per replica (397.3
   before, 469.8 before that);
 * ``src/repro`` lines per click per replica on the same network sealed:
-  148.36, down from 177.7 when the node asked each coordination plugin in
+  146.81, down from 177.7 when the node asked each coordination plugin in
   turn, the seal manager reassembled each producer's channel through an
-  inbox calling back into it, the producer stamped each record through
-  a helper call, and the same trace scans ran.
+  inbox calling back into a dispatch method of the manager, the producer
+  stamped each record through a helper call, and the same trace scans
+  ran.
 """
 
 from __future__ import annotations

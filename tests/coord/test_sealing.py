@@ -193,5 +193,7 @@ def test_a_message_of_another_stream_is_not_the_managers():
     manager = SealManager("c", lambda *_: None, producers_for=lambda _: frozenset({"p"}))
     foreign = Message("p", "cons", DATA, ("other", 0, "k", "r", "p"), 0.0, 0)
     assert not manager.handle(foreign)
+    # the producer's channel of stream "c" is open: "other" still has none
+    assert manager.handle(Message("p", "cons", DATA, ("c", 0, "k", "r", "p"), 0.0, 1))
     with pytest.raises(SimulationError, match="stream 'other'"):
         manager.record(foreign)  # routed here by a node, it is a wiring error

@@ -6,12 +6,15 @@ first read; :meth:`repro.obs.telemetry.Telemetry.note_send` tallies sends
 and folds the tally into the plane, kind and topic tallies on first read.
 ``tests/reference/telemetry_ref.py`` keeps the eager versions, and these
 tests hold the two to the same observable output: every registered app
-under each of its strategies and one fault schedule, the event cap with
+under each of its strategies and one fault schedule, a hand-built run
+on either kernel, the event cap with
 decision notes and deliveries interleaved, and the classification of
 malformed payloads.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 
@@ -20,7 +23,9 @@ from repro.chaos.harnesses import harness_for
 from repro.obs.coordcost import coordcost_report
 from repro.obs.spans import SpanTracker
 from repro.obs.telemetry import Telemetry
+from repro.sim import Network, Process, make_simulator, run_scope
 from repro.sim.network import Message
+from tests.reference import reference_kernel
 from tests.reference.telemetry_ref import EagerSpanTracker, EagerTelemetry
 
 
@@ -83,6 +88,32 @@ DELIVERIES = (
     ("txn.commit", 1),
     ("custom", None),
 )
+
+
+class _Sink(Process):
+    def recv(self, msg):
+        pass
+
+
+@pytest.mark.parametrize(
+    "kernel", (contextlib.nullcontext, reference_kernel), ids=("fast", "ref")
+)
+def test_a_hand_built_run_spans_its_deliveries_as_the_eager_hop_does(kernel):
+    """A hub's spans reach a kernel ``make_simulator`` builds as one of
+    its delivery observers, on either kernel."""
+    seen = {}
+    for name, hub in (("eager", EagerTelemetry(spans=True)), ("lazy", Telemetry(spans=True))):
+        with kernel(), run_scope(hub):
+            sim = make_simulator(seed=5)
+        network = Network(sim)
+        source = network.register(_Sink("a"))
+        network.register(_Sink("b"))
+        for kind, payload in DELIVERIES:
+            source.send("b", kind, payload)
+        sim.run()
+        seen[name] = _observable(hub)
+    assert len(seen["lazy"]["rows"]) == len(DELIVERIES)
+    assert seen["lazy"] == seen["eager"]
 
 
 @pytest.mark.parametrize("cap", [0, 1, 3, 7])

@@ -83,6 +83,29 @@ def test_malformed_jsonl_line_is_rejected(tmp_path, sealed_outcome):
         validate_rundir(rundir)
 
 
+# one corruption per check: (artifact, its new text, the error it names);
+# a blank .jsonl line is skipped, so each bad row below is on line 2
+CORRUPTIONS = [
+    ("meta.json", "{not json", "meta.json is not valid JSON"),
+    ("meta.json", "[]", "meta.json is not an object"),
+    ("metrics.json", '"done"', "metrics.json is not an object"),
+    ("coordcost.json", "[]", "coordcost.json is not an object"),
+    ("coordcost.json", '{"schema_version": 1}', "coordcost.json is missing 'messages_sent'"),
+    ("spans.jsonl", "\nnot json\n", "spans.jsonl:2: "),
+    ("trace.jsonl", '\n{"t": 0.0, "source": "a"}\n', "trace.jsonl:2 is missing 'event'"),
+]
+
+
+@pytest.mark.parametrize(
+    "artifact,text,error", CORRUPTIONS, ids=[error for _, _, error in CORRUPTIONS]
+)
+def test_each_corrupt_artifact_is_rejected(tmp_path, sealed_outcome, artifact, text, error):
+    rundir = write_rundir(tmp_path / "run", sealed_outcome)
+    (rundir / artifact).write_text(text)
+    with pytest.raises(ObsError, match=re.escape(error)):
+        validate_rundir(rundir)
+
+
 def test_nonexistent_directory_is_rejected(tmp_path):
     with pytest.raises(ObsError, match="does not exist"):
         validate_rundir(tmp_path / "nope")

@@ -17,9 +17,8 @@ file.  Keep the scheduling semantics here frozen: events fire in
 fired, ``until`` bounds virtual time, ``max_events`` bounds firings.
 
 The only additions over the seed are the compatibility shims at the bottom
-of :class:`Simulator` (``post``/``post_at``/``waker``/profiler support and
-the ``watched`` flag), so
-the upper layers can drive either kernel through one interface, and two
+of :class:`Simulator` (``post``/``post_at``/``waker``, the ``profiler``
+hook and the ``observers`` list), so the upper layers can drive either kernel through one interface, and two
 seed bugs fixed: :attr:`Simulator.pending` no longer counts cancelled
 events (which misled quiescence checks), and a ``run`` whose ``until``
 the clock has already passed no longer moves ``now`` back to it.
@@ -78,11 +77,11 @@ class Simulator:
         self._queue: list[EventHandle] = []
         self._seq = 0
         self._fired = 0
-        self._profiler = None
+        self.profiler = None
         # The attached telemetry hub (repro.obs); same contract as the
         # fast kernel: message-level sites read it, the loop never does.
         self.telemetry = None
-        self.watched = False  # the network's one delivery check, as there
+        self.observers: list[Callable] = []  # the delivery observers, as there
 
     @property
     def pending(self) -> int:
@@ -126,8 +125,8 @@ class Simulator:
                 raise SimulationError("event queue went back in time")
             self.now = handle.time
             self._fired += 1
-            if self._profiler is not None:
-                self._profiler._note_fire(handle.action, len(self._queue))
+            if self.profiler is not None:
+                self.profiler._note_fire(handle.action, len(self._queue))
             handle.action()
             return True
         return False
@@ -194,17 +193,6 @@ class Simulator:
         from repro.sim.events import Waker
 
         return Waker(self, delay, fn)
-
-    @property
-    def profiler(self):
-        """The attached :class:`repro.sim.profile.SimProfiler`, if any."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-        if value is not None:
-            self.watched = True
 
     def __repr__(self) -> str:
         return f"Simulator(now={self.now:.6f}, pending={self.pending})"

@@ -61,12 +61,6 @@ class ReferenceNetwork(Network):
             self.dropped += 1
             return
         self.delivered += 1
-        profiler = self.sim.profiler
-        if profiler is not None:
-            profiler._note_message(msg.kind)
-        telemetry = self.sim.telemetry
-        if telemetry is not None:
-            telemetry.note_delivery(msg, self.sim.now)
-        for observer in self._observers:
+        for observer in self.sim.observers:
             observer(msg)
         process.recv(msg)

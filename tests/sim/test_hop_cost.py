@@ -22,16 +22,17 @@ from tools.unexecuted import count_lines
 
 SIM = str(Path(repro.sim.__file__).parent)
 REPRO = str(Path(repro.__file__).parent)
-# executed repro/sim lines per delivered message on the run below: 57.71
-# (49 981 lines, 866 deliveries); 76.62 with the fired count written and
+# executed repro/sim lines per delivered message on the run below: 56.69
+# (49 095 lines, 866 deliveries); 57.71 with a watched flag, a profiler and
+# a hub checked before the observers; 76.62 with the fired count written and
 # the instant re-checked per event, a copy loop on every send and the
 # profiler, telemetry and observers each checked per delivery; 80.95 with
 # a live-event counter written per event and ``Process.sim`` a property,
 # 108.1 with a free pool of records, a helper call per post and
 # LatencyModel.sample on the hop
 CEILING = 57.8
-# executed src/repro lines per delivered message on the same run: 131.78
-# (114 121 lines); 155.73 with every channel item queued before service,
+# executed src/repro lines per delivered message on the same run: 127.45
+# (110 370 lines); 155.73 with every channel item queued before service,
 # a router branching on the grouping mode per tuple and the punctuation
 # built per send
 REPRO_CEILING = 131.8

@@ -216,7 +216,7 @@ def test_close_releases_the_run():
     sent = network.sent
     network.close()
     assert network.processes == ()
-    assert network._observers == [] and sim._queue == []
+    assert sim.observers == [] and sim._queue == []
     # each process is as it was built: unregistered, holding nothing
     assert vars(b) == {"name": "b", "network": None, "sim": None, "crashed": False}
     assert network.sent == sent  # the run's counters stay readable

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.sim import LatencyModel, Network, Process, SimProfiler, Simulator
@@ -82,19 +84,31 @@ class TestProfilerOnBothKernels:
         assert run(True) == run(False)
 
 
-def test_network_message_kinds_counted():
-    sim = Simulator(seed=1)
+@pytest.mark.parametrize(
+    "sim_cls", (Simulator, events_ref.Simulator), ids=("fast", "ref")
+)
+@pytest.mark.parametrize("nested", (False, True), ids=("alone", "nested"))
+def test_network_message_kinds_counted(sim_cls, nested):
+    sim = sim_cls(seed=1)
+    # the network exists before any profiler attaches
     network = Network(sim, latency=LatencyModel(0.001, 0.0))
     a, b = Echo("a"), Echo("b")
     network.register(a)
     network.register(b)
-    profiler = SimProfiler()
-    with profiler.observe(sim):
-        sim.post(0.0, lambda: [a.send("b", "data", i) for i in range(4)])
-        sim.post(0.0, lambda: a.send("b", "ctl", None))
+    outer, profiler = SimProfiler(), SimProfiler()
+    with contextlib.ExitStack() as stack:
+        if nested:
+            stack.enter_context(outer.observe(sim))
+        with profiler.observe(sim):
+            sim.post(0.0, lambda: [a.send("b", "data", i) for i in range(4)])
+            sim.post(0.0, lambda: a.send("b", "ctl", None))
+            sim.run()
+        a.send("b", "data", 4)  # counted by the outer profiler, if any
         sim.run()
-    assert profiler.message_kinds["data"] == 4
-    assert profiler.message_kinds["ctl"] == 1
+    # only the innermost profiler counts what it was attached for
+    assert profiler.message_kinds == {"data": 4, "ctl": 1}
+    assert outer.message_kinds == ({"data": 1} if nested else {})
+    assert sim.observers == [] and sim.profiler is None
 
 
 def test_snapshot_is_json_friendly():

@@ -14,7 +14,7 @@ from repro.api import get_app
 from repro.net.context import NetConfig
 from repro.net.services import NetSimulator
 from repro.obs.telemetry import Telemetry
-from repro.sim import make_simulator, run_scope
+from repro.sim import SimProfiler, make_simulator, run_scope
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -52,10 +52,18 @@ def test_scope_survives_exceptions():
 
 
 def test_profiler_rides_the_hub_onto_the_simulator():
-    profiler_marker = object()
-    with run_scope(Telemetry(profiler=profiler_marker)):
+    profiler = SimProfiler()
+    with run_scope(Telemetry(profiler=profiler)):
         sim = make_simulator()
-    assert sim.profiler is profiler_marker
+    assert sim.profiler is profiler
+    assert sim.observers == [profiler._count_message]
+
+
+def test_a_hub_adds_a_delivery_observer_only_to_trace_spans():
+    with run_scope(Telemetry()):
+        assert make_simulator().observers == []
+    with run_scope(Telemetry(spans=True)):
+        assert len(make_simulator().observers) == 1
 
 
 def test_scope_with_a_net_config_builds_the_socket_kernel():
